@@ -59,8 +59,9 @@ void BM_PartitionerSolve(benchmark::State& state) {
   const partition::Partitioner partitioner(profile, cluster);
   partition::PartitionOptions options;
   options.nm = static_cast<int>(state.range(0));
+  options.strategy = partition::SearchStrategy::kExact;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(partitioner.Solve({0, 4, 8, 12}, options));
+    benchmark::DoNotOptimize(partitioner.SolveScalable({0, 4, 8, 12}, options));
   }
 }
 BENCHMARK(BM_PartitionerSolve)->Arg(1)->Arg(4)->Arg(7);
@@ -72,9 +73,10 @@ void BM_PartitionerSolveNoPrune(benchmark::State& state) {
   const partition::Partitioner partitioner(profile, cluster);
   partition::PartitionOptions options;
   options.nm = static_cast<int>(state.range(0));
+  options.strategy = partition::SearchStrategy::kExact;
   options.prune = false;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(partitioner.Solve({0, 4, 8, 12}, options));
+    benchmark::DoNotOptimize(partitioner.SolveScalable({0, 4, 8, 12}, options));
   }
 }
 BENCHMARK(BM_PartitionerSolveNoPrune)->Arg(4);
@@ -87,9 +89,10 @@ void BM_PartitionerSolveParallelOrders(benchmark::State& state) {
   runner::ThreadPool pool(static_cast<int>(state.range(0)));
   partition::PartitionOptions options;
   options.nm = 4;
+  options.strategy = partition::SearchStrategy::kExact;
   options.pool = &pool;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(partitioner.Solve({0, 4, 8, 12}, options));
+    benchmark::DoNotOptimize(partitioner.SolveScalable({0, 4, 8, 12}, options));
   }
 }
 BENCHMARK(BM_PartitionerSolveParallelOrders)->Arg(2)->Arg(8);
@@ -127,7 +130,7 @@ void BM_PipelineSimulation(benchmark::State& state) {
   const partition::Partitioner partitioner(profile, cluster);
   partition::PartitionOptions options;
   options.nm = 4;
-  const partition::Partition partition = partitioner.Solve({0, 4, 8, 12}, options);
+  const partition::Partition partition = partitioner.SolveScalable({0, 4, 8, 12}, options);
   for (auto _ : state) {
     sim::Simulator simulator;
     pipeline::OpenGate gate;

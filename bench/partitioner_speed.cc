@@ -1,5 +1,6 @@
-// Partitioner hot-path benchmark: times cold Partitioner::Solve against the
-// retained pre-optimization SolveReference (naive O(stage-length) cost sums,
+// Partitioner hot-path benchmark: times cold exact-tier solves
+// (Partitioner::SolveScalable with strategy kExact) against the test oracle
+// oracles::SolveReference (tests/oracles: naive O(stage-length) cost sums,
 // vector-of-vector DP, factorial order scan with string dedup) across
 // models x clusters x virtual-worker shapes x Nm, verifying on every point
 // that the two return bit-identical partitions. Also pins the no-allocation
@@ -22,7 +23,8 @@
 //                             clusters from 16 GPUs up to 1024 (full), timing
 //                             SolveScalable under the kAuto selector. The
 //                             16-GPU point stays on the exact path and is
-//                             verified bit-identical to Solve; it also anchors
+//                             verified bit-identical to the kExact tier; it
+//                             also anchors
 //                             beam quality (forced-beam bottleneck vs the
 //                             exact optimum).
 //        --growth-budget-ms=N fail if any growth solve exceeds N ms wall
@@ -59,6 +61,7 @@
 #include "model/resnet.h"
 #include "model/transformer.h"
 #include "model/vgg.h"
+#include "oracles/reference.h"
 #include "partition/partitioner.h"
 #include "runner/cli.h"
 #include "runner/spec_sweep.h"
@@ -90,8 +93,8 @@ struct PointResult {
   int k = 0;
   bool feasible = false;
   double bottleneck_ms = 0.0;
-  double ref_ms = 0.0;   // best-of-repeat cold SolveReference wall time
-  double fast_ms = 0.0;  // best-of-repeat cold Solve wall time
+  double ref_ms = 0.0;   // best-of-repeat cold oracles::SolveReference wall time
+  double fast_ms = 0.0;  // best-of-repeat cold kExact SolveScalable wall time
   bool identical = false;
   std::string signature;  // timing-free solve result, for --expect
 };
@@ -180,10 +183,11 @@ PointResult RunPoint(const GridPoint& point, const hw::Cluster& cluster,
   const partition::Partitioner partitioner(profile, cluster);
   partition::PartitionOptions options;
   options.nm = point.nm;
+  options.strategy = partition::SearchStrategy::kExact;
 
   // One untimed round first: warms the DP scratch and pins equivalence.
-  const partition::Partition reference = partitioner.SolveReference(gpu_ids, options);
-  const partition::Partition fast = partitioner.Solve(gpu_ids, options);
+  const partition::Partition reference = oracles::SolveReference(partitioner, gpu_ids, options);
+  const partition::Partition fast = partitioner.SolveScalable(gpu_ids, options);
   out.identical = SamePartition(reference, fast);
   out.feasible = fast.feasible;
   out.bottleneck_ms = fast.bottleneck_time * 1e3;
@@ -194,13 +198,13 @@ PointResult RunPoint(const GridPoint& point, const hw::Cluster& cluster,
   // scales).
   for (int r = 0; r < repeat; ++r) {
     const auto start = Clock::now();
-    (void)partitioner.SolveReference(gpu_ids, options);
+    (void)oracles::SolveReference(partitioner, gpu_ids, options);
     const double ms = MsBetween(start, Clock::now());
     out.ref_ms = r == 0 ? ms : std::min(out.ref_ms, ms);
   }
   for (int r = 0; r < repeat; ++r) {
     const auto start = Clock::now();
-    (void)partitioner.Solve(gpu_ids, options);
+    (void)partitioner.SolveScalable(gpu_ids, options);
     const double ms = MsBetween(start, Clock::now());
     out.fast_ms = r == 0 ? ms : std::min(out.fast_ms, ms);
   }
@@ -419,7 +423,9 @@ int RunGrowthCurve(bool full, double budget_ms, int repeat, int threads,
     if (c.compare_exact) {
       // The selector must have kept this point exact, bit-identically; the
       // forced beam anchors approximate quality against the true optimum.
-      const partition::Partition exact = partitioner.Solve(gpu_ids, options);
+      partition::PartitionOptions exact_options = options;
+      exact_options.strategy = partition::SearchStrategy::kExact;
+      const partition::Partition exact = partitioner.SolveScalable(gpu_ids, exact_options);
       point_ok = point_ok && strategy == partition::SearchStrategy::kExact &&
                  SamePartition(solved, exact);
       partition::PartitionOptions beam_options = options;
@@ -581,7 +587,7 @@ int main(int argc, char** argv) {
   }
 
   const std::vector<GridPoint> grid = BuildGrid();
-  std::printf("timing %zu grid points (cold Solve vs pre-optimization SolveReference,\n"
+  std::printf("timing %zu grid points (cold kExact solve vs oracles::SolveReference,\n"
               "best of %d repetitions each)\n\n",
               grid.size(), repeat);
 
@@ -637,10 +643,11 @@ int main(int argc, char** argv) {
   const partition::Partitioner warm_partitioner(profiles.at("resnet152"), paper);
   partition::PartitionOptions warm_options;
   warm_options.nm = 2;
-  (void)warm_partitioner.Solve(warm_ids, warm_options);  // warm this thread's scratch
+  warm_options.strategy = partition::SearchStrategy::kExact;
+  (void)warm_partitioner.SolveScalable(warm_ids, warm_options);  // warm this thread's scratch
   const int64_t grows_before = partition::DpScratchGrowCount();
   for (int r = 0; r < 50; ++r) {
-    (void)warm_partitioner.Solve(warm_ids, warm_options);
+    (void)warm_partitioner.SolveScalable(warm_ids, warm_options);
   }
   const int64_t scratch_grows = partition::DpScratchGrowCount() - grows_before;
 

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   const partition::Partitioner partitioner(profile, cluster);
   partition::PartitionOptions options;
   options.nm = nm;
-  const partition::Partition partition = partitioner.Solve({0, 1, 2, 3}, options);
+  const partition::Partition partition = partitioner.SolveScalable({0, 1, 2, 3}, options);
   if (!partition.feasible) {
     std::printf("no feasible partition at Nm=%d\n", nm);
     return 1;

@@ -4,8 +4,10 @@
 # generous margins, since absolute timings vary wildly across runners:
 #
 #   partitioner files (a partitioner_speed_summary row):
-#   1. partitioner_speed_summary: the cold-solve geomean speedup of Solve over
-#      SolveReference stays above a floor (default 4x; the committed
+#   1. partitioner_speed_summary: the cold-solve geomean speedup of the exact
+#      tier (SolveScalable with strategy kExact) over the test oracle
+#      oracles::SolveReference (tests/oracles/) stays above a floor (default
+#      4x; the committed
 #      trajectory records ~11x), every point stayed bit-identical, and the
 #      warm-solve scratch never grew.
 #   2. partitioner_growth g16: the forced-beam bottleneck stays within 1.25x

@@ -14,7 +14,8 @@
 #      can't hide in the tree.
 #   4. Every src/ header starts its guard with #pragma once; no #ifndef-style
 #      include guards (one convention, not two).
-#   5. src/runner and src/serve use the annotated util::Mutex wrappers, not
+#   5. src/runner, src/serve and src/partition use the annotated util::Mutex
+#      wrappers, not
 #      raw std::mutex / std::shared_mutex / std::condition_variable —
 #      otherwise -Wthread-safety has nothing to check (src/util/mutex.h is
 #      the one place allowed to touch the native types).
@@ -91,7 +92,7 @@ fi
 # ---- Rule 5: raw synchronization primitives in concurrent subsystems ----
 raw_sync=$(grep -rn --include='*.cc' --include='*.h' \
                 -E 'std::(mutex|shared_mutex|condition_variable)\b' \
-                src/runner src/serve \
+                src/runner src/serve src/partition \
              | while IFS= read -r line; do
                  code=${line#*:*:}
                  stripped=$(printf '%s' "$code" | strip_comments)
@@ -99,7 +100,7 @@ raw_sync=$(grep -rn --include='*.cc' --include='*.h' \
                    && printf '%s\n' "$line"
                done)
 if [ -n "$raw_sync" ]; then
-  fail "raw std synchronization in src/runner or src/serve (use the annotated util::Mutex family from src/util/mutex.h):" "$raw_sync"
+  fail "raw std synchronization in src/runner, src/serve or src/partition (use the annotated util::Mutex family from src/util/mutex.h):" "$raw_sync"
 fi
 
 # ---- Rule 6: result writing in bench/ goes through the sink layer ----

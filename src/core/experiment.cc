@@ -314,7 +314,7 @@ ExperimentResult RunPartitionOnly(const Experiment& experiment, const hw::Cluste
     options.pool = experiment.config.pool;
     result.partition = experiment.config.partition_cache != nullptr
                            ? experiment.config.partition_cache->Solve(partitioner, gpu_ids, options)
-                           : partitioner.Solve(gpu_ids, options);
+                           : partitioner.SolveScalable(gpu_ids, options);
   } else {
     const partition::NaiveSplit kind = experiment.strategy == PartitionStrategy::kEqualLayers
                                            ? partition::NaiveSplit::kEqualLayers

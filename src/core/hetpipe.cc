@@ -216,7 +216,7 @@ HetPipeReport HetPipe::RunSingleVirtualWorker(const hw::Cluster& cluster,
   popt.pool = config.pool;
   const partition::Partition partition =
       config.partition_cache != nullptr ? config.partition_cache->Solve(partitioner, gpu_ids, popt)
-                                        : partitioner.Solve(gpu_ids, popt);
+                                        : partitioner.SolveScalable(gpu_ids, popt);
   if (!partition.feasible) {
     report.infeasible_reason = "partition infeasible at Nm=" + std::to_string(nm);
     return report;

@@ -37,22 +37,6 @@ uint64_t ModelGraph::StashBytesInRange(int first, int last) const {
   return stash_prefix_[static_cast<size_t>(last) + 1] - stash_prefix_[static_cast<size_t>(first)];
 }
 
-uint64_t ModelGraph::ParamBytesInRangeNaive(int first, int last) const {
-  uint64_t total = 0;
-  for (int i = first; i <= last; ++i) {
-    total += layer(i).param_bytes;
-  }
-  return total;
-}
-
-uint64_t ModelGraph::StashBytesInRangeNaive(int first, int last) const {
-  uint64_t total = 0;
-  for (int i = first; i <= last; ++i) {
-    total += layer(i).stash_bytes;
-  }
-  return total;
-}
-
 std::string ModelGraph::Summary() const {
   std::ostringstream os;
   os << name_ << ": " << layers_.size() << " layers, "

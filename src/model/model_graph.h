@@ -38,11 +38,6 @@ class ModelGraph {
   uint64_t ParamBytesInRange(int first, int last) const;
   // Sum of stash bytes (per image) over layers [first, last]. O(1).
   uint64_t StashBytesInRange(int first, int last) const;
-  // The original O(last - first) summation loops, retained as the oracle for
-  // the prefix-sum equivalence tests. Semantically identical to the O(1)
-  // forms above.
-  uint64_t ParamBytesInRangeNaive(int first, int last) const;
-  uint64_t StashBytesInRangeNaive(int first, int last) const;
 
   // Raw prefix arrays (num_layers() + 1 entries, prefix[i] = sum over layers
   // [0, i)) for the partitioner's DP inner loop, which cannot afford a

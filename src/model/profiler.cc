@@ -113,26 +113,6 @@ double ModelProfile::StageTotalTime(int first, int last, hw::GpuType gpu) const 
   return StageFwdTime(first, last, gpu) + StageBwdTime(first, last, gpu);
 }
 
-double ModelProfile::StageFwdTimeNaive(int first, int last, hw::GpuType gpu) const {
-  double t = 0.0;
-  for (int i = first; i <= last; ++i) {
-    t += TimeOf(i, gpu).fwd_s;
-  }
-  return t;
-}
-
-double ModelProfile::StageBwdTimeNaive(int first, int last, hw::GpuType gpu) const {
-  double t = 0.0;
-  for (int i = first; i <= last; ++i) {
-    t += TimeOf(i, gpu).bwd_s;
-  }
-  return t;
-}
-
-double ModelProfile::StageTotalTimeNaive(int first, int last, hw::GpuType gpu) const {
-  return StageFwdTimeNaive(first, last, gpu) + StageBwdTimeNaive(first, last, gpu);
-}
-
 double ModelProfile::FullModelTime(hw::GpuType gpu) const {
   return StageTotalTime(0, graph_->num_layers() - 1, gpu);
 }

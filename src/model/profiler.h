@@ -46,7 +46,8 @@ class ModelProfile {
   // Per-minibatch forward / backward / total compute time of layers
   // [first, last] on `gpu`. O(1): served from cumulative-sum tables anchored
   // at every start layer, precomputed at construction. Each table row is
-  // accumulated left-to-right exactly like the naive loop, so the returned
+  // accumulated left-to-right exactly like the naive loop (the equivalence
+  // oracle in tests/oracles), so the returned
   // double is bit-identical to what the loop computes — a plain
   // prefix-difference would drift in the last ulp (floating-point addition is
   // not associative) and could flip near-tie decisions in the partitioner DP.
@@ -54,32 +55,16 @@ class ModelProfile {
   double StageBwdTime(int first, int last, hw::GpuType gpu) const;
   double StageTotalTime(int first, int last, hw::GpuType gpu) const;
 
-  // The original O(last - first) summation loops, retained as the oracle for
-  // the cumulative-table equivalence tests (results are bit-identical).
-  double StageFwdTimeNaive(int first, int last, hw::GpuType gpu) const;
-  double StageBwdTimeNaive(int first, int last, hw::GpuType gpu) const;
-  double StageTotalTimeNaive(int first, int last, hw::GpuType gpu) const;
-
-  // Raw cumulative tables (num_layers()^2 entries, entry first * num_layers()
-  // + last = Stage{Fwd,Bwd}Time(first, last, gpu)) for the partitioner's DP
-  // inner loop, which cannot afford a bounds-checked call per state. Throws
-  // std::out_of_range for classes registered after construction.
-  const double* FwdCum(hw::GpuType gpu) const {
-    return fwd_cum_.at(static_cast<size_t>(gpu)).data();
-  }
-  const double* BwdCum(hw::GpuType gpu) const {
-    return bwd_cum_.at(static_cast<size_t>(gpu)).data();
-  }
-
-  // Transposed combined table: entry last * num_layers() + first =
-  // FwdCum[first * n + last] + BwdCum[first * n + last], i.e. the total
-  // compute time of stage [first, last]. The DP inner loop scans candidate
-  // split points `first` at a fixed `last`, so this layout makes that scan a
-  // contiguous unit-stride pass (the row-major tables above stride by n
-  // there, which defeats vectorization). Each entry is the single addition
-  // fwd + bwd of the two table entries — the same operands in the same order
-  // the scalar loop adds them — so reading it is bit-identical to computing
-  // the sum in the loop.
+  // Raw combined table for the partitioner's DP inner loop, which cannot
+  // afford a bounds-checked call per state: entry last * num_layers() +
+  // first = StageFwdTime(first, last, gpu) + StageBwdTime(first, last, gpu),
+  // i.e. the total compute time of stage [first, last]. The DP scans
+  // candidate split points `first` at a fixed `last`, so this transposed
+  // layout makes that scan a contiguous unit-stride pass. Each entry is the
+  // single addition fwd + bwd of the two cumulative-table entries — the same
+  // operands in the same order a scalar loop adds them — so reading it is
+  // bit-identical to computing the sum in the loop. Throws std::out_of_range
+  // for classes registered after construction.
   const double* TotalCumByLast(hw::GpuType gpu) const {
     return total_cum_by_last_.at(static_cast<size_t>(gpu)).data();
   }

@@ -57,7 +57,7 @@ struct Partition {
 // ("Partition search strategies").
 enum class SearchStrategy {
   kAuto,          // pick by search-space size (exact whenever it is tractable)
-  kExact,         // every distinct (type, node) order: Partitioner::Solve
+  kExact,         // every distinct (type, node) order: optimal
   kBeam,          // beam over order prefixes + swap local search
   kHierarchical,  // rack-level coarse order, then within-rack refinement
 };
@@ -88,12 +88,12 @@ struct PartitionOptions {
   runner::ThreadPool* pool = nullptr;
   StageMemoryParams mem_params;
 
-  // ---- SolveScalable knobs (ignored by plain Solve/SolveReference). ----
+  // ---- Search-strategy knobs. ----
   // kAuto picks exact whenever the distinct-order estimate fits under
-  // exact_order_limit, so every paper-scale solve stays bit-identical to
-  // Solve; an explicit strategy is honored whenever there is an order search
-  // to run (with search_gpu_orders off the given order IS the stage order,
-  // so everything resolves to the exact fixed-order DP).
+  // exact_order_limit, so every paper-scale solve is the exact optimum; an
+  // explicit strategy is honored whenever there is an order search to run
+  // (with search_gpu_orders off the given order IS the stage order, so
+  // everything resolves to the exact fixed-order DP).
   SearchStrategy strategy = SearchStrategy::kAuto;
   // Largest distinct (type, node) order count the auto selector still solves
   // exactly. The default is far above every paper/mixed grid in this repo
@@ -123,39 +123,32 @@ struct PartitionOptions {
 // thread-local scratch reused across solves (no per-solve allocation after
 // warmup). The GPU-order search enumerates the distinct (type, node) multiset
 // permutations directly — no factorial next_permutation scan, no string
-// signatures — in exactly the order the old dedup scan produced them, so
-// results (including exact ties) are bit-identical to SolveReference.
+// signatures — in exactly the order a factorial next_permutation scan with
+// (type, node) dedup first reaches them, so exact ties break the same way
+// that scan's "first wins" reduction does.
 class Partitioner {
  public:
   Partitioner(const model::ModelProfile& profile, const hw::Cluster& cluster);
 
-  // Solves for the virtual worker owning `gpu_ids` (k = gpu_ids.size()).
-  Partition Solve(const std::vector<int>& gpu_ids, const PartitionOptions& options) const;
-
-  // The pre-optimization implementation (naive O(stage-length) cost sums,
-  // vector-of-vector DP, factorial order scan with string-signature dedup),
-  // retained as the equivalence oracle for tests and the speed baseline for
-  // bench/partitioner_speed. Returns a bit-identical Partition to Solve.
-  Partition SolveReference(const std::vector<int>& gpu_ids,
-                           const PartitionOptions& options) const;
-
-  // Largest nm in [1, nm_cap] for which a feasible partition exists
-  // (Maxm of §4); returns 0 if even nm=1 is infeasible.
-  int FindMaxNm(const std::vector<int>& gpu_ids, int nm_cap,
-                PartitionOptions options = {}) const;
-
-  // ---- The scalable search tier (src/partition/search.cc). ----
-
-  // Strategy-dispatched solve: resolves options.strategy (kAuto goes through
-  // ResolveSearchStrategy) and runs the exact, beam, or hierarchical search.
-  // On the exact path this IS Solve — bit-identical results, including ties —
-  // so paper-scale callers can switch to SolveScalable without any drift.
-  // The approximate paths return a valid feasible partition (built by the
-  // same BuildFixedPartition machinery, so TimeOf/stage fields mean the same
+  // Solves for the virtual worker owning `gpu_ids` (k = gpu_ids.size()): the
+  // one solve entry point. Resolves options.strategy (kAuto goes through
+  // ResolveSearchStrategy) and runs the exact, beam, or hierarchical search
+  // (src/partition/search.cc). The exact tier is optimal, ties included; the
+  // approximate tiers return a valid partition (built by the same
+  // BuildFixedPartition machinery, so TimeOf/stage fields mean the same
   // thing) whose bottleneck is >= the exact optimum; they search only a
-  // polynomial slice of the order space.
+  // polynomial slice of the order space. Callers that need the optimum
+  // whatever the input size set options.strategy = kExact.
   Partition SolveScalable(const std::vector<int>& gpu_ids,
                           const PartitionOptions& options) const;
+
+  const model::ModelProfile& profile() const { return *profile_; }
+  const hw::Cluster& cluster() const { return *cluster_; }
+
+ private:
+  // Every distinct (type, node) order, solved under a shared
+  // branch-and-bound incumbent; the optimum.
+  Partition SolveExact(const std::vector<int>& gpu_ids, const PartitionOptions& options) const;
 
   // Beam search over (type, node) order prefixes: states carry the exact DP
   // row of their closed stages, extend one class at a time, and the top
@@ -165,27 +158,40 @@ class Partitioner {
   // (type, node) multisets (ids are canonicalized first).
   Partition SolveBeam(const std::vector<int>& gpu_ids, const PartitionOptions& options) const;
 
-  // Hierarchical search over the PR-5 rack topology: coarsen the virtual
-  // worker to its racks, search the rack order (exhaustively for few racks,
-  // beam otherwise), then refine each rack's internal order with the exact
-  // distinct-order enumerator (coordinate descent across racks). Virtual
-  // workers inside a single rack degrade to SolveBeam.
+  // Hierarchical search over the rack topology: coarsen the virtual worker
+  // to its racks, search the rack order (exhaustively for few racks,
+  // heuristic orders plus swaps otherwise), then refine each rack's internal
+  // order with the exact distinct-order enumerator (coordinate descent
+  // across racks). Virtual workers inside a single rack degrade to the beam.
   Partition SolveHierarchical(const std::vector<int>& gpu_ids,
                               const PartitionOptions& options) const;
 
-  const model::ModelProfile& profile() const { return *profile_; }
-  const hw::Cluster& cluster() const { return *cluster_; }
+  // Solves every order with SolveFixedOrder under a shared branch-and-bound
+  // incumbent seeded with `initial_bound`, on options.pool when one is
+  // given; results are indexed like `orders` (see search.cc for why any
+  // schedule yields the same winner).
+  std::vector<Partition> SolveOrderBatch(const PartitionOptions& options, double initial_bound,
+                                         const std::vector<std::vector<int>>& orders) const;
 
- private:
   // Solves with a fixed stage->GPU assignment (gpu_ids[i] runs stage i).
   // DP states whose bottleneck strictly exceeds `prune_above` are abandoned;
   // a pruned search reports infeasible, which callers must treat as "no
   // solution better than the incumbent".
   Partition SolveFixedOrder(const std::vector<int>& gpu_ids, const PartitionOptions& options,
                             double prune_above) const;
-  // The original SolveFixedOrder, kept verbatim for SolveReference.
-  Partition SolveFixedOrderReference(const std::vector<int>& gpu_ids,
-                                     const PartitionOptions& options, double prune_above) const;
+
+  // One row of the k-stage DP: places stage q-1 on a GPU of `type` after
+  // the q-1 stages whose minimal bottlenecks over the first j layers are
+  // prev[j], writing cur[i] (and cur_choice[i], the split achieving it, when
+  // cur_choice is not null) for every i the row can reach. fwd_x[j] is the
+  // transfer into the stage when it starts at layer j (all zeros for the
+  // first stage); bwd_x[last] is the transfer out of it when it ends at
+  // layer `last` (null for the last stage). Candidates above `prune_above`
+  // are cut. SolveFixedOrder runs it once per stage; the beam closes one
+  // stage at a time with it.
+  void DpRow(int q, int k, hw::GpuType type, const PartitionOptions& options,
+             const double* prev, const double* fwd_x, const double* bwd_x, double prune_above,
+             double* cur, int* cur_choice) const;
 
   const model::ModelProfile* profile_;
   const hw::Cluster* cluster_;
@@ -207,9 +213,9 @@ Partition BuildFixedPartition(const model::ModelProfile& profile, const hw::Clus
                               const std::vector<int>& stage_lasts, int nm,
                               const StageMemoryParams& mem_params = {});
 
-// The Maxm probe of §4 shared by Partitioner::FindMaxNm and the partition
-// cache: largest nm in [1, nm_cap] for which `solve` (called with `options`
-// at that nm) is feasible; 0 if even nm=1 is not. Feasibility is monotone
+// The Maxm probe of §4 (the partition cache's FindMaxNm wraps it): largest
+// nm in [1, nm_cap] for which `solve` (called with `options` at that nm) is
+// feasible; 0 if even nm=1 is not. Feasibility is monotone
 // non-increasing in nm (stage memory grows with nm through InFlightAtStage),
 // so this binary-searches the boundary in O(log nm_cap) solves instead of
 // scanning nm_cap -> 1; the returned nm is identical to the linear scan's.
@@ -217,9 +223,8 @@ int FindMaxNmWith(const std::function<Partition(const PartitionOptions&)>& solve
                   PartitionOptions options);
 
 // True when `candidate` improves on `best` under the min-max objective with
-// the sum-time tie-break. Matches the exact search's "first wins" rule when
-// candidates are visited in enumeration order; the scalable searches use the
-// same rule so their reductions agree with Solve's.
+// the sum-time tie-break: the "first wins" rule every search tier reduces
+// its candidates with, visiting them in enumeration order.
 bool ImprovesPartition(const Partition& candidate, const Partition& best);
 
 // Number of distinct (type, node) orderings of the virtual worker's GPUs —
@@ -239,12 +244,12 @@ SearchStrategy ResolveSearchStrategy(const hw::Cluster& cluster,
                                      const PartitionOptions& options);
 
 // The distinct (type, node) orderings of `ids`, each realized by its minimal
-// ascending-id representative, in the first-occurrence order of the
-// reference factorial scan (see the implementation note in partitioner.cc).
-// This is the exact enumerator Solve searches; the hierarchical refinement
-// reuses it per rack segment.
+// ascending-id representative, in the first-occurrence order of a factorial
+// next_permutation scan (see the implementation note in search.cc). This is
+// the exact tier's enumerator; the hierarchical refinement reuses it per
+// rack segment.
 std::vector<std::vector<int>> DistinctClassOrders(const hw::Cluster& cluster,
-                                                  std::vector<int> ids);
+                                                  const std::vector<int>& ids);
 
 // Stage boundaries of the naive baselines the ablation compares against.
 enum class NaiveSplit {

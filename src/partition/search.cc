@@ -1,34 +1,37 @@
-// The scalable partitioner search tier: strategy selection, the beam search
+// The partitioner's GPU-order search tiers behind Partitioner::SolveScalable:
+// strategy selection, the exact distinct-order enumeration, the beam search
 // over (type, node) order prefixes, and the rack-hierarchical search. The
-// exact enumeration in partitioner.cc is optimal but visits a multinomial
-// number of orders; these searches visit a polynomial slice of that space,
-// always producing their result through the same SolveFixedOrder DP, so a
-// returned partition is exactly what Solve would report for its order — only
-// the set of orders tried differs. Everything here is deterministic and
-// invariant under permutations of the input gpu ids with equal (type, node)
-// multisets: ids are canonicalized up front and every search decision is a
-// function of classes and positions, never of raw id values.
+// exact tier is optimal but visits a multinomial number of orders; the beam
+// and hierarchical tiers visit a polynomial slice of that space. Every tier
+// produces its result through the same SolveFixedOrder DP (partitioner.cc),
+// so a returned partition is exactly what the exact tier would report for
+// its order — only the set of orders tried differs. Everything here is
+// deterministic and invariant under permutations of the input gpu ids with
+// equal (type, node) multisets: ids are canonicalized up front and every
+// search decision is a function of classes and positions, never of raw id
+// values.
 //
-// Parallelism: when options.pool is set, the three bulk loops — beam depth
-// expansions, candidate-order evaluation, and the hierarchical coordinate-
-// descent batches — run under ThreadPool::ParallelFor into index-addressed
-// slots, and every winner is picked by a reduction that walks those slots in
-// input order. Candidates within a batch are independent except through the
-// shared branch-and-bound incumbent, and the incumbent is only ever an upper
-// bound on the optimum (see SolveOrderBatch), so parallel and serial runs are
-// byte-identical at any thread count. The short sequential-accept polish
-// loops (pairwise-swap hill climbs) have true loop-carried dependences and
-// deliberately stay serial.
+// Parallelism: when options.pool is set, the bulk loops — exact order
+// enumeration, beam depth expansions, candidate-order evaluation, and the
+// hierarchical coordinate-descent batches — run under
+// ThreadPool::ParallelFor into index-addressed slots, and every winner is
+// picked by a reduction that walks those slots in input order. Candidates
+// within a batch are independent except through the shared branch-and-bound
+// incumbent, and the incumbent is only ever an upper bound on the optimum
+// (see SolveOrderBatch), so parallel and serial runs are byte-identical at
+// any thread count. The short sequential-accept polish loops (pairwise-swap
+// hill climbs) have true loop-carried dependences and deliberately stay
+// serial.
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <mutex>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "partition/partitioner.h"
 #include "runner/thread_pool.h"
+#include "util/mutex.h"
 
 namespace hetpipe::partition {
 namespace {
@@ -37,7 +40,8 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // One distinct (type, node) class of a virtual worker, with its member ids
 // ascending. Groups are ordered by (type, node) — an id-free canonical order,
-// so equal multisets on different ids group identically.
+// so equal multisets on different ids group identically. This is the one
+// class grouping every tier (and the order-count estimate) uses.
 struct Group {
   hw::GpuType type;
   int node = -1;
@@ -69,6 +73,42 @@ std::vector<Group> CanonicalGroups(const hw::Cluster& cluster, std::vector<int> 
     return a.node < b.node;
   });
   return groups;
+}
+
+// Appends the distinct (type, node) orderings of the grouped ids to
+// `orders`, each realized by its minimal GPU-id representative (every class's
+// ids appear in ascending order), in lexicographic order of those
+// representatives. That is exactly the sequence a factorial next_permutation
+// scan with (type, node) dedup produces — the first permutation reaching a
+// class sequence is its minimal representative, and first occurrences appear
+// in representative order — so "first wins" tie-breaks match that scan's.
+// Candidates are tried in ascending id order, so the groups' own order does
+// not matter. Cost is O(#distinct-orders * k^2) instead of O(k! * k): with
+// repeated GPU classes (homogeneous and mixed-node VWs, the common case) the
+// distinct count is the multinomial, not the factorial.
+void EmitClassOrders(const std::vector<Group>& groups, std::vector<size_t>& used,
+                     std::vector<int>& current, size_t k,
+                     std::vector<std::vector<int>>& orders) {
+  if (current.size() == k) {
+    orders.push_back(current);
+    return;
+  }
+  // Candidates: the next unused id of each class, in ascending id order.
+  std::vector<std::pair<int, size_t>> candidates;
+  candidates.reserve(groups.size());
+  for (size_t g = 0; g < groups.size(); ++g) {
+    if (used[g] < groups[g].ids.size()) {
+      candidates.emplace_back(groups[g].ids[used[g]], g);
+    }
+  }
+  std::sort(candidates.begin(), candidates.end());
+  for (const auto& [id, g] : candidates) {
+    ++used[g];
+    current.push_back(id);
+    EmitClassOrders(groups, used, current, k, orders);
+    current.pop_back();
+    --used[g];
+  }
 }
 
 // Realizes a group-index sequence as a gpu-id order: each group contributes
@@ -105,7 +145,33 @@ bool BeamLess(const BeamState& a, const BeamState& b) {
   return a.seq < b.seq;
 }
 
+// The branch-and-bound incumbent an order batch shares across pool threads.
+struct Incumbent {
+  explicit Incumbent(double initial) : bound(initial) {}
+  util::Mutex mu;
+  double bound GUARDED_BY(mu);
+};
+
+double MinOf(const std::vector<double>& dp) {
+  double best = kInf;
+  for (double v : dp) {
+    best = std::min(best, v);
+  }
+  return best;
+}
+
 }  // namespace
+
+std::vector<std::vector<int>> DistinctClassOrders(const hw::Cluster& cluster,
+                                                  const std::vector<int>& ids) {
+  const std::vector<Group> groups = CanonicalGroups(cluster, ids);
+  std::vector<size_t> used(groups.size(), 0);
+  std::vector<std::vector<int>> orders;
+  std::vector<int> current;
+  current.reserve(ids.size());
+  EmitClassOrders(groups, used, current, ids.size(), orders);
+  return orders;
+}
 
 const char* SearchStrategyName(SearchStrategy strategy) {
   switch (strategy) {
@@ -218,129 +284,33 @@ Partition Partitioner::SolveScalable(const std::vector<int>& gpu_ids,
     case SearchStrategy::kExact:
       break;
   }
-  return Solve(gpu_ids, options);
+  return SolveExact(gpu_ids, options);
 }
 
-namespace {
-
-// Shared context of one beam/local search: the canonical groups plus the
-// hoisted per-class tables the incremental DP closes stages with.
-struct SearchContext {
-  const model::ModelProfile* profile = nullptr;
-  const hw::Cluster* cluster = nullptr;
-  std::vector<Group> groups;
-  int k = 0;
-  int n = 0;
-};
-
-// Closes stage `sq` (class `cur`, preceded by `prev_class` or -1, followed by
-// `next_class` or -1 for the last stage) over `dp_prev`, producing the next
-// dp row. Identical cost and memory arithmetic to SolveFixedOrder, evaluated
-// through the same cumulative tables and prefix sums.
-std::vector<double> CloseStage(const SearchContext& ctx, const PartitionOptions& options,
-                               const std::vector<double>& dp_prev, int sq, int prev_class,
-                               int cur, int next_class) {
-  const int n = ctx.n;
-  const int k = ctx.k;
-  const hw::GpuType type = ctx.groups[static_cast<size_t>(cur)].type;
-  const double* fwd_cum = ctx.profile->FwdCum(type);
-  const double* bwd_cum = ctx.profile->BwdCum(type);
-  const uint64_t* param_prefix = ctx.profile->graph().ParamPrefix();
-  const uint64_t* stash_prefix = ctx.profile->graph().StashPrefix();
-  const uint64_t batch = static_cast<uint64_t>(ctx.profile->batch_size());
-  const uint64_t in_flight = static_cast<uint64_t>(InFlightAtStage(sq, k, options.nm));
-  const uint64_t cap = hw::MemoryBytes(type);
-
-  // Boundary transfer rows, hoisted like SolveFixedOrder's xfer table. A
-  // group's first id stands in for the class — links depend on nodes only.
-  const auto rep = [&](int g) { return ctx.groups[static_cast<size_t>(g)].ids.front(); };
-  std::vector<double> fwd_x;
-  if (prev_class >= 0) {
-    const hw::LinkModel& link = ctx.cluster->LinkBetween(rep(prev_class), rep(cur));
-    fwd_x.resize(static_cast<size_t>(n));
-    for (int b = 0; b + 1 < n; ++b) {
-      fwd_x[static_cast<size_t>(b)] = link.TransferTime(ctx.profile->BoundaryTransferBytes(b));
-    }
-  }
-  std::vector<double> bwd_x;
-  if (next_class >= 0) {
-    const hw::LinkModel& link = ctx.cluster->LinkBetween(rep(cur), rep(next_class));
-    bwd_x.resize(static_cast<size_t>(n));
-    for (int b = 0; b + 1 < n; ++b) {
-      bwd_x[static_cast<size_t>(b)] = link.TransferTime(ctx.profile->BoundaryTransferBytes(b));
-    }
-  }
-
-  std::vector<double> dp(static_cast<size_t>(n) + 1, kInf);
-  const int q = sq + 1;  // dp rows count closed stages, 1-based like the DP
-  for (int i = q; i <= n - (k - q); ++i) {
-    const size_t last = static_cast<size_t>(i - 1);
-    double best = kInf;
-    for (int j = q - 1; j < i; ++j) {
-      const double prior = dp_prev[static_cast<size_t>(j)];
-      if (prior == kInf) {
-        continue;
-      }
-      const uint64_t need = StageMemoryBytesFromSums(
-          param_prefix[i] - param_prefix[j], stash_prefix[i] - stash_prefix[j], batch,
-          in_flight, options.mem_params);
-      if (need > cap) {
-        continue;
-      }
-      const size_t jn = static_cast<size_t>(j) * static_cast<size_t>(n);
-      double cost = fwd_cum[jn + last] + bwd_cum[jn + last];
-      if (!fwd_x.empty()) {
-        cost += fwd_x[static_cast<size_t>(j - 1)];
-      }
-      if (!bwd_x.empty()) {
-        cost += bwd_x[last];
-      }
-      const double cand = std::max(prior, cost);
-      if (cand < best) {
-        best = cand;
-      }
-    }
-    dp[static_cast<size_t>(i)] = best;
-  }
-  return dp;
-}
-
-double MinOf(const std::vector<double>& dp) {
-  double best = kInf;
-  for (double v : dp) {
-    best = std::min(best, v);
-  }
-  return best;
-}
-
-// Solves every candidate order with a shared branch-and-bound incumbent, on
-// options.pool when one is given, returning results indexed like the input.
-// Callers reduce over the returned vector in input order, which makes the
-// picked winner independent of thread interleaving: the incumbent (seeded
-// with `initial_bound`, tightened to the min bottleneck of any feasible
-// result) never drops below min(initial_bound, batch optimum), so whenever
-// the batch can beat or tie the caller's incumbent at all, every candidate
-// achieving the batch minimum is solved exactly under any schedule
-// (`cand > prune_above` is strict), and candidates a tighter bound happens to
-// prune could never have won the reduction anyway. This is the same argument
-// Solve's exact order enumeration relies on.
-std::vector<Partition> SolveOrderBatch(
-    const std::function<Partition(const std::vector<int>&, double)>& solve_order,
+// Every candidate shares one branch-and-bound incumbent, and callers reduce
+// over the returned vector in input order, which makes the picked winner
+// independent of thread interleaving: the incumbent (seeded with
+// `initial_bound`, tightened to the min bottleneck of any feasible result)
+// never drops below min(initial_bound, batch optimum), so whenever the batch
+// can beat or tie the caller's incumbent at all, every candidate achieving
+// the batch minimum is solved exactly under any schedule (`cand >
+// prune_above` is strict), and candidates a tighter bound happens to prune
+// could never have won the reduction anyway.
+std::vector<Partition> Partitioner::SolveOrderBatch(
     const PartitionOptions& options, double initial_bound,
-    const std::vector<std::vector<int>>& orders) {
+    const std::vector<std::vector<int>>& orders) const {
   std::vector<Partition> results(orders.size());
-  std::mutex incumbent_mu;
-  double incumbent = initial_bound;
+  Incumbent incumbent(initial_bound);
   const auto solve_one = [&](int64_t index) {
     double bound = kInf;
     if (options.prune) {
-      std::lock_guard<std::mutex> lock(incumbent_mu);
-      bound = incumbent;
+      util::MutexLock lock(incumbent.mu);
+      bound = incumbent.bound;
     }
-    Partition candidate = solve_order(orders[static_cast<size_t>(index)], bound);
+    Partition candidate = SolveFixedOrder(orders[static_cast<size_t>(index)], options, bound);
     if (candidate.feasible) {
-      std::lock_guard<std::mutex> lock(incumbent_mu);
-      incumbent = std::min(incumbent, candidate.bottleneck_time);
+      util::MutexLock lock(incumbent.mu);
+      incumbent.bound = std::min(incumbent.bound, candidate.bottleneck_time);
     }
     results[static_cast<size_t>(index)] = std::move(candidate);
   };
@@ -354,7 +324,22 @@ std::vector<Partition> SolveOrderBatch(
   return results;
 }
 
-}  // namespace
+Partition Partitioner::SolveExact(const std::vector<int>& gpu_ids,
+                                  const PartitionOptions& options) const {
+  if (!options.search_gpu_orders || gpu_ids.size() <= 1) {
+    return SolveFixedOrder(gpu_ids, options, kInf);
+  }
+  // Identical class sequences produce identical solutions, so each distinct
+  // (type, node) order is solved once.
+  Partition best;
+  for (Partition& candidate :
+       SolveOrderBatch(options, kInf, DistinctClassOrders(*cluster_, gpu_ids))) {
+    if (ImprovesPartition(candidate, best)) {
+      best = std::move(candidate);
+    }
+  }
+  return best;
+}
 
 Partition Partitioner::SolveBeam(const std::vector<int>& gpu_ids,
                                  const PartitionOptions& options) const {
@@ -363,18 +348,38 @@ Partition Partitioner::SolveBeam(const std::vector<int>& gpu_ids,
   if (k == 0 || n < k) {
     return Partition{};
   }
-  if (!options.search_gpu_orders || k == 1) {
-    return Solve(gpu_ids, options);
-  }
 
-  SearchContext ctx;
-  ctx.profile = profile_;
-  ctx.cluster = cluster_;
-  ctx.groups = CanonicalGroups(*cluster_, gpu_ids);
-  ctx.k = k;
-  ctx.n = n;
-  const int num_groups = static_cast<int>(ctx.groups.size());
+  const std::vector<Group> groups = CanonicalGroups(*cluster_, gpu_ids);
+  const int num_groups = static_cast<int>(groups.size());
   const size_t width = static_cast<size_t>(std::max(1, options.beam_width));
+
+  // Closes stage `sq` (class `cur`, preceded by `prev_class` or -1 for the
+  // first stage, followed by `next_class`) over `dp_prev` with the
+  // fixed-order DP's own row kernel, producing the next dp row — the same
+  // values SolveFixedOrder computes for that row of any order with this
+  // prefix. A group's first id stands in for the class: links depend on
+  // nodes only.
+  const auto close_stage = [&](const std::vector<double>& dp_prev, int sq, int prev_class,
+                               int cur, int next_class) {
+    const auto rep = [&](int g) { return groups[static_cast<size_t>(g)].ids.front(); };
+    std::vector<double> fwd_x(static_cast<size_t>(n), 0.0);  // by the stage's first layer
+    if (prev_class >= 0) {
+      const hw::LinkModel& link = cluster_->LinkBetween(rep(prev_class), rep(cur));
+      for (int b = 0; b + 1 < n; ++b) {
+        fwd_x[static_cast<size_t>(b) + 1] =
+            link.TransferTime(profile_->BoundaryTransferBytes(b));
+      }
+    }
+    std::vector<double> bwd_x(static_cast<size_t>(n), 0.0);  // by the stage's last layer
+    const hw::LinkModel& link = cluster_->LinkBetween(rep(cur), rep(next_class));
+    for (int b = 0; b + 1 < n; ++b) {
+      bwd_x[static_cast<size_t>(b)] = link.TransferTime(profile_->BoundaryTransferBytes(b));
+    }
+    std::vector<double> dp(static_cast<size_t>(n) + 1, kInf);
+    DpRow(sq + 1, k, groups[static_cast<size_t>(cur)].type, options, dp_prev.data(),
+          fwd_x.data(), bwd_x.data(), kInf, dp.data(), nullptr);
+    return dp;
+  };
 
   // ---- Beam over order prefixes. ----
   BeamState root;
@@ -398,7 +403,7 @@ Partition Partitioner::SolveBeam(const std::vector<int>& gpu_ids,
       const BeamState& state = beam[static_cast<size_t>(e / num_groups)];
       const int g = static_cast<int>(e % num_groups);
       if (state.used[static_cast<size_t>(g)] >=
-          static_cast<int>(ctx.groups[static_cast<size_t>(g)].ids.size())) {
+          static_cast<int>(groups[static_cast<size_t>(g)].ids.size())) {
         return;
       }
       BeamState next = state;
@@ -408,8 +413,7 @@ Partition Partitioner::SolveBeam(const std::vector<int>& gpu_ids,
         // Choosing stage t's class closes stage t-1 (its backward comm —
         // the link to stage t — is now known).
         const int prev_class = t >= 2 ? state.seq[static_cast<size_t>(t) - 2] : -1;
-        next.dp = CloseStage(ctx, options, state.dp, t - 1, prev_class,
-                             state.seq.back(), g);
+        next.dp = close_stage(state.dp, t - 1, prev_class, state.seq.back(), g);
         next.score = MinOf(next.dp);
         if (next.score == kInf) {
           return;  // no feasible closing: every completion is infeasible
@@ -456,17 +460,17 @@ Partition Partitioner::SolveBeam(const std::vector<int>& gpu_ids,
     std::vector<int> seq;
     seq.reserve(static_cast<size_t>(k));
     for (int g : by_group) {
-      seq.insert(seq.end(), ctx.groups[static_cast<size_t>(g)].ids.size(), g);
+      seq.insert(seq.end(), groups[static_cast<size_t>(g)].ids.size(), g);
     }
     seqs.push_back(std::move(seq));
   };
   push_sorted_seed([&](int a, int b) {
-    return hw::MemoryBytes(ctx.groups[static_cast<size_t>(a)].type) >
-           hw::MemoryBytes(ctx.groups[static_cast<size_t>(b)].type);
+    return hw::MemoryBytes(groups[static_cast<size_t>(a)].type) >
+           hw::MemoryBytes(groups[static_cast<size_t>(b)].type);
   });
   push_sorted_seed([&](int a, int b) {
-    return hw::SpecOf(ctx.groups[static_cast<size_t>(a)].type).effective_tflops >
-           hw::SpecOf(ctx.groups[static_cast<size_t>(b)].type).effective_tflops;
+    return hw::SpecOf(groups[static_cast<size_t>(a)].type).effective_tflops >
+           hw::SpecOf(groups[static_cast<size_t>(b)].type).effective_tflops;
   });
 
   // ---- Exact evaluation of every candidate (batched onto the pool, winner
@@ -477,13 +481,9 @@ Partition Partitioner::SolveBeam(const std::vector<int>& gpu_ids,
     std::vector<std::vector<int>> orders;
     orders.reserve(seqs.size());
     for (const std::vector<int>& seq : seqs) {
-      orders.push_back(RealizeOrder(ctx.groups, seq));
+      orders.push_back(RealizeOrder(groups, seq));
     }
-    std::vector<Partition> results = SolveOrderBatch(
-        [&](const std::vector<int>& order, double bound) {
-          return SolveFixedOrder(order, options, bound);
-        },
-        options, kInf, orders);
+    std::vector<Partition> results = SolveOrderBatch(options, kInf, orders);
     for (size_t index = 0; index < results.size(); ++index) {
       if (ImprovesPartition(results[index], best)) {
         best = std::move(results[index]);
@@ -513,7 +513,7 @@ Partition Partitioner::SolveBeam(const std::vector<int>& gpu_ids,
         }
         std::vector<int> swapped = best_seq;
         std::swap(swapped[static_cast<size_t>(a)], swapped[static_cast<size_t>(b)]);
-        Partition candidate = SolveFixedOrder(RealizeOrder(ctx.groups, swapped), options,
+        Partition candidate = SolveFixedOrder(RealizeOrder(groups, swapped), options,
                                               options.prune ? best.bottleneck_time : kInf);
         if (ImprovesPartition(candidate, best)) {
           best = std::move(candidate);
@@ -558,9 +558,6 @@ Partition Partitioner::SolveHierarchical(const std::vector<int>& gpu_ids,
   const int k = static_cast<int>(gpu_ids.size());
   if (k == 0 || n < k) {
     return Partition{};
-  }
-  if (!options.search_gpu_orders || k == 1) {
-    return Solve(gpu_ids, options);
   }
 
   // ---- Coarsen: one super-node per rack the virtual worker touches. ----
@@ -666,11 +663,7 @@ Partition Partitioner::SolveHierarchical(const std::vector<int>& gpu_ids,
     for (const std::vector<int>& rack_order : rack_orders) {
       orders.push_back(ComposeOrder(segments, rack_order));
     }
-    std::vector<Partition> results = SolveOrderBatch(
-        [&](const std::vector<int>& order, double bound) {
-          return SolveFixedOrder(order, options, bound);
-        },
-        options, kInf, orders);
+    std::vector<Partition> results = SolveOrderBatch(options, kInf, orders);
     for (size_t index = 0; index < results.size(); ++index) {
       if (ImprovesPartition(results[index], best)) {
         best = std::move(results[index]);
@@ -738,11 +731,7 @@ Partition Partitioner::SolveHierarchical(const std::vector<int>& gpu_ids,
       }
       segment.order = saved;
       const double bound = options.prune ? best.bottleneck_time : kInf;
-      std::vector<Partition> results = SolveOrderBatch(
-          [&](const std::vector<int>& order, double b) {
-            return SolveFixedOrder(order, options, b);
-          },
-          options, bound, full_orders);
+      std::vector<Partition> results = SolveOrderBatch(options, bound, full_orders);
       for (size_t index = 0; index < results.size(); ++index) {
         if (ImprovesPartition(results[index], best)) {
           best = std::move(results[index]);

@@ -65,7 +65,7 @@ uint64_t ProfileFingerprint(const model::ModelProfile& profile, const hw::Cluste
 }
 
 // The (class, node) sequence of the virtual worker, by class name so the
-// signature survives process boundaries. With the order search on, Solve's
+// signature survives process boundaries. With the order search on, a solve's
 // answer depends only on the multiset, so the sequence is sorted and any
 // GPU-id set with the same shape maps to the same key; with the search off
 // the given order IS the stage order, so it must stay in the key.
@@ -108,7 +108,7 @@ std::string MakeKey(const partition::Partitioner& partitioner, const std::vector
   fp.Mix(partitioner.cluster().infiniband().TransferTime(1ULL << 20));
   // Rack topologies and per-pair overrides make the inter-node fabric
   // non-uniform, so probe the resolved links among the virtual worker's own
-  // nodes too (file version 3). Solve depends on inter-node links only
+  // nodes too (file version 3). A solve depends on inter-node links only
   // between consecutive stages, which are all VW GPUs, so pairs outside the
   // VW are irrelevant — probing only the VW's pairs keeps a degraded link
   // elsewhere in the cluster from splitting keys of provably identical

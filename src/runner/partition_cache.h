@@ -19,11 +19,11 @@ namespace hetpipe::runner {
 // latency/intercept knobs, and the per-node-pair links a rack topology or
 // link override resolves to), VW GPU (class, node) multiset, Nm, order-search
 // flag, memory params) — everything
-// Partitioner::Solve's result depends on. Keys are value-based (GPU class
+// Partitioner::SolveScalable's result depends on. Keys are value-based (GPU class
 // names and numbers, never process-local handles), so they are stable across
 // processes and safe to persist.
 //
-// Because Solve's answer depends on the GPUs only through their (class, node)
+// Because a solve's answer depends on the GPUs only through their (class, node)
 // multiset, a hit for a *different* GPU-id set with the same signature is
 // remapped onto the requested ids, so e.g. the four ED virtual workers of the
 // paper cluster all share one solve.
@@ -35,7 +35,7 @@ namespace hetpipe::runner {
 // materializing a loaded entry, eviction, Clear) takes the exclusive lock.
 // Counters are atomics, so the hot hit path never writes under the shared
 // lock except to the entry's own access stamp. A hit returns a Partition
-// identical to what a cold Solve would return (tested), so caching never
+// identical to what a cold solve would return (tested), so caching never
 // changes results.
 //
 // Size bound: SetCapacity(n) caps the entry count (materialized + loaded
@@ -68,9 +68,8 @@ class PartitionCache {
   // solve — still share entries.
   static constexpr uint32_t kFileVersion = 3;
 
-  // Drop-in for Partitioner::SolveScalable (which IS Solve whenever the
-  // resolved strategy is exact — the default for every paper-scale input).
-  // Non-exact resolved strategies get their own key suffix, so a beam or
+  // Drop-in for Partitioner::SolveScalable (the resolved strategy is exact
+  // for every paper-scale input). Non-exact resolved strategies get their own key suffix, so a beam or
   // hierarchical answer can never alias an exact entry or vice versa; exact
   // keys are byte-identical to pre-scalable-tier keys, keeping version-3
   // cache files valid. When `was_hit` is non-null it reports whether the
@@ -81,8 +80,8 @@ class PartitionCache {
                              const partition::PartitionOptions& options,
                              bool* was_hit = nullptr);
 
-  // Drop-in for Partitioner::FindMaxNm; every probed nm goes through the
-  // cache, so a later Solve at the chosen nm is a hit.
+  // partition::FindMaxNmWith over SolveScalable: every probed nm goes through
+  // the cache, so a later Solve at the chosen nm is a hit.
   int FindMaxNm(const partition::Partitioner& partitioner, const std::vector<int>& gpu_ids,
                 int nm_cap, partition::PartitionOptions options);
 

@@ -89,7 +89,9 @@ bool RunWidthSweep(const model::ModelProfile& profile,
 
     double exact_bottleneck = 0.0;
     if (c.has_exact) {
-      const partition::Partition exact = partitioner.Solve(c.gpu_ids, base);
+      partition::PartitionOptions exact_options = base;
+      exact_options.strategy = partition::SearchStrategy::kExact;
+      const partition::Partition exact = partitioner.SolveScalable(c.gpu_ids, exact_options);
       if (exact.feasible) exact_bottleneck = exact.bottleneck_time;
     }
 

@@ -52,7 +52,7 @@ TEST(TransformerTest, PartitionsAcrossHeterogeneousVw) {
   const partition::Partitioner partitioner(profile, cluster);
   partition::PartitionOptions options;
   options.nm = 4;
-  const partition::Partition partition = partitioner.Solve({0, 4, 8, 12}, options);
+  const partition::Partition partition = partitioner.SolveScalable({0, 4, 8, 12}, options);
   ASSERT_TRUE(partition.feasible);
   EXPECT_EQ(partition.num_stages(), 4);
 }

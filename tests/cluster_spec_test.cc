@@ -13,6 +13,7 @@
 #include "core/experiment.h"
 #include "hw/cluster_spec.h"
 #include "model/resnet.h"
+#include "oracles/reference.h"
 #include "partition/partitioner.h"
 #include "runner/result_sink.h"
 #include "runner/sweep_runner.h"
@@ -226,7 +227,7 @@ TEST(ClusterSpecTest, MixedClassNodeBuildsAndPartitionsPerClassMemory) {
   options.nm = 2;
   const std::vector<int> vw = core::PickGpus(cluster, "BigCard*2@0,TinyCard*2@0");
   ASSERT_EQ(vw.size(), 4u);
-  const partition::Partition partition = partitioner.Solve(vw, options);
+  const partition::Partition partition = partitioner.SolveScalable(vw, options);
   ASSERT_TRUE(partition.feasible);
   for (const partition::StageAssignment& stage : partition.stages) {
     EXPECT_EQ(stage.node, 0);
@@ -336,8 +337,8 @@ TEST(ClusterSpecTest, PaperTestbedEquivalentToPaperSubset) {
   partition::PartitionOptions options;
   options.nm = 2;
   const std::vector<int> vw = {0, 4, 8, 12};
-  const partition::Partition a = partition::Partitioner(profile, direct).Solve(vw, options);
-  const partition::Partition b = partition::Partitioner(profile, from_spec).Solve(vw, options);
+  const partition::Partition a = partition::Partitioner(profile, direct).SolveScalable(vw, options);
+  const partition::Partition b = partition::Partitioner(profile, from_spec).SolveScalable(vw, options);
   ASSERT_EQ(a.feasible, b.feasible);
   EXPECT_EQ(a.bottleneck_time, b.bottleneck_time);
   ASSERT_EQ(a.num_stages(), b.num_stages());
@@ -645,8 +646,8 @@ TEST(ClusterSpecTest, RacksAloneKeepTheFabricUniform) {
   partition::PartitionOptions options;
   options.nm = 2;
   const std::vector<int> vw = {0, 2, 4};
-  const partition::Partition a = partition::Partitioner(profile, plain).Solve(vw, options);
-  const partition::Partition b = partition::Partitioner(profile, racked).Solve(vw, options);
+  const partition::Partition a = partition::Partitioner(profile, plain).SolveScalable(vw, options);
+  const partition::Partition b = partition::Partitioner(profile, racked).SolveScalable(vw, options);
   ASSERT_TRUE(a.feasible);
   ASSERT_EQ(a.num_stages(), b.num_stages());
   EXPECT_EQ(a.bottleneck_time, b.bottleneck_time);
@@ -675,7 +676,7 @@ TEST(ClusterSpecTest, PartitionerRespondsToADegradedNodePair) {
   options.nm = 1;
 
   const partition::Partition base =
-      partition::Partitioner(profile, uniform).Solve({0, 1, 2}, options);
+      partition::Partitioner(profile, uniform).SolveScalable({0, 1, 2}, options);
   ASSERT_TRUE(base.feasible);
   ASSERT_EQ(base.num_stages(), 3);
   EXPECT_EQ(base.stages[0].node, 0);
@@ -683,7 +684,7 @@ TEST(ClusterSpecTest, PartitionerRespondsToADegradedNodePair) {
   EXPECT_EQ(base.stages[2].node, 2);
 
   const partition::Partitioner degraded_partitioner(profile, degraded);
-  const partition::Partition routed = degraded_partitioner.Solve({0, 1, 2}, options);
+  const partition::Partition routed = degraded_partitioner.SolveScalable({0, 1, 2}, options);
   ASSERT_TRUE(routed.feasible);
   ASSERT_EQ(routed.num_stages(), 3);
   for (int q = 1; q < routed.num_stages(); ++q) {
@@ -699,14 +700,16 @@ TEST(ClusterSpecTest, PartitionerRespondsToADegradedNodePair) {
   // reaches the DP's hoisted transfer times.
   partition::PartitionOptions fixed = options;
   fixed.search_gpu_orders = false;
-  const partition::Partition stuck = degraded_partitioner.Solve({0, 1, 2}, fixed);
+  const partition::Partition stuck = degraded_partitioner.SolveScalable({0, 1, 2}, fixed);
   const partition::Partition stuck_base =
-      partition::Partitioner(profile, uniform).Solve({0, 1, 2}, fixed);
+      partition::Partitioner(profile, uniform).SolveScalable({0, 1, 2}, fixed);
   ASSERT_TRUE(stuck.feasible);
   EXPECT_GT(stuck.bottleneck_time, stuck_base.bottleneck_time);
 
-  // Solve and SolveReference agree on non-uniform fabrics too.
-  const partition::Partition reference = degraded_partitioner.SolveReference({0, 1, 2}, options);
+  // The solver and the oracle's SolveReference agree on non-uniform fabrics
+  // too.
+  const partition::Partition reference =
+      oracles::SolveReference(degraded_partitioner, {0, 1, 2}, options);
   ASSERT_TRUE(reference.feasible);
   EXPECT_EQ(reference.bottleneck_time, routed.bottleneck_time);
   EXPECT_EQ(reference.sum_time, routed.sum_time);

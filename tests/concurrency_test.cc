@@ -134,7 +134,7 @@ TEST(PartitionCacheStressTest, HammerWithConcurrentSaveAndEviction) {
   for (int nm = 1; nm <= kKeys; ++nm) {
     partition::PartitionOptions options;
     options.nm = nm;
-    expected[nm - 1] = partitioner.Solve({0, 4, 8, 12}, options);
+    expected[nm - 1] = partitioner.SolveScalable({0, 4, 8, 12}, options);
   }
 
   PartitionCache cache;
@@ -175,7 +175,7 @@ TEST(PartitionCacheStressTest, SetCapacityShrinkBelowLiveWhileReadersActive) {
   for (int nm = 1; nm <= kKeys; ++nm) {
     partition::PartitionOptions options;
     options.nm = nm;
-    expected[nm - 1] = partitioner.Solve({0, 4, 8, 12}, options);
+    expected[nm - 1] = partitioner.SolveScalable({0, 4, 8, 12}, options);
   }
 
   PartitionCache cache;

@@ -145,7 +145,7 @@ TEST(PlacementTest, EdLocalParameterTrafficIsZero) {
   const partition::Partitioner partitioner(profile, cluster);
   partition::PartitionOptions options;
   options.nm = 1;
-  const partition::Partition partition = partitioner.Solve({0, 4, 8, 12}, options);
+  const partition::Partition partition = partitioner.SolveScalable({0, 4, 8, 12}, options);
   ASSERT_TRUE(partition.feasible);
   EXPECT_EQ(PsCrossNodeBytesPerMinibatch(partition, 4, /*local=*/true, 1), 0u);
   EXPECT_GT(PsCrossNodeBytesPerMinibatch(partition, 4, /*local=*/false, 1), 0u);
@@ -159,7 +159,7 @@ TEST(PlacementTest, EdVwStillMovesActivationsAcrossNodes) {
   const partition::Partitioner partitioner(profile, cluster);
   partition::PartitionOptions options;
   options.nm = 1;
-  const partition::Partition partition = partitioner.Solve({0, 4, 8, 12}, options);
+  const partition::Partition partition = partitioner.SolveScalable({0, 4, 8, 12}, options);
   ASSERT_TRUE(partition.feasible);
   const uint64_t bytes = ActivationCrossNodeBytes(partition, profile);
   EXPECT_GT(bytes, 0u);
@@ -181,7 +181,7 @@ TEST(PlacementTest, ActivationTrafficByTierSplitsByRack) {
   partition::PartitionOptions options;
   options.nm = 1;
   options.search_gpu_orders = false;  // keep the node sequence 0,0,1,2
-  const partition::Partition partition = partitioner.Solve({0, 1, 2, 4}, options);
+  const partition::Partition partition = partitioner.SolveScalable({0, 1, 2, 4}, options);
   ASSERT_TRUE(partition.feasible);
 
   const ActivationTraffic traffic = ActivationTrafficByTier(partition, profile, cluster);
@@ -197,7 +197,7 @@ TEST(PlacementTest, ActivationTrafficByTierSplitsByRack) {
   const partition::Partitioner flat_partitioner(profile, flat);
   partition::PartitionOptions ed;
   ed.nm = 1;
-  const partition::Partition ed_partition = flat_partitioner.Solve({0, 4, 8, 12}, ed);
+  const partition::Partition ed_partition = flat_partitioner.SolveScalable({0, 4, 8, 12}, ed);
   ASSERT_TRUE(ed_partition.feasible);
   const ActivationTraffic flat_traffic = ActivationTrafficByTier(ed_partition, profile, flat);
   EXPECT_EQ(flat_traffic.cross_rack_bytes, 0u);
@@ -313,7 +313,7 @@ TEST(PlacementTest, WaveAmortizationDividesByNm) {
   const partition::Partitioner partitioner(profile, cluster);
   partition::PartitionOptions options;
   options.nm = 4;
-  const partition::Partition partition = partitioner.Solve({0, 4, 8, 12}, options);
+  const partition::Partition partition = partitioner.SolveScalable({0, 4, 8, 12}, options);
   ASSERT_TRUE(partition.feasible);
   const uint64_t per1 = PsCrossNodeBytesPerMinibatch(partition, 4, false, 1);
   const uint64_t per4 = PsCrossNodeBytesPerMinibatch(partition, 4, false, 4);

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <functional>
 #include <numeric>
 #include <random>
+#include <string>
+#include <utility>
 
 #include "hw/cluster.h"
 #include "hw/cluster_spec.h"
@@ -12,7 +18,12 @@
 #include "model/vgg.h"
 #include "partition/memory_model.h"
 #include "partition/partitioner.h"
+#include "oracles/reference.h"
 #include "runner/thread_pool.h"
+
+#ifndef HETPIPE_GOLDEN_DIR
+#error "partition_test needs HETPIPE_GOLDEN_DIR (set by CMakeLists.txt)"
+#endif
 
 namespace hetpipe::partition {
 namespace {
@@ -98,13 +109,20 @@ class PartitionerTest : public ::testing::Test {
   Cluster cluster_ = Cluster::Paper();
 };
 
+// The Maxm probe over the partitioner's one solve entry point.
+int FindMaxNm(const Partitioner& partitioner, const std::vector<int>& gpus, int nm_cap) {
+  return FindMaxNmWith(
+      [&](const PartitionOptions& at_nm) { return partitioner.SolveScalable(gpus, at_nm); },
+      nm_cap, PartitionOptions{});
+}
+
 TEST_F(PartitionerTest, CoversAllLayersContiguously) {
   const auto graph = BuildResNet152();
   const ModelProfile profile(graph, 32);
   const Partitioner partitioner(profile, cluster_);
   PartitionOptions options;
   options.nm = 1;
-  const Partition partition = partitioner.Solve({0, 1, 2, 3}, options);
+  const Partition partition = partitioner.SolveScalable({0, 1, 2, 3}, options);
   ASSERT_TRUE(partition.feasible);
   ASSERT_EQ(partition.num_stages(), 4);
   int expected_first = 0;
@@ -123,7 +141,7 @@ TEST_F(PartitionerTest, RespectsMemoryCaps) {
   PartitionOptions options;
   options.nm = 2;
   // The G node (6 GiB) is the tight one.
-  const Partition partition = partitioner.Solve({8, 9, 10, 11}, options);
+  const Partition partition = partitioner.SolveScalable({8, 9, 10, 11}, options);
   ASSERT_TRUE(partition.feasible);
   for (const StageAssignment& stage : partition.stages) {
     EXPECT_LE(stage.memory_bytes, stage.memory_cap);
@@ -136,7 +154,7 @@ TEST_F(PartitionerTest, BottleneckIsMaxStageTime) {
   const Partitioner partitioner(profile, cluster_);
   PartitionOptions options;
   options.nm = 1;
-  const Partition partition = partitioner.Solve({0, 4, 8, 12}, options);
+  const Partition partition = partitioner.SolveScalable({0, 4, 8, 12}, options);
   ASSERT_TRUE(partition.feasible);
   double max_time = 0.0;
   double sum_time = 0.0;
@@ -154,7 +172,7 @@ TEST_F(PartitionerTest, BalancedOnHomogeneousGpus) {
   const Partitioner partitioner(profile, cluster_);
   PartitionOptions options;
   options.nm = 1;
-  const Partition partition = partitioner.Solve({0, 1, 2, 3}, options);
+  const Partition partition = partitioner.SolveScalable({0, 1, 2, 3}, options);
   ASSERT_TRUE(partition.feasible);
   // On four identical GPUs the min-max split should be near 1/4 of total.
   const double ideal = partition.sum_time / 4.0;
@@ -171,8 +189,8 @@ TEST_F(PartitionerTest, OrderSearchNotWorseThanFixedOrder) {
   PartitionOptions fixed = searched;
   fixed.search_gpu_orders = false;
   const std::vector<int> vrgq = {0, 4, 8, 12};
-  const Partition best = partitioner.Solve(vrgq, searched);
-  const Partition plain = partitioner.Solve(vrgq, fixed);
+  const Partition best = partitioner.SolveScalable(vrgq, searched);
+  const Partition plain = partitioner.SolveScalable(vrgq, fixed);
   ASSERT_TRUE(best.feasible);
   if (plain.feasible) {
     EXPECT_LE(best.bottleneck_time, plain.bottleneck_time + 1e-12);
@@ -186,7 +204,7 @@ TEST_F(PartitionerTest, FewerStagesThanGpusOfOne) {
   PartitionOptions options;
   options.nm = 1;
   // k=1: the whole model on one R (24 GiB) GPU.
-  const Partition partition = partitioner.Solve({4}, options);
+  const Partition partition = partitioner.SolveScalable({4}, options);
   ASSERT_TRUE(partition.feasible);
   EXPECT_EQ(partition.num_stages(), 1);
   EXPECT_EQ(partition.stages[0].first_layer, 0);
@@ -200,13 +218,13 @@ TEST_F(PartitionerTest, FindMaxNmMonotoneFeasibility) {
   const ModelProfile profile(graph, 64);
   const Partitioner partitioner(profile, cluster_);
   const std::vector<int> gpus = {8, 9, 10, 11};  // GGGG, 6 GiB each
-  const int max_nm = partitioner.FindMaxNm(gpus, 7);
+  const int max_nm = FindMaxNm(partitioner, gpus, 7);
   ASSERT_GT(max_nm, 0);
   ASSERT_LT(max_nm, 7);  // whimpy GPUs cannot hold 7 concurrent minibatches
   PartitionOptions options;
   for (int nm = 1; nm <= 7; ++nm) {
     options.nm = nm;
-    EXPECT_EQ(partitioner.Solve(gpus, options).feasible, nm <= max_nm) << nm;
+    EXPECT_EQ(partitioner.SolveScalable(gpus, options).feasible, nm <= max_nm) << nm;
   }
 }
 
@@ -214,8 +232,8 @@ TEST_F(PartitionerTest, BiggerMemoryAllowsMoreConcurrency) {
   const auto graph = BuildResNet152();
   const ModelProfile profile(graph, 64);
   const Partitioner partitioner(profile, cluster_);
-  const int g_nm = partitioner.FindMaxNm({8, 9, 10, 11}, 7);   // GGGG
-  const int r_nm = partitioner.FindMaxNm({4, 5, 6, 7}, 7);     // RRRR
+  const int g_nm = FindMaxNm(partitioner, {8, 9, 10, 11}, 7);   // GGGG
+  const int r_nm = FindMaxNm(partitioner, {4, 5, 6, 7}, 7);     // RRRR
   EXPECT_GT(r_nm, g_nm);
 }
 
@@ -225,7 +243,7 @@ TEST_F(PartitionerTest, ParamBytesCoverModel) {
   const Partitioner partitioner(profile, cluster_);
   PartitionOptions options;
   options.nm = 1;
-  const Partition partition = partitioner.Solve({0, 1, 2, 3}, options);
+  const Partition partition = partitioner.SolveScalable({0, 1, 2, 3}, options);
   ASSERT_TRUE(partition.feasible);
   uint64_t total = 0;
   for (const StageAssignment& stage : partition.stages) {
@@ -246,7 +264,7 @@ TEST_F(PartitionerTest, InfeasibleWhenTooManyStages) {
     gpus.push_back(i % 16);
   }
   // 16 < num_layers, so instead test empty gpu list.
-  const Partition partition = partitioner.Solve({}, options);
+  const Partition partition = partitioner.SolveScalable({}, options);
   EXPECT_FALSE(partition.feasible);
 }
 
@@ -281,18 +299,18 @@ TEST(PrefixEquivalenceTest, RandomGraphsMatchNaiveLoopsExactly) {
     for (int first = 0; first < n; ++first) {
       for (int last = first; last < n; ++last) {
         EXPECT_EQ(graph.ParamBytesInRange(first, last),
-                  graph.ParamBytesInRangeNaive(first, last));
+                  oracles::ParamBytesInRangeNaive(graph, first, last));
         EXPECT_EQ(graph.StashBytesInRange(first, last),
-                  graph.StashBytesInRangeNaive(first, last));
+                  oracles::StashBytesInRangeNaive(graph, first, last));
         for (int t = 0; t < hw::kNumGpuTypes; ++t) {
           const auto gpu = static_cast<GpuType>(t);
           // EXPECT_EQ on doubles is exact equality: bit-identical, not close.
           EXPECT_EQ(profile.StageFwdTime(first, last, gpu),
-                    profile.StageFwdTimeNaive(first, last, gpu));
+                    oracles::StageFwdTimeNaive(profile, first, last, gpu));
           EXPECT_EQ(profile.StageBwdTime(first, last, gpu),
-                    profile.StageBwdTimeNaive(first, last, gpu));
+                    oracles::StageBwdTimeNaive(profile, first, last, gpu));
           EXPECT_EQ(profile.StageTotalTime(first, last, gpu),
-                    profile.StageTotalTimeNaive(first, last, gpu));
+                    oracles::StageTotalTimeNaive(profile, first, last, gpu));
         }
       }
     }
@@ -307,9 +325,9 @@ TEST(PrefixEquivalenceTest, PaperModelsMatchNaiveLoopsExactly) {
     for (int first = 0; first < n; first += 3) {
       for (int last = first; last < n; last += 2) {
         EXPECT_EQ(profile.StageTotalTime(first, last, GpuType::kTitanV),
-                  profile.StageTotalTimeNaive(first, last, GpuType::kTitanV));
+                  oracles::StageTotalTimeNaive(profile, first, last, GpuType::kTitanV));
         EXPECT_EQ(graph.ParamBytesInRange(first, last),
-                  graph.ParamBytesInRangeNaive(first, last));
+                  oracles::ParamBytesInRangeNaive(graph, first, last));
       }
     }
   }
@@ -322,9 +340,9 @@ TEST(PrefixEquivalenceTest, EmptyRangeIsZero) {
   EXPECT_EQ(graph.ParamBytesInRange(5, 4), 0u);
 }
 
-// ---- Solve vs the retained pre-optimization SolveReference: the flat DP,
-// ---- hoisted transfers, and direct multiset order enumeration must return
-// ---- bit-identical partitions, including on mixed-node clusters and on
+// ---- The exact tier vs the oracle's SolveReference (tests/oracles): the
+// ---- flat DP, hoisted transfers, and direct multiset order enumeration must
+// ---- return bit-identical partitions, including on mixed-node clusters and on
 // ---- nodes whose classes interleave in GPU-id order. ----
 
 void ExpectSamePartition(const Partition& a, const Partition& b) {
@@ -362,14 +380,15 @@ TEST_F(PartitionerTest, SolveMatchesReferenceOnPaperShapes) {
     for (int nm : {1, 2, 4}) {
       PartitionOptions options;
       options.nm = nm;
-      ExpectSamePartition(partitioner.Solve(gpus, options),
-                          partitioner.SolveReference(gpus, options));
+      options.strategy = SearchStrategy::kExact;
+      ExpectSamePartition(partitioner.SolveScalable(gpus, options),
+                          oracles::SolveReference(partitioner, gpus, options));
       options.prune = false;
-      ExpectSamePartition(partitioner.Solve(gpus, options),
-                          partitioner.SolveReference(gpus, options));
+      ExpectSamePartition(partitioner.SolveScalable(gpus, options),
+                          oracles::SolveReference(partitioner, gpus, options));
       options.search_gpu_orders = false;
-      ExpectSamePartition(partitioner.Solve(gpus, options),
-                          partitioner.SolveReference(gpus, options));
+      ExpectSamePartition(partitioner.SolveScalable(gpus, options),
+                          oracles::SolveReference(partitioner, gpus, options));
     }
   }
 }
@@ -389,8 +408,9 @@ TEST(PartitionerMixedTest, SolveMatchesReferenceOnMixedNodeSpec) {
     for (int nm : {1, 3}) {
       PartitionOptions options;
       options.nm = nm;
-      ExpectSamePartition(partitioner.Solve(gpus, options),
-                          partitioner.SolveReference(gpus, options));
+      options.strategy = SearchStrategy::kExact;
+      ExpectSamePartition(partitioner.SolveScalable(gpus, options),
+                          oracles::SolveReference(partitioner, gpus, options));
     }
   }
 }
@@ -416,8 +436,9 @@ TEST(PartitionerMixedTest, SolveMatchesReferenceWhenClassesInterleaveInIdOrder) 
     const std::vector<int> gpus(all_ids.begin(), all_ids.begin() + k);
     PartitionOptions options;
     options.nm = 1 + round % 3;
-    ExpectSamePartition(partitioner.Solve(gpus, options),
-                        partitioner.SolveReference(gpus, options));
+    options.strategy = SearchStrategy::kExact;
+    ExpectSamePartition(partitioner.SolveScalable(gpus, options),
+                        oracles::SolveReference(partitioner, gpus, options));
   }
 }
 
@@ -440,12 +461,12 @@ TEST_F(PartitionerTest, FindMaxNmMatchesLinearScan) {
         PartitionOptions options;
         for (int nm = nm_cap; nm >= 1; --nm) {
           options.nm = nm;
-          if (partitioner.Solve(gpus, options).feasible) {
+          if (partitioner.SolveScalable(gpus, options).feasible) {
             linear = nm;
             break;
           }
         }
-        EXPECT_EQ(partitioner.FindMaxNm(gpus, nm_cap), linear)
+        EXPECT_EQ(FindMaxNm(partitioner, gpus, nm_cap), linear)
             << "batch " << batch << " cap " << nm_cap;
       }
     }
@@ -479,11 +500,11 @@ TEST_F(PartitionerTest, RepeatedSolvesDoNotGrowScratch) {
   PartitionOptions options;
   options.nm = 2;
   const std::vector<int> gpus = {0, 4, 8, 12};
-  (void)partitioner.Solve(gpus, options);  // warm this thread's scratch
+  (void)partitioner.SolveScalable(gpus, options);  // warm this thread's scratch
   const int64_t before = DpScratchGrowCount();
   for (int r = 0; r < 20; ++r) {
-    (void)partitioner.Solve(gpus, options);
-    (void)partitioner.Solve({0, 1, 2, 3}, options);  // smaller shape: also no growth
+    (void)partitioner.SolveScalable(gpus, options);
+    (void)partitioner.SolveScalable({0, 1, 2, 3}, options);  // smaller shape: also no growth
   }
   EXPECT_EQ(DpScratchGrowCount(), before);
 }
@@ -549,7 +570,7 @@ TEST(SearchStrategyTest, SelectorPicksHierarchicalAcrossRacks) {
   EXPECT_EQ(ResolveSearchStrategy(cluster, {0, 1, 2}, options), SearchStrategy::kBeam);
 }
 
-TEST_F(PartitionerTest, SolveScalableAutoIsBitIdenticalToSolve) {
+TEST_F(PartitionerTest, SolveScalableAutoIsBitIdenticalToExact) {
   const auto graph = BuildResNet152();
   const ModelProfile profile(graph, 32);
   const Partitioner partitioner(profile, cluster_);
@@ -559,10 +580,12 @@ TEST_F(PartitionerTest, SolveScalableAutoIsBitIdenticalToSolve) {
     for (int nm : {1, 2, 4}) {
       PartitionOptions options;
       options.nm = nm;
-      // kAuto resolves to the exact path here, so SolveScalable IS Solve.
+      // kAuto resolves to the exact tier here, bit for bit.
       ASSERT_EQ(ResolveSearchStrategy(cluster_, gpus, options), SearchStrategy::kExact);
+      PartitionOptions exact = options;
+      exact.strategy = SearchStrategy::kExact;
       ExpectSamePartition(partitioner.SolveScalable(gpus, options),
-                          partitioner.Solve(gpus, options));
+                          partitioner.SolveScalable(gpus, exact));
     }
   }
 }
@@ -631,7 +654,8 @@ TEST(SearchOracleTest, RandomSmallInstancesStayWithinBoundOfExact) {
 
     PartitionOptions options;
     options.nm = 1 + round % 3;
-    const Partition exact = partitioner.Solve(ids, options);
+    options.strategy = SearchStrategy::kExact;
+    const Partition exact = partitioner.SolveScalable(ids, options);
     for (SearchStrategy strategy : {SearchStrategy::kBeam, SearchStrategy::kHierarchical}) {
       PartitionOptions approx_options = options;
       approx_options.strategy = strategy;
@@ -684,17 +708,17 @@ TEST(SearchStrategyTest, ResolutionIsPoolIndependent) {
   }
 }
 
-TEST(SearchParallelTest, SolvesAreByteIdenticalAcrossThreadCounts) {
-  // Seeded random racked clusters: every strategy solved serially and on
-  // pools of 1, 2, and 8 threads must agree field-for-field AND byte-for-byte
-  // in the rendered partition — bit-identity, not tolerance.
+// The seeded racked instances of the parallel-determinism and golden tests.
+// Round r draws a 3-6 node cluster split over two racks, a random model, and
+// a shuffled virtual worker of 3 + r % 4 GPUs; `body` sees every round whose
+// draw can host that many stages (the rng is consumed identically either way).
+void ForEachRackedInstance(
+    const std::function<void(int, const Cluster&, const model::ModelGraph&,
+                             const std::vector<int>&)>& body) {
   std::mt19937 rng(20260808);
   std::uniform_int_distribution<int> node_count(3, 6);
   std::uniform_int_distribution<int> type_pick(0, 3);
   const char* kTypes[4] = {"V", "R", "G", "Q"};
-  runner::ThreadPool pool1(1), pool2(2), pool8(8);
-  runner::ThreadPool* pools[] = {&pool1, &pool2, &pool8};
-  int solved_rounds = 0;
   for (int round = 0; round < 8; ++round) {
     hw::ClusterSpec spec;
     spec.Named("parallel-" + std::to_string(round));
@@ -711,9 +735,6 @@ TEST(SearchParallelTest, SolvesAreByteIdenticalAcrossThreadCounts) {
     const Cluster cluster = spec.Build();
 
     const model::ModelGraph graph = RandomGraph(rng);
-    const ModelProfile profile(graph, 1 + round % 32);
-    const Partitioner partitioner(profile, cluster);
-
     std::vector<int> ids(static_cast<size_t>(cluster.num_gpus()));
     std::iota(ids.begin(), ids.end(), 0);
     std::shuffle(ids.begin(), ids.end(), rng);
@@ -722,7 +743,21 @@ TEST(SearchParallelTest, SolvesAreByteIdenticalAcrossThreadCounts) {
       continue;
     }
     ids.resize(static_cast<size_t>(k));
+    body(round, cluster, graph, ids);
+  }
+}
 
+TEST(SearchParallelTest, SolvesAreByteIdenticalAcrossThreadCounts) {
+  // Seeded random racked clusters: every strategy solved serially and on
+  // pools of 1, 2, and 8 threads must agree field-for-field AND byte-for-byte
+  // in the rendered partition — bit-identity, not tolerance.
+  runner::ThreadPool pool1(1), pool2(2), pool8(8);
+  runner::ThreadPool* pools[] = {&pool1, &pool2, &pool8};
+  int solved_rounds = 0;
+  ForEachRackedInstance([&](int round, const Cluster& cluster, const model::ModelGraph& graph,
+                            const std::vector<int>& ids) {
+    const ModelProfile profile(graph, 1 + round % 32);
+    const Partitioner partitioner(profile, cluster);
     for (SearchStrategy strategy :
          {SearchStrategy::kExact, SearchStrategy::kBeam, SearchStrategy::kHierarchical}) {
       PartitionOptions options;
@@ -743,8 +778,169 @@ TEST(SearchParallelTest, SolvesAreByteIdenticalAcrossThreadCounts) {
       }
       ++solved_rounds;
     }
-  }
+  });
   EXPECT_GE(solved_rounds, 15);  // the grid must actually run
+}
+
+// ---- Pinned outputs of the approximate tiers. At these sizes the beam and
+// ---- hierarchical searches have no exact oracle, so their answers are
+// ---- pinned: tests/golden/scalable_solves.txt holds one `key \t signature`
+// ---- line per (instance, model, strategy, nm), in the signature format of
+// ---- tests/golden/partitioner_solves.txt followed by the rendered
+// ---- ToString. `UPDATE_GOLDEN=1 ./partition_test` rewrites the file.
+
+std::string SolveSignature(const Partition& p, const ModelProfile& profile) {
+  if (!p.feasible) {
+    return "infeasible";
+  }
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "b=%.17g s=%.17g", p.bottleneck_time, p.sum_time);
+  std::string sig = buf;
+  for (const StageAssignment& stage : p.stages) {
+    std::snprintf(buf, sizeof(buf), " %d:%d-%d@%c", stage.gpu_id, stage.first_layer,
+                  stage.last_layer, hw::CodeOf(stage.gpu_type));
+    sig += buf;
+  }
+  return sig + " | " + p.ToString(profile);
+}
+
+// The 8-node x 4-GPU clusters behind the serve benchmark's large plan
+// requests: four classes cycling over the nodes, either racked in pairs
+// (12-16 GPU virtual workers resolve to the hierarchical tier) or flat
+// (they resolve to the beam). Explicit codes keep the rendered signatures
+// independent of which classes earlier tests registered.
+Cluster PlanBenchCluster(bool racked) {
+  hw::ClusterSpec spec;
+  spec.Named(racked ? "bench-racked" : "bench-flat")
+      .AddGpuClass("BenchV", 14.0, 12.0, 'w')
+      .AddGpuClass("BenchR", 16.3, 24.0, 'x')
+      .AddGpuClass("BenchG", 11.3, 8.0, 'y')
+      .AddGpuClass("BenchQ", 5.3, 32.0, 'z');
+  const char* kClasses[4] = {"BenchV", "BenchR", "BenchG", "BenchQ"};
+  for (int node = 0; node < 8; ++node) {
+    spec.AddNode(kClasses[node % 4], 4);
+  }
+  if (racked) {
+    for (int rack = 0; rack < 4; ++rack) {
+      spec.AddRack("rack" + std::to_string(rack), {2 * rack, 2 * rack + 1});
+    }
+    spec.CrossRackGbits(5.0);
+  }
+  return spec.Build();
+}
+
+// Every golden line, in a fixed order.
+std::vector<std::pair<std::string, std::string>> ScalableGoldenLines() {
+  std::vector<std::pair<std::string, std::string>> lines;
+  const std::pair<SearchStrategy, const char*> kStrategies[] = {
+      {SearchStrategy::kAuto, "auto"},
+      {SearchStrategy::kBeam, "beam"},
+      {SearchStrategy::kHierarchical, "hierarchical"}};
+  const auto solve_all = [&](const std::string& prefix, const ModelProfile& profile,
+                             const Partitioner& partitioner, const std::vector<int>& ids,
+                             const std::vector<int>& nms) {
+    for (const auto& [strategy, name] : kStrategies) {
+      for (int nm : nms) {
+        PartitionOptions options;
+        options.nm = nm;
+        options.strategy = strategy;
+        lines.emplace_back(prefix + "|" + name + "|nm" + std::to_string(nm),
+                           SolveSignature(partitioner.SolveScalable(ids, options), profile));
+      }
+    }
+  };
+
+  // 12-16 GPU virtual workers drawn like the large plan requests: GPUs
+  // placed on random nodes, at most four per node.
+  const Cluster racked = PlanBenchCluster(true);
+  const Cluster flat = PlanBenchCluster(false);
+  const model::ModelGraph resnet = BuildResNet152();
+  const model::ModelGraph vgg = BuildVgg19();
+  std::mt19937 rng(20261017);
+  std::vector<std::vector<int>> shapes;
+  for (int draw = 0; draw < 4; ++draw) {
+    const int total = 12 + static_cast<int>(rng() % 5u);
+    std::vector<int> per_node(8, 0);
+    for (int placed = 0; placed < total;) {
+      const size_t node = rng() % 8u;
+      if (per_node[node] < 4) {
+        ++per_node[node];
+        ++placed;
+      }
+    }
+    shapes.push_back(per_node);
+  }
+  for (const auto& [label, graph] :
+       {std::pair<const char*, const model::ModelGraph*>{"resnet152", &resnet},
+        std::pair<const char*, const model::ModelGraph*>{"vgg19", &vgg}}) {
+    const ModelProfile profile(*graph, 32);
+    for (const Cluster* cluster : {&racked, &flat}) {
+      const Partitioner partitioner(profile, *cluster);
+      for (const std::vector<int>& per_node : shapes) {
+        std::vector<int> ids;
+        std::string counts;
+        for (int node = 0; node < 8; ++node) {
+          counts += static_cast<char>('0' + per_node[static_cast<size_t>(node)]);
+          for (int slot = 0; slot < per_node[static_cast<size_t>(node)]; ++slot) {
+            ids.push_back(node * 4 + slot);
+          }
+        }
+        solve_all(cluster->name() + "|" + label + "|" + counts, profile, partitioner, ids,
+                  {1, 2});
+      }
+    }
+  }
+
+  // The seeded racked instances, on their random model and on both paper
+  // models.
+  ForEachRackedInstance([&](int round, const Cluster& cluster, const model::ModelGraph& graph,
+                            const std::vector<int>& ids) {
+    const std::string prefix = "parallel-" + std::to_string(round) + "|";
+    const ModelProfile random_profile(graph, 1 + round % 32);
+    solve_all(prefix + "random", random_profile, Partitioner(random_profile, cluster), ids,
+              {1 + round % 3});
+    for (const auto& [label, named] :
+         {std::pair<const char*, const model::ModelGraph*>{"resnet152", &resnet},
+          std::pair<const char*, const model::ModelGraph*>{"vgg19", &vgg}}) {
+      const ModelProfile profile(*named, 32);
+      solve_all(prefix + label, profile, Partitioner(profile, cluster), ids, {1 + round % 3});
+    }
+  });
+  return lines;
+}
+
+TEST(ScalableGoldenTest, ApproximateTiersMatchRecordedSolves) {
+  const std::vector<std::pair<std::string, std::string>> lines = ScalableGoldenLines();
+  const std::string path = std::string(HETPIPE_GOLDEN_DIR) + "/scalable_solves.txt";
+  if (std::getenv("UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::trunc);
+    ASSERT_TRUE(out.is_open()) << "cannot write " << path;
+    out << "# SolveScalable results of the beam / hierarchical / auto tiers: key \\t "
+           "signature | ToString.\n"
+           "# Regenerate with: UPDATE_GOLDEN=1 ./partition_test\n";
+    for (const auto& [key, signature] : lines) {
+      out << key << '\t' << signature << '\n';
+    }
+    std::printf("updated %s\n", path.c_str());
+    return;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.is_open()) << "missing golden " << path;
+  std::vector<std::pair<std::string, std::string>> want;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') {
+      continue;
+    }
+    const size_t tab = line.find('\t');
+    ASSERT_NE(tab, std::string::npos) << "malformed golden line: " << line;
+    want.emplace_back(line.substr(0, tab), line.substr(tab + 1));
+  }
+  ASSERT_EQ(want.size(), lines.size()) << "golden line count drifted";
+  for (size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(want[i].first, lines[i].first) << "line " << i;
+    EXPECT_EQ(want[i].second, lines[i].second) << lines[i].first;
+  }
 }
 
 }  // namespace

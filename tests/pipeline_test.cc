@@ -80,7 +80,7 @@ class VirtualWorkerTest : public ::testing::Test {
   partition::Partition MakePartition(const std::vector<int>& gpus, int nm) {
     partition::PartitionOptions options;
     options.nm = nm;
-    partition::Partition p = partitioner_.Solve(gpus, options);
+    partition::Partition p = partitioner_.SolveScalable(gpus, options);
     EXPECT_TRUE(p.feasible);
     return p;
   }

@@ -51,7 +51,7 @@ TEST_P(RandomPartitionTest, SolvedPartitionIsValid) {
   const partition::Partitioner partitioner(profile, cluster);
   partition::PartitionOptions options;
   options.nm = 2;
-  const partition::Partition partition = partitioner.Solve({0, 4, 8, 12}, options);
+  const partition::Partition partition = partitioner.SolveScalable({0, 4, 8, 12}, options);
   if (!partition.feasible) {
     GTEST_SKIP() << "random model does not fit this VW at nm=2";
   }
@@ -122,7 +122,7 @@ TEST_P(ScheduleConditionTest, PipelineCompletesInOrder) {
   }
   partition::PartitionOptions options;
   options.nm = nm;
-  const partition::Partition partition = partitioner.Solve(gpus, options);
+  const partition::Partition partition = partitioner.SolveScalable(gpus, options);
   if (!partition.feasible) {
     GTEST_SKIP();
   }

@@ -27,7 +27,7 @@ TEST(RobustnessTest, SingleWorkerSingleMinibatch) {
   const partition::Partitioner partitioner(profile, cluster);
   partition::PartitionOptions options;
   options.nm = 1;
-  const partition::Partition partition = partitioner.Solve({4}, options);
+  const partition::Partition partition = partitioner.SolveScalable({4}, options);
   ASSERT_TRUE(partition.feasible);
 
   sim::Simulator simulator;
@@ -49,7 +49,7 @@ TEST(RobustnessTest, TwoStagePipelineFusesSecondStage) {
   const partition::Partitioner partitioner(profile, cluster);
   partition::PartitionOptions options;
   options.nm = 2;
-  const partition::Partition partition = partitioner.Solve({0, 1}, options);
+  const partition::Partition partition = partitioner.SolveScalable({0, 1}, options);
   ASSERT_TRUE(partition.feasible);
 
   sim::Simulator simulator;
@@ -72,7 +72,7 @@ TEST(RobustnessTest, DesRespectsAnalyticThroughputBounds) {
   for (int nm : {1, 2, 4, 6}) {
     partition::PartitionOptions options;
     options.nm = nm;
-    const partition::Partition partition = partitioner.Solve({0, 4, 8, 12}, options);
+    const partition::Partition partition = partitioner.SolveScalable({0, 4, 8, 12}, options);
     ASSERT_TRUE(partition.feasible);
     sim::Simulator simulator;
     pipeline::OpenGate gate;
@@ -189,7 +189,7 @@ TEST(RobustnessTest, TinyModelStillPartitions) {
   const partition::Partitioner partitioner(profile, cluster);
   partition::PartitionOptions options;
   options.nm = 2;
-  const partition::Partition partition = partitioner.Solve({0, 4, 8, 12}, options);
+  const partition::Partition partition = partitioner.SolveScalable({0, 4, 8, 12}, options);
   ASSERT_TRUE(partition.feasible);
   EXPECT_EQ(partition.num_stages(), 4);  // one layer each
 }

@@ -139,7 +139,7 @@ TEST(PartitionCacheTest, HitReturnsColdSolveExactly) {
   for (int nm : {1, 2, 4}) {
     partition::PartitionOptions options;
     options.nm = nm;
-    const partition::Partition cold = partitioner.Solve({0, 4, 8, 12}, options);
+    const partition::Partition cold = partitioner.SolveScalable({0, 4, 8, 12}, options);
     const partition::Partition miss = cache.Solve(partitioner, {0, 4, 8, 12}, options);
     const partition::Partition hit = cache.Solve(partitioner, {0, 4, 8, 12}, options);
     ExpectSamePartition(cold, miss);
@@ -166,7 +166,7 @@ TEST(PartitionCacheTest, RemapsSameShapeDifferentGpuIds) {
   for (const std::vector<int>& vw : {std::vector<int>{1, 5, 9, 13},
                                      std::vector<int>{2, 6, 10, 14},
                                      std::vector<int>{3, 7, 11, 15}}) {
-    const partition::Partition direct = partitioner.Solve(vw, options);
+    const partition::Partition direct = partitioner.SolveScalable(vw, options);
     const partition::Partition cached = cache.Solve(partitioner, vw, options);
     ExpectSamePartition(direct, cached);  // includes the remapped gpu ids
   }
@@ -188,10 +188,10 @@ TEST(PartitionCacheTest, FixedOrderSolvesKeyOnTheOrder) {
   options.search_gpu_orders = false;
   const std::vector<int> vr = {0, 4};  // V stage 0, R stage 1
   const std::vector<int> rv = {4, 0};  // R stage 0, V stage 1
-  ExpectSamePartition(partitioner.Solve(vr, options), cache.Solve(partitioner, vr, options));
-  ExpectSamePartition(partitioner.Solve(rv, options), cache.Solve(partitioner, rv, options));
+  ExpectSamePartition(partitioner.SolveScalable(vr, options), cache.Solve(partitioner, vr, options));
+  ExpectSamePartition(partitioner.SolveScalable(rv, options), cache.Solve(partitioner, rv, options));
   EXPECT_EQ(cache.misses(), 2);
-  ExpectSamePartition(partitioner.Solve(rv, options), cache.Solve(partitioner, rv, options));
+  ExpectSamePartition(partitioner.SolveScalable(rv, options), cache.Solve(partitioner, rv, options));
   EXPECT_EQ(cache.hits(), 1);
 }
 
@@ -216,8 +216,8 @@ TEST(PartitionCacheTest, NonExactStrategiesGetTheirOwnKeys) {
   const partition::Partition beam = cache.Solve(partitioner, {0, 4, 8, 12}, beam_options);
   EXPECT_EQ(cache.misses(), 2);  // distinct keys: no aliasing either way
   EXPECT_EQ(cache.size(), 2);
-  ExpectSamePartition(exact, partitioner.Solve({0, 4, 8, 12}, options));
-  ExpectSamePartition(beam, partitioner.SolveBeam({0, 4, 8, 12}, beam_options));
+  ExpectSamePartition(exact, partitioner.SolveScalable({0, 4, 8, 12}, options));
+  ExpectSamePartition(beam, partitioner.SolveScalable({0, 4, 8, 12}, beam_options));
 
   // Both entries hit on repeat, and each hit returns its own strategy's
   // result.
@@ -317,7 +317,7 @@ TEST(PartitionCacheTest, TopologyOnlyChangesAlterTheKey) {
       cache.Solve(partition::Partitioner(profile, racked_noop), {0, 1, 2}, options);
   EXPECT_EQ(cache.misses(), 3);
   EXPECT_EQ(cache.hits(), 1);
-  ExpectSamePartition(partition::Partitioner(profile, racked_noop).Solve({0, 1, 2}, options),
+  ExpectSamePartition(partition::Partitioner(profile, racked_noop).SolveScalable({0, 1, 2}, options),
                       hit);
 }
 
@@ -435,7 +435,7 @@ TEST(PartitionCacheTest, ConcurrentReadersWritersAndSavesStayExact) {
   for (int nm = 1; nm <= 4; ++nm) {
     partition::PartitionOptions options;
     options.nm = nm;
-    expected[nm - 1] = partitioner.Solve({0, 4, 8, 12}, options);
+    expected[nm - 1] = partitioner.SolveScalable({0, 4, 8, 12}, options);
   }
 
   PartitionCache cache;
@@ -530,7 +530,7 @@ TEST(PartitionCacheFileTest, SaveLoadSolveRoundTripIsHitIdentical) {
     options.nm = nm;
     for (const std::vector<int>& vw :
          {std::vector<int>{0, 4, 8, 12}, std::vector<int>{0, 1, 12, 13}}) {
-      const partition::Partition cold = partitioner.Solve(vw, options);
+      const partition::Partition cold = partitioner.SolveScalable(vw, options);
       const partition::Partition hit = loaded.Solve(partitioner, vw, options);
       ExpectSamePartition(cold, hit);
     }
@@ -541,7 +541,7 @@ TEST(PartitionCacheFileTest, SaveLoadSolveRoundTripIsHitIdentical) {
   // Remapping onto different GPU ids of the same shape works from disk too.
   options.nm = 2;
   const partition::Partition remapped = loaded.Solve(partitioner, {1, 5, 9, 13}, options);
-  ExpectSamePartition(partitioner.Solve({1, 5, 9, 13}, options), remapped);
+  ExpectSamePartition(partitioner.SolveScalable({1, 5, 9, 13}, options), remapped);
   EXPECT_EQ(loaded.misses(), 0);
   std::remove(path.c_str());
 }
@@ -697,10 +697,10 @@ TEST(PartitionCacheFileTest, LoadMergesWithoutOverwritingExistingEntries) {
   ASSERT_TRUE(third.Load(path));
   EXPECT_EQ(third.size(), 2);
   options.nm = 1;
-  ExpectSamePartition(partitioner.Solve({0, 4, 8, 12}, options),
+  ExpectSamePartition(partitioner.SolveScalable({0, 4, 8, 12}, options),
                       third.Solve(partitioner, {0, 4, 8, 12}, options));
   options.nm = 2;
-  ExpectSamePartition(partitioner.Solve({0, 4, 8, 12}, options),
+  ExpectSamePartition(partitioner.SolveScalable({0, 4, 8, 12}, options),
                       third.Solve(partitioner, {0, 4, 8, 12}, options));
   EXPECT_EQ(third.hits(), 2);
   EXPECT_EQ(third.misses(), 0);
@@ -787,9 +787,9 @@ TEST(PartitionerSearchTest, PruningAndParallelSearchAreExact) {
         partition::PartitionOptions parallel = pruned;
         parallel.pool = &pool;
 
-        const partition::Partition base = partitioner.Solve(gpus, unpruned);
-        ExpectSamePartition(base, partitioner.Solve(gpus, pruned));
-        ExpectSamePartition(base, partitioner.Solve(gpus, parallel));
+        const partition::Partition base = partitioner.SolveScalable(gpus, unpruned);
+        ExpectSamePartition(base, partitioner.SolveScalable(gpus, pruned));
+        ExpectSamePartition(base, partitioner.SolveScalable(gpus, parallel));
       }
     }
   }
@@ -1217,6 +1217,52 @@ TEST(SweepRunnerTest, FullClusterExperimentsMatchDirectHetPipeRun) {
     EXPECT_EQ(r.throughput_img_s, direct.throughput_img_s);
     EXPECT_EQ(r.report.nm, direct.nm);
     EXPECT_EQ(r.report.avg_clock_distance, direct.avg_clock_distance);
+  }
+}
+
+TEST(SweepRunnerTest, CacheDoesNotChangeTheSolverPastTheExactOrderLimit) {
+  // Eight single-GPU nodes: a virtual worker over all of them has eight
+  // distinct (type, node) classes, so 8! = 40320 orders, above the default
+  // exact_order_limit. The cached and the uncached experiment paths must
+  // still run the same solver and produce the same rows.
+  hw::ClusterSpec spec;
+  spec.Named("eight-nodes");
+  for (const char* type : {"V", "R", "G", "Q", "V", "R", "G", "Q"}) {
+    spec.AddNode(type, 1);
+  }
+  const hw::Cluster cluster = spec.Build();
+  ASSERT_GT(partition::EstimateOrderCount(cluster, {0, 1, 2, 3, 4, 5, 6, 7}, 1u << 20),
+            static_cast<uint64_t>(partition::PartitionOptions{}.exact_order_limit));
+
+  for (core::ExperimentKind kind :
+       {core::ExperimentKind::kPartitionOnly, core::ExperimentKind::kSingleVirtualWorker}) {
+    core::Experiment e;
+    e.kind = kind;
+    e.model = core::ModelKind::kVgg19;
+    e.UseCluster(cluster);
+    e.vw_codes = "VRGQVRGQ";
+    e.config.nm = 2;
+    e.config.waves = 8;
+    e.config.warmup_waves = 2;
+
+    e.config.partition_cache = nullptr;
+    const core::ExperimentResult uncached = core::RunExperiment(e);
+    PartitionCache cache;
+    e.config.partition_cache = &cache;
+    const core::ExperimentResult cached = core::RunExperiment(e);
+    EXPECT_EQ(cache.misses(), 1);
+
+    ASSERT_TRUE(uncached.feasible) << core::KindName(kind);
+    ExpectSamePartition(uncached.partition, cached.partition);
+    std::ostringstream uncached_row;
+    std::ostringstream cached_row;
+    JsonlSink uncached_sink(uncached_row);
+    JsonlSink cached_sink(cached_row);
+    uncached_sink.Write(RowFor(e, uncached));
+    cached_sink.Write(RowFor(e, cached));
+    uncached_sink.Flush();
+    cached_sink.Flush();
+    EXPECT_EQ(uncached_row.str(), cached_row.str()) << core::KindName(kind);
   }
 }
 

@@ -232,7 +232,7 @@ TEST(PlanServiceTest, PlanMatchesDirectPartitioner) {
   partition::PartitionOptions options;
   options.nm = 2;
   const partition::Partition direct =
-      partitioner.Solve(core::PickGpus(cluster, "VVQQ"), options);
+      partitioner.SolveScalable(core::PickGpus(cluster, "VVQQ"), options);
   runner::ResultRow expected;
   expected.Set("bottleneck", direct.bottleneck_time);
   EXPECT_EQ(row.Get("bottleneck_time_s"), expected.Get("bottleneck"));
@@ -255,7 +255,12 @@ TEST(PlanServiceTest, MaxNmMatchesPartitionerAndReportsCacheHit) {
   const model::ModelGraph graph = model::BuildResNet152();
   const model::ModelProfile profile(graph, 32);
   const partition::Partitioner partitioner(profile, cluster);
-  const int expected = partitioner.FindMaxNm(core::PickGpus(cluster, "VVQQ"), 7);
+  const std::vector<int> vvqq = core::PickGpus(cluster, "VVQQ");
+  const int expected = partition::FindMaxNmWith(
+      [&](const partition::PartitionOptions& at_nm) {
+        return partitioner.SolveScalable(vvqq, at_nm);
+      },
+      7, partition::PartitionOptions{});
   EXPECT_EQ(cold.Get("max_nm"), std::to_string(expected));
 
   // Every probe of the repeat comes from the cache.

@@ -89,7 +89,7 @@ TEST_P(TracedPipelineTest, SatisfiesSchedulingRules) {
   const partition::Partitioner partitioner(profile, cluster);
   partition::PartitionOptions options;
   options.nm = nm;
-  const partition::Partition partition = partitioner.Solve({0, 4, 8, 12}, options);
+  const partition::Partition partition = partitioner.SolveScalable({0, 4, 8, 12}, options);
   ASSERT_TRUE(partition.feasible);
 
   sim::Tracer tracer;
@@ -127,7 +127,7 @@ TEST(TracedPipelineTest, GanttLooksLikeFig1) {
   const partition::Partitioner partitioner(profile, cluster);
   partition::PartitionOptions options;
   options.nm = 4;
-  const partition::Partition partition = partitioner.Solve({0, 1, 2, 3}, options);
+  const partition::Partition partition = partitioner.SolveScalable({0, 1, 2, 3}, options);
   ASSERT_TRUE(partition.feasible);
 
   sim::Tracer tracer;

@@ -114,7 +114,7 @@ class PsCommTest : public ::testing::Test {
   partition::Partition EdPartition(int nm) {
     partition::PartitionOptions options;
     options.nm = nm;
-    return partitioner_.Solve({0, 4, 8, 12}, options);  // one GPU per node
+    return partitioner_.SolveScalable({0, 4, 8, 12}, options);  // one GPU per node
   }
 
   hw::Cluster cluster_;
@@ -156,7 +156,7 @@ TEST_F(PsCommTest, RoundRobinRidesTheSlowestResolvedPairLink) {
   partition::PartitionOptions options;
   options.nm = 1;
   options.search_gpu_orders = false;  // same stage order on both clusters
-  const partition::Partition partition = partitioner.Solve({0, 1, 2, 3}, options);
+  const partition::Partition partition = partitioner.SolveScalable({0, 1, 2, 3}, options);
   ASSERT_TRUE(partition.feasible);
 
   const VwCommTimes flat =
