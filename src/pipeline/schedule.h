@@ -1,8 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
+#include <vector>
 
 #include "pipeline/task.h"
 
@@ -36,8 +36,8 @@ class StageQueue {
   void MarkStarted(const Task& task);
 
   int stage_;
-  std::deque<Task> queue_;  // arrival order
-  int64_t next_fw_ = 1;     // smallest minibatch whose FW has not yet started
+  std::vector<Task> queue_;  // arrival order; at most 2 * Nm tasks
+  int64_t next_fw_ = 1;      // smallest minibatch whose FW has not yet started
   int64_t next_bw_ = 1;
 };
 

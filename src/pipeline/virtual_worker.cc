@@ -22,9 +22,14 @@ VirtualWorkerSim::VirtualWorkerSim(int vw_id, sim::Simulator& simulator,
       rng_(options.seed + static_cast<uint64_t>(vw_id) * 0x9e3779b9ULL) {
   assert(partition.feasible);
   assert(options_.nm >= 1);
-  stages_.reserve(partition.stages.size());
-  for (int q = 0; q < partition.num_stages(); ++q) {
+  const int k = partition.num_stages();
+  const auto max_minibatches = static_cast<size_t>(std::max<int64_t>(0, options_.max_minibatches));
+  completion_times_.reserve(max_minibatches);
+  stages_.reserve(static_cast<size_t>(k));
+  for (int q = 0; q < k; ++q) {
     stages_.emplace_back(q);
+    // Every minibatch runs FW and BW on each stage; the last stage fuses them.
+    stages_.back().compute_busy.Reserve(q + 1 == k ? max_minibatches : 2 * max_minibatches);
   }
   if (options_.speed_bias_cv > 0.0) {
     speed_bias_ = std::max(0.5, 1.0 + options_.speed_bias_cv * rng_.Normal());
@@ -91,25 +96,32 @@ void VirtualWorkerSim::BeginTask(int q, const Task& task) {
   Stage& stage = stages_[static_cast<size_t>(q)];
   stage.busy = true;
   const auto [comm_s, compute_s] = TaskCost(task);
-  const sim::SimTime start = simulator_->now();
-  const sim::SimTime compute_start = start + comm_s;
-  const sim::SimTime end = compute_start + compute_s;
-  simulator_->ScheduleAt(end, [this, q, task, start, compute_start, end] {
-    stages_[static_cast<size_t>(q)].busy = false;
-    stages_[static_cast<size_t>(q)].compute_busy.AddBusy(compute_start, end);
-    if (options_.tracer != nullptr) {
-      if (compute_start > start) {
-        options_.tracer->Add(
-            {"recv " + ToString(task), "comm", task.stage, start, compute_start});
-      }
-      const char* category = task.kind == TaskKind::kForward
-                                 ? "forward"
-                                 : (task.kind == TaskKind::kBackward ? "backward" : "xfwbw");
-      options_.tracer->Add({ToString(task), category, task.stage, compute_start, end});
+  stage.running = task;
+  stage.start = simulator_->now();
+  stage.compute_start = stage.start + comm_s;
+  stage.end = stage.compute_start + compute_s;
+  // The task's state lives in the stage, so the capture fits std::function's
+  // inline buffer and scheduling allocates nothing.
+  simulator_->ScheduleAt(stage.end, [this, q] { FinishTask(q); });
+}
+
+void VirtualWorkerSim::FinishTask(int q) {
+  Stage& stage = stages_[static_cast<size_t>(q)];
+  const Task task = stage.running;  // OnTaskDone may start the stage's next task
+  stage.busy = false;
+  stage.compute_busy.AddBusy(stage.compute_start, stage.end);
+  if (options_.tracer != nullptr) {
+    if (stage.compute_start > stage.start) {
+      options_.tracer->Add(
+          {"recv " + ToString(task), "comm", task.stage, stage.start, stage.compute_start});
     }
-    OnTaskDone(q, task);
-    TryDispatch(q);
-  });
+    const char* category = task.kind == TaskKind::kForward
+                               ? "forward"
+                               : (task.kind == TaskKind::kBackward ? "backward" : "xfwbw");
+    options_.tracer->Add({ToString(task), category, task.stage, stage.compute_start, stage.end});
+  }
+  OnTaskDone(q, task);
+  TryDispatch(q);
 }
 
 std::pair<double, double> VirtualWorkerSim::TaskCost(const Task& task) {

@@ -95,6 +95,12 @@ class VirtualWorkerSim {
     explicit Stage(int index) : queue(index) {}
     StageQueue queue;
     bool busy = false;
+    // The one task running while busy: its input transfer spans
+    // [start, compute_start) and its compute [compute_start, end).
+    Task running;
+    sim::SimTime start = 0.0;
+    sim::SimTime compute_start = 0.0;
+    sim::SimTime end = 0.0;
     sim::BusyTracker compute_busy;
   };
 
@@ -104,6 +110,8 @@ class VirtualWorkerSim {
   void Inject(int64_t p);
   void TryDispatch(int q);
   void BeginTask(int q, const Task& task);
+  // Completion event of stage q's running task.
+  void FinishTask(int q);
   void OnTaskDone(int q, const Task& task);
   void OnMinibatchComplete(int64_t p);
   // (comm_in_s, compute_s) of a task at its stage, jitter applied to compute.

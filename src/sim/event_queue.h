@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 namespace hetpipe::sim {
@@ -21,22 +20,36 @@ struct Event {
 };
 
 // Min-heap of events keyed on (time, seq).
+//
+// The heap holds only 24-byte {time, seq, slot} keys; each action lives in a
+// slot of a slab that recycles freed slots, so sifting moves plain keys and
+// never a std::function. (time, seq) is a strict total order, so the pop
+// order does not depend on the heap layout.
 class EventQueue {
  public:
   // Enqueues `action` to fire at absolute time `time`. Returns the sequence
   // number assigned to the event.
   uint64_t Push(SimTime time, std::function<void()> action);
 
-  // Removes and returns the earliest event. Must not be called when empty.
+  // Removes and returns the earliest event, its action moved out of the slab
+  // (so the action may push new events while it runs). Must not be called
+  // when empty.
   Event Pop();
 
-  const Event& Top() const { return heap_.top(); }
+  // Time of the earliest event. Must not be called when empty.
+  SimTime TopTime() const { return heap_.front().time; }
   bool empty() const { return heap_.empty(); }
   size_t size() const { return heap_.size(); }
 
  private:
+  struct Key {
+    SimTime time;
+    uint64_t seq;
+    uint32_t slot;  // index into actions_
+  };
+  // Heap comparator: the root is the earliest (time, seq).
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.time != b.time) {
         return a.time > b.time;
       }
@@ -44,7 +57,9 @@ class EventQueue {
     }
   };
 
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
+  std::vector<Key> heap_;
+  std::vector<std::function<void()>> actions_;
+  std::vector<uint32_t> free_slots_;
   uint64_t next_seq_ = 0;
 };
 

@@ -1,10 +1,15 @@
 #include "sim/simulator.h"
 
+#include <cmath>
+#include <stdexcept>
 #include <utility>
 
 namespace hetpipe::sim {
 
 void Simulator::Schedule(SimTime delay, std::function<void()> action) {
+  if (std::isnan(delay)) {
+    throw std::invalid_argument("Simulator::Schedule: delay is NaN");
+  }
   if (delay < 0.0) {
     delay = 0.0;
   }
@@ -12,6 +17,9 @@ void Simulator::Schedule(SimTime delay, std::function<void()> action) {
 }
 
 void Simulator::ScheduleAt(SimTime time, std::function<void()> action) {
+  if (std::isnan(time)) {
+    throw std::invalid_argument("Simulator::ScheduleAt: time is NaN");
+  }
   if (time < now_) {
     time = now_;
   }
@@ -25,7 +33,7 @@ void Simulator::RunUntil(SimTime deadline) { Dispatch(deadline); }
 void Simulator::Dispatch(const SimTime deadline) {
   stopped_ = false;
   while (!queue_.empty() && !stopped_) {
-    if (queue_.Top().time > deadline) {
+    if (queue_.TopTime() > deadline) {
       now_ = deadline;
       return;
     }

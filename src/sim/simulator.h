@@ -19,10 +19,14 @@ class Simulator {
   uint64_t events_processed() const { return events_processed_; }
 
   // Schedules `action` to run `delay` seconds from now. Negative delays clamp
-  // to zero (fire at the current instant, after already-queued events).
+  // to zero (fire at the current instant, after already-queued events); an
+  // infinite delay fires only under Run(), after every finite event. A NaN
+  // delay would break the queue's ordering, so it throws
+  // std::invalid_argument.
   void Schedule(SimTime delay, std::function<void()> action);
 
-  // Schedules `action` at absolute simulated time `time` (>= now()).
+  // Schedules `action` at absolute simulated time `time`; times before now()
+  // clamp to now(). A NaN time throws std::invalid_argument.
   void ScheduleAt(SimTime time, std::function<void()> action);
 
   // Runs until the event queue drains or Stop() is called.

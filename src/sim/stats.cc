@@ -1,6 +1,7 @@
 #include "sim/stats.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 namespace hetpipe::sim {
@@ -28,6 +29,8 @@ void BusyTracker::AddBusy(SimTime start, SimTime end) {
   if (end <= start) {
     return;
   }
+  assert((intervals_.empty() || intervals_.back().end <= start) &&
+         "busy intervals must be added in time order without overlap");
   busy_ += end - start;
   intervals_.push_back({start, end});
 }
@@ -37,10 +40,16 @@ double BusyTracker::Utilization(SimTime window_start, SimTime window_end) const 
   if (window <= 0.0) {
     return 0.0;
   }
+  // Sorted, disjoint intervals have sorted ends: start at the first interval
+  // ending after the window opens, stop at the first starting at or after it
+  // closes. Every interval skipped either way overlaps the window by nothing,
+  // so the sum adds the same terms in the same order as a full scan.
+  auto it = std::partition_point(intervals_.begin(), intervals_.end(),
+                                 [&](const Interval& iv) { return iv.end <= window_start; });
   SimTime busy_in_window = 0.0;
-  for (const Interval& iv : intervals_) {
-    const SimTime s = std::max(iv.start, window_start);
-    const SimTime e = std::min(iv.end, window_end);
+  for (; it != intervals_.end() && it->start < window_end; ++it) {
+    const SimTime s = std::max(it->start, window_start);
+    const SimTime e = std::min(it->end, window_end);
     if (e > s) {
       busy_in_window += e - s;
     }

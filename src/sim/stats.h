@@ -35,15 +35,23 @@ class Accumulator {
 
 // Tracks how long a simulated resource (a GPU, a link) was busy, so that
 // utilization = busy / elapsed can be reported, as in Fig. 3 of the paper.
+//
+// Precondition: intervals arrive in time order and never overlap (a GPU
+// executes one task at a time, and the simulator's clock only moves
+// forward): each interval starts at or after the previous one's end.
+// AddBusy asserts it. Utilization relies on it to binary-search the window.
 class BusyTracker {
  public:
-  // Records a busy interval [start, end). Intervals are assumed
-  // non-overlapping (a GPU executes one task at a time).
+  // Records a busy interval [start, end); empty or reversed intervals are
+  // ignored.
   void AddBusy(SimTime start, SimTime end);
+  // Reserves room for `n` intervals.
+  void Reserve(size_t n) { intervals_.reserve(n); }
 
   SimTime busy_time() const { return busy_; }
   // Utilization in [0, 1] over the window [window_start, window_end); only
-  // busy time that falls inside the window counts.
+  // busy time that falls inside the window counts. O(log n + intervals in
+  // the window).
   double Utilization(SimTime window_start, SimTime window_end) const;
 
  private:

@@ -1,5 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "cluster/allocator.h"
+#include "core/hetpipe.h"
 #include "hw/cluster.h"
 #include "model/profiler.h"
 #include "model/resnet.h"
@@ -9,6 +19,11 @@
 #include "pipeline/task.h"
 #include "pipeline/virtual_worker.h"
 #include "sim/simulator.h"
+#include "wsp/param_server.h"
+
+#ifndef HETPIPE_GOLDEN_DIR
+#error "pipeline_test needs HETPIPE_GOLDEN_DIR (set by CMakeLists.txt)"
+#endif
 
 namespace hetpipe::pipeline {
 namespace {
@@ -254,6 +269,210 @@ TEST_F(VirtualWorkerTest, DeterministicAcrossRuns) {
     } else {
       EXPECT_DOUBLE_EQ(vw.last_completion_time(), first);
     }
+  }
+}
+
+// ---- Pinned simulator output. tests/golden/sim_traces.txt holds one
+// ---- `key \t value` line per recorded quantity, every double in hexfloat,
+// ---- so any change to event order or arithmetic in the simulator shows up
+// ---- as a diff. `UPDATE_GOLDEN=1 ./pipeline_test` rewrites the file.
+
+std::string Hex(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+std::string HexList(const std::vector<double>& values) {
+  std::string out;
+  for (double v : values) {
+    out += (out.empty() ? "" : " ") + Hex(v);
+  }
+  return out;
+}
+
+using GoldenLines = std::vector<std::pair<std::string, std::string>>;
+
+void AppendVwTrace(GoldenLines& lines, const std::string& prefix, const VirtualWorkerSim& vw,
+                   int64_t warmup, sim::SimTime end) {
+  const std::vector<sim::SimTime>& times = vw.completion_times();
+  const sim::SimTime warm = times.size() > static_cast<size_t>(warmup)
+                                ? times[static_cast<size_t>(warmup)]
+                                : 0.0;
+  lines.emplace_back(prefix + "|completion_times", HexList(times));
+  lines.emplace_back(prefix + "|total_wait_s", Hex(vw.total_wait_s()));
+  lines.emplace_back(prefix + "|idle_during_wait", Hex(vw.IdleDuringWait()));
+  lines.emplace_back(prefix + "|max_util_warm", Hex(vw.MaxStageUtilization(warm, end)));
+  lines.emplace_back(prefix + "|max_util_mid",
+                     Hex(vw.MaxStageUtilization(end / 3.0, 2.0 * end / 3.0)));
+  std::vector<double> per_stage;
+  for (int q = 0; q < vw.num_stages(); ++q) {
+    per_stage.push_back(vw.StageComputeUtilization(q, 0.0, end));
+  }
+  lines.emplace_back(prefix + "|stage_util", HexList(per_stage));
+}
+
+GoldenLines SimTraceGoldenLines() {
+  GoldenLines lines;
+  const hw::Cluster cluster = hw::Cluster::Paper();
+  const model::ModelGraph resnet = model::BuildResNet152();
+  const model::ModelGraph vgg = model::BuildVgg19();
+
+  // Single virtual workers behind an open gate, with every noise source.
+  struct VwCase {
+    const char* name;
+    const model::ModelGraph* graph;
+    std::vector<int> gpus;
+    int nm;
+    double jitter_cv, drift_cv, speed_bias_cv;
+    uint64_t seed;
+    int64_t minibatches;
+  };
+  const VwCase kVwCases[] = {
+      {"vw-resnet-VRGQ-nm4", &resnet, {0, 4, 8, 12}, 4, 0.2, 0.0, 0.0, 99, 40},
+      {"vw-vgg-VRGQ-nm3", &vgg, {0, 4, 8, 12}, 3, 0.1, 0.15, 0.1, 7, 30},
+      {"vw-resnet-VVVV-nm2", &resnet, {0, 1, 2, 3}, 2, 0.05, 0.2, 0.2, 3, 24},
+      {"vw-vgg-R-nm1", &vgg, {4}, 1, 0.3, 0.1, 0.0, 11, 6},
+  };
+  for (const VwCase& c : kVwCases) {
+    const model::ModelProfile profile(*c.graph, 32);
+    const partition::Partitioner partitioner(profile, cluster);
+    partition::PartitionOptions popt;
+    popt.nm = c.nm;
+    const partition::Partition partition = partitioner.SolveScalable(c.gpus, popt);
+    EXPECT_TRUE(partition.feasible) << c.name;
+    if (!partition.feasible) {
+      continue;
+    }
+    sim::Simulator simulator;
+    OpenGate gate;
+    VirtualWorkerOptions options;
+    options.nm = c.nm;
+    options.jitter_cv = c.jitter_cv;
+    options.drift_cv = c.drift_cv;
+    options.speed_bias_cv = c.speed_bias_cv;
+    options.seed = c.seed;
+    options.max_minibatches = c.minibatches;
+    VirtualWorkerSim vw(0, simulator, partition, gate, options);
+    vw.Start();
+    simulator.Run();
+    lines.emplace_back(std::string(c.name) + "|events",
+                       std::to_string(simulator.events_processed()));
+    AppendVwTrace(lines, c.name, vw, c.nm, simulator.now());
+  }
+
+  // Whole-cluster runs under each synchronization policy: the virtual
+  // workers of an ED allocation behind one WSP coordinator, traced per VW,
+  // then HetPipe::Run's report for the same policy.
+  struct PolicyCase {
+    const char* name;
+    wsp::SyncPolicy policy;
+    int nm;
+  };
+  const PolicyCase kPolicies[] = {
+      {"wsp-d0", wsp::SyncPolicy::Wsp(0), 3},
+      {"wsp-d4", wsp::SyncPolicy::Wsp(4), 3},
+      {"bsp", wsp::SyncPolicy::Wsp(0), 1},
+      {"asp", wsp::SyncPolicy::Asp(), 3},
+  };
+  const model::ModelProfile profile(resnet, 32);
+  const partition::Partitioner partitioner(profile, cluster);
+  const cluster::Allocation alloc =
+      cluster::Allocate(cluster, cluster::AllocationPolicy::kEqualDistribution);
+  for (const PolicyCase& c : kPolicies) {
+    partition::PartitionOptions popt;
+    popt.nm = c.nm;
+    std::vector<partition::Partition> partitions;
+    std::vector<wsp::VwCommTimes> comm;
+    for (const std::vector<int>& gpus : alloc.vw_gpus) {
+      partitions.push_back(partitioner.SolveScalable(gpus, popt));
+      comm.push_back(
+          wsp::ComputePsCommTimes(partitions.back(), cluster, wsp::PlacementPolicy::kRoundRobin));
+    }
+    sim::Simulator simulator;
+    wsp::WspCoordinatorOptions wopt;
+    wopt.num_vws = alloc.num_vws();
+    wopt.nm = c.nm;
+    wopt.policy = c.policy;
+    wsp::WspCoordinator coordinator(simulator, wopt, comm);
+    std::vector<std::unique_ptr<VirtualWorkerSim>> vws;
+    for (int v = 0; v < alloc.num_vws(); ++v) {
+      VirtualWorkerOptions options;
+      options.nm = c.nm;
+      options.jitter_cv = 0.1;
+      options.drift_cv = 0.1;
+      options.speed_bias_cv = 0.1;
+      options.seed = 42;
+      options.max_minibatches = 12 * c.nm;
+      vws.push_back(std::make_unique<VirtualWorkerSim>(
+          v, simulator, partitions[static_cast<size_t>(v)], coordinator, options));
+    }
+    for (auto& vw : vws) {
+      vw->Start();
+    }
+    simulator.Run();
+    const std::string prefix = std::string("cluster-") + c.name;
+    lines.emplace_back(prefix + "|events", std::to_string(simulator.events_processed()));
+    for (int v = 0; v < alloc.num_vws(); ++v) {
+      AppendVwTrace(lines, prefix + "|vw" + std::to_string(v), *vws[static_cast<size_t>(v)],
+                    2 * c.nm, simulator.now());
+    }
+
+    core::HetPipeConfig config;
+    config.sync = c.policy;
+    config.nm = c.nm;
+    config.jitter_cv = 0.1;
+    config.drift_cv = 0.1;
+    config.speed_bias_cv = 0.1;
+    config.waves = 20;
+    const core::HetPipeReport report = core::HetPipe(cluster, resnet, config).Run();
+    EXPECT_TRUE(report.feasible) << c.name;
+    const std::string run = std::string("hetpipe-") + c.name;
+    lines.emplace_back(run + "|throughput", Hex(report.throughput_img_s));
+    lines.emplace_back(run + "|total_wait_s", Hex(report.total_wait_s));
+    lines.emplace_back(run + "|idle_fraction_of_wait", Hex(report.idle_fraction_of_wait));
+    lines.emplace_back(run + "|avg_clock_distance", Hex(report.avg_clock_distance));
+    lines.emplace_back(run + "|avg_global_lag_waves", Hex(report.avg_global_lag_waves));
+    for (size_t v = 0; v < report.vws.size(); ++v) {
+      const core::VwReport& vr = report.vws[v];
+      lines.emplace_back(run + "|vw" + std::to_string(v),
+                         HexList({vr.throughput_img_s, vr.max_stage_utilization, vr.wait_s,
+                                  vr.idle_during_wait_s}));
+    }
+  }
+  return lines;
+}
+
+TEST(SimTraceGoldenTest, SimulatorOutputMatchesRecordedTraces) {
+  const GoldenLines lines = SimTraceGoldenLines();
+  const std::string path = std::string(HETPIPE_GOLDEN_DIR) + "/sim_traces.txt";
+  if (std::getenv("UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::trunc);
+    ASSERT_TRUE(out.is_open()) << "cannot write " << path;
+    out << "# Simulator outputs (hexfloat): key \\t value.\n"
+           "# Regenerate with: UPDATE_GOLDEN=1 ./pipeline_test\n";
+    for (const auto& [key, value] : lines) {
+      out << key << '\t' << value << '\n';
+    }
+    std::printf("updated %s\n", path.c_str());
+    return;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.is_open()) << "missing golden " << path;
+  GoldenLines want;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') {
+      continue;
+    }
+    const size_t tab = line.find('\t');
+    ASSERT_NE(tab, std::string::npos) << "malformed golden line: " << line;
+    want.emplace_back(line.substr(0, tab), line.substr(tab + 1));
+  }
+  ASSERT_EQ(want.size(), lines.size()) << "golden line count drifted";
+  for (size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(want[i].first, lines[i].first) << "line " << i;
+    EXPECT_EQ(want[i].second, lines[i].second) << lines[i].first;
   }
 }
 
