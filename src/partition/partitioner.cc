@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <limits>
+
+#include "util/binary_io.h"
 
 namespace hetpipe::partition {
 
@@ -48,7 +51,72 @@ DpScratch& LocalScratch() {
   return scratch;
 }
 
+// The distinct GPU classes present in `cluster`, ordered by name so the
+// result is independent of registration order (and thus of the process).
+std::vector<const hw::GpuSpec*> PresentSpecs(const hw::Cluster& cluster) {
+  std::vector<const hw::GpuSpec*> specs;
+  for (const hw::Gpu& gpu : cluster.gpus()) {
+    const hw::GpuSpec& spec = hw::SpecOf(gpu.type);
+    bool known = false;
+    for (const hw::GpuSpec* s : specs) {
+      known = known || s == &spec;
+    }
+    if (!known) {
+      specs.push_back(&spec);
+    }
+  }
+  std::sort(specs.begin(), specs.end(),
+            [](const hw::GpuSpec* a, const hw::GpuSpec* b) {
+              return std::strcmp(a->name, b->name) < 0;
+            });
+  return specs;
+}
+
+// Everything the per-layer cost model feeds the partitioner: compute times on
+// every GPU class present in the cluster, boundary transfer sizes, stash and
+// param bytes (memory model), and the class identities (name, declared
+// TFLOPS, memory capacity) those times and caps derive from.
+uint64_t ProfileFingerprint(const model::ModelProfile& profile, const hw::Cluster& cluster) {
+  const std::vector<const hw::GpuSpec*> specs = PresentSpecs(cluster);
+  util::Fnv1a fp;
+  fp.Mix(profile.graph().name());
+  fp.Mix(static_cast<uint64_t>(profile.batch_size()));
+  for (const hw::GpuSpec* spec : specs) {
+    fp.Mix(std::string(spec->name));
+    fp.Mix(spec->effective_tflops);
+    fp.Mix(spec->memory_gib);
+  }
+  for (int layer = 0; layer < profile.num_layers(); ++layer) {
+    for (const hw::GpuSpec* spec : specs) {
+      const model::LayerTime& t = profile.TimeOf(layer, spec->type);
+      fp.Mix(t.fwd_s);
+      fp.Mix(t.bwd_s);
+    }
+    fp.Mix(profile.BoundaryTransferBytes(layer));
+    fp.Mix(profile.graph().layer(layer).param_bytes);
+    fp.Mix(profile.graph().StashBytesInRange(layer, layer));
+  }
+  return fp.value();
+}
+
 }  // namespace
+
+uint64_t SolveInputsFingerprint(const model::ModelProfile& profile, const hw::Cluster& cluster) {
+  util::Fnv1a fp;
+  fp.Mix(ProfileFingerprint(profile, cluster));
+  fp.Mix(cluster.ToString());
+  // Two probes at distinct non-zero sizes fully characterize each affine
+  // link model: t(1) = latency + 1/bw and t(1 MiB) = latency + 1 MiB/bw pin
+  // down both coefficients, so clusters differing in any link knob —
+  // bandwidth, scaling/efficiency, or latency/intercept — never share a
+  // fingerprint. (A 0-byte probe would be blind to latency: TransferTime(0)
+  // is 0 by definition.)
+  fp.Mix(cluster.pcie().TransferTime(1));
+  fp.Mix(cluster.pcie().TransferTime(1ULL << 20));
+  fp.Mix(cluster.infiniband().TransferTime(1));
+  fp.Mix(cluster.infiniband().TransferTime(1ULL << 20));
+  return fp.value();
+}
 
 int64_t DpScratchGrowCount() { return LocalScratch().grows; }
 
@@ -76,7 +144,9 @@ std::string Partition::ToString(const model::ModelProfile& profile) const {
 }
 
 Partitioner::Partitioner(const model::ModelProfile& profile, const hw::Cluster& cluster)
-    : profile_(&profile), cluster_(&cluster) {}
+    : profile_(&profile),
+      cluster_(&cluster),
+      inputs_fingerprint_(SolveInputsFingerprint(profile, cluster)) {}
 
 Partition BuildFixedPartition(const model::ModelProfile& profile, const hw::Cluster& cluster,
                               const std::vector<int>& gpu_ids,

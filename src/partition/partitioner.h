@@ -126,6 +126,12 @@ struct PartitionOptions {
 // signatures — in exactly the order a factorial next_permutation scan with
 // (type, node) dedup first reaches them, so exact ties break the same way
 // that scan's "first wins" reduction does.
+//
+// The partitioner holds its profile and cluster by pointer and fingerprints
+// them once, at construction (inputs_fingerprint()), so neither may change
+// while it lives. Clusters are immutable once built (outside tests, only
+// ClusterSpec::Build calls SetLinkTopology / set_spec_text, before any
+// partitioner exists); PartitionCache::Solve asserts this in Debug builds.
 class Partitioner {
  public:
   Partitioner(const model::ModelProfile& profile, const hw::Cluster& cluster);
@@ -144,6 +150,8 @@ class Partitioner {
 
   const model::ModelProfile& profile() const { return *profile_; }
   const hw::Cluster& cluster() const { return *cluster_; }
+  // SolveInputsFingerprint(profile(), cluster()), computed once.
+  uint64_t inputs_fingerprint() const { return inputs_fingerprint_; }
 
  private:
   // Every distinct (type, node) order, solved under a shared
@@ -195,7 +203,16 @@ class Partitioner {
 
   const model::ModelProfile* profile_;
   const hw::Cluster* cluster_;
+  uint64_t inputs_fingerprint_;
 };
+
+// FNV-1a state (util::Fnv1a) over every (profile, cluster) input a solve
+// depends on, whatever the virtual worker: the per-layer fwd/bwd time on each
+// GPU class present in the cluster, transfer/param/stash bytes, class
+// identities, the cluster layout, and its base link models. Value-based, so
+// two processes that build the same model and cluster spec agree on it. The
+// partition cache's keys continue this state with the per-call inputs.
+uint64_t SolveInputsFingerprint(const model::ModelProfile& profile, const hw::Cluster& cluster);
 
 // Number of times the calling thread's reusable partitioner scratch had to
 // grow a buffer. After one solve of the largest (k, n) a thread will see, the

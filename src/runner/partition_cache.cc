@@ -1,6 +1,7 @@
 #include "runner/partition_cache.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -9,60 +10,6 @@
 
 namespace hetpipe::runner {
 namespace {
-
-// The shared FNV-1a (util/binary_io.h): same algorithm this file always
-// used, so every structural fingerprint — and thus every cache key and file
-// checksum — is byte-identical to what older binaries computed.
-using Fingerprint = util::Fnv1a;
-
-// The distinct GPU classes present in `cluster`, ordered by name so the
-// result is independent of registration order (and thus of the process).
-std::vector<const hw::GpuSpec*> PresentSpecs(const hw::Cluster& cluster) {
-  std::vector<const hw::GpuSpec*> specs;
-  for (const hw::Gpu& gpu : cluster.gpus()) {
-    const hw::GpuSpec& spec = hw::SpecOf(gpu.type);
-    bool known = false;
-    for (const hw::GpuSpec* s : specs) {
-      known = known || s == &spec;
-    }
-    if (!known) {
-      specs.push_back(&spec);
-    }
-  }
-  std::sort(specs.begin(), specs.end(),
-            [](const hw::GpuSpec* a, const hw::GpuSpec* b) {
-              return std::strcmp(a->name, b->name) < 0;
-            });
-  return specs;
-}
-
-// Everything the per-layer cost model feeds the partitioner: compute times on
-// every GPU class present in the cluster, boundary transfer sizes, stash and
-// param bytes (memory model), and the class identities (name, declared
-// TFLOPS, memory capacity) those times and caps derive from. Value-based, so
-// two processes that build the same cluster spec agree on the fingerprint.
-uint64_t ProfileFingerprint(const model::ModelProfile& profile, const hw::Cluster& cluster) {
-  const std::vector<const hw::GpuSpec*> specs = PresentSpecs(cluster);
-  Fingerprint fp;
-  fp.Mix(profile.graph().name());
-  fp.Mix(static_cast<uint64_t>(profile.batch_size()));
-  for (const hw::GpuSpec* spec : specs) {
-    fp.Mix(std::string(spec->name));
-    fp.Mix(spec->effective_tflops);
-    fp.Mix(spec->memory_gib);
-  }
-  for (int layer = 0; layer < profile.num_layers(); ++layer) {
-    for (const hw::GpuSpec* spec : specs) {
-      const model::LayerTime& t = profile.TimeOf(layer, spec->type);
-      fp.Mix(t.fwd_s);
-      fp.Mix(t.bwd_s);
-    }
-    fp.Mix(profile.BoundaryTransferBytes(layer));
-    fp.Mix(profile.graph().layer(layer).param_bytes);
-    fp.Mix(profile.graph().StashBytesInRange(layer, layer));
-  }
-  return fp.value();
-}
 
 // The (class, node) sequence of the virtual worker, by class name so the
 // signature survives process boundaries. With the order search on, a solve's
@@ -90,30 +37,23 @@ std::string VwSignature(const hw::Cluster& cluster, const std::vector<int>& gpu_
   return signature;
 }
 
+// A key continues the partitioner's inputs fingerprint (profile, cluster
+// layout, base link models; see partition::SolveInputsFingerprint) with the
+// per-call inputs. FNV-1a's whole state is its 64-bit value, so resuming
+// from the stored state yields exactly the bytes of one pass over all
+// inputs: the key layout of version-3 files, pinned by
+// tests/golden/cache_keys.txt.
 std::string MakeKey(const partition::Partitioner& partitioner, const std::vector<int>& gpu_ids,
                     const partition::PartitionOptions& options) {
-  Fingerprint fp;
-  fp.Mix(ProfileFingerprint(partitioner.profile(), partitioner.cluster()));
-  fp.Mix(partitioner.cluster().ToString());
-  // Two probes at distinct non-zero sizes fully characterize each affine
-  // link model: t(1) = latency + 1/bw and t(1 MiB) = latency + 1 MiB/bw pin
-  // down both coefficients, so clusters differing in any link knob —
-  // bandwidth, scaling/efficiency, or latency/intercept — never share a key.
-  // (A 0-byte probe would be blind to latency: TransferTime(0) is 0 by
-  // definition, so latency-only and latency+bandwidth-aliased changes could
-  // collide.)
-  fp.Mix(partitioner.cluster().pcie().TransferTime(1));
-  fp.Mix(partitioner.cluster().pcie().TransferTime(1ULL << 20));
-  fp.Mix(partitioner.cluster().infiniband().TransferTime(1));
-  fp.Mix(partitioner.cluster().infiniband().TransferTime(1ULL << 20));
+  util::Fnv1a fp(partitioner.inputs_fingerprint());
   // Rack topologies and per-pair overrides make the inter-node fabric
   // non-uniform, so probe the resolved links among the virtual worker's own
   // nodes too (file version 3). A solve depends on inter-node links only
   // between consecutive stages, which are all VW GPUs, so pairs outside the
   // VW are irrelevant — probing only the VW's pairs keeps a degraded link
   // elsewhere in the cluster from splitting keys of provably identical
-  // solves. On a uniform fabric every probe is a pure function of the four
-  // above, so topology-only changes, and nothing else, split keys.
+  // solves. On a uniform fabric every probe is a pure function of the base
+  // link probes, so topology-only changes, and nothing else, split keys.
   const hw::Cluster& cluster = partitioner.cluster();
   std::vector<int> vw_nodes;
   vw_nodes.reserve(gpu_ids.size());
@@ -276,6 +216,10 @@ partition::Partition PartitionCache::Solve(const partition::Partitioner& partiti
                                            const std::vector<int>& gpu_ids,
                                            const partition::PartitionOptions& options,
                                            bool* was_hit) {
+  // The fingerprint a partitioner stored at construction must still describe
+  // its inputs (they must not change while it lives); Debug builds re-hash.
+  assert(partitioner.inputs_fingerprint() ==
+         partition::SolveInputsFingerprint(partitioner.profile(), partitioner.cluster()));
   const std::string key = MakeKey(partitioner, gpu_ids, options);
   if (was_hit != nullptr) {
     *was_hit = false;

@@ -21,7 +21,9 @@ namespace hetpipe::runner {
 // flag, memory params) — everything
 // Partitioner::SolveScalable's result depends on. Keys are value-based (GPU class
 // names and numbers, never process-local handles), so they are stable across
-// processes and safe to persist.
+// processes and safe to persist. The (profile, cluster) half is the
+// partitioner's inputs_fingerprint(), hashed once when it is built; a lookup
+// hashes only the per-call half on from that state.
 //
 // Because a solve's answer depends on the GPUs only through their (class, node)
 // multiset, a hit for a *different* GPU-id set with the same signature is

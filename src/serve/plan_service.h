@@ -39,9 +39,11 @@ struct PlanServiceOptions {
 //
 // Thread-safety: Handle/HandleJson are safe to call concurrently from any
 // number of threads. The context memo is a shared_mutex map (readers
-// concurrent, construction single-writer, built at most once per key), the
-// partition cache does its own locking, and counters are atomics. Responses
-// are value types; nothing returned aliases service state.
+// concurrent, inserts single-writer). A context is built outside the lock,
+// so threads missing on one key at once may each build one; the first
+// insert is kept and every caller gets it, the others are dropped. The
+// partition cache does its own locking, and counters are atomics.
+// Responses are value types; nothing returned aliases service state.
 //
 // Results are deterministic: the same request always produces the same
 // partition (the cache returns bit-identical partitions hit or miss), so a
@@ -77,7 +79,8 @@ class PlanService {
   struct Context;
 
   // Returns the memoized context for the request's (cluster, model, batch),
-  // building it on first use. Null on failure, with `code`/`error` set.
+  // building it on a miss (racing misses may each build; the first insert
+  // wins). Null on failure, with `code`/`error` set.
   std::shared_ptr<const Context> GetContext(const PlanRequest& request, ErrorCode* code,
                                             std::string* error);
 

@@ -17,6 +17,12 @@ namespace hetpipe::util {
 // corruption-detection checksums (not cryptographic).
 class Fnv1a {
  public:
+  Fnv1a() = default;
+  // Resumes from a value() an earlier instance reached. The 64-bit value is
+  // FNV-1a's whole state, so mixing on from it gives exactly the hash of
+  // mixing everything through one instance.
+  explicit Fnv1a(uint64_t state) : hash_(state) {}
+
   void MixByte(unsigned char b) { hash_ = (hash_ ^ b) * 0x100000001b3ULL; }
   void Mix(uint64_t v) {
     for (int i = 0; i < 8; ++i) {

@@ -8,12 +8,14 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 
 #include "core/experiment.h"
 #include "hw/cluster.h"
@@ -26,6 +28,11 @@
 #include "runner/result_sink.h"
 #include "runner/sweep_runner.h"
 #include "runner/thread_pool.h"
+#include "util/binary_io.h"
+
+#ifndef HETPIPE_GOLDEN_DIR
+#error "runner_test needs HETPIPE_GOLDEN_DIR (set by CMakeLists.txt)"
+#endif
 
 namespace hetpipe::runner {
 namespace {
@@ -491,6 +498,64 @@ TEST(PartitionCacheTest, DistinguishesNmAndMemParams) {
   EXPECT_EQ(cache.hits(), 0);
 }
 
+TEST(PartitionCacheTest, InputsFingerprintIsValueBasedAndComplete) {
+  // A partitioner fingerprints its (profile, cluster) once and every key
+  // continues that state, so the fingerprint must depend on values only
+  // (independently built equal inputs share entries) and must cover every
+  // input of the solve (changing any one misses). Link latency/intercept
+  // knobs, topology, nm and memory params are covered by the tests above.
+  // A GPU class's numbers are fixed by its name within a process, so the
+  // TFLOPS and memory variants are sibling classes. Every cluster is built
+  // before any profile, so the profiles time every registered class.
+  const std::string kBase = "gpu FpCard tflops=8 mem=32; node 2xFpCard; node 2xQ";
+  const hw::Cluster cluster = hw::ClusterSpec::Parse(kBase).Build();
+  const hw::Cluster cluster_again = hw::ClusterSpec::Parse(kBase).Build();
+  std::vector<std::pair<std::string, hw::Cluster>> variants;
+  for (const auto& [label, text] : {
+           std::pair<const char*, std::string>{
+               "class tflops", "gpu FpCardT9 tflops=9 mem=32; node 2xFpCardT9; node 2xQ"},
+           {"class memory", "gpu FpCardM16 tflops=8 mem=16; node 2xFpCardM16; node 2xQ"},
+           {"pcie bandwidth", kBase + "; intra_gbps 6"},
+           {"pcie scaling", kBase + "; intra_scaling 0.5"},
+           {"infiniband bandwidth", kBase + "; inter_gbits 25"},
+           {"infiniband efficiency", kBase + "; inter_efficiency 0.2"},
+       }) {
+    variants.emplace_back(label, hw::ClusterSpec::Parse(text).Build());
+  }
+  const model::ModelGraph resnet = model::BuildResNet152();
+  const model::ModelProfile profile(resnet, 32);
+  const partition::Partitioner partitioner(profile, cluster);
+  const std::vector<int> vw = {0, 1, 2, 3};
+  partition::PartitionOptions options;
+  options.nm = 2;
+  PartitionCache cache;
+  const partition::Partition first = cache.Solve(partitioner, vw, options);
+
+  const model::ModelGraph resnet_again = model::BuildResNet152();
+  const model::ModelProfile profile_again(resnet_again, 32);
+  const partition::Partitioner again(profile_again, cluster_again);
+  EXPECT_EQ(again.inputs_fingerprint(), partitioner.inputs_fingerprint());
+  bool hit = false;
+  ExpectSamePartition(cache.Solve(again, vw, options, &hit), first);
+  EXPECT_TRUE(hit);
+
+  const auto expect_miss = [&](const std::string& label, const model::ModelProfile& p,
+                               const hw::Cluster& c) {
+    const partition::Partitioner changed(p, c);
+    EXPECT_NE(changed.inputs_fingerprint(), partitioner.inputs_fingerprint()) << label;
+    bool changed_hit = true;
+    cache.Solve(changed, vw, options, &changed_hit);
+    EXPECT_FALSE(changed_hit) << label;
+  };
+  for (const auto& [label, variant] : variants) {
+    expect_miss(label, profile, variant);
+  }
+  expect_miss("batch size", model::ModelProfile(resnet, 64), cluster);
+  const model::ModelGraph vgg = model::BuildVgg19();
+  expect_miss("model", model::ModelProfile(vgg, 32), cluster);
+  EXPECT_EQ(cache.hits(), 1);
+}
+
 // ---- PartitionCache disk persistence ----
 
 std::string ReadFileBytes(const std::string& path) {
@@ -705,6 +770,176 @@ TEST(PartitionCacheFileTest, LoadMergesWithoutOverwritingExistingEntries) {
   EXPECT_EQ(third.hits(), 2);
   EXPECT_EQ(third.misses(), 0);
   std::remove(path.c_str());
+}
+
+// ---- Pinned cache keys: tests/golden/cache_keys.txt holds one `label \t key`
+// ---- line per case, the exact key string a cache file stores for it. Keys
+// ---- are read back from a Save'd file, so the library needs no test-only
+// ---- accessor. Every persisted cache file depends on these bytes, so any
+// ---- diff here orphans existing files. `UPDATE_GOLDEN=1 ./runner_test`
+// ---- rewrites the file.
+
+// The key of the one entry `cache` holds, decoded from its file format:
+// magic, version, count, then per record a u32 size and a string key.
+std::string SavedKey(const PartitionCache& cache) {
+  const std::string path = testing::TempDir() + "hetpipe_pcache_key.bin";
+  std::string error;
+  if (!cache.Save(path, &error)) {
+    return "save failed: " + error;
+  }
+  const std::string file = ReadFileBytes(path);
+  std::remove(path.c_str());
+  util::Cursor cursor(file.data(), file.size());
+  cursor.Get<uint32_t>();  // magic
+  cursor.Get<uint32_t>();  // version
+  const uint64_t count = cursor.Get<uint64_t>();
+  cursor.Get<uint32_t>();  // record size
+  const std::string key = cursor.GetStr();
+  return cursor.ok() && count == 1 ? key : "malformed cache file";
+}
+
+std::vector<std::pair<std::string, std::string>> CacheKeyGoldenLines() {
+  std::vector<std::pair<std::string, std::string>> lines;
+  const auto record = [&](const std::string& label, const model::ModelProfile& profile,
+                          const hw::Cluster& cluster, const std::vector<int>& ids,
+                          const partition::PartitionOptions& options) {
+    PartitionCache cache;
+    cache.Solve(partition::Partitioner(profile, cluster), ids, options);
+    lines.emplace_back(label + "|nm" + std::to_string(options.nm), SavedKey(cache));
+  };
+
+  const model::ModelGraph resnet = model::BuildResNet152();
+  const model::ModelGraph vgg = model::BuildVgg19();
+  const std::pair<const char*, const model::ModelGraph*> kModels[] = {{"resnet152", &resnet},
+                                                                      {"vgg19", &vgg}};
+
+  // Paper clusters: every model at two batch sizes, nm 1-4, one GPU per node.
+  const hw::Cluster paper = hw::Cluster::Paper();
+  const hw::Cluster vrq = hw::Cluster::PaperSubset("VRQ");
+  for (const auto& [cluster_label, cluster, ids] :
+       {std::tuple<const char*, const hw::Cluster*, std::vector<int>>{"paper", &paper,
+                                                                      {0, 4, 8, 12}},
+        std::tuple<const char*, const hw::Cluster*, std::vector<int>>{"paper-VRQ", &vrq,
+                                                                      {0, 4, 8}}}) {
+    for (const auto& [model_label, graph] : kModels) {
+      for (int batch : {32, 64}) {
+        const model::ModelProfile profile(*graph, batch);
+        for (int nm = 1; nm <= 4; ++nm) {
+          partition::PartitionOptions options;
+          options.nm = nm;
+          record(std::string(cluster_label) + "|" + model_label + "|b" +
+                     std::to_string(batch) + "|auto",
+                 profile, *cluster, ids, options);
+        }
+      }
+    }
+  }
+
+  // Paper cluster, one profile: VW shapes, order search off, forced beam,
+  // and non-default memory parameters.
+  const model::ModelProfile resnet32(resnet, 32);
+  for (int nm : {1, 3}) {
+    partition::PartitionOptions options;
+    options.nm = nm;
+    record("paper|resnet152|b32|homogeneous", resnet32, paper, {0, 1, 2, 3}, options);
+    record("paper|resnet152|b32|two-node", resnet32, paper, {4, 5, 12, 13}, options);
+
+    partition::PartitionOptions fixed = options;
+    fixed.search_gpu_orders = false;
+    record("paper|resnet152|b32|fixed-VRGQ", resnet32, paper, {0, 4, 8, 12}, fixed);
+    record("paper|resnet152|b32|fixed-QGRV", resnet32, paper, {12, 8, 4, 0}, fixed);
+
+    partition::PartitionOptions beam = options;
+    beam.strategy = partition::SearchStrategy::kBeam;
+    record("paper|resnet152|b32|beam-w8", resnet32, paper, {0, 4, 8, 12}, beam);
+    beam.beam_width = 3;
+    record("paper|resnet152|b32|beam-w3", resnet32, paper, {0, 4, 8, 12}, beam);
+
+    partition::PartitionOptions exact = options;
+    exact.strategy = partition::SearchStrategy::kExact;
+    record("paper|resnet152|b32|exact", resnet32, paper, {0, 4, 8, 12}, exact);
+
+    partition::PartitionOptions mem = options;
+    mem.mem_params.optimizer_multiplier = 2.0;
+    record("paper|resnet152|b32|mem-optimizer2", resnet32, paper, {0, 4, 8, 12}, mem);
+    mem = options;
+    mem.mem_params.framework_overhead_bytes = 1ULL << 30;
+    record("paper|resnet152|b32|mem-overhead1g", resnet32, paper, {0, 4, 8, 12}, mem);
+    mem = options;
+    mem.mem_params.stash_weights = false;
+    record("paper|resnet152|b32|mem-nostash", resnet32, paper, {0, 4, 8, 12}, mem);
+  }
+
+  // Spec-built clusters: a registered class, a mixed-class node, link knobs,
+  // racks with a cross-rack fabric, and a per-pair link override.
+  const std::string kBase =
+      "gpu GoldenKeyCard tflops=7 mem=24; node 2xGoldenKeyCard; node{V*1,Q*1}; node 2xR; "
+      "node 2xG";
+  const std::pair<const char*, std::string> kSpecs[] = {
+      {"spec-plain", kBase},
+      {"spec-knobs", kBase + "; intra_gbps 10; intra_latency_s 2e-5; inter_gbits 25; "
+                             "inter_intercept_s 5e-4"},
+      {"spec-racked", kBase + "; rack r0 { node0 node1 }; rack r1 { node2 node3 }; "
+                              "cross_rack_gbits 5"},
+      {"spec-override", kBase + "; link node0<->node2 gbits 2 intercept_s 1e-3"},
+  };
+  const std::vector<int> spread = {0, 2, 3, 4, 6};  // every node, two GPUs of node1
+  for (const auto& [spec_label, text] : kSpecs) {
+    const hw::Cluster cluster = hw::ClusterSpec::Parse(text).Build();
+    for (const auto& [model_label, graph] : kModels) {
+      const model::ModelProfile profile(*graph, 16);
+      const std::string prefix = std::string(spec_label) + "|" + model_label + "|b16|";
+      for (int nm : {1, 2}) {
+        partition::PartitionOptions options;
+        options.nm = nm;
+        record(prefix + "auto", profile, cluster, spread, options);
+        record(prefix + "pair", profile, cluster, {0, 4}, options);
+        partition::PartitionOptions hier = options;
+        hier.strategy = partition::SearchStrategy::kHierarchical;
+        record(prefix + "hierarchical", profile, cluster, spread, hier);
+        hier.rack_order_limit = 2;
+        record(prefix + "hierarchical-r2", profile, cluster, spread, hier);
+        // A tiny exact limit makes kAuto resolve to a scalable tier.
+        partition::PartitionOptions small = options;
+        small.exact_order_limit = 1;
+        record(prefix + "auto-limit1", profile, cluster, spread, small);
+      }
+    }
+  }
+  return lines;
+}
+
+TEST(CacheKeyGoldenTest, KeysMatchRecordedBytes) {
+  const std::vector<std::pair<std::string, std::string>> lines = CacheKeyGoldenLines();
+  const std::string path = std::string(HETPIPE_GOLDEN_DIR) + "/cache_keys.txt";
+  if (std::getenv("UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::trunc);
+    ASSERT_TRUE(out.is_open()) << "cannot write " << path;
+    out << "# PartitionCache keys as stored in a cache file: label \\t key.\n"
+           "# Regenerate with: UPDATE_GOLDEN=1 ./runner_test\n";
+    for (const auto& [label, key] : lines) {
+      out << label << '\t' << key << '\n';
+    }
+    std::printf("updated %s\n", path.c_str());
+    return;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.is_open()) << "missing golden " << path;
+  std::vector<std::pair<std::string, std::string>> want;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') {
+      continue;
+    }
+    const size_t tab = line.find('\t');
+    ASSERT_NE(tab, std::string::npos) << "malformed golden line: " << line;
+    want.emplace_back(line.substr(0, tab), line.substr(tab + 1));
+  }
+  ASSERT_EQ(want.size(), lines.size()) << "golden line count drifted";
+  for (size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(want[i].first, lines[i].first) << "line " << i;
+    EXPECT_EQ(want[i].second, lines[i].second) << lines[i].first;
+  }
 }
 
 // ---- BenchArgs: the --cache-file guard and strict flag parsing ----
