@@ -909,14 +909,16 @@ std::vector<std::pair<std::string, std::string>> ScalableGoldenLines() {
   return lines;
 }
 
-TEST(ScalableGoldenTest, ApproximateTiersMatchRecordedSolves) {
-  const std::vector<std::pair<std::string, std::string>> lines = ScalableGoldenLines();
-  const std::string path = std::string(HETPIPE_GOLDEN_DIR) + "/scalable_solves.txt";
+// Compares `lines` with the golden file `name` (one `key \t signature` line
+// each, `#` comments), or rewrites the file under UPDATE_GOLDEN=1.
+void CheckGolden(const std::string& name, const std::string& what,
+                 const std::vector<std::pair<std::string, std::string>>& lines) {
+  const std::string path = std::string(HETPIPE_GOLDEN_DIR) + "/" + name;
   if (std::getenv("UPDATE_GOLDEN") != nullptr) {
     std::ofstream out(path, std::ios::trunc);
     ASSERT_TRUE(out.is_open()) << "cannot write " << path;
-    out << "# SolveScalable results of the beam / hierarchical / auto tiers: key \\t "
-           "signature | ToString.\n"
+    out << "# SolveScalable results of " << what
+        << ": key \\t signature | ToString.\n"
            "# Regenerate with: UPDATE_GOLDEN=1 ./partition_test\n";
     for (const auto& [key, signature] : lines) {
       out << key << '\t' << signature << '\n';
@@ -941,6 +943,69 @@ TEST(ScalableGoldenTest, ApproximateTiersMatchRecordedSolves) {
     EXPECT_EQ(want[i].first, lines[i].first) << "line " << i;
     EXPECT_EQ(want[i].second, lines[i].second) << lines[i].first;
   }
+}
+
+TEST(ScalableGoldenTest, ApproximateTiersMatchRecordedSolves) {
+  CheckGolden("scalable_solves.txt", "the beam / hierarchical / auto tiers",
+              ScalableGoldenLines());
+}
+
+// ---- Pinned outputs of the exact tier on the serve benchmark's small
+// ---- request shapes: 3-6 GPUs on distinct nodes (plan requests) and the
+// ---- same with one node doubled (max_nm probes), on paper-class 8-node
+// ---- clusters, both paper models, nm 1-4. tests/golden/exact_solves.txt;
+// ---- every line is the optimum, so any diff is a behaviour change.
+
+std::vector<std::pair<std::string, std::string>> ExactGoldenLines() {
+  std::vector<std::pair<std::string, std::string>> lines;
+  const model::ModelGraph resnet = BuildResNet152();
+  const model::ModelGraph vgg = BuildVgg19();
+  std::mt19937 rng(20261018);
+  for (const char* nodes : {"VRGQVRGQ", "QGRVVRGQ", "RRVVQQGG"}) {
+    const Cluster cluster = Cluster::PaperSubset(nodes);
+    for (const auto& [label, graph] :
+         {std::pair<const char*, const model::ModelGraph*>{"resnet152", &resnet},
+          std::pair<const char*, const model::ModelGraph*>{"vgg19", &vgg}}) {
+      const ModelProfile profile(*graph, 32);
+      const Partitioner partitioner(profile, cluster);
+      for (int draw = 0; draw < 8; ++draw) {
+        // Draws 0-3: 3-6 distinct nodes; draws 4-7: 3-6 GPUs, one node doubled.
+        const bool doubled = draw >= 4;
+        const int gpus = 3 + draw % 4;
+        std::vector<int> node_ids(8);
+        std::iota(node_ids.begin(), node_ids.end(), 0);
+        std::shuffle(node_ids.begin(), node_ids.end(), rng);
+        std::vector<int> per_node(8, 0);
+        for (int i = 0; i < gpus - (doubled ? 1 : 0); ++i) {
+          per_node[static_cast<size_t>(node_ids[static_cast<size_t>(i)])] = 1;
+        }
+        if (doubled) {
+          per_node[static_cast<size_t>(node_ids[0])] = 2;
+        }
+        std::vector<int> ids;
+        std::string counts;
+        for (int node = 0; node < 8; ++node) {
+          counts += static_cast<char>('0' + per_node[static_cast<size_t>(node)]);
+          for (int slot = 0; slot < per_node[static_cast<size_t>(node)]; ++slot) {
+            ids.push_back(node * 4 + slot);
+          }
+        }
+        for (int nm = 1; nm <= 4; ++nm) {
+          PartitionOptions options;
+          options.nm = nm;
+          options.strategy = SearchStrategy::kExact;
+          lines.emplace_back(std::string(nodes) + "|" + label + "|" + counts + "|nm" +
+                                 std::to_string(nm),
+                             SolveSignature(partitioner.SolveScalable(ids, options), profile));
+        }
+      }
+    }
+  }
+  return lines;
+}
+
+TEST(ExactGoldenTest, ExactTierMatchesRecordedSolves) {
+  CheckGolden("exact_solves.txt", "the exact tier", ExactGoldenLines());
 }
 
 }  // namespace
