@@ -46,8 +46,6 @@ double EffectiveTflops(ModelFamily family, hw::GpuType gpu) {
 ModelProfile::ModelProfile(const ModelGraph& graph, int batch_size)
     : graph_(&graph), batch_size_(batch_size), times_(static_cast<size_t>(hw::NumGpuTypes())) {
   const size_t n = static_cast<size_t>(graph.num_layers());
-  fwd_cum_.resize(times_.size());
-  bwd_cum_.resize(times_.size());
   total_cum_by_last_.resize(times_.size());
   for (int t = 0; t < static_cast<int>(times_.size()); ++t) {
     const auto gpu = static_cast<hw::GpuType>(t);
@@ -64,18 +62,14 @@ ModelProfile::ModelProfile(const ModelGraph& graph, int batch_size)
       per_layer.push_back(lt);
     }
 
-    // Cumulative stage-time tables: row `first` holds running sums over
-    // [first, last] for every last >= first, accumulated in the same
-    // left-to-right order as the naive loops so each entry is bit-identical
-    // to the loop result (see the header). Built eagerly for every
-    // registered class — a const ModelProfile is shared across sweep
-    // threads, so lazy fill would put synchronization on the DP hot path to
-    // save ~n^2 doubles (tens of KiB at block granularity) per unused class.
-    auto& fwd = fwd_cum_[static_cast<size_t>(t)];
-    auto& bwd = bwd_cum_[static_cast<size_t>(t)];
+    // Cumulative stage-time table: running sums over [first, last] for
+    // every last >= first, accumulated in the same left-to-right order as
+    // StageFwdTime / StageBwdTime so each entry is bit-identical to their
+    // sum (see the header). Built eagerly for every registered class — a
+    // const ModelProfile is shared across sweep threads, so lazy fill would
+    // put synchronization on the DP hot path to save ~n^2 doubles (tens of
+    // KiB at block granularity) per unused class.
     auto& tot = total_cum_by_last_[static_cast<size_t>(t)];
-    fwd.assign(n * n, 0.0);
-    bwd.assign(n * n, 0.0);
     tot.assign(n * n, 0.0);
     for (size_t first = 0; first < n; ++first) {
       double fwd_acc = 0.0;
@@ -83,8 +77,6 @@ ModelProfile::ModelProfile(const ModelGraph& graph, int batch_size)
       for (size_t last = first; last < n; ++last) {
         fwd_acc += per_layer[last].fwd_s;
         bwd_acc += per_layer[last].bwd_s;
-        fwd[first * n + last] = fwd_acc;
-        bwd[first * n + last] = bwd_acc;
         // Transposed combined entry: one fwd + bwd addition, same operands
         // and order as the DP's scalar path, so consumers see identical bits.
         tot[last * n + first] = fwd_acc + bwd_acc;
@@ -94,19 +86,23 @@ ModelProfile::ModelProfile(const ModelGraph& graph, int batch_size)
 }
 
 double ModelProfile::StageFwdTime(int first, int last, hw::GpuType gpu) const {
-  if (last < first) {
-    return 0.0;
+  assert(last < first || (first >= 0 && last < graph_->num_layers()));
+  const std::vector<LayerTime>& per_layer = times_.at(static_cast<size_t>(gpu));
+  double acc = 0.0;
+  for (int layer = first; layer <= last; ++layer) {
+    acc += per_layer[static_cast<size_t>(layer)].fwd_s;
   }
-  assert(first >= 0 && last < graph_->num_layers());
-  return fwd_cum_.at(static_cast<size_t>(gpu))[CumIndex(first, last)];
+  return acc;
 }
 
 double ModelProfile::StageBwdTime(int first, int last, hw::GpuType gpu) const {
-  if (last < first) {
-    return 0.0;
+  assert(last < first || (first >= 0 && last < graph_->num_layers()));
+  const std::vector<LayerTime>& per_layer = times_.at(static_cast<size_t>(gpu));
+  double acc = 0.0;
+  for (int layer = first; layer <= last; ++layer) {
+    acc += per_layer[static_cast<size_t>(layer)].bwd_s;
   }
-  assert(first >= 0 && last < graph_->num_layers());
-  return bwd_cum_.at(static_cast<size_t>(gpu))[CumIndex(first, last)];
+  return acc;
 }
 
 double ModelProfile::StageTotalTime(int first, int last, hw::GpuType gpu) const {

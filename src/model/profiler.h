@@ -44,13 +44,12 @@ class ModelProfile {
   }
 
   // Per-minibatch forward / backward / total compute time of layers
-  // [first, last] on `gpu`. O(1): served from cumulative-sum tables anchored
-  // at every start layer, precomputed at construction. Each table row is
-  // accumulated left-to-right exactly like the naive loop (the equivalence
-  // oracle in tests/oracles), so the returned
-  // double is bit-identical to what the loop computes — a plain
+  // [first, last] on `gpu`. O(last - first): summed left-to-right exactly
+  // like the naive loop (the equivalence oracle in tests/oracles), so the
+  // returned double is bit-identical to what the loop computes — a plain
   // prefix-difference would drift in the last ulp (floating-point addition is
   // not associative) and could flip near-tie decisions in the partitioner DP.
+  // Only partition building calls these; the DP reads TotalCumByLast.
   double StageFwdTime(int first, int last, hw::GpuType gpu) const;
   double StageBwdTime(int first, int last, hw::GpuType gpu) const;
   double StageTotalTime(int first, int last, hw::GpuType gpu) const;
@@ -77,26 +76,16 @@ class ModelProfile {
   uint64_t BoundaryTransferBytes(int layer) const;
 
  private:
-  // Row-major index of the per-type cumulative tables: entry (first, last).
-  size_t CumIndex(int first, int last) const {
-    return static_cast<size_t>(first) * static_cast<size_t>(graph_->num_layers()) +
-           static_cast<size_t>(last);
-  }
-
   const ModelGraph* graph_;
   int batch_size_;
   // times_[gpu_type][layer], covering every GPU class known at construction
   // (TimeOf throws for classes registered later).
   std::vector<std::vector<LayerTime>> times_;
-  // fwd_cum_[gpu_type][first * n + last] = sum of fwd_s over layers
-  // [first, last], accumulated left-to-right (likewise bwd_cum_). n^2 doubles
-  // per type — layer chains are block-granular (tens of entries), so the
-  // tables are a few tens of KiB and are built once per profile.
-  std::vector<std::vector<double>> fwd_cum_;
-  std::vector<std::vector<double>> bwd_cum_;
-  // total_cum_by_last_[gpu_type][last * n + first] = fwd_cum_ + bwd_cum_ at
-  // (first, last): the transposed, combined layout the partitioner DP reads
-  // contiguously (see TotalCumByLast).
+  // total_cum_by_last_[gpu_type][last * n + first] = StageFwdTime(first,
+  // last) + StageBwdTime(first, last): the transposed, combined layout the
+  // partitioner DP reads contiguously (see TotalCumByLast). n^2 doubles per
+  // type — layer chains are block-granular (tens of entries), so a table is
+  // a few tens of KiB, built once per profile.
   std::vector<std::vector<double>> total_cum_by_last_;
 };
 

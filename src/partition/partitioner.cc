@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 
+#include "partition/dp_scratch.h"
 #include "util/binary_io.h"
 
 namespace hetpipe::partition {
@@ -20,36 +21,6 @@ bool ImprovesPartition(const Partition& candidate, const Partition& best) {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// Flat scratch buffers for SolveFixedOrder and DpRow, one set per thread (the
-// GPU-order search runs SolveFixedOrder concurrently on pool workers). Buffers only
-// ever grow, so after the first solve of the largest (k, n) shape a thread
-// sees, repeated solves allocate nothing.
-struct DpScratch {
-  std::vector<double> dp;          // (k+1) x (n+1), row-major
-  std::vector<int> choice;         // (k+1) x (n+1), row-major
-  std::vector<double> xfer;        // (k-1) x (n-1): boundary transfer seconds
-  std::vector<double> fwd_xfer;    // n: per-row shifted fwd-comm terms (SoA)
-  std::vector<double> vals;        // n: masked candidate bottlenecks (SoA)
-  std::vector<int> lasts;          // k
-  int64_t grows = 0;
-
-  template <typename T>
-  T* Ensure(std::vector<T>& v, size_t need) {
-    if (v.size() < need) {
-      if (v.capacity() < need) {
-        ++grows;
-      }
-      v.resize(need);
-    }
-    return v.data();
-  }
-};
-
-DpScratch& LocalScratch() {
-  static thread_local DpScratch scratch;
-  return scratch;
-}
 
 // The distinct GPU classes present in `cluster`, ordered by name so the
 // result is independent of registration order (and thus of the process).
@@ -116,6 +87,11 @@ uint64_t SolveInputsFingerprint(const model::ModelProfile& profile, const hw::Cl
   fp.Mix(cluster.infiniband().TransferTime(1));
   fp.Mix(cluster.infiniband().TransferTime(1ULL << 20));
   return fp.value();
+}
+
+DpScratch& LocalScratch() {
+  static thread_local DpScratch scratch;
+  return scratch;
 }
 
 int64_t DpScratchGrowCount() { return LocalScratch().grows; }
@@ -234,80 +210,85 @@ std::vector<int> NaiveStageLasts(const model::ModelGraph& graph, int k, NaiveSpl
 Partition Partitioner::SolveFixedOrder(const std::vector<int>& gpu_ids,
                                        const PartitionOptions& options,
                                        double prune_above) const {
-  const int n = profile_->num_layers();
   const int k = static_cast<int>(gpu_ids.size());
-  Partition result;
-  if (k == 0 || n < k) {
-    return result;
+  if (k == 0 || profile_->num_layers() < k) {
+    return Partition{};
   }
-
-  // Transfer seconds across each stage boundary (q -> q+1) for every layer
-  // boundary b (the activation after layer b): hoists the two LinkBetween
-  // lookups and the virtual TransferTime call out of the DP inner loop into
-  // one O(k n) pass per order.
-  DpScratch& scratch = LocalScratch();
-  const int nb = n - 1;
-  double* xfer = scratch.Ensure(
-      scratch.xfer, static_cast<size_t>(std::max(0, k - 1)) * static_cast<size_t>(nb));
-  for (int q = 0; q + 1 < k; ++q) {
-    const hw::LinkModel& link = cluster_->LinkBetween(gpu_ids[static_cast<size_t>(q)],
-                                                      gpu_ids[static_cast<size_t>(q) + 1]);
-    double* row = xfer + static_cast<size_t>(q) * static_cast<size_t>(nb);
-    for (int b = 0; b < nb; ++b) {
-      row[b] = link.TransferTime(profile_->BoundaryTransferBytes(b));
+  for (int t = 0; t < k; ++t) {
+    if (!PlaceGpu(t, k, gpu_ids[static_cast<size_t>(t)], options, prune_above)) {
+      return Partition{};  // every split of this prefix exceeds prune_above
     }
   }
-
-  // dp[q][i]: minimal bottleneck assigning the first i layers to the first q
-  // stages (all non-empty). choice[q][i]: split point achieving it. States
-  // whose bottleneck strictly exceeds `prune_above` stay at infinity — any
-  // completion would be strictly worse than the incumbent. Flat row-major
-  // scratch reused across solves.
-  const size_t stride = static_cast<size_t>(n) + 1;
-  const size_t cells = static_cast<size_t>(k + 1) * stride;
-  double* dp = scratch.Ensure(scratch.dp, cells);
-  int* choice = scratch.Ensure(scratch.choice, cells);
-  std::fill(dp, dp + cells, kInf);
-  std::fill(choice, choice + cells, -1);
-  dp[0] = 0.0;
-  double* fwd_x = scratch.Ensure(scratch.fwd_xfer, static_cast<size_t>(n));
-  for (int q = 1; q <= k; ++q) {
-    const int sq = q - 1;  // stage index of the stage this DP row places
-    // Shift the forward-comm terms so DpRow reads fwd_x[j] instead of
-    // prev_xfer[j - 1] (unit stride, no branch); the first stage has none.
-    if (sq > 0) {
-      const double* prev_xfer = xfer + static_cast<size_t>(sq - 1) * static_cast<size_t>(nb);
-      fwd_x[0] = 0.0;  // j == 0 is unreachable when sq > 0 (j >= q - 1 >= 1)
-      for (int b = 0; b < nb; ++b) {
-        fwd_x[b + 1] = prev_xfer[b];
-      }
-    } else {
-      std::fill(fwd_x, fwd_x + n, 0.0);
-    }
-    const double* next_xfer =
-        sq < k - 1 ? xfer + static_cast<size_t>(sq) * static_cast<size_t>(nb) : nullptr;
-    DpRow(q, k, cluster_->gpu(gpu_ids[static_cast<size_t>(sq)]).type, options,
-          dp + static_cast<size_t>(q - 1) * stride, fwd_x, next_xfer, prune_above,
-          dp + static_cast<size_t>(q) * stride, choice + static_cast<size_t>(q) * stride);
-  }
-
-  if (dp[static_cast<size_t>(k) * stride + static_cast<size_t>(n)] == kInf) {
-    return result;
-  }
-
-  // Reconstruct stage boundaries and rebuild the stages from them.
-  int* lasts = scratch.Ensure(scratch.lasts, static_cast<size_t>(k));
-  int i = n;
-  for (int q = k; q >= 1; --q) {
-    lasts[q - 1] = i - 1;
-    i = choice[static_cast<size_t>(q) * stride + static_cast<size_t>(i)];
-  }
-  return BuildFixedPartition(*profile_, *cluster_, gpu_ids,
-                             std::vector<int>(lasts, lasts + k), options.nm,
-                             options.mem_params);
+  return FinishOrder(k, options, prune_above);
 }
 
-void Partitioner::DpRow(int q, int k, hw::GpuType type, const PartitionOptions& options,
+void Partitioner::EdgeRow(int from_id, int to_id, double* edge) const {
+  // Hoists the LinkBetween lookup and the virtual TransferTime call out of
+  // the DP inner loop into one O(n) pass per edge. Shifted by one so DpRow
+  // reads the incoming transfer as fwd_x[j] (unit stride, no branch).
+  const hw::LinkModel& link = cluster_->LinkBetween(from_id, to_id);
+  edge[0] = 0.0;  // j == 0 is unreachable for every stage that has an incoming link
+  for (int b = 0; b + 1 < profile_->num_layers(); ++b) {
+    edge[b + 1] = link.TransferTime(profile_->BoundaryTransferBytes(b));
+  }
+}
+
+bool Partitioner::PlaceGpu(int t, int k, int id, const PartitionOptions& options,
+                           double prune_above) const {
+  // dp[t][i]: minimal bottleneck assigning the first i layers to the first t
+  // stages (all non-empty); choice[t][i]: the split achieving it. DpRow
+  // writes only the cells a row can reach, and the next row reads only
+  // those, so rows need no reset when a walk overwrites them.
+  DpScratch& scratch = LocalScratch();
+  const size_t n = static_cast<size_t>(profile_->num_layers());
+  const size_t stride = n + 1;
+  if (t == 0) {
+    // A new order: size the stacks, seed row 0 (no layers on no stages) and
+    // the all-zero incoming-transfer row of the first stage.
+    double* dp = scratch.Ensure(scratch.dp, static_cast<size_t>(k + 1) * stride);
+    double* edge = scratch.Ensure(scratch.edge, static_cast<size_t>(k) * n);
+    scratch.Ensure(scratch.choice, static_cast<size_t>(k + 1) * stride);
+    scratch.Ensure(scratch.order, static_cast<size_t>(k))[0] = id;
+    std::fill(dp, dp + stride, kInf);
+    dp[0] = 0.0;
+    std::fill(edge, edge + n, 0.0);
+    return true;
+  }
+  int* order = scratch.order.data();
+  const double* in_edge = scratch.edge.data() + static_cast<size_t>(t - 1) * n;
+  double* out_edge = nullptr;  // t == k: the last stage sends nothing
+  if (t < k) {
+    order[t] = id;
+    out_edge = scratch.edge.data() + static_cast<size_t>(t) * n;
+    EdgeRow(order[t - 1], id, out_edge);
+  }
+  double* row = scratch.dp.data() + static_cast<size_t>(t) * stride;
+  return DpRow(t, k, cluster_->gpu(order[t - 1]).type, options, row - stride, in_edge,
+               out_edge != nullptr ? out_edge + 1 : nullptr, prune_above, row,
+               scratch.choice.data() + static_cast<size_t>(t) * stride);
+}
+
+Partition Partitioner::FinishOrder(int k, const PartitionOptions& options,
+                                   double prune_above) const {
+  if (!PlaceGpu(k, k, -1, options, prune_above)) {
+    return Partition{};
+  }
+  // Reconstruct stage boundaries and rebuild the stages from them.
+  const DpScratch& scratch = LocalScratch();
+  const int n = profile_->num_layers();
+  std::vector<int> lasts(static_cast<size_t>(k));
+  int i = n;
+  for (int q = k; q >= 1; --q) {
+    lasts[static_cast<size_t>(q) - 1] = i - 1;
+    i = scratch.choice[static_cast<size_t>(q) * (static_cast<size_t>(n) + 1) +
+                       static_cast<size_t>(i)];
+  }
+  return BuildFixedPartition(*profile_, *cluster_,
+                             std::vector<int>(scratch.order.begin(), scratch.order.begin() + k),
+                             lasts, options.nm, options.mem_params);
+}
+
+bool Partitioner::DpRow(int q, int k, hw::GpuType type, const PartitionOptions& options,
                         const double* prev, const double* fwd_x, const double* bwd_x,
                         double prune_above, double* cur, int* cur_choice) const {
   // Stage [j, i-1] costs tot_cum[i-1][j] (= fwd_cum + bwd_cum, precombined at
@@ -329,7 +310,9 @@ void Partitioner::DpRow(int q, int k, hw::GpuType type, const PartitionOptions& 
   const uint64_t cap = hw::MemoryBytes(type);
   DpScratch& scratch = LocalScratch();
   double* vals = scratch.Ensure(scratch.vals, static_cast<size_t>(n));
-  for (int i = q; i <= n - (k - q); ++i) {
+  bool live = false;
+  // The last row only needs its final cell: nothing reads the others.
+  for (int i = q == k ? n : q; i <= n - (k - q); ++i) {
     const size_t last = static_cast<size_t>(i - 1);
     // Contiguous over j: entry j is the compute time of stage [j, i-1].
     const double* tot_row = tot_cum + last * static_cast<size_t>(n);
@@ -412,10 +395,12 @@ void Partitioner::DpRow(int q, int k, hw::GpuType type, const PartitionOptions& 
       }
     }
     cur[i] = best;
+    live = live || best < kInf;
     if (cur_choice != nullptr) {
       cur_choice[i] = best_j;
     }
   }
+  return live;
 }
 
 int FindMaxNmWith(const std::function<Partition(const PartitionOptions&)>& solve, int nm_cap,

@@ -117,13 +117,13 @@ struct PartitionOptions {
 // by dynamic programming over (layer, stage) plus a branch-and-bound search
 // over GPU orders.
 //
-// The hot path is O(k n^2) with O(1) inner-loop work: stage times and stage
-// memory come from the profile/graph cumulative tables, per-boundary transfer
-// times are precomputed once per GPU order, and the DP runs on flat
-// thread-local scratch reused across solves (no per-solve allocation after
-// warmup). The GPU-order search enumerates the distinct (type, node) multiset
-// permutations directly — no factorial next_permutation scan, no string
-// signatures — in exactly the order a factorial next_permutation scan with
+// The hot path is O(k n^2) per order with O(1) inner-loop work: stage times
+// and stage memory come from the profile/graph cumulative tables, transfer
+// times are precomputed once per trie edge (adjacent GPU pair of an order
+// prefix), and the DP runs on flat thread-local scratch reused across solves
+// (no per-solve allocation after warmup). The exact search walks the trie of
+// distinct (type, node) orders depth first, so orders sharing a prefix share
+// its DP rows, in exactly the order a factorial next_permutation scan with
 // (type, node) dedup first reaches them, so exact ties break the same way
 // that scan's "first wins" reduction does.
 //
@@ -154,8 +154,9 @@ class Partitioner {
   uint64_t inputs_fingerprint() const { return inputs_fingerprint_; }
 
  private:
-  // Every distinct (type, node) order, solved under a shared
-  // branch-and-bound incumbent; the optimum.
+  // Every distinct (type, node) order, as a depth-first walk of their trie
+  // that computes each prefix's DP rows once, under a shared branch-and-bound
+  // incumbent; the optimum.
   Partition SolveExact(const std::vector<int>& gpu_ids, const PartitionOptions& options) const;
 
   // Beam search over (type, node) order prefixes: states carry the exact DP
@@ -169,15 +170,15 @@ class Partitioner {
   // Hierarchical search over the rack topology: coarsen the virtual worker
   // to its racks, search the rack order (exhaustively for few racks,
   // heuristic orders plus swaps otherwise), then refine each rack's internal
-  // order with the exact distinct-order enumerator (coordinate descent
-  // across racks). Virtual workers inside a single rack degrade to the beam.
+  // order over its DistinctClassOrders (coordinate descent across racks).
+  // Virtual workers inside a single rack degrade to the beam.
   Partition SolveHierarchical(const std::vector<int>& gpu_ids,
                               const PartitionOptions& options) const;
 
-  // Solves every order with SolveFixedOrder under a shared branch-and-bound
-  // incumbent seeded with `initial_bound`, on options.pool when one is
-  // given; results are indexed like `orders` (see search.cc for why any
-  // schedule yields the same winner).
+  // Solves unrelated orders (beam candidates, hierarchical batches) with
+  // SolveFixedOrder under a shared branch-and-bound incumbent seeded with
+  // `initial_bound`, on options.pool when one is given; results are indexed
+  // like `orders` (see search.cc for why any schedule yields the same winner).
   std::vector<Partition> SolveOrderBatch(const PartitionOptions& options, double initial_bound,
                                          const std::vector<std::vector<int>>& orders) const;
 
@@ -188,16 +189,33 @@ class Partitioner {
   Partition SolveFixedOrder(const std::vector<int>& gpu_ids, const PartitionOptions& options,
                             double prune_above) const;
 
+  // The prefix DP behind every solve, on the calling thread's DpScratch: the
+  // dp/choice table and the transfer rows are stacks indexed by position, so
+  // a walk returning to depth t overwrites row t and keeps the prefix's rows.
+  // PlaceGpu puts GPU `id` at position t (t == 0 starts an order); for
+  // 0 < t < k it computes the transfer row of the edge order[t-1] -> id (the
+  // fwd input of stage t, the bwd input of stage t-1), then DP row t, and
+  // returns false when every cell of that row is cut; t == k runs the last
+  // row. FinishOrder runs it and builds the partition (infeasible when cut
+  // or out of memory).
+  bool PlaceGpu(int t, int k, int id, const PartitionOptions& options, double prune_above) const;
+  Partition FinishOrder(int k, const PartitionOptions& options, double prune_above) const;
+  // edge[j] = seconds to send the activation after layer j-1 over the link
+  // from_id -> to_id (edge[0] = 0), for j < n: a stage's fwd_x as is, the
+  // sending stage's bwd_x from edge + 1.
+  void EdgeRow(int from_id, int to_id, double* edge) const;
+
   // One row of the k-stage DP: places stage q-1 on a GPU of `type` after
   // the q-1 stages whose minimal bottlenecks over the first j layers are
   // prev[j], writing cur[i] (and cur_choice[i], the split achieving it, when
-  // cur_choice is not null) for every i the row can reach. fwd_x[j] is the
-  // transfer into the stage when it starts at layer j (all zeros for the
-  // first stage); bwd_x[last] is the transfer out of it when it ends at
-  // layer `last` (null for the last stage). Candidates above `prune_above`
-  // are cut. SolveFixedOrder runs it once per stage; the beam closes one
-  // stage at a time with it.
-  void DpRow(int q, int k, hw::GpuType type, const PartitionOptions& options,
+  // cur_choice is not null) for every i the row can reach (only i = n for
+  // the last row, q == k). fwd_x[j] is the transfer into the stage when it
+  // starts at layer j (all zeros for the first stage); bwd_x[last] is the
+  // transfer out of it when it ends at layer `last` (null for the last
+  // stage). Candidates above `prune_above` are cut. Returns whether any
+  // written cell is finite. The prefix DP runs it once per trie edge; the
+  // beam closes one stage at a time with it.
+  bool DpRow(int q, int k, hw::GpuType type, const PartitionOptions& options,
              const double* prev, const double* fwd_x, const double* bwd_x, double prune_above,
              double* cur, int* cur_choice) const;
 
@@ -262,9 +280,9 @@ SearchStrategy ResolveSearchStrategy(const hw::Cluster& cluster,
 
 // The distinct (type, node) orderings of `ids`, each realized by its minimal
 // ascending-id representative, in the first-occurrence order of a factorial
-// next_permutation scan (see the implementation note in search.cc). This is
-// the exact tier's enumerator; the hierarchical refinement reuses it per
-// rack segment.
+// next_permutation scan (see the implementation note in search.cc): the
+// leaves of the trie the exact tier walks, in walk order. The hierarchical
+// refinement solves them per rack segment.
 std::vector<std::vector<int>> DistinctClassOrders(const hw::Cluster& cluster,
                                                   const std::vector<int>& ids);
 

@@ -1,19 +1,21 @@
 // The partitioner's GPU-order search tiers behind Partitioner::SolveScalable:
-// strategy selection, the exact distinct-order enumeration, the beam search
-// over (type, node) order prefixes, and the rack-hierarchical search. The
-// exact tier is optimal but visits a multinomial number of orders; the beam
-// and hierarchical tiers visit a polynomial slice of that space. Every tier
-// produces its result through the same SolveFixedOrder DP (partitioner.cc),
-// so a returned partition is exactly what the exact tier would report for
-// its order — only the set of orders tried differs. Everything here is
-// deterministic and invariant under permutations of the input gpu ids with
-// equal (type, node) multisets: ids are canonicalized up front and every
-// search decision is a function of classes and positions, never of raw id
-// values.
+// strategy selection, the exact walk of the distinct-order trie, the beam
+// search over (type, node) order prefixes, and the rack-hierarchical search.
+// The exact tier is optimal but visits a multinomial number of orders; the
+// beam and hierarchical tiers visit a polynomial slice of that space. Every
+// tier computes its rows with the same prefix DP (PlaceGpu / DpRow in
+// partitioner.cc): the exact walk shares each prefix's rows among the orders
+// below it, the beam closes one stage per prefix extension, and candidate
+// orders run SolveFixedOrder on top of the same kernel. So a returned
+// partition is exactly what the exact tier would report for its order —
+// only the set of orders tried differs. Everything here is deterministic and
+// invariant under permutations of the input gpu ids with equal (type, node)
+// multisets: ids are canonicalized up front and every search decision is a
+// function of classes and positions, never of raw id values.
 //
-// Parallelism: when options.pool is set, the bulk loops — exact order
-// enumeration, beam depth expansions, candidate-order evaluation, and the
-// hierarchical coordinate-descent batches — run under
+// Parallelism: when options.pool is set, the bulk loops — the exact walk's
+// first-level subtrees, beam depth expansions, candidate-order evaluation,
+// and the hierarchical coordinate-descent batches — run under
 // ThreadPool::ParallelFor into index-addressed slots, and every winner is
 // picked by a reduction that walks those slots in input order. Candidates
 // within a batch are independent except through the shared branch-and-bound
@@ -24,11 +26,13 @@
 // serial.
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <utility>
 #include <vector>
 
+#include "partition/dp_scratch.h"
 #include "partition/partitioner.h"
 #include "runner/thread_pool.h"
 #include "util/mutex.h"
@@ -75,45 +79,46 @@ std::vector<Group> CanonicalGroups(const hw::Cluster& cluster, std::vector<int> 
   return groups;
 }
 
-// Appends the distinct (type, node) orderings of the grouped ids to
-// `orders`, each realized by its minimal GPU-id representative (every class's
-// ids appear in ascending order), in lexicographic order of those
-// representatives. That is exactly the sequence a factorial next_permutation
-// scan with (type, node) dedup produces — the first permutation reaching a
-// class sequence is its minimal representative, and first occurrences appear
-// in representative order — so "first wins" tie-breaks match that scan's.
-// Candidates are tried in ascending id order, so the groups' own order does
-// not matter. Cost is O(#distinct-orders * k^2) instead of O(k! * k): with
-// repeated GPU classes (homogeneous and mixed-node VWs, the common case) the
-// distinct count is the multinomial, not the factorial.
-void EmitClassOrders(const std::vector<Group>& groups, std::vector<size_t>& used,
-                     std::vector<int>& current, size_t k,
-                     std::vector<std::vector<int>>& orders) {
-  if (current.size() == k) {
-    orders.push_back(current);
+// Walks the trie of the distinct (type, node) orderings of the grouped ids
+// depth first from depth t (used[g] of group g's ids already placed). The
+// candidates at a depth are the next unused id of each class, ascending;
+// place(t, id) puts one at position t and returns false to cut its subtree,
+// and leaf() runs on every complete order. Each leaf is the minimal GPU-id
+// representative of its class sequence, and leaves come in lexicographic
+// order of those representatives: exactly the first occurrences of a
+// factorial next_permutation scan with (type, node) dedup, so "first wins"
+// tie-breaks match that scan's, with a multinomial number of leaves instead
+// of k!.
+template <typename Place, typename Leaf>
+void WalkClassOrders(const std::vector<Group>& groups, size_t* used, int t, int k,
+                     const Place& place, const Leaf& leaf) {
+  if (t == k) {
+    leaf();
     return;
   }
-  // Candidates: the next unused id of each class, in ascending id order.
-  std::vector<std::pair<int, size_t>> candidates;
-  candidates.reserve(groups.size());
-  for (size_t g = 0; g < groups.size(); ++g) {
-    if (used[g] < groups[g].ids.size()) {
-      candidates.emplace_back(groups[g].ids[used[g]], g);
+  for (int last = -1;;) {
+    size_t pick = groups.size();
+    for (size_t g = 0; g < groups.size(); ++g) {
+      if (used[g] < groups[g].ids.size() && groups[g].ids[used[g]] > last &&
+          (pick == groups.size() || groups[g].ids[used[g]] < groups[pick].ids[used[pick]])) {
+        pick = g;
+      }
     }
-  }
-  std::sort(candidates.begin(), candidates.end());
-  for (const auto& [id, g] : candidates) {
-    ++used[g];
-    current.push_back(id);
-    EmitClassOrders(groups, used, current, k, orders);
-    current.pop_back();
-    --used[g];
+    if (pick == groups.size()) {
+      return;
+    }
+    last = groups[pick].ids[used[pick]];
+    if (place(t, last)) {
+      ++used[pick];
+      WalkClassOrders(groups, used, t + 1, k, place, leaf);
+      --used[pick];
+    }
   }
 }
 
 // Realizes a group-index sequence as a gpu-id order: each group contributes
 // its ids in ascending order (the minimal representative, matching the exact
-// enumerator's convention).
+// walk's convention).
 std::vector<int> RealizeOrder(const std::vector<Group>& groups, const std::vector<int>& seq) {
   std::vector<size_t> next(groups.size(), 0);
   std::vector<int> order;
@@ -145,19 +150,41 @@ bool BeamLess(const BeamState& a, const BeamState& b) {
   return a.seq < b.seq;
 }
 
-// The branch-and-bound incumbent an order batch shares across pool threads.
-struct Incumbent {
-  explicit Incumbent(double initial) : bound(initial) {}
-  util::Mutex mu;
-  double bound GUARDED_BY(mu);
+// The branch-and-bound incumbent a search shares across pool threads: the
+// best feasible bottleneck offered so far, never below the optimum.
+class Incumbent {
+ public:
+  Incumbent(double initial, bool prune) : prune_(prune), bound_(initial) {}
+  // What to cut at: +inf with pruning off.
+  double Bound() {
+    util::MutexLock lock(mu_);
+    return prune_ ? bound_ : kInf;
+  }
+  void Offer(const Partition& candidate) {
+    util::MutexLock lock(mu_);
+    if (candidate.feasible) {
+      bound_ = std::min(bound_, candidate.bottleneck_time);
+    }
+  }
+
+ private:
+  const bool prune_;
+  util::Mutex mu_;
+  double bound_ GUARDED_BY(mu_);
 };
 
-double MinOf(const std::vector<double>& dp) {
-  double best = kInf;
-  for (double v : dp) {
-    best = std::min(best, v);
+// Runs task(0..count-1) on `pool` when there is one and more than one task,
+// serially otherwise. Tasks write index-owned slots, so callers reduce them
+// in index order whichever thread ran which task.
+void RunTasks(runner::ThreadPool* pool, int64_t count,
+              const std::function<void(int64_t)>& task) {
+  if (pool != nullptr && count > 1) {
+    pool->ParallelFor(count, task);
+    return;
   }
-  return best;
+  for (int64_t index = 0; index < count; ++index) {
+    task(index);
+  }
 }
 
 }  // namespace
@@ -167,9 +194,14 @@ std::vector<std::vector<int>> DistinctClassOrders(const hw::Cluster& cluster,
   const std::vector<Group> groups = CanonicalGroups(cluster, ids);
   std::vector<size_t> used(groups.size(), 0);
   std::vector<std::vector<int>> orders;
-  std::vector<int> current;
-  current.reserve(ids.size());
-  EmitClassOrders(groups, used, current, ids.size(), orders);
+  std::vector<int> current(ids.size());
+  WalkClassOrders(
+      groups, used.data(), 0, static_cast<int>(ids.size()),
+      [&](int t, int id) {
+        current[static_cast<size_t>(t)] = id;
+        return true;
+      },
+      [&] { orders.push_back(current); });
   return orders;
 }
 
@@ -300,40 +332,54 @@ std::vector<Partition> Partitioner::SolveOrderBatch(
     const PartitionOptions& options, double initial_bound,
     const std::vector<std::vector<int>>& orders) const {
   std::vector<Partition> results(orders.size());
-  Incumbent incumbent(initial_bound);
-  const auto solve_one = [&](int64_t index) {
-    double bound = kInf;
-    if (options.prune) {
-      util::MutexLock lock(incumbent.mu);
-      bound = incumbent.bound;
-    }
-    Partition candidate = SolveFixedOrder(orders[static_cast<size_t>(index)], options, bound);
-    if (candidate.feasible) {
-      util::MutexLock lock(incumbent.mu);
-      incumbent.bound = std::min(incumbent.bound, candidate.bottleneck_time);
-    }
-    results[static_cast<size_t>(index)] = std::move(candidate);
-  };
-  if (options.pool != nullptr && orders.size() > 1) {
-    options.pool->ParallelFor(static_cast<int64_t>(orders.size()), solve_one);
-  } else {
-    for (int64_t index = 0; index < static_cast<int64_t>(orders.size()); ++index) {
-      solve_one(index);
-    }
-  }
+  Incumbent incumbent(initial_bound, options.prune);
+  RunTasks(options.pool, static_cast<int64_t>(orders.size()), [&](int64_t index) {
+    Partition& result = results[static_cast<size_t>(index)];
+    result = SolveFixedOrder(orders[static_cast<size_t>(index)], options, incumbent.Bound());
+    incumbent.Offer(result);
+  });
   return results;
 }
 
 Partition Partitioner::SolveExact(const std::vector<int>& gpu_ids,
                                   const PartitionOptions& options) const {
-  if (!options.search_gpu_orders || gpu_ids.size() <= 1) {
+  const int k = static_cast<int>(gpu_ids.size());
+  if (!options.search_gpu_orders || k <= 1) {
     return SolveFixedOrder(gpu_ids, options, kInf);
   }
-  // Identical class sequences produce identical solutions, so each distinct
-  // (type, node) order is solved once.
+  if (profile_->num_layers() < k) {
+    return Partition{};
+  }
+  // Each distinct (type, node) order is one leaf of the walk. Rows are cut
+  // at the incumbent read when they are computed, which only tightens, so a
+  // row reused below a prefix equals a fresh solve's row wherever that is
+  // finite and elsewhere exceeds the bound the fresh solve would cut at:
+  // every leaf's result is the fresh solve's.
+  const std::vector<Group> groups = CanonicalGroups(*cluster_, gpu_ids);
+  Incumbent incumbent(kInf, options.prune);
+  // One task per first-level subtree (each class's smallest id at depth 0).
+  std::vector<Partition> slots(groups.size());
+  RunTasks(options.pool, static_cast<int64_t>(groups.size()), [&](int64_t subtree) {
+    size_t* used = LocalScratch().Ensure(LocalScratch().used, groups.size());
+    std::fill(used, used + groups.size(), size_t{0});
+    int64_t rank = 0;
+    Partition& best = slots[static_cast<size_t>(subtree)];
+    WalkClassOrders(
+        groups, used, 0, k,
+        [&](int t, int id) {
+          return t == 0 ? rank++ == subtree && PlaceGpu(0, k, id, options, kInf)
+                        : PlaceGpu(t, k, id, options, incumbent.Bound());
+        },
+        [&] {
+          Partition candidate = FinishOrder(k, options, incumbent.Bound());
+          incumbent.Offer(candidate);
+          if (ImprovesPartition(candidate, best)) {
+            best = std::move(candidate);
+          }
+        });
+  });
   Partition best;
-  for (Partition& candidate :
-       SolveOrderBatch(options, kInf, DistinctClassOrders(*cluster_, gpu_ids))) {
+  for (Partition& candidate : slots) {
     if (ImprovesPartition(candidate, best)) {
       best = std::move(candidate);
     }
@@ -354,31 +400,25 @@ Partition Partitioner::SolveBeam(const std::vector<int>& gpu_ids,
   const size_t width = static_cast<size_t>(std::max(1, options.beam_width));
 
   // Closes stage `sq` (class `cur`, preceded by `prev_class` or -1 for the
-  // first stage, followed by `next_class`) over `dp_prev` with the
-  // fixed-order DP's own row kernel, producing the next dp row — the same
-  // values SolveFixedOrder computes for that row of any order with this
-  // prefix. A group's first id stands in for the class: links depend on
-  // nodes only.
+  // first stage, followed by `next_class`) over `dp_prev` into `dp` with the
+  // prefix DP's edge rows and row kernel — the same values the exact walk
+  // computes for that row of any order with this prefix. A group's first id
+  // stands in for the class: links depend on nodes only.
   const auto close_stage = [&](const std::vector<double>& dp_prev, int sq, int prev_class,
-                               int cur, int next_class) {
+                               int cur, int next_class, std::vector<double>& dp) {
     const auto rep = [&](int g) { return groups[static_cast<size_t>(g)].ids.front(); };
-    std::vector<double> fwd_x(static_cast<size_t>(n), 0.0);  // by the stage's first layer
+    DpScratch& scratch = LocalScratch();
+    double* fwd_x = scratch.Ensure(scratch.edge, 2 * static_cast<size_t>(n));
+    double* out_edge = fwd_x + n;
     if (prev_class >= 0) {
-      const hw::LinkModel& link = cluster_->LinkBetween(rep(prev_class), rep(cur));
-      for (int b = 0; b + 1 < n; ++b) {
-        fwd_x[static_cast<size_t>(b) + 1] =
-            link.TransferTime(profile_->BoundaryTransferBytes(b));
-      }
+      EdgeRow(rep(prev_class), rep(cur), fwd_x);
+    } else {
+      std::fill(fwd_x, fwd_x + n, 0.0);
     }
-    std::vector<double> bwd_x(static_cast<size_t>(n), 0.0);  // by the stage's last layer
-    const hw::LinkModel& link = cluster_->LinkBetween(rep(cur), rep(next_class));
-    for (int b = 0; b + 1 < n; ++b) {
-      bwd_x[static_cast<size_t>(b)] = link.TransferTime(profile_->BoundaryTransferBytes(b));
-    }
-    std::vector<double> dp(static_cast<size_t>(n) + 1, kInf);
-    DpRow(sq + 1, k, groups[static_cast<size_t>(cur)].type, options, dp_prev.data(),
-          fwd_x.data(), bwd_x.data(), kInf, dp.data(), nullptr);
-    return dp;
+    EdgeRow(rep(cur), rep(next_class), out_edge);
+    std::fill(dp.begin(), dp.end(), kInf);
+    DpRow(sq + 1, k, groups[static_cast<size_t>(cur)].type, options, dp_prev.data(), fwd_x,
+          out_edge + 1, kInf, dp.data(), nullptr);
   };
 
   // ---- Beam over order prefixes. ----
@@ -413,8 +453,8 @@ Partition Partitioner::SolveBeam(const std::vector<int>& gpu_ids,
         // Choosing stage t's class closes stage t-1 (its backward comm —
         // the link to stage t — is now known).
         const int prev_class = t >= 2 ? state.seq[static_cast<size_t>(t) - 2] : -1;
-        next.dp = close_stage(state.dp, t - 1, prev_class, state.seq.back(), g);
-        next.score = MinOf(next.dp);
+        close_stage(state.dp, t - 1, prev_class, state.seq.back(), g, next.dp);
+        next.score = *std::min_element(next.dp.begin(), next.dp.end());
         if (next.score == kInf) {
           return;  // no feasible closing: every completion is infeasible
         }
@@ -422,13 +462,7 @@ Partition Partitioner::SolveBeam(const std::vector<int>& gpu_ids,
       slots[static_cast<size_t>(e)] = std::move(next);
       valid[static_cast<size_t>(e)] = 1;
     };
-    if (options.pool != nullptr && t > 0 && expansions > 1) {
-      options.pool->ParallelFor(expansions, expand_one);
-    } else {
-      for (int64_t e = 0; e < expansions; ++e) {
-        expand_one(e);
-      }
-    }
+    RunTasks(t > 0 ? options.pool : nullptr, expansions, expand_one);
     std::vector<BeamState> expanded;
     expanded.reserve(static_cast<size_t>(expansions));
     for (int64_t e = 0; e < expansions; ++e) {
@@ -698,7 +732,7 @@ Partition Partitioner::SolveHierarchical(const std::vector<int>& gpu_ids,
   }
 
   // ---- Refine: coordinate descent across rack segments, each segment's
-  // ---- interior order searched with the exact distinct-order enumerator
+  // ---- interior order searched over its DistinctClassOrders
   // ---- (adjacent swaps when a segment alone overflows rack_order_limit).
   for (int pass = 0; pass < 2; ++pass) {
     bool improved = false;

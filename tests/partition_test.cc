@@ -268,8 +268,9 @@ TEST_F(PartitionerTest, InfeasibleWhenTooManyStages) {
   EXPECT_FALSE(partition.feasible);
 }
 
-// ---- Prefix-sum / cumulative-table equivalence (the tentpole invariant:
-// ---- the O(1) queries are bit-identical to the retained naive loops). ----
+// ---- Prefix-sum / cumulative-table equivalence: the range queries and the
+// ---- DP's combined stage-time table are bit-identical to the retained
+// ---- naive loops. ----
 
 model::ModelGraph RandomGraph(std::mt19937& rng) {
   std::uniform_int_distribution<int> num_layers(1, 40);
@@ -310,6 +311,8 @@ TEST(PrefixEquivalenceTest, RandomGraphsMatchNaiveLoopsExactly) {
           EXPECT_EQ(profile.StageBwdTime(first, last, gpu),
                     oracles::StageBwdTimeNaive(profile, first, last, gpu));
           EXPECT_EQ(profile.StageTotalTime(first, last, gpu),
+                    oracles::StageTotalTimeNaive(profile, first, last, gpu));
+          EXPECT_EQ(profile.TotalCumByLast(gpu)[static_cast<size_t>(last) * n + first],
                     oracles::StageTotalTimeNaive(profile, first, last, gpu));
         }
       }
@@ -367,6 +370,23 @@ void ExpectSamePartition(const Partition& a, const Partition& b) {
     EXPECT_EQ(a.stages[q].memory_bytes, b.stages[q].memory_bytes);
     EXPECT_EQ(a.stages[q].memory_cap, b.stages[q].memory_cap);
   }
+}
+
+// A solve as one line: the exact bottleneck and sum, each stage's gpu, layer
+// range and class, then the rendered ToString.
+std::string SolveSignature(const Partition& p, const ModelProfile& profile) {
+  if (!p.feasible) {
+    return "infeasible";
+  }
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "b=%.17g s=%.17g", p.bottleneck_time, p.sum_time);
+  std::string sig = buf;
+  for (const StageAssignment& stage : p.stages) {
+    std::snprintf(buf, sizeof(buf), " %d:%d-%d@%c", stage.gpu_id, stage.first_layer,
+                  stage.last_layer, hw::CodeOf(stage.gpu_type));
+    sig += buf;
+  }
+  return sig + " | " + p.ToString(profile);
 }
 
 TEST_F(PartitionerTest, SolveMatchesReferenceOnPaperShapes) {
@@ -442,6 +462,95 @@ TEST(PartitionerMixedTest, SolveMatchesReferenceWhenClassesInterleaveInIdOrder) 
   }
 }
 
+// ---- The exact tier walks the class-order trie and reuses each prefix's
+// ---- DP rows under an incumbent that tightens as it goes, and cuts every
+// ---- subtree whose prefix has no surviving split. On clusters whose
+// ---- (type, node) classes repeat, within nodes and across them, it must
+// ---- still equal the per-order reference scan byte for byte, with pruning
+// ---- on and off, serially and on pools of any size. ----
+
+TEST(ExactWalkTest, MatchesReferenceOnRepeatedClassesAcrossPools) {
+  runner::ThreadPool pool1(1), pool2(2), pool8(8);
+  runner::ThreadPool* pools[] = {&pool1, &pool2, &pool8};
+  const model::ModelGraph resnet = BuildResNet152();
+  const model::ModelGraph vgg = BuildVgg19();
+  const auto check = [&](const Partitioner& partitioner, const std::vector<int>& ids, int nm,
+                         const std::string& label) {
+    const ModelProfile& profile = partitioner.profile();
+    bool feasible = false;
+    for (bool prune : {true, false}) {
+      PartitionOptions options;
+      options.nm = nm;
+      options.prune = prune;
+      options.strategy = SearchStrategy::kExact;
+      const Partition reference = oracles::SolveReference(partitioner, ids, options);
+      const std::string want = SolveSignature(reference, profile);
+      const Partition serial = partitioner.SolveScalable(ids, options);
+      ExpectSamePartition(serial, reference);
+      EXPECT_EQ(SolveSignature(serial, profile), want) << label << " prune " << prune;
+      for (runner::ThreadPool* pool : pools) {
+        options.pool = pool;
+        EXPECT_EQ(SolveSignature(partitioner.SolveScalable(ids, options), profile), want)
+            << label << " prune " << prune << " on " << pool->num_threads() << " threads";
+      }
+      feasible = reference.feasible;
+    }
+    return feasible;
+  };
+
+  // Seeded clusters of 3-5 nodes with 1-3 GPUs each from four classes.
+  std::mt19937 rng(20261019);
+  const char* kTypes[4] = {"V", "R", "G", "Q"};
+  int feasible = 0;
+  int infeasible = 0;
+  for (int round = 0; round < 12; ++round) {
+    hw::ClusterSpec spec;
+    spec.Named("walk-" + std::to_string(round));
+    const int nodes = 3 + static_cast<int>(rng() % 3u);
+    for (int node = 0; node < nodes; ++node) {
+      spec.AddNode(kTypes[rng() % 4u], 1 + static_cast<int>(rng() % 3u));
+    }
+    const Cluster cluster = spec.Build();
+    std::vector<int> ids(static_cast<size_t>(cluster.num_gpus()));
+    std::iota(ids.begin(), ids.end(), 0);
+    std::shuffle(ids.begin(), ids.end(), rng);
+    ids.resize(std::min(ids.size(), static_cast<size_t>(3 + round % 4)));
+    const ModelProfile profile(round % 2 == 0 ? resnet : vgg, 32);
+    const Partitioner partitioner(profile, cluster);
+    const int nm = 1 + round % 7;
+    (check(partitioner, ids, nm, "walk-" + std::to_string(round)) ? feasible : infeasible) += 1;
+  }
+
+  // Memory-tight: a 0.75 GiB card cannot hold even ResNet-152's first layer
+  // at the front of a deep pipeline, so every order that starts on it (or
+  // puts it early) is cut as a whole subtree, while the back of the
+  // pipeline (one minibatch in flight) still fits it.
+  hw::ClusterSpec tight;
+  tight.Named("walk-tight").AddGpuClass("TinyCard", 4.0, 0.75, 'n');
+  tight.AddNode("TinyCard", 2).AddNode("V", 2).AddNode("Q", 1).AddNode("R", 1);
+  const Cluster tight_cluster = tight.Build();
+  const ModelProfile resnet_profile(resnet, 32);
+  const Partitioner tight_partitioner(resnet_profile, tight_cluster);
+  const uint64_t tiny_cap = hw::MemoryBytes(tight_cluster.gpu(0).type);
+  for (const std::vector<int>& ids :
+       {std::vector<int>{0, 1}, std::vector<int>{0, 2, 4, 5}, std::vector<int>{0, 1, 2, 3, 4},
+        std::vector<int>{0, 1, 2, 3, 4, 5}}) {
+    for (int nm : {1, 4, 7}) {
+      const int k = static_cast<int>(ids.size());
+      if (nm > 1) {
+        ASSERT_GT(StageMemoryBytes(resnet_profile, 0, 0, 0, k, nm), tiny_cap)
+            << "the tiny card must not fit any first stage";
+      }
+      (check(tight_partitioner, ids, nm, "tight k" + std::to_string(k) + " nm" +
+                                             std::to_string(nm))
+           ? feasible
+           : infeasible) += 1;
+    }
+  }
+  EXPECT_GE(feasible, 10);
+  EXPECT_GE(infeasible, 1);
+}
+
 // ---- FindMaxNm: the binary search must agree with the pre-optimization
 // ---- downward linear scan everywhere (feasibility is monotone in nm). ----
 
@@ -497,14 +606,21 @@ TEST_F(PartitionerTest, RepeatedSolvesDoNotGrowScratch) {
   const auto graph = BuildResNet152();
   const ModelProfile profile(graph, 32);
   const Partitioner partitioner(profile, cluster_);
+  const Cluster eight_nodes = Cluster::PaperSubset("VRGQVRGQ");
+  const Partitioner wide(profile, eight_nodes);
   PartitionOptions options;
   options.nm = 2;
   const std::vector<int> gpus = {0, 4, 8, 12};
-  (void)partitioner.SolveScalable(gpus, options);  // warm this thread's scratch
+  const std::vector<int> six_nodes = {0, 4, 8, 12, 16, 20};  // 720 distinct orders
+  const std::vector<int> doubled = {0, 1, 8, 12, 20};        // node 0 holds two stages
+  // Warm this thread's scratch with the largest shape it will see.
+  (void)wide.SolveScalable(six_nodes, options);
   const int64_t before = DpScratchGrowCount();
   for (int r = 0; r < 20; ++r) {
     (void)partitioner.SolveScalable(gpus, options);
     (void)partitioner.SolveScalable({0, 1, 2, 3}, options);  // smaller shape: also no growth
+    (void)wide.SolveScalable(six_nodes, options);
+    (void)wide.SolveScalable(doubled, options);
   }
   EXPECT_EQ(DpScratchGrowCount(), before);
 }
@@ -788,21 +904,6 @@ TEST(SearchParallelTest, SolvesAreByteIdenticalAcrossThreadCounts) {
 // ---- line per (instance, model, strategy, nm), in the signature format of
 // ---- tests/golden/partitioner_solves.txt followed by the rendered
 // ---- ToString. `UPDATE_GOLDEN=1 ./partition_test` rewrites the file.
-
-std::string SolveSignature(const Partition& p, const ModelProfile& profile) {
-  if (!p.feasible) {
-    return "infeasible";
-  }
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "b=%.17g s=%.17g", p.bottleneck_time, p.sum_time);
-  std::string sig = buf;
-  for (const StageAssignment& stage : p.stages) {
-    std::snprintf(buf, sizeof(buf), " %d:%d-%d@%c", stage.gpu_id, stage.first_layer,
-                  stage.last_layer, hw::CodeOf(stage.gpu_type));
-    sig += buf;
-  }
-  return sig + " | " + p.ToString(profile);
-}
 
 // The 8-node x 4-GPU clusters behind the serve benchmark's large plan
 // requests: four classes cycling over the nodes, either racked in pairs
