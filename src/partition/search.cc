@@ -26,7 +26,6 @@
 // serial.
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <numeric>
 #include <utility>
@@ -176,8 +175,8 @@ class Incumbent {
 // Runs task(0..count-1) on `pool` when there is one and more than one task,
 // serially otherwise. Tasks write index-owned slots, so callers reduce them
 // in index order whichever thread ran which task.
-void RunTasks(runner::ThreadPool* pool, int64_t count,
-              const std::function<void(int64_t)>& task) {
+template <typename Task>
+void RunTasks(runner::ThreadPool* pool, int64_t count, const Task& task) {
   if (pool != nullptr && count > 1) {
     pool->ParallelFor(count, task);
     return;
