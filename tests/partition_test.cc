@@ -1054,8 +1054,46 @@ TEST(ScalableGoldenTest, ApproximateTiersMatchRecordedSolves) {
 // ---- Pinned outputs of the exact tier on the serve benchmark's small
 // ---- request shapes: 3-6 GPUs on distinct nodes (plan requests) and the
 // ---- same with one node doubled (max_nm probes), on paper-class 8-node
-// ---- clusters, both paper models, nm 1-4. tests/golden/exact_solves.txt;
-// ---- every line is the optimum, so any diff is a behaviour change.
+// ---- clusters, both paper models, nm 1-4; then 4-7 GPU shapes on fabrics
+// ---- where same-type GPUs on different nodes are not all interchangeable
+// ---- (racks, a per-pair link override, a mixed-class node) and 7 GPUs on
+// ---- distinct nodes. tests/golden/exact_solves.txt; every line is the
+// ---- optimum, so any diff is a behaviour change.
+
+// A paper-class 8-node x 4-GPU cluster (node classes `codes`) with optional
+// racks (nodes 0-3 and 4-7, a slower cross-rack link) and one per-pair link
+// override between nodes `a` and `b` (none when a < 0).
+Cluster ExactGoldenCluster(const char* codes, bool racked, int a, int b) {
+  hw::ClusterSpec spec;
+  spec.Named(racked ? "exact-racked" : a >= 0 ? "exact-override" : "exact-uniform");
+  for (int node = 0; node < 8; ++node) {
+    spec.AddNode(std::string(1, codes[node]), 4);
+  }
+  if (racked) {
+    spec.AddRack("rack0", {0, 1, 2, 3}).AddRack("rack1", {4, 5, 6, 7}).CrossRackGbits(5.0);
+  }
+  if (a >= 0) {
+    spec.OverrideLink(a, b, 10.0);
+  }
+  return spec.Build();
+}
+
+// Appends one exact solve per nm in 1-4 of `ids`, on both paper models.
+void AppendExactSolves(std::vector<std::pair<std::string, std::string>>* lines,
+                       const std::string& key, const Cluster& cluster,
+                       const std::vector<int>& ids) {
+  for (const model::ModelGraph& graph : {BuildResNet152(), BuildVgg19()}) {
+    const ModelProfile profile(graph, 32);
+    const Partitioner partitioner(profile, cluster);
+    for (int nm = 1; nm <= 4; ++nm) {
+      PartitionOptions options;
+      options.nm = nm;
+      options.strategy = SearchStrategy::kExact;
+      lines->emplace_back(key + "|" + graph.name() + "|nm" + std::to_string(nm),
+                          SolveSignature(partitioner.SolveScalable(ids, options), profile));
+    }
+  }
+}
 
 std::vector<std::pair<std::string, std::string>> ExactGoldenLines() {
   std::vector<std::pair<std::string, std::string>> lines;
@@ -1101,6 +1139,70 @@ std::vector<std::pair<std::string, std::string>> ExactGoldenLines() {
         }
       }
     }
+  }
+
+  // 4-7 GPUs, one per node, on 4-7 nodes drawn from the 8 (ids node * 4).
+  const auto draw_nodes = [&](int count) {
+    std::vector<int> nodes(8);
+    std::iota(nodes.begin(), nodes.end(), 0);
+    std::shuffle(nodes.begin(), nodes.end(), rng);
+    nodes.resize(static_cast<size_t>(count));
+    return nodes;
+  };
+  const auto node_key = [](const std::vector<int>& ids) {
+    std::string key;
+    for (int id : ids) {
+      key += std::to_string(id) + ",";
+    }
+    key.pop_back();
+    return key;
+  };
+  for (int gpus = 4; gpus <= 7; ++gpus) {
+    // Two racks holding the same classes: same-type GPUs in different racks
+    // see different links to the rest of the virtual worker.
+    std::vector<int> ids;
+    for (int node : draw_nodes(gpus)) {
+      ids.push_back(node * 4);
+    }
+    std::sort(ids.begin(), ids.end());
+    AppendExactSolves(&lines, "racked|" + node_key(ids),
+                      ExactGoldenCluster("VRGQVRGQ", true, -1, -1), ids);
+    // A uniform fabric with one slower pair between the first two drawn
+    // nodes of the virtual worker.
+    const std::vector<int> nodes = draw_nodes(gpus);
+    ids.clear();
+    for (int node : nodes) {
+      ids.push_back(node * 4);
+    }
+    std::sort(ids.begin(), ids.end());
+    AppendExactSolves(&lines,
+                      "override" + std::to_string(nodes[0]) + "-" + std::to_string(nodes[1]) +
+                          "|" + node_key(ids),
+                      ExactGoldenCluster("VRGQVRGQ", false, nodes[0], nodes[1]), ids);
+  }
+  // A mixed-class node (V V Q Q) beside homogeneous V and Q nodes: its V
+  // GPUs share a node with Q GPUs that the other V and Q GPUs do not.
+  hw::ClusterSpec mixed_spec;
+  mixed_spec.Named("exact-mixed")
+      .AddMixedNode({{"V", 2}, {"Q", 2}})
+      .AddNode("V", 2)
+      .AddNode("Q", 2)
+      .AddNode("R", 2);
+  const Cluster mixed = mixed_spec.Build();
+  for (const std::vector<int>& ids :
+       {std::vector<int>{0, 4, 6, 8}, std::vector<int>{0, 2, 4, 6, 8},
+        std::vector<int>{0, 2, 3, 4, 6, 8}, std::vector<int>{0, 1, 2, 4, 5, 6, 8}}) {
+    AppendExactSolves(&lines, "mixed|" + node_key(ids), mixed, ids);
+  }
+  // 7 GPUs on distinct nodes of paper-class 8-node clusters.
+  for (const char* nodes : {"VRGQVRGQ", "QGRVVRGQ"}) {
+    std::vector<int> ids;
+    for (int node : draw_nodes(7)) {
+      ids.push_back(node * 4);
+    }
+    std::sort(ids.begin(), ids.end());
+    AppendExactSolves(&lines, std::string(nodes) + "|" + node_key(ids),
+                      Cluster::PaperSubset(nodes), ids);
   }
   return lines;
 }
