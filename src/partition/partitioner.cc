@@ -310,9 +310,25 @@ bool Partitioner::DpRow(int q, int k, hw::GpuType type, const PartitionOptions& 
   const uint64_t cap = hw::MemoryBytes(type);
   DpScratch& scratch = LocalScratch();
   double* vals = scratch.Ensure(scratch.vals, static_cast<size_t>(n));
+  // The cells of prev this row reads, [q-1, n-(k-q)-1], are finite on one
+  // span [lo, hi] at most (first and last finite cell; lo > hi when none
+  // is). A split j outside it reads prev[j] = +inf, whose candidate is +inf
+  // and never wins the strict `<` below, so every loop runs over the span
+  // alone with values and argmins unchanged; cells i <= lo have no split in
+  // it, skip the memory search and get +inf with choice -1.
+  int lo = q - 1;
+  int hi = n - (k - q) - 1;
+  while (lo <= hi && prev[lo] == kInf) {
+    ++lo;
+  }
+  while (hi > lo && prev[hi] == kInf) {
+    --hi;
+  }
   bool live = false;
   // The last row only needs its final cell: nothing reads the others.
   for (int i = q == k ? n : q; i <= n - (k - q); ++i) {
+    // Splits j in [lo, end) are candidates for cell i.
+    const int end = std::min(i, hi + 1);
     const size_t last = static_cast<size_t>(i - 1);
     // Contiguous over j: entry j is the compute time of stage [j, i-1].
     const double* tot_row = tot_cum + last * static_cast<size_t>(n);
@@ -330,20 +346,20 @@ bool Partitioner::DpRow(int q, int k, hw::GpuType type, const PartitionOptions& 
     // the tightened loop from there with no per-j memory check. The skipped j
     // values are exactly the ones the scalar loop `continue`s on, so every
     // surviving (j, cand) decision is unchanged.
-    int feasible_from = i;  // i: no feasible split for this (q, i)
+    int feasible_from = end;  // end: no feasible split in the span
     {
-      int lo = q - 1;
-      int hi = i - 1;
-      while (lo <= hi) {
-        const int mid = lo + (hi - lo) / 2;
+      int left = lo;
+      int right = end - 1;
+      while (left <= right) {
+        const int mid = left + (right - left) / 2;
         const uint64_t need = StageMemoryBytesFromSums(
             param_prefix[i] - param_prefix[mid],  // layers [mid, i-1]
             stash_prefix[i] - stash_prefix[mid], batch, in_flight, mem);
         if (need <= cap) {
           feasible_from = mid;
-          hi = mid - 1;
+          right = mid - 1;
         } else {
-          lo = mid + 1;
+          left = mid + 1;
         }
       }
     }
@@ -358,7 +374,7 @@ bool Partitioner::DpRow(int q, int k, hw::GpuType type, const PartitionOptions& 
     // scalar loop's conditional `+=` chain — and `prior < cost ? cost :
     // prior` is std::max(prior, cost) verbatim, so every surviving value is
     // bit-identical to the scalar loop's.
-    for (int j = feasible_from; j < i; ++j) {
+    for (int j = feasible_from; j < end; ++j) {
       const double cost = (tot_row[j] + fwd_x[j]) + bwd_comm;
       const double prior = prev[j];
       const double cand = prior < cost ? cost : prior;
@@ -373,7 +389,7 @@ bool Partitioner::DpRow(int q, int k, hw::GpuType type, const PartitionOptions& 
     double lane_best[4] = {kInf, kInf, kInf, kInf};
     int lane_j[4] = {-1, -1, -1, -1};
     int j = feasible_from;
-    for (; j + 4 <= i; j += 4) {
+    for (; j + 4 <= end; j += 4) {
       for (int l = 0; l < 4; ++l) {
         if (vals[j + l] < lane_best[l]) {
           lane_best[l] = vals[j + l];
@@ -381,7 +397,7 @@ bool Partitioner::DpRow(int q, int k, hw::GpuType type, const PartitionOptions& 
         }
       }
     }
-    for (int l = 0; j < i; ++j, ++l) {  // remainder: still index-monotone per lane
+    for (int l = 0; j < end; ++j, ++l) {  // remainder: still index-monotone per lane
       if (vals[j] < lane_best[l]) {
         lane_best[l] = vals[j];
         lane_j[l] = j;

@@ -122,10 +122,13 @@ struct PartitionOptions {
 // times are precomputed once per trie edge (adjacent GPU pair of an order
 // prefix), and the DP runs on flat thread-local scratch reused across solves
 // (no per-solve allocation after warmup). The exact search walks the trie of
-// distinct (type, node) orders depth first, so orders sharing a prefix share
-// its DP rows, in exactly the order a factorial next_permutation scan with
-// (type, node) dedup first reaches them, so exact ties break the same way
-// that scan's "first wins" reduction does.
+// orders of interchangeable-GPU classes (same type, same link objects to the
+// rest of the virtual worker) depth first, so orders sharing a prefix share
+// its DP rows. Its leaves come in the order a factorial next_permutation
+// scan with (type, node) dedup first reaches them, and every order it skips
+// ties a kept, earlier one bit for bit, so exact ties break the same way
+// that scan's "first wins" reduction does. Each DP row loops only over the
+// span between the first and last finite cell of the row before it.
 //
 // The partitioner holds its profile and cluster by pointer and fingerprints
 // them once, at construction (inputs_fingerprint()), so neither may change
@@ -154,9 +157,11 @@ class Partitioner {
   uint64_t inputs_fingerprint() const { return inputs_fingerprint_; }
 
  private:
-  // Every distinct (type, node) order, as a depth-first walk of their trie
-  // that computes each prefix's DP rows once, under a shared branch-and-bound
-  // incumbent; the optimum.
+  // Every order of interchangeable-GPU classes (InterchangeableGroups in
+  // search.cc), as a depth-first walk of their trie that computes each
+  // prefix's DP rows once, under a shared branch-and-bound incumbent. The
+  // orders it skips tie kept, earlier ones bit for bit, so the result is
+  // that of every distinct (type, node) order: the optimum.
   Partition SolveExact(const std::vector<int>& gpu_ids, const PartitionOptions& options) const;
 
   // Beam search over (type, node) order prefixes: states carry the exact DP
@@ -213,8 +218,10 @@ class Partitioner {
   // starts at layer j (all zeros for the first stage); bwd_x[last] is the
   // transfer out of it when it ends at layer `last` (null for the last
   // stage). Candidates above `prune_above` are cut. Returns whether any
-  // written cell is finite. The prefix DP runs it once per trie edge; the
-  // beam closes one stage at a time with it.
+  // written cell is finite. Only splits inside the span between the first
+  // and last finite cell of prev are evaluated: the others read +inf and
+  // cannot win. The prefix DP runs it once per trie edge; the beam closes
+  // one stage at a time with it.
   bool DpRow(int q, int k, hw::GpuType type, const PartitionOptions& options,
              const double* prev, const double* fwd_x, const double* bwd_x, double prune_above,
              double* cur, int* cur_choice) const;
@@ -262,9 +269,11 @@ int FindMaxNmWith(const std::function<Partition(const PartitionOptions&)>& solve
 // its candidates with, visiting them in enumeration order.
 bool ImprovesPartition(const Partition& candidate, const Partition& best);
 
-// Number of distinct (type, node) orderings of the virtual worker's GPUs —
-// the exact search's work, a multinomial k! / prod(class_count!). Saturates
-// at `cap` (so thousand-node multisets never overflow); cap must be >= 1.
+// Number of distinct (type, node) orderings of the virtual worker's GPUs, a
+// multinomial k! / prod(class_count!): an upper bound on the leaves the exact
+// search walks, and the count ResolveSearchStrategy compares against
+// exact_order_limit. Saturates at `cap` (so thousand-node multisets never
+// overflow); cap must be >= 1.
 uint64_t EstimateOrderCount(const hw::Cluster& cluster, const std::vector<int>& gpu_ids,
                             uint64_t cap);
 
@@ -280,9 +289,8 @@ SearchStrategy ResolveSearchStrategy(const hw::Cluster& cluster,
 
 // The distinct (type, node) orderings of `ids`, each realized by its minimal
 // ascending-id representative, in the first-occurrence order of a factorial
-// next_permutation scan (see the implementation note in search.cc): the
-// leaves of the trie the exact tier walks, in walk order. The hierarchical
-// refinement solves them per rack segment.
+// next_permutation scan (see the implementation note in search.cc). The
+// hierarchical refinement solves them per rack segment.
 std::vector<std::vector<int>> DistinctClassOrders(const hw::Cluster& cluster,
                                                   const std::vector<int>& ids);
 

@@ -1,7 +1,9 @@
 // The partitioner's GPU-order search tiers behind Partitioner::SolveScalable:
-// strategy selection, the exact walk of the distinct-order trie, the beam
-// search over (type, node) order prefixes, and the rack-hierarchical search.
-// The exact tier is optimal but visits a multinomial number of orders; the
+// strategy selection, the exact walk of the trie of interchangeable-class
+// orders, the beam search over (type, node) order prefixes, and the
+// rack-hierarchical search. The exact tier is optimal but visits a
+// multinomial number of orders (at most the distinct (type, node) orders,
+// fewer when same-type GPUs on different nodes are interchangeable); the
 // beam and hierarchical tiers visit a polynomial slice of that space. Every
 // tier computes its rows with the same prefix DP (PlaceGpu / DpRow in
 // partitioner.cc): the exact walk shares each prefix's rows among the orders
@@ -41,10 +43,12 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// One distinct (type, node) class of a virtual worker, with its member ids
-// ascending. Groups are ordered by (type, node) — an id-free canonical order,
-// so equal multisets on different ids group identically. This is the one
-// class grouping every tier (and the order-count estimate) uses.
+// One class of a virtual worker's GPUs, with its member ids ascending.
+// CanonicalGroups builds the distinct (type, node) classes, ordered by (type,
+// node) — an id-free canonical order, so equal multisets on different ids
+// group identically — for the beam, the order-count estimate and the tier
+// choice. The exact walk uses the coarser InterchangeableGroups (`node` is
+// then the first member's).
 struct Group {
   hw::GpuType type;
   int node = -1;
@@ -78,16 +82,51 @@ std::vector<Group> CanonicalGroups(const hw::Cluster& cluster, std::vector<int> 
   return groups;
 }
 
-// Walks the trie of the distinct (type, node) orderings of the grouped ids
-// depth first from depth t (used[g] of group g's ids already placed). The
+// The classes of interchangeable GPUs among `ids`, each with its ids
+// ascending: a and b share a class when they have the same type and every
+// other GPU c of the virtual worker reaches both over the same LinkModel
+// object (&LinkBetween(a, c) == &LinkBetween(b, c)). Swapping two members
+// of a class in an order then changes no stage type and no transfer row,
+// so the two orders' solves tie bit for bit. Links are symmetric, so the
+// relation is transitive: each id joins the first class whose first member
+// it matches. Every (type, node) class lies inside one of these classes.
+std::vector<Group> InterchangeableGroups(const hw::Cluster& cluster, std::vector<int> ids) {
+  std::sort(ids.begin(), ids.end());
+  const auto interchangeable = [&](int a, int b) {
+    if (cluster.gpu(a).type != cluster.gpu(b).type) {
+      return false;
+    }
+    for (int c : ids) {
+      if (c != a && c != b && &cluster.LinkBetween(a, c) != &cluster.LinkBetween(b, c)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  std::vector<Group> groups;
+  for (int id : ids) {
+    const auto match = std::find_if(groups.begin(), groups.end(), [&](const Group& group) {
+      return interchangeable(group.ids.front(), id);
+    });
+    if (match == groups.end()) {
+      groups.push_back(Group{cluster.gpu(id).type, cluster.gpu(id).node, {id}});
+    } else {
+      match->ids.push_back(id);
+    }
+  }
+  return groups;
+}
+
+// Walks the trie of the distinct class orderings of the grouped ids depth
+// first from depth t (used[g] of group g's ids already placed). The
 // candidates at a depth are the next unused id of each class, ascending;
 // place(t, id) puts one at position t and returns false to cut its subtree,
 // and leaf() runs on every complete order. Each leaf is the minimal GPU-id
 // representative of its class sequence, and leaves come in lexicographic
-// order of those representatives: exactly the first occurrences of a
-// factorial next_permutation scan with (type, node) dedup, so "first wins"
-// tie-breaks match that scan's, with a multinomial number of leaves instead
-// of k!.
+// order of those representatives: on CanonicalGroups, exactly the first
+// occurrences of a factorial next_permutation scan with (type, node) dedup,
+// so "first wins" tie-breaks match that scan's, with a multinomial number
+// of leaves instead of k!.
 template <typename Place, typename Leaf>
 void WalkClassOrders(const std::vector<Group>& groups, size_t* used, int t, int k,
                      const Place& place, const Leaf& leaf) {
@@ -349,12 +388,16 @@ Partition Partitioner::SolveExact(const std::vector<int>& gpu_ids,
   if (profile_->num_layers() < k) {
     return Partition{};
   }
-  // Each distinct (type, node) order is one leaf of the walk. Rows are cut
-  // at the incumbent read when they are computed, which only tightens, so a
-  // row reused below a prefix equals a fresh solve's row wherever that is
-  // finite and elsewhere exceeds the bound the fresh solve would cut at:
-  // every leaf's result is the fresh solve's.
-  const std::vector<Group> groups = CanonicalGroups(*cluster_, gpu_ids);
+  // Each order of interchangeable classes is one leaf of the walk, realized
+  // by its smallest id order. An order the walk skips differs from a leaf
+  // only by swaps within classes, so it ties that lexicographically smaller
+  // leaf bit for bit and never wins "first wins": the result is that of
+  // walking every distinct (type, node) order. Rows
+  // are cut at the incumbent read when they are computed, which only
+  // tightens, so a row reused below a prefix equals a fresh solve's row
+  // wherever that is finite and elsewhere exceeds the bound the fresh solve
+  // would cut at: every leaf's result is the fresh solve's.
+  const std::vector<Group> groups = InterchangeableGroups(*cluster_, gpu_ids);
   Incumbent incumbent(kInf, options.prune);
   // One task per first-level subtree (each class's smallest id at depth 0).
   std::vector<Partition> slots(groups.size());

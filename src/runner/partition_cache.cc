@@ -212,6 +212,53 @@ void SetError(std::string* error, const std::string& message) {
 
 }  // namespace
 
+PartitionCache::Entry::Entry(const partition::Partition& partition, uint64_t stamp)
+    : last_use(stamp) {
+  packed.push_back(partition.feasible ? 1 : 0);
+  PutF64(packed, partition.bottleneck_time);
+  PutF64(packed, partition.sum_time);
+  util::PutVarU64(packed, partition.stages.size());
+  for (const partition::StageAssignment& stage : partition.stages) {
+    for (int value : {stage.first_layer, stage.last_layer, stage.gpu_id,
+                      static_cast<int>(stage.gpu_type), stage.node}) {
+      util::PutVarU64(packed, util::ZigZagEncode(value));
+    }
+    for (double value :
+         {stage.fwd_compute_s, stage.bwd_compute_s, stage.fwd_comm_in_s, stage.bwd_comm_in_s}) {
+      PutF64(packed, value);
+    }
+    for (uint64_t value : {stage.param_bytes, stage.memory_bytes, stage.memory_cap}) {
+      util::PutVarU64(packed, value);
+    }
+  }
+  packed.shrink_to_fit();  // the appends above leave capacity slack
+}
+
+partition::Partition PartitionCache::Entry::Unpack() const {
+  Cursor cursor(packed.data(), packed.size());
+  const auto next_int = [&] { return static_cast<int>(util::ZigZagDecode(cursor.GetVarU64())); };
+  partition::Partition partition;
+  partition.feasible = cursor.Get<char>() != 0;
+  partition.bottleneck_time = cursor.Get<double>();
+  partition.sum_time = cursor.Get<double>();
+  partition.stages.resize(cursor.GetVarU64());
+  for (partition::StageAssignment& stage : partition.stages) {
+    stage.first_layer = next_int();
+    stage.last_layer = next_int();
+    stage.gpu_id = next_int();
+    stage.gpu_type = static_cast<hw::GpuType>(next_int());
+    stage.node = next_int();
+    stage.fwd_compute_s = cursor.Get<double>();
+    stage.bwd_compute_s = cursor.Get<double>();
+    stage.fwd_comm_in_s = cursor.Get<double>();
+    stage.bwd_comm_in_s = cursor.Get<double>();
+    stage.param_bytes = cursor.GetVarU64();
+    stage.memory_bytes = cursor.GetVarU64();
+    stage.memory_cap = cursor.GetVarU64();
+  }
+  return partition;
+}
+
 partition::Partition PartitionCache::Solve(const partition::Partitioner& partitioner,
                                            const std::vector<int>& gpu_ids,
                                            const partition::PartitionOptions& options,
@@ -237,7 +284,7 @@ partition::Partition PartitionCache::Solve(const partition::Partitioner& partiti
       if (was_hit != nullptr) {
         *was_hit = true;
       }
-      return Remap(it->second.partition, partitioner.cluster(), gpu_ids);
+      return Remap(it->second.Unpack(), partitioner.cluster(), gpu_ids);
     }
   }
   // Slow path: materializing a disk-loaded entry or recording a miss mutates
@@ -253,7 +300,7 @@ partition::Partition PartitionCache::Solve(const partition::Partitioner& partiti
       if (was_hit != nullptr) {
         *was_hit = true;
       }
-      return Remap(it->second.partition, partitioner.cluster(), gpu_ids);
+      return Remap(it->second.Unpack(), partitioner.cluster(), gpu_ids);
     }
     auto pending = pending_.find(key);
     if (pending != pending_.end()) {
@@ -337,7 +384,7 @@ bool PartitionCache::Save(const std::string& path, std::string* error) const {
     for (const auto& [key, entry] : entries_) {
       std::string blob;
       PutStr(blob, key);
-      SerializePartition(blob, entry.partition);
+      SerializePartition(blob, entry.Unpack());
       PutU32(records, static_cast<uint32_t>(blob.size()));
       records += blob;
     }

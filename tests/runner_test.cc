@@ -157,6 +157,38 @@ TEST(PartitionCacheTest, HitReturnsColdSolveExactly) {
   EXPECT_EQ(cache.size(), 3);
 }
 
+TEST(PartitionCacheTest, HitsUnpackEveryStageFieldExactly) {
+  // Entries are stored packed; hits must unpack to the cold solve on shapes
+  // that stretch every packed field: a registered class (a GpuType beyond
+  // the built-ins), GPU ids past one varint byte, a 12-stage pipeline, and
+  // an infeasible answer.
+  hw::ClusterSpec spec;
+  spec.Named("packed").AddGpuClass("PackedCard", 7.5, 2.0, 'p');
+  for (int node = 0; node < 10; ++node) {
+    spec.AddNode(node % 2 == 0 ? "PackedCard" : "V", 8);
+  }
+  const hw::Cluster cluster = spec.Build();
+  const model::ModelGraph graph = model::BuildResNet152();
+  const model::ModelProfile profile(graph, 32);
+  const partition::Partitioner partitioner(profile, cluster);
+  PartitionCache cache;
+  int feasible = 0;
+  for (const std::vector<int>& ids :
+       {std::vector<int>{64, 66}, std::vector<int>{0, 8, 16, 24, 32, 40, 48, 56, 64, 72, 1, 9},
+        std::vector<int>{65, 73, 2}}) {
+    for (int nm : {1, 4, 64}) {
+      partition::PartitionOptions options;
+      options.nm = nm;
+      const partition::Partition cold = partitioner.SolveScalable(ids, options);
+      ExpectSamePartition(cold, cache.Solve(partitioner, ids, options));
+      ExpectSamePartition(cold, cache.Solve(partitioner, ids, options));
+      feasible += cold.feasible ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(cache.hits(), 9);
+  EXPECT_EQ(feasible, 6);  // the two-card 2 GiB worker never fits ResNet-152
+}
+
 TEST(PartitionCacheTest, RemapsSameShapeDifferentGpuIds) {
   // The four ED virtual workers of the paper cluster all have shape
   // {V@0, R@1, G@2, Q@3} with different GPU ids; one solve must serve all.
