@@ -5,10 +5,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <limits>
 #include <map>
-#include <string>
 #include <random>
+#include <string>
+#include <utility>
 #include <thread>
 #include <vector>
 
@@ -23,6 +27,10 @@
 #include "serve/plan_service.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+
+#ifndef HETPIPE_GOLDEN_DIR
+#error "serve_test needs HETPIPE_GOLDEN_DIR (set by CMakeLists.txt)"
+#endif
 
 namespace hetpipe::serve {
 namespace {
@@ -185,6 +193,212 @@ TEST(PlanRequestTest, RejectsBadRequests) {
   // Ill-typed field.
   EXPECT_FALSE(ParsePlanRequest(R"({"v":1,"op":"plan","selector":7})", &out, &code, &error));
   EXPECT_EQ(code, ErrorCode::kBadRequest);
+}
+
+// ---- Wire golden: the exact request and response bytes. The JSONL goldens
+// ---- compare doubles within a tolerance, so this file is what pins the
+// ---- encoder byte for byte. `UPDATE_GOLDEN=1 ./serve_test` rewrites it.
+
+// Compares `lines` with the golden file `name` (one `label \t bytes` line
+// each, `#` comments), or rewrites the file under UPDATE_GOLDEN=1. JSON
+// escapes every control byte, so a payload never spans lines.
+void CheckGolden(const std::string& name,
+                 const std::vector<std::pair<std::string, std::string>>& lines) {
+  const std::string path = std::string(HETPIPE_GOLDEN_DIR) + "/" + name;
+  if (std::getenv("UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::trunc);
+    ASSERT_TRUE(out.is_open()) << "cannot write " << path;
+    out << "# Serve wire bytes: label \\t PlanRequest::ToJson or response JSON\n"
+           "# (latency_us masked). Regenerate with: UPDATE_GOLDEN=1 ./serve_test\n";
+    for (const auto& [label, bytes] : lines) {
+      out << label << '\t' << bytes << '\n';
+    }
+    std::printf("updated %s\n", path.c_str());
+    return;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.is_open()) << "missing golden " << path;
+  std::vector<std::pair<std::string, std::string>> want;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') {
+      continue;
+    }
+    const size_t tab = line.find('\t');
+    ASSERT_NE(tab, std::string::npos) << "malformed golden line: " << line;
+    want.emplace_back(line.substr(0, tab), line.substr(tab + 1));
+  }
+  ASSERT_EQ(want.size(), lines.size()) << "golden line count drifted";
+  for (size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(want[i].first, lines[i].first) << "line " << i;
+    EXPECT_EQ(want[i].second, lines[i].second) << lines[i].first;
+  }
+}
+
+// The response with its one timing field replaced by '#'.
+std::string MaskLatency(std::string json) {
+  const std::string field = "\"latency_us\":";
+  const size_t at = json.find(field);
+  if (at != std::string::npos) {
+    size_t end = at + field.size();
+    while (end < json.size() && json[end] >= '0' && json[end] <= '9') ++end;
+    json.replace(at + field.size(), end - at - field.size(), "#");
+  }
+  return json;
+}
+
+std::vector<std::pair<std::string, std::string>> WireGoldenLines() {
+  std::vector<std::pair<std::string, std::string>> lines;
+  const std::string racked =
+      "node 2xV\nnode 2xR\nnode 2xG\nnode 2xQ\nrack r0 { node0 node1 }\n"
+      "rack r1 { node2 node3 }\ncross_rack_gbits 10";
+  const std::string kIds[] = {"q\"uote\\back/slash", std::string("ctl\x01\x1f\t\n\r\b\f", 10),
+                              "utf8 h\xc3\xa9llo \xe2\x9c\x93"};
+
+  // Requests as clients encode them.
+  std::vector<std::pair<std::string, PlanRequest>> requests;
+  const auto add = [&](const std::string& label, const PlanRequest& request) {
+    requests.emplace_back(label, request);
+  };
+  {
+    PlanRequest r;
+    r.selector = "VVQQ";
+    add("plan_exact", r);
+    add("plan_exact_repeat", r);
+    r.nm = 2;
+    r.id = "nm2";
+    add("plan_exact_nm2", r);
+    r = PlanRequest();
+    r.selector = "VRGQ";
+    r.cluster_nodes = "VRGQ";
+    r.model = "vgg19";
+    r.batch_size = 64;
+    r.search_orders = false;
+    add("plan_vgg_fixed_order", r);
+    r = PlanRequest();
+    r.selector = "VVQQ";
+    r.strategy = "beam";
+    r.beam_width = 4;
+    add("plan_beam", r);
+    r = PlanRequest();
+    r.cluster_spec = racked;
+    r.selector = "V*2,R*2,G*2,Q*2";
+    r.strategy = "hierarchical";
+    r.beam_width = 3;
+    r.rack_order_limit = 24;
+    add("plan_hierarchical", r);
+    r = PlanRequest();
+    r.cluster_spec = racked;
+    r.selector = "V,R,G";
+    add("plan_spec_auto", r);
+    r = PlanRequest();
+    r.op = "max_nm";
+    r.selector = "VVQQ";
+    add("max_nm_feasible", r);
+    r.nm_cap = 3;
+    r.id = "cap3";
+    add("max_nm_cap3", r);
+    r = PlanRequest();
+    r.op = "max_nm";
+    r.selector = "GG";
+    r.model = "vgg19";
+    r.batch_size = 4096;
+    add("max_nm_zero", r);
+    r.op = "plan";
+    add("plan_infeasible", r);
+    for (size_t i = 0; i < 3; ++i) {
+      r = PlanRequest();
+      r.selector = "VQ";
+      r.id = kIds[i];
+      add("id_escape" + std::to_string(i), r);
+    }
+    r = PlanRequest();
+    r.selector = "VVQQ";
+    r.model = "alexnet";
+    add("bad_model", r);
+    r = PlanRequest();
+    r.selector = "VVQQ";
+    r.cluster_spec = "node 0xV";
+    add("bad_spec", r);
+    r = PlanRequest();
+    r.selector = "A100*64";
+    r.id = kIds[1];
+    add("bad_selector", r);
+    r = PlanRequest();
+    r.op = "stats";
+    add("stats", r);
+    r.op = "shutdown";
+    add("shutdown", r);
+  }
+  for (const auto& [label, request] : requests) {
+    lines.emplace_back("request." + label, request.ToJson());
+  }
+
+  // Raw payloads that only a hand-written or broken client sends.
+  const std::pair<const char*, std::string> kRaw[] = {
+      {"bad_json_empty", ""},
+      {"bad_json_text", "nope"},
+      {"bad_json_unterminated", "{\"v\":1,\"op\":\"plan\""},
+      {"bad_json_number", "{\"v\":01e}"},
+      {"bad_json_trailing", "{\"v\":1}x"},
+      {"bad_json_control", "{\"id\":\"a\x01\"}"},
+      {"bad_request_version", R"({"v":99,"op":"plan","selector":"VVQQ"})"},
+      {"bad_request_op", R"({"v":1,"op":"dance","id":"xé\n"})"},
+      {"bad_request_no_selector", R"({"v":1,"op":"max_nm"})"},
+      {"bad_request_nm", R"({"v":1,"op":"plan","selector":"VVQQ","nm":0})"},
+      {"bad_request_fraction", R"({"v":1,"op":"plan","selector":"VVQQ","nm":1.5})"},
+      {"bad_request_type", R"({"v":1,"op":"plan","selector":7})"},
+      {"bad_request_bool", R"({"v":1,"op":"plan","selector":"VQ","search_orders":1})"},
+      {"bad_request_strategy", R"({"v":1,"op":"plan","selector":"VVQQ","strategy":"bogus"})"},
+      {"bad_request_order", R"({"v":2,"op":"dance","nm":"x","strategy":"bogus"})"},
+      {"duplicate_key", R"({"v":1,"op":"plan","selector":7,"selector":"VQ","nm":2,"nm":1})"},
+      {"unknown_keys", R"({"v":1,"zz":[1,{"a":"]"}],"op":"plan","selector":"VQ","q":null})"},
+      {"escaped_fields", R"({"v":1.0,"op":"plan","selector":"VQ","id":"\u00e9\u2713\/\t"})"},
+  };
+
+  runner::PartitionCache cache;
+  PlanService service(&cache);
+  for (const auto& [label, request] : requests) {
+    lines.emplace_back("response." + label,
+                       MaskLatency(runner::RowToJson(service.HandleJson(request.ToJson()))));
+  }
+  for (const auto& [label, payload] : kRaw) {
+    lines.emplace_back(std::string("response.") + label,
+                       MaskLatency(runner::RowToJson(service.HandleJson(payload))));
+  }
+  // The transport's own error rows (no service path produces these codes).
+  for (ErrorCode code : {ErrorCode::kBadFrame, ErrorCode::kShuttingDown, ErrorCode::kInternal}) {
+    runner::ResultRow row;
+    row.Set("v", kProtocolVersion);
+    row.Set("ok", false);
+    row.Set("error_code", ErrorCodeName(code));
+    row.Set("error", std::string("detail for ") + ErrorCodeName(code));
+    lines.emplace_back(std::string("row.") + ErrorCodeName(code), runner::RowToJson(row));
+  }
+  // Every value kind the encoder writes, non-finite doubles included.
+  runner::ResultRow values;
+  values.Set("inf", std::numeric_limits<double>::infinity())
+      .Set("ninf", -std::numeric_limits<double>::infinity())
+      .Set("nan", std::numeric_limits<double>::quiet_NaN())
+      .Set("zero", 0.0)
+      .Set("negzero", -0.0)
+      .Set("tiny", 4.9406564584124654e-324)
+      .Set("small", 1.234567890123456e-7)
+      .Set("big", 6.02214076e23)
+      .Set("third", 1.0 / 3.0)
+      .Set("round", 1e15)
+      .Set("int_min", std::numeric_limits<int64_t>::min())
+      .Set("int_max", std::numeric_limits<int64_t>::max())
+      .Set("t", true)
+      .Set("f", false)
+      .Set("s", kIds[1])
+      .Set("k\"ey", kIds[2]);
+  lines.emplace_back("row.values", runner::RowToJson(values));
+  return lines;
+}
+
+TEST(WireGoldenTest, RequestAndResponseBytesMatchRecording) {
+  CheckGolden("serve_wire.txt", WireGoldenLines());
 }
 
 // ---- PlanService ----
