@@ -46,9 +46,8 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // One class of a virtual worker's GPUs, with its member ids ascending.
 // CanonicalGroups builds the distinct (type, node) classes, ordered by (type,
 // node) — an id-free canonical order, so equal multisets on different ids
-// group identically — for the beam, the order-count estimate and the tier
-// choice. The exact walk uses the coarser InterchangeableGroups (`node` is
-// then the first member's).
+// group identically — for the beam and DistinctClassOrders. The exact walk
+// uses the coarser InterchangeableGroups (`node` is then the first member's).
 struct Group {
   hw::GpuType type;
   int node = -1;
@@ -274,29 +273,24 @@ uint64_t EstimateOrderCount(const hw::Cluster& cluster, const std::vector<int>& 
   if (cap == 0) {
     cap = 1;
   }
-  const std::vector<Group> groups = CanonicalGroups(cluster, gpu_ids);
-  // Multinomial k! / prod(c_g!) built as a product of binomials: placing each
-  // group's c ids into the slots left over contributes C(placed + c, c).
+  // Multinomial k! / prod(c_g!) over the (type, node) classes, built one id
+  // at a time: the first i ids have i! / prod(c_g(i)!) distinct orders, so
+  // adding id i multiplies by i / (its class's multiplicity so far). Each
+  // partial product is such a count, hence integral and non-decreasing, so
+  // saturating at the first one above `cap` returns min(multinomial, cap).
   uint64_t total = 1;
-  uint64_t placed = 0;
-  for (const Group& group : groups) {
-    const uint64_t c = group.ids.size();
-    uint64_t binom = 1;
-    for (uint64_t i = 1; i <= c; ++i) {
-      // binom is C(placed + i, i) after each step (integral stepwise) and
-      // non-decreasing in i, so saturating early is sound.
-      const __uint128_t grown = static_cast<__uint128_t>(binom) * (placed + i) / i;
-      if (grown > cap) {
-        return cap;
-      }
-      binom = static_cast<uint64_t>(grown);
+  for (size_t i = 0; i < gpu_ids.size(); ++i) {
+    const hw::Gpu& gpu = cluster.gpu(gpu_ids[i]);
+    uint64_t same = 1;
+    for (size_t j = 0; j < i; ++j) {
+      const hw::Gpu& other = cluster.gpu(gpu_ids[j]);
+      same += other.type == gpu.type && other.node == gpu.node ? 1 : 0;
     }
-    const __uint128_t next = static_cast<__uint128_t>(total) * binom;
+    const __uint128_t next = static_cast<__uint128_t>(total) * (i + 1) / same;
     if (next > cap) {
       return cap;
     }
     total = static_cast<uint64_t>(next);
-    placed += c;
   }
   return total;
 }

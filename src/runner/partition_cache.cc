@@ -2,23 +2,33 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <string_view>
 
 #include "util/binary_io.h"
 
 namespace hetpipe::runner {
 namespace {
 
-// The (class, node) sequence of the virtual worker, by class name so the
-// signature survives process boundaries. With the order search on, a solve's
-// answer depends only on the multiset, so the sequence is sorted and any
-// GPU-id set with the same shape maps to the same key; with the search off
-// the given order IS the stage order, so it must stay in the key.
-std::string VwSignature(const hw::Cluster& cluster, const std::vector<int>& gpu_ids,
-                        bool order_invariant) {
-  std::vector<std::pair<std::string, int>> shape;
+template <typename Int>
+void AppendInt(std::string* out, Int value) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
+// Appends the (class, node) sequence of the virtual worker, by class name so
+// the signature survives process boundaries. With the order search on, a
+// solve's answer depends only on the multiset, so the sequence is sorted and
+// any GPU-id set with the same shape maps to the same key; with the search
+// off the given order IS the stage order, so it must stay in the key.
+void VwSignature(const hw::Cluster& cluster, const std::vector<int>& gpu_ids,
+                 bool order_invariant, std::string* key) {
+  // Registry names live for the process, so the pairs can view them; views
+  // compare like the strings, so the sorted order is the same.
+  std::vector<std::pair<std::string_view, int>> shape;
   shape.reserve(gpu_ids.size());
   for (int id : gpu_ids) {
     const hw::Gpu& gpu = cluster.gpu(id);
@@ -27,14 +37,12 @@ std::string VwSignature(const hw::Cluster& cluster, const std::vector<int>& gpu_
   if (order_invariant) {
     std::sort(shape.begin(), shape.end());
   }
-  std::string signature;
   for (const auto& [name, node] : shape) {
-    signature += name;
-    signature.push_back('@');
-    signature += std::to_string(node);
-    signature.push_back(';');
+    key->append(name);
+    key->push_back('@');
+    AppendInt(key, node);
+    key->push_back(';');
   }
-  return signature;
 }
 
 // A key continues the partitioner's inputs fingerprint (profile, cluster
@@ -73,11 +81,14 @@ std::string MakeKey(const partition::Partitioner& partitioner, const std::vector
   fp.Mix(options.mem_params.optimizer_multiplier);
   fp.Mix(options.mem_params.framework_overhead_bytes);
   fp.Mix(static_cast<uint64_t>(options.mem_params.stash_weights ? 1 : 0));
-  std::string key = std::to_string(fp.value());
+  std::string key;
+  key.reserve(32 + 24 * gpu_ids.size());
+  AppendInt(&key, fp.value());
   key.push_back('|');
-  key += VwSignature(partitioner.cluster(), gpu_ids,
-                     /*order_invariant=*/options.search_gpu_orders);
-  key += "nm" + std::to_string(options.nm);
+  VwSignature(partitioner.cluster(), gpu_ids, /*order_invariant=*/options.search_gpu_orders,
+              &key);
+  key += "nm";
+  AppendInt(&key, options.nm);
   key += options.search_gpu_orders ? "s1" : "s0";
   // Scalable-tier strategies search different order slices, so their results
   // may differ from the exact search's and must not alias its entries. The

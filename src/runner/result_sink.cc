@@ -1,53 +1,59 @@
 #include "runner/result_sink.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <sstream>
+#include <string_view>
 
 namespace hetpipe::runner {
 namespace {
 
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
+// Appends `s` as a quoted JSON string, escaped per RFC 8259. Runs of bytes
+// that need no escape are appended whole.
+void AppendJsonString(std::string* out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789ABCDEF";
+  out->push_back('"');
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') {
+      continue;
+    }
+    out->append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
-        out += "\\\"";
+        out->append("\\\"");
         break;
       case '\\':
-        out += "\\\\";
+        out->append("\\\\");
         break;
       case '\b':
-        out += "\\b";
+        out->append("\\b");
         break;
       case '\f':
-        out += "\\f";
+        out->append("\\f");
         break;
       case '\n':
-        out += "\\n";
+        out->append("\\n");
         break;
       case '\r':
-        out += "\\r";
+        out->append("\\r");
         break;
       case '\t':
-        out += "\\t";
+        out->append("\\t");
         break;
-      default:
+      default: {
         // JSON forbids raw control characters in strings; anything below
         // 0x20 without a short escape must go out as \u00XX or the line is
         // unparseable.
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04X",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out->append(escape, sizeof(escape));
+      }
     }
   }
-  return out;
+  out->append(s.data() + run, s.size() - run);
+  out->push_back('"');
 }
 
 // How a row value is rendered: JSON token (strings quoted+escaped,
@@ -56,29 +62,47 @@ std::string EscapeJson(const std::string& s) {
 // CSV has no null literal, and "inf"/"nan" break numeric column parsers).
 enum class ValueFormat { kJson, kRaw, kCsv };
 
-std::string FormatDouble(double v, ValueFormat format) {
-  if (!std::isfinite(v)) {
-    // JSON has no literal for NaN or the infinities; null is the only
-    // faithful spelling ("inf" makes the whole line unparseable).
-    return format == ValueFormat::kCsv ? "" : "null";
+void AppendValue(std::string* out, const ResultRow::Value& value, ValueFormat format) {
+  // to_chars prints the shortest decimal for integers, and for doubles with
+  // chars_format::general and precision 12 exactly what printf's %.12g (and
+  // so a precision(12) ostream) prints.
+  char buf[32];
+  std::to_chars_result printed{buf, std::errc()};
+  switch (TypeOfValue(value)) {
+    case ValueType::kBool:
+      out->append(std::get<bool>(value) ? "true" : "false");
+      return;
+    case ValueType::kInt64:
+      printed = std::to_chars(buf, buf + sizeof(buf), std::get<int64_t>(value));
+      break;
+    case ValueType::kDouble: {
+      const double v = std::get<double>(value);
+      if (!std::isfinite(v)) {
+        // JSON has no literal for NaN or the infinities; null is the only
+        // faithful spelling ("inf" makes the whole line unparseable).
+        if (format != ValueFormat::kCsv) {
+          out->append("null");
+        }
+        return;
+      }
+      printed = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 12);
+      break;
+    }
+    case ValueType::kString:
+      if (format == ValueFormat::kJson) {
+        AppendJsonString(out, std::get<std::string>(value));
+      } else {
+        out->append(std::get<std::string>(value));
+      }
+      return;
   }
-  std::ostringstream os;
-  os.precision(12);
-  os << v;
-  return os.str();
+  out->append(buf, printed.ptr);
 }
 
 std::string ValueToString(const ResultRow::Value& value, ValueFormat format) {
-  struct Visitor {
-    ValueFormat format;
-    std::string operator()(bool v) const { return v ? "true" : "false"; }
-    std::string operator()(int64_t v) const { return std::to_string(v); }
-    std::string operator()(double v) const { return FormatDouble(v, format); }
-    std::string operator()(const std::string& v) const {
-      return format == ValueFormat::kJson ? "\"" + EscapeJson(v) + "\"" : v;
-    }
-  };
-  return std::visit(Visitor{format}, value);
+  std::string out;
+  AppendValue(&out, value, format);
+  return out;
 }
 
 std::string EscapeCsv(const std::string& s) {
@@ -117,16 +141,42 @@ std::optional<std::string> ResultRow::Find(const std::string& key) const {
 }
 
 std::string RowToJson(const ResultRow& row) {
-  std::string out = "{";
-  bool first = true;
+  // One allocation for the whole object, sized for the row with no escapes
+  // and with every double at its widest (-1.23456789012e-308): callers that
+  // keep the string hold little slack.
+  size_t size = 2;
   for (const auto& [key, value] : row.fields()) {
-    if (!first) {
-      out += ",";
+    size += key.size() + 4;  // quotes, colon, comma
+    switch (TypeOfValue(value)) {
+      case ValueType::kBool:
+        size += 5;
+        break;
+      case ValueType::kInt64: {
+        char buf[24];
+        size += static_cast<size_t>(
+            std::to_chars(buf, buf + sizeof(buf), std::get<int64_t>(value)).ptr - buf);
+        break;
+      }
+      case ValueType::kDouble:
+        size += 19;
+        break;
+      case ValueType::kString:
+        size += std::get<std::string>(value).size() + 2;
+        break;
     }
-    first = false;
-    out += "\"" + EscapeJson(key) + "\":" + ValueToString(value, ValueFormat::kJson);
   }
-  out += "}";
+  std::string out;
+  out.reserve(size);
+  out.push_back('{');
+  for (const auto& [key, value] : row.fields()) {
+    if (out.size() > 1) {
+      out.push_back(',');
+    }
+    AppendJsonString(&out, key);
+    out.push_back(':');
+    AppendValue(&out, value, ValueFormat::kJson);
+  }
+  out.push_back('}');
   return out;
 }
 

@@ -46,6 +46,7 @@ bool PlanClient::Connect(const std::string& host, int port, std::string* error) 
     return false;
   }
   fd_ = fd;
+  reader_.Reset(fd);
   return true;
 }
 
@@ -59,7 +60,7 @@ bool PlanClient::CallRaw(const std::string& request_json, std::string* response_
     Close();
     return false;
   }
-  FrameResult result = ReadFrame(fd_, max_frame_bytes, response_json, error);
+  FrameResult result = reader_.Read(max_frame_bytes, response_json, error);
   if (result == FrameResult::kFrame) return true;
   if (result == FrameResult::kEof && error) *error = "server closed the connection";
   Close();

@@ -46,6 +46,7 @@ class PlanClient {
 
  private:
   int fd_ = -1;
+  FrameReader reader_;  // reads ahead on fd_; reset on every connect
 };
 
 }  // namespace hetpipe::serve

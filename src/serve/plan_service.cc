@@ -54,18 +54,44 @@ void FillPartition(const partition::Partition& partition, runner::ResultRow* row
 // (profile -> graph, partitioner -> profile + cluster), so a Context is
 // constructed in place, held by shared_ptr, and never copied or moved.
 // Immutable after construction, hence safe to share across request threads.
+// The request fields it was built from are kept as its key.
 struct PlanService::Context {
+  bool from_spec;
+  std::string cluster_text;
+  std::string model_name;
+  int batch_size;
   hw::Cluster cluster;
   model::ModelGraph graph;
   model::ModelProfile profile;
   partition::Partitioner partitioner;
 
-  Context(hw::Cluster built_cluster, model::ModelGraph built_graph, int batch_size)
-      : cluster(std::move(built_cluster)),
+  Context(const PlanRequest& request, hw::Cluster built_cluster, model::ModelGraph built_graph)
+      : from_spec(!request.cluster_spec.empty()),
+        cluster_text(from_spec ? request.cluster_spec : request.cluster_nodes),
+        model_name(request.model),
+        batch_size(request.batch_size),
+        cluster(std::move(built_cluster)),
         graph(std::move(built_graph)),
         profile(graph, batch_size),
         partitioner(profile, cluster) {}
 };
+
+size_t PlanService::ContextKeyHash::operator()(const ContextKey& key) const {
+  const std::hash<std::string_view> hash;
+  size_t h = hash(key.cluster);
+  h = h * 31 + hash(key.model);
+  return h * 31 + static_cast<size_t>(key.batch_size) * 2 + (key.from_spec ? 1 : 0);
+}
+
+PlanService::ContextKey PlanService::KeyOf(const PlanRequest& request) {
+  const bool from_spec = !request.cluster_spec.empty();
+  return {from_spec, from_spec ? request.cluster_spec : request.cluster_nodes, request.model,
+          request.batch_size};
+}
+
+PlanService::ContextKey PlanService::KeyOf(const Context& context) {
+  return {context.from_spec, context.cluster_text, context.model_name, context.batch_size};
+}
 
 PlanService::PlanService(runner::PartitionCache* cache, PlanServiceOptions options)
     : cache_(cache), options_(options) {}
@@ -74,20 +100,17 @@ PlanService::~PlanService() = default;
 
 int64_t PlanService::contexts() const {
   util::ReaderMutexLock lock(contexts_mu_);
-  return static_cast<int64_t>(context_list_.size());
+  return static_cast<int64_t>(contexts_.size());
 }
 
 std::shared_ptr<const PlanService::Context> PlanService::GetContext(const PlanRequest& request,
                                                                     ErrorCode* code,
                                                                     std::string* error) {
-  const std::string key = (request.cluster_spec.empty() ? "nodes:" + request.cluster_nodes
-                                                        : "spec:" + request.cluster_spec) +
-                          "\n" + request.model + "\n" + std::to_string(request.batch_size);
+  const ContextKey key = KeyOf(request);
   {
     util::ReaderMutexLock lock(contexts_mu_);
-    for (const auto& [context_key, context] : context_list_) {
-      if (context_key == key) return context;
-    }
+    const auto it = contexts_.find(key);
+    if (it != contexts_.end()) return it->second;
   }
 
   // Miss: build outside the lock (construction parses a spec and profiles a
@@ -110,8 +133,7 @@ std::shared_ptr<const PlanService::Context> PlanService::GetContext(const PlanRe
     hw::Cluster cluster = request.cluster_spec.empty()
                               ? hw::Cluster::PaperSubset(request.cluster_nodes)
                               : hw::ClusterSpec::Parse(request.cluster_spec).Build();
-    built = std::make_shared<const Context>(std::move(cluster), core::BuildModel(kind),
-                                            request.batch_size);
+    built = std::make_shared<const Context>(request, std::move(cluster), core::BuildModel(kind));
   } catch (const std::exception& e) {
     *code = ErrorCode::kBadSpec;
     *error = e.what();
@@ -119,13 +141,15 @@ std::shared_ptr<const PlanService::Context> PlanService::GetContext(const PlanRe
   }
 
   util::WriterMutexLock lock(contexts_mu_);
-  for (const auto& [context_key, context] : context_list_) {
-    if (context_key == key) return context;
-  }
-  context_list_.emplace_back(key, built);
+  const auto [it, inserted] = contexts_.emplace(KeyOf(*built), built);
+  if (!inserted) return it->second;
+  context_order_.push_back(built);
   while (options_.max_contexts > 0 &&
-         static_cast<int64_t>(context_list_.size()) > options_.max_contexts) {
-    context_list_.pop_front();
+         static_cast<int64_t>(context_order_.size()) > options_.max_contexts) {
+    // The deque's reference keeps the evicted context's key strings alive
+    // through the erase.
+    contexts_.erase(KeyOf(*context_order_.front()));
+    context_order_.pop_front();
   }
   return built;
 }

@@ -2,9 +2,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
+#include <deque>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 
 #include "runner/partition_cache.h"
 #include "runner/result_sink.h"
@@ -38,7 +40,7 @@ struct PlanServiceOptions {
 // runner::RowToJson of that row).
 //
 // Thread-safety: Handle/HandleJson are safe to call concurrently from any
-// number of threads. The context memo is a shared_mutex map (readers
+// number of threads. The context memo is a shared_mutex hash map (readers
 // concurrent, inserts single-writer). A context is built outside the lock,
 // so threads missing on one key at once may each build one; the first
 // insert is kept and every caller gets it, the others are dropped. The
@@ -78,6 +80,25 @@ class PlanService {
  private:
   struct Context;
 
+  // What a context is built from, compared field by field: the cluster text
+  // (spec, or paper node codes when there is no spec), the model and the
+  // batch size. A key in the map views strings its own context owns.
+  struct ContextKey {
+    bool from_spec = false;
+    std::string_view cluster;
+    std::string_view model;
+    int batch_size = 0;
+    bool operator==(const ContextKey& other) const {
+      return from_spec == other.from_spec && batch_size == other.batch_size &&
+             cluster == other.cluster && model == other.model;
+    }
+  };
+  struct ContextKeyHash {
+    size_t operator()(const ContextKey& key) const;
+  };
+  static ContextKey KeyOf(const PlanRequest& request);
+  static ContextKey KeyOf(const Context& context);
+
   // Returns the memoized context for the request's (cluster, model, batch),
   // building it on a miss (racing misses may each build; the first insert
   // wins). Null on failure, with `code`/`error` set.
@@ -88,11 +109,12 @@ class PlanService {
   PlanServiceOptions options_;
 
   mutable util::SharedMutex contexts_mu_;
-  // Key -> context, with insertion order tracked for FIFO eviction (a plan
+  // Key -> context, with insertion order kept for FIFO eviction (a plan
   // service's working set is a handful of clusters; LRU precision is not
   // worth per-read writes here).
-  std::list<std::pair<std::string, std::shared_ptr<const Context>>> context_list_
+  std::unordered_map<ContextKey, std::shared_ptr<const Context>, ContextKeyHash> contexts_
       GUARDED_BY(contexts_mu_);
+  std::deque<std::shared_ptr<const Context>> context_order_ GUARDED_BY(contexts_mu_);
 
   std::atomic<int64_t> requests_{0};
   std::atomic<int64_t> errors_{0};

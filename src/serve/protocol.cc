@@ -1,14 +1,17 @@
 #include "serve/protocol.h"
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
-#include <cctype>
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <string_view>
+#include <utility>
 
 #include "partition/partitioner.h"
 #include "runner/result_sink.h"
@@ -41,12 +44,51 @@ const char* ErrorCodeName(ErrorCode code) {
 
 namespace {
 
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+// True when `token` is a number by the RFC 8259 section 6 grammar:
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+bool IsJsonNumber(std::string_view token) {
+  size_t i = 0;
+  const auto digits = [&] {
+    const size_t start = i;
+    while (i < token.size() && IsDigit(token[i])) {
+      ++i;
+    }
+    return i > start;
+  };
+  if (i < token.size() && token[i] == '-') {
+    ++i;
+  }
+  if (i < token.size() && token[i] == '0') {
+    ++i;
+  } else if (!digits()) {
+    return false;
+  }
+  if (i < token.size() && token[i] == '.') {
+    ++i;
+    if (!digits()) {
+      return false;
+    }
+  }
+  if (i < token.size() && (token[i] == 'e' || token[i] == 'E')) {
+    ++i;
+    if (i < token.size() && (token[i] == '+' || token[i] == '-')) {
+      ++i;
+    }
+    if (!digits()) {
+      return false;
+    }
+  }
+  return i == token.size();
+}
+
 // Recursive-descent reader over the payload. Positions advance only on
 // success; every failure records the byte offset so protocol errors point at
 // the offending character, not just "bad JSON".
 class JsonReader {
  public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
+  explicit JsonReader(std::string_view text) : text_(text) {}
 
   bool Fail(const std::string& message) {
     if (error_.empty()) {
@@ -63,11 +105,6 @@ class JsonReader {
     }
   }
 
-  bool AtEnd() {
-    SkipWs();
-    return pos_ >= text_.size();
-  }
-
   bool Expect(char c) {
     SkipWs();
     if (pos_ >= text_.size() || text_[pos_] != c) {
@@ -82,91 +119,132 @@ class JsonReader {
     return pos_ < text_.size() && text_[pos_] == c;
   }
 
+  // Walks one top-level object and nothing after it, handing each member to
+  // `on_field(std::string& key, JsonValue& value)` in document order; both
+  // are scratch the callee may move from.
+  template <typename OnField>
+  bool ParseObject(OnField on_field) {
+    if (!Expect('{')) {
+      return false;
+    }
+    if (!Peek('}')) {
+      std::string key;
+      JsonValue value;
+      for (;;) {
+        if (!ParseString(&key) || !Expect(':') || !ParseValue(&value)) {
+          return false;
+        }
+        on_field(key, value);
+        if (!Peek(',')) {
+          break;
+        }
+        ++pos_;
+      }
+    }
+    if (!Expect('}')) {
+      return false;
+    }
+    SkipWs();
+    if (pos_ < text_.size()) {
+      error_ = "trailing bytes after the object";
+      return false;
+    }
+    return true;
+  }
+
   bool ParseString(std::string* out) {
     if (!Expect('"')) {
       return false;
     }
     out->clear();
+    size_t run = pos_;  // start of the bytes not yet copied to `out`
     while (pos_ < text_.size()) {
       const char c = text_[pos_++];
+      if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) {
+        continue;
+      }
+      out->append(text_.data() + run, pos_ - 1 - run);
       if (c == '"') {
         return true;
       }
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return Fail("raw control character in string");
-      }
       if (c != '\\') {
-        out->push_back(c);
-        continue;
+        return Fail("raw control character in string");
       }
       if (pos_ >= text_.size()) {
         break;
       }
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"':
-          out->push_back('"');
-          break;
-        case '\\':
-          out->push_back('\\');
-          break;
-        case '/':
-          out->push_back('/');
-          break;
-        case 'b':
-          out->push_back('\b');
-          break;
-        case 'f':
-          out->push_back('\f');
-          break;
-        case 'n':
-          out->push_back('\n');
-          break;
-        case 'r':
-          out->push_back('\r');
-          break;
-        case 't':
-          out->push_back('\t');
-          break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) {
-            return Fail("truncated \\u escape");
-          }
-          unsigned value = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            value <<= 4;
-            if (h >= '0' && h <= '9') {
-              value |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              value |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              value |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return Fail("bad \\u escape digit");
-            }
-          }
-          // The writer side only emits \u00XX (control characters); decode
-          // the BMP as UTF-8 so any well-formed producer round-trips.
-          if (value < 0x80) {
-            out->push_back(static_cast<char>(value));
-          } else if (value < 0x800) {
-            out->push_back(static_cast<char>(0xC0 | (value >> 6)));
-            out->push_back(static_cast<char>(0x80 | (value & 0x3F)));
-          } else {
-            out->push_back(static_cast<char>(0xE0 | (value >> 12)));
-            out->push_back(static_cast<char>(0x80 | ((value >> 6) & 0x3F)));
-            out->push_back(static_cast<char>(0x80 | (value & 0x3F)));
-          }
-          break;
-        }
-        default:
-          return Fail("unknown escape");
+      if (!ParseEscape(out)) {
+        return false;
       }
+      run = pos_;
     }
     return Fail("unterminated string");
   }
 
+  // Decodes one escape (after its backslash) onto `out`.
+  bool ParseEscape(std::string* out) {
+    const char esc = text_[pos_++];
+    switch (esc) {
+      case '"':
+      case '\\':
+      case '/':
+        out->push_back(esc);
+        return true;
+      case 'b':
+        out->push_back('\b');
+        return true;
+      case 'f':
+        out->push_back('\f');
+        return true;
+      case 'n':
+        out->push_back('\n');
+        return true;
+      case 'r':
+        out->push_back('\r');
+        return true;
+      case 't':
+        out->push_back('\t');
+        return true;
+      case 'u':
+        break;
+      default:
+        return Fail("unknown escape");
+    }
+    if (pos_ + 4 > text_.size()) {
+      return Fail("truncated \\u escape");
+    }
+    unsigned value = 0;
+    for (int i = 0; i < 4; ++i) {
+      const char h = text_[pos_++];
+      value <<= 4;
+      if (IsDigit(h)) {
+        value |= static_cast<unsigned>(h - '0');
+      } else if (h >= 'a' && h <= 'f') {
+        value |= static_cast<unsigned>(h - 'a' + 10);
+      } else if (h >= 'A' && h <= 'F') {
+        value |= static_cast<unsigned>(h - 'A' + 10);
+      } else {
+        return Fail("bad \\u escape digit");
+      }
+    }
+    // The writer side only emits \u00XX (control characters); decode the BMP
+    // as UTF-8 so any well-formed producer round-trips.
+    if (value < 0x80) {
+      out->push_back(static_cast<char>(value));
+    } else if (value < 0x800) {
+      out->push_back(static_cast<char>(0xC0 | (value >> 6)));
+      out->push_back(static_cast<char>(0x80 | (value & 0x3F)));
+    } else {
+      out->push_back(static_cast<char>(0xE0 | (value >> 12)));
+      out->push_back(static_cast<char>(0x80 | ((value >> 6) & 0x3F)));
+      out->push_back(static_cast<char>(0x80 | (value & 0x3F)));
+    }
+    return true;
+  }
+
+  // The token is every byte that could belong to a number, so the error
+  // names all of a malformed one; it must then match the JSON grammar and
+  // decode to a double in range (subnormals included).
   bool ParseNumber(JsonValue* out) {
     SkipWs();
     const size_t start = pos_;
@@ -174,20 +252,19 @@ class JsonReader {
       ++pos_;
     }
     while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '+' ||
-            text_[pos_] == '-')) {
+           (IsDigit(text_[pos_]) || text_[pos_] == '.' || text_[pos_] == 'e' ||
+            text_[pos_] == 'E' || text_[pos_] == '+' || text_[pos_] == '-')) {
       ++pos_;
     }
     if (pos_ == start) {
       return Fail("expected a number");
     }
-    const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    errno = 0;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size() || errno == ERANGE || !std::isfinite(value)) {
-      return Fail("malformed number \"" + token + "\"");
+    const std::string_view token = text_.substr(start, pos_ - start);
+    const char* end = token.data() + token.size();
+    double value = 0.0;
+    // Out of range (1e400, or an underflow such as 1e-400) is an error.
+    if (!IsJsonNumber(token) || std::from_chars(token.data(), end, value).ec != std::errc()) {
+      return Fail("malformed number \"" + std::string(token) + "\"");
     }
     out->type = JsonValue::Type::kNumber;
     out->num = value;
@@ -202,10 +279,10 @@ class JsonReader {
     const char open = text_[pos_];
     const char close = open == '{' ? '}' : ']';
     int depth = 0;
+    std::string ignored;
     while (pos_ < text_.size()) {
       const char c = text_[pos_];
       if (c == '"') {
-        std::string ignored;
         if (!ParseString(&ignored)) {
           return false;
         }
@@ -218,7 +295,7 @@ class JsonReader {
         --depth;
         if (depth == 0) {
           out->type = JsonValue::Type::kRaw;
-          out->str = text_.substr(start, pos_ - start);
+          out->str.assign(text_.data() + start, pos_ - start);
           return true;
         }
         if (depth < 0) {
@@ -230,6 +307,9 @@ class JsonReader {
   }
 
   bool ParseValue(JsonValue* out) {
+    out->str.clear();
+    out->num = 0.0;
+    out->boolean = false;
     SkipWs();
     if (pos_ >= text_.size()) {
       return Fail("expected a value");
@@ -251,7 +331,6 @@ class JsonReader {
     if (text_.compare(pos_, 5, "false") == 0) {
       pos_ += 5;
       out->type = JsonValue::Type::kBool;
-      out->boolean = false;
       return true;
     }
     if (text_.compare(pos_, 4, "null") == 0) {
@@ -263,7 +342,7 @@ class JsonReader {
   }
 
  private:
-  const std::string& text_;
+  std::string_view text_;
   size_t pos_ = 0;
   std::string error_;
 };
@@ -274,58 +353,16 @@ void SetError(std::string* error, const std::string& message) {
   }
 }
 
-// Reads exactly `size` bytes, looping over short reads and EINTR. Returns
-// bytes read before EOF (== size on success), or -1 on error.
-ssize_t ReadFully(int fd, char* data, size_t size) {
-  size_t got = 0;
-  while (got < size) {
-    const ssize_t n = ::read(fd, data + got, size - got);
-    if (n == 0) {
-      break;
-    }
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return -1;
-    }
-    got += static_cast<size_t>(n);
-  }
-  return static_cast<ssize_t>(got);
-}
-
 }  // namespace
 
 bool ParseJsonObject(const std::string& text, std::map<std::string, JsonValue>* out,
                      std::string* error) {
   out->clear();
   JsonReader reader(text);
-  if (!reader.Expect('{')) {
+  if (!reader.ParseObject([&](std::string& key, JsonValue& value) {
+        (*out)[key] = std::move(value);
+      })) {
     SetError(error, reader.error());
-    return false;
-  }
-  if (!reader.Peek('}')) {
-    for (;;) {
-      std::string key;
-      JsonValue value;
-      if (!reader.ParseString(&key) || !reader.Expect(':') || !reader.ParseValue(&value)) {
-        SetError(error, reader.error());
-        return false;
-      }
-      (*out)[key] = std::move(value);
-      if (reader.Peek(',')) {
-        reader.Expect(',');
-        continue;
-      }
-      break;
-    }
-  }
-  if (!reader.Expect('}')) {
-    SetError(error, reader.error());
-    return false;
-  }
-  if (!reader.AtEnd()) {
-    SetError(error, "trailing bytes after the object");
     return false;
   }
   return true;
@@ -356,14 +393,17 @@ bool WriteFrame(int fd, const std::string& payload, uint32_t max_frame_bytes,
                         std::to_string(max_frame_bytes) + "-byte bound");
     return false;
   }
-  const uint32_t size = static_cast<uint32_t>(payload.size());
-  std::string frame(reinterpret_cast<const char*>(&size), sizeof(size));
-  frame += payload;
-  size_t sent = 0;
-  while (sent < frame.size()) {
+  uint32_t size = static_cast<uint32_t>(payload.size());
+  iovec parts[2] = {{&size, sizeof(size)},
+                    {const_cast<char*>(payload.data()), payload.size()}};
+  msghdr message{};
+  message.msg_iov = parts;
+  message.msg_iovlen = 2;
+  size_t left = sizeof(size) + payload.size();
+  while (left > 0) {
     // MSG_NOSIGNAL: a peer that vanished mid-response must surface as EPIPE,
     // not kill the daemon with SIGPIPE.
-    const ssize_t n = ::send(fd, frame.data() + sent, frame.size() - sent, MSG_NOSIGNAL);
+    const ssize_t n = ::sendmsg(fd, &message, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) {
         continue;
@@ -371,19 +411,63 @@ bool WriteFrame(int fd, const std::string& payload, uint32_t max_frame_bytes,
       SetError(error, "send: " + ErrnoString(errno));
       return false;
     }
-    sent += static_cast<size_t>(n);
+    left -= static_cast<size_t>(n);
+    // Step the iovecs past what was sent.
+    for (size_t sent = static_cast<size_t>(n); sent > 0;) {
+      iovec& part = message.msg_iov[0];
+      const size_t step = std::min(sent, part.iov_len);
+      part.iov_base = static_cast<char*>(part.iov_base) + step;
+      part.iov_len -= step;
+      sent -= step;
+      if (part.iov_len == 0) {
+        ++message.msg_iov;
+        --message.msg_iovlen;
+      }
+    }
   }
   return true;
 }
 
-FrameResult ReadFrame(int fd, uint32_t max_frame_bytes, std::string* payload,
-                      std::string* error) {
+ssize_t FrameReader::Fill(char* data, size_t size) {
+  size_t got = std::min(size, tail_ - head_);
+  std::memcpy(data, buffer_ + head_, got);
+  head_ += got;
+  while (got < size) {
+    // Read ahead only for what fits: the rest of a long body goes straight
+    // into `data`, and without read-ahead nothing past the frame is taken.
+    const bool direct = !read_ahead_ || size - got >= sizeof(buffer_);
+    const ssize_t n = direct ? ::read(fd_, data + got, size - got)
+                             : ::read(fd_, buffer_, sizeof(buffer_));
+    if (n == 0) {
+      break;
+    }
+    if (n < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      return -1;
+    }
+    if (direct) {
+      got += static_cast<size_t>(n);
+      continue;
+    }
+    const size_t take = std::min(size - got, static_cast<size_t>(n));
+    std::memcpy(data + got, buffer_, take);
+    got += take;
+    head_ = take;
+    tail_ = static_cast<size_t>(n);
+  }
+  return static_cast<ssize_t>(got);
+}
+
+FrameResult FrameReader::Read(uint32_t max_frame_bytes, std::string* payload,
+                              std::string* error) {
   uint32_t size = 0;
-  const ssize_t header = ReadFully(fd, reinterpret_cast<char*>(&size), sizeof(size));
+  const ssize_t header = Fill(reinterpret_cast<char*>(&size), sizeof(size));
   if (header == 0) {
     return FrameResult::kEof;  // clean close between frames
   }
-  if (header < 0 || header != static_cast<ssize_t>(sizeof(size))) {
+  if (header != static_cast<ssize_t>(sizeof(size))) {
     SetError(error, header < 0 ? "read: " + ErrnoString(errno)
                                : std::string("stream ended inside a length prefix"));
     return FrameResult::kError;
@@ -394,13 +478,18 @@ FrameResult ReadFrame(int fd, uint32_t max_frame_bytes, std::string* payload,
     return FrameResult::kError;
   }
   payload->resize(size);
-  const ssize_t body = size == 0 ? 0 : ReadFully(fd, payload->data(), size);
+  const ssize_t body = size == 0 ? 0 : Fill(payload->data(), size);
   if (body != static_cast<ssize_t>(size)) {
     SetError(error, body < 0 ? "read: " + ErrnoString(errno)
                              : std::string("stream ended inside a frame payload"));
     return FrameResult::kError;
   }
   return FrameResult::kFrame;
+}
+
+FrameResult ReadFrame(int fd, uint32_t max_frame_bytes, std::string* payload,
+                      std::string* error) {
+  return FrameReader(fd, /*read_ahead=*/false).Read(max_frame_bytes, payload, error);
 }
 
 std::string PlanRequest::ToJson() const {
@@ -439,35 +528,64 @@ std::string PlanRequest::ToJson() const {
 
 namespace {
 
+// The request fields, in the order ParsePlanRequest checks them: when several
+// are invalid, the first in this order is the one reported.
+enum Field {
+  kVersion,
+  kOp,
+  kId,
+  kClusterSpec,
+  kClusterNodes,
+  kModel,
+  kSelector,
+  kNm,
+  kNmCap,
+  kBatchSize,
+  kSearchOrders,
+  kStrategy,
+  kBeamWidth,
+  kRackOrderLimit,
+  kNumFields,
+};
+constexpr std::string_view kFieldNames[kNumFields] = {
+    "v",     "op",         "id",        "cluster_spec",  "cluster_nodes",
+    "model", "selector",   "nm",        "nm_cap",        "batch_size",
+    "search_orders",       "strategy",  "beam_width",    "rack_order_limit"};
+
+// The last value of each known field in one request object (a later
+// duplicate key wins; unknown keys are dropped as they are read).
+struct RequestFields {
+  JsonValue value[kNumFields];
+  bool present[kNumFields] = {};
+};
+
 // Field decoding helpers shared by ParsePlanRequest: every type mismatch is
 // a kBadRequest naming the field, never a silent default.
-bool TakeString(const std::map<std::string, JsonValue>& fields, const std::string& key,
-                std::string* out, std::string* error) {
-  auto it = fields.find(key);
-  if (it == fields.end()) {
+bool TakeString(RequestFields* fields, Field field, std::string* out, std::string* error) {
+  if (!fields->present[field]) {
     return true;
   }
-  if (it->second.type != JsonValue::Type::kString) {
-    *error = "field \"" + key + "\" must be a string";
+  if (fields->value[field].type != JsonValue::Type::kString) {
+    *error = "field \"" + std::string(kFieldNames[field]) + "\" must be a string";
     return false;
   }
-  *out = it->second.str;
+  *out = std::move(fields->value[field].str);
   return true;
 }
 
-bool TakeInt(const std::map<std::string, JsonValue>& fields, const std::string& key, int min,
-             int max, int* out, std::string* error) {
-  auto it = fields.find(key);
-  if (it == fields.end()) {
+bool TakeInt(const RequestFields& fields, Field field, int min, int max, int* out,
+             std::string* error) {
+  if (!fields.present[field]) {
     return true;
   }
-  const JsonValue& v = it->second;
+  const JsonValue& v = fields.value[field];
+  const std::string name(kFieldNames[field]);
   if (v.type != JsonValue::Type::kNumber || v.num != std::floor(v.num)) {
-    *error = "field \"" + key + "\" must be an integer";
+    *error = "field \"" + name + "\" must be an integer";
     return false;
   }
   if (v.num < min || v.num > max) {
-    *error = "field \"" + key + "\" must be in [" + std::to_string(min) + ", " +
+    *error = "field \"" + name + "\" must be in [" + std::to_string(min) + ", " +
              std::to_string(max) + "]";
     return false;
   }
@@ -475,17 +593,15 @@ bool TakeInt(const std::map<std::string, JsonValue>& fields, const std::string& 
   return true;
 }
 
-bool TakeBool(const std::map<std::string, JsonValue>& fields, const std::string& key, bool* out,
-              std::string* error) {
-  auto it = fields.find(key);
-  if (it == fields.end()) {
+bool TakeBool(const RequestFields& fields, Field field, bool* out, std::string* error) {
+  if (!fields.present[field]) {
     return true;
   }
-  if (it->second.type != JsonValue::Type::kBool) {
-    *error = "field \"" + key + "\" must be a boolean";
+  if (fields.value[field].type != JsonValue::Type::kBool) {
+    *error = "field \"" + std::string(kFieldNames[field]) + "\" must be a boolean";
     return false;
   }
-  *out = it->second.boolean;
+  *out = fields.value[field].boolean;
   return true;
 }
 
@@ -494,28 +610,37 @@ bool TakeBool(const std::map<std::string, JsonValue>& fields, const std::string&
 bool ParsePlanRequest(const std::string& payload, PlanRequest* out, ErrorCode* code,
                       std::string* error) {
   *out = PlanRequest();
-  std::map<std::string, JsonValue> fields;
-  std::string parse_error;
-  if (!ParseJsonObject(payload, &fields, &parse_error)) {
+  RequestFields fields;
+  JsonReader reader(payload);
+  const bool parsed = reader.ParseObject([&fields](std::string& key, JsonValue& value) {
+    for (int f = 0; f < kNumFields; ++f) {
+      if (key == kFieldNames[f]) {
+        std::swap(fields.value[f], value);
+        fields.present[f] = true;
+        return;
+      }
+    }
+  });
+  if (!parsed) {
     *code = ErrorCode::kBadJson;
-    *error = parse_error;
+    *error = reader.error();
     return false;
   }
 
   int version = kProtocolVersion;
-  if (!TakeInt(fields, "v", 0, std::numeric_limits<int>::max(), &version, error) ||
-      !TakeString(fields, "op", &out->op, error) || !TakeString(fields, "id", &out->id, error) ||
-      !TakeString(fields, "cluster_spec", &out->cluster_spec, error) ||
-      !TakeString(fields, "cluster_nodes", &out->cluster_nodes, error) ||
-      !TakeString(fields, "model", &out->model, error) ||
-      !TakeString(fields, "selector", &out->selector, error) ||
-      !TakeInt(fields, "nm", 1, 1024, &out->nm, error) ||
-      !TakeInt(fields, "nm_cap", 1, 1024, &out->nm_cap, error) ||
-      !TakeInt(fields, "batch_size", 1, 65536, &out->batch_size, error) ||
-      !TakeBool(fields, "search_orders", &out->search_orders, error) ||
-      !TakeString(fields, "strategy", &out->strategy, error) ||
-      !TakeInt(fields, "beam_width", 1, 4096, &out->beam_width, error) ||
-      !TakeInt(fields, "rack_order_limit", 1, 1000000, &out->rack_order_limit, error)) {
+  if (!TakeInt(fields, kVersion, 0, std::numeric_limits<int>::max(), &version, error) ||
+      !TakeString(&fields, kOp, &out->op, error) || !TakeString(&fields, kId, &out->id, error) ||
+      !TakeString(&fields, kClusterSpec, &out->cluster_spec, error) ||
+      !TakeString(&fields, kClusterNodes, &out->cluster_nodes, error) ||
+      !TakeString(&fields, kModel, &out->model, error) ||
+      !TakeString(&fields, kSelector, &out->selector, error) ||
+      !TakeInt(fields, kNm, 1, 1024, &out->nm, error) ||
+      !TakeInt(fields, kNmCap, 1, 1024, &out->nm_cap, error) ||
+      !TakeInt(fields, kBatchSize, 1, 65536, &out->batch_size, error) ||
+      !TakeBool(fields, kSearchOrders, &out->search_orders, error) ||
+      !TakeString(&fields, kStrategy, &out->strategy, error) ||
+      !TakeInt(fields, kBeamWidth, 1, 4096, &out->beam_width, error) ||
+      !TakeInt(fields, kRackOrderLimit, 1, 1000000, &out->rack_order_limit, error)) {
     *code = ErrorCode::kBadRequest;
     return false;
   }

@@ -1,5 +1,8 @@
 #pragma once
 
+#include <sys/types.h>
+
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -73,8 +76,9 @@ std::string ErrnoString(int errno_value);
 
 // ---- Framed stream I/O (POSIX fd) ----
 
-// Writes one frame; loops over partial writes, suppresses SIGPIPE. Returns
-// false and fills `error` on I/O failure or an oversized payload.
+// Writes one frame: the length prefix and the payload in one sendmsg, looping
+// over partial writes; suppresses SIGPIPE. Returns false and fills `error` on
+// I/O failure or an oversized payload.
 bool WriteFrame(int fd, const std::string& payload, uint32_t max_frame_bytes,
                 std::string* error);
 
@@ -83,8 +87,45 @@ enum class FrameResult {
   kEof,    // clean end of stream at a frame boundary
   kError,  // I/O failure, truncated frame, or oversized length prefix
 };
-// Reads one frame; blocks until a full frame, EOF, or error. EOF inside a
-// frame (after the prefix, before the payload completes) is kError.
+
+// Bytes a FrameReader reads ahead: a plan request or a warm answer fits, so
+// one read() usually returns a frame's prefix and body together.
+constexpr size_t kFrameReadAhead = 4096;
+
+// Reads frames off one stream. With read-ahead (what a connection's owner
+// uses) each read() fills a small buffer and bytes past the frame wait there
+// for the next Read; a body longer than the buffer is read straight into the
+// payload. Without it, exactly the frame's bytes are read and the rest of the
+// stream stays in the kernel. Not thread-safe: one reader per connection.
+class FrameReader {
+ public:
+  explicit FrameReader(int fd = -1, bool read_ahead = true)
+      : fd_(fd), read_ahead_(read_ahead) {}
+
+  // Points the reader at another stream, dropping any buffered bytes.
+  void Reset(int fd) {
+    fd_ = fd;
+    head_ = tail_ = 0;
+  }
+
+  // Reads one frame; blocks until a full frame, EOF, or error. EOF inside a
+  // frame (after the prefix, before the payload completes) is kError.
+  FrameResult Read(uint32_t max_frame_bytes, std::string* payload, std::string* error);
+
+ private:
+  // Fills `size` bytes, looping over short reads and EINTR. Returns the bytes
+  // filled before EOF (== size on success), or -1 on error.
+  ssize_t Fill(char* data, size_t size);
+
+  int fd_;
+  bool read_ahead_;
+  size_t head_ = 0;  // buffer_[head_, tail_) is read but not yet consumed
+  size_t tail_ = 0;
+  char buffer_[kFrameReadAhead];
+};
+
+// Reads one frame without read-ahead (FrameReader's rules and errors), so the
+// caller may hand the fd to anything else between frames.
 FrameResult ReadFrame(int fd, uint32_t max_frame_bytes, std::string* payload,
                       std::string* error);
 

@@ -114,10 +114,11 @@ void PlanServer::AcceptLoop() {
 }
 
 void PlanServer::HandleConnection(int fd) {
+  FrameReader reader(fd);
   std::string payload;
   std::string error;
   while (true) {
-    FrameResult result = ReadFrame(fd, options_.max_frame_bytes, &payload, &error);
+    FrameResult result = reader.Read(options_.max_frame_bytes, &payload, &error);
     if (result != FrameResult::kFrame) break;
 
     runner::ResultRow row;
@@ -187,8 +188,9 @@ void PlanServer::RequestShutdown() {
   const int listen_fd = listen_fd_.load(std::memory_order_acquire);
   if (listen_fd >= 0) ::shutdown(listen_fd, SHUT_RDWR);
 
-  // Half-close open connections: readers blocked in ReadFrame see EOF, but
-  // responses in flight still write. HandleConnection owns the full close.
+  // Half-close open connections: readers blocked in FrameReader::Read see
+  // EOF, but responses in flight still write. HandleConnection owns the full
+  // close.
   {
     util::MutexLock lock(conn_mu_);
     for (int fd : connections_) ::shutdown(fd, SHUT_RD);

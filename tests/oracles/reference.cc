@@ -1,8 +1,10 @@
 #include "oracles/reference.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 
@@ -190,6 +192,16 @@ partition::Partition SolveReference(const partition::Partitioner& partitioner,
     }
   }
   return best;
+}
+
+std::string FormatDoubleOstream(double v) {
+  if (!std::isfinite(v)) {
+    return "null";
+  }
+  std::ostringstream os;
+  os.precision(12);
+  os << v;
+  return os.str();
 }
 
 }  // namespace hetpipe::oracles

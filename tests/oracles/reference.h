@@ -7,6 +7,7 @@
 // link it as the hetpipe_oracles library.
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "hw/gpu_spec.h"
@@ -43,5 +44,10 @@ partition::Partition SolveFixedOrderReference(const partition::Partitioner& part
 partition::Partition SolveReference(const partition::Partitioner& partitioner,
                                     const std::vector<int>& gpu_ids,
                                     const partition::PartitionOptions& options);
+
+// A double as the result sinks used to render it: an ostringstream at
+// precision(12), and "null" for NaN and the infinities. The to_chars encoder
+// behind ResultRow::Get and RowToJson must print the same bytes.
+std::string FormatDoubleOstream(double v);
 
 }  // namespace hetpipe::oracles

@@ -725,6 +725,20 @@ TEST(SearchStrategyTest, EstimateOrderCountMatchesEnumerator) {
   // Saturation: the count is capped, never overflowed.
   EXPECT_EQ(EstimateOrderCount(cluster, {0, 4, 8, 12}, 5), 5u);
   EXPECT_EQ(EstimateOrderCount(cluster, {0, 1, 2, 3}, 1), 1u);
+  // Every cap gives min(count, cap), in any id order (the tier choice
+  // compares against exact_order_limit + 1).
+  for (const std::vector<int>& gpus :
+       {std::vector<int>{0, 1, 4, 5, 8, 9}, std::vector<int>{12, 0, 4, 13, 8, 1, 5},
+        std::vector<int>{0, 1, 2, 4, 5, 8}}) {
+    const uint64_t count = DistinctClassOrders(cluster, gpus).size();
+    for (uint64_t cap = 1; cap <= count + 2; ++cap) {
+      EXPECT_EQ(EstimateOrderCount(cluster, gpus, cap), std::min(count, cap)) << cap;
+    }
+  }
+  std::vector<int> all(16);
+  std::iota(all.begin(), all.end(), 0);
+  EXPECT_EQ(EstimateOrderCount(cluster, all, uint64_t{1} << 62),
+            uint64_t{63063000});  // 16! / (4!)^4
 }
 
 TEST(SearchStrategyTest, SelectorKeepsTractableInputsExact) {

@@ -9,8 +9,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <limits>
+#include <random>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -22,6 +24,7 @@
 #include "hw/cluster_spec.h"
 #include "model/resnet.h"
 #include "model/vgg.h"
+#include "oracles/reference.h"
 #include "partition/partitioner.h"
 #include "runner/cli.h"
 #include "runner/partition_cache.h"
@@ -1204,6 +1207,66 @@ TEST(ResultSinkTest, RowGetRendersValues) {
   EXPECT_EQ(row.Get("b"), "text");
   EXPECT_EQ(row.Get("c"), "false");
   EXPECT_EQ(row.Get("missing"), "");
+}
+
+// The sinks print doubles with to_chars(general, 12); the old encoder used
+// an ostringstream at precision(12). Both are printf's %.12g, so every value
+// must print the same: 2M seeded doubles over random bit patterns, decimal
+// ranges, integers, round-half ties at the 12th digit, signed zeros and
+// subnormals.
+TEST(ResultSinkTest, DoubleFormatMatchesOstreamOracle) {
+  std::mt19937_64 rng(0xd0b1e5);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                1.0,
+                                -1.0,
+                                0.1,
+                                1e15,
+                                1e16,
+                                123456789012.5,
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::lowest(),
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::epsilon(),
+                                std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN()};
+  constexpr int kPerKind = 500000;
+  for (int i = 0; i < kPerKind; ++i) {
+    // Any bit pattern: NaNs, infinities, subnormals and both signs included.
+    const uint64_t bits = rng();
+    double any = 0.0;
+    std::memcpy(&any, &bits, sizeof(any));
+    values.push_back(any);
+    // A decimal range from 1e-30 to 1e30, either sign.
+    const double scaled = unit(rng) * std::pow(10.0, static_cast<int>(rng() % 61) - 30);
+    values.push_back(rng() % 2 == 0 ? scaled : -scaled);
+    // Integers, small and up to 2^53.
+    values.push_back(static_cast<double>(static_cast<int64_t>(rng() % (uint64_t{1} << 53)) -
+                                         (rng() % 2 == 0 ? 0 : (int64_t{1} << 52))));
+    // A 13-digit mantissa ending in 5 (a tie at the 12th digit before binary
+    // rounding), or a subnormal.
+    if (i % 2 == 0) {
+      const double tie =
+          static_cast<double>((1000000000000 + rng() % 9000000000000) / 10 * 10 + 5);
+      values.push_back(tie * std::pow(10.0, static_cast<int>(rng() % 40) - 30));
+    } else {
+      values.push_back(std::numeric_limits<double>::denorm_min() *
+                       static_cast<double>(rng() % (uint64_t{1} << 52)));
+    }
+  }
+  ASSERT_GE(values.size(), 2000000u);
+  size_t mismatches = 0;
+  for (double v : values) {
+    ResultRow row;
+    row.Set("x", v);
+    const std::string want = oracles::FormatDoubleOstream(v);
+    if (row.Get("x") != want && ++mismatches <= 5) {
+      ADD_FAILURE() << std::hexfloat << v << ": got " << row.Get("x") << ", oracle " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(ResultSinkTest, FindDistinguishesAbsentFromEmpty) {

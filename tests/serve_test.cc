@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -103,6 +104,147 @@ TEST(FramingTest, RefusesOversizedFrames) {
   EXPECT_FALSE(error.empty());
 }
 
+// FrameReader (read-ahead) and the free ReadFrame share one decoder: the same
+// byte stream must give the same frames, results and error strings.
+struct ReadStep {
+  FrameResult result;
+  std::string payload;
+  std::string error;
+  bool operator==(const ReadStep& other) const {
+    return result == other.result && payload == other.payload && error == other.error;
+  }
+};
+
+// Reads `fd` to its end (or first error) with read-ahead on or off.
+std::vector<ReadStep> ReadAll(int fd, bool read_ahead, uint32_t max_frame_bytes) {
+  FrameReader reader(fd, read_ahead);
+  std::vector<ReadStep> steps;
+  for (int i = 0; i < 64; ++i) {
+    ReadStep step;
+    step.result = reader.Read(max_frame_bytes, &step.payload, &step.error);
+    if (step.result != FrameResult::kFrame) step.payload.clear();
+    steps.push_back(step);
+    if (step.result != FrameResult::kFrame) break;
+  }
+  return steps;
+}
+
+std::string Frame(const std::string& payload) {
+  const uint32_t len = static_cast<uint32_t>(payload.size());
+  return std::string(reinterpret_cast<const char*>(&len), 4) + payload;
+}
+
+// Writes `chunks` to fds[0] one send each (a pause between them so the
+// reader sees them apart), then closes it; reads fds[1] with both readers.
+void ExpectSameFramesBothWays(const std::vector<std::string>& chunks,
+                              const std::vector<ReadStep>& want,
+                              uint32_t max_frame_bytes = kDefaultMaxFrameBytes) {
+  for (bool read_ahead : {true, false}) {
+    SocketPair pair;
+    std::thread writer([&] {
+      for (const std::string& chunk : chunks) {
+        size_t sent = 0;
+        while (sent < chunk.size()) {
+          const ssize_t n = ::send(pair.fds[0], chunk.data() + sent, chunk.size() - sent, 0);
+          ASSERT_GT(n, 0);
+          sent += static_cast<size_t>(n);
+        }
+        if (chunks.size() > 1) std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+      ::shutdown(pair.fds[0], SHUT_WR);
+    });
+    const std::vector<ReadStep> got = ReadAll(pair.fds[1], read_ahead, max_frame_bytes);
+    writer.join();
+    ASSERT_EQ(got.size(), want.size()) << "read_ahead " << read_ahead;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_TRUE(got[i] == want[i])
+          << "read_ahead " << read_ahead << " step " << i << ": result "
+          << static_cast<int>(got[i].result) << " error \"" << got[i].error << "\"";
+    }
+  }
+}
+
+TEST(FrameReaderTest, TwoFramesInOneWrite) {
+  ExpectSameFramesBothWays({Frame("{\"a\":1}") + Frame("{}")},
+                           {{FrameResult::kFrame, "{\"a\":1}", ""},
+                            {FrameResult::kFrame, "{}", ""},
+                            {FrameResult::kEof, "", ""}});
+}
+
+TEST(FrameReaderTest, FrameDribbledOneBytePerWrite) {
+  const std::string bytes = Frame("{\"op\":\"plan\"}") + Frame("");
+  std::vector<std::string> chunks;
+  for (char c : bytes) chunks.emplace_back(1, c);
+  ExpectSameFramesBothWays(chunks, {{FrameResult::kFrame, "{\"op\":\"plan\"}", ""},
+                                    {FrameResult::kFrame, "", ""},
+                                    {FrameResult::kEof, "", ""}});
+}
+
+TEST(FrameReaderTest, PrefixSplitAcrossWrites) {
+  const std::string bytes = Frame("hello");
+  ExpectSameFramesBothWays({bytes.substr(0, 1), bytes.substr(1, 2), bytes.substr(3)},
+                           {{FrameResult::kFrame, "hello", ""}, {FrameResult::kEof, "", ""}});
+}
+
+TEST(FrameReaderTest, BodyLargerThanTheBuffer) {
+  std::string big(3 * kFrameReadAhead + 17, 'x');
+  for (size_t i = 0; i < big.size(); ++i) big[i] = static_cast<char>('a' + i % 26);
+  const std::string just_over(kFrameReadAhead - 3, 'y');  // prefix + body > buffer
+  ExpectSameFramesBothWays({Frame("{}") + Frame(big) + Frame(just_over) + Frame("z")},
+                           {{FrameResult::kFrame, "{}", ""},
+                            {FrameResult::kFrame, big, ""},
+                            {FrameResult::kFrame, just_over, ""},
+                            {FrameResult::kFrame, "z", ""},
+                            {FrameResult::kEof, "", ""}});
+}
+
+TEST(FrameReaderTest, TruncationAndOversizeKeepTheirErrors) {
+  const std::string frame = Frame("abcdef");
+  ExpectSameFramesBothWays({frame + frame.substr(0, 2)},
+                           {{FrameResult::kFrame, "abcdef", ""},
+                            {FrameResult::kError, "", "stream ended inside a length prefix"}});
+  ExpectSameFramesBothWays({frame.substr(0, 7)},
+                           {{FrameResult::kError, "", "stream ended inside a frame payload"}});
+  ExpectSameFramesBothWays(
+      {Frame("ok") + Frame(std::string(65, 'x'))},
+      {{FrameResult::kFrame, "ok", ""},
+       {FrameResult::kError, "", "length prefix of 65 bytes exceeds the 64-byte bound"}},
+      64);
+}
+
+TEST(FrameReaderTest, ResetDropsBufferedBytes) {
+  SocketPair first, second;
+  const std::string bytes = Frame("one") + Frame("stale");
+  ASSERT_EQ(::send(first.fds[0], bytes.data(), bytes.size(), 0),
+            static_cast<ssize_t>(bytes.size()));
+  const std::string fresh = Frame("two");
+  ASSERT_EQ(::send(second.fds[0], fresh.data(), fresh.size(), 0),
+            static_cast<ssize_t>(fresh.size()));
+  FrameReader reader(first.fds[1]);
+  std::string payload, error;
+  ASSERT_EQ(reader.Read(kDefaultMaxFrameBytes, &payload, &error), FrameResult::kFrame);
+  EXPECT_EQ(payload, "one");
+  reader.Reset(second.fds[1]);
+  ASSERT_EQ(reader.Read(kDefaultMaxFrameBytes, &payload, &error), FrameResult::kFrame);
+  EXPECT_EQ(payload, "two");
+}
+
+TEST(FramingTest, WriteFrameSendsPrefixAndPayloadTogether) {
+  SocketPair pair;
+  std::string error;
+  const std::string payload(2 * kFrameReadAhead, 'p');
+  ASSERT_TRUE(WriteFrame(pair.fds[0], payload, kDefaultMaxFrameBytes, &error)) << error;
+  ASSERT_TRUE(WriteFrame(pair.fds[0], "", kDefaultMaxFrameBytes, &error)) << error;
+  std::string bytes(Frame(payload).size() + 4, '\0');
+  size_t got = 0;
+  while (got < bytes.size()) {
+    const ssize_t n = ::read(pair.fds[1], bytes.data() + got, bytes.size() - got);
+    ASSERT_GT(n, 0);
+    got += static_cast<size_t>(n);
+  }
+  EXPECT_EQ(bytes, Frame(payload) + Frame(""));
+}
+
 // ---- JSON reader ----
 
 TEST(JsonReaderTest, DecodesFlatObjects) {
@@ -138,6 +280,31 @@ TEST(JsonReaderTest, LaterDuplicateKeyWins) {
   std::string error;
   ASSERT_TRUE(ParseJsonObject(R"({"a":1,"a":2})", &object, &error));
   EXPECT_EQ(object.at("a").num, 2.0);
+}
+
+TEST(JsonReaderTest, NumbersFollowTheJsonGrammar) {
+  std::map<std::string, JsonValue> object;
+  std::string error;
+  for (const char* bad : {"+1", "01", "-01", ".5", "1.", "-.5", "-", "1e", "1e+", "1.e5", "--1",
+                          "1-2", "1e400", "-1e400", "1e-400", "1.5.2"}) {
+    const std::string text = std::string("{\"n\":") + bad + "}";
+    EXPECT_FALSE(ParseJsonObject(text, &object, &error)) << bad;
+    EXPECT_NE(error.find("malformed number \"" + std::string(bad) + "\""), std::string::npos)
+        << bad << ": " << error;
+  }
+  EXPECT_FALSE(ParseJsonObject("{\"n\":0x10}", &object, &error));  // 0, then junk
+  const std::pair<const char*, double> kGood[] = {
+      {"0", 0.0},           {"-0", -0.0},         {"0.5", 0.5},       {"-1.5e-2", -0.015},
+      {"1E+2", 100.0},      {"10e0", 10.0},       {"1e-310", 1e-310}, {"2.5e-320", 2.5e-320},
+      {"4.9406564584124654e-324", 4.9406564584124654e-324},
+      {"1.7976931348623157e308", 1.7976931348623157e308},
+      {"123456789012345678901234567890", 1.2345678901234568e29}};
+  for (const auto& [text, value] : kGood) {
+    ASSERT_TRUE(ParseJsonObject(std::string("{\"n\":") + text + "}", &object, &error))
+        << text << ": " << error;
+    EXPECT_EQ(object.at("n").num, value) << text;
+    EXPECT_EQ(std::signbit(object.at("n").num), std::signbit(value)) << text;
+  }
 }
 
 // ---- Request decode / encode ----
@@ -527,6 +694,95 @@ TEST(PlanServiceTest, HandleJsonReportsShutdownAndStats) {
   EXPECT_EQ(row.Find("error_code"), "bad_json");
 }
 
+// The answer without its timing and cache fields, which legitimately differ
+// between a warm service and a fresh one.
+std::string AnswerBytes(const runner::ResultRow& row) {
+  runner::ResultRow kept;
+  for (const auto& [key, value] : row.fields()) {
+    if (key != "latency_us" && key != "cache_hit") {
+      std::visit([&, &key = key](const auto& v) { kept.Set(key, v); }, value);
+    }
+  }
+  return runner::RowToJson(kept);
+}
+
+// `second` must get the answer it gets on a fresh service, whatever `first`
+// left memoized.
+void ExpectNoContextAliasing(const PlanRequest& first, const PlanRequest& second) {
+  runner::PartitionCache fresh_cache;
+  PlanService fresh(&fresh_cache);
+  const std::string want = AnswerBytes(fresh.Handle(second));
+
+  runner::PartitionCache cache;
+  PlanService service(&cache);
+  ASSERT_EQ(service.Handle(first).Get("ok"), "true");
+  EXPECT_EQ(AnswerBytes(service.Handle(second)), want);
+}
+
+TEST(PlanServiceTest, ContextKeysDoNotAliasAcrossFields) {
+  // A spec with two lines, and a one-line spec whose model carries the
+  // second: once joined with newlines these were one context key, so the
+  // second request got a plan on a Quadro its cluster does not have.
+  PlanRequest two_lines;
+  two_lines.cluster_spec = "node 4xV\nnode 1xQ";
+  two_lines.model = "resnet152";
+  two_lines.selector = "VQ";
+  PlanRequest model_carries_line = two_lines;
+  model_carries_line.cluster_spec = "node 4xV";
+  model_carries_line.model = "node 1xQ\nresnet152";
+  ExpectNoContextAliasing(two_lines, model_carries_line);
+
+  // The same split over cluster_nodes, and the same text as nodes vs spec.
+  PlanRequest nodes;
+  nodes.cluster_nodes = "VQ";
+  nodes.selector = "VQ";
+  PlanRequest nodes_in_model = nodes;
+  nodes_in_model.cluster_nodes = "V";
+  nodes_in_model.model = "Q\nresnet152";
+  ExpectNoContextAliasing(nodes, nodes_in_model);
+  PlanRequest nodes_as_spec = nodes;
+  nodes_as_spec.cluster_spec = "VQ";
+  ExpectNoContextAliasing(nodes, nodes_as_spec);
+  PlanRequest other_batch = nodes;
+  other_batch.batch_size = 64;
+  ExpectNoContextAliasing(nodes, other_batch);
+}
+
+TEST(PlanServiceTest, ContextsEvictFifoBeyondTheBound) {
+  runner::PartitionCache cache;
+  PlanServiceOptions options;
+  options.max_contexts = 3;
+  PlanService service(&cache, options);
+  const std::vector<std::string> kNodes = {"VQ", "VRQ", "VGQ", "VRGQ", "QV", "RVQ"};
+  std::vector<std::string> first_answers;
+  for (size_t i = 0; i < kNodes.size(); ++i) {
+    PlanRequest request;
+    request.cluster_nodes = kNodes[i];
+    request.selector = "VQ";
+    const runner::ResultRow row = service.Handle(request);
+    ASSERT_EQ(row.Get("ok"), "true") << kNodes[i];
+    first_answers.push_back(AnswerBytes(row));
+    EXPECT_EQ(service.contexts(), static_cast<int64_t>(std::min<size_t>(i + 1, 3)));
+  }
+  // Evicted and retained contexts alike answer as before; a rebuilt context
+  // finds its plans still in the partition cache.
+  for (size_t i = 0; i < kNodes.size(); ++i) {
+    PlanRequest request;
+    request.cluster_nodes = kNodes[i];
+    request.selector = "VQ";
+    const runner::ResultRow row = service.Handle(request);
+    EXPECT_EQ(AnswerBytes(row), first_answers[i]) << kNodes[i];
+    EXPECT_EQ(row.Get("cache_hit"), "true") << kNodes[i];
+    EXPECT_EQ(service.contexts(), 3);
+  }
+  // Failed builds are never memoized.
+  PlanRequest bad;
+  bad.cluster_spec = "node 0xV";
+  bad.selector = "V";
+  EXPECT_EQ(service.Handle(bad).Get("error_code"), "bad_spec");
+  EXPECT_EQ(service.contexts(), 3);
+}
+
 // ---- End-to-end over sockets ----
 
 TEST(PlanServerTest, ServesPlansOverTcp) {
@@ -638,7 +894,6 @@ TEST(ProtocolFuzzTest, MutatedAndTruncatedFramesNeverCrashTheReader) {
   std::mt19937 rng(0x5e7fe);
   std::uniform_int_distribution<int> byte(0, 255);
   for (int round = 0; round < 200; ++round) {
-    SocketPair pair;
     std::string bytes;
     switch (round % 4) {
       case 0: {
@@ -674,26 +929,26 @@ TEST(ProtocolFuzzTest, MutatedAndTruncatedFramesNeverCrashTheReader) {
         break;
       }
     }
-    ASSERT_EQ(::send(pair.fds[0], bytes.data(), bytes.size(), 0),
-              static_cast<ssize_t>(bytes.size()));
-    ::close(pair.fds[0]);
-    pair.fds[0] = -1;
-    // Drain the connection: every frame is accepted, rejected, or ends the
-    // stream; none may hang (the writer is closed, so data is finite) and a
-    // kError must carry a message.
-    for (int frames = 0; frames < 8; ++frames) {
-      std::string payload, error;
-      const FrameResult result =
-          ReadFrame(pair.fds[1], kDefaultMaxFrameBytes, &payload, &error);
-      if (result == FrameResult::kEof) {
-        break;
+    // Drain the connection with and without read-ahead: every frame is
+    // accepted, rejected, or ends the stream; none may hang (the writer is
+    // closed, so data is finite), a kError must carry a message, and both
+    // readers must see the same frames and errors.
+    std::vector<ReadStep> runs[2];
+    for (bool read_ahead : {false, true}) {
+      SocketPair pair;
+      ASSERT_EQ(::send(pair.fds[0], bytes.data(), bytes.size(), 0),
+                static_cast<ssize_t>(bytes.size()));
+      ::close(pair.fds[0]);
+      pair.fds[0] = -1;
+      runs[read_ahead] = ReadAll(pair.fds[1], read_ahead, kDefaultMaxFrameBytes);
+      ASSERT_FALSE(runs[read_ahead].empty());
+      const ReadStep& last = runs[read_ahead].back();
+      ASSERT_NE(last.result, FrameResult::kFrame) << "more frames than the bytes can hold";
+      if (last.result == FrameResult::kError) {
+        EXPECT_FALSE(last.error.empty());
       }
-      if (result == FrameResult::kError) {
-        EXPECT_FALSE(error.empty());
-        break;
-      }
-      ASSERT_EQ(result, FrameResult::kFrame);
     }
+    EXPECT_TRUE(runs[0] == runs[1]) << "round " << round;
   }
 }
 
@@ -748,18 +1003,25 @@ TEST(ProtocolFuzzTest, AdversarialJsonYieldsStableErrorsNotCrashes) {
   for (const std::string& payload : payloads) {
     // The raw JSON reader: parses or reports an error, never throws.
     std::map<std::string, JsonValue> object;
-    std::string error;
-    if (!ParseJsonObject(payload, &object, &error)) {
-      EXPECT_FALSE(error.empty());
+    std::string json_error;
+    const bool is_object = ParseJsonObject(payload, &object, &json_error);
+    if (!is_object) {
+      EXPECT_FALSE(json_error.empty());
     }
     // The request decoder: success, or a stable code from the bad_* family.
+    // It walks the object with the same reader, so bad JSON is reported the
+    // same way by both.
     PlanRequest request;
     ErrorCode code = ErrorCode::kNone;
-    error.clear();
+    std::string error;
     if (!ParsePlanRequest(payload, &request, &code, &error)) {
       EXPECT_TRUE(code == ErrorCode::kBadJson || code == ErrorCode::kBadRequest)
           << ErrorCodeName(code) << " for payload prefix: " << payload.substr(0, 60);
       EXPECT_FALSE(error.empty());
+    }
+    EXPECT_EQ(code == ErrorCode::kBadJson, !is_object);
+    if (!is_object) {
+      EXPECT_EQ(error, json_error);
     }
     // The full service: always a response row, never a shutdown, and every
     // failure carries one of the stable error codes.
