@@ -141,28 +141,13 @@ std::optional<std::string> ResultRow::Find(const std::string& key) const {
 }
 
 std::string RowToJson(const ResultRow& row) {
-  // One allocation for the whole object, sized for the row with no escapes
-  // and with every double at its widest (-1.23456789012e-308): callers that
-  // keep the string hold little slack.
+  // One allocation for the usual row: the keys and strings as they are, plus
+  // the punctuation and a short number per field.
   size_t size = 2;
   for (const auto& [key, value] : row.fields()) {
-    size += key.size() + 4;  // quotes, colon, comma
-    switch (TypeOfValue(value)) {
-      case ValueType::kBool:
-        size += 5;
-        break;
-      case ValueType::kInt64: {
-        char buf[24];
-        size += static_cast<size_t>(
-            std::to_chars(buf, buf + sizeof(buf), std::get<int64_t>(value)).ptr - buf);
-        break;
-      }
-      case ValueType::kDouble:
-        size += 19;
-        break;
-      case ValueType::kString:
-        size += std::get<std::string>(value).size() + 2;
-        break;
+    size += key.size() + 12;
+    if (const std::string* text = std::get_if<std::string>(&value)) {
+      size += text->size();
     }
   }
   std::string out;

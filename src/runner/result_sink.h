@@ -28,6 +28,8 @@ class ResultRow {
   ResultRow& Set(std::string key, const char* v) { return Add(std::move(key), Value(std::string(v))); }
 
   const std::vector<std::pair<std::string, Value>>& fields() const { return fields_; }
+  // Room for `n` fields, so a row built field by field allocates once.
+  void Reserve(size_t n) { fields_.reserve(n); }
 
   // The typed value of `key`, or nullptr when the row has no such field —
   // the only accessor that distinguishes an absent key from an empty value.

@@ -60,6 +60,7 @@ struct PlanService::Context {
   std::string cluster_text;
   std::string model_name;
   int batch_size;
+  ContextKey key;  // views the strings above
   hw::Cluster cluster;
   model::ModelGraph graph;
   model::ModelProfile profile;
@@ -70,6 +71,7 @@ struct PlanService::Context {
         cluster_text(from_spec ? request.cluster_spec : request.cluster_nodes),
         model_name(request.model),
         batch_size(request.batch_size),
+        key{from_spec, cluster_text, model_name, batch_size},
         cluster(std::move(built_cluster)),
         graph(std::move(built_graph)),
         profile(graph, batch_size),
@@ -87,10 +89,6 @@ PlanService::ContextKey PlanService::KeyOf(const PlanRequest& request) {
   const bool from_spec = !request.cluster_spec.empty();
   return {from_spec, from_spec ? request.cluster_spec : request.cluster_nodes, request.model,
           request.batch_size};
-}
-
-PlanService::ContextKey PlanService::KeyOf(const Context& context) {
-  return {context.from_spec, context.cluster_text, context.model_name, context.batch_size};
 }
 
 PlanService::PlanService(runner::PartitionCache* cache, PlanServiceOptions options)
@@ -141,14 +139,14 @@ std::shared_ptr<const PlanService::Context> PlanService::GetContext(const PlanRe
   }
 
   util::WriterMutexLock lock(contexts_mu_);
-  const auto [it, inserted] = contexts_.emplace(KeyOf(*built), built);
+  const auto [it, inserted] = contexts_.emplace(built->key, built);
   if (!inserted) return it->second;
   context_order_.push_back(built);
   while (options_.max_contexts > 0 &&
          static_cast<int64_t>(context_order_.size()) > options_.max_contexts) {
     // The deque's reference keeps the evicted context's key strings alive
     // through the erase.
-    contexts_.erase(KeyOf(*context_order_.front()));
+    contexts_.erase(context_order_.front()->key);
     context_order_.pop_front();
   }
   return built;
@@ -159,6 +157,7 @@ runner::ResultRow PlanService::Handle(const PlanRequest& request) {
   requests_.fetch_add(1, std::memory_order_relaxed);
 
   runner::ResultRow row;
+  row.Reserve(16);  // the most fields any response carries
   row.Set("v", kProtocolVersion);
   if (!request.id.empty()) row.Set("id", request.id);
   row.Set("op", request.op);
@@ -168,13 +167,13 @@ runner::ResultRow PlanService::Handle(const PlanRequest& request) {
     row.Set("ok", false);
     row.Set("error_code", ErrorCodeName(code));
     row.Set("error", message);
-    return row;
   };
+  // Stamps the latency and moves the finished row out.
   auto finish = [&]() {
     const auto elapsed = std::chrono::steady_clock::now() - start;
     row.Set("latency_us",
             std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count());
-    return row;
+    return std::move(row);
   };
 
   if (request.op == "shutdown") {

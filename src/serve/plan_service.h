@@ -97,7 +97,6 @@ class PlanService {
     size_t operator()(const ContextKey& key) const;
   };
   static ContextKey KeyOf(const PlanRequest& request);
-  static ContextKey KeyOf(const Context& context);
 
   // Returns the memoized context for the request's (cluster, model, batch),
   // building it on a miss (racing misses may each build; the first insert

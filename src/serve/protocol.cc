@@ -9,6 +9,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <string_view>
 #include <utility>
@@ -49,7 +50,8 @@ bool IsDigit(char c) { return c >= '0' && c <= '9'; }
 // True when `token` is a number by the RFC 8259 section 6 grammar:
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
 bool IsJsonNumber(std::string_view token) {
-  size_t i = 0;
+  size_t i = !token.empty() && token[0] == '-' ? 1 : 0;
+  // Skips a run of digits; false when there is none.
   const auto digits = [&] {
     const size_t start = i;
     while (i < token.size() && IsDigit(token[i])) {
@@ -57,12 +59,8 @@ bool IsJsonNumber(std::string_view token) {
     }
     return i > start;
   };
-  if (i < token.size() && token[i] == '-') {
-    ++i;
-  }
-  if (i < token.size() && token[i] == '0') {
-    ++i;
-  } else if (!digits()) {
+  const size_t first = i;
+  if (!digits() || (token[first] == '0' && i > first + 1)) {
     return false;
   }
   if (i < token.size() && token[i] == '.') {
@@ -157,89 +155,84 @@ class JsonReader {
       return false;
     }
     out->clear();
-    size_t run = pos_;  // start of the bytes not yet copied to `out`
     while (pos_ < text_.size()) {
       const char c = text_[pos_++];
-      if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) {
-        continue;
-      }
-      out->append(text_.data() + run, pos_ - 1 - run);
       if (c == '"') {
         return true;
       }
-      if (c != '\\') {
+      if (static_cast<unsigned char>(c) < 0x20) {
         return Fail("raw control character in string");
+      }
+      if (c != '\\') {
+        out->push_back(c);
+        continue;
       }
       if (pos_ >= text_.size()) {
         break;
       }
-      if (!ParseEscape(out)) {
-        return false;
+      const char esc = text_[pos_++];
+      switch (esc) {
+        case '"':
+          out->push_back('"');
+          break;
+        case '\\':
+          out->push_back('\\');
+          break;
+        case '/':
+          out->push_back('/');
+          break;
+        case 'b':
+          out->push_back('\b');
+          break;
+        case 'f':
+          out->push_back('\f');
+          break;
+        case 'n':
+          out->push_back('\n');
+          break;
+        case 'r':
+          out->push_back('\r');
+          break;
+        case 't':
+          out->push_back('\t');
+          break;
+        case 'u': {
+          if (pos_ + 4 > text_.size()) {
+            return Fail("truncated \\u escape");
+          }
+          unsigned value = 0;
+          for (int i = 0; i < 4; ++i) {
+            const char h = text_[pos_++];
+            value <<= 4;
+            if (IsDigit(h)) {
+              value |= static_cast<unsigned>(h - '0');
+            } else if (h >= 'a' && h <= 'f') {
+              value |= static_cast<unsigned>(h - 'a' + 10);
+            } else if (h >= 'A' && h <= 'F') {
+              value |= static_cast<unsigned>(h - 'A' + 10);
+            } else {
+              return Fail("bad \\u escape digit");
+            }
+          }
+          // The writer side only emits \u00XX (control characters); decode
+          // the BMP as UTF-8 so any well-formed producer round-trips.
+          if (value < 0x80) {
+            out->push_back(static_cast<char>(value));
+          } else if (value < 0x800) {
+            out->push_back(static_cast<char>(0xC0 | (value >> 6)));
+            out->push_back(static_cast<char>(0x80 | (value & 0x3F)));
+          } else {
+            out->push_back(static_cast<char>(0xE0 | (value >> 12)));
+            out->push_back(static_cast<char>(0x80 | ((value >> 6) & 0x3F)));
+            out->push_back(static_cast<char>(0x80 | (value & 0x3F)));
+          }
+          break;
+        }
+        default:
+          return Fail("unknown escape");
       }
-      run = pos_;
     }
     return Fail("unterminated string");
-  }
-
-  // Decodes one escape (after its backslash) onto `out`.
-  bool ParseEscape(std::string* out) {
-    const char esc = text_[pos_++];
-    switch (esc) {
-      case '"':
-      case '\\':
-      case '/':
-        out->push_back(esc);
-        return true;
-      case 'b':
-        out->push_back('\b');
-        return true;
-      case 'f':
-        out->push_back('\f');
-        return true;
-      case 'n':
-        out->push_back('\n');
-        return true;
-      case 'r':
-        out->push_back('\r');
-        return true;
-      case 't':
-        out->push_back('\t');
-        return true;
-      case 'u':
-        break;
-      default:
-        return Fail("unknown escape");
-    }
-    if (pos_ + 4 > text_.size()) {
-      return Fail("truncated \\u escape");
-    }
-    unsigned value = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char h = text_[pos_++];
-      value <<= 4;
-      if (IsDigit(h)) {
-        value |= static_cast<unsigned>(h - '0');
-      } else if (h >= 'a' && h <= 'f') {
-        value |= static_cast<unsigned>(h - 'a' + 10);
-      } else if (h >= 'A' && h <= 'F') {
-        value |= static_cast<unsigned>(h - 'A' + 10);
-      } else {
-        return Fail("bad \\u escape digit");
-      }
-    }
-    // The writer side only emits \u00XX (control characters); decode the BMP
-    // as UTF-8 so any well-formed producer round-trips.
-    if (value < 0x80) {
-      out->push_back(static_cast<char>(value));
-    } else if (value < 0x800) {
-      out->push_back(static_cast<char>(0xC0 | (value >> 6)));
-      out->push_back(static_cast<char>(0x80 | (value & 0x3F)));
-    } else {
-      out->push_back(static_cast<char>(0xE0 | (value >> 12)));
-      out->push_back(static_cast<char>(0x80 | ((value >> 6) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | (value & 0x3F)));
-    }
-    return true;
   }
 
   // The token is every byte that could belong to a number, so the error
@@ -528,80 +521,74 @@ std::string PlanRequest::ToJson() const {
 
 namespace {
 
-// The request fields, in the order ParsePlanRequest checks them: when several
-// are invalid, the first in this order is the one reported.
-enum Field {
-  kVersion,
-  kOp,
-  kId,
-  kClusterSpec,
-  kClusterNodes,
-  kModel,
-  kSelector,
-  kNm,
-  kNmCap,
-  kBatchSize,
-  kSearchOrders,
-  kStrategy,
-  kBeamWidth,
-  kRackOrderLimit,
-  kNumFields,
-};
-constexpr std::string_view kFieldNames[kNumFields] = {
-    "v",     "op",         "id",        "cluster_spec",  "cluster_nodes",
-    "model", "selector",   "nm",        "nm_cap",        "batch_size",
-    "search_orders",       "strategy",  "beam_width",    "rack_order_limit"};
+// The request fields ParsePlanRequest reads.
+constexpr std::string_view kRequestFields[] = {
+    "v",             "op",       "id",         "cluster_spec",    "cluster_nodes",
+    "model",         "selector", "nm",         "nm_cap",          "batch_size",
+    "search_orders", "strategy", "beam_width", "rack_order_limit"};
+constexpr size_t kNumRequestFields = std::size(kRequestFields);
 
-// The last value of each known field in one request object (a later
+// The last value of each known field of one request object (a later
 // duplicate key wins; unknown keys are dropped as they are read).
 struct RequestFields {
-  JsonValue value[kNumFields];
-  bool present[kNumFields] = {};
+  JsonValue value[kNumRequestFields];
+  bool present[kNumRequestFields] = {};
+
+  // The field's value, or null when the request did not carry it.
+  JsonValue* Find(const char* key) {
+    for (size_t i = 0; i < kNumRequestFields; ++i) {
+      if (kRequestFields[i] == key) {
+        return present[i] ? &value[i] : nullptr;
+      }
+    }
+    return nullptr;
+  }
 };
 
 // Field decoding helpers shared by ParsePlanRequest: every type mismatch is
 // a kBadRequest naming the field, never a silent default.
-bool TakeString(RequestFields* fields, Field field, std::string* out, std::string* error) {
-  if (!fields->present[field]) {
+bool TakeString(RequestFields* fields, const char* key, std::string* out, std::string* error) {
+  JsonValue* v = fields->Find(key);
+  if (v == nullptr) {
     return true;
   }
-  if (fields->value[field].type != JsonValue::Type::kString) {
-    *error = "field \"" + std::string(kFieldNames[field]) + "\" must be a string";
+  if (v->type != JsonValue::Type::kString) {
+    *error = std::string("field \"") + key + "\" must be a string";
     return false;
   }
-  *out = std::move(fields->value[field].str);
+  *out = std::move(v->str);
   return true;
 }
 
-bool TakeInt(const RequestFields& fields, Field field, int min, int max, int* out,
+bool TakeInt(RequestFields* fields, const char* key, int min, int max, int* out,
              std::string* error) {
-  if (!fields.present[field]) {
+  const JsonValue* v = fields->Find(key);
+  if (v == nullptr) {
     return true;
   }
-  const JsonValue& v = fields.value[field];
-  const std::string name(kFieldNames[field]);
-  if (v.type != JsonValue::Type::kNumber || v.num != std::floor(v.num)) {
-    *error = "field \"" + name + "\" must be an integer";
+  if (v->type != JsonValue::Type::kNumber || v->num != std::floor(v->num)) {
+    *error = std::string("field \"") + key + "\" must be an integer";
     return false;
   }
-  if (v.num < min || v.num > max) {
-    *error = "field \"" + name + "\" must be in [" + std::to_string(min) + ", " +
+  if (v->num < min || v->num > max) {
+    *error = std::string("field \"") + key + "\" must be in [" + std::to_string(min) + ", " +
              std::to_string(max) + "]";
     return false;
   }
-  *out = static_cast<int>(v.num);
+  *out = static_cast<int>(v->num);
   return true;
 }
 
-bool TakeBool(const RequestFields& fields, Field field, bool* out, std::string* error) {
-  if (!fields.present[field]) {
+bool TakeBool(RequestFields* fields, const char* key, bool* out, std::string* error) {
+  const JsonValue* v = fields->Find(key);
+  if (v == nullptr) {
     return true;
   }
-  if (fields.value[field].type != JsonValue::Type::kBool) {
-    *error = "field \"" + std::string(kFieldNames[field]) + "\" must be a boolean";
+  if (v->type != JsonValue::Type::kBool) {
+    *error = std::string("field \"") + key + "\" must be a boolean";
     return false;
   }
-  *out = fields.value[field].boolean;
+  *out = v->boolean;
   return true;
 }
 
@@ -613,10 +600,10 @@ bool ParsePlanRequest(const std::string& payload, PlanRequest* out, ErrorCode* c
   RequestFields fields;
   JsonReader reader(payload);
   const bool parsed = reader.ParseObject([&fields](std::string& key, JsonValue& value) {
-    for (int f = 0; f < kNumFields; ++f) {
-      if (key == kFieldNames[f]) {
-        std::swap(fields.value[f], value);
-        fields.present[f] = true;
+    for (size_t i = 0; i < kNumRequestFields; ++i) {
+      if (key == kRequestFields[i]) {
+        std::swap(fields.value[i], value);
+        fields.present[i] = true;
         return;
       }
     }
@@ -627,20 +614,21 @@ bool ParsePlanRequest(const std::string& payload, PlanRequest* out, ErrorCode* c
     return false;
   }
 
+  // Checked in a fixed order, so the first bad field in it is the one named.
   int version = kProtocolVersion;
-  if (!TakeInt(fields, kVersion, 0, std::numeric_limits<int>::max(), &version, error) ||
-      !TakeString(&fields, kOp, &out->op, error) || !TakeString(&fields, kId, &out->id, error) ||
-      !TakeString(&fields, kClusterSpec, &out->cluster_spec, error) ||
-      !TakeString(&fields, kClusterNodes, &out->cluster_nodes, error) ||
-      !TakeString(&fields, kModel, &out->model, error) ||
-      !TakeString(&fields, kSelector, &out->selector, error) ||
-      !TakeInt(fields, kNm, 1, 1024, &out->nm, error) ||
-      !TakeInt(fields, kNmCap, 1, 1024, &out->nm_cap, error) ||
-      !TakeInt(fields, kBatchSize, 1, 65536, &out->batch_size, error) ||
-      !TakeBool(fields, kSearchOrders, &out->search_orders, error) ||
-      !TakeString(&fields, kStrategy, &out->strategy, error) ||
-      !TakeInt(fields, kBeamWidth, 1, 4096, &out->beam_width, error) ||
-      !TakeInt(fields, kRackOrderLimit, 1, 1000000, &out->rack_order_limit, error)) {
+  if (!TakeInt(&fields, "v", 0, std::numeric_limits<int>::max(), &version, error) ||
+      !TakeString(&fields, "op", &out->op, error) || !TakeString(&fields, "id", &out->id, error) ||
+      !TakeString(&fields, "cluster_spec", &out->cluster_spec, error) ||
+      !TakeString(&fields, "cluster_nodes", &out->cluster_nodes, error) ||
+      !TakeString(&fields, "model", &out->model, error) ||
+      !TakeString(&fields, "selector", &out->selector, error) ||
+      !TakeInt(&fields, "nm", 1, 1024, &out->nm, error) ||
+      !TakeInt(&fields, "nm_cap", 1, 1024, &out->nm_cap, error) ||
+      !TakeInt(&fields, "batch_size", 1, 65536, &out->batch_size, error) ||
+      !TakeBool(&fields, "search_orders", &out->search_orders, error) ||
+      !TakeString(&fields, "strategy", &out->strategy, error) ||
+      !TakeInt(&fields, "beam_width", 1, 4096, &out->beam_width, error) ||
+      !TakeInt(&fields, "rack_order_limit", 1, 1000000, &out->rack_order_limit, error)) {
     *code = ErrorCode::kBadRequest;
     return false;
   }

@@ -1261,9 +1261,10 @@ TEST(ResultSinkTest, DoubleFormatMatchesOstreamOracle) {
   for (double v : values) {
     ResultRow row;
     row.Set("x", v);
+    const std::string got = row.Get("x");
     const std::string want = oracles::FormatDoubleOstream(v);
-    if (row.Get("x") != want && ++mismatches <= 5) {
-      ADD_FAILURE() << std::hexfloat << v << ": got " << row.Get("x") << ", oracle " << want;
+    if (got != want && ++mismatches <= 5) {
+      ADD_FAILURE() << std::hexfloat << v << ": got " << got << ", oracle " << want;
     }
   }
   EXPECT_EQ(mismatches, 0u);

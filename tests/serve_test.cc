@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
+#include <pthread.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
-#include <cmath>
 #include <chrono>
+#include <cmath>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -13,8 +16,8 @@
 #include <map>
 #include <random>
 #include <string>
-#include <utility>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.h"
@@ -243,6 +246,52 @@ TEST(FramingTest, WriteFrameSendsPrefixAndPayloadTogether) {
     got += static_cast<size_t>(n);
   }
   EXPECT_EQ(bytes, Frame(payload) + Frame(""));
+}
+
+void IgnoreSignal(int) {}
+
+TEST(FramingTest, WriteFrameResumesAfterPartialSends) {
+  // A slow reader and a 1 ms interval timer whose handler does nothing and
+  // does not restart calls: blocking sendmsg calls keep returning early,
+  // after part of the frame or none of it, and WriteFrame must resume at the
+  // right byte of the right iovec.
+  SocketPair pair;
+  const int small_buffer = 4096;
+  ASSERT_EQ(::setsockopt(pair.fds[0], SOL_SOCKET, SO_SNDBUF, &small_buffer,
+                         sizeof(small_buffer)),
+            0);
+  std::string payload(1 << 20, '\0');
+  for (size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<char>(i * 131 % 251);
+  std::string received;
+  std::thread reader([&] {
+    sigset_t alarm;
+    sigemptyset(&alarm);
+    sigaddset(&alarm, SIGALRM);
+    pthread_sigmask(SIG_BLOCK, &alarm, nullptr);  // the writer takes every tick
+    char chunk[4096];
+    for (;;) {
+      const ssize_t n = ::read(pair.fds[1], chunk, sizeof(chunk));
+      if (n <= 0) break;
+      received.append(chunk, static_cast<size_t>(n));
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+  struct sigaction action {};
+  struct sigaction previous {};
+  action.sa_handler = IgnoreSignal;
+  sigemptyset(&action.sa_mask);
+  ASSERT_EQ(::sigaction(SIGALRM, &action, &previous), 0);
+  itimerval tick{{0, 1000}, {0, 1000}};
+  ASSERT_EQ(::setitimer(ITIMER_REAL, &tick, nullptr), 0);
+  std::string error;
+  const bool written = WriteFrame(pair.fds[0], payload, 2u << 20, &error);
+  tick = {};
+  ::setitimer(ITIMER_REAL, &tick, nullptr);
+  ::sigaction(SIGALRM, &previous, nullptr);
+  ::shutdown(pair.fds[0], SHUT_WR);
+  reader.join();
+  ASSERT_TRUE(written) << error;
+  EXPECT_TRUE(received == Frame(payload)) << "received " << received.size() << " bytes";
 }
 
 // ---- JSON reader ----
