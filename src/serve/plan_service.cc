@@ -85,12 +85,6 @@ size_t PlanService::ContextKeyHash::operator()(const ContextKey& key) const {
   return h * 31 + static_cast<size_t>(key.batch_size) * 2 + (key.from_spec ? 1 : 0);
 }
 
-PlanService::ContextKey PlanService::KeyOf(const PlanRequest& request) {
-  const bool from_spec = !request.cluster_spec.empty();
-  return {from_spec, from_spec ? request.cluster_spec : request.cluster_nodes, request.model,
-          request.batch_size};
-}
-
 PlanService::PlanService(runner::PartitionCache* cache, PlanServiceOptions options)
     : cache_(cache), options_(options) {}
 
@@ -104,7 +98,9 @@ int64_t PlanService::contexts() const {
 std::shared_ptr<const PlanService::Context> PlanService::GetContext(const PlanRequest& request,
                                                                     ErrorCode* code,
                                                                     std::string* error) {
-  const ContextKey key = KeyOf(request);
+  const bool from_spec = !request.cluster_spec.empty();
+  const ContextKey key{from_spec, from_spec ? request.cluster_spec : request.cluster_nodes,
+                       request.model, request.batch_size};
   {
     util::ReaderMutexLock lock(contexts_mu_);
     const auto it = contexts_.find(key);

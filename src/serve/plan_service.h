@@ -96,7 +96,6 @@ class PlanService {
   struct ContextKeyHash {
     size_t operator()(const ContextKey& key) const;
   };
-  static ContextKey KeyOf(const PlanRequest& request);
 
   // Returns the memoized context for the request's (cluster, model, batch),
   // building it on a miss (racing misses may each build; the first insert
