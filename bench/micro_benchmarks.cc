@@ -21,11 +21,30 @@ namespace {
 
 using namespace hetpipe;
 
+// Reschedules itself one second later until `remaining` events have fired:
+// the simulator's dispatch loop with the least work per event.
+class Ticker final : public sim::EventTarget {
+ public:
+  Ticker(sim::Simulator& simulator, int64_t events) : simulator_(&simulator), remaining_(events) {}
+  void OnEvent(uint32_t kind, uint32_t a, int64_t b) override {
+    if (--remaining_ > 0) {
+      simulator_->ScheduleAt(simulator_->now() + 1.0, this, kind, a, b);
+    }
+  }
+
+ private:
+  sim::Simulator* simulator_;
+  int64_t remaining_;
+};
+
 void BM_EventQueuePushPop(benchmark::State& state) {
+  sim::Simulator simulator;
+  Ticker target(simulator, 0);  // the queue only stores it
   for (auto _ : state) {
     sim::EventQueue queue;
     for (int i = 0; i < state.range(0); ++i) {
-      queue.Push(static_cast<double>((i * 2654435761u) % 1000), [] {});
+      queue.Push(static_cast<double>((i * 2654435761u) % 1000), &target, 0,
+                 static_cast<uint32_t>(i), i);
     }
     while (!queue.empty()) {
       benchmark::DoNotOptimize(queue.Pop());
@@ -38,13 +57,8 @@ BENCHMARK(BM_EventQueuePushPop)->Arg(1 << 10)->Arg(1 << 14);
 void BM_SimulatorDispatch(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulator simulator;
-    int64_t remaining = state.range(0);
-    std::function<void()> tick = [&] {
-      if (--remaining > 0) {
-        simulator.Schedule(1.0, tick);
-      }
-    };
-    simulator.Schedule(1.0, tick);
+    Ticker ticker(simulator, state.range(0));
+    simulator.ScheduleAt(1.0, &ticker, 0, 0, 0);
     simulator.Run();
     benchmark::DoNotOptimize(simulator.now());
   }

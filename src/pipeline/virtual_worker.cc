@@ -100,13 +100,13 @@ void VirtualWorkerSim::BeginTask(int q, const Task& task) {
   stage.start = simulator_->now();
   stage.compute_start = stage.start + comm_s;
   stage.end = stage.compute_start + compute_s;
-  // The task's state lives in the stage, so the capture fits std::function's
-  // inline buffer and scheduling allocates nothing.
-  simulator_->ScheduleAt(stage.end, [this, q] { FinishTask(q); });
+  // The task's state lives in the stage, so the event carries only q.
+  simulator_->ScheduleAt(stage.end, this, 0, static_cast<uint32_t>(q), 0);
 }
 
-void VirtualWorkerSim::FinishTask(int q) {
-  Stage& stage = stages_[static_cast<size_t>(q)];
+void VirtualWorkerSim::OnEvent(uint32_t /*kind*/, uint32_t a, int64_t /*b*/) {
+  const int q = static_cast<int>(a);
+  Stage& stage = stages_[a];
   const Task task = stage.running;  // OnTaskDone may start the stage's next task
   stage.busy = false;
   stage.compute_busy.AddBusy(stage.compute_start, stage.end);
@@ -219,11 +219,12 @@ double VirtualWorkerSim::MaxStageUtilization(sim::SimTime from, sim::SimTime to)
 }
 
 double VirtualWorkerSim::IdleDuringWait() const {
+  std::vector<size_t> cursors(stages_.size(), 0);  // wait windows are time-ordered
   double idle = 0.0;
   for (const auto& [start, end] : wait_windows_) {
     double busy = 0.0;
-    for (const Stage& stage : stages_) {
-      busy += stage.compute_busy.Utilization(start, end) * (end - start);
+    for (size_t q = 0; q < stages_.size(); ++q) {
+      busy += stages_[q].compute_busy.SweepUtilization(&cursors[q], start, end) * (end - start);
     }
     const double window_total = (end - start) * static_cast<double>(stages_.size());
     idle += window_total - busy;

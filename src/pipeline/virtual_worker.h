@@ -59,7 +59,7 @@ struct VirtualWorkerOptions {
 // (b) the InjectionGate (global staleness / WSP).
 // Stage task ordering follows the paper's three conditions via StageQueue;
 // the last stage runs FW+BW of a minibatch as one fused task.
-class VirtualWorkerSim {
+class VirtualWorkerSim final : public sim::EventTarget {
  public:
   VirtualWorkerSim(int vw_id, sim::Simulator& simulator, const partition::Partition& partition,
                    InjectionGate& gate, const VirtualWorkerOptions& options);
@@ -110,8 +110,8 @@ class VirtualWorkerSim {
   void Inject(int64_t p);
   void TryDispatch(int q);
   void BeginTask(int q, const Task& task);
-  // Completion event of stage q's running task.
-  void FinishTask(int q);
+  // sim::EventTarget: completion of stage `a`'s running task.
+  void OnEvent(uint32_t kind, uint32_t a, int64_t b) override;
   void OnTaskDone(int q, const Task& task);
   void OnMinibatchComplete(int64_t p);
   // (comm_in_s, compute_s) of a task at its stage, jitter applied to compute.

@@ -1,32 +1,31 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
-#include <utility>
+#include <cassert>
 
 namespace hetpipe::sim {
+namespace {
 
-uint64_t EventQueue::Push(SimTime time, std::function<void()> action) {
+// Heap comparator: the root is the earliest (time, seq).
+constexpr auto kLater = [](const Event& x, const Event& y) {
+  return x.time != y.time ? x.time > y.time : x.seq > y.seq;
+};
+
+}  // namespace
+
+uint64_t EventQueue::Push(SimTime time, EventTarget* target, uint32_t kind, uint32_t a,
+                          int64_t b) {
   const uint64_t seq = next_seq_++;
-  uint32_t slot;
-  if (free_slots_.empty()) {
-    slot = static_cast<uint32_t>(actions_.size());
-    actions_.push_back(std::move(action));
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    actions_[slot] = std::move(action);
-  }
-  heap_.push_back(Key{time, seq, slot});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.push_back(Event{time, seq, target, kind, a, b});
+  std::push_heap(heap_.begin(), heap_.end(), kLater);
   return seq;
 }
 
 Event EventQueue::Pop() {
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  const Key key = heap_.back();
+  assert(!heap_.empty() && "Pop on an empty event queue");
+  std::pop_heap(heap_.begin(), heap_.end(), kLater);
+  const Event event = heap_.back();
   heap_.pop_back();
-  Event event{key.time, key.seq, std::move(actions_[key.slot])};
-  free_slots_.push_back(key.slot);
   return event;
 }
 

@@ -2,28 +2,21 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <utility>
 
 namespace hetpipe::sim {
 
-void Simulator::Schedule(SimTime delay, std::function<void()> action) {
-  if (std::isnan(delay)) {
-    throw std::invalid_argument("Simulator::Schedule: delay is NaN");
-  }
-  if (delay < 0.0) {
-    delay = 0.0;
-  }
-  queue_.Push(now_ + delay, std::move(action));
-}
-
-void Simulator::ScheduleAt(SimTime time, std::function<void()> action) {
+void Simulator::ScheduleAt(SimTime time, EventTarget* target, uint32_t kind, uint32_t a,
+                           int64_t b) {
   if (std::isnan(time)) {
     throw std::invalid_argument("Simulator::ScheduleAt: time is NaN");
+  }
+  if (target == nullptr) {
+    throw std::invalid_argument("Simulator::ScheduleAt: target is null");
   }
   if (time < now_) {
     time = now_;
   }
-  queue_.Push(time, std::move(action));
+  queue_.Push(time, target, kind, a, b);
 }
 
 void Simulator::Run() { Dispatch(std::numeric_limits<SimTime>::infinity()); }
@@ -37,10 +30,10 @@ void Simulator::Dispatch(const SimTime deadline) {
       now_ = deadline;
       return;
     }
-    Event event = queue_.Pop();
+    const Event event = queue_.Pop();
     now_ = event.time;
     ++events_processed_;
-    event.action();
+    event.target->OnEvent(event.kind, event.a, event.b);
   }
   // The queue drained (or Stop() fired) before the deadline. For a finite
   // deadline the simulated interval up to it has still elapsed, so advance

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 
 #include "sim/event_queue.h"
@@ -18,16 +17,12 @@ class Simulator {
   SimTime now() const { return now_; }
   uint64_t events_processed() const { return events_processed_; }
 
-  // Schedules `action` to run `delay` seconds from now. Negative delays clamp
-  // to zero (fire at the current instant, after already-queued events); an
-  // infinite delay fires only under Run(), after every finite event. A NaN
-  // delay would break the queue's ordering, so it throws
-  // std::invalid_argument.
-  void Schedule(SimTime delay, std::function<void()> action);
-
-  // Schedules `action` at absolute simulated time `time`; times before now()
-  // clamp to now(). A NaN time throws std::invalid_argument.
-  void ScheduleAt(SimTime time, std::function<void()> action);
+  // Schedules `target->OnEvent(kind, a, b)` at absolute simulated time
+  // `time`. Times before now() clamp to now() (fire at the current instant,
+  // after already-queued events); an infinite time fires only under Run(),
+  // after every finite event. A NaN time would break the queue's ordering,
+  // so it throws std::invalid_argument, as does a null target.
+  void ScheduleAt(SimTime time, EventTarget* target, uint32_t kind, uint32_t a, int64_t b);
 
   // Runs until the event queue drains or Stop() is called.
   void Run();

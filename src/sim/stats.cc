@@ -36,6 +36,12 @@ void BusyTracker::AddBusy(SimTime start, SimTime end) {
 }
 
 double BusyTracker::Utilization(SimTime window_start, SimTime window_end) const {
+  size_t cursor = 0;
+  return SweepUtilization(&cursor, window_start, window_end);
+}
+
+double BusyTracker::SweepUtilization(size_t* cursor, SimTime window_start,
+                                     SimTime window_end) const {
   const SimTime window = window_end - window_start;
   if (window <= 0.0) {
     return 0.0;
@@ -44,12 +50,15 @@ double BusyTracker::Utilization(SimTime window_start, SimTime window_end) const 
   // ending after the window opens, stop at the first starting at or after it
   // closes. Every interval skipped either way overlaps the window by nothing,
   // so the sum adds the same terms in the same order as a full scan.
-  auto it = std::partition_point(intervals_.begin(), intervals_.end(),
-                                 [&](const Interval& iv) { return iv.end <= window_start; });
+  size_t i = *cursor;
+  while (i < intervals_.size() && intervals_[i].end <= window_start) {
+    ++i;
+  }
+  *cursor = i;
   SimTime busy_in_window = 0.0;
-  for (; it != intervals_.end() && it->start < window_end; ++it) {
-    const SimTime s = std::max(it->start, window_start);
-    const SimTime e = std::min(it->end, window_end);
+  for (; i < intervals_.size() && intervals_[i].start < window_end; ++i) {
+    const SimTime s = std::max(intervals_[i].start, window_start);
+    const SimTime e = std::min(intervals_[i].end, window_end);
     if (e > s) {
       busy_in_window += e - s;
     }

@@ -39,7 +39,7 @@ class Accumulator {
 // Precondition: intervals arrive in time order and never overlap (a GPU
 // executes one task at a time, and the simulator's clock only moves
 // forward): each interval starts at or after the previous one's end.
-// AddBusy asserts it. Utilization relies on it to binary-search the window.
+// AddBusy asserts it. The utilization scans rely on it to stop early.
 class BusyTracker {
  public:
   // Records a busy interval [start, end); empty or reversed intervals are
@@ -50,9 +50,12 @@ class BusyTracker {
 
   SimTime busy_time() const { return busy_; }
   // Utilization in [0, 1] over the window [window_start, window_end); only
-  // busy time that falls inside the window counts. O(log n + intervals in
-  // the window).
+  // busy time that falls inside the window counts. O(intervals up to window_end).
   double Utilization(SimTime window_start, SimTime window_end) const;
+  // The same, bit for bit, for windows visited in nondecreasing start order:
+  // `*cursor` (0 before the first window) only moves forward, so sweeping n
+  // windows costs O(n + intervals).
+  double SweepUtilization(size_t* cursor, SimTime window_start, SimTime window_end) const;
 
  private:
   struct Interval {

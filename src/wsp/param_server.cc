@@ -95,15 +95,8 @@ bool WspCoordinator::RequestInjection(int vw, int64_t p, std::function<void()> w
 
 void WspCoordinator::OnWaveComplete(int vw, int64_t wave) {
   // The aggregated update u~ travels to the parameter servers.
-  simulator_->Schedule(comm_[static_cast<size_t>(vw)].push_s,
-                       [this, vw, wave] { OnPushArrived(vw, wave); });
-}
-
-void WspCoordinator::OnPushArrived(int vw, int64_t wave) {
-  clocks_.Advance(vw, wave);
-  clock_distance_.Add(static_cast<double>(clocks_.Distance()));
-  MaybeAdvanceGlobal();
-  StartPullIfNeeded(vw);  // refresh this VW's local copy if it is behind
+  simulator_->ScheduleAt(simulator_->now() + comm_[static_cast<size_t>(vw)].push_s, this,
+                         kPushArrived, static_cast<uint32_t>(vw), wave);
 }
 
 void WspCoordinator::MaybeAdvanceGlobal() {
@@ -133,13 +126,21 @@ void WspCoordinator::StartPullIfNeeded(int vw) {
     return;
   }
   pull_in_flight_[idx] = true;
-  const int64_t wave = global_wave_;
-  simulator_->Schedule(comm_[idx].pull_s, [this, vw, wave] { OnPullComplete(vw, wave); });
+  simulator_->ScheduleAt(simulator_->now() + comm_[idx].pull_s, this, kPullComplete,
+                         static_cast<uint32_t>(vw), global_wave_);
 }
 
-void WspCoordinator::OnPullComplete(int vw, int64_t wave) {
+void WspCoordinator::OnEvent(uint32_t kind, uint32_t a, int64_t wave) {
+  const int vw = static_cast<int>(a);
   const auto idx = static_cast<size_t>(vw);
-  pull_in_flight_[idx] = false;
+  if (kind == kPushArrived) {
+    clocks_.Advance(vw, wave);
+    clock_distance_.Add(static_cast<double>(clocks_.Distance()));
+    MaybeAdvanceGlobal();
+    StartPullIfNeeded(vw);  // refresh this VW's local copy if it is behind
+    return;
+  }
+  pull_in_flight_[idx] = false;  // kPullComplete
   pulled_wave_[idx] = std::max(pulled_wave_[idx], wave);
   if (waiters_[idx].has_value() && pulled_wave_[idx] >= waiters_[idx]->required_wave) {
     auto wake = std::move(waiters_[idx]->wake);

@@ -62,7 +62,7 @@ struct WspCoordinatorOptions {
 //  * the global clock advances when every VW has pushed wave c;
 //  * a VW needing global wave w (per RequiredGlobalWave) pulls once w is
 //    globally complete, paying pull_s, then resumes injection.
-class WspCoordinator final : public pipeline::InjectionGate {
+class WspCoordinator final : public pipeline::InjectionGate, public sim::EventTarget {
  public:
   WspCoordinator(sim::Simulator& simulator, const WspCoordinatorOptions& options,
                  std::vector<VwCommTimes> comm);
@@ -86,10 +86,13 @@ class WspCoordinator final : public pipeline::InjectionGate {
     std::function<void()> wake;
   };
 
-  void OnPushArrived(int vw, int64_t wave);
+  // sim::EventTarget: a push arriving at the parameter servers or a pull
+  // completing, each with `a = vw, b = wave`.
+  enum EventKind : uint32_t { kPushArrived, kPullComplete };
+  void OnEvent(uint32_t kind, uint32_t a, int64_t wave) override;
+
   void MaybeAdvanceGlobal();
   void StartPullIfNeeded(int vw);
-  void OnPullComplete(int vw, int64_t wave);
 
   sim::Simulator* simulator_;
   WspCoordinatorOptions options_;

@@ -204,4 +204,21 @@ std::string FormatDoubleOstream(double v) {
   return os.str();
 }
 
+double UtilizationFullScan(const std::vector<std::pair<double, double>>& intervals,
+                           double window_start, double window_end) {
+  const double window = window_end - window_start;
+  if (window <= 0.0) {
+    return 0.0;
+  }
+  double busy_in_window = 0.0;
+  for (const auto& [start, end] : intervals) {
+    const double s = std::max(start, window_start);
+    const double e = std::min(end, window_end);
+    if (e > s) {
+      busy_in_window += e - s;
+    }
+  }
+  return std::min(1.0, busy_in_window / window);
+}
+
 }  // namespace hetpipe::oracles

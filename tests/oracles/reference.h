@@ -1,6 +1,7 @@
 #pragma once
 
-// Test oracles for the partitioner and the model tables: the straightforward
+// Test oracles for the partitioner, the model tables and the simulator's
+// utilization windows: the straightforward
 // implementations the optimized code in src/ must match bit for bit. They
 // use only the public accessors of the types they check, so none of this
 // ships in the hetpipe library. partition_test and bench/partitioner_speed
@@ -8,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hw/gpu_spec.h"
@@ -49,5 +51,13 @@ partition::Partition SolveReference(const partition::Partitioner& partitioner,
 // precision(12), and "null" for NaN and the infinities. The to_chars encoder
 // behind ResultRow::Get and RowToJson must print the same bytes.
 std::string FormatDoubleOstream(double v);
+
+// One window of sim::BusyTracker::Utilization by a full scan: the busy time
+// of every interval [start, end) clipped to [window_start, window_end), summed
+// in interval order, over the window width and capped at 1; 0 for an empty or
+// reversed window. Utilization and the cursor sweep SweepUtilization, which
+// skip intervals outside the window, must return the same bits.
+double UtilizationFullScan(const std::vector<std::pair<double, double>>& intervals,
+                           double window_start, double window_end);
 
 }  // namespace hetpipe::oracles

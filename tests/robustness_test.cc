@@ -13,6 +13,7 @@
 #include "pipeline/virtual_worker.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
+#include "sim_callbacks.h"
 #include "wsp/param_server.h"
 
 namespace hetpipe {
@@ -105,6 +106,7 @@ TEST(RobustnessTest, CoordinatorWithSingleVwNeverBlocks) {
   comm[0].push_s = 0.1;
   comm[0].pull_s = 0.1;
   wsp::WspCoordinator coordinator(simulator, options, comm);
+  sim::CallbackTarget events(simulator);
 
   // Drive 10 waves; every injection beyond the free window must eventually
   // succeed since the only VW is itself.
@@ -118,7 +120,7 @@ TEST(RobustnessTest, CoordinatorWithSingleVwNeverBlocks) {
         return;
       }
       const int64_t w = wave++;
-      simulator.Schedule(0.5, [&, w] { coordinator.OnWaveComplete(0, w); });
+      events.Schedule(0.5, [&, w] { coordinator.OnWaveComplete(0, w); });
       return;  // one wave in flight at a time in this driver
     }
   };

@@ -3,50 +3,78 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "oracles/reference.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
+#include "sim_callbacks.h"
 
 namespace hetpipe::sim {
 namespace {
 
+// Records every event it receives, with the clock at dispatch.
+struct RecordingTarget final : EventTarget {
+  struct Received {
+    const RecordingTarget* target;
+    uint32_t kind;
+    uint32_t a;
+    int64_t b;
+    SimTime at;
+    bool operator==(const Received& o) const {
+      return target == o.target && kind == o.kind && a == o.a && b == o.b && at == o.at;
+    }
+  };
+
+  RecordingTarget(const Simulator* simulator, std::vector<Received>* log)
+      : simulator(simulator), log(log) {}
+  void OnEvent(uint32_t kind, uint32_t a, int64_t b) override {
+    log->push_back({this, kind, a, b, simulator->now()});
+  }
+
+  const Simulator* simulator;
+  std::vector<Received>* log;
+};
+
+std::vector<uint32_t> DrainArgs(EventQueue& q) {
+  std::vector<uint32_t> args;
+  while (!q.empty()) {
+    args.push_back(q.Pop().a);
+  }
+  return args;
+}
+
 TEST(EventQueueTest, PopsInTimeOrder) {
   EventQueue q;
-  std::vector<int> order;
-  q.Push(3.0, [&] { order.push_back(3); });
-  q.Push(1.0, [&] { order.push_back(1); });
-  q.Push(2.0, [&] { order.push_back(2); });
-  while (!q.empty()) {
-    q.Pop().action();
-  }
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  RecordingTarget target(nullptr, nullptr);
+  q.Push(3.0, &target, 0, 3, 0);
+  q.Push(1.0, &target, 0, 1, 0);
+  q.Push(2.0, &target, 0, 2, 0);
+  EXPECT_EQ(DrainArgs(q), (std::vector<uint32_t>{1, 2, 3}));
 }
 
 TEST(EventQueueTest, BreaksTiesByInsertionOrder) {
   EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    q.Push(5.0, [&order, i] { order.push_back(i); });
+  RecordingTarget target(nullptr, nullptr);
+  for (uint32_t i = 0; i < 10; ++i) {
+    q.Push(5.0, &target, 0, i, 0);
   }
-  while (!q.empty()) {
-    q.Pop().action();
-  }
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(order[static_cast<size_t>(i)], i);
-  }
+  EXPECT_EQ(DrainArgs(q), (std::vector<uint32_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
 }
 
 TEST(EventQueueTest, SizeTracksPushPop) {
   EventQueue q;
+  RecordingTarget target(nullptr, nullptr);
   EXPECT_TRUE(q.empty());
-  q.Push(1.0, [] {});
-  q.Push(2.0, [] {});
+  q.Push(1.0, &target, 0, 0, 0);
+  q.Push(2.0, &target, 0, 0, 0);
   EXPECT_EQ(q.size(), 2u);
   q.Pop();
   EXPECT_EQ(q.size(), 1u);
@@ -56,6 +84,7 @@ TEST(EventQueueTest, SizeTracksPushPop) {
 // sequence must be exactly the (time, seq) order of a sorted reference.
 TEST(EventQueueTest, PopOrderMatchesSortedReferenceUnderTies) {
   constexpr int kPushPhaseOps = 2000;  // then drain
+  RecordingTarget target(nullptr, nullptr);
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed);
     EventQueue q;
@@ -66,7 +95,7 @@ TEST(EventQueueTest, PopOrderMatchesSortedReferenceUnderTies) {
       if (op < kPushPhaseOps && (pending.empty() || rng.NextDouble() < 0.55)) {
         // Eight distinct instants, so most pushes tie with a queued event.
         const SimTime time = 0.25 * static_cast<double>(rng.UniformInt(0, 7));
-        const uint64_t seq = q.Push(time, [] {});
+        const uint64_t seq = q.Push(time, &target, 0, 0, 0);
         pending.emplace_back(time, seq);
       } else {
         const auto earliest = std::min_element(pending.begin(), pending.end());
@@ -82,25 +111,60 @@ TEST(EventQueueTest, PopOrderMatchesSortedReferenceUnderTies) {
   }
 }
 
-TEST(EventQueueTest, PoppedActionIsTheOnePushed) {
+// Every field of the record comes back as pushed, extremes included, through
+// heaps that grow and shrink across rounds.
+TEST(EventQueueTest, PoppedEventIsTheOnePushed) {
   EventQueue q;
-  std::vector<int> order;
-  for (int round = 0; round < 3; ++round) {  // slots are reused across rounds
-    for (int i = 0; i < 5; ++i) {
-      q.Push(static_cast<double>(4 - i), [&order, round, i] { order.push_back(10 * round + i); });
+  RecordingTarget first(nullptr, nullptr);
+  RecordingTarget second(nullptr, nullptr);
+  struct Pushed {
+    EventTarget* target;
+    uint32_t kind;
+    uint32_t a;
+    int64_t b;
+  };
+  const std::vector<Pushed> pushed = {
+      {&first, 0, 0, 0},
+      {&second, 7, UINT32_MAX, -1},
+      {&first, UINT32_MAX, 12345, std::numeric_limits<int64_t>::min()},
+      {&second, 1, UINT32_MAX - 1, std::numeric_limits<int64_t>::max()},
+      {&first, 2, 42, -987654321012LL},
+  };
+  for (int round = 0; round < 3; ++round) {
+    for (size_t i = 0; i < pushed.size(); ++i) {
+      const Pushed& p = pushed[i];
+      q.Push(static_cast<double>(pushed.size() - i) + 10.0 * round, p.target, p.kind, p.a, p.b);
     }
-    while (!q.empty()) {
-      q.Pop().action();
+    for (size_t i = pushed.size(); i-- > 0;) {
+      const Event event = q.Pop();
+      const Pushed& p = pushed[i];
+      EXPECT_EQ(event.time, static_cast<double>(pushed.size() - i) + 10.0 * round);
+      EXPECT_EQ(event.target, p.target);
+      EXPECT_EQ(event.kind, p.kind);
+      EXPECT_EQ(event.a, p.a);
+      EXPECT_EQ(event.b, p.b);
     }
+    EXPECT_TRUE(q.empty());
   }
-  EXPECT_EQ(order, (std::vector<int>{4, 3, 2, 1, 0, 14, 13, 12, 11, 10, 24, 23, 22, 21, 20}));
+}
+
+TEST(EventQueueDeathTest, EmptyQueueAccessIsRejectedInDebugBuilds) {
+#ifdef NDEBUG
+  // Without the assert the calls read past an empty vector; nothing to run.
+  GTEST_SKIP() << "assertions are compiled out";
+#else
+  EventQueue q;
+  EXPECT_DEATH(q.Pop(), "empty event queue");
+  EXPECT_DEATH(q.TopTime(), "empty event queue");
+#endif
 }
 
 TEST(SimulatorTest, AdvancesTimeToEventTimestamps) {
   Simulator sim;
+  CallbackTarget events(sim);
   std::vector<double> seen;
-  sim.Schedule(1.5, [&] { seen.push_back(sim.now()); });
-  sim.Schedule(0.5, [&] { seen.push_back(sim.now()); });
+  events.Schedule(1.5, [&] { seen.push_back(sim.now()); });
+  events.Schedule(0.5, [&] { seen.push_back(sim.now()); });
   sim.Run();
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_DOUBLE_EQ(seen[0], 0.5);
@@ -109,10 +173,11 @@ TEST(SimulatorTest, AdvancesTimeToEventTimestamps) {
 
 TEST(SimulatorTest, NestedSchedulingWorks) {
   Simulator sim;
+  CallbackTarget events(sim);
   int fired = 0;
-  sim.Schedule(1.0, [&] {
+  events.Schedule(1.0, [&] {
     ++fired;
-    sim.Schedule(1.0, [&] {
+    events.Schedule(1.0, [&] {
       ++fired;
       EXPECT_DOUBLE_EQ(sim.now(), 2.0);
     });
@@ -122,31 +187,33 @@ TEST(SimulatorTest, NestedSchedulingWorks) {
   EXPECT_EQ(sim.events_processed(), 2u);
 }
 
-// Actions that schedule events while they are being dispatched: the queue's
-// action slab grows and recycles slots underneath the running action, which
-// must therefore already have been moved out of its slot. Each action reads
+// Actions that schedule events while they are being dispatched: the
+// callback target's action vector and the queue's heap grow underneath the
+// running action, which must therefore already have been moved out of its
+// slot. Each action reads
 // its capture again after scheduling, and the 64-byte capture keeps it out of
 // std::function's inline buffer, so an action destroyed or moved while it
 // runs shows up as a wrong id (or under ASan as a use after free).
 TEST(SimulatorTest, ActionsScheduledDuringDispatchFireInOrder) {
   Simulator sim;
+  CallbackTarget events(sim);
   std::vector<std::pair<SimTime, int>> fired;
   int next_id = 0;
   std::function<void(int)> spawn = [&](int depth) {
     if (depth == 0) {
       return;
     }
-    // Fan out more children than the slab holds, half of them tied.
+    // Fan out six children, half of them tied.
     for (int c = 0; c < 6; ++c) {
       std::array<int, 16> payload;
       payload.fill(++next_id);
-      sim.Schedule(0.5 * static_cast<double>(c % 3), [&, payload, depth] {
+      events.Schedule(0.5 * static_cast<double>(c % 3), [&, payload, depth] {
         spawn(depth - 1);
         fired.emplace_back(sim.now(), payload[0] == payload[15] ? payload[15] : -1);
       });
     }
   };
-  sim.Schedule(1.0, [&] {
+  events.Schedule(1.0, [&] {
     spawn(3);
     fired.emplace_back(sim.now(), 0);
   });
@@ -184,14 +251,15 @@ TEST(SimulatorTest, ActionsScheduledDuringDispatchFireInOrder) {
 
 TEST(SimulatorTest, NanTimeIsRejected) {
   Simulator sim;
+  CallbackTarget events(sim);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   int fired = 0;
-  EXPECT_THROW(sim.Schedule(nan, [&] { ++fired; }), std::invalid_argument);
-  EXPECT_THROW(sim.ScheduleAt(nan, [&] { ++fired; }), std::invalid_argument);
+  EXPECT_THROW(events.Schedule(nan, [&] { ++fired; }), std::invalid_argument);
+  EXPECT_THROW(events.ScheduleAt(nan, [&] { ++fired; }), std::invalid_argument);
   // A rejected event is not queued, and the queue still orders the rest.
-  sim.Schedule(2.0, [&] { fired += 10; });
-  sim.Schedule(1.0, [&] {
-    EXPECT_THROW(sim.Schedule(nan, [&] { ++fired; }), std::invalid_argument);
+  events.Schedule(2.0, [&] { fired += 10; });
+  events.Schedule(1.0, [&] {
+    EXPECT_THROW(events.Schedule(nan, [&] { ++fired; }), std::invalid_argument);
     fired += 100;
   });
   sim.Run();
@@ -199,14 +267,72 @@ TEST(SimulatorTest, NanTimeIsRejected) {
   EXPECT_EQ(sim.events_processed(), 2u);
 }
 
+TEST(SimulatorTest, NullTargetIsRejected) {
+  Simulator sim;
+  std::vector<RecordingTarget::Received> log;
+  RecordingTarget target(&sim, &log);
+  EXPECT_THROW(sim.ScheduleAt(1.0, nullptr, 0, 0, 0), std::invalid_argument);
+  sim.ScheduleAt(1.0, &target, 3, 4, 5);
+  sim.Run();
+  EXPECT_EQ(log, (std::vector<RecordingTarget::Received>{{&target, 3, 4, 5, 1.0}}));
+  EXPECT_EQ(sim.events_processed(), 1u);
+}
+
+// Two typed targets and the callback adapter schedule into one queue at tied
+// times: dispatch is FIFO by schedule order across targets, and Stop() and
+// RunUntil leave the clock where they always have.
+TEST(SimulatorTest, TiedEventsDispatchInScheduleOrderAcrossTargets) {
+  Simulator sim;
+  std::vector<RecordingTarget::Received> log;
+  RecordingTarget x(&sim, &log);
+  RecordingTarget y(&sim, &log);
+  CallbackTarget events(sim);
+  events.Schedule(1.0, [&] {
+    log.push_back({nullptr, 99, 0, 0, sim.now()});
+    sim.Stop();
+  });
+  sim.ScheduleAt(1.0, &y, 1, 10, -10);
+  sim.ScheduleAt(1.0, &x, 2, 20, -20);
+  sim.ScheduleAt(2.0, &x, 3, 30, -30);
+  events.ScheduleAt(2.0, [&] {
+    log.push_back({nullptr, 98, 0, 0, sim.now()});
+    // Scheduled at the current instant: after everything already tied here.
+    sim.ScheduleAt(sim.now(), &x, 5, 50, -50);
+  });
+  sim.ScheduleAt(2.0, &y, 4, 40, -40);
+
+  // The callback stops the run at t = 1 before the tied typed events.
+  sim.RunUntil(5.0);
+  EXPECT_EQ(sim.now(), 1.0);
+  EXPECT_EQ(log, (std::vector<RecordingTarget::Received>{{nullptr, 99, 0, 0, 1.0}}));
+
+  // Resumes with the rest of t = 1 and stops short of t = 2.
+  sim.RunUntil(1.5);
+  EXPECT_EQ(sim.now(), 1.5);
+  sim.RunUntil(2.0);
+  EXPECT_EQ(sim.now(), 2.0);
+  const std::vector<RecordingTarget::Received> want = {
+      {nullptr, 99, 0, 0, 1.0}, {&y, 1, 10, -10, 1.0}, {&x, 2, 20, -20, 1.0},
+      {&x, 3, 30, -30, 2.0},    {nullptr, 98, 0, 0, 2.0}, {&y, 4, 40, -40, 2.0},
+      {&x, 5, 50, -50, 2.0},
+  };
+  EXPECT_EQ(log, want);
+  EXPECT_EQ(sim.events_processed(), 7u);
+
+  // A drained window still advances the clock to its deadline.
+  sim.RunUntil(3.0);
+  EXPECT_EQ(sim.now(), 3.0);
+}
+
 TEST(SimulatorTest, InfiniteTimeFiresOnlyUnderRun) {
   Simulator sim;
+  CallbackTarget events(sim);
   const double inf = std::numeric_limits<double>::infinity();
   std::vector<int> order;
-  sim.Schedule(inf, [&] { order.push_back(2); });
-  sim.ScheduleAt(inf, [&] { order.push_back(3); });
-  sim.Schedule(5.0, [&] { order.push_back(1); });
-  sim.Schedule(-inf, [&] { order.push_back(0); });  // clamps to now
+  events.Schedule(inf, [&] { order.push_back(2); });
+  events.ScheduleAt(inf, [&] { order.push_back(3); });
+  events.Schedule(5.0, [&] { order.push_back(1); });
+  events.Schedule(-inf, [&] { order.push_back(0); });  // clamps to now
   sim.RunUntil(100.0);
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
   sim.Run();
@@ -216,9 +342,10 @@ TEST(SimulatorTest, InfiniteTimeFiresOnlyUnderRun) {
 
 TEST(SimulatorTest, RunUntilStopsAtDeadline) {
   Simulator sim;
+  CallbackTarget events(sim);
   int fired = 0;
-  sim.Schedule(1.0, [&] { ++fired; });
-  sim.Schedule(5.0, [&] { ++fired; });
+  events.Schedule(1.0, [&] { ++fired; });
+  events.Schedule(5.0, [&] { ++fired; });
   sim.RunUntil(2.0);
   EXPECT_EQ(fired, 1);
   EXPECT_DOUBLE_EQ(sim.now(), 2.0);
@@ -228,8 +355,9 @@ TEST(SimulatorTest, RunUntilStopsAtDeadline) {
 
 TEST(SimulatorTest, EventAtExactDeadlineFires) {
   Simulator sim;
+  CallbackTarget events(sim);
   int fired = 0;
-  sim.Schedule(2.0, [&] { ++fired; });
+  events.Schedule(2.0, [&] { ++fired; });
   sim.RunUntil(2.0);
   EXPECT_EQ(fired, 1);
   EXPECT_DOUBLE_EQ(sim.now(), 2.0);
@@ -241,7 +369,8 @@ TEST(SimulatorTest, RunUntilAdvancesClockWhenQueueDrainsEarly) {
   // window observed a non-monotone clock and relative Schedule() calls were
   // anchored at the stale time.
   Simulator sim;
-  sim.Schedule(1.0, [] {});
+  CallbackTarget events(sim);
+  events.Schedule(1.0, [] {});
   sim.RunUntil(5.0);
   EXPECT_DOUBLE_EQ(sim.now(), 5.0);  // not 1.0: the interval to 5.0 elapsed
 
@@ -251,32 +380,35 @@ TEST(SimulatorTest, RunUntilAdvancesClockWhenQueueDrainsEarly) {
 
   // Relative scheduling after a drained window anchors at the deadline.
   double fired_at = -1.0;
-  sim.Schedule(1.0, [&] { fired_at = sim.now(); });
+  events.Schedule(1.0, [&] { fired_at = sim.now(); });
   sim.RunUntil(10.0);
   EXPECT_DOUBLE_EQ(fired_at, 8.0);
   EXPECT_DOUBLE_EQ(sim.now(), 10.0);
 
   // Run() (infinite deadline) still leaves the clock at the last event.
   Simulator open_ended;
-  open_ended.Schedule(3.0, [] {});
+  CallbackTarget open_ended_events(open_ended);
+  open_ended_events.Schedule(3.0, [] {});
   open_ended.Run();
   EXPECT_DOUBLE_EQ(open_ended.now(), 3.0);
 
   // A Stop() inside the window leaves the clock at the stopping event.
   Simulator stopped;
-  stopped.Schedule(1.0, [&] { stopped.Stop(); });
+  CallbackTarget stopped_events(stopped);
+  stopped_events.Schedule(1.0, [&] { stopped.Stop(); });
   stopped.RunUntil(9.0);
   EXPECT_DOUBLE_EQ(stopped.now(), 1.0);
 }
 
 TEST(SimulatorTest, StopHaltsDispatch) {
   Simulator sim;
+  CallbackTarget events(sim);
   int fired = 0;
-  sim.Schedule(1.0, [&] {
+  events.Schedule(1.0, [&] {
     ++fired;
     sim.Stop();
   });
-  sim.Schedule(2.0, [&] { ++fired; });
+  events.Schedule(2.0, [&] { ++fired; });
   sim.Run();
   EXPECT_EQ(fired, 1);
   sim.Run();  // resumes
@@ -285,8 +417,9 @@ TEST(SimulatorTest, StopHaltsDispatch) {
 
 TEST(SimulatorTest, NegativeDelayClampsToNow) {
   Simulator sim;
+  CallbackTarget events(sim);
   double at = -1.0;
-  sim.Schedule(1.0, [&] { sim.Schedule(-5.0, [&] { at = sim.now(); }); });
+  events.Schedule(1.0, [&] { events.Schedule(-5.0, [&] { at = sim.now(); }); });
   sim.Run();
   EXPECT_DOUBLE_EQ(at, 1.0);
 }
@@ -336,24 +469,6 @@ TEST(BusyTrackerTest, IgnoresEmptyIntervalsAndEmptyWindows) {
   EXPECT_DOUBLE_EQ(tracker.Utilization(5.0, 5.0), 0.0);
 }
 
-// The full scan Utilization used before it binary-searched the window.
-double FullScanUtilization(const std::vector<std::pair<SimTime, SimTime>>& intervals,
-                           SimTime window_start, SimTime window_end) {
-  const SimTime window = window_end - window_start;
-  if (window <= 0.0) {
-    return 0.0;
-  }
-  SimTime busy_in_window = 0.0;
-  for (const auto& [start, end] : intervals) {
-    const SimTime s = std::max(start, window_start);
-    const SimTime e = std::min(end, window_end);
-    if (e > s) {
-      busy_in_window += e - s;
-    }
-  }
-  return std::min(1.0, busy_in_window / window);
-}
-
 TEST(BusyTrackerTest, WindowedUtilizationEqualsFullScan) {
   for (uint64_t seed = 1; seed <= 25; ++seed) {
     Rng rng(seed);
@@ -389,9 +504,90 @@ TEST(BusyTrackerTest, WindowedUtilizationEqualsFullScan) {
       windows.emplace_back(a, a + rng.Uniform(0.0, 0.5 * (t + 1.0)));
     }
     for (const auto& [from, to] : windows) {
-      EXPECT_EQ(tracker.Utilization(from, to), FullScanUtilization(intervals, from, to))
+      EXPECT_EQ(tracker.Utilization(from, to), oracles::UtilizationFullScan(intervals, from, to))
           << "seed " << seed << " window [" << from << ", " << to << ")";
     }
+  }
+}
+
+// Sweeps `windows` in order with one cursor; every window must equal the
+// full-scan oracle and the binary-searched Utilization bit for bit.
+void ExpectSweepMatchesFullScan(const BusyTracker& tracker,
+                                const std::vector<std::pair<SimTime, SimTime>>& intervals,
+                                const std::vector<std::pair<SimTime, SimTime>>& windows,
+                                uint64_t seed) {
+  size_t cursor = 0;
+  for (const auto& [from, to] : windows) {
+    const double swept = tracker.SweepUtilization(&cursor, from, to);
+    EXPECT_EQ(swept, oracles::UtilizationFullScan(intervals, from, to))
+        << "seed " << seed << " window [" << from << ", " << to << ")";
+    EXPECT_EQ(swept, tracker.Utilization(from, to))
+        << "seed " << seed << " window [" << from << ", " << to << ")";
+  }
+}
+
+TEST(BusyTrackerTest, CursorSweepEqualsFullScanOnHandPickedWindows) {
+  BusyTracker tracker;
+  const std::vector<std::pair<SimTime, SimTime>> intervals = {{0.0, 1.0}, {2.0, 3.0}, {3.0, 4.0}};
+  for (const auto& [start, end] : intervals) {
+    tracker.AddBusy(start, end);
+  }
+  const std::vector<std::pair<SimTime, SimTime>> windows = {
+      {-1.0, 0.0},  // ends on the first interval's start edge
+      {0.0, 0.0},   // zero length, on an edge
+      {0.0, 0.5},   // [0, 1) straddles this window and the next
+      {0.5, 2.5},   // and [2, 3) this one and the next
+      {2.5, 3.0},   // ends on the edge two intervals share
+      {3.0, 3.0},   // zero length, on that edge
+      {3.0, 3.5},
+      {3.5, 3.5},   // zero length, inside an interval
+      {4.0, 6.0},   // starts on the last interval's end edge
+      {7.0, 8.0},   // past the last interval
+  };
+  ExpectSweepMatchesFullScan(tracker, intervals, windows, 0);
+  size_t cursor = 0;
+  EXPECT_EQ(tracker.SweepUtilization(&cursor, 0.5, 2.5), 0.5);
+  EXPECT_EQ(tracker.SweepUtilization(&cursor, 7.0, 8.0), 0.0);
+  EXPECT_EQ(cursor, intervals.size());
+}
+
+TEST(BusyTrackerTest, CursorSweepEqualsFullScan) {
+  for (uint64_t seed = 1; seed <= 25; ++seed) {
+    Rng rng(seed);
+    BusyTracker tracker;
+    std::vector<std::pair<SimTime, SimTime>> intervals;
+    std::vector<SimTime> points;  // candidate window edges
+    SimTime t = rng.Uniform(0.0, 2.0);
+    const int n = static_cast<int>(rng.UniformInt(0, 60));
+    for (int i = 0; i < n; ++i) {
+      t += rng.NextDouble() < 0.3 ? 0.0 : rng.Uniform(0.0, 1.5);
+      const SimTime end = t + rng.Uniform(0.01, 2.0);
+      tracker.AddBusy(t, end);
+      intervals.emplace_back(t, end);
+      points.push_back(t);
+      points.push_back(0.5 * (t + end));  // a window edge inside the interval
+      points.push_back(end);
+      t = end;
+    }
+    for (int i = 0; i < 40; ++i) {
+      points.push_back(rng.Uniform(-1.0, t + 1.0));
+    }
+    std::sort(points.begin(), points.end());
+    // Time-ordered windows, as a virtual worker's waits are: consecutive
+    // windows share an edge or leave a gap, and some have zero length.
+    std::vector<std::pair<SimTime, SimTime>> windows;
+    for (size_t i = 0; i + 1 < points.size();) {
+      if (rng.NextDouble() < 0.15) {
+        windows.emplace_back(points[i], points[i]);
+        continue;
+      }
+      const size_t j =
+          std::min(points.size() - 1, i + 1 + static_cast<size_t>(rng.UniformInt(0, 2)));
+      windows.emplace_back(points[i], points[j]);
+      i = rng.NextDouble() < 0.5 ? j : j + 1;
+    }
+    windows.emplace_back(t + 0.5, t + 2.0);  // past the last interval
+    ExpectSweepMatchesFullScan(tracker, intervals, windows, seed);
   }
 }
 

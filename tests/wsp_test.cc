@@ -8,6 +8,7 @@
 #include "model/vgg.h"
 #include "partition/partitioner.h"
 #include "sim/simulator.h"
+#include "sim_callbacks.h"
 #include "wsp/clock.h"
 #include "wsp/param_server.h"
 #include "wsp/staleness.h"
@@ -176,7 +177,7 @@ TEST_F(PsCommTest, RoundRobinRidesTheSlowestResolvedPairLink) {
 struct ScriptedVw {
   ScriptedVw(sim::Simulator& s, WspCoordinator& c, int id, int nm, double wave_period,
              int64_t waves)
-      : simulator(&s), coord(&c), vw(id), nm(nm), period(wave_period), total_waves(waves) {}
+      : events(s), coord(&c), vw(id), nm(nm), period(wave_period), total_waves(waves) {}
 
   void Start() { ScheduleNext(); }
 
@@ -190,14 +191,14 @@ struct ScriptedVw {
       ++blocked_count;
       return;
     }
-    simulator->Schedule(period, [this] {
+    events.Schedule(period, [this] {
       coord->OnWaveComplete(vw, wave);
       ++wave;
       ScheduleNext();
     });
   }
 
-  sim::Simulator* simulator;
+  sim::CallbackTarget events;
   WspCoordinator* coord;
   int vw;
   int nm;
@@ -300,10 +301,11 @@ TEST(WspCoordinatorTest, PullLatencyDelaysResume) {
 
   // Worker 0 finishes wave 0 at t=0 and immediately wants minibatch 2 (which
   // requires global wave 0); worker 1 pushes wave 0 at t=2.
+  sim::CallbackTarget events(simulator);
   bool resumed = false;
   double resume_time = -1.0;
   coordinator.OnWaveComplete(0, 0);
-  simulator.Schedule(0.0, [&] {
+  events.Schedule(0.0, [&] {
     if (!coordinator.RequestInjection(0, 2, [&] {
           resumed = true;
           resume_time = simulator.now();
@@ -314,7 +316,7 @@ TEST(WspCoordinatorTest, PullLatencyDelaysResume) {
       resume_time = simulator.now();
     }
   });
-  simulator.Schedule(2.0, [&] { coordinator.OnWaveComplete(1, 0); });
+  events.Schedule(2.0, [&] { coordinator.OnWaveComplete(1, 0); });
   simulator.Run();
   ASSERT_TRUE(resumed);
   // Global wave completes at t=2, pull takes 0.5.
