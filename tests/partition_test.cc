@@ -1004,11 +1004,14 @@ TEST(SearchParallelTest, SolvesAreByteIdenticalAcrossThreadCounts) {
 // The 8-node x 4-GPU clusters behind the serve benchmark's large plan
 // requests: four classes cycling over the nodes, either racked in pairs
 // (12-16 GPU virtual workers resolve to the hierarchical tier) or flat
-// (they resolve to the beam). Explicit codes keep the rendered signatures
-// independent of which classes earlier tests registered.
-Cluster PlanBenchCluster(bool racked) {
+// (they resolve to the beam). `racks` of 8 puts every node in a rack of its
+// own. Explicit codes keep the rendered signatures independent of which
+// classes earlier tests registered.
+Cluster PlanBenchCluster(int racks) {
   hw::ClusterSpec spec;
-  spec.Named(racked ? "bench-racked" : "bench-flat")
+  spec.Named(racks == 0   ? std::string("bench-flat")
+             : racks == 4 ? std::string("bench-racked")
+                          : "bench-" + std::to_string(racks) + "rack")
       .AddGpuClass("BenchV", 14.0, 12.0, 'w')
       .AddGpuClass("BenchR", 16.3, 24.0, 'x')
       .AddGpuClass("BenchG", 11.3, 8.0, 'y')
@@ -1017,13 +1020,30 @@ Cluster PlanBenchCluster(bool racked) {
   for (int node = 0; node < 8; ++node) {
     spec.AddNode(kClasses[node % 4], 4);
   }
-  if (racked) {
-    for (int rack = 0; rack < 4; ++rack) {
-      spec.AddRack("rack" + std::to_string(rack), {2 * rack, 2 * rack + 1});
+  if (racks > 0) {
+    const int per_rack = 8 / racks;
+    for (int rack = 0; rack < racks; ++rack) {
+      std::vector<int> nodes(static_cast<size_t>(per_rack));
+      std::iota(nodes.begin(), nodes.end(), rack * per_rack);
+      spec.AddRack("rack" + std::to_string(rack), nodes);
     }
     spec.CrossRackGbits(5.0);
   }
   return spec.Build();
+}
+
+// The ids of a PlanBenchCluster virtual worker with per_node[i] GPUs on node
+// i, and the per-node counts as a key ("13124202").
+std::vector<int> PlanBenchIds(const std::vector<int>& per_node, std::string* counts) {
+  std::vector<int> ids;
+  counts->clear();
+  for (int node = 0; node < 8; ++node) {
+    *counts += static_cast<char>('0' + per_node[static_cast<size_t>(node)]);
+    for (int slot = 0; slot < per_node[static_cast<size_t>(node)]; ++slot) {
+      ids.push_back(node * 4 + slot);
+    }
+  }
+  return ids;
 }
 
 // Every golden line, in a fixed order.
@@ -1049,8 +1069,8 @@ std::vector<std::pair<std::string, std::string>> ScalableGoldenLines() {
 
   // 12-16 GPU virtual workers drawn like the large plan requests: GPUs
   // placed on random nodes, at most four per node.
-  const Cluster racked = PlanBenchCluster(true);
-  const Cluster flat = PlanBenchCluster(false);
+  const Cluster racked = PlanBenchCluster(4);
+  const Cluster flat = PlanBenchCluster(0);
   const model::ModelGraph resnet = BuildResNet152();
   const model::ModelGraph vgg = BuildVgg19();
   std::mt19937 rng(20261017);
@@ -1074,14 +1094,8 @@ std::vector<std::pair<std::string, std::string>> ScalableGoldenLines() {
     for (const Cluster* cluster : {&racked, &flat}) {
       const Partitioner partitioner(profile, *cluster);
       for (const std::vector<int>& per_node : shapes) {
-        std::vector<int> ids;
         std::string counts;
-        for (int node = 0; node < 8; ++node) {
-          counts += static_cast<char>('0' + per_node[static_cast<size_t>(node)]);
-          for (int slot = 0; slot < per_node[static_cast<size_t>(node)]; ++slot) {
-            ids.push_back(node * 4 + slot);
-          }
-        }
+        const std::vector<int> ids = PlanBenchIds(per_node, &counts);
         solve_all(cluster->name() + "|" + label + "|" + counts, profile, partitioner, ids,
                   {1, 2});
       }
@@ -1103,6 +1117,83 @@ std::vector<std::pair<std::string, std::string>> ScalableGoldenLines() {
       solve_all(prefix + label, profile, Partitioner(profile, cluster), ids, {1 + round % 3});
     }
   });
+
+  // The knobs plan requests leave at their defaults, on the first two large
+  // shapes: pruning off, beam widths 1 and 3, and rack_order_limit 2 and 20
+  // (rack segments with more interior orders fall back to adjacent swaps).
+  // Then the hierarchical tier's fallbacks: a virtual worker inside one rack
+  // (it runs the beam), and virtual workers touching 7 or 8 single-node
+  // racks (over 720 rack orders: heuristic coarse orders plus swap polish).
+  struct Knob {
+    const char* name;
+    void (*apply)(PartitionOptions*);
+  };
+  const Knob kKnobs[] = {
+      {"noprune", [](PartitionOptions* o) { o->prune = false; }},
+      {"width1", [](PartitionOptions* o) { o->beam_width = 1; }},
+      {"width3", [](PartitionOptions* o) { o->beam_width = 3; }},
+      {"racklimit2", [](PartitionOptions* o) { o->rack_order_limit = 2; }},
+      {"racklimit20", [](PartitionOptions* o) { o->rack_order_limit = 20; }},
+  };
+  const auto solve_approx = [&](const std::string& prefix, const ModelProfile& profile,
+                                const Partitioner& partitioner, const std::vector<int>& ids,
+                                const PartitionOptions& base) {
+    for (const auto& [strategy, name] : kStrategies) {
+      if (strategy == SearchStrategy::kAuto) {
+        continue;
+      }
+      PartitionOptions options = base;
+      options.strategy = strategy;
+      lines.emplace_back(prefix + "|" + name + "|nm" + std::to_string(options.nm),
+                         SolveSignature(partitioner.SolveScalable(ids, options), profile));
+    }
+  };
+  const Cluster eight_racks = PlanBenchCluster(8);
+  const std::vector<std::vector<int>> kSingleRack = {{4, 4, 0, 0, 0, 0, 0, 0},
+                                                     {2, 3, 0, 0, 0, 0, 0, 0}};
+  const std::vector<std::vector<int>> kManyRacks = {{2, 2, 2, 2, 2, 2, 2, 0},
+                                                    {2, 2, 1, 2, 2, 1, 2, 2},
+                                                    {1, 1, 1, 1, 1, 1, 1, 1}};
+  for (const auto& [label, graph] :
+       {std::pair<const char*, const model::ModelGraph*>{"resnet152", &resnet},
+        std::pair<const char*, const model::ModelGraph*>{"vgg19", &vgg}}) {
+    const ModelProfile profile(*graph, 32);
+    for (const Cluster* cluster : {&racked, &flat}) {
+      const Partitioner partitioner(profile, *cluster);
+      for (size_t shape = 0; shape < 2; ++shape) {
+        std::string counts;
+        const std::vector<int> ids = PlanBenchIds(shapes[shape], &counts);
+        for (const Knob& knob : kKnobs) {
+          PartitionOptions options;
+          knob.apply(&options);
+          solve_approx(cluster->name() + "|" + label + "|" + counts + "|" + knob.name, profile,
+                       partitioner, ids, options);
+        }
+      }
+    }
+    const Partitioner in_rack(profile, racked);
+    for (const std::vector<int>& per_node : kSingleRack) {
+      std::string counts;
+      const std::vector<int> ids = PlanBenchIds(per_node, &counts);
+      for (int nm : {1, 2}) {
+        PartitionOptions options;
+        options.nm = nm;
+        solve_approx("one-rack|" + std::string(label) + "|" + counts, profile, in_rack, ids,
+                     options);
+      }
+    }
+    const Partitioner spread(profile, eight_racks);
+    for (const std::vector<int>& per_node : kManyRacks) {
+      std::string counts;
+      const std::vector<int> ids = PlanBenchIds(per_node, &counts);
+      for (int nm : {1, 2}) {
+        PartitionOptions options;
+        options.nm = nm;
+        solve_approx(eight_racks.name() + "|" + label + "|" + counts, profile, spread, ids,
+                     options);
+      }
+    }
+  }
   return lines;
 }
 
