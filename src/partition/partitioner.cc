@@ -214,12 +214,20 @@ Partition Partitioner::SolveFixedOrder(const std::vector<int>& gpu_ids,
   if (k == 0 || profile_->num_layers() < k) {
     return Partition{};
   }
-  for (int t = 0; t < k; ++t) {
-    if (!PlaceGpu(t, k, gpu_ids[static_cast<size_t>(t)], options, prune_above)) {
-      return Partition{};  // every split of this prefix exceeds prune_above
-    }
+  if (!PlaceGpus(0, k, gpu_ids.data(), k, options, prune_above)) {
+    return Partition{};  // every split of this prefix exceeds prune_above
   }
   return FinishOrder(k, options, prune_above);
+}
+
+bool Partitioner::PlaceGpus(int t, int k, const int* ids, int count,
+                            const PartitionOptions& options, double prune_above) const {
+  for (int i = 0; i < count; ++i) {
+    if (!PlaceGpu(t + i, k, ids[i], options, prune_above)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void Partitioner::EdgeRow(int from_id, int to_id, double* edge) const {

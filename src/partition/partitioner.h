@@ -166,24 +166,32 @@ class Partitioner {
 
   // Beam search over (type, node) order prefixes: states carry the exact DP
   // row of their closed stages, extend one class at a time, and the top
-  // options.beam_width states per depth survive; the surviving complete
-  // orders are then polished by deterministic pairwise-swap local search.
-  // Deterministic, and invariant under permutations of `gpu_ids` with equal
-  // (type, node) multisets (ids are canonicalized first).
+  // options.beam_width states per depth survive. A state computes one
+  // closing row per distinct link to the classes it can extend with (the row
+  // depends on the next class only through that link), and only the
+  // survivors are materialised. The surviving complete orders are then
+  // polished by deterministic pairwise-swap local search, each probe
+  // resuming the prefix DP at the first swapped position. Deterministic, and
+  // invariant under permutations of `gpu_ids` with equal (type, node)
+  // multisets (ids are canonicalized first).
   Partition SolveBeam(const std::vector<int>& gpu_ids, const PartitionOptions& options) const;
 
   // Hierarchical search over the rack topology: coarsen the virtual worker
-  // to its racks, search the rack order (exhaustively for few racks,
-  // heuristic orders plus swaps otherwise), then refine each rack's internal
-  // order over its DistinctClassOrders (coordinate descent across racks).
-  // Virtual workers inside a single rack degrade to the beam.
+  // to its racks, search the rack order (a depth-first walk of the rack
+  // permutation trie for up to 720 orders, placing each segment once per
+  // prefix; heuristic orders plus swaps otherwise), then refine each rack's
+  // internal order (coordinate descent across racks): the segments before
+  // it are placed once, its (type, node) class-order trie is walked on top,
+  // and the segments after it are placed at each leaf. Virtual workers
+  // inside a single rack degrade to the beam.
   Partition SolveHierarchical(const std::vector<int>& gpu_ids,
                               const PartitionOptions& options) const;
 
-  // Solves unrelated orders (beam candidates, hierarchical batches) with
-  // SolveFixedOrder under a shared branch-and-bound incumbent seeded with
-  // `initial_bound`, on options.pool when one is given; results are indexed
-  // like `orders` (see search.cc for why any schedule yields the same winner).
+  // Solves unrelated orders (the beam's survivors and seeds, the heuristic
+  // rack orders past 720 permutations) with SolveFixedOrder under a shared
+  // branch-and-bound incumbent seeded with `initial_bound`, on options.pool
+  // when one is given; results are indexed like `orders` (see search.cc for
+  // why any schedule yields the same winner).
   std::vector<Partition> SolveOrderBatch(const PartitionOptions& options, double initial_bound,
                                          const std::vector<std::vector<int>>& orders) const;
 
@@ -203,7 +211,12 @@ class Partitioner {
   // returns false when every cell of that row is cut; t == k runs the last
   // row. FinishOrder runs it and builds the partition (infeasible when cut
   // or out of memory).
+  // PlaceGpus places ids[0..count-1] at positions t.. in turn and returns
+  // false at the first cut row; a search that resumes an order at position t
+  // keeps the rows of positions < t that the thread placed before.
   bool PlaceGpu(int t, int k, int id, const PartitionOptions& options, double prune_above) const;
+  bool PlaceGpus(int t, int k, const int* ids, int count, const PartitionOptions& options,
+                 double prune_above) const;
   Partition FinishOrder(int k, const PartitionOptions& options, double prune_above) const;
   // edge[j] = seconds to send the activation after layer j-1 over the link
   // from_id -> to_id (edge[0] = 0), for j < n: a stage's fwd_x as is, the
@@ -221,7 +234,7 @@ class Partitioner {
   // written cell is finite. Only splits inside the span between the first
   // and last finite cell of prev are evaluated: the others read +inf and
   // cannot win. The prefix DP runs it once per trie edge; the beam closes
-  // one stage at a time with it.
+  // one stage at a time with it, once per (state, distinct outgoing link).
   bool DpRow(int q, int k, hw::GpuType type, const PartitionOptions& options,
              const double* prev, const double* fwd_x, const double* bwd_x, double prune_above,
              double* cur, int* cur_choice) const;
@@ -286,13 +299,6 @@ uint64_t EstimateOrderCount(const hw::Cluster& cluster, const std::vector<int>& 
 SearchStrategy ResolveSearchStrategy(const hw::Cluster& cluster,
                                      const std::vector<int>& gpu_ids,
                                      const PartitionOptions& options);
-
-// The distinct (type, node) orderings of `ids`, each realized by its minimal
-// ascending-id representative, in the first-occurrence order of a factorial
-// next_permutation scan (see the implementation note in search.cc). The
-// hierarchical refinement solves them per rack segment.
-std::vector<std::vector<int>> DistinctClassOrders(const hw::Cluster& cluster,
-                                                  const std::vector<int>& ids);
 
 // Stage boundaries of the naive baselines the ablation compares against.
 enum class NaiveSplit {

@@ -6,21 +6,28 @@
 // fewer when same-type GPUs on different nodes are interchangeable); the
 // beam and hierarchical tiers visit a polynomial slice of that space. Every
 // tier computes its rows with the same prefix DP (PlaceGpu / DpRow in
-// partitioner.cc): the exact walk shares each prefix's rows among the orders
-// below it, the beam closes one stage per prefix extension, and candidate
-// orders run SolveFixedOrder on top of the same kernel. So a returned
-// partition is exactly what the exact tier would report for its order —
-// only the set of orders tried differs. Everything here is deterministic and
-// invariant under permutations of the input gpu ids with equal (type, node)
-// multisets: ids are canonicalized up front and every search decision is a
-// function of classes and positions, never of raw id values.
+// partitioner.cc) and starts a solve at the first position that differs
+// from rows it already holds: the exact walk shares each prefix's rows
+// among the orders below it; the beam closes one stage per (state, distinct
+// link) and its swap polish resumes each probe at the first swapped
+// position; the hierarchical coarse phase walks the rack-permutation trie
+// and its refinement places the fixed segments before a rack once, walks
+// the rack's class-order trie on top and places the later segments per
+// leaf. Rows cut at an earlier, looser bound give later leaves a fresh
+// solve's answer (see SolveExact), so a returned partition is exactly what
+// the exact tier would report for its order — only the set of orders tried
+// differs. Everything here is deterministic and invariant under
+// permutations of the input gpu ids with equal (type, node) multisets: ids
+// are canonicalized up front and every search decision is a function of
+// classes and positions, never of raw id values.
 //
-// Parallelism: when options.pool is set, the bulk loops — the exact walk's
-// first-level subtrees, beam depth expansions, candidate-order evaluation,
-// and the hierarchical coordinate-descent batches — run under
+// Parallelism: when options.pool is set (and would really fan out), the
+// bulk loops — each walk's first-level subtrees, the beam's per-state
+// closings and its candidate-order evaluation — run under
 // ThreadPool::ParallelFor into index-addressed slots, and every winner is
-// picked by a reduction that walks those slots in input order. Candidates
-// within a batch are independent except through the shared branch-and-bound
+// picked by a reduction that walks those slots in input order. A pooled
+// walk places its shared prefix once per task, on that thread's scratch.
+// Candidates are independent except through the shared branch-and-bound
 // incumbent, and the incumbent is only ever an upper bound on the optimum
 // (see SolveOrderBatch), so parallel and serial runs are byte-identical at
 // any thread count. The short sequential-accept polish loops (pairwise-swap
@@ -46,8 +53,9 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // One class of a virtual worker's GPUs, with its member ids ascending.
 // CanonicalGroups builds the distinct (type, node) classes, ordered by (type,
 // node) — an id-free canonical order, so equal multisets on different ids
-// group identically — for the beam and DistinctClassOrders. The exact walk
-// uses the coarser InterchangeableGroups (`node` is then the first member's).
+// group identically — for the beam and the hierarchical refinement's
+// segment walks. The exact walk uses the coarser InterchangeableGroups
+// (`node` is then the first member's).
 struct Group {
   hw::GpuType type;
   int node = -1;
@@ -123,9 +131,9 @@ std::vector<Group> InterchangeableGroups(const hw::Cluster& cluster, std::vector
 // and leaf() runs on every complete order. Each leaf is the minimal GPU-id
 // representative of its class sequence, and leaves come in lexicographic
 // order of those representatives: on CanonicalGroups, exactly the first
-// occurrences of a factorial next_permutation scan with (type, node) dedup,
-// so "first wins" tie-breaks match that scan's, with a multinomial number
-// of leaves instead of k!.
+// occurrences of a factorial next_permutation scan with (type, node) dedup
+// (tests/oracles DistinctClassOrders), so "first wins" tie-breaks match
+// that scan's, with a multinomial number of leaves instead of k!.
 template <typename Place, typename Leaf>
 void WalkClassOrders(const std::vector<Group>& groups, size_t* used, int t, int k,
                      const Place& place, const Leaf& leaf) {
@@ -179,13 +187,12 @@ struct BeamState {
   double score = 0.0;
 };
 
-// Deterministic beam ordering: better bound first, ties by class sequence.
-bool BeamLess(const BeamState& a, const BeamState& b) {
-  if (a.score != b.score) {
-    return a.score < b.score;
-  }
-  return a.seq < b.seq;
-}
+// The first winner of part of a walk, and the order (rack order or segment
+// interior) that produced it.
+struct WalkSlot {
+  Partition best;
+  std::vector<int> order;
+};
 
 // The branch-and-bound incumbent a search shares across pool threads: the
 // best feasible bottleneck offered so far, never below the optimum.
@@ -210,37 +217,23 @@ class Incumbent {
   double bound_ GUARDED_BY(mu_);
 };
 
-// Runs task(0..count-1) on `pool` when there is one and more than one task,
-// serially otherwise. Tasks write index-owned slots, so callers reduce them
-// in index order whichever thread ran which task.
-template <typename Task>
-void RunTasks(runner::ThreadPool* pool, int64_t count, const Task& task) {
-  if (pool != nullptr && count > 1) {
-    pool->ParallelFor(count, task);
+// Runs body(first, last) over [0, count): one call per index on a pool that
+// would really fan out, one call over the whole range otherwise (serial, or
+// inside a pool worker, where ParallelFor would run inline anyway). Bodies
+// write only slots of the indices they run (a walk over first-level
+// subtrees: the slot of `first`), so callers reduce the slots in index
+// order whichever thread ran which index. A walk places its shared prefix
+// once per call: once in all when serial.
+template <typename Body>
+void RunRanges(runner::ThreadPool* pool, int64_t count, const Body& body) {
+  if (pool != nullptr && count > 1 && !pool->RunsInline()) {
+    pool->ParallelFor(count, [&](int64_t index) { body(index, index + 1); });
     return;
   }
-  for (int64_t index = 0; index < count; ++index) {
-    task(index);
-  }
+  body(0, count);
 }
 
 }  // namespace
-
-std::vector<std::vector<int>> DistinctClassOrders(const hw::Cluster& cluster,
-                                                  const std::vector<int>& ids) {
-  const std::vector<Group> groups = CanonicalGroups(cluster, ids);
-  std::vector<size_t> used(groups.size(), 0);
-  std::vector<std::vector<int>> orders;
-  std::vector<int> current(ids.size());
-  WalkClassOrders(
-      groups, used.data(), 0, static_cast<int>(ids.size()),
-      [&](int t, int id) {
-        current[static_cast<size_t>(t)] = id;
-        return true;
-      },
-      [&] { orders.push_back(current); });
-  return orders;
-}
 
 const char* SearchStrategyName(SearchStrategy strategy) {
   switch (strategy) {
@@ -365,10 +358,12 @@ std::vector<Partition> Partitioner::SolveOrderBatch(
     const std::vector<std::vector<int>>& orders) const {
   std::vector<Partition> results(orders.size());
   Incumbent incumbent(initial_bound, options.prune);
-  RunTasks(options.pool, static_cast<int64_t>(orders.size()), [&](int64_t index) {
-    Partition& result = results[static_cast<size_t>(index)];
-    result = SolveFixedOrder(orders[static_cast<size_t>(index)], options, incumbent.Bound());
-    incumbent.Offer(result);
+  RunRanges(options.pool, static_cast<int64_t>(orders.size()), [&](int64_t first, int64_t last) {
+    for (int64_t index = first; index < last; ++index) {
+      Partition& result = results[static_cast<size_t>(index)];
+      result = SolveFixedOrder(orders[static_cast<size_t>(index)], options, incumbent.Bound());
+      incumbent.Offer(result);
+    }
   });
   return results;
 }
@@ -393,18 +388,21 @@ Partition Partitioner::SolveExact(const std::vector<int>& gpu_ids,
   // would cut at: every leaf's result is the fresh solve's.
   const std::vector<Group> groups = InterchangeableGroups(*cluster_, gpu_ids);
   Incumbent incumbent(kInf, options.prune);
-  // One task per first-level subtree (each class's smallest id at depth 0).
+  // First-level subtrees: each class's smallest id at depth 0.
   std::vector<Partition> slots(groups.size());
-  RunTasks(options.pool, static_cast<int64_t>(groups.size()), [&](int64_t subtree) {
+  RunRanges(options.pool, static_cast<int64_t>(groups.size()), [&](int64_t first, int64_t last) {
     size_t* used = LocalScratch().Ensure(LocalScratch().used, groups.size());
     std::fill(used, used + groups.size(), size_t{0});
     int64_t rank = 0;
-    Partition& best = slots[static_cast<size_t>(subtree)];
+    Partition& best = slots[static_cast<size_t>(first)];
     WalkClassOrders(
         groups, used, 0, k,
         [&](int t, int id) {
-          return t == 0 ? rank++ == subtree && PlaceGpu(0, k, id, options, kInf)
-                        : PlaceGpu(t, k, id, options, incumbent.Bound());
+          if (t > 0) {
+            return PlaceGpu(t, k, id, options, incumbent.Bound());
+          }
+          const int64_t subtree = rank++;
+          return subtree >= first && subtree < last && PlaceGpu(0, k, id, options, kInf);
         },
         [&] {
           Partition candidate = FinishOrder(k, options, incumbent.Bound());
@@ -435,82 +433,129 @@ Partition Partitioner::SolveBeam(const std::vector<int>& gpu_ids,
   const int num_groups = static_cast<int>(groups.size());
   const size_t width = static_cast<size_t>(std::max(1, options.beam_width));
 
-  // Closes stage `sq` (class `cur`, preceded by `prev_class` or -1 for the
-  // first stage, followed by `next_class`) over `dp_prev` into `dp` with the
-  // prefix DP's edge rows and row kernel — the same values the exact walk
-  // computes for that row of any order with this prefix. A group's first id
-  // stands in for the class: links depend on nodes only.
-  const auto close_stage = [&](const std::vector<double>& dp_prev, int sq, int prev_class,
-                               int cur, int next_class, std::vector<double>& dp) {
-    const auto rep = [&](int g) { return groups[static_cast<size_t>(g)].ids.front(); };
-    DpScratch& scratch = LocalScratch();
-    double* fwd_x = scratch.Ensure(scratch.edge, 2 * static_cast<size_t>(n));
-    double* out_edge = fwd_x + n;
-    if (prev_class >= 0) {
-      EdgeRow(rep(prev_class), rep(cur), fwd_x);
-    } else {
-      std::fill(fwd_x, fwd_x + n, 0.0);
-    }
-    EdgeRow(rep(cur), rep(next_class), out_edge);
-    std::fill(dp.begin(), dp.end(), kInf);
-    DpRow(sq + 1, k, groups[static_cast<size_t>(cur)].type, options, dp_prev.data(), fwd_x,
-          out_edge + 1, kInf, dp.data(), nullptr);
-  };
+  // A group's first id stands in for its class: links depend on nodes only.
+  const auto rep = [&](int g) { return groups[static_cast<size_t>(g)].ids.front(); };
+  const size_t stride = static_cast<size_t>(n) + 1;
 
   // ---- Beam over order prefixes. ----
   BeamState root;
   root.used.assign(static_cast<size_t>(num_groups), 0);
-  root.dp.assign(static_cast<size_t>(n) + 1, kInf);
+  root.dp.assign(stride, kInf);
   root.dp[0] = 0.0;
   root.score = 0.0;
   std::vector<BeamState> beam = {root};
+  // An expansion before it is materialised: class `group` after beam state
+  // `state`, scored by the min of its closing row (`row` of the state's
+  // Closing; -1 at depth 0, where nothing closes).
+  struct Child {
+    double score;
+    int state;
+    int group;
+    int row;
+  };
+  // Choosing class g for stage t closes stage t-1: its row is the prefix
+  // DP's row for any order with this prefix, and depends on g only through
+  // the link from the state's last class to g. So each state computes one
+  // row per distinct link.
+  struct Closing {
+    std::vector<const hw::LinkModel*> links;
+    std::vector<double> rows;  // links.size() x stride
+    std::vector<Child> children;
+  };
+  std::vector<Closing> closings;
+  std::vector<Child> children;
   for (int t = 0; t < k; ++t) {
-    // Expansions are addressed as state * num_groups + group and computed
-    // into index-owned slots, so the compacted order below equals the serial
-    // nested-loop order regardless of which thread ran which slot. Sorting is
-    // then total (expanded seqs within a depth are pairwise distinct, and
-    // BeamLess falls back to the seq), so the surviving beam is byte-
-    // identical to the serial one.
-    const int64_t expansions =
-        static_cast<int64_t>(beam.size()) * static_cast<int64_t>(num_groups);
-    std::vector<BeamState> slots(static_cast<size_t>(expansions));
-    std::vector<char> valid(static_cast<size_t>(expansions), 0);
-    const auto expand_one = [&](int64_t e) {
-      const BeamState& state = beam[static_cast<size_t>(e / num_groups)];
-      const int g = static_cast<int>(e % num_groups);
-      if (state.used[static_cast<size_t>(g)] >=
-          static_cast<int>(groups[static_cast<size_t>(g)].ids.size())) {
-        return;
+    const auto close_state = [&](int64_t index) {
+      const BeamState& state = beam[static_cast<size_t>(index)];
+      Closing& closing = closings[static_cast<size_t>(index)];
+      const int cur = state.seq.back();
+      DpScratch& scratch = LocalScratch();
+      double* fwd_x = scratch.Ensure(scratch.edge, 2 * static_cast<size_t>(n));
+      double* out_edge = fwd_x + n;
+      if (t >= 2) {
+        EdgeRow(rep(state.seq[static_cast<size_t>(t) - 2]), rep(cur), fwd_x);
+      } else {
+        std::fill(fwd_x, fwd_x + n, 0.0);
       }
-      BeamState next = state;
-      next.seq.push_back(g);
-      ++next.used[static_cast<size_t>(g)];
-      if (t > 0) {
-        // Choosing stage t's class closes stage t-1 (its backward comm —
-        // the link to stage t — is now known).
-        const int prev_class = t >= 2 ? state.seq[static_cast<size_t>(t) - 2] : -1;
-        close_stage(state.dp, t - 1, prev_class, state.seq.back(), g, next.dp);
-        next.score = *std::min_element(next.dp.begin(), next.dp.end());
-        if (next.score == kInf) {
-          return;  // no feasible closing: every completion is infeasible
+      closing.links.clear();
+      closing.rows.clear();
+      closing.children.clear();
+      for (int g = 0; g < num_groups; ++g) {
+        if (state.used[static_cast<size_t>(g)] >=
+            static_cast<int>(groups[static_cast<size_t>(g)].ids.size())) {
+          continue;
+        }
+        const hw::LinkModel* link = &cluster_->LinkBetween(rep(cur), rep(g));
+        const size_t r = static_cast<size_t>(
+            std::find(closing.links.begin(), closing.links.end(), link) - closing.links.begin());
+        if (r == closing.links.size()) {
+          closing.links.push_back(link);
+          closing.rows.resize(closing.links.size() * stride, kInf);
+          EdgeRow(rep(cur), rep(g), out_edge);
+          DpRow(t, k, groups[static_cast<size_t>(cur)].type, options, state.dp.data(), fwd_x,
+                out_edge + 1, kInf, closing.rows.data() + r * stride, nullptr);
+        }
+        const double* row = closing.rows.data() + r * stride;
+        const double score = *std::min_element(row, row + stride);
+        // An all-infinite closing row has no feasible completion.
+        if (score != kInf) {
+          closing.children.push_back(
+              Child{score, static_cast<int>(index), g, static_cast<int>(r)});
         }
       }
-      slots[static_cast<size_t>(e)] = std::move(next);
-      valid[static_cast<size_t>(e)] = 1;
     };
-    RunTasks(t > 0 ? options.pool : nullptr, expansions, expand_one);
-    std::vector<BeamState> expanded;
-    expanded.reserve(static_cast<size_t>(expansions));
-    for (int64_t e = 0; e < expansions; ++e) {
-      if (valid[static_cast<size_t>(e)] != 0) {
-        expanded.push_back(std::move(slots[static_cast<size_t>(e)]));
+    children.clear();
+    if (t == 0) {
+      for (int g = 0; g < num_groups; ++g) {
+        children.push_back(Child{beam[0].score, 0, g, -1});
+      }
+    } else {
+      closings.resize(beam.size());
+      RunRanges(options.pool, static_cast<int64_t>(beam.size()),
+                [&](int64_t first, int64_t last) {
+                  for (int64_t index = first; index < last; ++index) {
+                    close_state(index);
+                  }
+                });
+      for (const Closing& closing : closings) {
+        children.insert(children.end(), closing.children.begin(), closing.children.end());
       }
     }
-    std::sort(expanded.begin(), expanded.end(), BeamLess);
-    if (expanded.size() > width) {
-      expanded.resize(width);
+    // Rank by (score, class sequence): a child's sequence is its parent's
+    // plus one class, and parent sequences within a depth are distinct, so
+    // that is (score, parent sequence, class) — a total order, so the
+    // survivors do not depend on which thread closed which state.
+    const size_t keep = std::min(width, children.size());
+    std::partial_sort(children.begin(), children.begin() + static_cast<std::ptrdiff_t>(keep),
+                      children.end(), [&](const Child& a, const Child& b) {
+                        if (a.score != b.score) {
+                          return a.score < b.score;
+                        }
+                        if (a.state != b.state) {
+                          return beam[static_cast<size_t>(a.state)].seq <
+                                 beam[static_cast<size_t>(b.state)].seq;
+                        }
+                        return a.group < b.group;
+                      });
+    std::vector<BeamState> next(keep);
+    for (size_t i = 0; i < keep; ++i) {
+      const Child& child = children[i];
+      const BeamState& parent = beam[static_cast<size_t>(child.state)];
+      BeamState& state = next[i];
+      state.seq = parent.seq;
+      state.seq.push_back(child.group);
+      state.used = parent.used;
+      ++state.used[static_cast<size_t>(child.group)];
+      if (child.row < 0) {
+        state.dp = parent.dp;
+      } else {
+        const double* row = closings[static_cast<size_t>(child.state)].rows.data() +
+                            static_cast<size_t>(child.row) * stride;
+        state.dp.assign(row, row + stride);
+      }
+      state.score = child.score;
     }
-    beam = std::move(expanded);
+    beam = std::move(next);
     if (beam.empty()) {
       break;
     }
@@ -572,10 +617,20 @@ Partition Partitioner::SolveBeam(const std::vector<int>& gpu_ids,
   // order depends on every earlier accept — a true loop-carried dependence —
   // so this polish stays serial by design (it is a constant-factor tail of
   // the search; the bulk phases above are the ones the pool accelerates).
+  // Swapping (a, b) keeps positions < a, and so does accepting it: the best
+  // order's rows 0..a-1 are placed once per a (position a-1 on top of the
+  // rows the last a left) and every probe runs from PlaceGpu(a) on. The
+  // bound only tightens, so rows placed under an earlier one give each probe
+  // a fresh solve's result (see SolveExact).
   const bool all_pairs = k * (k - 1) / 2 <= 300;
+  const auto bound = [&] { return options.prune ? best.bottleneck_time : kInf; };
+  std::vector<int> best_order = RealizeOrder(groups, best_seq);
   for (int pass = 0; pass < 4; ++pass) {
     bool improved = false;
     for (int a = 0; a < k - 1; ++a) {
+      if (a > 0 && !PlaceGpu(a - 1, k, best_order[static_cast<size_t>(a) - 1], options, bound())) {
+        break;  // the shared prefix is cut: so is every later probe
+      }
       const int b_end = all_pairs ? k : std::min(k, a + 2);
       for (int b = a + 1; b < b_end; ++b) {
         if (best_seq[static_cast<size_t>(a)] == best_seq[static_cast<size_t>(b)]) {
@@ -583,11 +638,16 @@ Partition Partitioner::SolveBeam(const std::vector<int>& gpu_ids,
         }
         std::vector<int> swapped = best_seq;
         std::swap(swapped[static_cast<size_t>(a)], swapped[static_cast<size_t>(b)]);
-        Partition candidate = SolveFixedOrder(RealizeOrder(groups, swapped), options,
-                                              options.prune ? best.bottleneck_time : kInf);
+        std::vector<int> order = RealizeOrder(groups, swapped);
+        const double probe_bound = bound();
+        if (!PlaceGpus(a, k, order.data() + a, k - a, options, probe_bound)) {
+          continue;
+        }
+        Partition candidate = FinishOrder(k, options, probe_bound);
         if (ImprovesPartition(candidate, best)) {
           best = std::move(candidate);
           best_seq = std::move(swapped);
+          best_order = std::move(order);
           improved = true;
         }
       }
@@ -684,21 +744,73 @@ Partition Partitioner::SolveHierarchical(const std::vector<int>& gpu_ids,
     });
   }
 
+  // At a walk's leaf: offers the finished order, and returns true when it
+  // improves on `best` (and replaces it).
+  const auto finish_leaf = [&](Incumbent& incumbent, Partition& best) {
+    Partition candidate = FinishOrder(k, options, incumbent.Bound());
+    incumbent.Offer(candidate);
+    if (!ImprovesPartition(candidate, best)) {
+      return false;
+    }
+    best = std::move(candidate);
+    return true;
+  };
+
   // ---- Coarse phase: search the rack order. Few racks are enumerated
   // ---- exhaustively; beyond that, deterministic heuristic orders plus
   // ---- adjacent-swap local search at rack granularity.
-  std::vector<std::vector<int>> rack_orders;
   uint64_t permutations = 1;
   for (int s = 2; s <= num_segments && permutations <= 720; ++s) {
     permutations *= static_cast<uint64_t>(s);
   }
+  Partition best;
+  std::vector<int> best_rack_order;
   if (permutations <= 720) {
-    std::vector<int> perm(static_cast<size_t>(num_segments));
-    std::iota(perm.begin(), perm.end(), 0);
-    do {
-      rack_orders.push_back(perm);
-    } while (std::next_permutation(perm.begin(), perm.end()));
+    // The rack-order trie, walked depth first in next_permutation order: it
+    // is the class-order trie of one singleton class per segment (ids are
+    // segment indices). Each segment's rows are placed once per prefix,
+    // under one incumbent, and a leaf's order is the segments' realized
+    // orders end to end.
+    std::vector<Group> racks;
+    for (int s = 0; s < num_segments; ++s) {
+      racks.push_back(Group{cluster_->gpu(segments[static_cast<size_t>(s)].ids.front()).type,
+                            segments[static_cast<size_t>(s)].rack,
+                            {s}});
+    }
+    Incumbent incumbent(kInf, options.prune);
+    std::vector<WalkSlot> slots(static_cast<size_t>(num_segments));
+    RunRanges(options.pool, num_segments, [&](int64_t first, int64_t last) {
+      std::vector<size_t> used(static_cast<size_t>(num_segments), 0);
+      std::vector<int> rack_order(static_cast<size_t>(num_segments));
+      std::vector<int> from(static_cast<size_t>(num_segments) + 1, 0);
+      WalkSlot& slot = slots[static_cast<size_t>(first)];
+      WalkClassOrders(
+          racks, used.data(), 0, num_segments,
+          [&](int t, int s) {
+            if (t == 0 && (s < first || s >= last)) {
+              return false;
+            }
+            const RackSegment& segment = segments[static_cast<size_t>(s)];
+            const int size = static_cast<int>(segment.order.size());
+            rack_order[static_cast<size_t>(t)] = s;
+            from[static_cast<size_t>(t) + 1] = from[static_cast<size_t>(t)] + size;
+            return PlaceGpus(from[static_cast<size_t>(t)], k, segment.order.data(), size, options,
+                             incumbent.Bound());
+          },
+          [&] {
+            if (finish_leaf(incumbent, slot.best)) {
+              slot.order = rack_order;
+            }
+          });
+    });
+    for (WalkSlot& slot : slots) {
+      if (ImprovesPartition(slot.best, best)) {
+        best = std::move(slot.best);
+        best_rack_order = std::move(slot.order);
+      }
+    }
   } else {
+    std::vector<std::vector<int>> rack_orders;
     std::vector<int> base(static_cast<size_t>(num_segments));
     std::iota(base.begin(), base.end(), 0);
     rack_orders.push_back(base);
@@ -713,21 +825,8 @@ Partition Partitioner::SolveHierarchical(const std::vector<int>& gpu_ids,
       return segments[static_cast<size_t>(a)].tflops > segments[static_cast<size_t>(b)].tflops;
     });
     rack_orders.push_back(by_tflops);
-  }
-
-  Partition best;
-  std::vector<int> best_rack_order;
-  const auto evaluate = [&](const std::vector<int>& rack_order) {
-    const double bound = options.prune && best.feasible ? best.bottleneck_time : kInf;
-    Partition candidate = SolveFixedOrder(ComposeOrder(segments, rack_order), options, bound);
-    if (ImprovesPartition(candidate, best)) {
-      best = std::move(candidate);
-      best_rack_order = rack_order;
-    }
-  };
-  {
-    // The enumerated (or heuristic) rack orders are independent candidates:
-    // batch them onto the pool and pick the winner in enumeration order.
+    // The heuristic rack orders are independent candidates: batch them onto
+    // the pool and pick the winner in list order.
     std::vector<std::vector<int>> orders;
     orders.reserve(rack_orders.size());
     for (const std::vector<int>& rack_order : rack_orders) {
@@ -740,20 +839,21 @@ Partition Partitioner::SolveHierarchical(const std::vector<int>& gpu_ids,
         best_rack_order = rack_orders[index];
       }
     }
-  }
-  if (permutations > 720 && best.feasible) {
     // Adjacent-swap polish over the rack order. Sequential accepts feed the
     // next probe's base order, so this short loop (num_segments - 1 probes
     // per pass) stays serial by design.
-    for (int pass = 0; pass < 3; ++pass) {
+    for (int pass = 0; pass < 3 && best.feasible; ++pass) {
       bool improved = false;
       for (int a = 0; a + 1 < num_segments; ++a) {
         std::vector<int> swapped = best_rack_order;
         std::swap(swapped[static_cast<size_t>(a)], swapped[static_cast<size_t>(a) + 1]);
-        const Partition before = best;
-        evaluate(swapped);
-        improved = improved || best.bottleneck_time < before.bottleneck_time ||
-                   (best.feasible && !before.feasible);
+        const double bound = options.prune ? best.bottleneck_time : kInf;
+        Partition candidate = SolveFixedOrder(ComposeOrder(segments, swapped), options, bound);
+        if (ImprovesPartition(candidate, best)) {
+          improved = improved || candidate.bottleneck_time < best.bottleneck_time;
+          best = std::move(candidate);
+          best_rack_order = std::move(swapped);
+        }
       }
       if (!improved) {
         break;
@@ -767,45 +867,97 @@ Partition Partitioner::SolveHierarchical(const std::vector<int>& gpu_ids,
     return SolveBeam(gpu_ids, options);
   }
 
-  // ---- Refine: coordinate descent across rack segments, each segment's
-  // ---- interior order searched over its DistinctClassOrders
-  // ---- (adjacent swaps when a segment alone overflows rack_order_limit).
+  // ---- Refine: coordinate descent across rack segments. At each position
+  // ---- the segments before it are placed once (per task on a pool), the
+  // ---- segment's interior orders are walked on top of them — the trie of
+  // ---- its (type, node) class orders, or adjacent swaps of its current
+  // ---- order when a segment alone overflows rack_order_limit — and the
+  // ---- segments after it are placed at each leaf. Leaves share one
+  // ---- incumbent seeded with the best bottleneck; slots reduce in walk
+  // ---- order, so the winner is the first improvement in that order.
+  // start[p]: the first position of the segment at rack-order position p.
+  std::vector<int> start(static_cast<size_t>(num_segments) + 1, 0);
+  for (int p = 0; p < num_segments; ++p) {
+    start[static_cast<size_t>(p) + 1] =
+        start[static_cast<size_t>(p)] +
+        static_cast<int>(
+            segments[static_cast<size_t>(best_rack_order[static_cast<size_t>(p)])].ids.size());
+  }
+  // Places the segments at rack-order positions [lo, hi) on this thread's
+  // prefix DP; false once a row is cut.
+  const auto place_segments = [&](int lo, int hi, double bound) {
+    for (int p = lo; p < hi; ++p) {
+      const RackSegment& segment =
+          segments[static_cast<size_t>(best_rack_order[static_cast<size_t>(p)])];
+      if (!PlaceGpus(start[static_cast<size_t>(p)], k, segment.order.data(),
+                     static_cast<int>(segment.order.size()), options, bound)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  const uint64_t limit =
+      options.rack_order_limit < 1 ? 1 : static_cast<uint64_t>(options.rack_order_limit);
   for (int pass = 0; pass < 2; ++pass) {
     bool improved = false;
     for (int position = 0; position < num_segments; ++position) {
       RackSegment& segment = segments[static_cast<size_t>(best_rack_order[
           static_cast<size_t>(position)])];
-      const uint64_t limit =
-          options.rack_order_limit < 1 ? 1 : static_cast<uint64_t>(options.rack_order_limit);
-      std::vector<std::vector<int>> interior_orders;
-      if (EstimateOrderCount(*cluster_, segment.ids, limit + 1) <= limit) {
-        interior_orders = DistinctClassOrders(*cluster_, segment.ids);
-      } else {
-        for (size_t a = 0; a + 1 < segment.order.size(); ++a) {
-          std::vector<int> swapped = segment.order;
-          std::swap(swapped[a], swapped[a + 1]);
-          interior_orders.push_back(std::move(swapped));
+      const int from = start[static_cast<size_t>(position)];
+      const int count = static_cast<int>(segment.ids.size());
+      Incumbent incumbent(options.prune ? best.bottleneck_time : kInf, options.prune);
+      const auto finish_interior = [&](WalkSlot& slot) {
+        if (place_segments(position + 1, num_segments, incumbent.Bound()) &&
+            finish_leaf(incumbent, slot.best)) {
+          const int* order = LocalScratch().order.data();
+          slot.order.assign(order + from, order + from + count);
         }
+      };
+      std::vector<WalkSlot> slots;
+      if (EstimateOrderCount(*cluster_, segment.ids, limit + 1) <= limit) {
+        const std::vector<Group> groups = CanonicalGroups(*cluster_, segment.ids);
+        slots.resize(groups.size());
+        RunRanges(options.pool, static_cast<int64_t>(groups.size()),
+                 [&](int64_t first, int64_t last) {
+                   if (!place_segments(0, position, incumbent.Bound())) {
+                     return;
+                   }
+                   size_t* used = LocalScratch().Ensure(LocalScratch().used, groups.size());
+                   std::fill(used, used + groups.size(), size_t{0});
+                   int64_t rank = 0;
+                   WalkClassOrders(
+                       groups, used, 0, count,
+                       [&](int t, int id) {
+                         if (t == 0) {
+                           const int64_t subtree = rank++;
+                           if (subtree < first || subtree >= last) {
+                             return false;
+                           }
+                         }
+                         return PlaceGpu(from + t, k, id, options, incumbent.Bound());
+                       },
+                       [&] { finish_interior(slots[static_cast<size_t>(first)]); });
+                 });
+      } else {
+        slots.resize(static_cast<size_t>(count) - 1);
+        RunRanges(options.pool, count - 1, [&](int64_t first, int64_t last) {
+          if (!place_segments(0, position, incumbent.Bound())) {
+            return;
+          }
+          std::vector<int> interior;
+          for (int64_t a = first; a < last; ++a) {
+            interior = segment.order;
+            std::swap(interior[static_cast<size_t>(a)], interior[static_cast<size_t>(a) + 1]);
+            if (PlaceGpus(from, k, interior.data(), count, options, incumbent.Bound())) {
+              finish_interior(slots[static_cast<size_t>(first)]);
+            }
+          }
+        });
       }
-      // Within one position the interior candidates are independent (each
-      // composes the full order with its own interior; only the incumbent
-      // bound is shared), so the batch runs on the pool and the winner —
-      // the same one the serial accept-in-place loop would end on — is
-      // picked in enumeration order and installed once.
-      std::vector<std::vector<int>> full_orders;
-      full_orders.reserve(interior_orders.size());
-      const std::vector<int> saved = segment.order;
-      for (const std::vector<int>& interior : interior_orders) {
-        segment.order = interior;
-        full_orders.push_back(ComposeOrder(segments, best_rack_order));
-      }
-      segment.order = saved;
-      const double bound = options.prune ? best.bottleneck_time : kInf;
-      std::vector<Partition> results = SolveOrderBatch(options, bound, full_orders);
-      for (size_t index = 0; index < results.size(); ++index) {
-        if (ImprovesPartition(results[index], best)) {
-          best = std::move(results[index]);
-          segment.order = interior_orders[index];
+      for (WalkSlot& slot : slots) {
+        if (ImprovesPartition(slot.best, best)) {
+          best = std::move(slot.best);
+          segment.order = std::move(slot.order);
           improved = true;
         }
       }

@@ -74,7 +74,7 @@ void ThreadPool::ParallelFor(int64_t n, const std::function<void(int64_t)>& fn) 
   if (n <= 0) {
     return;
   }
-  if (n == 1 || num_threads_ == 1 || InWorkerThread()) {
+  if (n == 1 || RunsInline()) {
     for (int64_t i = 0; i < n; ++i) {
       fn(i);
     }

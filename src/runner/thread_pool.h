@@ -35,6 +35,10 @@ class ThreadPool {
   // True when the calling thread is one of this process's pool workers.
   static bool InWorkerThread();
 
+  // True when ParallelFor called from this thread runs every index inline:
+  // a 1-thread pool, or a call from inside a pool worker.
+  bool RunsInline() const { return num_threads_ == 1 || InWorkerThread(); }
+
   // Runs fn(0), ..., fn(n - 1), distributing indices over the workers, and
   // returns when all have finished. The calling thread participates. Indices
   // are split into one contiguous chunk per participant and drained with

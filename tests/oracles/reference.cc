@@ -146,13 +146,8 @@ partition::Partition SolveFixedOrderReference(const partition::Partitioner& part
                                         options.mem_params);
 }
 
-partition::Partition SolveReference(const partition::Partitioner& partitioner,
-                                    const std::vector<int>& gpu_ids,
-                                    const partition::PartitionOptions& options) {
-  if (!options.search_gpu_orders || gpu_ids.size() <= 1) {
-    return SolveFixedOrderReference(partitioner, gpu_ids, options, kInf);
-  }
-
+std::vector<std::vector<int>> DistinctClassOrders(const hw::Cluster& cluster,
+                                                  const std::vector<int>& gpu_ids) {
   // Scan all k! id permutations, dedup by a per-candidate (type, node)
   // string signature.
   std::vector<int> ids = gpu_ids;
@@ -162,7 +157,7 @@ partition::Partition SolveReference(const partition::Partitioner& partitioner,
   do {
     std::string signature;
     for (int id : ids) {
-      const hw::Gpu& g = partitioner.cluster().gpu(id);
+      const hw::Gpu& g = cluster.gpu(id);
       signature += std::to_string(static_cast<int>(g.type));
       signature.push_back('@');
       signature += std::to_string(g.node);
@@ -172,7 +167,17 @@ partition::Partition SolveReference(const partition::Partitioner& partitioner,
       orders.push_back(ids);
     }
   } while (std::next_permutation(ids.begin(), ids.end()));
+  return orders;
+}
 
+partition::Partition SolveReference(const partition::Partitioner& partitioner,
+                                    const std::vector<int>& gpu_ids,
+                                    const partition::PartitionOptions& options) {
+  if (!options.search_gpu_orders || gpu_ids.size() <= 1) {
+    return SolveFixedOrderReference(partitioner, gpu_ids, options, kInf);
+  }
+
+  const std::vector<std::vector<int>> orders = DistinctClassOrders(partitioner.cluster(), gpu_ids);
   std::vector<partition::Partition> candidates(orders.size());
   double incumbent = kInf;
   for (size_t index = 0; index < orders.size(); ++index) {

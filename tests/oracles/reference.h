@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "hw/cluster.h"
 #include "hw/gpu_spec.h"
 #include "model/model_graph.h"
 #include "model/profiler.h"
@@ -39,10 +40,18 @@ partition::Partition SolveFixedOrderReference(const partition::Partitioner& part
                                               const partition::PartitionOptions& options,
                                               double prune_above);
 
-// The exact search done the slow way: every k! id permutation, deduplicated
-// by a (type, node) string signature, each solved by
-// SolveFixedOrderReference under a serial branch-and-bound incumbent. Returns
-// a Partition bit-identical to SolveScalable with strategy kExact.
+// The distinct (type, node) orderings of `gpu_ids`: a scan of all k! id
+// permutations in next_permutation order from ascending ids, keeping the
+// first permutation of each (type, node) signature — its minimal id
+// representative. The search tiers walk class-order tries that must list
+// the same orders in the same order; EstimateOrderCount counts them.
+std::vector<std::vector<int>> DistinctClassOrders(const hw::Cluster& cluster,
+                                                  const std::vector<int>& gpu_ids);
+
+// The exact search done the slow way: every order DistinctClassOrders
+// lists, each solved by SolveFixedOrderReference under a serial
+// branch-and-bound incumbent. Returns a Partition bit-identical to
+// SolveScalable with strategy kExact.
 partition::Partition SolveReference(const partition::Partitioner& partitioner,
                                     const std::vector<int>& gpu_ids,
                                     const partition::PartitionOptions& options);

@@ -720,7 +720,7 @@ TEST(SearchStrategyTest, EstimateOrderCountMatchesEnumerator) {
         std::vector<int>{0, 1, 12, 13}, std::vector<int>{0, 1, 4, 5, 8, 9},
         std::vector<int>{4}, std::vector<int>{0, 4, 5, 8, 9, 12}}) {
     EXPECT_EQ(EstimateOrderCount(cluster, gpus, uint64_t{1} << 62),
-              DistinctClassOrders(cluster, gpus).size());
+              oracles::DistinctClassOrders(cluster, gpus).size());
   }
   // Saturation: the count is capped, never overflowed.
   EXPECT_EQ(EstimateOrderCount(cluster, {0, 4, 8, 12}, 5), 5u);
@@ -730,7 +730,7 @@ TEST(SearchStrategyTest, EstimateOrderCountMatchesEnumerator) {
   for (const std::vector<int>& gpus :
        {std::vector<int>{0, 1, 4, 5, 8, 9}, std::vector<int>{12, 0, 4, 13, 8, 1, 5},
         std::vector<int>{0, 1, 2, 4, 5, 8}}) {
-    const uint64_t count = DistinctClassOrders(cluster, gpus).size();
+    const uint64_t count = oracles::DistinctClassOrders(cluster, gpus).size();
     for (uint64_t cap = 1; cap <= count + 2; ++cap) {
       EXPECT_EQ(EstimateOrderCount(cluster, gpus, cap), std::min(count, cap)) << cap;
     }
@@ -1236,6 +1236,73 @@ void CheckGolden(const std::string& name, const std::string& what,
 TEST(ScalableGoldenTest, ApproximateTiersMatchRecordedSolves) {
   CheckGolden("scalable_solves.txt", "the beam / hierarchical / auto tiers",
               ScalableGoldenLines());
+}
+
+TEST(SearchParallelTest, ApproximateTiersIgnorePruningAndPools) {
+  // The beam polish and the hierarchical walks reuse prefix rows computed
+  // under an earlier, looser incumbent, and pooled walks place the shared
+  // prefix once per task. Neither may change a result: pruning off and
+  // pools of 1, 2 and 8 threads must give the serial pruned solve's fields
+  // and bytes, on the seeded racked instances and on plan-shaped 6-16 GPU
+  // draws over the flat cluster and 2, 4 and 8 racks.
+  runner::ThreadPool pool1(1), pool2(2), pool8(8);
+  int compared = 0;
+  const auto check = [&](const std::string& label, const ModelProfile& profile,
+                         const Partitioner& partitioner, const std::vector<int>& ids, int nm) {
+    for (SearchStrategy strategy : {SearchStrategy::kBeam, SearchStrategy::kHierarchical}) {
+      PartitionOptions options;
+      options.nm = nm;
+      options.strategy = strategy;
+      const Partition want = partitioner.SolveScalable(ids, options);
+      const std::string want_bytes = SolveSignature(want, profile);
+      std::vector<PartitionOptions> runs(4, options);
+      runs[0].prune = false;
+      runs[1].pool = &pool1;
+      runs[2].pool = &pool2;
+      runs[3].pool = &pool8;
+      for (const PartitionOptions& run : runs) {
+        const Partition got = partitioner.SolveScalable(ids, run);
+        ExpectSamePartition(got, want);
+        EXPECT_EQ(SolveSignature(got, profile), want_bytes)
+            << label << " " << SearchStrategyName(strategy) << " prune " << run.prune
+            << " threads " << (run.pool != nullptr ? run.pool->num_threads() : 0);
+      }
+      ++compared;
+    }
+  };
+  ForEachRackedInstance([&](int round, const Cluster& cluster, const model::ModelGraph& graph,
+                            const std::vector<int>& ids) {
+    const ModelProfile profile(graph, 1 + round % 32);
+    check("parallel-" + std::to_string(round), profile, Partitioner(profile, cluster), ids,
+          1 + round % 3);
+  });
+  // The clusters register their GPU classes, so they come before the
+  // profile that times every registered class.
+  std::vector<Cluster> clusters;
+  for (int racks : {0, 2, 4, 8}) {
+    clusters.push_back(PlanBenchCluster(racks));
+  }
+  const model::ModelGraph resnet = BuildResNet152();
+  const ModelProfile profile(resnet, 32);
+  std::mt19937 rng(20261018);
+  for (const Cluster& cluster : clusters) {
+    const Partitioner partitioner(profile, cluster);
+    for (int draw = 0; draw < 3; ++draw) {
+      const int total = 6 + static_cast<int>(rng() % 11u);
+      std::vector<int> per_node(8, 0);
+      for (int placed = 0; placed < total;) {
+        const size_t node = rng() % 8u;
+        if (per_node[node] < 4) {
+          ++per_node[node];
+          ++placed;
+        }
+      }
+      std::string counts;
+      const std::vector<int> ids = PlanBenchIds(per_node, &counts);
+      check(cluster.name() + "|" + counts, profile, partitioner, ids, 1 + draw % 2);
+    }
+  }
+  EXPECT_GE(compared, 30);  // the grid must actually run
 }
 
 // ---- Pinned outputs of the exact tier on the serve benchmark's small
