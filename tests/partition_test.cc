@@ -1301,6 +1301,15 @@ TEST(SearchParallelTest, ApproximateTiersIgnorePruningAndPools) {
       const std::vector<int> ids = PlanBenchIds(per_node, &counts);
       check(cluster.name() + "|" + counts, profile, partitioner, ids, 1 + draw % 2);
     }
+    // Nodes i and i + 4 hold the same class, so these VWs have racks (and
+    // classes) with equal contents: rack orders and interiors in different
+    // first-level subtrees tie bit for bit, and only walk order decides.
+    for (const std::vector<int>& per_node :
+         {std::vector<int>{2, 2, 1, 1, 2, 2, 1, 1}, std::vector<int>{1, 1, 1, 1, 1, 1, 1, 1}}) {
+      std::string counts;
+      const std::vector<int> ids = PlanBenchIds(per_node, &counts);
+      check(cluster.name() + "|" + counts, profile, partitioner, ids, 1);
+    }
   }
   EXPECT_GE(compared, 30);  // the grid must actually run
 }
