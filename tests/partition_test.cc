@@ -1244,15 +1244,21 @@ TEST(SearchParallelTest, ApproximateTiersIgnorePruningAndPools) {
   // prefix once per task. Neither may change a result: pruning off and
   // pools of 1, 2 and 8 threads must give the serial pruned solve's fields
   // and bytes, on the seeded racked instances and on plan-shaped 6-16 GPU
-  // draws over the flat cluster and 2, 4 and 8 racks.
+  // draws over the flat cluster and 2, 4 and 8 racks. The hierarchical tier
+  // also runs at rack_order_limit 2, where every multi-class segment is
+  // refined by its adjacent-swap fallback instead of its class-order walk.
   runner::ThreadPool pool1(1), pool2(2), pool8(8);
   int compared = 0;
   const auto check = [&](const std::string& label, const ModelProfile& profile,
                          const Partitioner& partitioner, const std::vector<int>& ids, int nm) {
-    for (SearchStrategy strategy : {SearchStrategy::kBeam, SearchStrategy::kHierarchical}) {
+    const std::pair<SearchStrategy, int64_t> tiers[] = {{SearchStrategy::kBeam, 720},
+                                                        {SearchStrategy::kHierarchical, 720},
+                                                        {SearchStrategy::kHierarchical, 2}};
+    for (const auto& [strategy, rack_order_limit] : tiers) {
       PartitionOptions options;
       options.nm = nm;
       options.strategy = strategy;
+      options.rack_order_limit = rack_order_limit;
       const Partition want = partitioner.SolveScalable(ids, options);
       const std::string want_bytes = SolveSignature(want, profile);
       std::vector<PartitionOptions> runs(4, options);
@@ -1264,7 +1270,8 @@ TEST(SearchParallelTest, ApproximateTiersIgnorePruningAndPools) {
         const Partition got = partitioner.SolveScalable(ids, run);
         ExpectSamePartition(got, want);
         EXPECT_EQ(SolveSignature(got, profile), want_bytes)
-            << label << " " << SearchStrategyName(strategy) << " prune " << run.prune
+            << label << " " << SearchStrategyName(strategy) << " racklimit " << rack_order_limit
+            << " prune " << run.prune
             << " threads " << (run.pool != nullptr ? run.pool->num_threads() : 0);
       }
       ++compared;
