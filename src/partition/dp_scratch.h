@@ -31,6 +31,16 @@ struct DpScratch {
   }
 };
 
+// What a run of Partitioner::SolveOrder calls has left on one thread's
+// DpScratch: the ids at positions [0, depth) of `order` are placed (DP rows
+// 0..depth-1 are theirs), and `cut` says that placing order[depth] cut
+// every cell of row `depth` (at depth == k: that the whole order solved
+// infeasible).
+struct HeldPrefix {
+  int depth = 0;
+  bool cut = false;
+};
+
 DpScratch& LocalScratch();
 
 }  // namespace hetpipe::partition

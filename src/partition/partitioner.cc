@@ -207,27 +207,25 @@ std::vector<int> NaiveStageLasts(const model::ModelGraph& graph, int k, NaiveSpl
   return lasts;
 }
 
-Partition Partitioner::SolveFixedOrder(const std::vector<int>& gpu_ids,
-                                       const PartitionOptions& options,
-                                       double prune_above) const {
-  const int k = static_cast<int>(gpu_ids.size());
-  if (k == 0 || profile_->num_layers() < k) {
-    return Partition{};
+Partition Partitioner::SolveOrder(const int* order, int k, const PartitionOptions& options,
+                                  double prune_above, HeldPrefix* held) const {
+  const int* placed = LocalScratch().order.data();
+  int t = 0;
+  while (t < held->depth && placed[t] == order[t]) {
+    ++t;
   }
-  if (!PlaceGpus(0, k, gpu_ids.data(), k, options, prune_above)) {
-    return Partition{};  // every split of this prefix exceeds prune_above
+  if (held->cut && t == held->depth && (t == k || placed[t] == order[t])) {
+    return Partition{};  // the held cut row is this order's too, at a bound no looser
   }
-  return FinishOrder(k, options, prune_above);
-}
-
-bool Partitioner::PlaceGpus(int t, int k, const int* ids, int count,
-                            const PartitionOptions& options, double prune_above) const {
-  for (int i = 0; i < count; ++i) {
-    if (!PlaceGpu(t + i, k, ids[i], options, prune_above)) {
-      return false;
+  for (; t < k; ++t) {
+    if (!PlaceGpu(t, k, order[t], options, prune_above)) {
+      *held = HeldPrefix{t, true};
+      return Partition{};
     }
   }
-  return true;
+  Partition result = FinishOrder(k, options, prune_above);
+  *held = HeldPrefix{k, !result.feasible};
+  return result;
 }
 
 void Partitioner::EdgeRow(int from_id, int to_id, double* edge) const {

@@ -15,6 +15,8 @@ class ThreadPool;
 
 namespace hetpipe::partition {
 
+struct HeldPrefix;  // dp_scratch.h
+
 // One pipeline stage of a solved partition.
 struct StageAssignment {
   int first_layer = 0;
@@ -169,38 +171,45 @@ class Partitioner {
   // options.beam_width states per depth survive. A state computes one
   // closing row per distinct link to the classes it can extend with (the row
   // depends on the next class only through that link), and only the
-  // survivors are materialised. The surviving complete orders are then
-  // polished by deterministic pairwise-swap local search, each probe
-  // resuming the prefix DP at the first swapped position. Deterministic, and
-  // invariant under permutations of `gpu_ids` with equal (type, node)
-  // multisets (ids are canonicalized first).
+  // survivors are materialised. The surviving complete orders and two
+  // heuristic seeds are solved with SolveOrders, and the winner is polished
+  // by deterministic pairwise-swap local search, one SolveOrder per probe.
+  // Deterministic, and invariant under permutations of `gpu_ids` with equal
+  // (type, node) multisets (ids are canonicalized first).
   Partition SolveBeam(const std::vector<int>& gpu_ids, const PartitionOptions& options) const;
 
   // Hierarchical search over the rack topology: coarsen the virtual worker
-  // to its racks, search the rack order (a depth-first walk of the rack
-  // permutation trie for up to 720 orders, placing each segment once per
-  // prefix; heuristic orders plus swaps otherwise), then refine each rack's
-  // internal order (coordinate descent across racks): the segments before
-  // it are placed once, its (type, node) class-order trie is walked on top,
-  // and the segments after it are placed at each leaf. Virtual workers
-  // inside a single rack degrade to the beam.
+  // to its racks and solve one list of rack orders with SolveOrders (every
+  // permutation up to 720 of them; three heuristic orders otherwise, then
+  // adjacent swaps, one SolveOrder per probe). Then refine each rack's
+  // internal order (coordinate descent across racks): every leaf of a lazy
+  // walk of its (type, node) class-order trie is written into the best order
+  // so far and solved with SolveOrder, or, past rack_order_limit, its
+  // adjacent swaps are solved with SolveOrders. Virtual workers inside a
+  // single rack degrade to the beam.
   Partition SolveHierarchical(const std::vector<int>& gpu_ids,
                               const PartitionOptions& options) const;
 
-  // Solves unrelated orders (the beam's survivors and seeds, the heuristic
-  // rack orders past 720 permutations) with SolveFixedOrder under a shared
-  // branch-and-bound incumbent seeded with `initial_bound`, on options.pool
-  // when one is given; results are indexed like `orders` (see search.cc for
-  // why any schedule yields the same winner).
-  std::vector<Partition> SolveOrderBatch(const PartitionOptions& options, double initial_bound,
-                                         const std::vector<std::vector<int>>& orders) const;
+  // Solves the order order[0..k-1] (order[i] runs stage i) on the calling
+  // thread's DpScratch, resuming at the first position where it differs
+  // from the rows `held` says the thread holds, and updates `held`. An order
+  // that repeats the ids up to a held cut row returns infeasible with no DP
+  // work. Cells whose bottleneck strictly exceeds `prune_above` are cut, and
+  // a cut order reports infeasible, which callers must treat as "no
+  // solution better than the incumbent". Exact as long as every call on one
+  // HeldPrefix passes a bound no looser than the calls before it (see
+  // SolveExact); a fresh HeldPrefix starts at row 0.
+  Partition SolveOrder(const int* order, int k, const PartitionOptions& options,
+                       double prune_above, HeldPrefix* held) const;
 
-  // Solves with a fixed stage->GPU assignment (gpu_ids[i] runs stage i).
-  // DP states whose bottleneck strictly exceeds `prune_above` are abandoned;
-  // a pruned search reports infeasible, which callers must treat as "no
-  // solution better than the incumbent".
-  Partition SolveFixedOrder(const std::vector<int>& gpu_ids, const PartitionOptions& options,
-                            double prune_above) const;
+  // First-wins fold of `orders` into *best under one branch-and-bound
+  // incumbent, seeded from *best when it is feasible. Each run of orders
+  // that start with the same GPU is one task on options.pool with its own
+  // HeldPrefix, and the runs' winners are reduced in list order (see
+  // search.cc for why any schedule yields the same winner). Returns the
+  // index of the order that replaced *best, or -1 when none did.
+  int SolveOrders(const std::vector<std::vector<int>>& orders, const PartitionOptions& options,
+                  Partition* best) const;
 
   // The prefix DP behind every solve, on the calling thread's DpScratch: the
   // dp/choice table and the transfer rows are stacks indexed by position, so
@@ -210,13 +219,9 @@ class Partitioner {
   // fwd input of stage t, the bwd input of stage t-1), then DP row t, and
   // returns false when every cell of that row is cut; t == k runs the last
   // row. FinishOrder runs it and builds the partition (infeasible when cut
-  // or out of memory).
-  // PlaceGpus places ids[0..count-1] at positions t.. in turn and returns
-  // false at the first cut row; a search that resumes an order at position t
-  // keeps the rows of positions < t that the thread placed before.
+  // or out of memory). The exact walk calls them directly; every other
+  // search goes through SolveOrder.
   bool PlaceGpu(int t, int k, int id, const PartitionOptions& options, double prune_above) const;
-  bool PlaceGpus(int t, int k, const int* ids, int count, const PartitionOptions& options,
-                 double prune_above) const;
   Partition FinishOrder(int k, const PartitionOptions& options, double prune_above) const;
   // edge[j] = seconds to send the activation after layer j-1 over the link
   // from_id -> to_id (edge[0] = 0), for j < n: a stage's fwd_x as is, the
@@ -233,8 +238,10 @@ class Partitioner {
   // stage). Candidates above `prune_above` are cut. Returns whether any
   // written cell is finite. Only splits inside the span between the first
   // and last finite cell of prev are evaluated: the others read +inf and
-  // cannot win. The prefix DP runs it once per trie edge; the beam closes
-  // one stage at a time with it, once per (state, distinct outgoing link).
+  // cannot win. PlaceGpu runs it once per placed position (once per trie
+  // edge in the exact walk, once per position past the resume point in
+  // SolveOrder); the beam closes one stage at a time with it, once per
+  // (state, distinct outgoing link).
   bool DpRow(int q, int k, hw::GpuType type, const PartitionOptions& options,
              const double* prev, const double* fwd_x, const double* bwd_x, double prune_above,
              double* cur, int* cur_choice) const;

@@ -7,32 +7,33 @@
 // beam and hierarchical tiers visit a polynomial slice of that space. Every
 // tier computes its rows with the same prefix DP (PlaceGpu / DpRow in
 // partitioner.cc) and starts a solve at the first position that differs
-// from rows it already holds: the exact walk shares each prefix's rows
-// among the orders below it; the beam closes one stage per (state, distinct
-// link) and its swap polish resumes each probe at the first swapped
-// position; the hierarchical coarse phase walks the rack-permutation trie
-// and its refinement places the fixed segments before a rack once, walks
-// the rack's class-order trie on top and places the later segments per
-// leaf. Rows cut at an earlier, looser bound give later leaves a fresh
-// solve's answer (see SolveExact), so a returned partition is exactly what
-// the exact tier would report for its order — only the set of orders tried
-// differs. Everything here is deterministic and invariant under
-// permutations of the input gpu ids with equal (type, node) multisets: ids
-// are canonicalized up front and every search decision is a function of
-// classes and positions, never of raw id values.
+// from rows it already holds. The exact walk shares each prefix's rows among
+// the orders below it. The beam closes one stage per (state, distinct link).
+// Every other order the beam and hierarchical tiers try goes through one
+// primitive, SolveOrder, which resumes at the first position where the order
+// differs from its HeldPrefix's rows. The swap polishes and the leaves of the
+// refinement's lazy interior walk call it once per order; SolveOrders folds
+// it over a list (beam candidates, rack orders, swap fallbacks). Rows cut at an
+// earlier, looser bound give later orders a fresh solve's answer (see
+// SolveExact), so a returned partition is exactly what the exact tier would
+// report for its order — only the set of orders tried differs. Everything
+// here is deterministic and invariant under permutations of the input gpu
+// ids with equal (type, node) multisets: ids are canonicalized up front and
+// every search decision is a function of classes and positions, never of raw
+// id values.
 //
 // Parallelism: when options.pool is set (and would really fan out), the
-// bulk loops — each walk's first-level subtrees, the beam's per-state
-// closings and its candidate-order evaluation — run under
-// ThreadPool::ParallelFor into index-addressed slots, and every winner is
-// picked by a reduction that walks those slots in input order. A pooled
-// walk places its shared prefix once per task, on that thread's scratch.
-// Candidates are independent except through the shared branch-and-bound
-// incumbent, and the incumbent is only ever an upper bound on the optimum
-// (see SolveOrderBatch), so parallel and serial runs are byte-identical at
-// any thread count. The short sequential-accept polish loops (pairwise-swap
-// hill climbs) have true loop-carried dependences and deliberately stay
-// serial.
+// bulk loops — the exact walk's and the refinement's first-level subtrees,
+// the runs of orders SolveOrders splits its list into, and the beam's
+// per-state closings — run under ThreadPool::ParallelFor into
+// index-addressed slots, and every winner is picked by a reduction that
+// walks those slots in input order. Each task holds its own prefix rows on
+// its thread's scratch. Candidates are independent except through the shared
+// branch-and-bound incumbent, and the incumbent is only ever an upper bound
+// on the optimum (see SolveOrders), so parallel and serial runs are
+// byte-identical at any thread count. The short sequential-accept polish
+// loops (pairwise-swap hill climbs) have true loop-carried dependences and
+// deliberately stay serial.
 #include <algorithm>
 #include <cstdint>
 #include <limits>
@@ -187,13 +188,6 @@ struct BeamState {
   double score = 0.0;
 };
 
-// The first winner of part of a walk, and the order (rack order or segment
-// interior) that produced it.
-struct WalkSlot {
-  Partition best;
-  std::vector<int> order;
-};
-
 // The branch-and-bound incumbent a search shares across pool threads: the
 // best feasible bottleneck offered so far, never below the optimum.
 class Incumbent {
@@ -210,6 +204,15 @@ class Incumbent {
       bound_ = std::min(bound_, candidate.bottleneck_time);
     }
   }
+  // Offers `candidate`, then moves it into *slot if it improves on it.
+  bool Keep(Partition candidate, Partition* slot) {
+    Offer(candidate);
+    if (!ImprovesPartition(candidate, *slot)) {
+      return false;
+    }
+    *slot = std::move(candidate);
+    return true;
+  }
 
  private:
   const bool prune_;
@@ -220,10 +223,9 @@ class Incumbent {
 // Runs body(first, last) over [0, count): one call per index on a pool that
 // would really fan out, one call over the whole range otherwise (serial, or
 // inside a pool worker, where ParallelFor would run inline anyway). Bodies
-// write only slots of the indices they run (a walk over first-level
-// subtrees: the slot of `first`), so callers reduce the slots in index
-// order whichever thread ran which index. A walk places its shared prefix
-// once per call: once in all when serial.
+// write only the slot of `first`, so callers reduce the slots in index order
+// (FoldSlots) whichever thread ran which index. A body places the prefix its
+// indices share once per call: once in all when serial.
 template <typename Body>
 void RunRanges(runner::ThreadPool* pool, int64_t count, const Body& body) {
   if (pool != nullptr && count > 1 && !pool->RunsInline()) {
@@ -231,6 +233,19 @@ void RunRanges(runner::ThreadPool* pool, int64_t count, const Body& body) {
     return;
   }
   body(0, count);
+}
+
+// Folds the slots into *best in index order, first wins. Returns the index
+// of the slot that last replaced *best (the winner), or -1.
+int FoldSlots(std::vector<Partition>* slots, Partition* best) {
+  int winner = -1;
+  for (size_t index = 0; index < slots->size(); ++index) {
+    if (ImprovesPartition((*slots)[index], *best)) {
+      *best = std::move((*slots)[index]);
+      winner = static_cast<int>(index);
+    }
+  }
+  return winner;
 }
 
 }  // namespace
@@ -344,38 +359,53 @@ Partition Partitioner::SolveScalable(const std::vector<int>& gpu_ids,
   return SolveExact(gpu_ids, options);
 }
 
-// Every candidate shares one branch-and-bound incumbent, and callers reduce
-// over the returned vector in input order, which makes the picked winner
-// independent of thread interleaving: the incumbent (seeded with
-// `initial_bound`, tightened to the min bottleneck of any feasible result)
-// never drops below min(initial_bound, batch optimum), so whenever the batch
-// can beat or tie the caller's incumbent at all, every candidate achieving
-// the batch minimum is solved exactly under any schedule (`cand >
-// prune_above` is strict), and candidates a tighter bound happens to prune
-// could never have won the reduction anyway.
-std::vector<Partition> Partitioner::SolveOrderBatch(
-    const PartitionOptions& options, double initial_bound,
-    const std::vector<std::vector<int>>& orders) const {
-  std::vector<Partition> results(orders.size());
-  Incumbent incumbent(initial_bound, options.prune);
-  RunRanges(options.pool, static_cast<int64_t>(orders.size()), [&](int64_t first, int64_t last) {
-    for (int64_t index = first; index < last; ++index) {
-      Partition& result = results[static_cast<size_t>(index)];
-      result = SolveFixedOrder(orders[static_cast<size_t>(index)], options, incumbent.Bound());
-      incumbent.Offer(result);
+// Every order shares one branch-and-bound incumbent, and the runs' slots are
+// reduced in list order, which makes the winner independent of thread
+// interleaving: the incumbent (seeded from *best, tightened to the min
+// bottleneck of any feasible result) never drops below min(*best, list
+// optimum), so whenever the list can beat or tie *best at all, every order
+// achieving the list minimum is solved exactly under any schedule (`cand >
+// prune_above` is strict), and orders a tighter bound happens to prune could
+// never have won the reduction anyway.
+int Partitioner::SolveOrders(const std::vector<std::vector<int>>& orders,
+                             const PartitionOptions& options, Partition* best) const {
+  // Run r is orders [runs[r], runs[r + 1]): they start with the same GPU.
+  std::vector<size_t> runs;
+  for (size_t index = 0; index < orders.size(); ++index) {
+    if (index == 0 || orders[index].front() != orders[index - 1].front()) {
+      runs.push_back(index);
+    }
+  }
+  const int64_t num_runs = static_cast<int64_t>(runs.size());
+  runs.push_back(orders.size());
+  Incumbent incumbent(best->feasible ? best->bottleneck_time : kInf, options.prune);
+  std::vector<Partition> slots(static_cast<size_t>(num_runs));
+  std::vector<int> picks(static_cast<size_t>(num_runs), -1);
+  RunRanges(options.pool, num_runs, [&](int64_t first, int64_t last) {
+    HeldPrefix held;
+    for (size_t index = runs[static_cast<size_t>(first)]; index < runs[static_cast<size_t>(last)];
+         ++index) {
+      const std::vector<int>& order = orders[index];
+      if (incumbent.Keep(SolveOrder(order.data(), static_cast<int>(order.size()), options,
+                                    incumbent.Bound(), &held),
+                         &slots[static_cast<size_t>(first)])) {
+        picks[static_cast<size_t>(first)] = static_cast<int>(index);
+      }
     }
   });
-  return results;
+  const int slot = FoldSlots(&slots, best);
+  return slot < 0 ? -1 : picks[static_cast<size_t>(slot)];
 }
 
 Partition Partitioner::SolveExact(const std::vector<int>& gpu_ids,
                                   const PartitionOptions& options) const {
   const int k = static_cast<int>(gpu_ids.size());
-  if (!options.search_gpu_orders || k <= 1) {
-    return SolveFixedOrder(gpu_ids, options, kInf);
-  }
-  if (profile_->num_layers() < k) {
+  if (k == 0 || profile_->num_layers() < k) {
     return Partition{};
+  }
+  if (!options.search_gpu_orders || k <= 1) {
+    HeldPrefix held;
+    return SolveOrder(gpu_ids.data(), k, options, kInf, &held);
   }
   // Each order of interchangeable classes is one leaf of the walk, realized
   // by its smallest id order. An order the walk skips differs from a leaf
@@ -404,20 +434,10 @@ Partition Partitioner::SolveExact(const std::vector<int>& gpu_ids,
           const int64_t subtree = rank++;
           return subtree >= first && subtree < last && PlaceGpu(0, k, id, options, kInf);
         },
-        [&] {
-          Partition candidate = FinishOrder(k, options, incumbent.Bound());
-          incumbent.Offer(candidate);
-          if (ImprovesPartition(candidate, best)) {
-            best = std::move(candidate);
-          }
-        });
+        [&] { incumbent.Keep(FinishOrder(k, options, incumbent.Bound()), &best); });
   });
   Partition best;
-  for (Partition& candidate : slots) {
-    if (ImprovesPartition(candidate, best)) {
-      best = std::move(candidate);
-    }
-  }
+  FoldSlots(&slots, &best);
   return best;
 }
 
@@ -588,27 +608,19 @@ Partition Partitioner::SolveBeam(const std::vector<int>& gpu_ids,
            hw::SpecOf(groups[static_cast<size_t>(b)].type).effective_tflops;
   });
 
-  // ---- Exact evaluation of every candidate (batched onto the pool, winner
+  // ---- Exact evaluation of every candidate (runs on the pool, winner
   // ---- picked in input order), then swap local search. ----
-  Partition best;
-  std::vector<int> best_seq;
-  {
-    std::vector<std::vector<int>> orders;
-    orders.reserve(seqs.size());
-    for (const std::vector<int>& seq : seqs) {
-      orders.push_back(RealizeOrder(groups, seq));
-    }
-    std::vector<Partition> results = SolveOrderBatch(options, kInf, orders);
-    for (size_t index = 0; index < results.size(); ++index) {
-      if (ImprovesPartition(results[index], best)) {
-        best = std::move(results[index]);
-        best_seq = seqs[index];
-      }
-    }
+  std::vector<std::vector<int>> orders;
+  orders.reserve(seqs.size());
+  for (const std::vector<int>& seq : seqs) {
+    orders.push_back(RealizeOrder(groups, seq));
   }
-  if (!best.feasible) {
+  Partition best;
+  const int winner = SolveOrders(orders, options, &best);
+  if (winner < 0) {
     return best;
   }
+  std::vector<int> best_seq = std::move(seqs[static_cast<size_t>(winner)]);
 
   // Greedy hill climb on pairwise class swaps: all pairs while that is cheap,
   // adjacent pairs at large k. Pruned solves (bound = incumbent bottleneck)
@@ -617,20 +629,14 @@ Partition Partitioner::SolveBeam(const std::vector<int>& gpu_ids,
   // order depends on every earlier accept — a true loop-carried dependence —
   // so this polish stays serial by design (it is a constant-factor tail of
   // the search; the bulk phases above are the ones the pool accelerates).
-  // Swapping (a, b) keeps positions < a, and so does accepting it: the best
-  // order's rows 0..a-1 are placed once per a (position a-1 on top of the
-  // rows the last a left) and every probe runs from PlaceGpu(a) on. The
-  // bound only tightens, so rows placed under an earlier one give each probe
-  // a fresh solve's result (see SolveExact).
+  // Swapping (a, b) keeps positions < a, so each probe resumes at or after
+  // the first position where it differs from the probe before it, and the
+  // bound only tightens.
   const bool all_pairs = k * (k - 1) / 2 <= 300;
-  const auto bound = [&] { return options.prune ? best.bottleneck_time : kInf; };
-  std::vector<int> best_order = RealizeOrder(groups, best_seq);
+  HeldPrefix held;
   for (int pass = 0; pass < 4; ++pass) {
     bool improved = false;
     for (int a = 0; a < k - 1; ++a) {
-      if (a > 0 && !PlaceGpu(a - 1, k, best_order[static_cast<size_t>(a) - 1], options, bound())) {
-        break;  // the shared prefix is cut: so is every later probe
-      }
       const int b_end = all_pairs ? k : std::min(k, a + 2);
       for (int b = a + 1; b < b_end; ++b) {
         if (best_seq[static_cast<size_t>(a)] == best_seq[static_cast<size_t>(b)]) {
@@ -638,16 +644,12 @@ Partition Partitioner::SolveBeam(const std::vector<int>& gpu_ids,
         }
         std::vector<int> swapped = best_seq;
         std::swap(swapped[static_cast<size_t>(a)], swapped[static_cast<size_t>(b)]);
-        std::vector<int> order = RealizeOrder(groups, swapped);
-        const double probe_bound = bound();
-        if (!PlaceGpus(a, k, order.data() + a, k - a, options, probe_bound)) {
-          continue;
-        }
-        Partition candidate = FinishOrder(k, options, probe_bound);
+        const std::vector<int> order = RealizeOrder(groups, swapped);
+        Partition candidate = SolveOrder(order.data(), k, options,
+                                         options.prune ? best.bottleneck_time : kInf, &held);
         if (ImprovesPartition(candidate, best)) {
           best = std::move(candidate);
           best_seq = std::move(swapped);
-          best_order = std::move(order);
           improved = true;
         }
       }
@@ -744,75 +746,25 @@ Partition Partitioner::SolveHierarchical(const std::vector<int>& gpu_ids,
     });
   }
 
-  // At a walk's leaf: offers the finished order, and returns true when it
-  // improves on `best` (and replaces it).
-  const auto finish_leaf = [&](Incumbent& incumbent, Partition& best) {
-    Partition candidate = FinishOrder(k, options, incumbent.Bound());
-    incumbent.Offer(candidate);
-    if (!ImprovesPartition(candidate, best)) {
-      return false;
-    }
-    best = std::move(candidate);
-    return true;
-  };
-
   // ---- Coarse phase: search the rack order. Few racks are enumerated
-  // ---- exhaustively; beyond that, deterministic heuristic orders plus
-  // ---- adjacent-swap local search at rack granularity.
+  // ---- exhaustively, in next_permutation order; beyond that, deterministic
+  // ---- heuristic orders plus adjacent-swap local search at rack
+  // ---- granularity. Each rack order is solved as the segments' realized
+  // ---- orders end to end.
   uint64_t permutations = 1;
   for (int s = 2; s <= num_segments && permutations <= 720; ++s) {
     permutations *= static_cast<uint64_t>(s);
   }
-  Partition best;
-  std::vector<int> best_rack_order;
-  if (permutations <= 720) {
-    // The rack-order trie, walked depth first in next_permutation order: it
-    // is the class-order trie of one singleton class per segment (ids are
-    // segment indices). Each segment's rows are placed once per prefix,
-    // under one incumbent, and a leaf's order is the segments' realized
-    // orders end to end.
-    std::vector<Group> racks;
-    for (int s = 0; s < num_segments; ++s) {
-      racks.push_back(Group{cluster_->gpu(segments[static_cast<size_t>(s)].ids.front()).type,
-                            segments[static_cast<size_t>(s)].rack,
-                            {s}});
-    }
-    Incumbent incumbent(kInf, options.prune);
-    std::vector<WalkSlot> slots(static_cast<size_t>(num_segments));
-    RunRanges(options.pool, num_segments, [&](int64_t first, int64_t last) {
-      std::vector<size_t> used(static_cast<size_t>(num_segments), 0);
-      std::vector<int> rack_order(static_cast<size_t>(num_segments));
-      std::vector<int> from(static_cast<size_t>(num_segments) + 1, 0);
-      WalkSlot& slot = slots[static_cast<size_t>(first)];
-      WalkClassOrders(
-          racks, used.data(), 0, num_segments,
-          [&](int t, int s) {
-            if (t == 0 && (s < first || s >= last)) {
-              return false;
-            }
-            const RackSegment& segment = segments[static_cast<size_t>(s)];
-            const int size = static_cast<int>(segment.order.size());
-            rack_order[static_cast<size_t>(t)] = s;
-            from[static_cast<size_t>(t) + 1] = from[static_cast<size_t>(t)] + size;
-            return PlaceGpus(from[static_cast<size_t>(t)], k, segment.order.data(), size, options,
-                             incumbent.Bound());
-          },
-          [&] {
-            if (finish_leaf(incumbent, slot.best)) {
-              slot.order = rack_order;
-            }
-          });
-    });
-    for (WalkSlot& slot : slots) {
-      if (ImprovesPartition(slot.best, best)) {
-        best = std::move(slot.best);
-        best_rack_order = std::move(slot.order);
-      }
-    }
+  const bool enumerate = permutations <= 720;
+  std::vector<std::vector<int>> rack_orders;
+  std::vector<int> base(static_cast<size_t>(num_segments));
+  std::iota(base.begin(), base.end(), 0);
+  if (enumerate) {
+    std::vector<int> rack_order = base;
+    do {
+      rack_orders.push_back(rack_order);
+    } while (std::next_permutation(rack_order.begin(), rack_order.end()));
   } else {
-    std::vector<std::vector<int>> rack_orders;
-    std::vector<int> base(static_cast<size_t>(num_segments));
-    std::iota(base.begin(), base.end(), 0);
     rack_orders.push_back(base);
     std::vector<int> by_memory = base;
     std::stable_sort(by_memory.begin(), by_memory.end(), [&](int a, int b) {
@@ -825,30 +777,34 @@ Partition Partitioner::SolveHierarchical(const std::vector<int>& gpu_ids,
       return segments[static_cast<size_t>(a)].tflops > segments[static_cast<size_t>(b)].tflops;
     });
     rack_orders.push_back(by_tflops);
-    // The heuristic rack orders are independent candidates: batch them onto
-    // the pool and pick the winner in list order.
-    std::vector<std::vector<int>> orders;
-    orders.reserve(rack_orders.size());
-    for (const std::vector<int>& rack_order : rack_orders) {
-      orders.push_back(ComposeOrder(segments, rack_order));
-    }
-    std::vector<Partition> results = SolveOrderBatch(options, kInf, orders);
-    for (size_t index = 0; index < results.size(); ++index) {
-      if (ImprovesPartition(results[index], best)) {
-        best = std::move(results[index]);
-        best_rack_order = rack_orders[index];
-      }
-    }
+  }
+  std::vector<std::vector<int>> orders;
+  orders.reserve(rack_orders.size());
+  for (const std::vector<int>& rack_order : rack_orders) {
+    orders.push_back(ComposeOrder(segments, rack_order));
+  }
+  Partition best;
+  const int winner = SolveOrders(orders, options, &best);
+  if (winner < 0) {
+    // No rack order produced a feasible pipeline with the heuristic interior
+    // orders; fall back to the flat beam, which searches interleavings the
+    // rack-contiguous composition cannot express.
+    return SolveBeam(gpu_ids, options);
+  }
+  std::vector<int> best_rack_order = std::move(rack_orders[static_cast<size_t>(winner)]);
+  if (!enumerate) {
     // Adjacent-swap polish over the rack order. Sequential accepts feed the
     // next probe's base order, so this short loop (num_segments - 1 probes
     // per pass) stays serial by design.
-    for (int pass = 0; pass < 3 && best.feasible; ++pass) {
+    HeldPrefix held;
+    for (int pass = 0; pass < 3; ++pass) {
       bool improved = false;
       for (int a = 0; a + 1 < num_segments; ++a) {
         std::vector<int> swapped = best_rack_order;
         std::swap(swapped[static_cast<size_t>(a)], swapped[static_cast<size_t>(a) + 1]);
-        const double bound = options.prune ? best.bottleneck_time : kInf;
-        Partition candidate = SolveFixedOrder(ComposeOrder(segments, swapped), options, bound);
+        const std::vector<int> order = ComposeOrder(segments, swapped);
+        Partition candidate = SolveOrder(order.data(), k, options,
+                                         options.prune ? best.bottleneck_time : kInf, &held);
         if (ImprovesPartition(candidate, best)) {
           improved = improved || candidate.bottleneck_time < best.bottleneck_time;
           best = std::move(candidate);
@@ -860,107 +816,66 @@ Partition Partitioner::SolveHierarchical(const std::vector<int>& gpu_ids,
       }
     }
   }
-  if (!best.feasible || best_rack_order.empty()) {
-    // No rack order produced a feasible pipeline with the heuristic interior
-    // orders; fall back to the flat beam, which searches interleavings the
-    // rack-contiguous composition cannot express.
-    return SolveBeam(gpu_ids, options);
-  }
 
   // ---- Refine: coordinate descent across rack segments. At each position
-  // ---- the segments before it are placed once (per task on a pool), the
-  // ---- segment's interior orders are walked on top of them — the trie of
-  // ---- its (type, node) class orders, or adjacent swaps of its current
-  // ---- order when a segment alone overflows rack_order_limit — and the
-  // ---- segments after it are placed at each leaf. Leaves share one
-  // ---- incumbent seeded with the best bottleneck; slots reduce in walk
-  // ---- order, so the winner is the first improvement in that order.
-  // start[p]: the first position of the segment at rack-order position p.
-  std::vector<int> start(static_cast<size_t>(num_segments) + 1, 0);
-  for (int p = 0; p < num_segments; ++p) {
-    start[static_cast<size_t>(p) + 1] =
-        start[static_cast<size_t>(p)] +
-        static_cast<int>(
-            segments[static_cast<size_t>(best_rack_order[static_cast<size_t>(p)])].ids.size());
-  }
-  // Places the segments at rack-order positions [lo, hi) on this thread's
-  // prefix DP; false once a row is cut.
-  const auto place_segments = [&](int lo, int hi, double bound) {
-    for (int p = lo; p < hi; ++p) {
-      const RackSegment& segment =
-          segments[static_cast<size_t>(best_rack_order[static_cast<size_t>(p)])];
-      if (!PlaceGpus(start[static_cast<size_t>(p)], k, segment.order.data(),
-                     static_cast<int>(segment.order.size()), options, bound)) {
-        return false;
-      }
-    }
-    return true;
-  };
+  // ---- the segment's interior orders are written into the best order so
+  // ---- far: the leaves of a lazy walk of its (type, node) class-order trie,
+  // ---- or adjacent swaps of its current order when a segment alone
+  // ---- overflows rack_order_limit. Candidates share one incumbent seeded
+  // ---- with the best bottleneck, and the first improvement in walk order
+  // ---- wins.
   const uint64_t limit =
       options.rack_order_limit < 1 ? 1 : static_cast<uint64_t>(options.rack_order_limit);
   for (int pass = 0; pass < 2; ++pass) {
     bool improved = false;
+    int from = 0;  // the segment's first position
     for (int position = 0; position < num_segments; ++position) {
-      RackSegment& segment = segments[static_cast<size_t>(best_rack_order[
-          static_cast<size_t>(position)])];
-      const int from = start[static_cast<size_t>(position)];
+      const RackSegment& segment =
+          segments[static_cast<size_t>(best_rack_order[static_cast<size_t>(position)])];
       const int count = static_cast<int>(segment.ids.size());
-      Incumbent incumbent(options.prune ? best.bottleneck_time : kInf, options.prune);
-      const auto finish_interior = [&](WalkSlot& slot) {
-        if (place_segments(position + 1, num_segments, incumbent.Bound()) &&
-            finish_leaf(incumbent, slot.best)) {
-          const int* order = LocalScratch().order.data();
-          slot.order.assign(order + from, order + from + count);
-        }
-      };
-      std::vector<WalkSlot> slots;
+      std::vector<int> order(static_cast<size_t>(k));
+      for (int t = 0; t < k; ++t) {
+        order[static_cast<size_t>(t)] = best.stages[static_cast<size_t>(t)].gpu_id;
+      }
       if (EstimateOrderCount(*cluster_, segment.ids, limit + 1) <= limit) {
         const std::vector<Group> groups = CanonicalGroups(*cluster_, segment.ids);
-        slots.resize(groups.size());
+        Incumbent incumbent(best.bottleneck_time, options.prune);
+        std::vector<Partition> slots(groups.size());
         RunRanges(options.pool, static_cast<int64_t>(groups.size()),
-                 [&](int64_t first, int64_t last) {
-                   if (!place_segments(0, position, incumbent.Bound())) {
-                     return;
-                   }
-                   size_t* used = LocalScratch().Ensure(LocalScratch().used, groups.size());
-                   std::fill(used, used + groups.size(), size_t{0});
-                   int64_t rank = 0;
-                   WalkClassOrders(
-                       groups, used, 0, count,
-                       [&](int t, int id) {
-                         if (t == 0) {
-                           const int64_t subtree = rank++;
-                           if (subtree < first || subtree >= last) {
-                             return false;
-                           }
-                         }
-                         return PlaceGpu(from + t, k, id, options, incumbent.Bound());
-                       },
-                       [&] { finish_interior(slots[static_cast<size_t>(first)]); });
-                 });
+                  [&](int64_t first, int64_t last) {
+                    std::vector<int> leaf = order;
+                    HeldPrefix held;
+                    size_t* used = LocalScratch().Ensure(LocalScratch().used, groups.size());
+                    std::fill(used, used + groups.size(), size_t{0});
+                    int64_t rank = 0;
+                    WalkClassOrders(
+                        groups, used, 0, count,
+                        [&](int t, int id) {
+                          if (t == 0) {
+                            const int64_t subtree = rank++;
+                            if (subtree < first || subtree >= last) {
+                              return false;
+                            }
+                          }
+                          leaf[static_cast<size_t>(from + t)] = id;
+                          return true;
+                        },
+                        [&] {
+                          incumbent.Keep(
+                              SolveOrder(leaf.data(), k, options, incumbent.Bound(), &held),
+                              &slots[static_cast<size_t>(first)]);
+                        });
+                  });
+        improved = FoldSlots(&slots, &best) >= 0 || improved;
       } else {
-        slots.resize(static_cast<size_t>(count) - 1);
-        RunRanges(options.pool, count - 1, [&](int64_t first, int64_t last) {
-          if (!place_segments(0, position, incumbent.Bound())) {
-            return;
-          }
-          std::vector<int> interior;
-          for (int64_t a = first; a < last; ++a) {
-            interior = segment.order;
-            std::swap(interior[static_cast<size_t>(a)], interior[static_cast<size_t>(a) + 1]);
-            if (PlaceGpus(from, k, interior.data(), count, options, incumbent.Bound())) {
-              finish_interior(slots[static_cast<size_t>(first)]);
-            }
-          }
-        });
-      }
-      for (WalkSlot& slot : slots) {
-        if (ImprovesPartition(slot.best, best)) {
-          best = std::move(slot.best);
-          segment.order = std::move(slot.order);
-          improved = true;
+        std::vector<std::vector<int>> swaps(static_cast<size_t>(count) - 1, order);
+        for (int a = 0; a + 1 < count; ++a) {
+          std::swap(swaps[static_cast<size_t>(a)][static_cast<size_t>(from + a)],
+                    swaps[static_cast<size_t>(a)][static_cast<size_t>(from + a) + 1]);
         }
+        improved = SolveOrders(swaps, options, &best) >= 0 || improved;
       }
+      from += count;
     }
     if (!improved) {
       break;
