@@ -297,8 +297,8 @@ int DeclaredRackOf(const ClusterSpec& spec, int node) {
 
 }  // namespace
 
-int NodeDecl::TotalCount() const {
-  int total = 0;
+int64_t NodeDecl::TotalCount() const {
+  int64_t total = 0;
   for (const NodeGroup& group : groups) {
     total += group.count;
   }
@@ -656,6 +656,12 @@ void ClusterSpec::Validate() const {
   if (nodes.empty()) {
     Fail("at least one node is required", "");
   }
+  if (nodes.size() > static_cast<size_t>(kMaxNodes)) {
+    Fail(std::to_string(nodes.size()) + " nodes exceed the limit of " +
+             std::to_string(kMaxNodes),
+         "");
+  }
+  int64_t total_gpus = 0;
   for (const NodeDecl& node : nodes) {
     if (node.groups.empty()) {
       Fail("a node needs at least one GPU group", "");
@@ -679,6 +685,11 @@ void ClusterSpec::Validate() const {
         Fail("unknown GPU type \"" + group.type + "\"", "");
       }
     }
+    total_gpus += node.TotalCount();
+  }
+  if (total_gpus > kMaxGpus) {
+    Fail(std::to_string(total_gpus) + " GPUs exceed the limit of " + std::to_string(kMaxGpus),
+         "");
   }
   const int num_nodes = static_cast<int>(nodes.size());
   std::vector<int> racked(nodes.size(), 0);

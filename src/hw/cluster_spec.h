@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -41,7 +42,7 @@ struct NodeDecl {
   explicit NodeDecl(std::vector<NodeGroup> node_groups) : groups(std::move(node_groups)) {}
 
   bool mixed() const { return groups.size() > 1; }
-  int TotalCount() const;
+  int64_t TotalCount() const;
 };
 
 // One rack declaration: a named group of node indices ("rack r0 { node0
@@ -104,6 +105,13 @@ struct LinkOverrideDecl {
 // field across threads and processes. Link knobs are emitted only when they
 // differ from the defaults, so paper-testbed specs stay bit-identical.
 struct ClusterSpec {
+  // Size bounds Validate enforces. Specs arrive from remote clients, and
+  // Build() allocates per GPU and per node pair, so larger specs are
+  // rejected before anything is built. The largest cluster in this repo
+  // (partitioner_speed's g1024-16rack) has 128 nodes and 1024 GPUs.
+  static constexpr int kMaxNodes = 1024;
+  static constexpr int64_t kMaxGpus = 16384;
+
   std::string name;
   std::vector<GpuClassDecl> gpu_classes;
   std::vector<NodeDecl> nodes;
@@ -168,11 +176,11 @@ struct ClusterSpec {
   std::string ToString() const;
 
   // Throws std::invalid_argument on an unknown GPU type, a zero-GPU node or
-  // node group, an out-of-range link knob, a non-positive TFLOPS/memory,
-  // duplicate class names, an empty node list, a rack naming an out-of-range
-  // or twice-racked node, a cross-rack knob without racks, or a malformed
-  // link override (self pair, out-of-range node, duplicate pair, no fields,
-  // out-of-range values).
+  // node group, more than kMaxNodes nodes or kMaxGpus GPUs, an out-of-range
+  // link knob, a non-positive TFLOPS/memory, duplicate class names, an empty
+  // node list, a rack naming an out-of-range or twice-racked node, a
+  // cross-rack knob without racks, or a malformed link override (self pair,
+  // out-of-range node, duplicate pair, no fields, out-of-range values).
   void Validate() const;
 
   // Registers the declared GPU classes and materializes the cluster (with

@@ -7,6 +7,7 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "cluster/allocator.h"
@@ -128,6 +129,24 @@ TEST(ClusterSpecTest, RejectsMalformedSpecs) {
                std::invalid_argument);
   EXPECT_THROW(ClusterSpec().AddGpuClass("X9", 1.0, 1.0, ' ').AddNode("X9", 2).Validate(),
                std::invalid_argument);
+  // Size bounds: remote specs must not make Build() overflow a GPU count or
+  // allocate per GPU or per node pair without limit.
+  EXPECT_THROW(ClusterSpec::Parse("node{V*2000000000,R*2000000000}"), std::invalid_argument);
+  EXPECT_THROW(ClusterSpec::Parse("node 100000000xV"), std::invalid_argument);
+  std::string many_nodes;
+  for (int i = 0; i < 40000; ++i) {
+    many_nodes += "node 1xV\n";
+  }
+  many_nodes += "rack r0 { node0 node1 }\n";
+  EXPECT_THROW(ClusterSpec::Parse(many_nodes), std::invalid_argument);
+  // The bounds themselves are accepted.
+  EXPECT_NO_THROW(ClusterSpec::Parse("node 16xV; node{V*8192,R*8176}"));
+  std::string max_nodes;
+  for (int i = 0; i < ClusterSpec::kMaxNodes; ++i) {
+    max_nodes += "node 1xV\n";
+  }
+  EXPECT_NO_THROW(ClusterSpec::Parse(max_nodes));
+  EXPECT_THROW(ClusterSpec::Parse(max_nodes + "node 1xV\n"), std::invalid_argument);
 }
 
 // One definition per class name (see kMixedSpecText): the mixed-node fixture
