@@ -258,8 +258,9 @@ runner::ResultRow PlanService::Handle(const PlanRequest& request) {
       row.Set("max_nm", max_nm);
       row.Set("nm_cap", request.nm_cap);
       if (max_nm > 0) {
-        // The search probed max_nm last, so this re-solve is a cache hit and
-        // just fetches the winning partition for the response.
+        // The bisection probed max_nm, though not necessarily last (nm_cap 4
+        // with answer 3 probes 2, 3, 4), and cached every probe, so this
+        // re-solve is a cache hit that fetches the winning partition.
         options.nm = max_nm;
         FillPartition(cache_->Solve(context->partitioner, gpu_ids, options), &row);
       } else {
