@@ -35,6 +35,7 @@
 // loops (pairwise-swap hill climbs) have true loop-carried dependences and
 // deliberately stay serial.
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <numeric>
@@ -369,10 +370,21 @@ Partition Partitioner::SolveScalable(const std::vector<int>& gpu_ids,
 // never have won the reduction anyway.
 int Partitioner::SolveOrders(const std::vector<std::vector<int>>& orders,
                              const PartitionOptions& options, Partition* best) const {
-  // Run r is orders [runs[r], runs[r + 1]): they start with the same GPU.
+  // Run r is orders [runs[r], runs[r + 1]): they agree one position past
+  // the prefix every order in the list shares, so each run is one
+  // first-level subtree of the list's trie.
+  size_t shared = orders.empty() ? 0 : orders.front().size();
+  for (const std::vector<int>& order : orders) {
+    shared = static_cast<size_t>(
+        std::mismatch(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(shared),
+                      orders.front().begin())
+            .first -
+        order.begin());
+  }
   std::vector<size_t> runs;
   for (size_t index = 0; index < orders.size(); ++index) {
-    if (index == 0 || orders[index].front() != orders[index - 1].front()) {
+    if (index == 0 ||
+        (shared < orders[index].size() && orders[index][shared] != orders[index - 1][shared])) {
       runs.push_back(index);
     }
   }
@@ -858,7 +870,12 @@ Partition Partitioner::SolveHierarchical(const std::vector<int>& gpu_ids,
                             }
                           }
                           leaf[static_cast<size_t>(from + t)] = id;
-                          return true;
+                          // Cut the subtree when its prefix repeats the held
+                          // cut row: SolveOrder would return each leaf below
+                          // infeasible without DP work.
+                          return !(held.cut && held.depth <= from + t &&
+                                   std::equal(leaf.begin(), leaf.begin() + held.depth + 1,
+                                              LocalScratch().order.begin()));
                         },
                         [&] {
                           incumbent.Keep(
