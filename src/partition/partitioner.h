@@ -204,10 +204,11 @@ class Partitioner {
 
   // First-wins fold of `orders` into *best under one branch-and-bound
   // incumbent, seeded from *best when it is feasible. Each run of orders
-  // that start with the same GPU is one task on options.pool with its own
-  // HeldPrefix, and the runs' winners are reduced in list order (see
-  // search.cc for why any schedule yields the same winner). Returns the
-  // index of the order that replaced *best, or -1 when none did.
+  // that agree one position past the prefix the whole list shares is one
+  // task on options.pool with its own HeldPrefix, and the runs' winners are
+  // reduced in list order (see search.cc for why any schedule yields the
+  // same winner). Returns the index of the order that replaced *best, or -1
+  // when none did.
   int SolveOrders(const std::vector<std::vector<int>>& orders, const PartitionOptions& options,
                   Partition* best) const;
 
