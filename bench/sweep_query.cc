@@ -3,7 +3,9 @@
 // typed columns the store preserves (so `--where=throughput_img_s>=40` is a
 // numeric comparison, not a string one) and emits through the same sinks
 // every bench writes with — the output of a query is itself a result file,
-// so queries compose (.hds in, .hds out).
+// so queries compose (.hds in, .hds out). Inputs are recognized by content,
+// not name: a partition cache file (runner/partition_cache.h) is a store too,
+// so `sweep_query run.cache --select=key` lists its keys.
 //
 // Usage: sweep_query FILE.hds [flags]
 //
@@ -264,16 +266,14 @@ std::vector<ResultRow> MergeJoin(std::vector<ResultRow> left, std::vector<Result
   return joined;
 }
 
+// Any file that does not read as a store — whatever its name, and whether it
+// is foreign, truncated or corrupt — is a clean error and exit 2.
 std::vector<ResultRow> LoadStore(const std::string& path) {
-  if (path.size() < 4 || path.compare(path.size() - 4, 4, ".hds") != 0) {
-    std::fprintf(stderr, "error: sweep_query reads .hds store files, got \"%s\"\n", path.c_str());
-    std::exit(2);
-  }
   std::vector<ResultRow> rows;
   std::string error;
   if (!hetpipe::store::ReadAllRows(path, &rows, &error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    std::exit(1);
+    std::fprintf(stderr, "error: sweep_query reads .hds store files: %s\n", error.c_str());
+    std::exit(2);
   }
   return rows;
 }

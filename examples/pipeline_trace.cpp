@@ -9,8 +9,8 @@
 #include "runner/cli.h"
 #include "model/profiler.h"
 #include "model/resnet.h"
+#include "oracles/trace_check.h"
 #include "partition/partitioner.h"
-#include "pipeline/trace_check.h"
 #include "pipeline/virtual_worker.h"
 #include "sim/simulator.h"
 #include "sim/trace.h"
@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
                                       {"GPU1", "GPU2", "GPU3", "GPU4"})
                           .c_str());
 
-  const auto check = pipeline::ValidatePipelineTrace(tracer.events(), 4, nm);
+  const auto check = oracles::ValidatePipelineTrace(tracer.events(), 4, nm);
   std::printf("scheduling-rule check (conditions 1-3 of Sec. 4, dataflow, staleness window): "
               "%s\n",
               check.ok ? "all hold" : check.violations.front().c_str());

@@ -245,15 +245,9 @@ runner::ResultRow PlanService::Handle(const PlanRequest& request) {
     } else {  // max_nm
       // Every probe of the binary search goes through the shared cache;
       // cache_hit means the whole query — every probe — was served from it.
-      bool all_hits = true;
-      auto solve = [&](const partition::PartitionOptions& probe_options) {
-        bool was_hit = false;
-        partition::Partition probe =
-            cache_->Solve(context->partitioner, gpu_ids, probe_options, &was_hit);
-        all_hits = all_hits && was_hit;
-        return probe;
-      };
-      const int max_nm = partition::FindMaxNmWith(solve, request.nm_cap, options);
+      bool all_hits = false;
+      const int max_nm =
+          cache_->FindMaxNm(context->partitioner, gpu_ids, request.nm_cap, options, &all_hits);
       row.Set("ok", true);
       row.Set("max_nm", max_nm);
       row.Set("nm_cap", request.nm_cap);

@@ -42,6 +42,7 @@ std::unique_ptr<ExtentWriter> ExtentWriter::Open(const std::string& path, std::s
     if (error != nullptr) {
       *error = "cannot open " + writer->tmp_path_ + " for writing";
     }
+    writer->finalized_ = true;  // nothing to finalize: no destructor warning
     return nullptr;
   }
   std::string header;

@@ -45,9 +45,9 @@ namespace hetpipe::store {
 // Append is streaming: a full extent is flushed to disk and dropped from
 // memory, so a million-row sweep never holds more than one extent. The file
 // is written as `path + ".tmp"` and renamed onto `path` by Finalize() — the
-// same crash-safe pattern as PartitionCache::Save — so a crash mid-sweep
-// never leaves a half-written file under the final name, and a reader can
-// trust that a finalized file ends in its trailer.
+// write path PartitionCache::Save uses for cache files too — so a crash
+// mid-sweep never leaves a half-written file under the final name, and a
+// reader can trust that a finalized file ends in its trailer.
 
 constexpr uint32_t kStoreMagic = 0x31534448;  // "HDS1"
 constexpr uint32_t kStoreVersion = 1;

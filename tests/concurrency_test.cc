@@ -140,6 +140,7 @@ TEST(PartitionCacheStressTest, HammerWithConcurrentSaveAndEviction) {
   PartitionCache cache;
   cache.SetCapacity(3);  // smaller than the live key set: eviction is constant
   std::atomic<int> mismatches{0};
+  std::atomic<int> failed_saves{0};
   ThreadPool pool(8);
   pool.ParallelFor(240, [&](int64_t i) {
     partition::PartitionOptions options;
@@ -150,10 +151,11 @@ TEST(PartitionCacheStressTest, HammerWithConcurrentSaveAndEviction) {
     }
     // Saves overlap solves and evictions; SetCapacity oscillates the bound
     // while readers hold the shared lock.
-    if (i % 31 == 0) cache.Save(path);
+    if (i % 31 == 0 && !cache.Save(path)) failed_saves.fetch_add(1);
     if (i % 53 == 0) cache.SetCapacity(i % 2 == 0 ? 2 : 4);
   });
   EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(failed_saves.load(), 0);
   EXPECT_LE(cache.size(), 4);
   EXPECT_GT(cache.evictions(), 0);
 
@@ -161,6 +163,44 @@ TEST(PartitionCacheStressTest, HammerWithConcurrentSaveAndEviction) {
   PartitionCache reloaded;
   std::string error;
   ASSERT_TRUE(reloaded.Load(path, &error)) << error;
+  std::remove(path.c_str());
+}
+
+TEST(PartitionCacheStressTest, ConcurrentSavesToOnePathAllSucceed) {
+  // Saves to one path share the store's temp file, so they must take turns:
+  // unserialized, one save renames another's half-written file away.
+  const hw::Cluster cluster = hw::Cluster::Paper();
+  const model::ModelGraph graph = model::BuildResNet152();
+  const model::ModelProfile profile(graph, 32);
+  const partition::Partitioner partitioner(profile, cluster);
+  const std::string path = testing::TempDir() + "hetpipe_concurrency_saves.bin";
+
+  PartitionCache cache;
+  for (int nm = 1; nm <= 8; ++nm) {
+    partition::PartitionOptions options;
+    options.nm = nm;
+    cache.Solve(partitioner, {0, 4, 8, 12}, options);
+  }
+  std::atomic<int> failed_saves{0};
+  std::vector<std::thread> savers;
+  for (int t = 0; t < 8; ++t) {
+    savers.emplace_back([&] {
+      for (int round = 0; round < 25; ++round) {
+        std::string error;
+        if (!cache.Save(path, &error)) {
+          failed_saves.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& saver : savers) {
+    saver.join();
+  }
+  EXPECT_EQ(failed_saves.load(), 0);
+  PartitionCache reloaded;
+  std::string error;
+  ASSERT_TRUE(reloaded.Load(path, &error)) << error;
+  EXPECT_EQ(reloaded.size(), 8);
   std::remove(path.c_str());
 }
 

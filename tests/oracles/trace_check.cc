@@ -1,10 +1,13 @@
-#include "pipeline/trace_check.h"
+#include "oracles/trace_check.h"
 
 #include <algorithm>
 #include <cstdio>
 #include <map>
 
-namespace hetpipe::pipeline {
+namespace hetpipe::oracles {
+
+using pipeline::Task;
+using pipeline::TaskKind;
 
 std::optional<Task> ParseTaskEvent(const std::string& name) {
   Task task;
@@ -116,4 +119,4 @@ TraceCheckResult ValidatePipelineTrace(const std::vector<sim::TraceEvent>& event
   return result;
 }
 
-}  // namespace hetpipe::pipeline
+}  // namespace hetpipe::oracles

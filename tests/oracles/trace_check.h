@@ -7,11 +7,14 @@
 #include "pipeline/task.h"
 #include "sim/trace.h"
 
-namespace hetpipe::pipeline {
+// Test oracle for recorded pipeline traces: checks a simulated virtual
+// worker's execution against the paper's scheduling rules. Used by
+// trace_test; not part of the hetpipe library.
+namespace hetpipe::oracles {
 
 // Parses a task back out of the trace-event name format produced by
 // ToString(Task) ("FW(M3,P2)"); nullopt for non-task events (e.g. comm).
-std::optional<Task> ParseTaskEvent(const std::string& name);
+std::optional<pipeline::Task> ParseTaskEvent(const std::string& name);
 
 // Result of validating a pipeline execution trace against the paper's
 // scheduling rules (§4).
@@ -36,4 +39,4 @@ struct TraceCheckResult {
 TraceCheckResult ValidatePipelineTrace(const std::vector<sim::TraceEvent>& events,
                                        int num_stages, int nm);
 
-}  // namespace hetpipe::pipeline
+}  // namespace hetpipe::oracles

@@ -4,6 +4,7 @@
 // must return exactly what a cold solve returns.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -31,6 +32,8 @@
 #include "runner/result_sink.h"
 #include "runner/sweep_runner.h"
 #include "runner/thread_pool.h"
+#include "store/extent_reader.h"
+#include "store/extent_writer.h"
 #include "util/binary_io.h"
 
 #ifndef HETPIPE_GOLDEN_DIR
@@ -214,6 +217,51 @@ TEST(PartitionCacheTest, RemapsSameShapeDifferentGpuIds) {
   }
   EXPECT_EQ(cache.misses(), 1);
   EXPECT_EQ(cache.hits(), 3);
+}
+
+TEST(PartitionCacheTest, TiedGpusArePlacedInRequestOrder) {
+  // A hit places the cached stages onto the request: the k-th stage (in
+  // stage order) of a (type, node) runs on the k-th GPU of that pair in the
+  // order given. The cold solver may pair tied GPUs with stages the other
+  // way round, so a hit's ids can differ from a cold solve's for tied GPUs
+  // only; every other field, and every untied id, must equal it.
+  const hw::Cluster cluster = hw::Cluster::Paper();
+  const model::ModelGraph graph = model::BuildResNet152();
+  const model::ModelProfile profile(graph, 32);
+  const partition::Partitioner partitioner(profile, cluster);
+  PartitionCache cache;
+  partition::PartitionOptions options;
+  options.nm = 2;
+  const std::vector<int> first = {0, 1, 12, 13};  // V, V on node 0; Q, Q on node 3
+  const partition::Partition solved = partitioner.SolveScalable(first, options);
+  ExpectSamePartition(solved, cache.Solve(partitioner, first, options));
+
+  std::vector<int> vw = first;
+  int hits = 0;
+  do {
+    for (const int offset : {0, 2}) {  // {2, 3, 14, 15} has the same shape
+      std::vector<int> ids = vw;
+      for (int& id : ids) id += offset;
+      partition::Partition want = partitioner.SolveScalable(ids, options);
+      std::vector<bool> used(ids.size(), false);
+      for (partition::StageAssignment& stage : want.stages) {
+        for (size_t i = 0; i < ids.size(); ++i) {
+          const hw::Gpu& gpu = cluster.gpu(ids[i]);
+          if (!used[i] && gpu.type == stage.gpu_type && gpu.node == stage.node) {
+            used[i] = true;
+            stage.gpu_id = ids[i];
+            break;
+          }
+        }
+      }
+      bool hit = false;
+      ExpectSamePartition(want, cache.Solve(partitioner, ids, options, &hit));
+      EXPECT_TRUE(hit);
+      ++hits;
+    }
+  } while (std::next_permutation(vw.begin(), vw.end()));
+  EXPECT_EQ(cache.misses(), 1);
+  EXPECT_EQ(cache.hits(), hits);
 }
 
 TEST(PartitionCacheTest, FixedOrderSolvesKeyOnTheOrder) {
@@ -482,6 +530,7 @@ TEST(PartitionCacheTest, ConcurrentReadersWritersAndSavesStayExact) {
 
   PartitionCache cache;
   std::atomic<int> mismatches{0};
+  std::atomic<int> failed_saves{0};
   ThreadPool pool(8);
   pool.ParallelFor(200, [&](int64_t i) {
     partition::PartitionOptions options;
@@ -493,11 +542,12 @@ TEST(PartitionCacheTest, ConcurrentReadersWritersAndSavesStayExact) {
       mismatches.fetch_add(1);
     }
     // Interleave saves with the solves: Save holds only the shared lock.
-    if (i % 17 == 0) {
-      cache.Save(path);
+    if (i % 17 == 0 && !cache.Save(path)) {
+      failed_saves.fetch_add(1);
     }
   });
   EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(failed_saves.load(), 0);
   EXPECT_EQ(cache.size(), 4);
   // Concurrent first-misses on one key may each count a miss (both threads
   // solved before either inserted), but every request is accounted exactly
@@ -675,21 +725,21 @@ TEST(PartitionCacheFileTest, RejectsTruncatedCorruptedAndMismatchedFiles) {
     EXPECT_EQ(cache.size(), 0) << "a rejected file must leave the cache unchanged";
   }
 
-  // A flipped byte in the records region fails the checksum.
+  // A flipped byte in the entry region fails the store's extent checksum.
   std::string corrupted = good;
   corrupted[corrupted.size() / 2] = static_cast<char>(corrupted[corrupted.size() / 2] ^ 0x5a);
   WriteFileBytes(path, corrupted);
   EXPECT_FALSE(cache.Load(path, &error));
-  EXPECT_NE(error.find("corrupted"), std::string::npos) << error;
+  EXPECT_NE(error.find("checksum"), std::string::npos) << error;
 
   // Wrong magic.
   std::string bad_magic = good;
   bad_magic[0] = static_cast<char>(bad_magic[0] ^ 0xff);
   WriteFileBytes(path, bad_magic);
   EXPECT_FALSE(cache.Load(path, &error));
-  EXPECT_NE(error.find("not a partition cache"), std::string::npos) << error;
+  EXPECT_NE(error.find("not a .hds file"), std::string::npos) << error;
 
-  // Future version.
+  // Future store version.
   std::string bad_version = good;
   bad_version[4] = static_cast<char>(bad_version[4] + 1);
   WriteFileBytes(path, bad_version);
@@ -749,26 +799,120 @@ TEST(PartitionCacheFileTest, SaveIsAtomicWriteThenRename) {
 
 TEST(PartitionCacheFileTest, RejectsVersion2Files) {
   // PR 5 bumped the cache format to v3 (per-node-pair link probes in the
-  // key); a v2-era file must be rejected by version, never half-read. This
-  // pins the bump itself, not just "some other version fails".
+  // key), and v4 made cache files .hds stores. A v2- or v3-era file (magic
+  // "HPC1", zero entries, FNV-1a of the empty record region) must be
+  // rejected at open, never half-read, and a store whose rows carry another
+  // cache version must be rejected by that version.
   const std::string path = testing::TempDir() + "hetpipe_pcache_v2.bin";
-  std::string v2;
-  const uint32_t magic = 0x31435048;  // "HPC1"
-  const uint32_t version = 2;
-  const uint64_t count = 0;
-  const uint64_t empty_checksum = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
-  v2.append(reinterpret_cast<const char*>(&magic), sizeof(magic));
-  v2.append(reinterpret_cast<const char*>(&version), sizeof(version));
-  v2.append(reinterpret_cast<const char*>(&count), sizeof(count));
-  v2.append(reinterpret_cast<const char*>(&empty_checksum), sizeof(empty_checksum));
-  WriteFileBytes(path, v2);
+  for (const uint32_t version : {2u, 3u}) {
+    std::string old;
+    const uint32_t magic = 0x31435048;  // "HPC1"
+    const uint64_t count = 0;
+    const uint64_t empty_checksum = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
+    old.append(reinterpret_cast<const char*>(&magic), sizeof(magic));
+    old.append(reinterpret_cast<const char*>(&version), sizeof(version));
+    old.append(reinterpret_cast<const char*>(&count), sizeof(count));
+    old.append(reinterpret_cast<const char*>(&empty_checksum), sizeof(empty_checksum));
+    WriteFileBytes(path, old);
 
+    PartitionCache cache;
+    std::string error;
+    EXPECT_FALSE(cache.Load(path, &error)) << "version " << version;
+    EXPECT_NE(error.find("bad magic (not a .hds file)"), std::string::npos) << error;
+    EXPECT_EQ(cache.size(), 0);
+  }
+
+  {
+    auto writer = store::ExtentWriter::Open(path, nullptr);
+    ASSERT_NE(writer, nullptr);
+    ResultRow row;
+    row.Set("v", 3).Set("key", "k").Set("entry", "");
+    writer->Append(row);
+    ASSERT_TRUE(writer->Finalize(nullptr));
+  }
   PartitionCache cache;
   std::string error;
   EXPECT_FALSE(cache.Load(path, &error));
-  EXPECT_NE(error.find("version 2"), std::string::npos) << error;
-  EXPECT_NE(error.find("expected 3"), std::string::npos) << error;
+  EXPECT_NE(error.find("version 3"), std::string::npos) << error;
+  EXPECT_NE(error.find("expected 4"), std::string::npos) << error;
   EXPECT_EQ(cache.size(), 0);
+  std::remove(path.c_str());
+}
+
+TEST(PartitionCacheFileTest, RejectsSweepResultStores) {
+  // A sweep's .hds output opens as a store but is not a cache file.
+  const std::string path = testing::TempDir() + "hetpipe_pcache_sweep.hds";
+  {
+    std::string error;
+    auto sink = store::StoreSink::Open(path, &error);
+    ASSERT_NE(sink, nullptr) << error;
+    for (int nm : {1, 2}) {
+      ResultRow row;
+      row.Set("name", "paper-ED").Set("model", "vgg19").Set("nm", nm).Set("feasible", true);
+      sink->Write(row);
+    }
+    ASSERT_TRUE(sink->Close(&error)) << error;
+  }
+  PartitionCache cache;
+  std::string error;
+  EXPECT_FALSE(cache.Load(path, &error));
+  EXPECT_NE(error.find("is not a partition cache file"), std::string::npos) << error;
+  EXPECT_EQ(cache.size(), 0);
+  std::remove(path.c_str());
+}
+
+TEST(PartitionCacheFileTest, EveryTruncationAndBitFlipFailsCleanlyOrLoadsExactly) {
+  // The store's mutation loops over a small cache file: every truncation
+  // and every single-bit flip either fails with the cache unchanged, or
+  // loads a cache whose every answer equals a cold solve.
+  const hw::Cluster cluster = hw::Cluster::Paper();
+  const model::ModelGraph graph = model::BuildVgg19();
+  const model::ModelProfile profile(graph, 32);
+  const partition::Partitioner partitioner(profile, cluster);
+  const std::string path = testing::TempDir() + "hetpipe_pcache_mutate.bin";
+  const std::vector<int> vw = {0, 4};
+
+  PartitionCache warm;
+  std::vector<partition::Partition> cold;
+  for (int nm : {1, 2}) {
+    partition::PartitionOptions options;
+    options.nm = nm;
+    cold.push_back(partitioner.SolveScalable(vw, options));
+    warm.Solve(partitioner, vw, options);
+  }
+  ASSERT_TRUE(warm.Save(path));
+  const std::string good = ReadFileBytes(path);
+
+  int loaded = 0;
+  const auto check = [&](const std::string& bytes, const std::string& label) {
+    WriteFileBytes(path, bytes);
+    PartitionCache cache;
+    std::string error;
+    if (!cache.Load(path, &error)) {
+      EXPECT_FALSE(error.empty()) << label;
+      EXPECT_EQ(cache.size(), 0) << label;
+      return;
+    }
+    ++loaded;
+    for (int nm : {1, 2}) {
+      partition::PartitionOptions options;
+      options.nm = nm;
+      ExpectSamePartition(cold[static_cast<size_t>(nm - 1)], cache.Solve(partitioner, vw, options));
+    }
+  };
+  for (size_t length = 0; length < good.size(); ++length) {
+    check(good.substr(0, length), "length " + std::to_string(length));
+  }
+  for (size_t i = 0; i < good.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = good;
+      flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+      check(flipped, "byte " + std::to_string(i) + " bit " + std::to_string(bit));
+    }
+  }
+  const int loaded_mutants = loaded;
+  check(good, "pristine");
+  EXPECT_EQ(loaded, loaded_mutants + 1);
   std::remove(path.c_str());
 }
 
@@ -791,7 +935,7 @@ TEST(PartitionCacheFileTest, LoadMergesWithoutOverwritingExistingEntries) {
   ASSERT_TRUE(second.Load(path));
   EXPECT_EQ(second.size(), 2);  // nm=2 solved here + nm=1 from disk
 
-  // Saving the merged cache keeps both entries (materialized and pending).
+  // Saving the merged cache keeps both entries (requested and loaded).
   ASSERT_TRUE(second.Save(path));
   PartitionCache third;
   ASSERT_TRUE(third.Load(path));
@@ -809,28 +953,82 @@ TEST(PartitionCacheFileTest, LoadMergesWithoutOverwritingExistingEntries) {
 
 // ---- Pinned cache keys: tests/golden/cache_keys.txt holds one `label \t key`
 // ---- line per case, the exact key string a cache file stores for it. Keys
-// ---- are read back from a Save'd file, so the library needs no test-only
-// ---- accessor. Every persisted cache file depends on these bytes, so any
+// ---- are read back from a Save'd file (a .hds store: `key` column), so the
+// ---- library needs no test-only accessor. Every persisted cache file depends on these bytes, so any
 // ---- diff here orphans existing files. `UPDATE_GOLDEN=1 ./runner_test`
 // ---- rewrites the file.
 
-// The key of the one entry `cache` holds, decoded from its file format:
-// magic, version, count, then per record a u32 size and a string key.
+// The key of the one entry `cache` holds, read back from its file.
 std::string SavedKey(const PartitionCache& cache) {
   const std::string path = testing::TempDir() + "hetpipe_pcache_key.bin";
   std::string error;
   if (!cache.Save(path, &error)) {
     return "save failed: " + error;
   }
-  const std::string file = ReadFileBytes(path);
+  std::vector<ResultRow> rows;
+  const bool read = store::ReadAllRows(path, &rows, &error);
   std::remove(path.c_str());
-  util::Cursor cursor(file.data(), file.size());
-  cursor.Get<uint32_t>();  // magic
-  cursor.Get<uint32_t>();  // version
-  const uint64_t count = cursor.Get<uint64_t>();
-  cursor.Get<uint32_t>();  // record size
-  const std::string key = cursor.GetStr();
-  return cursor.ok() && count == 1 ? key : "malformed cache file";
+  return read && rows.size() == 1 ? rows[0].Get("key") : "malformed cache file";
+}
+
+TEST(PartitionCacheFileTest, CraftedEntriesAreMissesNeverOutOfRangeReads) {
+  // A file with valid checksums can still carry entries no Save wrote: a
+  // slot past the signature, layers that do not tile the model, junk
+  // bytes. Each must be a miss that re-solves (and replaces the entry),
+  // never an out-of-range read.
+  const hw::Cluster cluster = hw::Cluster::Paper();
+  const model::ModelGraph graph = model::BuildVgg19();
+  const model::ModelProfile profile(graph, 32);
+  const partition::Partitioner partitioner(profile, cluster);
+  const std::string path = testing::TempDir() + "hetpipe_pcache_crafted.bin";
+  const std::vector<int> vw = {0, 4};
+  partition::PartitionOptions options;
+  options.nm = 2;
+  const partition::Partition cold = partitioner.SolveScalable(vw, options);
+
+  PartitionCache warm;
+  warm.Solve(partitioner, vw, options);
+  const std::string key = SavedKey(warm);
+  const auto one_stage = [&](int last_layer, uint64_t slot) {
+    std::string bytes(1, '\1');
+    util::PutF64(bytes, 1.0);
+    util::PutF64(bytes, 1.0);
+    util::PutVarU64(bytes, 1);
+    util::PutVarU64(bytes, util::ZigZagEncode(0));
+    util::PutVarU64(bytes, util::ZigZagEncode(last_layer));
+    util::PutVarU64(bytes, slot);
+    for (int i = 0; i < 4; ++i) util::PutF64(bytes, 0.5);
+    for (int i = 0; i < 3; ++i) util::PutVarU64(bytes, 1);
+    return bytes;
+  };
+  const int last = profile.num_layers() - 1;
+  for (const auto& [label, entry] : {std::pair<const char*, std::string>{"slot 2 of 2", one_stage(last, 2)},
+                                     {"slot 2^40", one_stage(last, uint64_t{1} << 40)},
+                                     {"short of the last layer", one_stage(last - 1, 0)},
+                                     {"past the last layer", one_stage(last + 1, 0)},
+                                     {"junk", std::string("junk")},
+                                     {"empty", std::string()}}) {
+    {
+      auto writer = store::ExtentWriter::Open(path, nullptr);
+      ASSERT_NE(writer, nullptr);
+      ResultRow row;
+      row.Set("v", static_cast<int64_t>(PartitionCache::kFileVersion))
+          .Set("key", key)
+          .Set("entry", entry);
+      writer->Append(row);
+      ASSERT_TRUE(writer->Finalize(nullptr));
+    }
+    PartitionCache cache;
+    std::string error;
+    ASSERT_TRUE(cache.Load(path, &error)) << label << ": " << error;
+    bool hit = true;
+    ExpectSamePartition(cold, cache.Solve(partitioner, vw, options, &hit));
+    EXPECT_FALSE(hit) << label;
+    ExpectSamePartition(cold, cache.Solve(partitioner, vw, options, &hit));
+    EXPECT_TRUE(hit) << label << ": the re-solve replaces the crafted entry";
+    EXPECT_EQ(cache.size(), 1) << label;
+  }
+  std::remove(path.c_str());
 }
 
 std::vector<std::pair<std::string, std::string>> CacheKeyGoldenLines() {

@@ -5,8 +5,8 @@
 #include "hw/cluster.h"
 #include "model/profiler.h"
 #include "model/resnet.h"
+#include "oracles/trace_check.h"
 #include "partition/partitioner.h"
-#include "pipeline/trace_check.h"
 #include "pipeline/virtual_worker.h"
 #include "sim/simulator.h"
 #include "sim/trace.h"
@@ -38,16 +38,16 @@ TEST(TracerTest, AsciiGanttMarksLanes) {
 }
 
 TEST(TraceCheckTest, ParsesTaskNames) {
-  const auto fw = pipeline::ParseTaskEvent("FW(M12,P3)");
+  const auto fw = oracles::ParseTaskEvent("FW(M12,P3)");
   ASSERT_TRUE(fw.has_value());
   EXPECT_EQ(fw->kind, pipeline::TaskKind::kForward);
   EXPECT_EQ(fw->minibatch, 12);
   EXPECT_EQ(fw->stage, 2);
-  const auto fused = pipeline::ParseTaskEvent("FWBW(M2,P4)");
+  const auto fused = oracles::ParseTaskEvent("FWBW(M2,P4)");
   ASSERT_TRUE(fused.has_value());
   EXPECT_EQ(fused->kind, pipeline::TaskKind::kForwardBackward);
-  EXPECT_FALSE(pipeline::ParseTaskEvent("recv FW(M1,P2)").has_value());
-  EXPECT_FALSE(pipeline::ParseTaskEvent("push").has_value());
+  EXPECT_FALSE(oracles::ParseTaskEvent("recv FW(M1,P2)").has_value());
+  EXPECT_FALSE(oracles::ParseTaskEvent("push").has_value());
 }
 
 TEST(TraceCheckTest, DetectsOrderViolation) {
@@ -55,7 +55,7 @@ TEST(TraceCheckTest, DetectsOrderViolation) {
       {"FW(M2,P1)", "forward", 0, 0.0, 1.0},
       {"FW(M1,P1)", "forward", 0, 1.0, 2.0},
   };
-  const auto result = pipeline::ValidatePipelineTrace(events, 1, 4);
+  const auto result = oracles::ValidatePipelineTrace(events, 1, 4);
   EXPECT_FALSE(result.ok);
 }
 
@@ -64,7 +64,7 @@ TEST(TraceCheckTest, DetectsOverlap) {
       {"FW(M1,P1)", "forward", 0, 0.0, 2.0},
       {"BW(M1,P1)", "backward", 0, 1.0, 3.0},
   };
-  const auto result = pipeline::ValidatePipelineTrace(events, 1, 4);
+  const auto result = oracles::ValidatePipelineTrace(events, 1, 4);
   EXPECT_FALSE(result.ok);
 }
 
@@ -74,7 +74,7 @@ TEST(TraceCheckTest, DetectsCausalityViolation) {
       {"FW(M1,P1)", "forward", 0, 0.0, 2.0},
       {"FW(M1,P2)", "forward", 1, 1.0, 3.0},
   };
-  const auto result = pipeline::ValidatePipelineTrace(events, 2, 4);
+  const auto result = oracles::ValidatePipelineTrace(events, 2, 4);
   EXPECT_FALSE(result.ok);
 }
 
@@ -106,7 +106,7 @@ TEST_P(TracedPipelineTest, SatisfiesSchedulingRules) {
   simulator.Run();
 
   ASSERT_FALSE(tracer.empty());
-  const auto result = pipeline::ValidatePipelineTrace(tracer.events(), 4, nm);
+  const auto result = oracles::ValidatePipelineTrace(tracer.events(), 4, nm);
   EXPECT_TRUE(result.ok) << (result.violations.empty() ? "" : result.violations.front());
 }
 
@@ -144,7 +144,7 @@ TEST(TracedPipelineTest, GanttLooksLikeFig1) {
   int fw_before_first_bw = 0;
   bool saw_bw = false;
   for (const auto& e : tracer.events()) {
-    const auto task = pipeline::ParseTaskEvent(e.name);
+    const auto task = oracles::ParseTaskEvent(e.name);
     if (!task.has_value() || task->stage != 0) {
       continue;
     }
