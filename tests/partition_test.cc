@@ -6,6 +6,7 @@
 #include <fstream>
 #include <functional>
 #include <numeric>
+#include <optional>
 #include <random>
 #include <string>
 #include <utility>
@@ -1197,16 +1198,17 @@ std::vector<std::pair<std::string, std::string>> ScalableGoldenLines() {
   return lines;
 }
 
-// Compares `lines` with the golden file `name` (one `key \t signature` line
-// each, `#` comments), or rewrites the file under UPDATE_GOLDEN=1.
-void CheckGolden(const std::string& name, const std::string& what,
+// Compares `lines` with the golden file `name` (one `key \t value` line each,
+// `#` comments), or rewrites the file under UPDATE_GOLDEN=1 with `header` as
+// its first comment line.
+void CheckGolden(const std::string& name, const std::string& header,
                  const std::vector<std::pair<std::string, std::string>>& lines) {
   const std::string path = std::string(HETPIPE_GOLDEN_DIR) + "/" + name;
   if (std::getenv("UPDATE_GOLDEN") != nullptr) {
     std::ofstream out(path, std::ios::trunc);
     ASSERT_TRUE(out.is_open()) << "cannot write " << path;
-    out << "# SolveScalable results of " << what
-        << ": key \\t signature | ToString.\n"
+    out << "# " << header
+        << ".\n"
            "# Regenerate with: UPDATE_GOLDEN=1 ./partition_test\n";
     for (const auto& [key, signature] : lines) {
       out << key << '\t' << signature << '\n';
@@ -1234,7 +1236,9 @@ void CheckGolden(const std::string& name, const std::string& what,
 }
 
 TEST(ScalableGoldenTest, ApproximateTiersMatchRecordedSolves) {
-  CheckGolden("scalable_solves.txt", "the beam / hierarchical / auto tiers",
+  CheckGolden("scalable_solves.txt",
+              "SolveScalable results of the beam / hierarchical / auto tiers: key \\t "
+              "signature | ToString",
               ScalableGoldenLines());
 }
 
@@ -1478,7 +1482,88 @@ std::vector<std::pair<std::string, std::string>> ExactGoldenLines() {
 }
 
 TEST(ExactGoldenTest, ExactTierMatchesRecordedSolves) {
-  CheckGolden("exact_solves.txt", "the exact tier", ExactGoldenLines());
+  CheckGolden("exact_solves.txt",
+              "SolveScalable results of the exact tier: key \\t signature | ToString",
+              ExactGoldenLines());
+}
+
+// ---- Pinned Maxm answers of the approximate tiers. Feasibility is provably
+// ---- monotone in nm only for the exact tier; the beam ranks orders by
+// ---- memory-capped costs that depend on nm. tests/golden/max_nm_answers.txt
+// ---- holds one FindMaxNmWith answer per (cluster, model, batch, shape,
+// ---- tier, nm_cap), recorded while FindMaxNmWith still bisected [1, nm_cap],
+// ---- so any diff there means a probe order changed an answer. At batch
+// ---- 256, 14 of the 96 (cluster, model, batch, shape) cases have their
+// ---- boundary below nm 8.
+std::vector<std::pair<std::string, std::string>> MaxNmGoldenLines() {
+  std::vector<Cluster> clusters;
+  for (int racks : {0, 2, 4, 8}) {
+    clusters.push_back(PlanBenchCluster(racks));
+  }
+  const model::ModelGraph resnet = BuildResNet152();
+  const model::ModelGraph vgg = BuildVgg19();
+  // Two 12-16 GPU virtual workers drawn like ScalableGoldenLines' large
+  // shapes, then two of 6-10 GPUs, whose fewer stages hold more layers each
+  // and so run out of memory at smaller nm.
+  std::mt19937 rng(20261019);
+  std::vector<std::vector<int>> shapes;
+  for (int draw = 0; draw < 4; ++draw) {
+    const int total = (draw < 2 ? 12 : 6) + static_cast<int>(rng() % 5u);
+    std::vector<int> per_node(8, 0);
+    for (int placed = 0; placed < total;) {
+      const size_t node = rng() % 8u;
+      if (per_node[node] < 4) {
+        ++per_node[node];
+        ++placed;
+      }
+    }
+    shapes.push_back(per_node);
+  }
+  constexpr int kMaxCap = 8;
+  std::vector<std::pair<std::string, std::string>> lines;
+  for (const auto& [label, graph] :
+       {std::pair<const char*, const model::ModelGraph*>{"resnet152", &resnet},
+        std::pair<const char*, const model::ModelGraph*>{"vgg19", &vgg}}) {
+    for (int batch : {64, 128, 256}) {
+      const ModelProfile profile(*graph, batch);
+      for (const Cluster& cluster : clusters) {
+        const Partitioner partitioner(profile, cluster);
+        for (const std::vector<int>& per_node : shapes) {
+          std::string counts;
+          const std::vector<int> ids = PlanBenchIds(per_node, &counts);
+          for (const auto& [strategy, name] :
+               {std::pair<SearchStrategy, const char*>{SearchStrategy::kAuto, "auto"},
+                {SearchStrategy::kBeam, "beam"},
+                {SearchStrategy::kHierarchical, "hierarchical"}}) {
+            // Each nm is solved once per tier and shared by every cap.
+            std::vector<std::optional<Partition>> solved(kMaxCap + 1);
+            const auto solve = [&](const PartitionOptions& at_nm) {
+              std::optional<Partition>& slot = solved[static_cast<size_t>(at_nm.nm)];
+              if (!slot) {
+                slot = partitioner.SolveScalable(ids, at_nm);
+              }
+              return *slot;
+            };
+            PartitionOptions options;
+            options.strategy = strategy;
+            for (int cap = 1; cap <= kMaxCap; ++cap) {
+              lines.emplace_back(cluster.name() + "|" + label + "|b" + std::to_string(batch) +
+                                     "|" + counts + "|" + name + "|cap" + std::to_string(cap),
+                                 std::to_string(FindMaxNmWith(solve, cap, options)));
+            }
+          }
+        }
+      }
+    }
+  }
+  return lines;
+}
+
+TEST(MaxNmGoldenTest, ApproximateTiersMatchRecordedAnswers) {
+  CheckGolden("max_nm_answers.txt",
+              "FindMaxNmWith answers of the beam / hierarchical / auto tiers, nm_cap 1-8: key "
+              "\\t max_nm",
+              MaxNmGoldenLines());
 }
 
 }  // namespace
