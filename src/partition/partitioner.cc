@@ -430,13 +430,13 @@ int FindMaxNmWith(const std::function<Partition(const PartitionOptions&)>& solve
   // Feasibility is monotone non-increasing in nm: every stage's memory demand
   // grows with nm (InFlightAtStage is non-decreasing in nm), so a partition
   // feasible at nm is feasible at every smaller nm. Binary search the largest
-  // feasible value — O(log nm_cap) solves instead of a nm_cap -> 1 scan, with
-  // the identical answer.
+  // feasible value, probing the cap first: it is usually the answer, and then
+  // the search ends after that one solve; otherwise it bisects
+  // [1, nm_cap - 1]. Either way the answer is the nm_cap -> 1 scan's.
   int lo = 1;
   int hi = nm_cap;
   int best = 0;
-  while (lo <= hi) {
-    const int mid = lo + (hi - lo) / 2;
+  for (int mid = nm_cap; lo <= hi; mid = lo + (hi - lo) / 2) {
     options.nm = mid;
     if (solve(options).feasible) {
       best = mid;

@@ -278,10 +278,12 @@ Partition BuildFixedPartition(const model::ModelProfile& profile, const hw::Clus
 
 // The Maxm probe of §4 (the partition cache's FindMaxNm wraps it): largest
 // nm in [1, nm_cap] for which `solve` (called with `options` at that nm) is
-// feasible; 0 if even nm=1 is not. Feasibility is monotone
-// non-increasing in nm (stage memory grows with nm through InFlightAtStage),
-// so this binary-searches the boundary in O(log nm_cap) solves instead of
-// scanning nm_cap -> 1; the returned nm is identical to the linear scan's.
+// feasible; 0 if even nm=1 is not, or if nm_cap < 1 (no solve). Feasibility
+// is monotone non-increasing in nm (stage memory grows with nm through
+// InFlightAtStage), so this solves at nm_cap first and returns it when
+// feasible (1 solve), and otherwise binary-searches [1, nm_cap - 1] (at most
+// 1 + ceil(log2(nm_cap)) solves in all) instead of scanning nm_cap -> 1; the
+// returned nm is identical to the linear scan's.
 int FindMaxNmWith(const std::function<Partition(const PartitionOptions&)>& solve, int nm_cap,
                   PartitionOptions options);
 

@@ -243,8 +243,9 @@ runner::ResultRow PlanService::Handle(const PlanRequest& request) {
       FillPartition(partition, &row);
       row.Set("cache_hit", was_hit);
     } else {  // max_nm
-      // Every probe of the binary search goes through the shared cache;
-      // cache_hit means the whole query — every probe — was served from it.
+      // Every probe (nm_cap first, then a bisection below it when the cap is
+      // infeasible) goes through the shared cache; cache_hit means the whole
+      // query — every probe — was served from it.
       bool all_hits = false;
       const int max_nm =
           cache_->FindMaxNm(context->partitioner, gpu_ids, request.nm_cap, options, &all_hits);
@@ -252,8 +253,8 @@ runner::ResultRow PlanService::Handle(const PlanRequest& request) {
       row.Set("max_nm", max_nm);
       row.Set("nm_cap", request.nm_cap);
       if (max_nm > 0) {
-        // The bisection probed max_nm, though not necessarily last (nm_cap 4
-        // with answer 3 probes 2, 3, 4), and cached every probe, so this
+        // The search probed max_nm, though not necessarily last (nm_cap 4
+        // with answer 3 probes 4, 2, 3), and cached every probe, so this
         // re-solve is a cache hit that fetches the winning partition.
         options.nm = max_nm;
         FillPartition(cache_->Solve(context->partitioner, gpu_ids, options), &row);

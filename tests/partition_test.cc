@@ -634,8 +634,9 @@ TEST(ExactWalkTest, MatchesReferenceOnRepeatedClassesAcrossPools) {
   EXPECT_GE(infeasible, 1);
 }
 
-// ---- FindMaxNm: the binary search must agree with the pre-optimization
-// ---- downward linear scan everywhere (feasibility is monotone in nm). ----
+// ---- FindMaxNm: the cap-first probe and the bisection below it must agree
+// ---- with the pre-optimization downward linear scan everywhere
+// ---- (feasibility is monotone in nm). ----
 
 TEST_F(PartitionerTest, FindMaxNmMatchesLinearScan) {
   for (int batch : {32, 64}) {
@@ -665,22 +666,39 @@ TEST_F(PartitionerTest, FindMaxNmMatchesLinearScan) {
   }
 }
 
-TEST(FindMaxNmWithTest, BinarySearchProbesMonotoneFeasibility) {
+TEST(FindMaxNmWithTest, ProbesCapFirstThenBisectsBelowIt) {
   // Synthetic monotone feasibility with every threshold in [0, cap]: the
-  // binary search must land exactly on the threshold, including the
-  // all-infeasible (0) and all-feasible (cap) edges.
+  // search must land exactly on the threshold, including the all-infeasible
+  // (0) and all-feasible (cap) edges. A feasible cap costs its one probe;
+  // any other threshold costs the cap probe plus a bisection of
+  // [1, cap - 1], at most 1 + ceil(log2(23)) = 6 solves.
   constexpr int kCap = 23;
   for (int threshold = 0; threshold <= kCap; ++threshold) {
-    const auto solve = [threshold](const PartitionOptions& options) {
+    std::vector<int> probed;
+    const auto solve = [threshold, &probed](const PartitionOptions& options) {
+      probed.push_back(options.nm);
       Partition p;
       p.feasible = options.nm <= threshold;
       return p;
     };
     EXPECT_EQ(FindMaxNmWith(solve, kCap, PartitionOptions{}), threshold);
+    ASSERT_FALSE(probed.empty());
+    EXPECT_EQ(probed.front(), kCap) << "threshold " << threshold;
+    if (threshold == kCap) {
+      EXPECT_EQ(probed.size(), 1u);
+    } else {
+      EXPECT_LE(probed.size(), 6u) << "threshold " << threshold;
+    }
   }
-  EXPECT_EQ(FindMaxNmWith([](const PartitionOptions&) { return Partition{}; }, 0,
-                          PartitionOptions{}),
+  int calls = 0;
+  EXPECT_EQ(FindMaxNmWith(
+                [&calls](const PartitionOptions&) {
+                  ++calls;
+                  return Partition{};
+                },
+                0, PartitionOptions{}),
             0);
+  EXPECT_EQ(calls, 0);
 }
 
 // ---- The thread-local DP scratch must stop allocating once warm. ----

@@ -692,11 +692,21 @@ TEST(PlanServiceTest, MaxNmMatchesPartitionerAndReportsCacheHit) {
       },
       7, partition::PartitionOptions{});
   EXPECT_EQ(cold.Get("max_nm"), std::to_string(expected));
+  // The cap is feasible, so the cold query solved once: its one probe left
+  // one entry, which the re-solve of the winning nm then hit.
+  ASSERT_EQ(cold.Get("max_nm"), "7");
+  EXPECT_EQ(cache.size(), 1);
+  EXPECT_EQ(cache.misses(), 1);
+  EXPECT_EQ(cache.hits(), 1);
 
-  // Every probe of the repeat comes from the cache.
+  // Every probe of the repeat comes from the cache: its one probe is one
+  // hit, and the re-solve another.
   const runner::ResultRow warm = service.Handle(request);
   EXPECT_EQ(warm.Get("cache_hit"), "true");
   EXPECT_EQ(warm.Get("max_nm"), cold.Get("max_nm"));
+  EXPECT_EQ(cache.size(), 1);
+  EXPECT_EQ(cache.misses(), 1);
+  EXPECT_EQ(cache.hits(), 3);
 }
 
 TEST(PlanServiceTest, ClassifiesErrors) {
