@@ -1065,6 +1065,21 @@ std::vector<int> PlanBenchIds(const std::vector<int>& per_node, std::string* cou
   return ids;
 }
 
+// Per-node GPU counts of a PlanBenchCluster virtual worker the way the
+// large plan requests place one: `total` GPUs on random nodes, at most four
+// per node.
+std::vector<int> DrawPerNode(std::mt19937& rng, int total) {
+  std::vector<int> per_node(8, 0);
+  for (int placed = 0; placed < total;) {
+    const size_t node = rng() % 8u;
+    if (per_node[node] < 4) {
+      ++per_node[node];
+      ++placed;
+    }
+  }
+  return per_node;
+}
+
 // Every golden line, in a fixed order.
 std::vector<std::pair<std::string, std::string>> ScalableGoldenLines() {
   std::vector<std::pair<std::string, std::string>> lines;
@@ -1086,8 +1101,7 @@ std::vector<std::pair<std::string, std::string>> ScalableGoldenLines() {
     }
   };
 
-  // 12-16 GPU virtual workers drawn like the large plan requests: GPUs
-  // placed on random nodes, at most four per node.
+  // 12-16 GPU virtual workers drawn like the large plan requests.
   const Cluster racked = PlanBenchCluster(4);
   const Cluster flat = PlanBenchCluster(0);
   const model::ModelGraph resnet = BuildResNet152();
@@ -1095,16 +1109,7 @@ std::vector<std::pair<std::string, std::string>> ScalableGoldenLines() {
   std::mt19937 rng(20261017);
   std::vector<std::vector<int>> shapes;
   for (int draw = 0; draw < 4; ++draw) {
-    const int total = 12 + static_cast<int>(rng() % 5u);
-    std::vector<int> per_node(8, 0);
-    for (int placed = 0; placed < total;) {
-      const size_t node = rng() % 8u;
-      if (per_node[node] < 4) {
-        ++per_node[node];
-        ++placed;
-      }
-    }
-    shapes.push_back(per_node);
+    shapes.push_back(DrawPerNode(rng, 12 + static_cast<int>(rng() % 5u)));
   }
   for (const auto& [label, graph] :
        {std::pair<const char*, const model::ModelGraph*>{"resnet152", &resnet},
@@ -1317,17 +1322,9 @@ TEST(SearchParallelTest, ApproximateTiersIgnorePruningAndPools) {
   for (const Cluster& cluster : clusters) {
     const Partitioner partitioner(profile, cluster);
     for (int draw = 0; draw < 3; ++draw) {
-      const int total = 6 + static_cast<int>(rng() % 11u);
-      std::vector<int> per_node(8, 0);
-      for (int placed = 0; placed < total;) {
-        const size_t node = rng() % 8u;
-        if (per_node[node] < 4) {
-          ++per_node[node];
-          ++placed;
-        }
-      }
       std::string counts;
-      const std::vector<int> ids = PlanBenchIds(per_node, &counts);
+      const std::vector<int> ids =
+          PlanBenchIds(DrawPerNode(rng, 6 + static_cast<int>(rng() % 11u)), &counts);
       check(cluster.name() + "|" + counts, profile, partitioner, ids, 1 + draw % 2);
     }
     // Nodes i and i + 4 hold the same class, so these VWs have racks (and
@@ -1526,16 +1523,7 @@ std::vector<std::pair<std::string, std::string>> MaxNmGoldenLines() {
   std::mt19937 rng(20261019);
   std::vector<std::vector<int>> shapes;
   for (int draw = 0; draw < 4; ++draw) {
-    const int total = (draw < 2 ? 12 : 6) + static_cast<int>(rng() % 5u);
-    std::vector<int> per_node(8, 0);
-    for (int placed = 0; placed < total;) {
-      const size_t node = rng() % 8u;
-      if (per_node[node] < 4) {
-        ++per_node[node];
-        ++placed;
-      }
-    }
-    shapes.push_back(per_node);
+    shapes.push_back(DrawPerNode(rng, (draw < 2 ? 12 : 6) + static_cast<int>(rng() % 5u)));
   }
   constexpr int kMaxCap = 8;
   std::vector<std::pair<std::string, std::string>> lines;
