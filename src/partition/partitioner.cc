@@ -429,14 +429,18 @@ int FindMaxNmWith(const std::function<Partition(const PartitionOptions&)>& solve
                   PartitionOptions options) {
   // Feasibility is monotone non-increasing in nm: every stage's memory demand
   // grows with nm (InFlightAtStage is non-decreasing in nm), so a partition
-  // feasible at nm is feasible at every smaller nm. Binary search the largest
-  // feasible value, probing the cap first: it is usually the answer, and then
-  // the search ends after that one solve; otherwise it bisects
-  // [1, nm_cap - 1]. Either way the answer is the nm_cap -> 1 scan's.
+  // feasible at nm is feasible at every smaller nm. The cap is usually the
+  // answer, so probe it first; when it is infeasible, binary search the
+  // largest feasible value below it. Either way the answer is the
+  // nm_cap -> 1 scan's.
+  if (nm_cap < 1) return 0;
+  options.nm = nm_cap;
+  if (solve(options).feasible) return nm_cap;
   int lo = 1;
-  int hi = nm_cap;
+  int hi = nm_cap - 1;
   int best = 0;
-  for (int mid = nm_cap; lo <= hi; mid = lo + (hi - lo) / 2) {
+  while (lo <= hi) {
+    const int mid = lo + (hi - lo) / 2;
     options.nm = mid;
     if (solve(options).feasible) {
       best = mid;
