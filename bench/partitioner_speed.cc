@@ -59,8 +59,6 @@
 #include "model/model_graph.h"
 #include "model/profiler.h"
 #include "model/resnet.h"
-#include "model/transformer.h"
-#include "model/vgg.h"
 #include "oracles/reference.h"
 #include "partition/partitioner.h"
 #include "runner/cli.h"
@@ -159,16 +157,6 @@ std::vector<GridPoint> BuildGrid() {
     }
   }
   return grid;
-}
-
-model::ModelGraph BuildModelByName(const std::string& name) {
-  if (name == "resnet152") {
-    return model::BuildResNet152();
-  }
-  if (name == "vgg19") {
-    return model::BuildVgg19();
-  }
-  return model::BuildBertLarge();
 }
 
 PointResult RunPoint(const GridPoint& point, const hw::Cluster& cluster,
@@ -579,7 +567,7 @@ int main(int argc, char** argv) {
   };
   std::map<std::string, model::ModelGraph> graphs;
   for (const char* name : {"resnet152", "vgg19", "bert-large"}) {
-    graphs.emplace(name, BuildModelByName(name));
+    graphs.emplace(name, core::BuildModel(core::ParseModelKind(name)));
   }
   std::map<std::string, model::ModelProfile> profiles;
   for (const auto& [name, graph] : graphs) {

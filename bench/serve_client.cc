@@ -9,7 +9,7 @@
 //        --id=TAG            opaque tag echoed into the response
 //        --nodes=CODES       paper node codes for the cluster (default VRGQ)
 //        --spec-file=PATH    hw::ClusterSpec text file (overrides --nodes)
-//        --model=NAME        resnet152 | vgg19 (default resnet152)
+//        --model=NAME        resnet152 | vgg19 | bert-large (default resnet152)
 //        --selector=SEL      virtual-worker GPU selector (required for
 //                            plan/max_nm), e.g. VVQQ or "A100*2,T4"
 //        --nm=N --nm-cap=N --batch-size=N --no-search-orders

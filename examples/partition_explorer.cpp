@@ -5,7 +5,7 @@
 //
 // Usage: partition_explorer [gpu-codes] [model] [--threads=N] [--json] [--csv]
 //   gpu-codes  one letter per GPU in the virtual worker (default "VRGQ")
-//   model      resnet152 | vgg19 (default resnet152)
+//   model      resnet152 | vgg19 | bert-large (default resnet152)
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -20,9 +20,8 @@ int Run(int argc, char** argv) {
   using namespace hetpipe;
   runner::BenchArgs args = runner::BenchArgs::Parse(argc, argv);
   const std::string codes = !args.rest.empty() ? args.rest[0] : "VRGQ";
-  const bool vgg = args.rest.size() > 1 && args.rest[1] == "vgg19";
-
-  const core::ModelKind kind = vgg ? core::ModelKind::kVgg19 : core::ModelKind::kResNet152;
+  const core::ModelKind kind =
+      core::ParseModelKind(args.rest.size() > 1 ? args.rest[1] : "resnet152");
   const model::ModelGraph graph = core::BuildModel(kind);
 
   const std::vector<int> nms = {1, 3, 5, 7};
@@ -74,7 +73,9 @@ int main(int argc, char** argv) {
   try {
     return Run(argc, argv);
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n(gpu-codes is a string over V/R/G/Q, at most 4 of each)\n",
+    std::fprintf(stderr,
+                 "error: %s\nusage: partition_explorer [gpu-codes] [model] (gpu-codes over "
+                 "V/R/G/Q, at most 4 of each; model resnet152, vgg19 or bert-large)\n",
                  e.what());
     return 1;
   }

@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
-#include <optional>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 
-#include "hw/cluster_spec.h"
-#include "model/resnet.h"
-#include "model/vgg.h"
 #include "pipeline/virtual_worker.h"
 #include "runner/partition_cache.h"
 #include "runner/sweep_runner.h"
@@ -128,38 +125,6 @@ std::vector<int> PickGpus(const hw::Cluster& cluster, const std::string& selecto
   return picked;
 }
 
-const char* ModelName(ModelKind kind) {
-  switch (kind) {
-    case ModelKind::kResNet152:
-      return "resnet152";
-    case ModelKind::kVgg19:
-      return "vgg19";
-  }
-  return "unknown";
-}
-
-model::ModelGraph BuildModel(ModelKind kind) {
-  switch (kind) {
-    case ModelKind::kResNet152:
-      return model::BuildResNet152();
-    case ModelKind::kVgg19:
-      return model::BuildVgg19();
-  }
-  throw std::invalid_argument("unknown model kind");
-}
-
-ModelKind ModelKindOf(const model::ModelGraph& graph) {
-  switch (graph.family()) {
-    case model::ModelFamily::kResNet152:
-      return ModelKind::kResNet152;
-    case model::ModelFamily::kVgg19:
-      return ModelKind::kVgg19;
-    case model::ModelFamily::kGeneric:
-      break;
-  }
-  throw std::invalid_argument("no ModelKind for graph " + graph.name());
-}
-
 const char* StrategyName(PartitionStrategy strategy) {
   switch (strategy) {
     case PartitionStrategy::kMinMaxDp:
@@ -201,16 +166,6 @@ std::string NodeCodesOf(const hw::Cluster& cluster) {
 Experiment& Experiment::UseGraph(const model::ModelGraph& model_graph) {
   graph = &model_graph;
   model_name = model_graph.name();
-  switch (model_graph.family()) {
-    case model::ModelFamily::kResNet152:
-      model = ModelKind::kResNet152;
-      break;
-    case model::ModelFamily::kVgg19:
-      model = ModelKind::kVgg19;
-      break;
-    case model::ModelFamily::kGeneric:
-      break;  // only the pointer + name describe it
-  }
   return *this;
 }
 
@@ -299,12 +254,9 @@ HetPipeConfig EdLocalConfig(int d, double jitter_cv) {
 
 namespace {
 
-ExperimentResult RunPartitionOnly(const Experiment& experiment, const hw::Cluster& cluster,
-                                  const model::ModelGraph& graph) {
+ExperimentResult RunPartitionOnly(const Experiment& experiment, const Context& context) {
   ExperimentResult result;
-  const model::ModelProfile profile(graph, experiment.config.batch_size);
-  const partition::Partitioner partitioner(profile, cluster);
-  const std::vector<int> gpu_ids = PickGpus(cluster, experiment.vw_codes);
+  const std::vector<int> gpu_ids = PickGpus(context.cluster, experiment.vw_codes);
   const int nm = std::max(1, experiment.config.nm);
 
   if (experiment.strategy == PartitionStrategy::kMinMaxDp) {
@@ -312,16 +264,17 @@ ExperimentResult RunPartitionOnly(const Experiment& experiment, const hw::Cluste
     options.nm = nm;
     options.mem_params = experiment.config.mem_params;
     options.pool = experiment.config.pool;
-    result.partition = experiment.config.partition_cache != nullptr
-                           ? experiment.config.partition_cache->Solve(partitioner, gpu_ids, options)
-                           : partitioner.SolveScalable(gpu_ids, options);
+    result.partition =
+        experiment.config.partition_cache != nullptr
+            ? experiment.config.partition_cache->Solve(context.partitioner, gpu_ids, options)
+            : context.partitioner.SolveScalable(gpu_ids, options);
   } else {
     const partition::NaiveSplit kind = experiment.strategy == PartitionStrategy::kEqualLayers
                                            ? partition::NaiveSplit::kEqualLayers
                                            : partition::NaiveSplit::kParamBalanced;
     result.partition = partition::BuildFixedPartition(
-        profile, cluster, gpu_ids,
-        partition::NaiveStageLasts(graph, static_cast<int>(gpu_ids.size()), kind), nm,
+        context.profile, context.cluster, gpu_ids,
+        partition::NaiveStageLasts(context.graph, static_cast<int>(gpu_ids.size()), kind), nm,
         experiment.config.mem_params);
   }
   result.feasible = !result.partition.stages.empty();
@@ -346,32 +299,39 @@ ExperimentResult RunPartitionOnly(const Experiment& experiment, const hw::Cluste
   return result;
 }
 
+// The experiment's context: memoised in its partition cache when the model
+// is named by kind, else built for this run alone.
+std::shared_ptr<const Context> ContextFor(const Experiment& experiment) {
+  const bool from_spec = !experiment.cluster_spec.empty();
+  const std::string& cluster = from_spec ? experiment.cluster_spec : experiment.cluster_nodes;
+  const int batch_size = experiment.config.batch_size;
+  if (experiment.graph != nullptr) {
+    return std::make_shared<const Context>(BuildCluster(from_spec, cluster), *experiment.graph,
+                                           batch_size);
+  }
+  const ContextKey key{from_spec, cluster, experiment.model, batch_size};
+  return experiment.config.partition_cache != nullptr
+             ? experiment.config.partition_cache->GetContext(key)
+             : std::make_shared<const Context>(key);
+}
+
 }  // namespace
 
 ExperimentResult RunExperiment(const Experiment& experiment) {
-  const hw::Cluster cluster = experiment.cluster_spec.empty()
-                                  ? hw::Cluster::PaperSubset(experiment.cluster_nodes)
-                                  : hw::ClusterSpec::Parse(experiment.cluster_spec).Build();
-  std::optional<model::ModelGraph> built_model;
-  if (experiment.graph == nullptr) {
-    built_model.emplace(BuildModel(experiment.model));
-  }
-  const model::ModelGraph& graph =
-      experiment.graph != nullptr ? *experiment.graph : *built_model;
+  const std::shared_ptr<const Context> context = ContextFor(experiment);
 
   ExperimentResult result;
   switch (experiment.kind) {
     case ExperimentKind::kFullCluster: {
-      result.report = HetPipe(cluster, graph, experiment.config).Run();
+      result.report = HetPipe(context, experiment.config).Run();
       result.feasible = result.report.feasible;
       result.throughput_img_s = result.report.throughput_img_s;
       break;
     }
     case ExperimentKind::kSingleVirtualWorker: {
-      const std::vector<int> gpu_ids = PickGpus(cluster, experiment.vw_codes);
+      const std::vector<int> gpu_ids = PickGpus(context->cluster, experiment.vw_codes);
       const int nm = std::max(1, experiment.config.nm);
-      result.report =
-          HetPipe::RunSingleVirtualWorker(cluster, graph, gpu_ids, nm, experiment.config);
+      result.report = HetPipe::RunSingleVirtualWorker(*context, gpu_ids, nm, experiment.config);
       result.feasible = result.report.feasible;
       result.throughput_img_s = result.report.throughput_img_s;
       if (result.feasible && !result.report.vws.empty()) {
@@ -380,26 +340,23 @@ ExperimentResult RunExperiment(const Experiment& experiment) {
       break;
     }
     case ExperimentKind::kPartitionOnly: {
-      result = RunPartitionOnly(experiment, cluster, graph);
+      result = RunPartitionOnly(experiment, *context);
       break;
     }
     case ExperimentKind::kHorovod: {
-      const model::ModelProfile profile(graph, experiment.config.batch_size);
-      result.horovod = dp::SimulateHorovod(cluster, profile);
+      result.horovod = dp::SimulateHorovod(context->cluster, context->profile);
       result.feasible = result.horovod.feasible;
       result.throughput_img_s = result.horovod.throughput_img_s;
       break;
     }
     case ExperimentKind::kPsDataParallel: {
-      const model::ModelProfile profile(graph, experiment.config.batch_size);
-      result.ps = dp::SimulatePsDataParallel(cluster, profile, experiment.ps);
+      result.ps = dp::SimulatePsDataParallel(context->cluster, context->profile, experiment.ps);
       result.feasible = result.ps.feasible;
       result.throughput_img_s = result.ps.throughput_img_s;
       break;
     }
     case ExperimentKind::kAdPsgd: {
-      const model::ModelProfile profile(graph, experiment.config.batch_size);
-      result.adpsgd = dp::SimulateAdPsgd(cluster, profile);
+      result.adpsgd = dp::SimulateAdPsgd(context->cluster, context->profile);
       result.feasible = result.adpsgd.feasible;
       result.throughput_img_s = result.adpsgd.throughput_img_s;
       break;

@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "core/context.h"
 #include "core/convergence.h"
 #include "core/hetpipe.h"
 #include "dp/decentralized.h"
@@ -35,17 +36,6 @@ std::vector<int> PickGpus(const hw::Cluster& cluster, const std::string& selecto
 // cluster/graph objects) so the sweep runner can copy them across threads and
 // the result sink can echo them verbatim into JSON/CSV rows.
 
-enum class ModelKind {
-  kResNet152,
-  kVgg19,
-};
-const char* ModelName(ModelKind kind);
-model::ModelGraph BuildModel(ModelKind kind);
-// Maps a built graph back to its kind (throws for generic graphs — callers
-// that may see generic graphs should use Experiment::UseGraph, which carries
-// the model name instead of dying here).
-ModelKind ModelKindOf(const model::ModelGraph& graph);
-
 // How kPartitionOnly experiments split the model over the virtual worker.
 enum class PartitionStrategy {
   kMinMaxDp,       // the paper's memory-constrained min-max partitioner
@@ -70,7 +60,8 @@ struct Experiment {
   ModelKind model = ModelKind::kResNet152;
   // Model to run when not null: a caller-owned graph (e.g. a generic model no
   // ModelKind names) shared read-only across sweep threads. `model` is
-  // ignored in that case and `model_name` labels the rows.
+  // ignored in that case and `model_name` labels the rows. A graph has no
+  // value key, so each such run builds its own core::Context.
   const model::ModelGraph* graph = nullptr;
   // Row label for the model; empty means ModelName(model).
   std::string model_name;
@@ -96,9 +87,8 @@ struct Experiment {
   // kPsDataParallel flavor.
   dp::PsDpOptions ps;
 
-  // Runs on `graph` (kept by pointer, not copied): sets model_name, and the
-  // kind too when the graph's family has one. This is how experiments carry
-  // generic models without ModelKindOf throwing.
+  // Runs on `graph` (kept by pointer, not copied) and labels the rows with
+  // its name. This is how experiments carry generic models.
   Experiment& UseGraph(const model::ModelGraph& model_graph);
   // Runs on `cluster`: carries its spec text when it has one (any spec-built
   // cluster), else its paper node codes.
@@ -125,8 +115,10 @@ struct ExperimentResult {
 
 // Runs one experiment synchronously on the calling thread. Deterministic:
 // the same Experiment always produces the same result, with or without a
-// partition cache in its config. This is the unit of work SweepRunner
-// schedules.
+// partition cache in its config. With a cache, an experiment that names its
+// model by kind takes its core::Context from the cache's memo, so a sweep
+// builds one per distinct (cluster, model, batch). This is the unit of work
+// SweepRunner schedules.
 ExperimentResult RunExperiment(const Experiment& experiment);
 
 // ---- Fig. 3: single-virtual-worker throughput and utilization vs Nm. ----

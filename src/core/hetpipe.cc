@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 
 #include "runner/partition_cache.h"
 #include "sim/simulator.h"
@@ -29,6 +30,14 @@ double MeasureThroughput(const pipeline::VirtualWorkerSim& vw, int64_t warmup, i
   return SteadyStateThroughput(vw.completion_times(), warmup, batch);
 }
 
+void CheckBatch(const Context& context, const HetPipeConfig& config) {
+  if (context.profile.batch_size() != config.batch_size) {
+    throw std::invalid_argument("HetPipe: context profiled at batch " +
+                                std::to_string(context.profile.batch_size()) +
+                                ", config asks for " + std::to_string(config.batch_size));
+  }
+}
+
 }  // namespace
 
 double HetPipeReport::AvgMissingUpdates() const {
@@ -53,17 +62,21 @@ std::string HetPipeReport::Summary() const {
 
 HetPipe::HetPipe(const hw::Cluster& cluster, const model::ModelGraph& graph,
                  HetPipeConfig config)
-    : cluster_(&cluster), graph_(&graph), config_(std::move(config)) {}
+    : HetPipe(std::make_shared<const Context>(cluster, graph, config.batch_size), config) {}
+
+HetPipe::HetPipe(std::shared_ptr<const Context> context, HetPipeConfig config)
+    : context_(std::move(context)), config_(std::move(config)) {
+  CheckBatch(*context_, config_);
+}
 
 HetPipeReport HetPipe::Run() const {
   HetPipeReport report;
-  const cluster::Allocation alloc = cluster::Allocate(*cluster_, config_.allocation);
-  const model::ModelProfile profile(*graph_, config_.batch_size);
+  const cluster::Allocation alloc = cluster::Allocate(context_->cluster, config_.allocation);
   // The partitioner's DP tables live in thread-local scratch reused across
   // solves, so the Maxm probes, the Nm estimate loop, and the final solves
   // below allocate no DP state per call — neither here nor on sweep-runner
   // worker threads running many Experiments in sequence.
-  const partition::Partitioner partitioner(profile, *cluster_);
+  const partition::Partitioner& partitioner = context_->partitioner;
 
   // A run revisits the same virtual-worker shapes many times (the Maxm probe,
   // the Nm estimate loop, the final solve — and under ED all VWs share one
@@ -139,7 +152,8 @@ HetPipeReport HetPipe::Run() const {
   std::vector<wsp::VwCommTimes> comm;
   for (const std::vector<int>& gpus : alloc.vw_gpus) {
     partitions.push_back(cache->Solve(partitioner, gpus, popt));
-    comm.push_back(wsp::ComputePsCommTimes(partitions.back(), *cluster_, config_.placement));
+    comm.push_back(
+        wsp::ComputePsCommTimes(partitions.back(), context_->cluster, config_.placement));
   }
 
   sim::Simulator simulator;
@@ -202,13 +216,12 @@ HetPipeReport HetPipe::Run() const {
   return report;
 }
 
-HetPipeReport HetPipe::RunSingleVirtualWorker(const hw::Cluster& cluster,
-                                              const model::ModelGraph& graph,
+HetPipeReport HetPipe::RunSingleVirtualWorker(const Context& context,
                                               const std::vector<int>& gpu_ids, int nm,
                                               const HetPipeConfig& config) {
+  CheckBatch(context, config);
   HetPipeReport report;
-  const model::ModelProfile profile(graph, config.batch_size);
-  const partition::Partitioner partitioner(profile, cluster);
+  const partition::Partitioner& partitioner = context.partitioner;
 
   partition::PartitionOptions popt;
   popt.nm = nm;

@@ -5,9 +5,9 @@
 #include <vector>
 
 #include "core/config.h"
+#include "core/context.h"
 #include "hw/cluster.h"
 #include "model/model_graph.h"
-#include "model/profiler.h"
 #include "partition/partitioner.h"
 #include "pipeline/virtual_worker.h"
 #include "wsp/param_server.h"
@@ -61,23 +61,25 @@ struct HetPipeReport {
 // and runs the integrated PMP+DP discrete-event simulation under WSP.
 class HetPipe {
  public:
+  // Over copies of a caller's cluster and graph.
   HetPipe(const hw::Cluster& cluster, const model::ModelGraph& graph, HetPipeConfig config);
+  // Over a built context. Throws std::invalid_argument unless the context
+  // was profiled at config.batch_size.
+  HetPipe(std::shared_ptr<const Context> context, HetPipeConfig config);
 
   // End-to-end run (Fig. 4 / Table 4 style experiments).
   HetPipeReport Run() const;
 
   // Runs a single virtual worker made of `gpu_ids` with a fixed nm and no
-  // global gating — the Fig. 3 experiment.
-  static HetPipeReport RunSingleVirtualWorker(const hw::Cluster& cluster,
-                                              const model::ModelGraph& graph,
+  // global gating — the Fig. 3 experiment. Throws like the constructor.
+  static HetPipeReport RunSingleVirtualWorker(const Context& context,
                                               const std::vector<int>& gpu_ids, int nm,
                                               const HetPipeConfig& config);
 
   const HetPipeConfig& config() const { return config_; }
 
  private:
-  const hw::Cluster* cluster_;
-  const model::ModelGraph* graph_;
+  std::shared_ptr<const Context> context_;
   HetPipeConfig config_;
 };
 

@@ -283,7 +283,8 @@ Partition BuildFixedPartition(const model::ModelProfile& profile, const hw::Clus
 // InFlightAtStage), so this solves at nm_cap first and returns it when
 // feasible (1 solve), and otherwise binary-searches [1, nm_cap - 1] (at most
 // 1 + ceil(log2(nm_cap)) solves in all) instead of scanning nm_cap -> 1; the
-// returned nm is identical to the linear scan's.
+// returned nm is identical to the linear scan's. Its feasible probes come in
+// rising nm, so the last of them is the one at the returned nm.
 int FindMaxNmWith(const std::function<Partition(const PartitionOptions&)>& solve, int nm_cap,
                   PartitionOptions options);
 

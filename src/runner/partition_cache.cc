@@ -299,13 +299,18 @@ void PartitionCache::EvictOverCapacityLocked() {
 
 int PartitionCache::FindMaxNm(const partition::Partitioner& partitioner,
                               const std::vector<int>& gpu_ids, int nm_cap,
-                              partition::PartitionOptions options, bool* all_hits) {
+                              partition::PartitionOptions options, bool* all_hits,
+                              partition::Partition* winner) {
   bool every_probe_hit = true;
   const int max_nm = partition::FindMaxNmWith(
       [&](const partition::PartitionOptions& at_nm) {
         bool was_hit = false;
         partition::Partition probe = Solve(partitioner, gpu_ids, at_nm, &was_hit);
         every_probe_hit = every_probe_hit && was_hit;
+        // The search's feasible probes rise in nm, so the last is the answer.
+        if (winner != nullptr && probe.feasible) {
+          *winner = probe;
+        }
         return probe;
       },
       nm_cap, options);
@@ -313,6 +318,34 @@ int PartitionCache::FindMaxNm(const partition::Partitioner& partitioner,
     *all_hits = every_probe_hit;
   }
   return max_nm;
+}
+
+std::shared_ptr<const core::Context> PartitionCache::GetContext(const core::ContextKey& key) {
+  {
+    util::ReaderMutexLock lock(contexts_mu_);
+    const auto it = contexts_.find(key);
+    if (it != contexts_.end()) return it->second;
+  }
+
+  // Miss: build outside the lock (a spec parse and a model profile take
+  // milliseconds); a racing loser's copy is dropped.
+  auto built = std::make_shared<const core::Context>(key);
+  util::WriterMutexLock lock(contexts_mu_);
+  const auto [it, inserted] = contexts_.emplace(built->key, built);
+  if (!inserted) return it->second;
+  context_order_.push_back(built);
+  while (static_cast<int64_t>(context_order_.size()) > kMaxContexts) {
+    // The deque's reference keeps the evicted context's key strings alive
+    // through the erase.
+    contexts_.erase(context_order_.front()->key);
+    context_order_.pop_front();
+  }
+  return built;
+}
+
+int64_t PartitionCache::contexts() const {
+  util::ReaderMutexLock lock(contexts_mu_);
+  return static_cast<int64_t>(contexts_.size());
 }
 
 bool PartitionCache::Save(const std::string& path, std::string* error) const {

@@ -2,11 +2,14 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "core/context.h"
 #include "partition/partitioner.h"
 #include "util/mutex.h"
 
@@ -95,8 +98,22 @@ class PartitionCache {
   // partition::FindMaxNmWith over SolveScalable: every probed nm goes through
   // the cache, so a later Solve at the chosen nm is a hit. When `all_hits` is
   // non-null it reports whether every probe was answered from the cache.
+  // When `winner` is non-null and the answer is positive, it receives the
+  // partition the probe at the answer returned (the search always probes it).
   int FindMaxNm(const partition::Partitioner& partitioner, const std::vector<int>& gpu_ids,
-                int nm_cap, partition::PartitionOptions options, bool* all_hits = nullptr);
+                int nm_cap, partition::PartitionOptions options, bool* all_hits = nullptr,
+                partition::Partition* winner = nullptr);
+
+  // The memoised (cluster, model, batch) context for `key`, built on a miss
+  // outside the lock: racing misses may each build, and the first insert
+  // wins. Beyond kMaxContexts the oldest is dropped (FIFO: a working set is
+  // a handful of clusters, not worth per-read LRU writes). Throws what
+  // core::Context's keyed constructor throws; failed builds are not kept.
+  std::shared_ptr<const core::Context> GetContext(const core::ContextKey& key);
+  int64_t contexts() const;
+  // A context holds a built cluster, a profiled model and a partitioner
+  // (tens of KiB), so a daemon fed many distinct specs stays bounded.
+  static constexpr int64_t kMaxContexts = 64;
 
   // Caps the number of entries. 0 removes the bound. Shrinking below the
   // current size evicts immediately, oldest first. Not meaningfully
@@ -150,6 +167,14 @@ class PartitionCache {
   // Serializes Save: each save snapshots under mu_ and writes outside it, so
   // two saves must not share the store's temp file. Taken before mu_.
   mutable util::Mutex save_mu_;
+  // The context memo, apart from mu_ so context lookups never wait on a
+  // solve's insert. A key views strings its own context owns; the deque
+  // keeps insertion order for FIFO eviction.
+  mutable util::SharedMutex contexts_mu_;
+  std::unordered_map<core::ContextKey, std::shared_ptr<const core::Context>,
+                     core::ContextKeyHash>
+      contexts_ GUARDED_BY(contexts_mu_);
+  std::deque<std::shared_ptr<const core::Context>> context_order_ GUARDED_BY(contexts_mu_);
   std::atomic<uint64_t> clock_{0};
   std::atomic<int64_t> hits_{0};
   std::atomic<int64_t> misses_{0};

@@ -2,15 +2,12 @@
 
 #include <chrono>
 #include <exception>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
 #include "core/experiment.h"
-#include "hw/cluster.h"
-#include "hw/cluster_spec.h"
 #include "hw/gpu_spec.h"
-#include "model/model_graph.h"
-#include "model/profiler.h"
 #include "partition/partitioner.h"
 #include "runner/thread_pool.h"
 
@@ -48,105 +45,8 @@ void FillPartition(const partition::Partition& partition, runner::ResultRow* row
 
 }  // namespace
 
-// Everything a plan query needs that depends only on (cluster, model,
-// batch_size): the built cluster, the model graph, its profile on that batch
-// size, and a partitioner over both. Members reference each other by pointer
-// (profile -> graph, partitioner -> profile + cluster), so a Context is
-// constructed in place, held by shared_ptr, and never copied or moved.
-// Immutable after construction, hence safe to share across request threads.
-// The request fields it was built from are kept as its key.
-struct PlanService::Context {
-  bool from_spec;
-  std::string cluster_text;
-  std::string model_name;
-  int batch_size;
-  ContextKey key;  // views the strings above
-  hw::Cluster cluster;
-  model::ModelGraph graph;
-  model::ModelProfile profile;
-  partition::Partitioner partitioner;
-
-  Context(const PlanRequest& request, hw::Cluster built_cluster, model::ModelGraph built_graph)
-      : from_spec(!request.cluster_spec.empty()),
-        cluster_text(from_spec ? request.cluster_spec : request.cluster_nodes),
-        model_name(request.model),
-        batch_size(request.batch_size),
-        key{from_spec, cluster_text, model_name, batch_size},
-        cluster(std::move(built_cluster)),
-        graph(std::move(built_graph)),
-        profile(graph, batch_size),
-        partitioner(profile, cluster) {}
-};
-
-size_t PlanService::ContextKeyHash::operator()(const ContextKey& key) const {
-  const std::hash<std::string_view> hash;
-  size_t h = hash(key.cluster);
-  h = h * 31 + hash(key.model);
-  return h * 31 + static_cast<size_t>(key.batch_size) * 2 + (key.from_spec ? 1 : 0);
-}
-
 PlanService::PlanService(runner::PartitionCache* cache, PlanServiceOptions options)
     : cache_(cache), options_(options) {}
-
-PlanService::~PlanService() = default;
-
-int64_t PlanService::contexts() const {
-  util::ReaderMutexLock lock(contexts_mu_);
-  return static_cast<int64_t>(contexts_.size());
-}
-
-std::shared_ptr<const PlanService::Context> PlanService::GetContext(const PlanRequest& request,
-                                                                    ErrorCode* code,
-                                                                    std::string* error) {
-  const bool from_spec = !request.cluster_spec.empty();
-  const ContextKey key{from_spec, from_spec ? request.cluster_spec : request.cluster_nodes,
-                       request.model, request.batch_size};
-  {
-    util::ReaderMutexLock lock(contexts_mu_);
-    const auto it = contexts_.find(key);
-    if (it != contexts_.end()) return it->second;
-  }
-
-  // Miss: build outside the lock (construction parses a spec and profiles a
-  // model — milliseconds). Two threads racing on one key both build; the
-  // first insert wins and the loser's copy is dropped, which is cheaper than
-  // holding the exclusive lock across a build.
-  core::ModelKind kind;
-  if (request.model == core::ModelName(core::ModelKind::kResNet152)) {
-    kind = core::ModelKind::kResNet152;
-  } else if (request.model == core::ModelName(core::ModelKind::kVgg19)) {
-    kind = core::ModelKind::kVgg19;
-  } else {
-    *code = ErrorCode::kBadModel;
-    *error = "unknown model \"" + request.model + "\" (expected resnet152 or vgg19)";
-    return nullptr;
-  }
-
-  std::shared_ptr<const Context> built;
-  try {
-    hw::Cluster cluster = request.cluster_spec.empty()
-                              ? hw::Cluster::PaperSubset(request.cluster_nodes)
-                              : hw::ClusterSpec::Parse(request.cluster_spec).Build();
-    built = std::make_shared<const Context>(request, std::move(cluster), core::BuildModel(kind));
-  } catch (const std::exception& e) {
-    *code = ErrorCode::kBadSpec;
-    *error = e.what();
-    return nullptr;
-  }
-
-  util::WriterMutexLock lock(contexts_mu_);
-  const auto [it, inserted] = contexts_.emplace(built->key, built);
-  if (!inserted) return it->second;
-  context_order_.push_back(built);
-  while (options_.max_contexts > 0 &&
-         static_cast<int64_t>(context_order_.size()) > options_.max_contexts) {
-    // The deque's reference keeps the evicted context's key strings alive
-    // through the erase.
-    contexts_.erase(context_order_.front()->key);
-    context_order_.pop_front();
-  }
-  return built;
-}
 
 runner::ResultRow PlanService::Handle(const PlanRequest& request) {
   const auto start = std::chrono::steady_clock::now();
@@ -180,7 +80,7 @@ runner::ResultRow PlanService::Handle(const PlanRequest& request) {
     row.Set("ok", true);
     row.Set("requests", requests());
     row.Set("errors", errors());
-    row.Set("contexts", contexts());
+    row.Set("contexts", cache_->contexts());
     row.Set("cache_size", cache_->size());
     row.Set("cache_capacity", cache_->capacity());
     row.Set("cache_hits", cache_->hits());
@@ -190,11 +90,20 @@ runner::ResultRow PlanService::Handle(const PlanRequest& request) {
   }
 
   // plan / max_nm (the only ops ParsePlanRequest lets through).
-  ErrorCode code = ErrorCode::kNone;
-  std::string error;
-  std::shared_ptr<const Context> context = GetContext(request, &code, &error);
-  if (!context) {
-    fail(code, error);
+  core::ModelKind model = core::ModelKind::kResNet152;
+  try {
+    model = core::ParseModelKind(request.model);
+  } catch (const std::exception& e) {
+    fail(ErrorCode::kBadModel, e.what());
+    return finish();
+  }
+  const bool from_spec = !request.cluster_spec.empty();
+  std::shared_ptr<const core::Context> context;
+  try {
+    context = cache_->GetContext({from_spec, from_spec ? request.cluster_spec : request.cluster_nodes,
+                                  model, request.batch_size});
+  } catch (const std::exception& e) {
+    fail(ErrorCode::kBadSpec, e.what());
     return finish();
   }
 
@@ -245,19 +154,19 @@ runner::ResultRow PlanService::Handle(const PlanRequest& request) {
     } else {  // max_nm
       // Every probe (nm_cap first, then a bisection below it when the cap is
       // infeasible) goes through the shared cache; cache_hit means the whole
-      // query — every probe — was served from it.
+      // query — every probe — was served from it. The answer is the winning
+      // probe's partition, cold or hit: the two place tied GPUs (same class
+      // and node) alike, because PickGpus lists them in id order, which is
+      // both the order a hit fills them in and the order a cold solve does.
       bool all_hits = false;
-      const int max_nm =
-          cache_->FindMaxNm(context->partitioner, gpu_ids, request.nm_cap, options, &all_hits);
+      partition::Partition winner;
+      const int max_nm = cache_->FindMaxNm(context->partitioner, gpu_ids, request.nm_cap,
+                                           options, &all_hits, &winner);
       row.Set("ok", true);
       row.Set("max_nm", max_nm);
       row.Set("nm_cap", request.nm_cap);
       if (max_nm > 0) {
-        // The search probed max_nm, though not necessarily last (nm_cap 4
-        // with answer 3 probes 4, 2, 3), and cached every probe, so this
-        // re-solve is a cache hit that fetches the winning partition.
-        options.nm = max_nm;
-        FillPartition(cache_->Solve(context->partitioner, gpu_ids, options), &row);
+        FillPartition(winner, &row);
       } else {
         row.Set("feasible", false);
       }

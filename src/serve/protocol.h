@@ -139,7 +139,7 @@ struct PlanRequest {
   // Cluster: a hw::ClusterSpec text, or (when empty) paper node codes.
   std::string cluster_spec;
   std::string cluster_nodes = "VRGQ";
-  std::string model = "resnet152";  // resnet152 | vgg19
+  std::string model = "resnet152";  // resnet152 | vgg19 | bert-large (core::ParseModelKind)
   std::string selector;             // core::PickGpus selector for the VW
   int nm = 1;                       // plan: concurrent minibatches
   int nm_cap = 7;                   // max_nm: search ceiling (paper: 7)

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "core/convergence.h"
 #include "core/experiment.h"
@@ -87,15 +88,24 @@ TEST(HetPipeTest, DeterministicWithoutJitter) {
 }
 
 TEST(HetPipeTest, SingleVirtualWorkerInfeasibleNmReported) {
-  const hw::Cluster cluster = hw::Cluster::Paper();
-  const model::ModelGraph graph = model::BuildResNet152();
+  const Context context({false, "VRGQ", ModelKind::kResNet152, 64});
   HetPipeConfig config = FastConfig();
   config.batch_size = 64;
   // GGGG at Nm=7, batch 64 exceeds the 6 GiB RTX 2060s.
-  const HetPipeReport report =
-      HetPipe::RunSingleVirtualWorker(cluster, graph, {8, 9, 10, 11}, 7, config);
+  const HetPipeReport report = HetPipe::RunSingleVirtualWorker(context, {8, 9, 10, 11}, 7, config);
   EXPECT_FALSE(report.feasible);
   EXPECT_FALSE(report.infeasible_reason.empty());
+}
+
+TEST(HetPipeTest, ContextMustMatchTheConfigBatch) {
+  const auto context =
+      std::make_shared<const Context>(ContextKey{false, "VQ", ModelKind::kResNet152, 64});
+  HetPipeConfig config = FastConfig();
+  EXPECT_THROW(HetPipe(context, config), std::invalid_argument);
+  EXPECT_THROW(HetPipe::RunSingleVirtualWorker(*context, {0, 4}, 1, config),
+               std::invalid_argument);
+  config.batch_size = 64;
+  EXPECT_TRUE(HetPipe(context, config).Run().feasible);
 }
 
 TEST(ExperimentTest, PickGpusByCode) {

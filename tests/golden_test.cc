@@ -13,12 +13,15 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/experiment.h"
 #include "hw/cluster_spec.h"
+#include "runner/partition_cache.h"
 #include "runner/result_sink.h"
 #include "runner/spec_sweep.h"
 #include "runner/sweep_runner.h"
@@ -388,6 +391,34 @@ TEST(GoldenTest, Fig3SingleVirtualWorkerRows) { CheckAgainstGolden("fig3", Fig3E
 TEST(GoldenTest, Fig4PolicyRows) { CheckAgainstGolden("fig4", Fig4Experiments()); }
 
 TEST(GoldenTest, Table4ScalingRows) { CheckAgainstGolden("table4", Table4Experiments()); }
+
+TEST(GoldenTest, SharedContextsMatchASerialRunWithoutACache) {
+  // Sweep threads share each (cluster, model, batch) context through the
+  // sweep's one partition cache; the rows must be those of a serial run that
+  // builds every context afresh and caches nothing.
+  std::vector<core::Experiment> experiments = Fig4Experiments();
+  for (core::Experiment& e : Table4Experiments()) {
+    experiments.push_back(std::move(e));
+  }
+  std::string serial;
+  std::set<std::tuple<std::string, core::ModelKind, int>> keys;
+  for (const core::Experiment& e : experiments) {
+    ASSERT_EQ(e.config.partition_cache, nullptr);
+    serial += runner::RowToJson(runner::RowFor(e, core::RunExperiment(e))) + "\n";
+    keys.emplace(e.cluster_nodes, e.model, e.config.batch_size);
+  }
+
+  runner::PartitionCache cache;
+  std::ostringstream out;
+  runner::JsonlSink sink(out);
+  runner::SweepOptions options;
+  options.threads = 4;
+  options.cache = &cache;
+  options.sink = &sink;
+  runner::SweepRunner(options).Run(experiments);
+  EXPECT_EQ(out.str(), serial);
+  EXPECT_EQ(cache.contexts(), static_cast<int64_t>(keys.size()));
+}
 
 TEST(GoldenTest, GenericClusterRows) {
   CheckAgainstGolden("generic_cluster", GenericClusterExperiments());

@@ -24,6 +24,7 @@
 #include "hw/cluster.h"
 #include "model/profiler.h"
 #include "model/resnet.h"
+#include "model/transformer.h"
 #include "partition/partitioner.h"
 #include "runner/partition_cache.h"
 #include "runner/result_sink.h"
@@ -619,6 +620,18 @@ TEST(WireGoldenTest, RequestAndResponseBytesMatchRecording) {
 
 // ---- PlanService ----
 
+// The answer without its timing and cache fields, which legitimately differ
+// between a warm service and a fresh one.
+std::string AnswerBytes(const runner::ResultRow& row) {
+  runner::ResultRow kept;
+  for (const auto& [key, value] : row.fields()) {
+    if (key != "latency_us" && key != "cache_hit") {
+      std::visit([&, &key = key](const auto& v) { kept.Set(key, v); }, value);
+    }
+  }
+  return runner::RowToJson(kept);
+}
+
 TEST(PlanServiceTest, PlanHitsCacheOnRepeat) {
   runner::PartitionCache cache;
   PlanService service(&cache);
@@ -643,30 +656,35 @@ TEST(PlanServiceTest, PlanHitsCacheOnRepeat) {
   EXPECT_EQ(hit.Get("stages"), miss.Get("stages"));
   EXPECT_EQ(service.requests(), 2);
   EXPECT_EQ(service.errors(), 0);
-  EXPECT_EQ(service.contexts(), 1);
+  EXPECT_EQ(cache.contexts(), 1);
 }
 
 TEST(PlanServiceTest, PlanMatchesDirectPartitioner) {
   runner::PartitionCache cache;
   PlanService service(&cache);
-  PlanRequest request;
-  request.selector = "VVQQ";
-  request.nm = 2;
-  const runner::ResultRow row = service.Handle(request);
-  ASSERT_EQ(row.Get("ok"), "true");
-
   const hw::Cluster cluster = hw::Cluster::Paper();
-  const model::ModelGraph graph = model::BuildResNet152();
-  const model::ModelProfile profile(graph, 32);
-  const partition::Partitioner partitioner(profile, cluster);
-  partition::PartitionOptions options;
-  options.nm = 2;
-  const partition::Partition direct =
-      partitioner.SolveScalable(core::PickGpus(cluster, "VVQQ"), options);
-  runner::ResultRow expected;
-  expected.Set("bottleneck", direct.bottleneck_time);
-  EXPECT_EQ(row.Get("bottleneck_time_s"), expected.Get("bottleneck"));
-  EXPECT_EQ(row.Get("num_stages"), std::to_string(direct.num_stages()));
+  for (const model::ModelGraph& graph : {model::BuildResNet152(), model::BuildBertLarge()}) {
+    PlanRequest request;
+    request.model = graph.family() == model::ModelFamily::kResNet152 ? "resnet152" : "bert-large";
+    request.selector = "VVQQ";
+    request.nm = 2;
+    const runner::ResultRow row = service.Handle(request);
+    ASSERT_EQ(row.Get("ok"), "true") << request.model << ": " << row.Get("error");
+
+    const model::ModelProfile profile(graph, 32);
+    const partition::Partitioner partitioner(profile, cluster);
+    partition::PartitionOptions options;
+    options.nm = 2;
+    const partition::Partition direct =
+        partitioner.SolveScalable(core::PickGpus(cluster, "VVQQ"), options);
+    runner::ResultRow expected;
+    expected.Set("bottleneck", direct.bottleneck_time).Set("sum", direct.sum_time);
+    EXPECT_EQ(row.Get("bottleneck_time_s"), expected.Get("bottleneck")) << request.model;
+    EXPECT_EQ(row.Get("sum_time_s"), expected.Get("sum")) << request.model;
+    EXPECT_EQ(row.Get("num_stages"), std::to_string(direct.num_stages())) << request.model;
+    const std::string first_gpu = ":gpu" + std::to_string(direct.stages.front().gpu_id) + ":";
+    EXPECT_NE(row.Get("stages").find(first_gpu), std::string::npos) << row.Get("stages");
+  }
 }
 
 TEST(PlanServiceTest, MaxNmMatchesPartitionerAndReportsCacheHit) {
@@ -692,21 +710,82 @@ TEST(PlanServiceTest, MaxNmMatchesPartitionerAndReportsCacheHit) {
       },
       7, partition::PartitionOptions{});
   EXPECT_EQ(cold.Get("max_nm"), std::to_string(expected));
-  // The cap is feasible, so the cold query solved once: its one probe left
-  // one entry, which the re-solve of the winning nm then hit.
+  // The cap is feasible, so the cold query solved once, and its one probe's
+  // partition is the answer: one entry, no hit.
   ASSERT_EQ(cold.Get("max_nm"), "7");
   EXPECT_EQ(cache.size(), 1);
   EXPECT_EQ(cache.misses(), 1);
-  EXPECT_EQ(cache.hits(), 1);
+  EXPECT_EQ(cache.hits(), 0);
 
-  // Every probe of the repeat comes from the cache: its one probe is one
-  // hit, and the re-solve another.
+  // The repeat's one probe is one hit.
   const runner::ResultRow warm = service.Handle(request);
   EXPECT_EQ(warm.Get("cache_hit"), "true");
   EXPECT_EQ(warm.Get("max_nm"), cold.Get("max_nm"));
+  EXPECT_EQ(warm.Get("stages"), cold.Get("stages"));
   EXPECT_EQ(cache.size(), 1);
   EXPECT_EQ(cache.misses(), 1);
-  EXPECT_EQ(cache.hits(), 3);
+  EXPECT_EQ(cache.hits(), 1);
+}
+
+TEST(PlanServiceTest, ColdAndWarmMaxNmAnswerTheSameBytes) {
+  // The cold max_nm answer is its winning probe's partition, the warm one a
+  // cache hit; they must agree byte for byte (timing and cache_hit aside),
+  // also when tied GPUs (same class and node) come in a non-id order.
+  const std::string racked =
+      "node 2xV\nnode 2xR\nnode 2xG\nnode 2xQ\nrack r0 { node0 node1 }\n"
+      "rack r1 { node2 node3 }\ncross_rack_gbits 10";
+  std::vector<PlanRequest> requests;
+  PlanRequest r;
+  r.op = "max_nm";
+  r.selector = "Q*2,V*2";
+  requests.push_back(r);
+  r.search_orders = false;
+  requests.push_back(r);
+  r = PlanRequest();
+  r.op = "max_nm";
+  r.selector = "Q*2,R,V*2";
+  r.strategy = "beam";
+  requests.push_back(r);
+  r = PlanRequest();
+  r.op = "max_nm";
+  r.cluster_spec = racked;
+  r.selector = "Q*2,G*2,R*2,V*2";
+  r.strategy = "hierarchical";
+  requests.push_back(r);
+  // An infeasible cap: the bisection below it probes 3, 5 and 4, and two of
+  // those probes are feasible.
+  r = PlanRequest();
+  r.op = "max_nm";
+  r.id = "bisect";
+  r.selector = "Q*2,G*2";
+  r.batch_size = 64;
+  requests.push_back(r);
+  for (const PlanRequest& request : requests) {
+    runner::PartitionCache cache;
+    PlanService service(&cache);
+    const runner::ResultRow cold = service.Handle(request);
+    ASSERT_EQ(cold.Get("ok"), "true") << cold.Get("error");
+    ASSERT_NE(cold.Get("max_nm"), "0") << request.selector;
+    if (request.id == "bisect") {
+      EXPECT_EQ(cold.Get("max_nm"), "4");
+    }
+    const runner::ResultRow warm = service.Handle(request);
+    EXPECT_EQ(cold.Get("cache_hit"), "false");
+    EXPECT_EQ(warm.Get("cache_hit"), "true");
+    EXPECT_EQ(AnswerBytes(warm), AnswerBytes(cold)) << request.selector;
+
+    // The partition fields are the plan at max_nm.
+    runner::PartitionCache plan_cache;
+    PlanService plan_service(&plan_cache);
+    PlanRequest plan = request;
+    plan.op = "plan";
+    plan.nm = std::stoi(cold.Get("max_nm"));
+    const runner::ResultRow planned = plan_service.Handle(plan);
+    for (const char* field : {"feasible", "num_stages", "bottleneck_time_s", "sum_time_s",
+                              "stages", "strategy"}) {
+      EXPECT_EQ(cold.Get(field), planned.Get(field)) << request.selector << " " << field;
+    }
+  }
 }
 
 TEST(PlanServiceTest, ClassifiesErrors) {
@@ -716,7 +795,11 @@ TEST(PlanServiceTest, ClassifiesErrors) {
   PlanRequest bad_model;
   bad_model.selector = "VVQQ";
   bad_model.model = "alexnet";
-  EXPECT_EQ(service.Handle(bad_model).Get("error_code"), "bad_model");
+  const runner::ResultRow bad_model_row = service.Handle(bad_model);
+  EXPECT_EQ(bad_model_row.Get("error_code"), "bad_model");
+  for (const char* name : {"resnet152", "vgg19", "bert-large"}) {
+    EXPECT_NE(bad_model_row.Get("error").find(name), std::string::npos) << name;
+  }
 
   PlanRequest bad_spec;
   bad_spec.selector = "VVQQ";
@@ -751,18 +834,6 @@ TEST(PlanServiceTest, HandleJsonReportsShutdownAndStats) {
   EXPECT_FALSE(shutdown);
   EXPECT_EQ(row.Get("ok"), "false");
   EXPECT_EQ(row.Find("error_code"), "bad_json");
-}
-
-// The answer without its timing and cache fields, which legitimately differ
-// between a warm service and a fresh one.
-std::string AnswerBytes(const runner::ResultRow& row) {
-  runner::ResultRow kept;
-  for (const auto& [key, value] : row.fields()) {
-    if (key != "latency_us" && key != "cache_hit") {
-      std::visit([&, &key = key](const auto& v) { kept.Set(key, v); }, value);
-    }
-  }
-  return runner::RowToJson(kept);
 }
 
 // `second` must get the answer it gets on a fresh service, whatever `first`
@@ -809,37 +880,38 @@ TEST(PlanServiceTest, ContextKeysDoNotAliasAcrossFields) {
 
 TEST(PlanServiceTest, ContextsEvictFifoBeyondTheBound) {
   runner::PartitionCache cache;
-  PlanServiceOptions options;
-  options.max_contexts = 3;
-  PlanService service(&cache, options);
-  const std::vector<std::string> kNodes = {"VQ", "VRQ", "VGQ", "VRGQ", "QV", "RVQ"};
+  PlanService service(&cache);
+  constexpr int64_t kBound = runner::PartitionCache::kMaxContexts;
+  // One context per batch size: kBound + 2 distinct keys.
   std::vector<std::string> first_answers;
-  for (size_t i = 0; i < kNodes.size(); ++i) {
+  for (int64_t i = 0; i < kBound + 2; ++i) {
     PlanRequest request;
-    request.cluster_nodes = kNodes[i];
+    request.cluster_nodes = "VQ";
     request.selector = "VQ";
+    request.batch_size = static_cast<int>(i + 1);
     const runner::ResultRow row = service.Handle(request);
-    ASSERT_EQ(row.Get("ok"), "true") << kNodes[i];
+    ASSERT_EQ(row.Get("ok"), "true") << i;
     first_answers.push_back(AnswerBytes(row));
-    EXPECT_EQ(service.contexts(), static_cast<int64_t>(std::min<size_t>(i + 1, 3)));
+    EXPECT_EQ(cache.contexts(), std::min(i + 1, kBound));
   }
   // Evicted and retained contexts alike answer as before; a rebuilt context
   // finds its plans still in the partition cache.
-  for (size_t i = 0; i < kNodes.size(); ++i) {
+  for (int64_t i = 0; i < kBound + 2; ++i) {
     PlanRequest request;
-    request.cluster_nodes = kNodes[i];
+    request.cluster_nodes = "VQ";
     request.selector = "VQ";
+    request.batch_size = static_cast<int>(i + 1);
     const runner::ResultRow row = service.Handle(request);
-    EXPECT_EQ(AnswerBytes(row), first_answers[i]) << kNodes[i];
-    EXPECT_EQ(row.Get("cache_hit"), "true") << kNodes[i];
-    EXPECT_EQ(service.contexts(), 3);
+    EXPECT_EQ(AnswerBytes(row), first_answers[static_cast<size_t>(i)]) << i;
+    EXPECT_EQ(row.Get("cache_hit"), "true") << i;
+    EXPECT_EQ(cache.contexts(), kBound);
   }
   // Failed builds are never memoized.
   PlanRequest bad;
   bad.cluster_spec = "node 0xV";
   bad.selector = "V";
   EXPECT_EQ(service.Handle(bad).Get("error_code"), "bad_spec");
-  EXPECT_EQ(service.contexts(), 3);
+  EXPECT_EQ(cache.contexts(), kBound);
 }
 
 // ---- End-to-end over sockets ----
