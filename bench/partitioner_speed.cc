@@ -31,7 +31,7 @@
 //                             clock (the CI ceiling).
 //        --width-sweep[=smoke|full]  sweep beam_width x rack_order_limit x
 //                             threads over the growth clusters
-//                             (runner::RunWidthSweep), reporting quality vs
+//                             (RunWidthSweep), reporting quality vs
 //                             the exact optimum / the sweep's best and
 //                             asserting parallel solves bit-identical to
 //                             serial. Emits bench=partitioner_width_sweep
@@ -47,7 +47,9 @@
 #include <cstdio>
 #include <deque>
 #include <fstream>
+#include <limits>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -65,7 +67,6 @@
 #include "runner/spec_sweep.h"
 #include "runner/sweep_runner.h"
 #include "runner/thread_pool.h"
-#include "runner/width_sweep.h"
 
 namespace {
 
@@ -477,6 +478,229 @@ int RunGrowthCurve(bool full, double budget_ms, int repeat, int threads,
   return ok ? 0 : 1;
 }
 
+// ---- --width-sweep ----
+//
+// The width/limit autotuning sweep for the scalable partitioner tier: solves each
+// case under a grid of beam widths, rack order limits, and thread counts,
+// anchoring quality against the exact optimum where one is tractable and
+// against the sweep's own best elsewhere. Doubles as the parallel-determinism
+// harness: every multi-threaded solve is compared field-for-field against its
+// serial twin, and any divergence fails the sweep — the searches reduce in
+// index order, so the comparison demands bit-identity, not tolerance.
+
+// One cluster/virtual-worker input of a width sweep. The sweep does not own
+// the cluster; callers keep it alive for the duration (RunWidthSweepMode
+// passes its growth clusters).
+struct WidthSweepCase {
+  std::string label;
+  const hw::Cluster* cluster = nullptr;
+  std::vector<int> gpu_ids;
+  // When true, k is small enough for the exact order enumeration; the sweep
+  // solves it once as the quality baseline (quality_vs_exact).
+  bool has_exact = false;
+};
+
+// The sweep grid. Per case: kBeam over every beam width, plus — when the
+// auto selector would pick the hierarchical search for that case —
+// kHierarchical over every rack order limit; each configuration is solved at
+// every thread count. thread value 1 means no pool (the serial path); larger
+// values run on a ThreadPool of that size, and the result is asserted
+// byte-identical to the serial solve (index-ordered reductions make parallel
+// and serial the same bytes at any thread count).
+struct WidthSweepConfig {
+  std::vector<int> beam_widths = {2, 4, 8, 16, 32};
+  std::vector<int64_t> rack_order_limits = {24, 120, 720};
+  std::vector<int> thread_counts = {1, 2, 8};
+  int repeat = 3;  // best-of-N timing per configuration
+  // nm / memory knobs for every solve; strategy, beam_width, rack_order_limit
+  // and pool are overwritten by the sweep.
+  partition::PartitionOptions base;
+};
+
+struct WidthSweepRow {
+  std::string case_label;
+  std::string strategy;  // "beam" | "hierarchical"
+  int beam_width = 0;
+  int64_t rack_order_limit = 0;
+  int threads = 1;  // 1 = serial (no pool)
+  bool feasible = false;
+  double solve_ms = 0.0;
+  double bottleneck_ms = 0.0;
+  // bottleneck / exact-optimum bottleneck (0 when the case has no exact
+  // baseline) and bottleneck / best bottleneck any swept configuration of
+  // this case found (1.0 = this configuration ties the sweep's best).
+  double quality_vs_exact = 0.0;
+  double quality_vs_best = 0.0;
+  // Parallel solve bit-identical to the serial one (always true for the
+  // serial rows themselves). Any false fails the sweep.
+  bool thread_identical = true;
+};
+
+// One (strategy, knob) point of the per-case grid.
+struct ConfigPoint {
+  partition::SearchStrategy strategy = partition::SearchStrategy::kBeam;
+  int beam_width = 0;
+  int64_t rack_order_limit = 0;
+};
+
+// Runs the sweep, prints one table line per row, and emits
+// bench=partitioner_width_sweep JSON rows (plus a per-core "cores" field) to
+// `sink` when non-null. Returns false if any solve was infeasible or any
+// parallel solve diverged from its serial twin. docs/benchmarks.md documents
+// the row schema.
+bool RunWidthSweep(const model::ModelProfile& profile,
+                   const std::vector<WidthSweepCase>& cases, const WidthSweepConfig& config,
+                   runner::ResultSink* sink) {
+  const int cores = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  const int timing_rounds = std::max(1, config.repeat);
+
+  // Pools are shared across cases and built lazily per distinct thread count.
+  std::vector<std::pair<int, std::unique_ptr<runner::ThreadPool>>> pools;
+  const auto pool_of = [&](int threads) -> runner::ThreadPool* {
+    if (threads <= 1) return nullptr;  // 1 = the serial path, no pool at all
+    for (auto& [count, pool] : pools) {
+      if (count == threads) return pool.get();
+    }
+    pools.emplace_back(threads, std::make_unique<runner::ThreadPool>(threads));
+    return pools.back().second.get();
+  };
+
+  std::printf("width sweep: %zu case(s), %d hardware core(s), best of %d\n",
+              cases.size(), cores, timing_rounds);
+  std::printf("  %-13s %-12s %5s %6s %3s  %9s  %12s  %8s %8s\n", "case", "strategy",
+              "width", "limit", "thr", "solve_ms", "bottleneck", "vs_exact", "vs_best");
+
+  bool ok = true;
+  for (const WidthSweepCase& c : cases) {
+    const partition::Partitioner partitioner(profile, *c.cluster);
+    partition::PartitionOptions base = config.base;
+    base.pool = nullptr;
+
+    double exact_bottleneck = 0.0;
+    if (c.has_exact) {
+      partition::PartitionOptions exact_options = base;
+      exact_options.strategy = partition::SearchStrategy::kExact;
+      const partition::Partition exact = partitioner.SolveScalable(c.gpu_ids, exact_options);
+      if (exact.feasible) exact_bottleneck = exact.bottleneck_time;
+    }
+
+    // kBeam is swept everywhere; the rack-limit axis only matters where the
+    // auto selector would run the hierarchical search (a rack-less or
+    // single-rack case degrades it to the beam anyway).
+    const bool sweep_hier =
+        partition::ResolveSearchStrategy(*c.cluster, c.gpu_ids, base) ==
+        partition::SearchStrategy::kHierarchical;
+    std::vector<ConfigPoint> points;
+    for (int width : config.beam_widths) {
+      points.push_back({partition::SearchStrategy::kBeam, width, base.rack_order_limit});
+    }
+    if (sweep_hier) {
+      for (int64_t limit : config.rack_order_limits) {
+        points.push_back({partition::SearchStrategy::kHierarchical, base.beam_width, limit});
+      }
+    }
+
+    std::vector<WidthSweepRow> case_rows;
+    double best_bottleneck = std::numeric_limits<double>::infinity();
+    for (const ConfigPoint& point : points) {
+      partition::PartitionOptions options = base;
+      options.strategy = point.strategy;
+      options.beam_width = point.beam_width;
+      options.rack_order_limit = point.rack_order_limit;
+
+      options.pool = nullptr;
+      const partition::Partition serial = partitioner.SolveScalable(c.gpu_ids, options);
+      if (serial.feasible) {
+        best_bottleneck = std::min(best_bottleneck, serial.bottleneck_time);
+      }
+
+      for (int threads : config.thread_counts) {
+        options.pool = pool_of(threads);
+        const partition::Partition solved =
+            options.pool == nullptr ? serial : partitioner.SolveScalable(c.gpu_ids, options);
+
+        WidthSweepRow row;
+        row.case_label = c.label;
+        row.strategy = partition::SearchStrategyName(point.strategy);
+        row.beam_width = point.beam_width;
+        row.rack_order_limit = point.rack_order_limit;
+        row.threads = threads;
+        row.feasible = solved.feasible;
+        row.bottleneck_ms = solved.bottleneck_time * 1e3;
+        row.thread_identical = SamePartition(solved, serial);
+        if (exact_bottleneck > 0.0) {
+          row.quality_vs_exact = solved.bottleneck_time / exact_bottleneck;
+        }
+        for (int r = 0; r < timing_rounds; ++r) {
+          const auto start = Clock::now();
+          (void)partitioner.SolveScalable(c.gpu_ids, options);
+          const double ms = MsBetween(start, Clock::now());
+          row.solve_ms = r == 0 ? ms : std::min(row.solve_ms, ms);
+        }
+        ok = ok && row.feasible && row.thread_identical;
+        case_rows.push_back(std::move(row));
+      }
+    }
+
+    for (WidthSweepRow& row : case_rows) {
+      if (best_bottleneck > 0.0 && std::isfinite(best_bottleneck)) {
+        row.quality_vs_best = (row.bottleneck_ms * 1e-3) / best_bottleneck;
+      }
+      char vs_exact[32] = "-";
+      if (row.quality_vs_exact > 0.0) {
+        std::snprintf(vs_exact, sizeof(vs_exact), "%.4f", row.quality_vs_exact);
+      }
+      std::printf("  %-13s %-12s %5d %6lld %3d  %9.3f  %9.3f ms  %8s %8.4f%s\n",
+                  row.case_label.c_str(), row.strategy.c_str(), row.beam_width,
+                  static_cast<long long>(row.rack_order_limit), row.threads, row.solve_ms,
+                  row.bottleneck_ms, vs_exact, row.quality_vs_best,
+                  row.feasible ? (row.thread_identical ? "" : "  PARALLEL DIVERGED — BUG")
+                               : "  INFEASIBLE");
+      if (sink != nullptr) {
+        runner::ResultRow out;
+        out.Set("bench", "partitioner_width_sweep")
+            .Set("case", row.case_label)
+            .Set("strategy", row.strategy)
+            .Set("beam_width", row.beam_width)
+            .Set("rack_order_limit", row.rack_order_limit)
+            .Set("threads", row.threads)
+            .Set("cores", cores)
+            .Set("feasible", row.feasible)
+            .Set("solve_ms", row.solve_ms)
+            .Set("bottleneck_ms", row.bottleneck_ms)
+            .Set("quality_vs_best", row.quality_vs_best)
+            .Set("thread_identical", row.thread_identical);
+        if (row.quality_vs_exact > 0.0) {
+          out.Set("quality_vs_exact", row.quality_vs_exact);
+        }
+        sink->Write(out);
+      }
+    }
+
+    // Default-retuning summary: the narrowest serial beam that already ties
+    // the sweep's best bottleneck for this case (quality saturates there —
+    // anything wider only costs time).
+    int saturating_width = 0;
+    for (const WidthSweepRow& row : case_rows) {
+      if (row.strategy == std::string("beam") && row.threads == 1 && row.feasible &&
+          row.quality_vs_best <= 1.0 + 1e-12) {
+        saturating_width = saturating_width == 0 ? row.beam_width
+                                                 : std::min(saturating_width, row.beam_width);
+      }
+    }
+    if (saturating_width > 0) {
+      std::printf("  %-13s beam quality saturates at width %d\n", c.label.c_str(),
+                  saturating_width);
+    }
+  }
+  if (sink != nullptr) {
+    sink->Flush();
+  }
+  std::printf("width sweep %s\n", ok ? "ok" : "FAILED");
+  return ok;
+}
+
+
 // --width-sweep: the autotuning sweep over the same growth clusters. Clusters
 // live in a deque (stable addresses — WidthSweepCase keeps pointers into it).
 int RunWidthSweepMode(bool full, int repeat, runner::ResultSink* sink) {
@@ -485,10 +709,10 @@ int RunWidthSweepMode(bool full, int repeat, runner::ResultSink* sink) {
   const model::ModelProfile profile(graph, 32);
 
   std::deque<hw::Cluster> clusters;
-  std::vector<runner::WidthSweepCase> cases;
+  std::vector<WidthSweepCase> cases;
   for (const GrowthCase& c : GrowthCases(full)) {
     clusters.push_back(BuildGrowthCluster(c));
-    runner::WidthSweepCase sweep_case;
+    WidthSweepCase sweep_case;
     sweep_case.label = c.label;
     sweep_case.cluster = &clusters.back();
     sweep_case.gpu_ids = PickGrowthVw(clusters.back(), c);
@@ -496,9 +720,9 @@ int RunWidthSweepMode(bool full, int repeat, runner::ResultSink* sink) {
     cases.push_back(std::move(sweep_case));
   }
 
-  runner::WidthSweepConfig config;
+  WidthSweepConfig config;
   config.repeat = std::min(repeat, 3);
-  return runner::RunWidthSweep(profile, cases, config, sink) ? 0 : 1;
+  return RunWidthSweep(profile, cases, config, sink) ? 0 : 1;
 }
 
 }  // namespace

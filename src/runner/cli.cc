@@ -69,12 +69,10 @@ BenchArgs BenchArgs::Parse(int argc, char** argv) {
       std::ostream* out = args.OpenOutput(value);
       args.sinks_.push_back(std::make_unique<JsonlSink>(*out));
       args.multi_.AddSink(args.sinks_.back().get());
-      args.has_sink_ = true;
     } else if (MatchFlag(arg, "csv", &value)) {
       std::ostream* out = args.OpenOutput(value);
       args.sinks_.push_back(std::make_unique<CsvSink>(*out));
       args.multi_.AddSink(args.sinks_.back().get());
-      args.has_sink_ = true;
     } else {
       args.rest.push_back(arg);
     }
@@ -112,7 +110,6 @@ void BenchArgs::AddOut(const std::string& path) {
   }
   sinks_.push_back(std::move(sink));
   multi_.AddSink(sinks_.back().get());
-  has_sink_ = true;
 }
 
 std::ostream* BenchArgs::OpenOutput(const std::string& path) {
@@ -160,6 +157,6 @@ SweepOptions BenchArgs::sweep_options() {
   return options;
 }
 
-ResultSink* BenchArgs::sink() { return has_sink_ ? &multi_ : nullptr; }
+ResultSink* BenchArgs::sink() { return multi_.empty() ? nullptr : &multi_; }
 
 }  // namespace hetpipe::runner

@@ -68,7 +68,6 @@ class BenchArgs {
   std::vector<std::unique_ptr<std::ofstream>> files_;
   std::vector<std::unique_ptr<ResultSink>> sinks_;
   MultiSink multi_;
-  bool has_sink_ = false;
   std::string cache_path_;
   bool cache_load_failed_ = false;
   std::unique_ptr<PartitionCache> cache_;

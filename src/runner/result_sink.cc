@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <string_view>
 
 namespace hetpipe::runner {
@@ -105,8 +104,10 @@ std::string ValueToString(const ResultRow::Value& value, ValueFormat format) {
   return out;
 }
 
+// RFC 4180: a cell holding a comma, a quote, CR or LF is quoted, with its
+// quotes doubled.
 std::string EscapeCsv(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) {
+  if (s.find_first_of(",\"\r\n") == std::string::npos) {
     return s;
   }
   std::string out = "\"";
@@ -165,48 +166,30 @@ std::string RowToJson(const ResultRow& row) {
   return out;
 }
 
-void JsonlSink::WriteRow(const ResultRow& row) { *out_ << RowToJson(row) << "\n"; }
+void JsonlSink::Write(const ResultRow& row) { *out_ << RowToJson(row) << "\n"; }
 
-void CsvSink::Flush() {
+void CsvSink::Write(const ResultRow& row) {
+  schema_.Observe(row);
+  rows_.push_back(row);
+}
+
+CsvSink::~CsvSink() {
   if (rows_.empty()) {
     return;
   }
-
-  // The first flush freezes the schema: rows buffered so far all contributed
-  // their keys (the base class observes at Write), so the header is exactly
-  // the union in first-seen order.
-  if (!header_written_) {
-    schema_.Freeze();
-    for (size_t i = 0; i < schema_.frozen_size(); ++i) {
-      *out_ << (i > 0 ? "," : "") << EscapeCsv(schema_.columns()[i].name);
-    }
-    *out_ << "\n";
-    header_written_ = true;
+  const std::vector<Column>& columns = schema_.columns();
+  for (size_t i = 0; i < columns.size(); ++i) {
+    *out_ << (i > 0 ? "," : "") << EscapeCsv(columns[i].name);
   }
-
-  const size_t num_columns = schema_.frozen_size();
+  *out_ << "\n";
   for (const ResultRow& row : rows_) {
     const std::vector<const ResultRow::Value*> values = schema_.Project(row);
-    for (size_t i = 0; i < num_columns; ++i) {
+    for (size_t i = 0; i < values.size(); ++i) {
       const std::string cell =
           values[i] != nullptr ? ValueToString(*values[i], ValueFormat::kCsv) : std::string();
       *out_ << (i > 0 ? "," : "") << EscapeCsv(cell);
     }
     *out_ << "\n";
-  }
-  rows_.clear();
-
-  // A key first seen after the header is already out cannot get a column;
-  // dropping it silently would let a sweep lose a metric without anyone
-  // noticing. The schema records such columns past frozen_size(); warn once
-  // per column as it appears.
-  for (size_t i = num_columns + dropped_columns_.size(); i < schema_.size(); ++i) {
-    const std::string& key = schema_.columns()[i].name;
-    dropped_columns_.push_back(key);
-    std::fprintf(stderr,
-                 "warning: CSV column \"%s\" first appeared after the header was "
-                 "written; its values are dropped\n",
-                 key.c_str());
   }
 }
 

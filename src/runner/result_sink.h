@@ -60,92 +60,62 @@ class ResultRow {
 // never diverge between a bench row and a network frame.
 std::string RowToJson(const ResultRow& row);
 
-// Destination for sweep results. The base class owns the stream's Schema:
-// Write() folds each row into it (one shared evolution policy — first-seen
-// column order, int64->double promotion, frozen-header bookkeeping) before
-// handing the row to the concrete sink, so sinks consume schema-checked
-// typed values instead of re-discovering columns per row. Implementations
-// are not required to be thread-safe: the sweep runner writes rows
-// sequentially, in experiment order, after the parallel phase completes.
+// Destination for sweep results: a plain interface. Implementations are not
+// required to be thread-safe: the sweep runner writes rows sequentially, in
+// experiment order, after the parallel phase completes. The typed schema of
+// a result stream lives in the one sink that stores types, the .hds writer
+// (store::ExtentWriter).
 class ResultSink {
  public:
   virtual ~ResultSink() = default;
-  void Write(const ResultRow& row) {
-    schema_.Observe(row);
-    WriteRow(row);
-  }
-  // Flushes buffered output (CSV needs the full column set before writing).
+  virtual void Write(const ResultRow& row) = 0;
+  // Pushes buffered output on; a no-op for sinks that buffer nothing.
   virtual void Flush() {}
-  // The typed schema accumulated over every row written so far.
-  const Schema& schema() const { return schema_; }
-
- protected:
-  // The row has already been folded into schema().
-  virtual void WriteRow(const ResultRow& row) = 0;
-  Schema schema_;
 };
 
-// JSON Lines: one self-describing object per row, streamed as written. Rows
-// render from their own fields (insertion order), never from the schema —
-// the refactor guarantee that no JSONL byte ever moves.
+// JSON Lines: one self-describing object per row, streamed as written in the
+// row's own field order.
 class JsonlSink : public ResultSink {
  public:
   explicit JsonlSink(std::ostream& out) : out_(&out) {}
-
- protected:
-  void WriteRow(const ResultRow& row) override;
+  void Write(const ResultRow& row) override;
 
  private:
   std::ostream* out_;
 };
 
-// CSV with a header row. Rows are buffered until Flush (or destruction); the
-// first Flush freezes the schema — the header is its column set at that
-// point, the union of keys over the rows buffered so far, in first-seen
-// order — and later flushes render their rows against those columns. A key
-// first appearing after the header is out cannot get a column anymore (the
-// header line is already in the stream); the schema records it past
-// frozen_size(), and it is reported in dropped_columns() and warned about on
-// stderr once, never dropped silently.
+// CSV with one header row. A CSV header cannot grow once it is in the
+// stream, so the sink keeps every row and writes the header and all rows
+// when it is destroyed: the header is the union of every row's keys in
+// first-seen order, and a row lacking a column gets an empty cell. Flush
+// writes nothing.
 class CsvSink : public ResultSink {
  public:
   explicit CsvSink(std::ostream& out) : out_(&out) {}
-  ~CsvSink() override { Flush(); }
-  void Flush() override;
-
-  // Keys that appeared only after the header was written, in first-seen
-  // order; their values never reached the output.
-  const std::vector<std::string>& dropped_columns() const { return dropped_columns_; }
-
- protected:
-  void WriteRow(const ResultRow& row) override { rows_.push_back(row); }
+  ~CsvSink() override;
+  void Write(const ResultRow& row) override;
 
  private:
   std::ostream* out_;
+  Schema schema_;  // first-seen column order; the types go unused
   std::vector<ResultRow> rows_;
-  bool header_written_ = false;
-  std::vector<std::string> dropped_columns_;
 };
 
-// Fans rows out to several sinks (e.g. --json and --csv together). Each
-// child folds its own schema, so a sink added mid-stream is not poisoned by
-// rows it never saw.
+// Fans rows out to several sinks (e.g. --json and --csv together).
 class MultiSink : public ResultSink {
  public:
   void AddSink(ResultSink* sink) { sinks_.push_back(sink); }
+  void Write(const ResultRow& row) override {
+    for (ResultSink* sink : sinks_) {
+      sink->Write(row);
+    }
+  }
   void Flush() override {
     for (ResultSink* sink : sinks_) {
       sink->Flush();
     }
   }
   bool empty() const { return sinks_.empty(); }
-
- protected:
-  void WriteRow(const ResultRow& row) override {
-    for (ResultSink* sink : sinks_) {
-      sink->Write(row);
-    }
-  }
 
  private:
   std::vector<ResultSink*> sinks_;

@@ -55,14 +55,6 @@ void Schema::Observe(const ResultRow& row) {
   }
 }
 
-std::vector<std::string> Schema::late_columns() const {
-  std::vector<std::string> names;
-  for (size_t i = frozen_size(); i < columns_.size(); ++i) {
-    names.push_back(columns_[i].name);
-  }
-  return names;
-}
-
 std::vector<const Value*> Schema::Project(const ResultRow& row) const {
   std::vector<const Value*> values(columns_.size(), nullptr);
   for (const auto& [key, value] : row.fields()) {

@@ -32,32 +32,22 @@ struct Column {
   ValueType type = ValueType::kString;
 };
 
-// The explicit schema of a stream of ResultRows: ordered, typed columns,
-// either declared up front or derived row by row. Every sink shares one
-// evolution policy instead of re-discovering columns per row:
+// The explicit schema of a stream of ResultRows: ordered, typed columns
+// derived row by row. store::ExtentWriter owns the typed schema of each .hds
+// file; CsvSink keeps one only for its column order. The evolution policy:
 //
 //   * A key first seen in any row appends a column, in first-seen order.
 //   * A column that observes both kInt64 and kDouble values promotes to
 //     kDouble (the only silent widening; int64s beyond 2^53 lose precision
 //     in typed storage, which docs/result-store.md documents).
 //   * Any other type conflict keeps the column's established type and is
-//     counted in conflicts(); typed consumers (the store) null out the
-//     conflicting value, text consumers (JSONL/CSV) render the original
-//     value — rendering never depends on the column type, which is how the
-//     refactor keeps every JSONL/CSV byte identical.
-//   * Freeze() pins the column set for consumers that cannot add columns
-//     anymore (a CSV header already in the stream). Later columns are still
-//     recorded — in columns() past frozen_size(), and by name in
-//     late_columns() — so nothing is lost silently.
+//     counted in conflicts(); the store nulls out the conflicting value,
+//     while text output (JSONL/CSV) renders the original value, since
+//     rendering never depends on the column type.
 //
 // Plain value type — not thread-safe; sinks observe rows sequentially.
 class Schema {
  public:
-  Schema() = default;
-  // Declared up front; rows observed later must match or evolve per the
-  // policy above.
-  explicit Schema(std::vector<Column> columns) : columns_(std::move(columns)) {}
-
   // Folds one row into the schema per the evolution policy.
   void Observe(const ResultRow& row);
 
@@ -65,18 +55,6 @@ class Schema {
   size_t size() const { return columns_.size(); }
   // Index of `name`, or -1 when absent.
   int IndexOf(const std::string& name) const;
-
-  void Freeze() {
-    if (!frozen_) {
-      frozen_ = true;
-      frozen_size_ = columns_.size();
-    }
-  }
-  bool frozen() const { return frozen_; }
-  // Number of columns at Freeze() time (== size() when never frozen).
-  size_t frozen_size() const { return frozen_ ? frozen_size_ : columns_.size(); }
-  // Names of columns first seen after Freeze(), in first-seen order.
-  std::vector<std::string> late_columns() const;
 
   // Values observed with a type that neither matched their column nor was
   // absorbed by int64->double promotion.
@@ -88,8 +66,6 @@ class Schema {
 
  private:
   std::vector<Column> columns_;
-  bool frozen_ = false;
-  size_t frozen_size_ = 0;
   int64_t conflicts_ = 0;
 };
 

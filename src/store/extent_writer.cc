@@ -348,8 +348,6 @@ StoreSink::~StoreSink() {
   }
 }
 
-void StoreSink::WriteRow(const runner::ResultRow& row) { writer_->Append(row); }
-
 void StoreSink::Flush() {
   std::string error;
   if (!writer_->Flush(&error)) {

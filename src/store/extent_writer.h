@@ -98,9 +98,6 @@ class ExtentWriter {
   // `path` untouched) on any I/O failure.
   bool Finalize(std::string* error);
 
-  // Schema accumulated over every appended row (the evolution policy's
-  // authoritative copy for this file).
-  const runner::Schema& schema() const { return schema_; }
   int64_t rows_appended() const { return total_rows_; }
   int64_t extents_written() const { return total_extents_; }
 
@@ -114,6 +111,8 @@ class ExtentWriter {
   std::string tmp_path_;
   WriterOptions options_;
   std::ofstream out_;
+  // The file's typed schema, the only one on the write path: StoreSink
+  // hands rows straight to Append.
   runner::Schema schema_;
   std::vector<runner::ResultRow> buffered_;
   size_t buffered_bytes_ = 0;
@@ -139,12 +138,10 @@ class StoreSink : public runner::ResultSink {
                                          WriterOptions options = {});
   ~StoreSink() override;
 
+  void Write(const runner::ResultRow& row) override { writer_->Append(row); }
   void Flush() override;
   // Explicit finalization for callers that must observe the error.
   bool Close(std::string* error);
-
- protected:
-  void WriteRow(const runner::ResultRow& row) override;
 
  private:
   explicit StoreSink(std::unique_ptr<ExtentWriter> writer) : writer_(std::move(writer)) {}

@@ -42,7 +42,7 @@ class StoreTest : public ::testing::Test {
   }
 };
 
-void WriteRows(const std::string& path, const std::vector<ResultRow>& rows,
+void WriteStore(const std::string& path, const std::vector<ResultRow>& rows,
                WriterOptions options = {}) {
   std::string error;
   std::unique_ptr<ExtentWriter> writer = ExtentWriter::Open(path, &error, options);
@@ -98,7 +98,7 @@ TEST_F(StoreTest, RoundTripsEveryValueType) {
   rows.push_back(row);
   rows.push_back(row);  // repeated strings exercise the dictionary encoding
 
-  WriteRows(Path(), rows);
+  WriteStore(Path(), rows);
   std::vector<ResultRow> read_back;
   std::string error;
   ASSERT_TRUE(ReadAllRows(Path(), &read_back, &error)) << error;
@@ -123,7 +123,7 @@ TEST_F(StoreTest, SchemaEvolvesMidFileAcrossExtents) {
     }
     rows.push_back(std::move(row));
   }
-  WriteRows(Path(), rows, options);
+  WriteStore(Path(), rows, options);
 
   std::string error;
   std::unique_ptr<ExtentReader> reader = ExtentReader::Open(Path(), &error);
@@ -195,7 +195,7 @@ TEST_F(StoreTest, SeededRandomRowsRoundTripExactly) {
 
   WriterOptions options;
   options.extent_target_bytes = 900;
-  WriteRows(Path(), rows, options);
+  WriteStore(Path(), rows, options);
   std::vector<ResultRow> read_back;
   std::string error;
   ASSERT_TRUE(ReadAllRows(Path(), &read_back, &error)) << error;
@@ -242,7 +242,7 @@ TEST_F(StoreTest, TypeConflictedValueReadsBackAsNull) {
   b.Set("name", "r1").Set("v", 7);
   rows.push_back(a);
   rows.push_back(b);
-  WriteRows(Path(), rows);
+  WriteStore(Path(), rows);
 
   std::vector<ResultRow> read_back;
   std::string error;
@@ -254,7 +254,7 @@ TEST_F(StoreTest, TypeConflictedValueReadsBackAsNull) {
 }
 
 TEST_F(StoreTest, EmptyFileRoundTrips) {
-  WriteRows(Path(), {});
+  WriteStore(Path(), {});
   std::vector<ResultRow> read_back;
   std::string error;
   ASSERT_TRUE(ReadAllRows(Path(), &read_back, &error)) << error;
@@ -325,7 +325,7 @@ std::vector<ResultRow> CorruptionSampleRows() {
 TEST_F(StoreTest, EveryTruncationFailsCleanly) {
   WriterOptions options;
   options.extent_target_bytes = 256;  // several extents
-  WriteRows(Path(), CorruptionSampleRows(), options);
+  WriteStore(Path(), CorruptionSampleRows(), options);
   const std::string bytes = ReadFileBytes(Path());
   ASSERT_GT(bytes.size(), 100u);
 
@@ -339,7 +339,7 @@ TEST_F(StoreTest, EveryTruncationFailsCleanly) {
 }
 
 TEST_F(StoreTest, EveryBitFlipFailsCleanlyOrNotAtAll) {
-  WriteRows(Path(), CorruptionSampleRows());
+  WriteStore(Path(), CorruptionSampleRows());
   const std::string bytes = ReadFileBytes(Path());
 
   // Flipping any single bit anywhere in the file must never crash, and —
