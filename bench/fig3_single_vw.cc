@@ -6,18 +6,16 @@
 #include <cstdio>
 
 #include "core/experiment.h"
-#include "model/resnet.h"
-#include "model/vgg.h"
 #include "runner/cli.h"
 
 namespace {
 
-void RunModel(const hetpipe::hw::Cluster& cluster, const hetpipe::model::ModelGraph& graph,
+void RunModel(hetpipe::core::ModelKind model, const char* title,
               hetpipe::runner::SweepRunner& runner) {
   constexpr int kNmMax = 7;
   const char* configs[] = {"VVVV", "RRRR", "GGGG", "QQQQ", "VRGQ", "VVQQ", "RRGG"};
 
-  std::printf("\n--- %s (batch 32) ---\n", graph.name().c_str());
+  std::printf("\n--- %s (batch 32) ---\n", title);
   std::printf("%-6s %-10s", "config", "Nm=1 img/s");
   for (int nm = 1; nm <= kNmMax; ++nm) {
     std::printf("  Nm=%d", nm);
@@ -25,7 +23,7 @@ void RunModel(const hetpipe::hw::Cluster& cluster, const hetpipe::model::ModelGr
   std::printf("   | max GPU util at each Nm\n");
 
   for (const char* codes : configs) {
-    const auto points = hetpipe::core::RunFig3Config(cluster, graph, codes, kNmMax, &runner);
+    const auto points = hetpipe::core::RunFig3Config(model, codes, kNmMax, &runner);
     std::printf("%-6s %-10.0f", codes, points[0].throughput_img_s);
     for (const auto& p : points) {
       if (p.feasible) {
@@ -55,8 +53,7 @@ int main(int argc, char** argv) {
   std::printf("Fig. 3 — single virtual worker: normalized throughput vs Nm\n");
   std::printf("(normalized to the same configuration's Nm=1 throughput;\n");
   std::printf(" '-' marks Nm values whose partition exceeds GPU memory)\n");
-  const hetpipe::hw::Cluster cluster = hetpipe::hw::Cluster::Paper();
-  RunModel(cluster, hetpipe::model::BuildResNet152(), runner);
-  RunModel(cluster, hetpipe::model::BuildVgg19(), runner);
+  RunModel(hetpipe::core::ModelKind::kResNet152, "ResNet-152", runner);
+  RunModel(hetpipe::core::ModelKind::kVgg19, "VGG-19", runner);
   return 0;
 }

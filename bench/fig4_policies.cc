@@ -8,8 +8,6 @@
 
 #include "cluster/allocator.h"
 #include "core/experiment.h"
-#include "model/resnet.h"
-#include "model/vgg.h"
 #include "runner/cli.h"
 
 int main(int argc, char** argv) {
@@ -28,10 +26,10 @@ int main(int argc, char** argv) {
 
   constexpr double kJitter = 0.1;
   for (const bool vgg : {false, true}) {
-    const model::ModelGraph graph = vgg ? model::BuildVgg19() : model::BuildResNet152();
     std::printf("\nFig. 4%s — %s, D=0 (bar = images/sec; number = Nm):\n", vgg ? "b" : "a",
-                graph.name().c_str());
-    const auto rows = core::RunFig4(cluster, graph, kJitter, &sweep);
+                vgg ? "VGG-19" : "ResNet-152");
+    const auto rows = core::RunFig4(vgg ? core::ModelKind::kVgg19 : core::ModelKind::kResNet152,
+                                    kJitter, &sweep);
     for (const auto& row : rows) {
       if (!row.feasible) {
         std::printf("  %-9s  infeasible\n", row.label.c_str());

@@ -80,21 +80,6 @@ void BM_PartitionerSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_PartitionerSolve)->Arg(1)->Arg(4)->Arg(7);
 
-void BM_PartitionerSolveNoPrune(benchmark::State& state) {
-  const hw::Cluster cluster = hw::Cluster::Paper();
-  const model::ModelGraph graph = model::BuildResNet152();
-  const model::ModelProfile profile(graph, 32);
-  const partition::Partitioner partitioner(profile, cluster);
-  partition::PartitionOptions options;
-  options.nm = static_cast<int>(state.range(0));
-  options.strategy = partition::SearchStrategy::kExact;
-  options.prune = false;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(partitioner.SolveScalable({0, 4, 8, 12}, options));
-  }
-}
-BENCHMARK(BM_PartitionerSolveNoPrune)->Arg(4);
-
 void BM_PartitionerSolveParallelOrders(benchmark::State& state) {
   const hw::Cluster cluster = hw::Cluster::Paper();
   const model::ModelGraph graph = model::BuildResNet152();

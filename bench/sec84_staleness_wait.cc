@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "core/experiment.h"
-#include "model/vgg.h"
 #include "runner/cli.h"
 
 int main(int argc, char** argv) {
@@ -16,9 +15,8 @@ int main(int argc, char** argv) {
   runner::BenchArgs args = runner::BenchArgs::Parse(argc, argv);
   runner::SweepRunner sweep(args.sweep_options());
 
-  const model::ModelGraph graph = model::BuildVgg19();
-  const auto rows =
-      core::RunStalenessWaitStudy(graph, {0, 1, 4, 32}, /*jitter_cv=*/0.15, &sweep);
+  const auto rows = core::RunStalenessWaitStudy(core::ModelKind::kVgg19, {0, 1, 4, 32},
+                                                /*jitter_cv=*/0.15, &sweep);
 
   std::printf("Sec 8.4 — synchronization overhead vs clock-distance threshold D\n");
   std::printf("(VGG-19, ED-local, 4 virtual workers, task jitter cv=0.15)\n\n");

@@ -5,8 +5,6 @@
 #include <cstdio>
 
 #include "core/experiment.h"
-#include "model/resnet.h"
-#include "model/vgg.h"
 #include "runner/cli.h"
 
 int main(int argc, char** argv) {
@@ -20,10 +18,10 @@ int main(int argc, char** argv) {
 
   constexpr double kJitter = 0.1;
   for (const bool vgg : {true, false}) {
-    const model::ModelGraph graph = vgg ? model::BuildVgg19() : model::BuildResNet152();
-    std::printf("\n%s:\n  %-18s %12s %16s\n", graph.name().c_str(), "cluster", "Horovod",
-                "HetPipe");
-    const auto cells = core::RunTable4(graph, kJitter, &sweep);
+    std::printf("\n%s:\n  %-18s %12s %16s\n", vgg ? "VGG-19" : "ResNet-152", "cluster",
+                "Horovod", "HetPipe");
+    const auto cells = core::RunTable4(vgg ? core::ModelKind::kVgg19 : core::ModelKind::kResNet152,
+                                       kJitter, &sweep);
     double first_hetpipe = 0.0;
     double last_hetpipe = 0.0;
     for (const auto& cell : cells) {

@@ -23,6 +23,10 @@ constexpr struct {
     {"bert-large", [] { return model::BuildBertLarge(); }},
 };
 
+hw::Cluster BuildCluster(bool from_spec, const std::string& text) {
+  return from_spec ? hw::ClusterSpec::Parse(text).Build() : hw::Cluster::PaperSubset(text);
+}
+
 }  // namespace
 
 const char* ModelName(ModelKind kind) { return kModels[static_cast<size_t>(kind)].name.data(); }
@@ -42,10 +46,6 @@ ModelKind ParseModelKind(std::string_view name) {
 size_t ContextKeyHash::operator()(const ContextKey& key) const {
   const size_t h = std::hash<std::string_view>()(key.cluster) * 31 + static_cast<size_t>(key.model);
   return h * 31 + static_cast<size_t>(key.batch_size) * 2 + (key.from_spec ? 1 : 0);
-}
-
-hw::Cluster BuildCluster(bool from_spec, const std::string& text) {
-  return from_spec ? hw::ClusterSpec::Parse(text).Build() : hw::Cluster::PaperSubset(text);
 }
 
 Context::Context(const ContextKey& source)

@@ -40,10 +40,6 @@ struct ContextKeyHash {
   size_t operator()(const ContextKey& key) const;
 };
 
-// The cluster `text` describes: hw::ClusterSpec text when `from_spec`, else
-// paper node codes (hw::Cluster::PaperSubset). Throws on bad text.
-hw::Cluster BuildCluster(bool from_spec, const std::string& text);
-
 // Everything a partition depends on besides the virtual worker and the
 // per-call options: the built cluster, the model graph, its profile at one
 // batch size, and a partitioner over both. Members reference each other by
@@ -52,8 +48,9 @@ hw::Cluster BuildCluster(bool from_spec, const std::string& text);
 // Shared only as const, hence safe across threads;
 // runner::PartitionCache::GetContext memoises the keyed form.
 struct Context {
-  // Builds the cluster from the key's text and the model from its kind.
-  // Throws what BuildCluster throws on bad cluster text.
+  // Builds the cluster from the key's text (hw::ClusterSpec text, or paper
+  // node codes for hw::Cluster::PaperSubset) and the model from its kind.
+  // Throws std::invalid_argument on bad cluster text.
   explicit Context(const ContextKey& source);
   // Over copies of a caller's cluster and graph (a generic model no
   // ModelKind names, or a cluster built in code). Such a context has no

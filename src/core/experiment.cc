@@ -7,10 +7,9 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "pipeline/virtual_worker.h"
 #include "runner/partition_cache.h"
 #include "runner/sweep_runner.h"
-#include "sim/simulator.h"
+#include "wsp/sync_policy.h"
 
 namespace hetpipe::core {
 namespace {
@@ -54,6 +53,21 @@ void PickByType(const hw::Cluster& cluster, hw::GpuType type, int count, int nod
   }
 }
 
+// The class named `name` when `cluster` has GPUs of it, else null: names
+// resolve inside the cluster, whatever other classes the process registered.
+const hw::GpuSpec* ClusterClassNamed(const hw::Cluster& cluster, const std::string& name) {
+  const hw::GpuSpec* spec = hw::FindGpuTypeByName(name);
+  if (spec == nullptr) {
+    return nullptr;
+  }
+  for (const hw::Gpu& gpu : cluster.gpus()) {
+    if (gpu.type == spec->type) {
+      return spec;
+    }
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 std::vector<int> PickGpusByCode(const hw::Cluster& cluster, const std::string& codes) {
@@ -68,10 +82,10 @@ std::vector<int> PickGpusByCode(const hw::Cluster& cluster, const std::string& c
 
 std::vector<int> PickGpus(const hw::Cluster& cluster, const std::string& selector) {
   const bool term_form = selector.find_first_of(",*@") != std::string::npos;
-  if (!term_form && hw::FindGpuTypeByName(selector) == nullptr) {
+  if (!term_form && ClusterClassNamed(cluster, selector) == nullptr) {
     // A code string ("VVQQ") when every character is a known code letter and
-    // the selector is not itself a class name (names win, so a class called
-    // "GQ" is never shadowed by the G/Q code letters).
+    // the selector does not name a class of the cluster (names win, so a
+    // class called "GQ" is never shadowed by the G/Q code letters).
     const bool all_codes = !selector.empty() &&
                            std::all_of(selector.begin(), selector.end(), [](char c) {
                              try {
@@ -108,7 +122,7 @@ std::vector<int> PickGpus(const hw::Cluster& cluster, const std::string& selecto
       count = ParseSelectorInt(term.substr(star + 1), "count in \"" + term + "\"");
       term.resize(star);
     }
-    const hw::GpuSpec* spec = hw::FindGpuTypeByName(term);
+    const hw::GpuSpec* spec = ClusterClassNamed(cluster, term);
     const hw::GpuType type = spec != nullptr
                                  ? spec->type
                                  : (term.size() == 1 ? hw::TypeFromCode(term[0])
@@ -155,64 +169,6 @@ const char* KindName(ExperimentKind kind) {
   return "unknown";
 }
 
-std::string NodeCodesOf(const hw::Cluster& cluster) {
-  std::string codes;
-  for (int n = 0; n < cluster.num_nodes(); ++n) {
-    codes.push_back(hw::CodeOf(cluster.NodeType(n)));
-  }
-  return codes;
-}
-
-Experiment& Experiment::UseGraph(const model::ModelGraph& model_graph) {
-  graph = &model_graph;
-  model_name = model_graph.name();
-  return *this;
-}
-
-Experiment& Experiment::UseCluster(const hw::Cluster& cluster) {
-  if (!cluster.spec_text().empty()) {
-    cluster_spec = cluster.spec_text();
-    cluster_label = cluster.name().empty() ? "spec" : cluster.name();
-    return *this;
-  }
-  // Without spec text the cluster can only be carried as paper node codes,
-  // which RunExperiment rebuilds via PaperSubset (4 homogeneous GPUs per
-  // node, default links). Refuse anything that reduction would silently
-  // misrepresent — mixed-class nodes, and non-default link models, which two
-  // transfer-time probes per link fully detect (the models are affine in the
-  // byte count, so probes at two distinct non-zero sizes pin down both the
-  // latency/intercept and the slope; a 0-byte probe would miss latency
-  // because TransferTime(0) is 0 by definition).
-  const hw::PcieLink default_pcie;
-  const hw::InfinibandLink default_ib;
-  const bool default_links =
-      cluster.pcie().TransferTime(1) == default_pcie.TransferTime(1) &&
-      cluster.pcie().TransferTime(1ULL << 20) == default_pcie.TransferTime(1ULL << 20) &&
-      cluster.infiniband().TransferTime(1) == default_ib.TransferTime(1) &&
-      cluster.infiniband().TransferTime(1ULL << 20) == default_ib.TransferTime(1ULL << 20);
-  bool paper_nodes = true;
-  for (int n = 0; n < cluster.num_nodes(); ++n) {
-    paper_nodes = paper_nodes && static_cast<int>(cluster.NodeType(n)) < hw::kNumGpuTypes &&
-                  cluster.NodeGpuCount(n) == 4 && cluster.NodeHomogeneous(n);
-  }
-  // A rack topology or per-pair override cannot be expressed as node codes
-  // either; PaperSubset always rebuilds a uniform, rack-free fabric. Racks
-  // matter even with uniform links: the traffic accounting reads them.
-  if (!paper_nodes || !default_links || !cluster.UniformFabric() ||
-      cluster.NodeRack(0) >= 0) {
-    throw std::invalid_argument(
-        "UseCluster: non-paper clusters must be built from a hw::ClusterSpec "
-        "(spec_text is empty, so this cluster cannot be rebuilt faithfully)");
-  }
-  cluster_nodes = NodeCodesOf(cluster);
-  cluster_label.clear();
-  return *this;
-}
-
-std::string Experiment::ModelLabel() const {
-  return model_name.empty() ? ModelName(model) : model_name;
-}
-
 std::string Experiment::ClusterLabel() const {
   if (!cluster_label.empty()) {
     return cluster_label;
@@ -222,7 +178,7 @@ std::string Experiment::ClusterLabel() const {
 
 std::string Experiment::Describe() const {
   std::ostringstream os;
-  os << KindName(kind) << " " << ModelLabel() << " " << ClusterLabel();
+  os << KindName(kind) << " " << ModelName(model) << " " << ClusterLabel();
   if (!vw_codes.empty()) {
     os << " vw=" << vw_codes;
   }
@@ -254,20 +210,48 @@ HetPipeConfig EdLocalConfig(int d, double jitter_cv) {
 
 namespace {
 
+// The min-max partition of the virtual worker `gpu_ids` at `nm`, through the
+// experiment's partition cache when it has one.
+partition::Partition SolveVirtualWorker(const Experiment& experiment, const Context& context,
+                                        const std::vector<int>& gpu_ids, int nm) {
+  partition::PartitionOptions options;
+  options.nm = nm;
+  options.mem_params = experiment.config.mem_params;
+  options.pool = experiment.config.pool;
+  return experiment.config.partition_cache != nullptr
+             ? experiment.config.partition_cache->Solve(context.partitioner, gpu_ids, options)
+             : context.partitioner.SolveScalable(gpu_ids, options);
+}
+
+// Fig. 3: one virtual worker at a fixed nm, no global gate.
+HetPipeReport RunSingleVirtualWorker(const Experiment& experiment, const Context& context) {
+  const std::vector<int> gpu_ids = PickGpus(context.cluster, experiment.vw_codes);
+  const int nm = std::max(1, experiment.config.nm);
+  HetPipeReport report;
+  const partition::Partition partition = SolveVirtualWorker(experiment, context, gpu_ids, nm);
+  if (!partition.feasible) {
+    report.infeasible_reason = "partition infeasible at Nm=" + std::to_string(nm);
+    return report;
+  }
+  VwReport vw = SimulateOpenGate(partition, nm, experiment.config);
+  vw.gpu_ids = gpu_ids;
+  vw.max_nm = nm;
+  report.feasible = true;
+  report.nm = nm;
+  report.s_local = wsp::LocalStaleness(nm);
+  report.s_global = -1;
+  report.throughput_img_s = vw.throughput_img_s;
+  report.vws.push_back(std::move(vw));
+  return report;
+}
+
 ExperimentResult RunPartitionOnly(const Experiment& experiment, const Context& context) {
   ExperimentResult result;
   const std::vector<int> gpu_ids = PickGpus(context.cluster, experiment.vw_codes);
   const int nm = std::max(1, experiment.config.nm);
 
   if (experiment.strategy == PartitionStrategy::kMinMaxDp) {
-    partition::PartitionOptions options;
-    options.nm = nm;
-    options.mem_params = experiment.config.mem_params;
-    options.pool = experiment.config.pool;
-    result.partition =
-        experiment.config.partition_cache != nullptr
-            ? experiment.config.partition_cache->Solve(context.partitioner, gpu_ids, options)
-            : context.partitioner.SolveScalable(gpu_ids, options);
+    result.partition = SolveVirtualWorker(experiment, context, gpu_ids, nm);
   } else {
     const partition::NaiveSplit kind = experiment.strategy == PartitionStrategy::kEqualLayers
                                            ? partition::NaiveSplit::kEqualLayers
@@ -282,34 +266,17 @@ ExperimentResult RunPartitionOnly(const Experiment& experiment, const Context& c
   // The ablations simulate naive splits even when they blow the memory cap;
   // `partition.feasible` still records whether every stage fits.
   if (experiment.simulate && result.feasible) {
-    sim::Simulator simulator;
-    pipeline::OpenGate gate;
-    pipeline::VirtualWorkerOptions options;
-    options.nm = nm;
-    options.jitter_cv = experiment.config.jitter_cv;
-    options.seed = experiment.config.seed;
-    options.max_minibatches = experiment.config.waves * nm;
-    pipeline::VirtualWorkerSim vw(0, simulator, result.partition, gate, options);
-    vw.Start();
-    simulator.Run();
     result.throughput_img_s =
-        SteadyStateThroughput(vw.completion_times(), experiment.config.warmup_waves * nm,
-                              experiment.config.batch_size);
+        SimulateOpenGate(result.partition, nm, experiment.config).throughput_img_s;
   }
   return result;
 }
 
-// The experiment's context: memoised in its partition cache when the model
-// is named by kind, else built for this run alone.
+// The experiment's context: memoised in its partition cache when it has one.
 std::shared_ptr<const Context> ContextFor(const Experiment& experiment) {
   const bool from_spec = !experiment.cluster_spec.empty();
-  const std::string& cluster = from_spec ? experiment.cluster_spec : experiment.cluster_nodes;
-  const int batch_size = experiment.config.batch_size;
-  if (experiment.graph != nullptr) {
-    return std::make_shared<const Context>(BuildCluster(from_spec, cluster), *experiment.graph,
-                                           batch_size);
-  }
-  const ContextKey key{from_spec, cluster, experiment.model, batch_size};
+  const ContextKey key{from_spec, from_spec ? experiment.cluster_spec : experiment.cluster_nodes,
+                       experiment.model, experiment.config.batch_size};
   return experiment.config.partition_cache != nullptr
              ? experiment.config.partition_cache->GetContext(key)
              : std::make_shared<const Context>(key);
@@ -329,9 +296,7 @@ ExperimentResult RunExperiment(const Experiment& experiment) {
       break;
     }
     case ExperimentKind::kSingleVirtualWorker: {
-      const std::vector<int> gpu_ids = PickGpus(context->cluster, experiment.vw_codes);
-      const int nm = std::max(1, experiment.config.nm);
-      result.report = HetPipe::RunSingleVirtualWorker(*context, gpu_ids, nm, experiment.config);
+      result.report = RunSingleVirtualWorker(experiment, *context);
       result.feasible = result.report.feasible;
       result.throughput_img_s = result.report.throughput_img_s;
       if (result.feasible && !result.report.vws.empty()) {
@@ -380,14 +345,13 @@ std::vector<ExperimentResult> RunOn(runner::SweepRunner* runner,
 
 }  // namespace
 
-std::vector<Fig3Point> RunFig3Config(const hw::Cluster& cluster, const model::ModelGraph& graph,
-                                     const std::string& codes, int nm_max,
+std::vector<Fig3Point> RunFig3Config(ModelKind model, const std::string& codes, int nm_max,
                                      runner::SweepRunner* runner) {
   std::vector<Experiment> experiments;
   for (int nm = 1; nm <= nm_max; ++nm) {
     Experiment e;
     e.kind = ExperimentKind::kSingleVirtualWorker;
-    e.UseGraph(graph).UseCluster(cluster);
+    e.model = model;
     e.vw_codes = codes;
     e.config.nm = nm;
     e.config.waves = 40;
@@ -417,8 +381,7 @@ std::vector<Fig3Point> RunFig3Config(const hw::Cluster& cluster, const model::Mo
   return points;
 }
 
-std::vector<Fig4Row> RunFig4(const hw::Cluster& cluster, const model::ModelGraph& graph,
-                             double jitter_cv, runner::SweepRunner* runner) {
+std::vector<Fig4Row> RunFig4(ModelKind model, double jitter_cv, runner::SweepRunner* runner) {
   struct PolicyRow {
     const char* label;
     cluster::AllocationPolicy allocation;
@@ -436,14 +399,14 @@ std::vector<Fig4Row> RunFig4(const hw::Cluster& cluster, const model::ModelGraph
     Experiment e;
     e.name = "Horovod";
     e.kind = ExperimentKind::kHorovod;
-    e.UseGraph(graph).UseCluster(cluster);
+    e.model = model;
     experiments.push_back(std::move(e));
   }
   for (const PolicyRow& policy : kPolicies) {
     Experiment e;
     e.name = policy.label;
     e.kind = ExperimentKind::kFullCluster;
-    e.UseGraph(graph).UseCluster(cluster);
+    e.model = model;
     e.config.allocation = policy.allocation;
     e.config.placement = policy.placement;
     e.config.sync = wsp::SyncPolicy::Wsp(0);
@@ -465,14 +428,16 @@ std::vector<Fig4Row> RunFig4(const hw::Cluster& cluster, const model::ModelGraph
     } else if (r.feasible) {
       row.nm = r.report.nm;
       row.throughput_img_s = r.throughput_img_s;
-      row.gpus_used = cluster.num_gpus();
+      for (const VwReport& vw : r.report.vws) {
+        row.gpus_used += static_cast<int>(vw.gpu_ids.size());
+      }
     }
     rows.push_back(row);
   }
   return rows;
 }
 
-std::vector<Table4Cell> RunTable4(const model::ModelGraph& graph, double jitter_cv,
+std::vector<Table4Cell> RunTable4(ModelKind model, double jitter_cv,
                                   runner::SweepRunner* runner) {
   const struct {
     const char* nodes;
@@ -488,13 +453,13 @@ std::vector<Table4Cell> RunTable4(const model::ModelGraph& graph, double jitter_
   for (const auto& subset : kSubsets) {
     Experiment horovod;
     horovod.kind = ExperimentKind::kHorovod;
-    horovod.UseGraph(graph);
+    horovod.model = model;
     horovod.cluster_nodes = subset.nodes;
     experiments.push_back(std::move(horovod));
 
     Experiment hetpipe;
     hetpipe.kind = ExperimentKind::kFullCluster;
-    hetpipe.UseGraph(graph);
+    hetpipe.model = model;
     hetpipe.cluster_nodes = subset.nodes;
     // A single node forms one virtual worker (the paper's V4 case); multiple
     // nodes use ED with local parameter placement.
@@ -625,16 +590,14 @@ std::vector<ConvergenceSeries> RunFig6(double jitter_cv, double target_accuracy,
   return out;
 }
 
-std::vector<StalenessWaitRow> RunStalenessWaitStudy(const model::ModelGraph& graph,
+std::vector<StalenessWaitRow> RunStalenessWaitStudy(ModelKind model,
                                                     const std::vector<int>& d_values,
                                                     double jitter_cv,
                                                     runner::SweepRunner* runner) {
   std::vector<Experiment> experiments;
   for (int d : d_values) {
-    Experiment e = EdLocalExperiment("D=" + std::to_string(d), ModelKind::kResNet152, "VRGQ",
-                                     d, jitter_cv);
-    e.UseGraph(graph);
-    experiments.push_back(std::move(e));
+    experiments.push_back(
+        EdLocalExperiment("D=" + std::to_string(d), model, "VRGQ", d, jitter_cv));
   }
   const std::vector<ExperimentResult> results = RunOn(runner, experiments);
 

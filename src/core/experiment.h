@@ -10,7 +10,6 @@
 #include "dp/horovod.h"
 #include "dp/ps_baselines.h"
 #include "hw/cluster.h"
-#include "model/model_graph.h"
 
 namespace hetpipe::runner {
 class SweepRunner;
@@ -27,7 +26,8 @@ std::vector<int> PickGpusByCode(const hw::Cluster& cluster, const std::string& c
 // string as above ("VVQQ"), or a comma-separated list of terms
 //   <class-name>[*<count>][@<node>]
 // e.g. "A100*2,T4" or "A100*2@0,A100*2@1". Each term picks `count` unused
-// GPUs of that class (from node `node` when given), in GPU-id order. Throws
+// GPUs of that class (from node `node` when given), in GPU-id order. Class
+// names resolve among the cluster's own classes only. Throws
 // std::invalid_argument when the cluster cannot satisfy the selector.
 std::vector<int> PickGpus(const hw::Cluster& cluster, const std::string& selector);
 
@@ -58,13 +58,6 @@ struct Experiment {
   std::string name;  // row label, defaults to an auto-generated description
   ExperimentKind kind = ExperimentKind::kFullCluster;
   ModelKind model = ModelKind::kResNet152;
-  // Model to run when not null: a caller-owned graph (e.g. a generic model no
-  // ModelKind names) shared read-only across sweep threads. `model` is
-  // ignored in that case and `model_name` labels the rows. A graph has no
-  // value key, so each such run builds its own core::Context.
-  const model::ModelGraph* graph = nullptr;
-  // Row label for the model; empty means ModelName(model).
-  std::string model_name;
   // Paper-testbed node codes handed to hw::Cluster::PaperSubset ("VRGQ" is
   // the full 16-GPU cluster of Fig. 2). Ignored when cluster_spec is set.
   std::string cluster_nodes = "VRGQ";
@@ -87,15 +80,7 @@ struct Experiment {
   // kPsDataParallel flavor.
   dp::PsDpOptions ps;
 
-  // Runs on `graph` (kept by pointer, not copied) and labels the rows with
-  // its name. This is how experiments carry generic models.
-  Experiment& UseGraph(const model::ModelGraph& model_graph);
-  // Runs on `cluster`: carries its spec text when it has one (any spec-built
-  // cluster), else its paper node codes.
-  Experiment& UseCluster(const hw::Cluster& cluster);
-
-  // Labels for reports: never throw, even for generic models / spec clusters.
-  std::string ModelLabel() const;
+  // Row label for the cluster: never throws, even for spec clusters.
   std::string ClusterLabel() const;
 
   std::string Describe() const;
@@ -115,10 +100,10 @@ struct ExperimentResult {
 
 // Runs one experiment synchronously on the calling thread. Deterministic:
 // the same Experiment always produces the same result, with or without a
-// partition cache in its config. With a cache, an experiment that names its
-// model by kind takes its core::Context from the cache's memo, so a sweep
-// builds one per distinct (cluster, model, batch). This is the unit of work
-// SweepRunner schedules.
+// partition cache in its config. With a cache, the experiment takes its
+// core::Context from the cache's memo, so a sweep builds one per distinct
+// (cluster, model, batch); without one it builds its own. This is the unit
+// of work SweepRunner schedules.
 ExperimentResult RunExperiment(const Experiment& experiment);
 
 // ---- Fig. 3: single-virtual-worker throughput and utilization vs Nm. ----
@@ -129,8 +114,9 @@ struct Fig3Point {
   double normalized = 0.0;  // vs the Nm=1 throughput of the same config
   double max_utilization = 0.0;
 };
-std::vector<Fig3Point> RunFig3Config(const hw::Cluster& cluster, const model::ModelGraph& graph,
-                                     const std::string& codes, int nm_max,
+// One point per Nm in [1, nm_max] for the virtual worker `codes` picks from
+// the paper testbed.
+std::vector<Fig3Point> RunFig3Config(ModelKind model, const std::string& codes, int nm_max,
                                      runner::SweepRunner* runner = nullptr);
 
 // ---- Fig. 4: whole-cluster throughput under the allocation policies. ----
@@ -141,8 +127,9 @@ struct Fig4Row {
   int gpus_used = 0;
   double throughput_img_s = 0.0;
 };
-std::vector<Fig4Row> RunFig4(const hw::Cluster& cluster, const model::ModelGraph& graph,
-                             double jitter_cv, runner::SweepRunner* runner = nullptr);
+// Horovod and the four policies on the paper testbed.
+std::vector<Fig4Row> RunFig4(ModelKind model, double jitter_cv,
+                             runner::SweepRunner* runner = nullptr);
 
 // ---- Table 4: adding whimpy GPUs (4[V], 8[VR], 12[VRQ], 16[VRQG]). ----
 struct Table4Cell {
@@ -153,7 +140,7 @@ struct Table4Cell {
   double hetpipe_img_s = 0.0;
   int total_concurrent_minibatches = 0;  // N_vw * Nm, shown in parentheses
 };
-std::vector<Table4Cell> RunTable4(const model::ModelGraph& graph, double jitter_cv,
+std::vector<Table4Cell> RunTable4(ModelKind model, double jitter_cv,
                                   runner::SweepRunner* runner = nullptr);
 
 // ---- Figs. 5/6: accuracy-vs-time convergence curves. ----
@@ -183,7 +170,8 @@ struct StalenessWaitRow {
   double avg_clock_distance = 0.0;
   double avg_global_lag_waves = 0.0;
 };
-std::vector<StalenessWaitRow> RunStalenessWaitStudy(const model::ModelGraph& graph,
+// ED-local on the paper testbed at each D in `d_values`.
+std::vector<StalenessWaitRow> RunStalenessWaitStudy(ModelKind model,
                                                     const std::vector<int>& d_values,
                                                     double jitter_cv,
                                                     runner::SweepRunner* runner = nullptr);
@@ -192,9 +180,5 @@ std::vector<StalenessWaitRow> RunStalenessWaitStudy(const model::ModelGraph& gra
 // (correlated slowdowns accompany the iid jitter: they are what the
 // clock-distance threshold D absorbs).
 HetPipeConfig EdLocalConfig(int d, double jitter_cv);
-
-// Node codes of a paper-testbed cluster ("VRGQ" for the full testbed), the
-// inverse of hw::Cluster::PaperSubset.
-std::string NodeCodesOf(const hw::Cluster& cluster);
 
 }  // namespace hetpipe::core

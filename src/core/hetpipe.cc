@@ -26,10 +26,6 @@ double SteadyStateThroughput(const std::vector<sim::SimTime>& completion_times, 
 
 namespace {
 
-double MeasureThroughput(const pipeline::VirtualWorkerSim& vw, int64_t warmup, int batch) {
-  return SteadyStateThroughput(vw.completion_times(), warmup, batch);
-}
-
 void CheckBatch(const Context& context, const HetPipeConfig& config) {
   if (context.profile.batch_size() != config.batch_size) {
     throw std::invalid_argument("HetPipe: context profiled at batch " +
@@ -38,7 +34,41 @@ void CheckBatch(const Context& context, const HetPipeConfig& config) {
   }
 }
 
+// The report of a finished simulation of `vw`: steady-state throughput and
+// max stage utilization after its first `warmup_waves` waves, up to `end`,
+// and its gate waits. gpu_ids and max_nm are the caller's to fill.
+VwReport ReportVirtualWorker(const pipeline::VirtualWorkerSim& vw, int warmup_waves,
+                             int batch_size, sim::SimTime end) {
+  const std::vector<sim::SimTime>& completions = vw.completion_times();
+  const int64_t warmup = static_cast<int64_t>(warmup_waves) * vw.nm();
+  VwReport report;
+  report.partition = vw.partition();
+  report.throughput_img_s = SteadyStateThroughput(completions, warmup, batch_size);
+  const sim::SimTime warm_time =
+      completions.size() > static_cast<size_t>(warmup) ? completions[static_cast<size_t>(warmup)]
+                                                       : 0.0;
+  report.max_stage_utilization = vw.MaxStageUtilization(warm_time, end);
+  report.wait_s = vw.total_wait_s();
+  report.idle_during_wait_s = vw.IdleDuringWait();
+  return report;
+}
+
 }  // namespace
+
+VwReport SimulateOpenGate(const partition::Partition& partition, int nm,
+                          const HetPipeConfig& config) {
+  sim::Simulator simulator;
+  pipeline::OpenGate gate;
+  pipeline::VirtualWorkerOptions options;
+  options.nm = nm;
+  options.jitter_cv = config.jitter_cv;
+  options.seed = config.seed;
+  options.max_minibatches = config.waves * nm;
+  pipeline::VirtualWorkerSim vw(0, simulator, partition, gate, options);
+  vw.Start();
+  simulator.Run();
+  return ReportVirtualWorker(vw, config.warmup_waves, config.batch_size, simulator.now());
+}
 
 double HetPipeReport::AvgMissingUpdates() const {
   const double n = static_cast<double>(vws.size());
@@ -187,23 +217,12 @@ HetPipeReport HetPipe::Run() const {
                         ? wsp::GlobalStaleness(common_nm, config_.sync.d)
                         : -1;
 
-  const int64_t warmup = config_.warmup_waves * common_nm;
-  const sim::SimTime end = simulator.now();
   double total_idle = 0.0;
   for (int v = 0; v < alloc.num_vws(); ++v) {
-    const auto& vw = *vws[static_cast<size_t>(v)];
-    VwReport vr;
+    VwReport vr = ReportVirtualWorker(*vws[static_cast<size_t>(v)], config_.warmup_waves,
+                                      config_.batch_size, simulator.now());
     vr.gpu_ids = alloc.vw_gpus[static_cast<size_t>(v)];
-    vr.partition = partitions[static_cast<size_t>(v)];
     vr.max_nm = max_nms[static_cast<size_t>(v)];
-    vr.throughput_img_s = MeasureThroughput(vw, warmup, config_.batch_size);
-    const sim::SimTime warm_time =
-        vw.completion_times().size() > static_cast<size_t>(warmup)
-            ? vw.completion_times()[static_cast<size_t>(warmup)]
-            : 0.0;
-    vr.max_stage_utilization = vw.MaxStageUtilization(warm_time, end);
-    vr.wait_s = vw.total_wait_s();
-    vr.idle_during_wait_s = vw.IdleDuringWait();
     report.throughput_img_s += vr.throughput_img_s;
     report.total_wait_s += vr.wait_s;
     total_idle += vr.idle_during_wait_s;
@@ -213,56 +232,6 @@ HetPipeReport HetPipe::Run() const {
       report.total_wait_s > 0.0 ? total_idle / report.total_wait_s : 0.0;
   report.avg_clock_distance = coordinator.clock_distance().mean();
   report.avg_global_lag_waves = coordinator.observed_lag_waves().mean();
-  return report;
-}
-
-HetPipeReport HetPipe::RunSingleVirtualWorker(const Context& context,
-                                              const std::vector<int>& gpu_ids, int nm,
-                                              const HetPipeConfig& config) {
-  CheckBatch(context, config);
-  HetPipeReport report;
-  const partition::Partitioner& partitioner = context.partitioner;
-
-  partition::PartitionOptions popt;
-  popt.nm = nm;
-  popt.mem_params = config.mem_params;
-  popt.pool = config.pool;
-  const partition::Partition partition =
-      config.partition_cache != nullptr ? config.partition_cache->Solve(partitioner, gpu_ids, popt)
-                                        : partitioner.SolveScalable(gpu_ids, popt);
-  if (!partition.feasible) {
-    report.infeasible_reason = "partition infeasible at Nm=" + std::to_string(nm);
-    return report;
-  }
-
-  sim::Simulator simulator;
-  pipeline::OpenGate gate;
-  pipeline::VirtualWorkerOptions vopt;
-  vopt.nm = nm;
-  vopt.jitter_cv = config.jitter_cv;
-  vopt.seed = config.seed;
-  vopt.max_minibatches = config.waves * nm;
-  pipeline::VirtualWorkerSim vw(0, simulator, partition, gate, vopt);
-  vw.Start();
-  simulator.Run();
-
-  report.feasible = true;
-  report.nm = nm;
-  report.s_local = wsp::LocalStaleness(nm);
-  report.s_global = -1;
-
-  const int64_t warmup = config.warmup_waves * nm;
-  VwReport vr;
-  vr.gpu_ids = gpu_ids;
-  vr.partition = partition;
-  vr.max_nm = nm;
-  vr.throughput_img_s = MeasureThroughput(vw, warmup, config.batch_size);
-  const sim::SimTime warm_time = vw.completion_times().size() > static_cast<size_t>(warmup)
-                                     ? vw.completion_times()[static_cast<size_t>(warmup)]
-                                     : 0.0;
-  vr.max_stage_utilization = vw.MaxStageUtilization(warm_time, simulator.now());
-  report.throughput_img_s = vr.throughput_img_s;
-  report.vws.push_back(std::move(vr));
   return report;
 }
 

@@ -32,6 +32,12 @@ struct VwReport {
   double idle_during_wait_s = 0.0;
 };
 
+// Simulates one virtual worker over `partition` on a pipeline::OpenGate (no
+// global staleness gate): `nm` minibatches in flight for config.waves waves,
+// with config's jitter and seed. The Fig. 3 and partition-only experiments.
+VwReport SimulateOpenGate(const partition::Partition& partition, int nm,
+                          const HetPipeConfig& config);
+
 // Results of a full HetPipe run.
 struct HetPipeReport {
   bool feasible = false;
@@ -69,12 +75,6 @@ class HetPipe {
 
   // End-to-end run (Fig. 4 / Table 4 style experiments).
   HetPipeReport Run() const;
-
-  // Runs a single virtual worker made of `gpu_ids` with a fixed nm and no
-  // global gating — the Fig. 3 experiment. Throws like the constructor.
-  static HetPipeReport RunSingleVirtualWorker(const Context& context,
-                                              const std::vector<int>& gpu_ids, int nm,
-                                              const HetPipeConfig& config);
 
   const HetPipeConfig& config() const { return config_; }
 

@@ -102,16 +102,14 @@ bool IsBuiltinCodeLetter(const std::string& type) {
          (type == "V" || type == "R" || type == "G" || type == "Q");
 }
 
-// Resolves a node's type string against the spec's declared classes, then the
-// global registry by name, then the built-in code letters.
+// Resolves a node's type string against the spec's own declared classes,
+// then the built-in code letters. Classes other specs registered in this
+// process are not visible: a spec means the same wherever it is parsed.
 GpuType ResolveType(const ClusterSpec& spec, const std::string& type) {
   for (const GpuClassDecl& decl : spec.gpu_classes) {
     if (decl.name == type) {
       return RegisterGpuType(decl.name, decl.tflops, decl.memory_gib, decl.code);
     }
-  }
-  if (const GpuSpec* known = FindGpuTypeByName(type)) {
-    return known->type;
   }
   if (IsBuiltinCodeLetter(type)) {
     return TypeFromCode(type[0]);
@@ -628,6 +626,12 @@ void ClusterSpec::Validate() const {
   if (name.find_first_of(" \t\n;#") != std::string::npos) {
     Fail("name \"" + name + "\" must not contain whitespace, ';', or '#'", "");
   }
+  // Before the quadratic duplicate-name check below (see kMaxGpuClasses).
+  if (gpu_classes.size() > static_cast<size_t>(kMaxGpuClasses)) {
+    Fail(std::to_string(gpu_classes.size()) + " GPU classes exceed the limit of " +
+             std::to_string(kMaxGpuClasses),
+         "");
+  }
   for (size_t i = 0; i < gpu_classes.size(); ++i) {
     const GpuClassDecl& decl = gpu_classes[i];
     // NaN passes a naive `<= 0` check and would silently poison every
@@ -680,8 +684,7 @@ void ClusterSpec::Validate() const {
       for (const GpuClassDecl& decl : gpu_classes) {
         declared = declared || decl.name == group.type;
       }
-      if (!declared && FindGpuTypeByName(group.type) == nullptr &&
-          !IsBuiltinCodeLetter(group.type)) {
+      if (!declared && !IsBuiltinCodeLetter(group.type)) {
         Fail("unknown GPU type \"" + group.type + "\"", "");
       }
     }

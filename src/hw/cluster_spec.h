@@ -23,8 +23,7 @@ struct GpuClassDecl {
 };
 
 // One homogeneous run of a node declaration: `count` GPUs of class `type` (a
-// declared class name, a built-in class name, or a single built-in code
-// letter V/R/G/Q).
+// class the same spec declares, or a single built-in code letter V/R/G/Q).
 struct NodeGroup {
   std::string type;
   int count = 1;
@@ -108,9 +107,14 @@ struct ClusterSpec {
   // Size bounds Validate enforces. Specs arrive from remote clients, and
   // Build() allocates per GPU and per node pair, so larger specs are
   // rejected before anything is built. The largest cluster in this repo
-  // (partitioner_speed's g1024-16rack) has 128 nodes and 1024 GPUs.
+  // (partitioner_speed's g1024-16rack) has 128 nodes and 1024 GPUs. Every
+  // class a spec builds stays registered for the process, and each model
+  // profile builds tables over all registered classes, so one spec may
+  // declare at most kMaxGpuClasses (no spec in this repo declares more than
+  // four).
   static constexpr int kMaxNodes = 1024;
   static constexpr int64_t kMaxGpus = 16384;
+  static constexpr int kMaxGpuClasses = 64;
 
   std::string name;
   std::vector<GpuClassDecl> gpu_classes;
@@ -175,8 +179,10 @@ struct ClusterSpec {
   // Canonical text form (see above); Parse(ToString()) == *this.
   std::string ToString() const;
 
-  // Throws std::invalid_argument on an unknown GPU type, a zero-GPU node or
-  // node group, more than kMaxNodes nodes or kMaxGpus GPUs, an out-of-range
+  // Throws std::invalid_argument on an unknown GPU type (a node may name
+  // only the spec's own gpu declarations and the letters V/R/G/Q), a
+  // zero-GPU node or node group, more than kMaxNodes nodes, kMaxGpus GPUs or
+  // kMaxGpuClasses declared classes, an out-of-range
   // link knob, a non-positive TFLOPS/memory, duplicate class names, an empty
   // node list, a rack naming an out-of-range or twice-racked node, a
   // cross-rack knob without racks, or a malformed link override (self pair,

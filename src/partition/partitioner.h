@@ -78,11 +78,6 @@ struct PartitionOptions {
   // care because memory demand falls toward the back of the pipeline while
   // the first stage needs the most.
   bool search_gpu_orders = true;
-  // Branch-and-bound across the order search: abandon a GPU order once its
-  // partial bottleneck strictly exceeds the best complete solution found so
-  // far. Only strictly-worse states are cut, so the solution (including
-  // sum-time tie-breaks) is identical with pruning on or off.
-  bool prune = true;
   // When set, the GPU-order enumeration is solved in parallel on this pool;
   // results are reduced in enumeration order, so the answer is byte-identical
   // to the serial search. Nested calls from inside a pool task degrade to

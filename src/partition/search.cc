@@ -193,11 +193,11 @@ struct BeamState {
 // best feasible bottleneck offered so far, never below the optimum.
 class Incumbent {
  public:
-  Incumbent(double initial, bool prune) : prune_(prune), bound_(initial) {}
-  // What to cut at: +inf with pruning off.
+  explicit Incumbent(double initial) : bound_(initial) {}
+  // What to cut at.
   double Bound() {
     util::MutexLock lock(mu_);
-    return prune_ ? bound_ : kInf;
+    return bound_;
   }
   void Offer(const Partition& candidate) {
     util::MutexLock lock(mu_);
@@ -216,7 +216,6 @@ class Incumbent {
   }
 
  private:
-  const bool prune_;
   util::Mutex mu_;
   double bound_ GUARDED_BY(mu_);
 };
@@ -390,7 +389,7 @@ int Partitioner::SolveOrders(const std::vector<std::vector<int>>& orders,
   }
   const int64_t num_runs = static_cast<int64_t>(runs.size());
   runs.push_back(orders.size());
-  Incumbent incumbent(best->feasible ? best->bottleneck_time : kInf, options.prune);
+  Incumbent incumbent(best->feasible ? best->bottleneck_time : kInf);
   std::vector<Partition> slots(static_cast<size_t>(num_runs));
   std::vector<int> picks(static_cast<size_t>(num_runs), -1);
   RunRanges(options.pool, num_runs, [&](int64_t first, int64_t last) {
@@ -429,7 +428,7 @@ Partition Partitioner::SolveExact(const std::vector<int>& gpu_ids,
   // wherever that is finite and elsewhere exceeds the bound the fresh solve
   // would cut at: every leaf's result is the fresh solve's.
   const std::vector<Group> groups = InterchangeableGroups(*cluster_, gpu_ids);
-  Incumbent incumbent(kInf, options.prune);
+  Incumbent incumbent(kInf);
   // First-level subtrees: each class's smallest id at depth 0.
   std::vector<Partition> slots(groups.size());
   RunRanges(options.pool, static_cast<int64_t>(groups.size()), [&](int64_t first, int64_t last) {
@@ -657,8 +656,8 @@ Partition Partitioner::SolveBeam(const std::vector<int>& gpu_ids,
         std::vector<int> swapped = best_seq;
         std::swap(swapped[static_cast<size_t>(a)], swapped[static_cast<size_t>(b)]);
         const std::vector<int> order = RealizeOrder(groups, swapped);
-        Partition candidate = SolveOrder(order.data(), k, options,
-                                         options.prune ? best.bottleneck_time : kInf, &held);
+        Partition candidate =
+            SolveOrder(order.data(), k, options, best.bottleneck_time, &held);
         if (ImprovesPartition(candidate, best)) {
           best = std::move(candidate);
           best_seq = std::move(swapped);
@@ -815,8 +814,8 @@ Partition Partitioner::SolveHierarchical(const std::vector<int>& gpu_ids,
         std::vector<int> swapped = best_rack_order;
         std::swap(swapped[static_cast<size_t>(a)], swapped[static_cast<size_t>(a) + 1]);
         const std::vector<int> order = ComposeOrder(segments, swapped);
-        Partition candidate = SolveOrder(order.data(), k, options,
-                                         options.prune ? best.bottleneck_time : kInf, &held);
+        Partition candidate =
+            SolveOrder(order.data(), k, options, best.bottleneck_time, &held);
         if (ImprovesPartition(candidate, best)) {
           improved = improved || candidate.bottleneck_time < best.bottleneck_time;
           best = std::move(candidate);
@@ -851,7 +850,7 @@ Partition Partitioner::SolveHierarchical(const std::vector<int>& gpu_ids,
       }
       if (EstimateOrderCount(*cluster_, segment.ids, limit + 1) <= limit) {
         const std::vector<Group> groups = CanonicalGroups(*cluster_, segment.ids);
-        Incumbent incumbent(best.bottleneck_time, options.prune);
+        Incumbent incumbent(best.bottleneck_time);
         std::vector<Partition> slots(groups.size());
         RunRanges(options.pool, static_cast<int64_t>(groups.size()),
                   [&](int64_t first, int64_t last) {

@@ -5,7 +5,7 @@
 
 namespace hetpipe::pipeline {
 
-bool OpenGate::RequestInjection(int /*vw*/, int64_t /*p*/, std::function<void()> /*wake*/) {
+bool OpenGate::RequestInjection(int /*vw*/, int64_t /*p*/, sim::EventTarget* /*waiter*/) {
   return true;
 }
 
@@ -51,7 +51,7 @@ bool VirtualWorkerSim::InjectionWindowOpen() const {
 void VirtualWorkerSim::TryInject() {
   while (InjectionWindowOpen()) {
     const int64_t p = next_inject_;
-    const bool allowed = gate_->RequestInjection(vw_id_, p, [this] { TryInject(); });
+    const bool allowed = gate_->RequestInjection(vw_id_, p, this);
     if (!allowed) {
       if (!gate_blocked_) {
         gate_blocked_ = true;
@@ -101,10 +101,14 @@ void VirtualWorkerSim::BeginTask(int q, const Task& task) {
   stage.compute_start = stage.start + comm_s;
   stage.end = stage.compute_start + compute_s;
   // The task's state lives in the stage, so the event carries only q.
-  simulator_->ScheduleAt(stage.end, this, 0, static_cast<uint32_t>(q), 0);
+  simulator_->ScheduleAt(stage.end, this, kTaskDone, static_cast<uint32_t>(q), 0);
 }
 
-void VirtualWorkerSim::OnEvent(uint32_t /*kind*/, uint32_t a, int64_t /*b*/) {
+void VirtualWorkerSim::OnEvent(uint32_t kind, uint32_t a, int64_t /*b*/) {
+  if (kind == InjectionGate::kInjectionPermitted) {
+    TryInject();
+    return;
+  }
   const int q = static_cast<int>(a);
   Stage& stage = stages_[a];
   const Task task = stage.running;  // OnTaskDone may start the stage's next task

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "partition/partitioner.h"
@@ -18,12 +17,16 @@ namespace hetpipe::pipeline {
 // staleness bound; OpenGate is used for single-virtual-worker experiments.
 class InjectionGate {
  public:
+  // The event kind a gate wakes a refused waiter with.
+  static constexpr uint32_t kInjectionPermitted = 1;
+
   virtual ~InjectionGate() = default;
 
   // Returns true if `vw` may start minibatch `p` (1-indexed) now. If not,
-  // the gate keeps `wake` and invokes it exactly once when injection becomes
-  // permitted; the virtual worker then retries.
-  virtual bool RequestInjection(int vw, int64_t p, std::function<void()> wake) = 0;
+  // the gate keeps `waiter` and, exactly once, when injection becomes
+  // permitted, calls waiter->OnEvent(kInjectionPermitted, vw, 0) directly
+  // (not through the simulator's queue); the virtual worker then retries.
+  virtual bool RequestInjection(int vw, int64_t p, sim::EventTarget* waiter) = 0;
 
   // Called when `vw` has locally completed all minibatches of wave `wave`
   // (0-indexed) — the point where WSP pushes the wave's aggregated update.
@@ -33,7 +36,7 @@ class InjectionGate {
 // A gate that always allows injection (pure pipelined model parallelism).
 class OpenGate final : public InjectionGate {
  public:
-  bool RequestInjection(int vw, int64_t p, std::function<void()> wake) override;
+  bool RequestInjection(int vw, int64_t p, sim::EventTarget* waiter) override;
   void OnWaveComplete(int vw, int64_t wave) override;
 };
 
@@ -110,7 +113,9 @@ class VirtualWorkerSim final : public sim::EventTarget {
   void Inject(int64_t p);
   void TryDispatch(int q);
   void BeginTask(int q, const Task& task);
-  // sim::EventTarget: completion of stage `a`'s running task.
+  // sim::EventTarget: completion of stage `a`'s running task (kTaskDone),
+  // or the gate permitting the injection it refused.
+  static constexpr uint32_t kTaskDone = 0;
   void OnEvent(uint32_t kind, uint32_t a, int64_t b) override;
   void OnTaskDone(int q, const Task& task);
   void OnMinibatchComplete(int64_t p);

@@ -6,7 +6,7 @@ ResultRow RowFor(const core::Experiment& experiment, const core::ExperimentResul
   ResultRow row;
   row.Set("name", result.name)
       .Set("kind", core::KindName(experiment.kind))
-      .Set("model", experiment.ModelLabel())
+      .Set("model", core::ModelName(experiment.model))
       .Set("cluster", experiment.ClusterLabel())
       .Set("feasible", result.feasible)
       .Set("throughput_img_s", result.throughput_img_s);

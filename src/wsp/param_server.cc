@@ -71,7 +71,7 @@ WspCoordinator::WspCoordinator(sim::Simulator& simulator, const WspCoordinatorOp
       pull_in_flight_(static_cast<size_t>(options.num_vws), false),
       waiters_(static_cast<size_t>(options.num_vws)) {}
 
-bool WspCoordinator::RequestInjection(int vw, int64_t p, std::function<void()> wake) {
+bool WspCoordinator::RequestInjection(int vw, int64_t p, sim::EventTarget* waiter) {
   const int64_t pulled = pulled_wave_[static_cast<size_t>(vw)];
   const int64_t own_wave = (p - 1) / options_.nm;
   const auto sample_lag = [&] {
@@ -88,7 +88,7 @@ bool WspCoordinator::RequestInjection(int vw, int64_t p, std::function<void()> w
     sample_lag();
     return true;
   }
-  waiters_[static_cast<size_t>(vw)] = Waiter{required, std::move(wake)};
+  waiters_[static_cast<size_t>(vw)] = Waiter{required, waiter};
   StartPullIfNeeded(vw);
   return false;
 }
@@ -143,9 +143,9 @@ void WspCoordinator::OnEvent(uint32_t kind, uint32_t a, int64_t wave) {
   pull_in_flight_[idx] = false;  // kPullComplete
   pulled_wave_[idx] = std::max(pulled_wave_[idx], wave);
   if (waiters_[idx].has_value() && pulled_wave_[idx] >= waiters_[idx]->required_wave) {
-    auto wake = std::move(waiters_[idx]->wake);
+    sim::EventTarget* waiter = waiters_[idx]->target;
     waiters_[idx].reset();
-    wake();
+    waiter->OnEvent(pipeline::InjectionGate::kInjectionPermitted, a, 0);
   } else {
     // The global wave may have advanced past `wave` while pulling.
     StartPullIfNeeded(vw);

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -68,7 +67,7 @@ class WspCoordinator final : public pipeline::InjectionGate, public sim::EventTa
                  std::vector<VwCommTimes> comm);
 
   // pipeline::InjectionGate:
-  bool RequestInjection(int vw, int64_t p, std::function<void()> wake) override;
+  bool RequestInjection(int vw, int64_t p, sim::EventTarget* waiter) override;
   void OnWaveComplete(int vw, int64_t wave) override;
 
   int64_t global_wave() const { return global_wave_; }
@@ -83,7 +82,7 @@ class WspCoordinator final : public pipeline::InjectionGate, public sim::EventTa
  private:
   struct Waiter {
     int64_t required_wave = -1;
-    std::function<void()> wake;
+    sim::EventTarget* target = nullptr;
   };
 
   // sim::EventTarget: a push arriving at the parameter servers or a pull

@@ -295,6 +295,39 @@ TEST(ClusterSpecTest, LinkKnobsRoundTripAndReachTheLinkModels) {
             "name paper-testbed; node 4xV; node 4xR; node 4xG; node 4xQ");
 }
 
+TEST(ClusterSpecTest, NodesNameOnlyTheSpecsOwnClasses) {
+  // A spec means the same in any process: a class another spec registered
+  // earlier is still unknown to a spec that does not declare it.
+  const Cluster declared = ClusterSpec::Parse("gpu ScopedFoo tflops=5 mem=8; node 2xScopedFoo").Build();
+  EXPECT_EQ(declared.num_gpus(), 2);
+  ASSERT_NE(FindGpuTypeByName("ScopedFoo"), nullptr);
+  for (const char* text : {"node 2xScopedFoo", "node{ScopedFoo*1,V*1}"}) {
+    try {
+      ClusterSpec::Parse(text);
+      ADD_FAILURE() << text << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "cluster spec: unknown GPU type \"ScopedFoo\"") << text;
+    }
+  }
+  ClusterSpec built;
+  built.AddNode("ScopedFoo", 2);
+  EXPECT_THROW(built.Build(), std::invalid_argument);
+}
+
+TEST(ClusterSpecTest, GpuClassCountIsCapped) {
+  std::string classes;
+  for (int i = 0; i < ClusterSpec::kMaxGpuClasses; ++i) {
+    classes += "gpu CapClass" + std::to_string(i) + " tflops=1 mem=1\n";
+  }
+  EXPECT_NO_THROW(ClusterSpec::Parse(classes + "node 1xCapClass0"));
+  try {
+    ClusterSpec::Parse(classes + "gpu CapClassExtra tflops=1 mem=1\nnode 1xCapClass0");
+    ADD_FAILURE() << "the cap + 1 classes parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "cluster spec: 65 GPU classes exceed the limit of 64");
+  }
+}
+
 TEST(ClusterSpecTest, ReRegisteringBuiltinClassesIsIdempotent) {
   // Table 1 names contain spaces, but re-registering them with their own
   // numbers must return the existing handle (the documented idempotent case).
@@ -315,21 +348,23 @@ TEST(ClusterSpecTest, ClassNamesShadowCodeStringsInPickGpus) {
   EXPECT_EQ(cluster.gpu(picked[0]).type, vq->type);
 }
 
-TEST(ClusterSpecTest, UseClusterRejectsUnrepresentableHandBuiltClusters) {
-  // A hand-built general cluster without spec text cannot be carried as
-  // paper node codes (PaperSubset would rebuild 4 GPUs/node, default links).
-  const Cluster odd(
-      {NodeGpus{GpuType::kTitanV, 2}, NodeGpus{GpuType::kQuadroP4000, 8}},
-      PcieLink(8.0), InfinibandLink(10.0));
-  core::Experiment e;
-  EXPECT_THROW(e.UseCluster(odd), std::invalid_argument);
-  // Paper node shape with non-default links is just as unrepresentable.
-  const Cluster custom_links({NodeGpus{GpuType::kTitanV, 4}, NodeGpus{GpuType::kQuadroP4000, 4}},
-                             PcieLink(8.0), InfinibandLink(10.0));
-  EXPECT_THROW(e.UseCluster(custom_links), std::invalid_argument);
-  // Paper-shaped clusters still carry fine.
-  e.UseCluster(Cluster::PaperSubset("VQ"));
-  EXPECT_EQ(e.cluster_nodes, "VQ");
+TEST(ClusterSpecTest, PickGpusResolvesNamesAmongTheClustersClasses) {
+  // Only a class of the cluster shadows code letters: on the paper testbed,
+  // which has no VQ GPUs, "VQ" stays two code letters however many specs
+  // declared a class named VQ, and a VQ term is unknown there.
+  ClusterSpec::Parse("gpu VQ tflops=3 mem=12; node 1xVQ").Build();
+  ASSERT_NE(FindGpuTypeByName("VQ"), nullptr);
+  const Cluster paper = Cluster::Paper();
+  const std::vector<int> codes = core::PickGpus(paper, "VQ");
+  ASSERT_EQ(codes.size(), 2u);
+  EXPECT_EQ(paper.gpu(codes[0]).type, GpuType::kTitanV);
+  EXPECT_EQ(paper.gpu(codes[1]).type, GpuType::kQuadroP4000);
+  try {
+    core::PickGpus(paper, "VQ*1");
+    ADD_FAILURE() << "VQ*1 picked on the paper testbed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unknown GPU class \"VQ\"");
+  }
 }
 
 TEST(ClusterSpecTest, PaperTestbedEquivalentToPaperSubset) {
@@ -738,59 +773,6 @@ TEST(ClusterSpecTest, PartitionerRespondsToADegradedNodePair) {
     EXPECT_EQ(reference.stages[static_cast<size_t>(q)].last_layer,
               routed.stages[static_cast<size_t>(q)].last_layer);
   }
-}
-
-TEST(ClusterSpecTest, UseClusterRejectsNonUniformFabricWithoutSpecText) {
-  // A spec-built cluster carries its topology in spec_text; strip the text
-  // and the node-code fallback must refuse the cluster rather than silently
-  // rebuild it with a uniform fabric.
-  Cluster cluster =
-      ClusterSpec::Parse("node 4xV; node 4xR; link node0<->node1 gbits 2").Build();
-  cluster.set_spec_text("");
-  core::Experiment e;
-  EXPECT_THROW(e.UseCluster(cluster), std::invalid_argument);
-  // Racks with uniform links change no transfer time, but the traffic
-  // accounting reads them — they are just as unrepresentable as node codes.
-  Cluster rack_only =
-      ClusterSpec::Parse("node 4xV; node 4xR; rack r0 { node0 }; rack r1 { node1 }").Build();
-  rack_only.set_spec_text("");
-  EXPECT_THROW(e.UseCluster(rack_only), std::invalid_argument);
-}
-
-TEST(ClusterSpecTest, GenericGraphExperimentCarriesModelName) {
-  // A generic (no-ModelKind) graph must flow through the experiment pipeline
-  // and the result sink.
-  std::vector<model::Layer> layers;
-  for (int i = 0; i < 12; ++i) {
-    model::Layer layer;
-    layer.name = "blk" + std::to_string(i);
-    layer.fwd_flops = 2.0e9;
-    layer.param_bytes = 4ULL << 20;
-    layer.out_bytes = 2ULL << 20;
-    layer.stash_bytes = 2ULL << 20;
-    layers.push_back(layer);
-  }
-  const model::ModelGraph graph("toynet12", model::ModelFamily::kGeneric, layers);
-
-  core::Experiment e;
-  e.kind = core::ExperimentKind::kSingleVirtualWorker;
-  e.UseGraph(graph);
-  // Not "VQ": this binary registers a class named VQ, and names shadow code
-  // strings by design.
-  e.vw_codes = "VR";
-  e.config.nm = 2;
-  e.config.waves = 8;
-  e.config.warmup_waves = 2;
-  EXPECT_EQ(e.ModelLabel(), "toynet12");
-
-  runner::SweepRunner sweep(runner::SweepOptions{});
-  std::ostringstream out;
-  runner::JsonlSink sink(out);
-  const auto results = sweep.Run({e});
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_TRUE(results[0].feasible);
-  sink.Write(runner::RowFor(e, results[0]));
-  EXPECT_NE(out.str().find("\"model\":\"toynet12\""), std::string::npos) << out.str();
 }
 
 }  // namespace

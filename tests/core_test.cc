@@ -7,6 +7,7 @@
 #include "core/experiment.h"
 #include "core/hetpipe.h"
 #include "model/resnet.h"
+#include "runner/sweep_runner.h"
 #include "model/vgg.h"
 
 namespace hetpipe::core {
@@ -88,13 +89,17 @@ TEST(HetPipeTest, DeterministicWithoutJitter) {
 }
 
 TEST(HetPipeTest, SingleVirtualWorkerInfeasibleNmReported) {
-  const Context context({false, "VRGQ", ModelKind::kResNet152, 64});
-  HetPipeConfig config = FastConfig();
-  config.batch_size = 64;
+  Experiment e;
+  e.kind = ExperimentKind::kSingleVirtualWorker;
   // GGGG at Nm=7, batch 64 exceeds the 6 GiB RTX 2060s.
-  const HetPipeReport report = HetPipe::RunSingleVirtualWorker(context, {8, 9, 10, 11}, 7, config);
-  EXPECT_FALSE(report.feasible);
-  EXPECT_FALSE(report.infeasible_reason.empty());
+  e.vw_codes = "GGGG";
+  e.config = FastConfig();
+  e.config.nm = 7;
+  e.config.batch_size = 64;
+  const ExperimentResult result = RunExperiment(e);
+  EXPECT_FALSE(result.feasible);
+  EXPECT_FALSE(result.report.feasible);
+  EXPECT_FALSE(result.report.infeasible_reason.empty());
 }
 
 TEST(HetPipeTest, ContextMustMatchTheConfigBatch) {
@@ -102,10 +107,35 @@ TEST(HetPipeTest, ContextMustMatchTheConfigBatch) {
       std::make_shared<const Context>(ContextKey{false, "VQ", ModelKind::kResNet152, 64});
   HetPipeConfig config = FastConfig();
   EXPECT_THROW(HetPipe(context, config), std::invalid_argument);
-  EXPECT_THROW(HetPipe::RunSingleVirtualWorker(*context, {0, 4}, 1, config),
-               std::invalid_argument);
   config.batch_size = 64;
   EXPECT_TRUE(HetPipe(context, config).Run().feasible);
+}
+
+TEST(ExperimentTest, PartitionOnlySimulationMatchesSingleVirtualWorker) {
+  // Both kinds simulate the same min-max partition on an open gate, so they
+  // measure the same throughput; the single-VW report adds utilization.
+  Experiment single;
+  single.kind = ExperimentKind::kSingleVirtualWorker;
+  single.model = ModelKind::kVgg19;
+  single.vw_codes = "VRGQ";
+  single.config = FastConfig();
+  single.config.nm = 3;
+  single.config.jitter_cv = 0.1;
+  Experiment partition_only = single;
+  partition_only.kind = ExperimentKind::kPartitionOnly;
+
+  const ExperimentResult a = RunExperiment(single);
+  const ExperimentResult b = RunExperiment(partition_only);
+  ASSERT_TRUE(a.feasible);
+  ASSERT_TRUE(b.feasible);
+  EXPECT_GT(a.throughput_img_s, 0.0);
+  EXPECT_EQ(a.throughput_img_s, b.throughput_img_s);
+  EXPECT_EQ(a.partition.bottleneck_time, b.partition.bottleneck_time);
+  EXPECT_EQ(a.partition.num_stages(), b.partition.num_stages());
+  ASSERT_EQ(a.report.vws.size(), 1u);
+  EXPECT_EQ(a.report.vws[0].max_nm, 3);
+  EXPECT_GT(a.report.vws[0].max_stage_utilization, 0.0);
+  EXPECT_EQ(a.report.vws[0].wait_s, 0.0);
 }
 
 TEST(ExperimentTest, PickGpusByCode) {
@@ -120,15 +150,25 @@ TEST(ExperimentTest, PickGpusByCode) {
 }
 
 TEST(ExperimentTest, Fig3NormalizedStartsAtOne) {
-  const hw::Cluster cluster = hw::Cluster::Paper();
-  const model::ModelGraph graph = model::BuildVgg19();
-  const auto points = RunFig3Config(cluster, graph, "RRRR", 3);
+  const auto points = RunFig3Config(ModelKind::kVgg19, "RRRR", 3);
   ASSERT_GE(points.size(), 1u);
   ASSERT_TRUE(points[0].feasible);
   EXPECT_DOUBLE_EQ(points[0].normalized, 1.0);
   if (points[1].feasible) {
     EXPECT_GT(points[1].normalized, 1.0);
   }
+}
+
+TEST(ExperimentTest, Fig3SweepSharesOneContextPerModel) {
+  // Every Fig. 3 point of one model runs on the same (cluster, model, batch)
+  // context, so both models' sweeps on one runner build exactly two.
+  runner::SweepRunner runner(runner::SweepOptions{});
+  for (ModelKind model : {ModelKind::kResNet152, ModelKind::kVgg19}) {
+    for (const char* codes : {"VVVV", "VRGQ"}) {
+      ASSERT_EQ(RunFig3Config(model, codes, 3, &runner).size(), 3u);
+    }
+  }
+  EXPECT_EQ(runner.cache().contexts(), 2);
 }
 
 TEST(AccuracyCurveTest, InverseConsistency) {

@@ -63,13 +63,13 @@ TEST(IntegrationTest, Table4AddingWhimpyGpusHelpsHetPipe) {
   // comm-heavy VGG-19 the paper's own gain on the last (G) step is only ~6%,
   // so the strict monotone check runs on ResNet-152 and VGG-19 tolerates a
   // flat last step.
-  const auto resnet = RunTable4(model::BuildResNet152(), /*jitter_cv=*/0.0);
+  const auto resnet = RunTable4(ModelKind::kResNet152, /*jitter_cv=*/0.0);
   ASSERT_EQ(resnet.size(), 4u);
   for (size_t i = 1; i < resnet.size(); ++i) {
     EXPECT_GT(resnet[i].hetpipe_img_s, resnet[i - 1].hetpipe_img_s)
         << resnet[i].cluster_label;
   }
-  const auto vgg = RunTable4(model::BuildVgg19(), /*jitter_cv=*/0.0);
+  const auto vgg = RunTable4(ModelKind::kVgg19, /*jitter_cv=*/0.0);
   ASSERT_EQ(vgg.size(), 4u);
   // VGG-19 is communication-bound: once the first conv block is the
   // bottleneck stage, extra whimpy GPUs keep throughput flat rather than
@@ -82,7 +82,7 @@ TEST(IntegrationTest, Table4AddingWhimpyGpusHelpsHetPipe) {
 }
 
 TEST(IntegrationTest, Table4HorovodInfeasibleForResNetOn16) {
-  const auto cells = RunTable4(model::BuildResNet152(), /*jitter_cv=*/0.0);
+  const auto cells = RunTable4(ModelKind::kResNet152, /*jitter_cv=*/0.0);
   ASSERT_EQ(cells.size(), 4u);
   // The 16-GPU configuration includes the G node whose GPUs cannot hold
   // ResNet-152 — the paper reports "X" for Horovod there.
@@ -95,9 +95,7 @@ TEST(IntegrationTest, Table4HorovodInfeasibleForResNetOn16) {
 }
 
 TEST(IntegrationTest, Fig3ThroughputSaturatesWithNm) {
-  const hw::Cluster cluster = hw::Cluster::Paper();
-  const model::ModelGraph graph = model::BuildResNet152();
-  const auto points = RunFig3Config(cluster, graph, "VVVV", 4);
+  const auto points = RunFig3Config(ModelKind::kResNet152, "VVVV", 4);
   ASSERT_EQ(points.size(), 4u);
   for (size_t i = 1; i < points.size(); ++i) {
     if (points[i].feasible && points[i - 1].feasible) {
@@ -112,8 +110,7 @@ TEST(IntegrationTest, Fig3ThroughputSaturatesWithNm) {
 TEST(IntegrationTest, HigherDReducesWaitTime) {
   // §8.4: "as D increases, the waiting time of a virtual worker to receive
   // the updated global weight decreases."
-  const model::ModelGraph graph = model::BuildVgg19();
-  const auto rows = RunStalenessWaitStudy(graph, {0, 4}, /*jitter_cv=*/0.15);
+  const auto rows = RunStalenessWaitStudy(ModelKind::kVgg19, {0, 4}, /*jitter_cv=*/0.15);
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_LT(rows[1].total_wait_s, rows[0].total_wait_s);
 }
@@ -121,8 +118,7 @@ TEST(IntegrationTest, HigherDReducesWaitTime) {
 TEST(IntegrationTest, IdleIsSmallFractionOfWait) {
   // §8.4: actual idle time is only ~18% of waiting time, because the pipeline
   // keeps processing already-injected minibatches while blocked.
-  const model::ModelGraph graph = model::BuildVgg19();
-  const auto rows = RunStalenessWaitStudy(graph, {0}, /*jitter_cv=*/0.15);
+  const auto rows = RunStalenessWaitStudy(ModelKind::kVgg19, {0}, /*jitter_cv=*/0.15);
   ASSERT_EQ(rows.size(), 1u);
   if (rows[0].total_wait_s > 0.0) {
     // Strictly less than 1: the pipeline keeps draining injected minibatches

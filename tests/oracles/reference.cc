@@ -178,22 +178,11 @@ partition::Partition SolveReference(const partition::Partitioner& partitioner,
   }
 
   const std::vector<std::vector<int>> orders = DistinctClassOrders(partitioner.cluster(), gpu_ids);
-  std::vector<partition::Partition> candidates(orders.size());
-  double incumbent = kInf;
-  for (size_t index = 0; index < orders.size(); ++index) {
-    const double bound = options.prune ? incumbent : kInf;
-    partition::Partition candidate =
-        SolveFixedOrderReference(partitioner, orders[index], options, bound);
-    if (candidate.feasible) {
-      incumbent = std::min(incumbent, candidate.bottleneck_time);
-    }
-    candidates[index] = std::move(candidate);
-  }
-
   partition::Partition best;
-  for (const partition::Partition& candidate : candidates) {
+  for (const std::vector<int>& order : orders) {
+    partition::Partition candidate = SolveFixedOrderReference(partitioner, order, options, kInf);
     if (partition::ImprovesPartition(candidate, best)) {
-      best = candidate;
+      best = std::move(candidate);
     }
   }
   return best;

@@ -49,9 +49,9 @@ std::vector<std::vector<int>> DistinctClassOrders(const hw::Cluster& cluster,
                                                   const std::vector<int>& gpu_ids);
 
 // The exact search done the slow way: every order DistinctClassOrders
-// lists, each solved by SolveFixedOrderReference under a serial
-// branch-and-bound incumbent. Returns a Partition bit-identical to
-// SolveScalable with strategy kExact.
+// lists, each solved in full by SolveFixedOrderReference (no
+// branch-and-bound). Returns a Partition bit-identical to SolveScalable with
+// strategy kExact, which prunes.
 partition::Partition SolveReference(const partition::Partitioner& partitioner,
                                     const std::vector<int>& gpu_ids,
                                     const partition::PartitionOptions& options);

@@ -329,16 +329,13 @@ TEST(PrefixEquivalenceTest, RandomGraphsMatchNaiveLoopsExactly) {
     options.strategy = SearchStrategy::kExact;
     options.mem_params.framework_overhead_bytes =
         hw::MemoryBytes(GpuType::kRtx2060) - std::min(headroom, uint64_t{5} << 30);
-    for (bool prune : {true, false}) {
-      options.prune = prune;
-      const Partition reference = oracles::SolveReference(partitioner, ids, options);
-      ExpectSamePartition(partitioner.SolveScalable(ids, options), reference);
-      PartitionOptions uncapped = options;
-      uncapped.mem_params.framework_overhead_bytes = 0;
-      const Partition free = oracles::SolveReference(partitioner, ids, uncapped);
-      capped += free.feasible != reference.feasible ||
-                free.bottleneck_time != reference.bottleneck_time;
-    }
+    const Partition reference = oracles::SolveReference(partitioner, ids, options);
+    ExpectSamePartition(partitioner.SolveScalable(ids, options), reference);
+    PartitionOptions uncapped = options;
+    uncapped.mem_params.framework_overhead_bytes = 0;
+    const Partition free = oracles::SolveReference(partitioner, ids, uncapped);
+    capped += free.feasible != reference.feasible ||
+              free.bottleneck_time != reference.bottleneck_time;
     options.search_gpu_orders = false;
     ExpectSamePartition(partitioner.SolveScalable(ids, options),
                         oracles::SolveReference(partitioner, ids, options));
@@ -363,8 +360,8 @@ TEST(PrefixEquivalenceTest, RandomGraphsMatchNaiveLoopsExactly) {
       }
     }
   }
-  // The caps must change the optimum of a good share of the solves.
-  EXPECT_GE(capped, 8);
+  // The caps must change the optimum of a good share of the 25 rounds.
+  EXPECT_GE(capped, 4);
 }
 
 TEST(PrefixEquivalenceTest, PaperModelsMatchNaiveLoopsExactly) {
@@ -450,9 +447,6 @@ TEST_F(PartitionerTest, SolveMatchesReferenceOnPaperShapes) {
       options.strategy = SearchStrategy::kExact;
       ExpectSamePartition(partitioner.SolveScalable(gpus, options),
                           oracles::SolveReference(partitioner, gpus, options));
-      options.prune = false;
-      ExpectSamePartition(partitioner.SolveScalable(gpus, options),
-                          oracles::SolveReference(partitioner, gpus, options));
       options.search_gpu_orders = false;
       ExpectSamePartition(partitioner.SolveScalable(gpus, options),
                           oracles::SolveReference(partitioner, gpus, options));
@@ -513,8 +507,8 @@ TEST(PartitionerMixedTest, SolveMatchesReferenceWhenClassesInterleaveInIdOrder) 
 // ---- DP rows under an incumbent that tightens as it goes, and cuts every
 // ---- subtree whose prefix has no surviving split. On clusters whose
 // ---- (type, node) classes repeat, within nodes and across them, it must
-// ---- still equal the per-order reference scan byte for byte, with pruning
-// ---- on and off, serially and on pools of any size. ----
+// ---- still equal the unpruned per-order reference scan byte for byte,
+// ---- serially and on pools of any size. ----
 
 TEST(ExactWalkTest, MatchesReferenceOnRepeatedClassesAcrossPools) {
   runner::ThreadPool pool1(1), pool2(2), pool8(8);
@@ -524,25 +518,20 @@ TEST(ExactWalkTest, MatchesReferenceOnRepeatedClassesAcrossPools) {
   const auto check = [&](const Partitioner& partitioner, const std::vector<int>& ids, int nm,
                          const std::string& label) {
     const ModelProfile& profile = partitioner.profile();
-    bool feasible = false;
-    for (bool prune : {true, false}) {
-      PartitionOptions options;
-      options.nm = nm;
-      options.prune = prune;
-      options.strategy = SearchStrategy::kExact;
-      const Partition reference = oracles::SolveReference(partitioner, ids, options);
-      const std::string want = SolveSignature(reference, profile);
-      const Partition serial = partitioner.SolveScalable(ids, options);
-      ExpectSamePartition(serial, reference);
-      EXPECT_EQ(SolveSignature(serial, profile), want) << label << " prune " << prune;
-      for (runner::ThreadPool* pool : pools) {
-        options.pool = pool;
-        EXPECT_EQ(SolveSignature(partitioner.SolveScalable(ids, options), profile), want)
-            << label << " prune " << prune << " on " << pool->num_threads() << " threads";
-      }
-      feasible = reference.feasible;
+    PartitionOptions options;
+    options.nm = nm;
+    options.strategy = SearchStrategy::kExact;
+    const Partition reference = oracles::SolveReference(partitioner, ids, options);
+    const std::string want = SolveSignature(reference, profile);
+    const Partition serial = partitioner.SolveScalable(ids, options);
+    ExpectSamePartition(serial, reference);
+    EXPECT_EQ(SolveSignature(serial, profile), want) << label;
+    for (runner::ThreadPool* pool : pools) {
+      options.pool = pool;
+      EXPECT_EQ(SolveSignature(partitioner.SolveScalable(ids, options), profile), want)
+          << label << " on " << pool->num_threads() << " threads";
     }
-    return feasible;
+    return reference.feasible;
   };
 
   // Seeded clusters of 3-5 nodes with 1-3 GPUs each from four classes.
@@ -1153,7 +1142,9 @@ std::vector<std::pair<std::string, std::string>> ScalableGoldenLines() {
     void (*apply)(PartitionOptions*);
   };
   const Knob kKnobs[] = {
-      {"noprune", [](PartitionOptions* o) { o->prune = false; }},
+      // Recorded with pruning off; the search always prunes, so these lines
+      // hold it to the unpruned answers.
+      {"noprune", [](PartitionOptions*) {}},
       {"width1", [](PartitionOptions* o) { o->beam_width = 1; }},
       {"width3", [](PartitionOptions* o) { o->beam_width = 3; }},
       {"racklimit2", [](PartitionOptions* o) { o->rack_order_limit = 2; }},
@@ -1265,12 +1256,13 @@ TEST(ScalableGoldenTest, ApproximateTiersMatchRecordedSolves) {
               ScalableGoldenLines());
 }
 
-TEST(SearchParallelTest, ApproximateTiersIgnorePruningAndPools) {
+TEST(SearchParallelTest, ApproximateTiersIgnorePools) {
   // The beam polish and the hierarchical walks reuse prefix rows computed
   // under an earlier, looser incumbent, and pooled walks place the shared
-  // prefix once per task. Neither may change a result: pruning off and
-  // pools of 1, 2 and 8 threads must give the serial pruned solve's fields
-  // and bytes, on the seeded racked instances and on plan-shaped 6-16 GPU
+  // prefix once per task. Neither may change a result: pools of 1, 2 and 8
+  // threads must give the serial solve's fields and bytes (the `noprune`
+  // lines of scalable_solves.txt, recorded with pruning off, pin the
+  // incumbent side), on the seeded racked instances and on plan-shaped 6-16 GPU
   // draws over the flat cluster and 2, 4 and 8 racks. The hierarchical tier
   // also runs at rack_order_limit 2, where every multi-class segment is
   // refined by its adjacent-swap fallback instead of its class-order walk.
@@ -1288,18 +1280,16 @@ TEST(SearchParallelTest, ApproximateTiersIgnorePruningAndPools) {
       options.rack_order_limit = rack_order_limit;
       const Partition want = partitioner.SolveScalable(ids, options);
       const std::string want_bytes = SolveSignature(want, profile);
-      std::vector<PartitionOptions> runs(4, options);
-      runs[0].prune = false;
-      runs[1].pool = &pool1;
-      runs[2].pool = &pool2;
-      runs[3].pool = &pool8;
+      std::vector<PartitionOptions> runs(3, options);
+      runs[0].pool = &pool1;
+      runs[1].pool = &pool2;
+      runs[2].pool = &pool8;
       for (const PartitionOptions& run : runs) {
         const Partition got = partitioner.SolveScalable(ids, run);
         ExpectSamePartition(got, want);
         EXPECT_EQ(SolveSignature(got, profile), want_bytes)
             << label << " " << SearchStrategyName(strategy) << " racklimit " << rack_order_limit
-            << " prune " << run.prune
-            << " threads " << (run.pool != nullptr ? run.pool->num_threads() : 0);
+            << " threads " << run.pool->num_threads();
       }
       ++compared;
     }

@@ -216,7 +216,7 @@ TEST_F(VirtualWorkerTest, SingleGpuWorkerRuns) {
 
 TEST_F(VirtualWorkerTest, WaveCallbacksFirePerWave) {
   struct CountingGate : public InjectionGate {
-    bool RequestInjection(int, int64_t, std::function<void()>) override { return true; }
+    bool RequestInjection(int, int64_t, sim::EventTarget*) override { return true; }
     void OnWaveComplete(int, int64_t wave) override {
       waves.push_back(wave);
     }

@@ -112,10 +112,12 @@ TEST(RobustnessTest, CoordinatorWithSingleVwNeverBlocks) {
   // succeed since the only VW is itself.
   int64_t wave = 0;
   int blocked = 0;
-  std::function<void()> next = [&] {
+  std::function<void()> next;
+  sim::WakeTarget wake([&] { next(); });
+  next = [&] {
     while (wave < 10) {
       const int64_t p = wave * 2 + 1;
-      if (!coordinator.RequestInjection(0, p, next)) {
+      if (!coordinator.RequestInjection(0, p, &wake)) {
         ++blocked;
         return;
       }

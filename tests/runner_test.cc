@@ -1247,15 +1247,13 @@ TEST(PartitionerSearchTest, PruningAndParallelSearchAreExact) {
     for (const char* codes : {"VRGQ", "VVQQ", "RRGG"}) {
       for (int nm : {1, 3, 5}) {
         const std::vector<int> gpus = core::PickGpusByCode(cluster, codes);
-        partition::PartitionOptions unpruned;
-        unpruned.nm = nm;
-        unpruned.prune = false;
-        partition::PartitionOptions pruned = unpruned;
-        pruned.prune = true;
+        partition::PartitionOptions pruned;
+        pruned.nm = nm;
         partition::PartitionOptions parallel = pruned;
         parallel.pool = &pool;
 
-        const partition::Partition base = partitioner.SolveScalable(gpus, unpruned);
+        // The oracle solves every order in full, without branch-and-bound.
+        const partition::Partition base = oracles::SolveReference(partitioner, gpus, pruned);
         ExpectSamePartition(base, partitioner.SolveScalable(gpus, pruned));
         ExpectSamePartition(base, partitioner.SolveScalable(gpus, parallel));
       }
@@ -1729,7 +1727,7 @@ TEST(SweepRunnerTest, CacheDoesNotChangeTheSolverPastTheExactOrderLimit) {
     core::Experiment e;
     e.kind = kind;
     e.model = core::ModelKind::kVgg19;
-    e.UseCluster(cluster);
+    e.cluster_spec = cluster.spec_text();
     e.vw_codes = "VRGQVRGQ";
     e.config.nm = 2;
     e.config.waves = 8;

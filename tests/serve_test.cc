@@ -22,6 +22,7 @@
 
 #include "core/experiment.h"
 #include "hw/cluster.h"
+#include "hw/cluster_spec.h"
 #include "model/profiler.h"
 #include "model/resnet.h"
 #include "model/transformer.h"
@@ -812,6 +813,29 @@ TEST(PlanServiceTest, ClassifiesErrors) {
 
   EXPECT_EQ(service.errors(), 3);
   EXPECT_EQ(service.requests(), 3);
+}
+
+TEST(PlanServiceTest, SpecClassErrorsAreBadSpec) {
+  runner::PartitionCache cache;
+  PlanService service(&cache);
+  PlanRequest bad_spec;
+  bad_spec.selector = "VVQQ";
+  // One class past the cap, and a class the spec never declares (an earlier
+  // spec in this process declaring it changes nothing).
+  std::string many_classes;
+  for (int i = 0; i <= hw::ClusterSpec::kMaxGpuClasses; ++i) {
+    many_classes += "gpu ServeCap" + std::to_string(i) + " tflops=1 mem=1\n";
+  }
+  bad_spec.cluster_spec = many_classes + "node 1xServeCap0";
+  const runner::ResultRow too_many = service.Handle(bad_spec);
+  EXPECT_EQ(too_many.Get("error_code"), "bad_spec");
+  EXPECT_NE(too_many.Get("error").find("65 GPU classes exceed the limit of 64"), std::string::npos)
+      << too_many.Get("error");
+  bad_spec.selector = "ServeFoo";
+  bad_spec.cluster_spec = "gpu ServeFoo tflops=5 mem=8; node 2xServeFoo";
+  EXPECT_EQ(service.Handle(bad_spec).Get("ok"), "true");
+  bad_spec.cluster_spec = "node 2xServeFoo";
+  EXPECT_EQ(service.Handle(bad_spec).Get("error_code"), "bad_spec");
 }
 
 TEST(PlanServiceTest, HandleJsonReportsShutdownAndStats) {

@@ -1,6 +1,6 @@
 #pragma once
 
-// Lambdas as simulator events, for tests. The simulator only dispatches
+// Lambdas as simulator events and as injection-gate waiters, for tests. The simulator only dispatches
 // typed events to an EventTarget; CallbackTarget owns each scheduled
 // callback and schedules it as one event of its own, `a` indexing the
 // callback. It stores every callback for its lifetime (tests schedule a few
@@ -46,6 +46,17 @@ class CallbackTarget final : public EventTarget {
 
   Simulator* simulator_;
   std::vector<std::function<void()>> actions_;
+};
+
+// A lambda as the waiter a pipeline::InjectionGate wakes: the gate calls
+// OnEvent directly when it permits the injection it refused.
+class WakeTarget final : public EventTarget {
+ public:
+  explicit WakeTarget(std::function<void()> wake) : wake_(std::move(wake)) {}
+  void OnEvent(uint32_t /*kind*/, uint32_t /*a*/, int64_t /*b*/) override { wake_(); }
+
+ private:
+  std::function<void()> wake_;
 };
 
 }  // namespace hetpipe::sim

@@ -174,7 +174,7 @@ TEST_F(PsCommTest, RoundRobinRidesTheSlowestResolvedPairLink) {
 
 // A scripted "virtual worker" that completes waves at fixed intervals and
 // asks the coordinator before each injection.
-struct ScriptedVw {
+struct ScriptedVw final : sim::EventTarget {
   ScriptedVw(sim::Simulator& s, WspCoordinator& c, int id, int nm, double wave_period,
              int64_t waves)
       : events(s), coord(&c), vw(id), nm(nm), period(wave_period), total_waves(waves) {}
@@ -186,7 +186,7 @@ struct ScriptedVw {
       return;
     }
     const int64_t p = wave * nm + 1;  // first minibatch of the wave
-    const bool ok = coord->RequestInjection(vw, p, [this] { ScheduleNext(); });
+    const bool ok = coord->RequestInjection(vw, p, this);
     if (!ok) {
       ++blocked_count;
       return;
@@ -197,6 +197,9 @@ struct ScriptedVw {
       ScheduleNext();
     });
   }
+
+  // The coordinator's wake: retry the refused injection.
+  void OnEvent(uint32_t /*kind*/, uint32_t /*a*/, int64_t /*b*/) override { ScheduleNext(); }
 
   sim::CallbackTarget events;
   WspCoordinator* coord;
@@ -305,11 +308,12 @@ TEST(WspCoordinatorTest, PullLatencyDelaysResume) {
   bool resumed = false;
   double resume_time = -1.0;
   coordinator.OnWaveComplete(0, 0);
+  sim::WakeTarget resume([&] {
+    resumed = true;
+    resume_time = simulator.now();
+  });
   events.Schedule(0.0, [&] {
-    if (!coordinator.RequestInjection(0, 2, [&] {
-          resumed = true;
-          resume_time = simulator.now();
-        })) {
+    if (!coordinator.RequestInjection(0, 2, &resume)) {
       // blocked as expected
     } else {
       resumed = true;
