@@ -1,9 +1,11 @@
 // Partitioner hot-path benchmark: times cold exact-tier solves
 // (Partitioner::SolveScalable with strategy kExact) against the test oracle
 // oracles::SolveReference (tests/oracles: naive O(stage-length) cost sums,
-// vector-of-vector DP, factorial order scan with string dedup) across
-// models x clusters x virtual-worker shapes x Nm, verifying on every point
-// that the two return bit-identical partitions. Also pins the no-allocation
+// vector-of-vector DP, factorial order scan with string dedup) on the 81
+// points of oracles::SolveGrid (models x clusters x virtual-worker shapes x
+// Nm), verifying on every point that the two return bit-identical
+// partitions. partition_test pins the grid's answers in
+// tests/golden/partitioner_solves.txt. Also pins the no-allocation
 // property of the thread-local DP scratch: repeated warm solves must not grow
 // a single buffer.
 //
@@ -12,12 +14,6 @@
 //
 // Flags: --threads=N (default 1: timing stability) --repeat=N (default 5)
 //        --out=PATH --json[=PATH] --csv[=PATH] --cache-file=PATH
-//        --expect=PATH        compare every point's solve result against a
-//                             checked-in expectations file; any divergence
-//                             (or a missing/extra point) fails the run. The
-//                             comparison covers results only, never timings,
-//                             so it is stable across machines and compilers.
-//        --write-expect=PATH  regenerate that file from this run
 //        --growth[=smoke|full]  run the scalable-tier growth curve instead of
 //                             the grid: synthetic racked heterogeneous
 //                             clusters from 16 GPUs up to 1024 (full), timing
@@ -46,7 +42,6 @@
 #include <cmath>
 #include <cstdio>
 #include <deque>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
@@ -61,10 +56,10 @@
 #include "model/model_graph.h"
 #include "model/profiler.h"
 #include "model/resnet.h"
+#include "oracles/golden.h"
 #include "oracles/reference.h"
 #include "partition/partitioner.h"
 #include "runner/cli.h"
-#include "runner/spec_sweep.h"
 #include "runner/sweep_runner.h"
 #include "runner/thread_pool.h"
 
@@ -73,21 +68,8 @@ namespace {
 using namespace hetpipe;
 using Clock = std::chrono::steady_clock;
 
-// The generic cluster of the grid: a mixed-class node, a whimpy node, and a
-// paper V node (the canonical runner::MixedDemoSpec, also the cluster_sweep
-// straggler cluster, which exercises registered GPU classes and multi-class
-// order enumeration).
-hw::Cluster MixedCluster() { return runner::MixedDemoSpec("mixed-3node").Build(); }
-
-struct GridPoint {
-  std::string model;
-  std::string cluster;
-  std::string vw;  // PickGpus selector
-  int nm = 1;
-};
-
 struct PointResult {
-  GridPoint point;
+  oracles::SolveGridPoint point;
   int layers = 0;
   int k = 0;
   bool feasible = false;
@@ -95,72 +77,13 @@ struct PointResult {
   double ref_ms = 0.0;   // best-of-repeat cold oracles::SolveReference wall time
   double fast_ms = 0.0;  // best-of-repeat cold kExact SolveScalable wall time
   bool identical = false;
-  std::string signature;  // timing-free solve result, for --expect
 };
-
-// Bit-exact comparison: the optimization must change speed, never results.
-bool SamePartition(const partition::Partition& a, const partition::Partition& b) {
-  if (a.feasible != b.feasible || a.bottleneck_time != b.bottleneck_time ||
-      a.sum_time != b.sum_time || a.stages.size() != b.stages.size()) {
-    return false;
-  }
-  for (size_t q = 0; q < a.stages.size(); ++q) {
-    const partition::StageAssignment& x = a.stages[q];
-    const partition::StageAssignment& y = b.stages[q];
-    if (x.first_layer != y.first_layer || x.last_layer != y.last_layer ||
-        x.gpu_id != y.gpu_id || x.gpu_type != y.gpu_type || x.node != y.node ||
-        x.fwd_compute_s != y.fwd_compute_s || x.bwd_compute_s != y.bwd_compute_s ||
-        x.fwd_comm_in_s != y.fwd_comm_in_s || x.bwd_comm_in_s != y.bwd_comm_in_s ||
-        x.param_bytes != y.param_bytes || x.memory_bytes != y.memory_bytes) {
-      return false;
-    }
-  }
-  return true;
-}
-
-// Timing-free description of a solve result, printed with full double
-// precision (%.17g round-trips), so an expectations file pins results across
-// machines without pinning wall clock.
-std::string Signature(const partition::Partition& p) {
-  char buf[96];
-  if (!p.feasible) {
-    return "infeasible";
-  }
-  std::string sig;
-  std::snprintf(buf, sizeof(buf), "b=%.17g s=%.17g", p.bottleneck_time, p.sum_time);
-  sig += buf;
-  for (const partition::StageAssignment& stage : p.stages) {
-    std::snprintf(buf, sizeof(buf), " %d:%d-%d@%c", stage.gpu_id, stage.first_layer,
-                  stage.last_layer, hw::CodeOf(stage.gpu_type));
-    sig += buf;
-  }
-  return sig;
-}
 
 double MsBetween(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
-std::vector<GridPoint> BuildGrid() {
-  std::vector<GridPoint> grid;
-  const std::vector<std::pair<std::string, std::vector<std::string>>> cluster_vws = {
-      {"paper", {"VVVV", "RRRR", "GGGG", "QQQQ", "VRGQ", "VVQQ"}},
-      {"mixed-3node",
-       {"BigCard*2,SmallCard*2", "SmallCard*4", "BigCard*1,SmallCard*1,V*2"}},
-  };
-  for (const char* model : {"resnet152", "vgg19", "bert-large"}) {
-    for (const auto& [cluster, vws] : cluster_vws) {
-      for (const std::string& vw : vws) {
-        for (int nm : {1, 2, 4}) {
-          grid.push_back(GridPoint{model, cluster, vw, nm});
-        }
-      }
-    }
-  }
-  return grid;
-}
-
-PointResult RunPoint(const GridPoint& point, const hw::Cluster& cluster,
+PointResult RunPoint(const oracles::SolveGridPoint& point, const hw::Cluster& cluster,
                      const model::ModelProfile& profile, int repeat) {
   PointResult out;
   out.point = point;
@@ -177,10 +100,9 @@ PointResult RunPoint(const GridPoint& point, const hw::Cluster& cluster,
   // One untimed round first: warms the DP scratch and pins equivalence.
   const partition::Partition reference = oracles::SolveReference(partitioner, gpu_ids, options);
   const partition::Partition fast = partitioner.SolveScalable(gpu_ids, options);
-  out.identical = SamePartition(reference, fast);
+  out.identical = oracles::SamePartition(reference, fast);
   out.feasible = fast.feasible;
   out.bottleneck_ms = fast.bottleneck_time * 1e3;
-  out.signature = Signature(fast);
 
   // Best-of-N: robust against preemption spikes on busy machines (a single
   // descheduling would otherwise dominate a mean at these microsecond
@@ -198,73 +120,6 @@ PointResult RunPoint(const GridPoint& point, const hw::Cluster& cluster,
     out.fast_ms = r == 0 ? ms : std::min(out.fast_ms, ms);
   }
   return out;
-}
-
-std::string ExpectKey(const GridPoint& point) {
-  return point.model + "|" + point.cluster + "|" + point.vw + "|nm" +
-         std::to_string(point.nm);
-}
-
-int CompareExpectations(const std::vector<PointResult>& results, const std::string& path) {
-  std::ifstream in(path);
-  if (!in.is_open()) {
-    std::fprintf(stderr, "error: cannot read expectations file %s\n", path.c_str());
-    return 1;
-  }
-  std::map<std::string, std::string> expected;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') {
-      continue;
-    }
-    const size_t tab = line.find('\t');
-    if (tab == std::string::npos) {
-      std::fprintf(stderr, "error: malformed expectations line: %s\n", line.c_str());
-      return 1;
-    }
-    expected[line.substr(0, tab)] = line.substr(tab + 1);
-  }
-  int divergent = 0;
-  for (const PointResult& r : results) {
-    const std::string key = ExpectKey(r.point);
-    auto it = expected.find(key);
-    if (it == expected.end()) {
-      std::fprintf(stderr, "EXPECT MISSING  %s\n", key.c_str());
-      ++divergent;
-      continue;
-    }
-    if (it->second != r.signature) {
-      std::fprintf(stderr, "EXPECT DIVERGED %s\n  expected: %s\n  got:      %s\n",
-                   key.c_str(), it->second.c_str(), r.signature.c_str());
-      ++divergent;
-    }
-    expected.erase(it);
-  }
-  for (const auto& [key, sig] : expected) {
-    std::fprintf(stderr, "EXPECT EXTRA    %s (file has a point this grid no longer runs)\n",
-                 key.c_str());
-    ++divergent;
-  }
-  if (divergent > 0) {
-    std::fprintf(stderr, "%d expectation(s) diverged — solve results changed\n", divergent);
-    return 1;
-  }
-  std::printf("all %zu solve results match %s\n", results.size(), path.c_str());
-  return 0;
-}
-
-int WriteExpectations(const std::vector<PointResult>& results, const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);  // lint: ofstream-allowed (expectation file, not rows)
-  if (!out.is_open()) {
-    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-    return 1;
-  }
-  out << "# partitioner_speed solve-result expectations: key \\t signature.\n"
-         "# Regenerate with: partitioner_speed --write-expect=<this file>\n";
-  for (const PointResult& r : results) {
-    out << ExpectKey(r.point) << '\t' << r.signature << '\n';
-  }
-  return out.good() ? 0 : 1;
 }
 
 // ---- The scalable-tier growth curve (--growth). ----
@@ -398,7 +253,7 @@ int RunGrowthCurve(bool full, double budget_ms, int repeat, int threads,
     parallel_options.pool = &pool;
     const partition::Partition parallel_solved =
         partitioner.SolveScalable(gpu_ids, parallel_options);
-    const bool parallel_identical = SamePartition(parallel_solved, solved);
+    const bool parallel_identical = oracles::SamePartition(parallel_solved, solved);
     double parallel_ms = 0.0;
     for (int r = 0; r < timing_rounds; ++r) {
       const auto start = Clock::now();
@@ -416,7 +271,7 @@ int RunGrowthCurve(bool full, double budget_ms, int repeat, int threads,
       exact_options.strategy = partition::SearchStrategy::kExact;
       const partition::Partition exact = partitioner.SolveScalable(gpu_ids, exact_options);
       point_ok = point_ok && strategy == partition::SearchStrategy::kExact &&
-                 SamePartition(solved, exact);
+                 oracles::SamePartition(solved, exact);
       partition::PartitionOptions beam_options = options;
       beam_options.strategy = partition::SearchStrategy::kBeam;
       const partition::Partition beam = partitioner.SolveScalable(gpu_ids, beam_options);
@@ -627,7 +482,7 @@ bool RunWidthSweep(const model::ModelProfile& profile,
         row.threads = threads;
         row.feasible = solved.feasible;
         row.bottleneck_ms = solved.bottleneck_time * 1e3;
-        row.thread_identical = SamePartition(solved, serial);
+        row.thread_identical = oracles::SamePartition(solved, serial);
         if (exact_bottleneck > 0.0) {
           row.quality_vs_exact = solved.bottleneck_time / exact_bottleneck;
         }
@@ -730,8 +585,6 @@ int RunWidthSweepMode(bool full, int repeat, runner::ResultSink* sink) {
 int main(int argc, char** argv) {
   runner::BenchArgs args = runner::BenchArgs::Parse(argc, argv);
   int repeat = 5;
-  std::string expect_path;
-  std::string write_expect_path;
   bool growth = false;
   bool growth_full = false;
   bool width_sweep = false;
@@ -764,10 +617,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       repeat = parsed;
-    } else if (arg.rfind("--expect=", 0) == 0) {
-      expect_path = arg.substr(9);
-    } else if (arg.rfind("--write-expect=", 0) == 0) {
-      write_expect_path = arg.substr(15);
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return 2;
@@ -784,8 +633,8 @@ int main(int argc, char** argv) {
 
   // Shared read-only inputs, built once: profiles are per (model, batch) and
   // clusters per label. GPU classes the mixed spec declares register here.
-  const hw::Cluster paper = hw::Cluster::Paper();
-  const hw::Cluster mixed = MixedCluster();
+  const hw::Cluster paper = oracles::SolveGridCluster("paper");
+  const hw::Cluster mixed = oracles::SolveGridCluster("mixed-3node");
   const auto cluster_of = [&](const std::string& label) -> const hw::Cluster& {
     return label == "paper" ? paper : mixed;
   };
@@ -795,10 +644,10 @@ int main(int argc, char** argv) {
   }
   std::map<std::string, model::ModelProfile> profiles;
   for (const auto& [name, graph] : graphs) {
-    profiles.emplace(name, model::ModelProfile(graph, 32));
+    profiles.emplace(name, model::ModelProfile(graph, oracles::kSolveGridBatch));
   }
 
-  const std::vector<GridPoint> grid = BuildGrid();
+  const std::vector<oracles::SolveGridPoint> grid = oracles::SolveGrid();
   std::printf("timing %zu grid points (cold kExact solve vs oracles::SolveReference,\n"
               "best of %d repetitions each)\n\n",
               grid.size(), repeat);
@@ -808,7 +657,7 @@ int main(int argc, char** argv) {
   runner::SweepRunner sweep(sweep_options);
   const std::vector<PointResult> results = sweep.Map<PointResult>(
       static_cast<int64_t>(grid.size()), [&](int64_t i) {
-        const GridPoint& point = grid[static_cast<size_t>(i)];
+        const oracles::SolveGridPoint& point = grid[static_cast<size_t>(i)];
         return RunPoint(point, cluster_of(point.cluster), profiles.at(point.model), repeat);
       });
 
@@ -887,12 +736,5 @@ int main(int argc, char** argv) {
     sink->Flush();
   }
 
-  int exit_code = (all_identical && scratch_grows == 0) ? 0 : 1;
-  if (!write_expect_path.empty()) {
-    exit_code = std::max(exit_code, WriteExpectations(results, write_expect_path));
-  }
-  if (!expect_path.empty()) {
-    exit_code = std::max(exit_code, CompareExpectations(results, expect_path));
-  }
-  return exit_code;
+  return (all_identical && scratch_grows == 0) ? 0 : 1;
 }

@@ -53,15 +53,33 @@ void PickByType(const hw::Cluster& cluster, hw::GpuType type, int count, int nod
   }
 }
 
-// The class named `name` when `cluster` has GPUs of it, else null: names
-// resolve inside the cluster, whatever other classes the process registered.
-const hw::GpuSpec* ClusterClassNamed(const hw::Cluster& cluster, const std::string& name) {
-  const hw::GpuSpec* spec = hw::FindGpuTypeByName(name);
-  if (spec == nullptr) {
-    return nullptr;
-  }
+// The classes `cluster` has GPUs of, in GPU-id order. Selectors resolve
+// class names and code letters among these only, whatever other classes the
+// process registered.
+std::vector<const hw::GpuSpec*> ClusterClasses(const hw::Cluster& cluster) {
+  std::vector<const hw::GpuSpec*> classes;
   for (const hw::Gpu& gpu : cluster.gpus()) {
-    if (gpu.type == spec->type) {
+    if (std::none_of(classes.begin(), classes.end(),
+                     [&](const hw::GpuSpec* spec) { return spec->type == gpu.type; })) {
+      classes.push_back(&hw::SpecOf(gpu.type));
+    }
+  }
+  return classes;
+}
+
+const hw::GpuSpec* ClassNamed(const std::vector<const hw::GpuSpec*>& classes,
+                              const std::string& name) {
+  for (const hw::GpuSpec* spec : classes) {
+    if (name == spec->name) {
+      return spec;
+    }
+  }
+  return nullptr;
+}
+
+const hw::GpuSpec* ClassWithCode(const std::vector<const hw::GpuSpec*>& classes, char code) {
+  for (const hw::GpuSpec* spec : classes) {
+    if (code == spec->code) {
       return spec;
     }
   }
@@ -70,38 +88,26 @@ const hw::GpuSpec* ClusterClassNamed(const hw::Cluster& cluster, const std::stri
 
 }  // namespace
 
-std::vector<int> PickGpusByCode(const hw::Cluster& cluster, const std::string& codes) {
-  std::vector<int> picked;
-  std::vector<bool> used(static_cast<size_t>(cluster.num_gpus()), false);
-  for (char code : codes) {
-    PickByType(cluster, hw::TypeFromCode(code), 1, /*node=*/-1,
-               "type " + std::string(1, code), used, picked);
-  }
-  return picked;
-}
-
 std::vector<int> PickGpus(const hw::Cluster& cluster, const std::string& selector) {
-  const bool term_form = selector.find_first_of(",*@") != std::string::npos;
-  if (!term_form && ClusterClassNamed(cluster, selector) == nullptr) {
-    // A code string ("VVQQ") when every character is a known code letter and
-    // the selector does not name a class of the cluster (names win, so a
-    // class called "GQ" is never shadowed by the G/Q code letters).
-    const bool all_codes = !selector.empty() &&
-                           std::all_of(selector.begin(), selector.end(), [](char c) {
-                             try {
-                               hw::TypeFromCode(c);
-                               return true;
-                             } catch (const std::invalid_argument&) {
-                               return false;
-                             }
-                           });
-    if (all_codes) {
-      return PickGpusByCode(cluster, selector);
-    }
-  }
-
+  const std::vector<const hw::GpuSpec*> classes = ClusterClasses(cluster);
   std::vector<int> picked;
   std::vector<bool> used(static_cast<size_t>(cluster.num_gpus()), false);
+  // A code string ("VVQQ") when every character is the code letter of one of
+  // the cluster's classes and the selector does not name one (names win, so
+  // a class called "GQ" is never shadowed by the G/Q code letters).
+  const bool code_string =
+      !selector.empty() && selector.find_first_of(",*@") == std::string::npos &&
+      ClassNamed(classes, selector) == nullptr &&
+      std::all_of(selector.begin(), selector.end(),
+                  [&](char c) { return ClassWithCode(classes, c) != nullptr; });
+  if (code_string) {
+    for (char code : selector) {
+      PickByType(cluster, ClassWithCode(classes, code)->type, 1, /*node=*/-1,
+                 "type " + std::string(1, code), used, picked);
+    }
+    return picked;
+  }
+
   size_t start = 0;
   while (start <= selector.size()) {
     const size_t comma = std::min(selector.find(',', start), selector.size());
@@ -122,16 +128,17 @@ std::vector<int> PickGpus(const hw::Cluster& cluster, const std::string& selecto
       count = ParseSelectorInt(term.substr(star + 1), "count in \"" + term + "\"");
       term.resize(star);
     }
-    const hw::GpuSpec* spec = ClusterClassNamed(cluster, term);
-    const hw::GpuType type = spec != nullptr
-                                 ? spec->type
-                                 : (term.size() == 1 ? hw::TypeFromCode(term[0])
-                                                     : throw std::invalid_argument(
-                                                           "unknown GPU class \"" + term + "\""));
+    const hw::GpuSpec* spec = ClassNamed(classes, term);
+    if (spec == nullptr && term.size() == 1) {
+      spec = ClassWithCode(classes, term[0]);
+    }
+    if (spec == nullptr) {
+      throw std::invalid_argument("unknown GPU class \"" + term + "\"");
+    }
     if (count <= 0) {
       throw std::invalid_argument("selector term " + term + " needs a positive count");
     }
-    PickByType(cluster, type, count, node, "\"" + term + "\"", used, picked);
+    PickByType(cluster, spec->type, count, node, "\"" + term + "\"", used, picked);
   }
   if (picked.empty()) {
     throw std::invalid_argument("empty GPU selector");

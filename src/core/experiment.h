@@ -17,18 +17,17 @@ class SweepRunner;
 
 namespace hetpipe::core {
 
-// Picks one unused GPU per code letter from the cluster, e.g. "VVQQ" on the
-// paper cluster returns two TITAN V GPUs (node 0) and two Quadro P4000s
-// (node 3) — the Fig. 3 virtual-worker configurations.
-std::vector<int> PickGpusByCode(const hw::Cluster& cluster, const std::string& codes);
-
-// Spec-driven GPU selection for any cluster. A selector is either a code
-// string as above ("VVQQ"), or a comma-separated list of terms
-//   <class-name>[*<count>][@<node>]
+// GPU selection for any cluster. A selector is either a code string, one
+// unused GPU per code letter in GPU-id order (e.g. "VVQQ" on the paper
+// cluster returns two TITAN V GPUs on node 0 and two Quadro P4000s on node 3,
+// the Fig. 3 virtual-worker configurations), or a comma-separated list of
+// terms
+//   <class-name-or-code>[*<count>][@<node>]
 // e.g. "A100*2,T4" or "A100*2@0,A100*2@1". Each term picks `count` unused
 // GPUs of that class (from node `node` when given), in GPU-id order. Class
-// names resolve among the cluster's own classes only. Throws
-// std::invalid_argument when the cluster cannot satisfy the selector.
+// names and code letters resolve among the cluster's own classes only, and a
+// name wins over code letters. Throws std::invalid_argument when the cluster
+// cannot satisfy the selector.
 std::vector<int> PickGpus(const hw::Cluster& cluster, const std::string& selector);
 
 // ---- One experiment = one independently runnable configuration. ----

@@ -367,11 +367,6 @@ ClusterSpec& ClusterSpec::IntraGbps(double gbps) {
   return *this;
 }
 
-ClusterSpec& ClusterSpec::IntraScaling(double scaling) {
-  intra_scaling = scaling;
-  return *this;
-}
-
 ClusterSpec& ClusterSpec::IntraLatencyS(double latency_s) {
   intra_latency_s = latency_s;
   return *this;
@@ -379,11 +374,6 @@ ClusterSpec& ClusterSpec::IntraLatencyS(double latency_s) {
 
 ClusterSpec& ClusterSpec::InterGbits(double gbits) {
   inter_gbits = gbits;
-  return *this;
-}
-
-ClusterSpec& ClusterSpec::InterEfficiency(double efficiency) {
-  inter_efficiency = efficiency;
   return *this;
 }
 
@@ -399,16 +389,6 @@ ClusterSpec& ClusterSpec::AddRack(std::string rack_name, std::vector<int> node_i
 
 ClusterSpec& ClusterSpec::CrossRackGbits(double gbits) {
   cross_rack_gbits = gbits;
-  return *this;
-}
-
-ClusterSpec& ClusterSpec::CrossRackEfficiency(double efficiency) {
-  cross_rack_efficiency = efficiency;
-  return *this;
-}
-
-ClusterSpec& ClusterSpec::CrossRackInterceptS(double intercept_s) {
-  cross_rack_intercept_s = intercept_s;
   return *this;
 }
 

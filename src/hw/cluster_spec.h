@@ -141,16 +141,12 @@ struct ClusterSpec {
   // Mixed-class node: the groups' order is the GPU order inside the node.
   ClusterSpec& AddMixedNode(std::vector<NodeGroup> groups);
   ClusterSpec& IntraGbps(double gbps);
-  ClusterSpec& IntraScaling(double scaling);
   ClusterSpec& IntraLatencyS(double latency_s);
   ClusterSpec& InterGbits(double gbits);
-  ClusterSpec& InterEfficiency(double efficiency);
   ClusterSpec& InterInterceptS(double intercept_s);
   // Rack topology: groups `node_indices` under `rack_name`.
   ClusterSpec& AddRack(std::string rack_name, std::vector<int> node_indices);
   ClusterSpec& CrossRackGbits(double gbits);
-  ClusterSpec& CrossRackEfficiency(double efficiency);
-  ClusterSpec& CrossRackInterceptS(double intercept_s);
   // Per-pair override; pass std::nullopt for fields that should inherit the
   // pair's base link (at least one field must be set).
   ClusterSpec& OverrideLink(int node_a, int node_b, std::optional<double> gbits,

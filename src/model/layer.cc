@@ -81,20 +81,4 @@ Layer MakeBottleneckBlock(const std::string& name, int cin, int mid, int cout, i
   return layer;
 }
 
-const char* LayerKindName(LayerKind kind) {
-  switch (kind) {
-    case LayerKind::kConv:
-      return "conv";
-    case LayerKind::kPool:
-      return "pool";
-    case LayerKind::kFc:
-      return "fc";
-    case LayerKind::kBlock:
-      return "block";
-    case LayerKind::kSoftmax:
-      return "softmax";
-  }
-  return "?";
-}
-
 }  // namespace hetpipe::model

@@ -56,6 +56,4 @@ Layer MakeFc(const std::string& name, int in, int out);
 // cin != cout).
 Layer MakeBottleneckBlock(const std::string& name, int cin, int mid, int cout, int h, int w);
 
-const char* LayerKindName(LayerKind kind);
-
 }  // namespace hetpipe::model

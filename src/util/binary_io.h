@@ -65,9 +65,6 @@ inline void PutU32(std::string& out, uint32_t v) {
 inline void PutU64(std::string& out, uint64_t v) {
   out.append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
-inline void PutI32(std::string& out, int32_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
 inline void PutF64(std::string& out, double v) {
   out.append(reinterpret_cast<const char*>(&v), sizeof(v));
 }

@@ -21,6 +21,7 @@
 #include "hw/cluster_spec.h"
 #include "model/profiler.h"
 #include "model/resnet.h"
+#include "oracles/golden.h"
 #include "partition/partitioner.h"
 #include "runner/partition_cache.h"
 #include "runner/thread_pool.h"
@@ -30,11 +31,6 @@
 
 namespace hetpipe::runner {
 namespace {
-
-bool SamePartition(const partition::Partition& a, const partition::Partition& b) {
-  return a.feasible == b.feasible && a.bottleneck_time == b.bottleneck_time &&
-         a.sum_time == b.sum_time && a.num_stages() == b.num_stages();
-}
 
 // ---- ThreadPool exception safety ----
 
@@ -146,7 +142,7 @@ TEST(PartitionCacheStressTest, HammerWithConcurrentSaveAndEviction) {
     partition::PartitionOptions options;
     options.nm = 1 + static_cast<int>(i % kKeys);
     const partition::Partition got = cache.Solve(partitioner, {0, 4, 8, 12}, options);
-    if (!SamePartition(got, expected[options.nm - 1])) {
+    if (!oracles::SamePartition(got, expected[options.nm - 1])) {
       mismatches.fetch_add(1);
     }
     // Saves overlap solves and evictions; SetCapacity oscillates the bound
@@ -239,7 +235,7 @@ TEST(PartitionCacheStressTest, SetCapacityShrinkBelowLiveWhileReadersActive) {
         partition::PartitionOptions options;
         options.nm = nm;
         const partition::Partition got = cache.Solve(partitioner, {0, 4, 8, 12}, options);
-        if (!SamePartition(got, expected[nm - 1])) mismatches.fetch_add(1);
+        if (!oracles::SamePartition(got, expected[nm - 1])) mismatches.fetch_add(1);
         nm = 1 + (nm % kKeys);
       }
     });
@@ -343,8 +339,7 @@ TEST(SearchParallelStressTest, ConcurrentPooledSolvesStayByteIdentical) {
         options.strategy = strategies[s];
         options.pool = &pool;
         const partition::Partition got = partitioner.SolveScalable(ids, options);
-        if (!SamePartition(got, expected[s]) ||
-            got.ToString(profile) != expected[s].ToString(profile)) {
+        if (!oracles::SamePartition(got, expected[s])) {
           mismatches.fetch_add(1, std::memory_order_relaxed);
         }
       }

@@ -12,7 +12,6 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -21,14 +20,11 @@
 
 #include "core/experiment.h"
 #include "hw/cluster_spec.h"
+#include "oracles/golden.h"
 #include "runner/partition_cache.h"
 #include "runner/result_sink.h"
 #include "runner/spec_sweep.h"
 #include "runner/sweep_runner.h"
-
-#ifndef HETPIPE_GOLDEN_DIR
-#error "golden_test needs HETPIPE_GOLDEN_DIR (set by CMakeLists.txt)"
-#endif
 
 namespace hetpipe {
 namespace {
@@ -38,12 +34,6 @@ namespace {
 // slack only absorbs FP differences across compilers and sanitizer builds.
 constexpr double kRelTol = 1e-6;
 constexpr double kAbsTol = 1e-9;
-
-bool UpdateGolden() { return std::getenv("UPDATE_GOLDEN") != nullptr; }
-
-std::string GoldenPath(const std::string& name) {
-  return std::string(HETPIPE_GOLDEN_DIR) + "/" + name + ".jsonl";
-}
 
 // ---- A tiny parser for the flat JSON objects JsonlSink emits. ----
 
@@ -128,29 +118,37 @@ bool BothNumeric(const std::string& a, const std::string& b, double* va, double*
   return end == b.c_str() + b.size() && !b.empty();
 }
 
-void ExpectRowsMatch(const std::string& suite, size_t row_index, const std::string& golden,
-                     const std::string& actual) {
+// The tolerant row comparison: the same keys in the same order, numbers
+// within kRelTol / kAbsTol, every other value byte for byte. "" on a match.
+std::string RowDiff(const std::string& golden, const std::string& actual) {
   std::vector<Field> want;
   std::vector<Field> got;
   std::string error;
-  ASSERT_TRUE(ParseRow(golden, &want, &error)) << suite << " golden: " << error;
-  ASSERT_TRUE(ParseRow(actual, &got, &error)) << suite << ": " << error;
-  ASSERT_EQ(want.size(), got.size()) << suite << " row " << row_index << "\n  golden: "
-                                     << golden << "\n  actual: " << actual;
+  if (!ParseRow(golden, &want, &error)) {
+    return "golden: " + error;
+  }
+  if (!ParseRow(actual, &got, &error)) {
+    return error;
+  }
+  if (want.size() != got.size()) {
+    return "field count differs\n  golden: " + golden + "\n  actual: " + actual;
+  }
   for (size_t f = 0; f < want.size(); ++f) {
-    EXPECT_EQ(want[f].key, got[f].key) << suite << " row " << row_index;
+    if (want[f].key != got[f].key) {
+      return "field " + std::to_string(f) + " is " + got[f].key + ", golden " + want[f].key;
+    }
     double want_value = 0.0;
     double got_value = 0.0;
-    if (BothNumeric(want[f].value, got[f].value, &want_value, &got_value)) {
-      const double diff = std::abs(want_value - got_value);
-      EXPECT_LE(diff, kAbsTol + kRelTol * std::abs(want_value))
-          << suite << " row " << row_index << " field " << want[f].key << ": golden "
-          << want[f].value << " vs actual " << got[f].value;
-    } else {
-      EXPECT_EQ(want[f].value, got[f].value)
-          << suite << " row " << row_index << " field " << want[f].key;
+    const bool same =
+        BothNumeric(want[f].value, got[f].value, &want_value, &got_value)
+            ? std::abs(want_value - got_value) <= kAbsTol + kRelTol * std::abs(want_value)
+            : want[f].value == got[f].value;
+    if (!same) {
+      return "field " + want[f].key + ": golden " + want[f].value + " vs actual " +
+             got[f].value;
     }
   }
+  return "";
 }
 
 std::vector<std::string> SplitLines(const std::string& text) {
@@ -187,27 +185,7 @@ void CheckAgainstGolden(const std::string& suite,
   EXPECT_EQ(RunToJsonl(experiments, /*threads=*/8), jsonl)
       << suite << ": 4- and 8-thread sweeps diverged";
 
-  const std::string path = GoldenPath(suite);
-  if (UpdateGolden()) {
-    std::ofstream out(path, std::ios::trunc);
-    ASSERT_TRUE(out.is_open()) << "cannot write " << path;
-    out << jsonl;
-    std::printf("updated %s\n", path.c_str());
-    return;
-  }
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.is_open()) << "missing golden " << path
-                            << " — run UPDATE_GOLDEN=1 ./golden_test to create it";
-  std::stringstream golden;
-  golden << in.rdbuf();
-
-  const std::vector<std::string> want = SplitLines(golden.str());
-  const std::vector<std::string> got = SplitLines(jsonl);
-  ASSERT_EQ(want.size(), got.size()) << suite << ": row count drifted";
-  for (size_t i = 0; i < want.size(); ++i) {
-    ExpectRowsMatch(suite, i, want[i], got[i]);
-  }
+  EXPECT_EQ(oracles::CheckGolden(suite + ".jsonl", "", SplitLines(jsonl), RowDiff), "");
 }
 
 // ---- The pinned experiment lists. Everything is fixed (seeds, waves,

@@ -1,9 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <functional>
 #include <numeric>
 #include <optional>
@@ -11,6 +8,8 @@
 #include <string>
 #include <utility>
 
+#include "core/context.h"
+#include "core/experiment.h"
 #include "hw/cluster.h"
 #include "hw/cluster_spec.h"
 #include "model/profiler.h"
@@ -19,12 +18,9 @@
 #include "model/vgg.h"
 #include "partition/memory_model.h"
 #include "partition/partitioner.h"
+#include "oracles/golden.h"
 #include "oracles/reference.h"
 #include "runner/thread_pool.h"
-
-#ifndef HETPIPE_GOLDEN_DIR
-#error "partition_test needs HETPIPE_GOLDEN_DIR (set by CMakeLists.txt)"
-#endif
 
 namespace hetpipe::partition {
 namespace {
@@ -292,8 +288,6 @@ model::ModelGraph RandomGraph(std::mt19937& rng) {
   return model::ModelGraph("random", model::ModelFamily::kGeneric, std::move(layers));
 }
 
-void ExpectSamePartition(const Partition& a, const Partition& b);
-
 TEST(PrefixEquivalenceTest, RandomGraphsMatchNaiveLoopsExactly) {
   std::mt19937 rng(20260729);
   // The DP solves run on a second stream so the graph draws stay put.
@@ -330,15 +324,16 @@ TEST(PrefixEquivalenceTest, RandomGraphsMatchNaiveLoopsExactly) {
     options.mem_params.framework_overhead_bytes =
         hw::MemoryBytes(GpuType::kRtx2060) - std::min(headroom, uint64_t{5} << 30);
     const Partition reference = oracles::SolveReference(partitioner, ids, options);
-    ExpectSamePartition(partitioner.SolveScalable(ids, options), reference);
+    EXPECT_EQ(oracles::PartitionDiff(partitioner.SolveScalable(ids, options), reference), "");
     PartitionOptions uncapped = options;
     uncapped.mem_params.framework_overhead_bytes = 0;
     const Partition free = oracles::SolveReference(partitioner, ids, uncapped);
     capped += free.feasible != reference.feasible ||
               free.bottleneck_time != reference.bottleneck_time;
     options.search_gpu_orders = false;
-    ExpectSamePartition(partitioner.SolveScalable(ids, options),
-                        oracles::SolveReference(partitioner, ids, options));
+    EXPECT_EQ(oracles::PartitionDiff(partitioner.SolveScalable(ids, options),
+                                     oracles::SolveReference(partitioner, ids, options)),
+              "");
     for (int first = 0; first < n; ++first) {
       for (int last = first; last < n; ++last) {
         EXPECT_EQ(graph.ParamBytesInRange(first, last),
@@ -392,47 +387,6 @@ TEST(PrefixEquivalenceTest, EmptyRangeIsZero) {
 // ---- return bit-identical partitions, including on mixed-node clusters and on
 // ---- nodes whose classes interleave in GPU-id order. ----
 
-void ExpectSamePartition(const Partition& a, const Partition& b) {
-  ASSERT_EQ(a.feasible, b.feasible);
-  if (!a.feasible) {
-    return;
-  }
-  EXPECT_EQ(a.bottleneck_time, b.bottleneck_time);  // exact, not approximate
-  EXPECT_EQ(a.sum_time, b.sum_time);
-  ASSERT_EQ(a.stages.size(), b.stages.size());
-  for (size_t q = 0; q < a.stages.size(); ++q) {
-    EXPECT_EQ(a.stages[q].first_layer, b.stages[q].first_layer);
-    EXPECT_EQ(a.stages[q].last_layer, b.stages[q].last_layer);
-    EXPECT_EQ(a.stages[q].gpu_id, b.stages[q].gpu_id);
-    EXPECT_EQ(a.stages[q].gpu_type, b.stages[q].gpu_type);
-    EXPECT_EQ(a.stages[q].node, b.stages[q].node);
-    EXPECT_EQ(a.stages[q].fwd_compute_s, b.stages[q].fwd_compute_s);
-    EXPECT_EQ(a.stages[q].bwd_compute_s, b.stages[q].bwd_compute_s);
-    EXPECT_EQ(a.stages[q].fwd_comm_in_s, b.stages[q].fwd_comm_in_s);
-    EXPECT_EQ(a.stages[q].bwd_comm_in_s, b.stages[q].bwd_comm_in_s);
-    EXPECT_EQ(a.stages[q].param_bytes, b.stages[q].param_bytes);
-    EXPECT_EQ(a.stages[q].memory_bytes, b.stages[q].memory_bytes);
-    EXPECT_EQ(a.stages[q].memory_cap, b.stages[q].memory_cap);
-  }
-}
-
-// A solve as one line: the exact bottleneck and sum, each stage's gpu, layer
-// range and class, then the rendered ToString.
-std::string SolveSignature(const Partition& p, const ModelProfile& profile) {
-  if (!p.feasible) {
-    return "infeasible";
-  }
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "b=%.17g s=%.17g", p.bottleneck_time, p.sum_time);
-  std::string sig = buf;
-  for (const StageAssignment& stage : p.stages) {
-    std::snprintf(buf, sizeof(buf), " %d:%d-%d@%c", stage.gpu_id, stage.first_layer,
-                  stage.last_layer, hw::CodeOf(stage.gpu_type));
-    sig += buf;
-  }
-  return sig + " | " + p.ToString(profile);
-}
-
 TEST_F(PartitionerTest, SolveMatchesReferenceOnPaperShapes) {
   const auto graph = BuildResNet152();
   const ModelProfile profile(graph, 32);
@@ -445,11 +399,13 @@ TEST_F(PartitionerTest, SolveMatchesReferenceOnPaperShapes) {
       PartitionOptions options;
       options.nm = nm;
       options.strategy = SearchStrategy::kExact;
-      ExpectSamePartition(partitioner.SolveScalable(gpus, options),
-                          oracles::SolveReference(partitioner, gpus, options));
+      EXPECT_EQ(oracles::PartitionDiff(partitioner.SolveScalable(gpus, options),
+                                       oracles::SolveReference(partitioner, gpus, options)),
+                "");
       options.search_gpu_orders = false;
-      ExpectSamePartition(partitioner.SolveScalable(gpus, options),
-                          oracles::SolveReference(partitioner, gpus, options));
+      EXPECT_EQ(oracles::PartitionDiff(partitioner.SolveScalable(gpus, options),
+                                       oracles::SolveReference(partitioner, gpus, options)),
+                "");
     }
   }
 }
@@ -470,8 +426,9 @@ TEST(PartitionerMixedTest, SolveMatchesReferenceOnMixedNodeSpec) {
       PartitionOptions options;
       options.nm = nm;
       options.strategy = SearchStrategy::kExact;
-      ExpectSamePartition(partitioner.SolveScalable(gpus, options),
-                          oracles::SolveReference(partitioner, gpus, options));
+      EXPECT_EQ(oracles::PartitionDiff(partitioner.SolveScalable(gpus, options),
+                                       oracles::SolveReference(partitioner, gpus, options)),
+                "");
     }
   }
 }
@@ -498,8 +455,9 @@ TEST(PartitionerMixedTest, SolveMatchesReferenceWhenClassesInterleaveInIdOrder) 
     PartitionOptions options;
     options.nm = 1 + round % 3;
     options.strategy = SearchStrategy::kExact;
-    ExpectSamePartition(partitioner.SolveScalable(gpus, options),
-                        oracles::SolveReference(partitioner, gpus, options));
+    EXPECT_EQ(oracles::PartitionDiff(partitioner.SolveScalable(gpus, options),
+                                     oracles::SolveReference(partitioner, gpus, options)),
+              "");
   }
 }
 
@@ -517,18 +475,15 @@ TEST(ExactWalkTest, MatchesReferenceOnRepeatedClassesAcrossPools) {
   const model::ModelGraph vgg = BuildVgg19();
   const auto check = [&](const Partitioner& partitioner, const std::vector<int>& ids, int nm,
                          const std::string& label) {
-    const ModelProfile& profile = partitioner.profile();
     PartitionOptions options;
     options.nm = nm;
     options.strategy = SearchStrategy::kExact;
     const Partition reference = oracles::SolveReference(partitioner, ids, options);
-    const std::string want = SolveSignature(reference, profile);
-    const Partition serial = partitioner.SolveScalable(ids, options);
-    ExpectSamePartition(serial, reference);
-    EXPECT_EQ(SolveSignature(serial, profile), want) << label;
+    EXPECT_EQ(oracles::PartitionDiff(partitioner.SolveScalable(ids, options), reference), "")
+        << label;
     for (runner::ThreadPool* pool : pools) {
       options.pool = pool;
-      EXPECT_EQ(SolveSignature(partitioner.SolveScalable(ids, options), profile), want)
+      EXPECT_EQ(oracles::PartitionDiff(partitioner.SolveScalable(ids, options), reference), "")
           << label << " on " << pool->num_threads() << " threads";
     }
     return reference.feasible;
@@ -804,8 +759,9 @@ TEST_F(PartitionerTest, SolveScalableAutoIsBitIdenticalToExact) {
       ASSERT_EQ(ResolveSearchStrategy(cluster_, gpus, options), SearchStrategy::kExact);
       PartitionOptions exact = options;
       exact.strategy = SearchStrategy::kExact;
-      ExpectSamePartition(partitioner.SolveScalable(gpus, options),
-                          partitioner.SolveScalable(gpus, exact));
+      EXPECT_EQ(oracles::PartitionDiff(partitioner.SolveScalable(gpus, options),
+                                       partitioner.SolveScalable(gpus, exact)),
+                "");
     }
   }
 }
@@ -824,8 +780,9 @@ TEST(SearchScalableTest, BeamAndHierarchicalInvariantUnderIdPermutation) {
     options.strategy = strategy;
     const std::vector<int> ids = {0, 1, 2, 3, 4, 5};
     std::vector<int> shuffled = {5, 2, 0, 4, 1, 3};
-    ExpectSamePartition(partitioner.SolveScalable(shuffled, options),
-                        partitioner.SolveScalable(ids, options));
+    EXPECT_EQ(oracles::PartitionDiff(partitioner.SolveScalable(shuffled, options),
+                                     partitioner.SolveScalable(ids, options)),
+              "");
   }
 }
 
@@ -990,7 +947,7 @@ TEST(SearchParallelTest, SolvesAreByteIdenticalAcrossThreadCounts) {
         PartitionOptions pooled = options;
         pooled.pool = pool;
         const Partition parallel = partitioner.SolveScalable(ids, pooled);
-        ExpectSamePartition(parallel, serial);
+        EXPECT_EQ(oracles::PartitionDiff(parallel, serial), "");
         EXPECT_EQ(parallel.feasible ? parallel.ToString(profile) : "infeasible",
                   serial_bytes)
             << "round " << round << ": " << SearchStrategyName(strategy) << " on "
@@ -1000,6 +957,40 @@ TEST(SearchParallelTest, SolvesAreByteIdenticalAcrossThreadCounts) {
     }
   });
   EXPECT_GE(solved_rounds, 15);  // the grid must actually run
+}
+
+// ---- The partitioner solve grid (tests/oracles): 81 exact-tier solves,
+// ---- the points bench/partitioner_speed times, pinned one `key \t
+// ---- signature` line each in tests/golden/partitioner_solves.txt and
+// ---- checked against the oracle's SolveReference.
+
+TEST(SolveGridGoldenTest, ExactSolvesMatchRecordedSolvesAndTheReference) {
+  const Cluster paper = oracles::SolveGridCluster("paper");
+  const Cluster mixed = oracles::SolveGridCluster("mixed-3node");
+  oracles::GoldenLines lines;
+  for (const oracles::SolveGridPoint& point : oracles::SolveGrid()) {
+    const Cluster& cluster = point.cluster == "paper" ? paper : mixed;
+    const model::ModelGraph graph = core::BuildModel(core::ParseModelKind(point.model));
+    const ModelProfile profile(graph, oracles::kSolveGridBatch);
+    const Partitioner partitioner(profile, cluster);
+    const std::vector<int> ids = core::PickGpus(cluster, point.vw);
+    PartitionOptions options;
+    options.nm = point.nm;
+    options.strategy = SearchStrategy::kExact;
+    const Partition solved = partitioner.SolveScalable(ids, options);
+    EXPECT_EQ(oracles::PartitionDiff(solved,
+                                     oracles::SolveReference(partitioner, ids, options)),
+              "")
+        << point.Key();
+    lines.push_back(point.Key() + '\t' + oracles::PartitionSignature(solved));
+  }
+  ASSERT_EQ(lines.size(), 81u);
+  EXPECT_EQ(oracles::CheckGolden("partitioner_solves.txt",
+                                 "Exact-tier solves of the partitioner solve grid: key \\t "
+                                 "signature.\n"
+                                 "Regenerate with: UPDATE_GOLDEN=1 ./partition_test",
+                                 lines),
+            "");
 }
 
 // ---- Pinned outputs of the approximate tiers. At these sizes the beam and
@@ -1070,8 +1061,8 @@ std::vector<int> DrawPerNode(std::mt19937& rng, int total) {
 }
 
 // Every golden line, in a fixed order.
-std::vector<std::pair<std::string, std::string>> ScalableGoldenLines() {
-  std::vector<std::pair<std::string, std::string>> lines;
+oracles::GoldenLines ScalableGoldenLines() {
+  oracles::GoldenLines lines;
   const std::pair<SearchStrategy, const char*> kStrategies[] = {
       {SearchStrategy::kAuto, "auto"},
       {SearchStrategy::kBeam, "beam"},
@@ -1084,8 +1075,9 @@ std::vector<std::pair<std::string, std::string>> ScalableGoldenLines() {
         PartitionOptions options;
         options.nm = nm;
         options.strategy = strategy;
-        lines.emplace_back(prefix + "|" + name + "|nm" + std::to_string(nm),
-                           SolveSignature(partitioner.SolveScalable(ids, options), profile));
+        const Partition solved = partitioner.SolveScalable(ids, options);
+        lines.push_back(prefix + "|" + name + "|nm" + std::to_string(nm) + '\t' +
+                        oracles::PartitionSignature(solved, &profile));
       }
     }
   };
@@ -1159,8 +1151,9 @@ std::vector<std::pair<std::string, std::string>> ScalableGoldenLines() {
       }
       PartitionOptions options = base;
       options.strategy = strategy;
-      lines.emplace_back(prefix + "|" + name + "|nm" + std::to_string(options.nm),
-                         SolveSignature(partitioner.SolveScalable(ids, options), profile));
+      const Partition solved = partitioner.SolveScalable(ids, options);
+      lines.push_back(prefix + "|" + name + "|nm" + std::to_string(options.nm) + '\t' +
+                      oracles::PartitionSignature(solved, &profile));
     }
   };
   const Cluster eight_racks = PlanBenchCluster(8);
@@ -1212,48 +1205,13 @@ std::vector<std::pair<std::string, std::string>> ScalableGoldenLines() {
   return lines;
 }
 
-// Compares `lines` with the golden file `name` (one `key \t value` line each,
-// `#` comments), or rewrites the file under UPDATE_GOLDEN=1 with `header` as
-// its first comment line.
-void CheckGolden(const std::string& name, const std::string& header,
-                 const std::vector<std::pair<std::string, std::string>>& lines) {
-  const std::string path = std::string(HETPIPE_GOLDEN_DIR) + "/" + name;
-  if (std::getenv("UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::trunc);
-    ASSERT_TRUE(out.is_open()) << "cannot write " << path;
-    out << "# " << header
-        << ".\n"
-           "# Regenerate with: UPDATE_GOLDEN=1 ./partition_test\n";
-    for (const auto& [key, signature] : lines) {
-      out << key << '\t' << signature << '\n';
-    }
-    std::printf("updated %s\n", path.c_str());
-    return;
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.is_open()) << "missing golden " << path;
-  std::vector<std::pair<std::string, std::string>> want;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') {
-      continue;
-    }
-    const size_t tab = line.find('\t');
-    ASSERT_NE(tab, std::string::npos) << "malformed golden line: " << line;
-    want.emplace_back(line.substr(0, tab), line.substr(tab + 1));
-  }
-  ASSERT_EQ(want.size(), lines.size()) << "golden line count drifted";
-  for (size_t i = 0; i < lines.size(); ++i) {
-    EXPECT_EQ(want[i].first, lines[i].first) << "line " << i;
-    EXPECT_EQ(want[i].second, lines[i].second) << lines[i].first;
-  }
-}
-
 TEST(ScalableGoldenTest, ApproximateTiersMatchRecordedSolves) {
-  CheckGolden("scalable_solves.txt",
-              "SolveScalable results of the beam / hierarchical / auto tiers: key \\t "
-              "signature | ToString",
-              ScalableGoldenLines());
+  EXPECT_EQ(oracles::CheckGolden("scalable_solves.txt",
+                                 "SolveScalable results of the beam / hierarchical / auto "
+                                 "tiers: key \\t signature | ToString.\n"
+                                 "Regenerate with: UPDATE_GOLDEN=1 ./partition_test",
+                                 ScalableGoldenLines()),
+            "");
 }
 
 TEST(SearchParallelTest, ApproximateTiersIgnorePools) {
@@ -1268,8 +1226,8 @@ TEST(SearchParallelTest, ApproximateTiersIgnorePools) {
   // refined by its adjacent-swap fallback instead of its class-order walk.
   runner::ThreadPool pool1(1), pool2(2), pool8(8);
   int compared = 0;
-  const auto check = [&](const std::string& label, const ModelProfile& profile,
-                         const Partitioner& partitioner, const std::vector<int>& ids, int nm) {
+  const auto check = [&](const std::string& label, const Partitioner& partitioner,
+                         const std::vector<int>& ids, int nm) {
     const std::pair<SearchStrategy, int64_t> tiers[] = {{SearchStrategy::kBeam, 720},
                                                         {SearchStrategy::kHierarchical, 720},
                                                         {SearchStrategy::kHierarchical, 2}};
@@ -1279,15 +1237,12 @@ TEST(SearchParallelTest, ApproximateTiersIgnorePools) {
       options.strategy = strategy;
       options.rack_order_limit = rack_order_limit;
       const Partition want = partitioner.SolveScalable(ids, options);
-      const std::string want_bytes = SolveSignature(want, profile);
       std::vector<PartitionOptions> runs(3, options);
       runs[0].pool = &pool1;
       runs[1].pool = &pool2;
       runs[2].pool = &pool8;
       for (const PartitionOptions& run : runs) {
-        const Partition got = partitioner.SolveScalable(ids, run);
-        ExpectSamePartition(got, want);
-        EXPECT_EQ(SolveSignature(got, profile), want_bytes)
+        EXPECT_EQ(oracles::PartitionDiff(partitioner.SolveScalable(ids, run), want), "")
             << label << " " << SearchStrategyName(strategy) << " racklimit " << rack_order_limit
             << " threads " << run.pool->num_threads();
       }
@@ -1297,8 +1252,7 @@ TEST(SearchParallelTest, ApproximateTiersIgnorePools) {
   ForEachRackedInstance([&](int round, const Cluster& cluster, const model::ModelGraph& graph,
                             const std::vector<int>& ids) {
     const ModelProfile profile(graph, 1 + round % 32);
-    check("parallel-" + std::to_string(round), profile, Partitioner(profile, cluster), ids,
-          1 + round % 3);
+    check("parallel-" + std::to_string(round), Partitioner(profile, cluster), ids, 1 + round % 3);
   });
   // The clusters register their GPU classes, so they come before the
   // profile that times every registered class.
@@ -1315,7 +1269,7 @@ TEST(SearchParallelTest, ApproximateTiersIgnorePools) {
       std::string counts;
       const std::vector<int> ids =
           PlanBenchIds(DrawPerNode(rng, 6 + static_cast<int>(rng() % 11u)), &counts);
-      check(cluster.name() + "|" + counts, profile, partitioner, ids, 1 + draw % 2);
+      check(cluster.name() + "|" + counts, partitioner, ids, 1 + draw % 2);
     }
     // Nodes i and i + 4 hold the same class, so these VWs have racks (and
     // classes) with equal contents: rack orders and interiors in different
@@ -1324,7 +1278,7 @@ TEST(SearchParallelTest, ApproximateTiersIgnorePools) {
          {std::vector<int>{2, 2, 1, 1, 2, 2, 1, 1}, std::vector<int>{1, 1, 1, 1, 1, 1, 1, 1}}) {
       std::string counts;
       const std::vector<int> ids = PlanBenchIds(per_node, &counts);
-      check(cluster.name() + "|" + counts, profile, partitioner, ids, 1);
+      check(cluster.name() + "|" + counts, partitioner, ids, 1);
     }
   }
   EXPECT_GE(compared, 30);  // the grid must actually run
@@ -1358,7 +1312,7 @@ Cluster ExactGoldenCluster(const char* codes, bool racked, int a, int b) {
 }
 
 // Appends one exact solve per nm in 1-4 of `ids`, on both paper models.
-void AppendExactSolves(std::vector<std::pair<std::string, std::string>>* lines,
+void AppendExactSolves(oracles::GoldenLines* lines,
                        const std::string& key, const Cluster& cluster,
                        const std::vector<int>& ids) {
   for (const model::ModelGraph& graph : {BuildResNet152(), BuildVgg19()}) {
@@ -1368,14 +1322,15 @@ void AppendExactSolves(std::vector<std::pair<std::string, std::string>>* lines,
       PartitionOptions options;
       options.nm = nm;
       options.strategy = SearchStrategy::kExact;
-      lines->emplace_back(key + "|" + graph.name() + "|nm" + std::to_string(nm),
-                          SolveSignature(partitioner.SolveScalable(ids, options), profile));
+      const Partition solved = partitioner.SolveScalable(ids, options);
+      lines->push_back(key + "|" + graph.name() + "|nm" + std::to_string(nm) + '\t' +
+                       oracles::PartitionSignature(solved, &profile));
     }
   }
 }
 
-std::vector<std::pair<std::string, std::string>> ExactGoldenLines() {
-  std::vector<std::pair<std::string, std::string>> lines;
+oracles::GoldenLines ExactGoldenLines() {
+  oracles::GoldenLines lines;
   const model::ModelGraph resnet = BuildResNet152();
   const model::ModelGraph vgg = BuildVgg19();
   std::mt19937 rng(20261018);
@@ -1412,9 +1367,10 @@ std::vector<std::pair<std::string, std::string>> ExactGoldenLines() {
           PartitionOptions options;
           options.nm = nm;
           options.strategy = SearchStrategy::kExact;
-          lines.emplace_back(std::string(nodes) + "|" + label + "|" + counts + "|nm" +
-                                 std::to_string(nm),
-                             SolveSignature(partitioner.SolveScalable(ids, options), profile));
+          const Partition solved = partitioner.SolveScalable(ids, options);
+          lines.push_back(std::string(nodes) + "|" + label + "|" + counts + "|nm" +
+                          std::to_string(nm) + '\t' +
+                          oracles::PartitionSignature(solved, &profile));
         }
       }
     }
@@ -1487,9 +1443,12 @@ std::vector<std::pair<std::string, std::string>> ExactGoldenLines() {
 }
 
 TEST(ExactGoldenTest, ExactTierMatchesRecordedSolves) {
-  CheckGolden("exact_solves.txt",
-              "SolveScalable results of the exact tier: key \\t signature | ToString",
-              ExactGoldenLines());
+  EXPECT_EQ(oracles::CheckGolden("exact_solves.txt",
+                                 "SolveScalable results of the exact tier: key \\t signature "
+                                 "| ToString.\n"
+                                 "Regenerate with: UPDATE_GOLDEN=1 ./partition_test",
+                                 ExactGoldenLines()),
+            "");
 }
 
 // ---- Pinned Maxm answers of the approximate tiers. Feasibility is provably
@@ -1500,7 +1459,7 @@ TEST(ExactGoldenTest, ExactTierMatchesRecordedSolves) {
 // ---- so any diff there means a probe order changed an answer. At batch
 // ---- 256, 14 of the 96 (cluster, model, batch, shape) cases have their
 // ---- boundary below nm 8.
-std::vector<std::pair<std::string, std::string>> MaxNmGoldenLines() {
+oracles::GoldenLines MaxNmGoldenLines() {
   std::vector<Cluster> clusters;
   for (int racks : {0, 2, 4, 8}) {
     clusters.push_back(PlanBenchCluster(racks));
@@ -1516,7 +1475,7 @@ std::vector<std::pair<std::string, std::string>> MaxNmGoldenLines() {
     shapes.push_back(DrawPerNode(rng, (draw < 2 ? 12 : 6) + static_cast<int>(rng() % 5u)));
   }
   constexpr int kMaxCap = 8;
-  std::vector<std::pair<std::string, std::string>> lines;
+  oracles::GoldenLines lines;
   for (const auto& [label, graph] :
        {std::pair<const char*, const model::ModelGraph*>{"resnet152", &resnet},
         std::pair<const char*, const model::ModelGraph*>{"vgg19", &vgg}}) {
@@ -1543,9 +1502,9 @@ std::vector<std::pair<std::string, std::string>> MaxNmGoldenLines() {
             PartitionOptions options;
             options.strategy = strategy;
             for (int cap = 1; cap <= kMaxCap; ++cap) {
-              lines.emplace_back(cluster.name() + "|" + label + "|b" + std::to_string(batch) +
-                                     "|" + counts + "|" + name + "|cap" + std::to_string(cap),
-                                 std::to_string(FindMaxNmWith(solve, cap, options)));
+              lines.push_back(cluster.name() + "|" + label + "|b" + std::to_string(batch) +
+                              "|" + counts + "|" + name + "|cap" + std::to_string(cap) + '\t' +
+                              std::to_string(FindMaxNmWith(solve, cap, options)));
             }
           }
         }
@@ -1556,10 +1515,12 @@ std::vector<std::pair<std::string, std::string>> MaxNmGoldenLines() {
 }
 
 TEST(MaxNmGoldenTest, ApproximateTiersMatchRecordedAnswers) {
-  CheckGolden("max_nm_answers.txt",
-              "FindMaxNmWith answers of the beam / hierarchical / auto tiers, nm_cap 1-8: key "
-              "\\t max_nm",
-              MaxNmGoldenLines());
+  EXPECT_EQ(oracles::CheckGolden("max_nm_answers.txt",
+                                 "FindMaxNmWith answers of the beam / hierarchical / auto "
+                                 "tiers, nm_cap 1-8: key \\t max_nm.\n"
+                                 "Regenerate with: UPDATE_GOLDEN=1 ./partition_test",
+                                 MaxNmGoldenLines()),
+            "");
 }
 
 }  // namespace

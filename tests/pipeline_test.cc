@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <utility>
@@ -14,16 +12,13 @@
 #include "model/profiler.h"
 #include "model/resnet.h"
 #include "model/vgg.h"
+#include "oracles/golden.h"
 #include "partition/partitioner.h"
 #include "pipeline/schedule.h"
 #include "pipeline/task.h"
 #include "pipeline/virtual_worker.h"
 #include "sim/simulator.h"
 #include "wsp/param_server.h"
-
-#ifndef HETPIPE_GOLDEN_DIR
-#error "pipeline_test needs HETPIPE_GOLDEN_DIR (set by CMakeLists.txt)"
-#endif
 
 namespace hetpipe::pipeline {
 namespace {
@@ -291,7 +286,7 @@ std::string HexList(const std::vector<double>& values) {
   return out;
 }
 
-using GoldenLines = std::vector<std::pair<std::string, std::string>>;
+using oracles::GoldenLines;
 
 void AppendVwTrace(GoldenLines& lines, const std::string& prefix, const VirtualWorkerSim& vw,
                    int64_t warmup, sim::SimTime end) {
@@ -299,17 +294,17 @@ void AppendVwTrace(GoldenLines& lines, const std::string& prefix, const VirtualW
   const sim::SimTime warm = times.size() > static_cast<size_t>(warmup)
                                 ? times[static_cast<size_t>(warmup)]
                                 : 0.0;
-  lines.emplace_back(prefix + "|completion_times", HexList(times));
-  lines.emplace_back(prefix + "|total_wait_s", Hex(vw.total_wait_s()));
-  lines.emplace_back(prefix + "|idle_during_wait", Hex(vw.IdleDuringWait()));
-  lines.emplace_back(prefix + "|max_util_warm", Hex(vw.MaxStageUtilization(warm, end)));
-  lines.emplace_back(prefix + "|max_util_mid",
-                     Hex(vw.MaxStageUtilization(end / 3.0, 2.0 * end / 3.0)));
+  lines.push_back(prefix + "|completion_times\t" + HexList(times));
+  lines.push_back(prefix + "|total_wait_s\t" + Hex(vw.total_wait_s()));
+  lines.push_back(prefix + "|idle_during_wait\t" + Hex(vw.IdleDuringWait()));
+  lines.push_back(prefix + "|max_util_warm\t" + Hex(vw.MaxStageUtilization(warm, end)));
+  lines.push_back(prefix + "|max_util_mid\t" +
+                  Hex(vw.MaxStageUtilization(end / 3.0, 2.0 * end / 3.0)));
   std::vector<double> per_stage;
   for (int q = 0; q < vw.num_stages(); ++q) {
     per_stage.push_back(vw.StageComputeUtilization(q, 0.0, end));
   }
-  lines.emplace_back(prefix + "|stage_util", HexList(per_stage));
+  lines.push_back(prefix + "|stage_util\t" + HexList(per_stage));
 }
 
 GoldenLines SimTraceGoldenLines() {
@@ -356,8 +351,8 @@ GoldenLines SimTraceGoldenLines() {
     VirtualWorkerSim vw(0, simulator, partition, gate, options);
     vw.Start();
     simulator.Run();
-    lines.emplace_back(std::string(c.name) + "|events",
-                       std::to_string(simulator.events_processed()));
+    lines.push_back(std::string(c.name) + "|events\t" +
+                    std::to_string(simulator.events_processed()));
     AppendVwTrace(lines, c.name, vw, c.nm, simulator.now());
   }
 
@@ -412,7 +407,7 @@ GoldenLines SimTraceGoldenLines() {
     }
     simulator.Run();
     const std::string prefix = std::string("cluster-") + c.name;
-    lines.emplace_back(prefix + "|events", std::to_string(simulator.events_processed()));
+    lines.push_back(prefix + "|events\t" + std::to_string(simulator.events_processed()));
     for (int v = 0; v < alloc.num_vws(); ++v) {
       AppendVwTrace(lines, prefix + "|vw" + std::to_string(v), *vws[static_cast<size_t>(v)],
                     2 * c.nm, simulator.now());
@@ -428,52 +423,27 @@ GoldenLines SimTraceGoldenLines() {
     const core::HetPipeReport report = core::HetPipe(cluster, resnet, config).Run();
     EXPECT_TRUE(report.feasible) << c.name;
     const std::string run = std::string("hetpipe-") + c.name;
-    lines.emplace_back(run + "|throughput", Hex(report.throughput_img_s));
-    lines.emplace_back(run + "|total_wait_s", Hex(report.total_wait_s));
-    lines.emplace_back(run + "|idle_fraction_of_wait", Hex(report.idle_fraction_of_wait));
-    lines.emplace_back(run + "|avg_clock_distance", Hex(report.avg_clock_distance));
-    lines.emplace_back(run + "|avg_global_lag_waves", Hex(report.avg_global_lag_waves));
+    lines.push_back(run + "|throughput\t" + Hex(report.throughput_img_s));
+    lines.push_back(run + "|total_wait_s\t" + Hex(report.total_wait_s));
+    lines.push_back(run + "|idle_fraction_of_wait\t" + Hex(report.idle_fraction_of_wait));
+    lines.push_back(run + "|avg_clock_distance\t" + Hex(report.avg_clock_distance));
+    lines.push_back(run + "|avg_global_lag_waves\t" + Hex(report.avg_global_lag_waves));
     for (size_t v = 0; v < report.vws.size(); ++v) {
       const core::VwReport& vr = report.vws[v];
-      lines.emplace_back(run + "|vw" + std::to_string(v),
-                         HexList({vr.throughput_img_s, vr.max_stage_utilization, vr.wait_s,
-                                  vr.idle_during_wait_s}));
+      lines.push_back(run + "|vw" + std::to_string(v) + '\t' +
+                      HexList({vr.throughput_img_s, vr.max_stage_utilization, vr.wait_s,
+                               vr.idle_during_wait_s}));
     }
   }
   return lines;
 }
 
 TEST(SimTraceGoldenTest, SimulatorOutputMatchesRecordedTraces) {
-  const GoldenLines lines = SimTraceGoldenLines();
-  const std::string path = std::string(HETPIPE_GOLDEN_DIR) + "/sim_traces.txt";
-  if (std::getenv("UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::trunc);
-    ASSERT_TRUE(out.is_open()) << "cannot write " << path;
-    out << "# Simulator outputs (hexfloat): key \\t value.\n"
-           "# Regenerate with: UPDATE_GOLDEN=1 ./pipeline_test\n";
-    for (const auto& [key, value] : lines) {
-      out << key << '\t' << value << '\n';
-    }
-    std::printf("updated %s\n", path.c_str());
-    return;
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.is_open()) << "missing golden " << path;
-  GoldenLines want;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') {
-      continue;
-    }
-    const size_t tab = line.find('\t');
-    ASSERT_NE(tab, std::string::npos) << "malformed golden line: " << line;
-    want.emplace_back(line.substr(0, tab), line.substr(tab + 1));
-  }
-  ASSERT_EQ(want.size(), lines.size()) << "golden line count drifted";
-  for (size_t i = 0; i < lines.size(); ++i) {
-    EXPECT_EQ(want[i].first, lines[i].first) << "line " << i;
-    EXPECT_EQ(want[i].second, lines[i].second) << lines[i].first;
-  }
+  EXPECT_EQ(oracles::CheckGolden("sim_traces.txt",
+                                 "Simulator outputs (hexfloat): key \\t value.\n"
+                                 "Regenerate with: UPDATE_GOLDEN=1 ./pipeline_test",
+                                 SimTraceGoldenLines()),
+            "");
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 #include "hw/cluster_spec.h"
 #include "model/resnet.h"
 #include "model/vgg.h"
+#include "oracles/golden.h"
 #include "oracles/reference.h"
 #include "partition/partitioner.h"
 #include "runner/cli.h"
@@ -35,10 +36,6 @@
 #include "store/extent_reader.h"
 #include "store/extent_writer.h"
 #include "util/binary_io.h"
-
-#ifndef HETPIPE_GOLDEN_DIR
-#error "runner_test needs HETPIPE_GOLDEN_DIR (set by CMakeLists.txt)"
-#endif
 
 namespace hetpipe::runner {
 namespace {
@@ -119,29 +116,6 @@ TEST(ThreadPoolTest, WorkStealingKeepsSkewedResultsInputOrderedAndSerialIdentica
 
 // ---- PartitionCache ----
 
-void ExpectSamePartition(const partition::Partition& a, const partition::Partition& b) {
-  ASSERT_EQ(a.feasible, b.feasible);
-  ASSERT_EQ(a.num_stages(), b.num_stages());
-  EXPECT_EQ(a.bottleneck_time, b.bottleneck_time);
-  EXPECT_EQ(a.sum_time, b.sum_time);
-  for (int q = 0; q < a.num_stages(); ++q) {
-    const auto& sa = a.stages[static_cast<size_t>(q)];
-    const auto& sb = b.stages[static_cast<size_t>(q)];
-    EXPECT_EQ(sa.first_layer, sb.first_layer);
-    EXPECT_EQ(sa.last_layer, sb.last_layer);
-    EXPECT_EQ(sa.gpu_id, sb.gpu_id);
-    EXPECT_EQ(sa.gpu_type, sb.gpu_type);
-    EXPECT_EQ(sa.node, sb.node);
-    EXPECT_EQ(sa.fwd_compute_s, sb.fwd_compute_s);
-    EXPECT_EQ(sa.bwd_compute_s, sb.bwd_compute_s);
-    EXPECT_EQ(sa.fwd_comm_in_s, sb.fwd_comm_in_s);
-    EXPECT_EQ(sa.bwd_comm_in_s, sb.bwd_comm_in_s);
-    EXPECT_EQ(sa.param_bytes, sb.param_bytes);
-    EXPECT_EQ(sa.memory_bytes, sb.memory_bytes);
-    EXPECT_EQ(sa.memory_cap, sb.memory_cap);
-  }
-}
-
 TEST(PartitionCacheTest, HitReturnsColdSolveExactly) {
   const hw::Cluster cluster = hw::Cluster::Paper();
   const model::ModelGraph graph = model::BuildResNet152();
@@ -155,8 +129,8 @@ TEST(PartitionCacheTest, HitReturnsColdSolveExactly) {
     const partition::Partition cold = partitioner.SolveScalable({0, 4, 8, 12}, options);
     const partition::Partition miss = cache.Solve(partitioner, {0, 4, 8, 12}, options);
     const partition::Partition hit = cache.Solve(partitioner, {0, 4, 8, 12}, options);
-    ExpectSamePartition(cold, miss);
-    ExpectSamePartition(cold, hit);
+    EXPECT_EQ(oracles::PartitionDiff(cold, miss), "");
+    EXPECT_EQ(oracles::PartitionDiff(cold, hit), "");
   }
   EXPECT_EQ(cache.misses(), 3);
   EXPECT_EQ(cache.hits(), 3);
@@ -186,8 +160,8 @@ TEST(PartitionCacheTest, HitsUnpackEveryStageFieldExactly) {
       partition::PartitionOptions options;
       options.nm = nm;
       const partition::Partition cold = partitioner.SolveScalable(ids, options);
-      ExpectSamePartition(cold, cache.Solve(partitioner, ids, options));
-      ExpectSamePartition(cold, cache.Solve(partitioner, ids, options));
+      EXPECT_EQ(oracles::PartitionDiff(cold, cache.Solve(partitioner, ids, options)), "");
+      EXPECT_EQ(oracles::PartitionDiff(cold, cache.Solve(partitioner, ids, options)), "");
       feasible += cold.feasible ? 1 : 0;
     }
   }
@@ -213,7 +187,7 @@ TEST(PartitionCacheTest, RemapsSameShapeDifferentGpuIds) {
                                      std::vector<int>{3, 7, 11, 15}}) {
     const partition::Partition direct = partitioner.SolveScalable(vw, options);
     const partition::Partition cached = cache.Solve(partitioner, vw, options);
-    ExpectSamePartition(direct, cached);  // includes the remapped gpu ids
+    EXPECT_EQ(oracles::PartitionDiff(direct, cached), "");  // includes the remapped gpu ids
   }
   EXPECT_EQ(cache.misses(), 1);
   EXPECT_EQ(cache.hits(), 3);
@@ -234,7 +208,7 @@ TEST(PartitionCacheTest, TiedGpusArePlacedInRequestOrder) {
   options.nm = 2;
   const std::vector<int> first = {0, 1, 12, 13};  // V, V on node 0; Q, Q on node 3
   const partition::Partition solved = partitioner.SolveScalable(first, options);
-  ExpectSamePartition(solved, cache.Solve(partitioner, first, options));
+  EXPECT_EQ(oracles::PartitionDiff(solved, cache.Solve(partitioner, first, options)), "");
 
   std::vector<int> vw = first;
   int hits = 0;
@@ -255,7 +229,7 @@ TEST(PartitionCacheTest, TiedGpusArePlacedInRequestOrder) {
         }
       }
       bool hit = false;
-      ExpectSamePartition(want, cache.Solve(partitioner, ids, options, &hit));
+      EXPECT_EQ(oracles::PartitionDiff(want, cache.Solve(partitioner, ids, options, &hit)), "");
       EXPECT_TRUE(hit);
       ++hits;
     }
@@ -278,10 +252,16 @@ TEST(PartitionCacheTest, FixedOrderSolvesKeyOnTheOrder) {
   options.search_gpu_orders = false;
   const std::vector<int> vr = {0, 4};  // V stage 0, R stage 1
   const std::vector<int> rv = {4, 0};  // R stage 0, V stage 1
-  ExpectSamePartition(partitioner.SolveScalable(vr, options), cache.Solve(partitioner, vr, options));
-  ExpectSamePartition(partitioner.SolveScalable(rv, options), cache.Solve(partitioner, rv, options));
+  EXPECT_EQ(oracles::PartitionDiff(partitioner.SolveScalable(vr, options),
+                                   cache.Solve(partitioner, vr, options)),
+            "");
+  EXPECT_EQ(oracles::PartitionDiff(partitioner.SolveScalable(rv, options),
+                                   cache.Solve(partitioner, rv, options)),
+            "");
   EXPECT_EQ(cache.misses(), 2);
-  ExpectSamePartition(partitioner.SolveScalable(rv, options), cache.Solve(partitioner, rv, options));
+  EXPECT_EQ(oracles::PartitionDiff(partitioner.SolveScalable(rv, options),
+                                   cache.Solve(partitioner, rv, options)),
+            "");
   EXPECT_EQ(cache.hits(), 1);
 }
 
@@ -306,13 +286,17 @@ TEST(PartitionCacheTest, NonExactStrategiesGetTheirOwnKeys) {
   const partition::Partition beam = cache.Solve(partitioner, {0, 4, 8, 12}, beam_options);
   EXPECT_EQ(cache.misses(), 2);  // distinct keys: no aliasing either way
   EXPECT_EQ(cache.size(), 2);
-  ExpectSamePartition(exact, partitioner.SolveScalable({0, 4, 8, 12}, options));
-  ExpectSamePartition(beam, partitioner.SolveScalable({0, 4, 8, 12}, beam_options));
+  EXPECT_EQ(oracles::PartitionDiff(exact, partitioner.SolveScalable({0, 4, 8, 12}, options)), "");
+  EXPECT_EQ(oracles::PartitionDiff(beam,
+                                   partitioner.SolveScalable({0, 4, 8, 12}, beam_options)),
+            "");
 
   // Both entries hit on repeat, and each hit returns its own strategy's
   // result.
-  ExpectSamePartition(cache.Solve(partitioner, {0, 4, 8, 12}, options), exact);
-  ExpectSamePartition(cache.Solve(partitioner, {0, 4, 8, 12}, beam_options), beam);
+  EXPECT_EQ(oracles::PartitionDiff(cache.Solve(partitioner, {0, 4, 8, 12}, options), exact), "");
+  EXPECT_EQ(oracles::PartitionDiff(cache.Solve(partitioner, {0, 4, 8, 12}, beam_options),
+                                   beam),
+            "");
   EXPECT_EQ(cache.hits(), 2);
 
   // The knobs that shape a non-exact search are part of its key.
@@ -323,7 +307,9 @@ TEST(PartitionCacheTest, NonExactStrategiesGetTheirOwnKeys) {
   // An explicit kExact rides the same key as the kAuto-resolved exact entry.
   partition::PartitionOptions explicit_exact = options;
   explicit_exact.strategy = partition::SearchStrategy::kExact;
-  ExpectSamePartition(cache.Solve(partitioner, {0, 4, 8, 12}, explicit_exact), exact);
+  EXPECT_EQ(oracles::PartitionDiff(cache.Solve(partitioner, {0, 4, 8, 12}, explicit_exact),
+                                   exact),
+            "");
   EXPECT_EQ(cache.hits(), 3);
 }
 
@@ -407,8 +393,8 @@ TEST(PartitionCacheTest, TopologyOnlyChangesAlterTheKey) {
       cache.Solve(partition::Partitioner(profile, racked_noop), {0, 1, 2}, options);
   EXPECT_EQ(cache.misses(), 3);
   EXPECT_EQ(cache.hits(), 1);
-  ExpectSamePartition(partition::Partitioner(profile, racked_noop).SolveScalable({0, 1, 2}, options),
-                      hit);
+  const partition::Partitioner noop_partitioner(profile, racked_noop);
+  EXPECT_EQ(oracles::PartitionDiff(noop_partitioner.SolveScalable({0, 1, 2}, options), hit), "");
 }
 
 TEST(ThreadPoolTest, SubmitRunsEveryTaskBeforeDestruction) {
@@ -621,7 +607,7 @@ TEST(PartitionCacheTest, InputsFingerprintIsValueBasedAndComplete) {
   const partition::Partitioner again(profile_again, cluster_again);
   EXPECT_EQ(again.inputs_fingerprint(), partitioner.inputs_fingerprint());
   bool hit = false;
-  ExpectSamePartition(cache.Solve(again, vw, options, &hit), first);
+  EXPECT_EQ(oracles::PartitionDiff(cache.Solve(again, vw, options, &hit), first), "");
   EXPECT_TRUE(hit);
 
   const auto expect_miss = [&](const std::string& label, const model::ModelProfile& p,
@@ -682,7 +668,7 @@ TEST(PartitionCacheFileTest, SaveLoadSolveRoundTripIsHitIdentical) {
          {std::vector<int>{0, 4, 8, 12}, std::vector<int>{0, 1, 12, 13}}) {
       const partition::Partition cold = partitioner.SolveScalable(vw, options);
       const partition::Partition hit = loaded.Solve(partitioner, vw, options);
-      ExpectSamePartition(cold, hit);
+      EXPECT_EQ(oracles::PartitionDiff(cold, hit), "");
     }
   }
   EXPECT_EQ(loaded.hits(), 6);
@@ -691,7 +677,9 @@ TEST(PartitionCacheFileTest, SaveLoadSolveRoundTripIsHitIdentical) {
   // Remapping onto different GPU ids of the same shape works from disk too.
   options.nm = 2;
   const partition::Partition remapped = loaded.Solve(partitioner, {1, 5, 9, 13}, options);
-  ExpectSamePartition(partitioner.SolveScalable({1, 5, 9, 13}, options), remapped);
+  EXPECT_EQ(oracles::PartitionDiff(partitioner.SolveScalable({1, 5, 9, 13}, options),
+                                   remapped),
+            "");
   EXPECT_EQ(loaded.misses(), 0);
   std::remove(path.c_str());
 }
@@ -897,7 +885,9 @@ TEST(PartitionCacheFileTest, EveryTruncationAndBitFlipFailsCleanlyOrLoadsExactly
     for (int nm : {1, 2}) {
       partition::PartitionOptions options;
       options.nm = nm;
-      ExpectSamePartition(cold[static_cast<size_t>(nm - 1)], cache.Solve(partitioner, vw, options));
+      EXPECT_EQ(oracles::PartitionDiff(cold[static_cast<size_t>(nm - 1)],
+                                       cache.Solve(partitioner, vw, options)),
+                "");
     }
   };
   for (size_t length = 0; length < good.size(); ++length) {
@@ -941,11 +931,13 @@ TEST(PartitionCacheFileTest, LoadMergesWithoutOverwritingExistingEntries) {
   ASSERT_TRUE(third.Load(path));
   EXPECT_EQ(third.size(), 2);
   options.nm = 1;
-  ExpectSamePartition(partitioner.SolveScalable({0, 4, 8, 12}, options),
-                      third.Solve(partitioner, {0, 4, 8, 12}, options));
+  EXPECT_EQ(oracles::PartitionDiff(partitioner.SolveScalable({0, 4, 8, 12}, options),
+                                   third.Solve(partitioner, {0, 4, 8, 12}, options)),
+            "");
   options.nm = 2;
-  ExpectSamePartition(partitioner.SolveScalable({0, 4, 8, 12}, options),
-                      third.Solve(partitioner, {0, 4, 8, 12}, options));
+  EXPECT_EQ(oracles::PartitionDiff(partitioner.SolveScalable({0, 4, 8, 12}, options),
+                                   third.Solve(partitioner, {0, 4, 8, 12}, options)),
+            "");
   EXPECT_EQ(third.hits(), 2);
   EXPECT_EQ(third.misses(), 0);
   std::remove(path.c_str());
@@ -1022,23 +1014,23 @@ TEST(PartitionCacheFileTest, CraftedEntriesAreMissesNeverOutOfRangeReads) {
     std::string error;
     ASSERT_TRUE(cache.Load(path, &error)) << label << ": " << error;
     bool hit = true;
-    ExpectSamePartition(cold, cache.Solve(partitioner, vw, options, &hit));
+    EXPECT_EQ(oracles::PartitionDiff(cold, cache.Solve(partitioner, vw, options, &hit)), "");
     EXPECT_FALSE(hit) << label;
-    ExpectSamePartition(cold, cache.Solve(partitioner, vw, options, &hit));
+    EXPECT_EQ(oracles::PartitionDiff(cold, cache.Solve(partitioner, vw, options, &hit)), "");
     EXPECT_TRUE(hit) << label << ": the re-solve replaces the crafted entry";
     EXPECT_EQ(cache.size(), 1) << label;
   }
   std::remove(path.c_str());
 }
 
-std::vector<std::pair<std::string, std::string>> CacheKeyGoldenLines() {
-  std::vector<std::pair<std::string, std::string>> lines;
+oracles::GoldenLines CacheKeyGoldenLines() {
+  oracles::GoldenLines lines;
   const auto record = [&](const std::string& label, const model::ModelProfile& profile,
                           const hw::Cluster& cluster, const std::vector<int>& ids,
                           const partition::PartitionOptions& options) {
     PartitionCache cache;
     cache.Solve(partition::Partitioner(profile, cluster), ids, options);
-    lines.emplace_back(label + "|nm" + std::to_string(options.nm), SavedKey(cache));
+    lines.push_back(label + "|nm" + std::to_string(options.nm) + '\t' + SavedKey(cache));
   };
 
   const model::ModelGraph resnet = model::BuildResNet152();
@@ -1143,36 +1135,11 @@ std::vector<std::pair<std::string, std::string>> CacheKeyGoldenLines() {
 }
 
 TEST(CacheKeyGoldenTest, KeysMatchRecordedBytes) {
-  const std::vector<std::pair<std::string, std::string>> lines = CacheKeyGoldenLines();
-  const std::string path = std::string(HETPIPE_GOLDEN_DIR) + "/cache_keys.txt";
-  if (std::getenv("UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::trunc);
-    ASSERT_TRUE(out.is_open()) << "cannot write " << path;
-    out << "# PartitionCache keys as stored in a cache file: label \\t key.\n"
-           "# Regenerate with: UPDATE_GOLDEN=1 ./runner_test\n";
-    for (const auto& [label, key] : lines) {
-      out << label << '\t' << key << '\n';
-    }
-    std::printf("updated %s\n", path.c_str());
-    return;
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.is_open()) << "missing golden " << path;
-  std::vector<std::pair<std::string, std::string>> want;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') {
-      continue;
-    }
-    const size_t tab = line.find('\t');
-    ASSERT_NE(tab, std::string::npos) << "malformed golden line: " << line;
-    want.emplace_back(line.substr(0, tab), line.substr(tab + 1));
-  }
-  ASSERT_EQ(want.size(), lines.size()) << "golden line count drifted";
-  for (size_t i = 0; i < lines.size(); ++i) {
-    EXPECT_EQ(want[i].first, lines[i].first) << "line " << i;
-    EXPECT_EQ(want[i].second, lines[i].second) << lines[i].first;
-  }
+  EXPECT_EQ(oracles::CheckGolden("cache_keys.txt",
+                                 "PartitionCache keys as stored in a cache file: label \\t key.\n"
+                                 "Regenerate with: UPDATE_GOLDEN=1 ./runner_test",
+                                 CacheKeyGoldenLines()),
+            "");
 }
 
 // ---- BenchArgs: the --cache-file guard and strict flag parsing ----
@@ -1246,7 +1213,7 @@ TEST(PartitionerSearchTest, PruningAndParallelSearchAreExact) {
     const partition::Partitioner partitioner(profile, cluster);
     for (const char* codes : {"VRGQ", "VVQQ", "RRGG"}) {
       for (int nm : {1, 3, 5}) {
-        const std::vector<int> gpus = core::PickGpusByCode(cluster, codes);
+        const std::vector<int> gpus = core::PickGpus(cluster, codes);
         partition::PartitionOptions pruned;
         pruned.nm = nm;
         partition::PartitionOptions parallel = pruned;
@@ -1254,8 +1221,8 @@ TEST(PartitionerSearchTest, PruningAndParallelSearchAreExact) {
 
         // The oracle solves every order in full, without branch-and-bound.
         const partition::Partition base = oracles::SolveReference(partitioner, gpus, pruned);
-        ExpectSamePartition(base, partitioner.SolveScalable(gpus, pruned));
-        ExpectSamePartition(base, partitioner.SolveScalable(gpus, parallel));
+        EXPECT_EQ(oracles::PartitionDiff(base, partitioner.SolveScalable(gpus, pruned)), "");
+        EXPECT_EQ(oracles::PartitionDiff(base, partitioner.SolveScalable(gpus, parallel)), "");
       }
     }
   }
@@ -1563,7 +1530,7 @@ void ExpectSameResults(const std::vector<core::ExperimentResult>& a,
     EXPECT_EQ(a[i].name, b[i].name) << i;
     EXPECT_EQ(a[i].feasible, b[i].feasible) << i;
     EXPECT_EQ(a[i].throughput_img_s, b[i].throughput_img_s) << i;  // bit-identical
-    ExpectSamePartition(a[i].partition, b[i].partition);
+    EXPECT_EQ(oracles::PartitionDiff(a[i].partition, b[i].partition), "");
   }
 }
 
@@ -1741,7 +1708,7 @@ TEST(SweepRunnerTest, CacheDoesNotChangeTheSolverPastTheExactOrderLimit) {
     EXPECT_EQ(cache.misses(), 1);
 
     ASSERT_TRUE(uncached.feasible) << core::KindName(kind);
-    ExpectSamePartition(uncached.partition, cached.partition);
+    EXPECT_EQ(oracles::PartitionDiff(uncached.partition, cached.partition), "");
     std::ostringstream uncached_row;
     std::ostringstream cached_row;
     JsonlSink uncached_sink(uncached_row);

@@ -26,6 +26,7 @@
 #include "model/profiler.h"
 #include "model/resnet.h"
 #include "model/transformer.h"
+#include "oracles/golden.h"
 #include "partition/partitioner.h"
 #include "runner/partition_cache.h"
 #include "runner/result_sink.h"
@@ -33,10 +34,6 @@
 #include "serve/plan_service.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
-
-#ifndef HETPIPE_GOLDEN_DIR
-#error "serve_test needs HETPIPE_GOLDEN_DIR (set by CMakeLists.txt)"
-#endif
 
 namespace hetpipe::serve {
 namespace {
@@ -417,42 +414,6 @@ TEST(PlanRequestTest, RejectsBadRequests) {
 // ---- compare doubles within a tolerance, so this file is what pins the
 // ---- encoder byte for byte. `UPDATE_GOLDEN=1 ./serve_test` rewrites it.
 
-// Compares `lines` with the golden file `name` (one `label \t bytes` line
-// each, `#` comments), or rewrites the file under UPDATE_GOLDEN=1. JSON
-// escapes every control byte, so a payload never spans lines.
-void CheckGolden(const std::string& name,
-                 const std::vector<std::pair<std::string, std::string>>& lines) {
-  const std::string path = std::string(HETPIPE_GOLDEN_DIR) + "/" + name;
-  if (std::getenv("UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::trunc);
-    ASSERT_TRUE(out.is_open()) << "cannot write " << path;
-    out << "# Serve wire bytes: label \\t PlanRequest::ToJson or response JSON\n"
-           "# (latency_us masked). Regenerate with: UPDATE_GOLDEN=1 ./serve_test\n";
-    for (const auto& [label, bytes] : lines) {
-      out << label << '\t' << bytes << '\n';
-    }
-    std::printf("updated %s\n", path.c_str());
-    return;
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.is_open()) << "missing golden " << path;
-  std::vector<std::pair<std::string, std::string>> want;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') {
-      continue;
-    }
-    const size_t tab = line.find('\t');
-    ASSERT_NE(tab, std::string::npos) << "malformed golden line: " << line;
-    want.emplace_back(line.substr(0, tab), line.substr(tab + 1));
-  }
-  ASSERT_EQ(want.size(), lines.size()) << "golden line count drifted";
-  for (size_t i = 0; i < lines.size(); ++i) {
-    EXPECT_EQ(want[i].first, lines[i].first) << "line " << i;
-    EXPECT_EQ(want[i].second, lines[i].second) << lines[i].first;
-  }
-}
-
 // The response with its one timing field replaced by '#'.
 std::string MaskLatency(std::string json) {
   const std::string field = "\"latency_us\":";
@@ -465,8 +426,8 @@ std::string MaskLatency(std::string json) {
   return json;
 }
 
-std::vector<std::pair<std::string, std::string>> WireGoldenLines() {
-  std::vector<std::pair<std::string, std::string>> lines;
+oracles::GoldenLines WireGoldenLines() {
+  oracles::GoldenLines lines;
   const std::string racked =
       "node 2xV\nnode 2xR\nnode 2xG\nnode 2xQ\nrack r0 { node0 node1 }\n"
       "rack r1 { node2 node3 }\ncross_rack_gbits 10";
@@ -549,7 +510,7 @@ std::vector<std::pair<std::string, std::string>> WireGoldenLines() {
     add("shutdown", r);
   }
   for (const auto& [label, request] : requests) {
-    lines.emplace_back("request." + label, request.ToJson());
+    lines.push_back("request." + label + '\t' + request.ToJson());
   }
 
   // Raw payloads that only a hand-written or broken client sends.
@@ -577,12 +538,12 @@ std::vector<std::pair<std::string, std::string>> WireGoldenLines() {
   runner::PartitionCache cache;
   PlanService service(&cache);
   for (const auto& [label, request] : requests) {
-    lines.emplace_back("response." + label,
-                       MaskLatency(runner::RowToJson(service.HandleJson(request.ToJson()))));
+    lines.push_back("response." + label + '\t' +
+                    MaskLatency(runner::RowToJson(service.HandleJson(request.ToJson()))));
   }
   for (const auto& [label, payload] : kRaw) {
-    lines.emplace_back(std::string("response.") + label,
-                       MaskLatency(runner::RowToJson(service.HandleJson(payload))));
+    lines.push_back(std::string("response.") + label + '\t' +
+                    MaskLatency(runner::RowToJson(service.HandleJson(payload))));
   }
   // The transport's own error rows (no service path produces these codes).
   for (ErrorCode code : {ErrorCode::kBadFrame, ErrorCode::kShuttingDown, ErrorCode::kInternal}) {
@@ -591,7 +552,7 @@ std::vector<std::pair<std::string, std::string>> WireGoldenLines() {
     row.Set("ok", false);
     row.Set("error_code", ErrorCodeName(code));
     row.Set("error", std::string("detail for ") + ErrorCodeName(code));
-    lines.emplace_back(std::string("row.") + ErrorCodeName(code), runner::RowToJson(row));
+    lines.push_back(std::string("row.") + ErrorCodeName(code) + '\t' + runner::RowToJson(row));
   }
   // Every value kind the encoder writes, non-finite doubles included.
   runner::ResultRow values;
@@ -611,12 +572,18 @@ std::vector<std::pair<std::string, std::string>> WireGoldenLines() {
       .Set("f", false)
       .Set("s", kIds[1])
       .Set("k\"ey", kIds[2]);
-  lines.emplace_back("row.values", runner::RowToJson(values));
+  lines.push_back("row.values\t" + runner::RowToJson(values));
   return lines;
 }
 
 TEST(WireGoldenTest, RequestAndResponseBytesMatchRecording) {
-  CheckGolden("serve_wire.txt", WireGoldenLines());
+  // JSON escapes every control byte, so a payload never spans lines.
+  EXPECT_EQ(oracles::CheckGolden("serve_wire.txt",
+                                 "Serve wire bytes: label \\t PlanRequest::ToJson or "
+                                 "response JSON\n(latency_us masked). Regenerate with: "
+                                 "UPDATE_GOLDEN=1 ./serve_test",
+                                 WireGoldenLines()),
+            "");
 }
 
 // ---- PlanService ----
