@@ -111,7 +111,6 @@ int main(int argc, char** argv) {
     hw::ClusterSpec spec;
     try {
       spec = hw::ClusterSpec::Parse(text.str());
-      spec.Build();  // surfaces registry conflicts before the sweep starts
     } catch (const std::invalid_argument& bad_spec) {
       std::fprintf(stderr, "error: %s: %s\n", spec_file.c_str(), bad_spec.what());
       return 2;

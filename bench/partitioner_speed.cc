@@ -125,7 +125,7 @@ PointResult RunPoint(const oracles::SolveGridPoint& point, const hw::Cluster& cl
 // ---- The scalable-tier growth curve (--growth). ----
 
 // One synthetic cluster scale: `nodes` homogeneous nodes of `gpus_per_node`
-// GPUs cycling through four registered classes, grouped into `racks` racks
+// GPUs cycling through four declared classes, grouped into `racks` racks
 // (0 = no rack structure), with a virtual worker of `k` GPUs taken
 // `per_node` at a time from evenly-strided nodes.
 struct GrowthCase {
@@ -201,19 +201,8 @@ std::vector<int> PickGrowthVw(const hw::Cluster& cluster, const GrowthCase& c) {
   return ids;
 }
 
-// Registers the growth GPU classes (idempotent with AddGpuClass's numbers) —
-// the profile only covers classes known at its construction, so these must
-// exist before the resnet152 profile is built.
-void RegisterGrowthClasses() {
-  hw::RegisterGpuType("GrowV", 14.0, 12.0, 'v');
-  hw::RegisterGpuType("GrowR", 16.3, 24.0, 'r');
-  hw::RegisterGpuType("GrowG", 11.3, 8.0, 'g');
-  hw::RegisterGpuType("GrowQ", 5.3, 32.0, 'q');
-}
-
 int RunGrowthCurve(bool full, double budget_ms, int repeat, int threads,
                    runner::ResultSink* sink) {
-  RegisterGrowthClasses();
   // resnet152 is the deepest profiled model (54 layers), so it admits the
   // k=32 pipeline of the 1024-GPU point.
   const model::ModelGraph graph = model::BuildResNet152();
@@ -559,7 +548,6 @@ bool RunWidthSweep(const model::ModelProfile& profile,
 // --width-sweep: the autotuning sweep over the same growth clusters. Clusters
 // live in a deque (stable addresses — WidthSweepCase keeps pointers into it).
 int RunWidthSweepMode(bool full, int repeat, runner::ResultSink* sink) {
-  RegisterGrowthClasses();
   const model::ModelGraph graph = model::BuildResNet152();
   const model::ModelProfile profile(graph, 32);
 
@@ -632,7 +620,7 @@ int main(int argc, char** argv) {
   }
 
   // Shared read-only inputs, built once: profiles are per (model, batch) and
-  // clusters per label. GPU classes the mixed spec declares register here.
+  // clusters per label.
   const hw::Cluster paper = oracles::SolveGridCluster("paper");
   const hw::Cluster mixed = oracles::SolveGridCluster("mixed-3node");
   const auto cluster_of = [&](const std::string& label) -> const hw::Cluster& {

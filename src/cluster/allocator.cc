@@ -19,16 +19,17 @@ const char* PolicyName(AllocationPolicy policy) {
   return "?";
 }
 
-int ComputeRank(hw::GpuType type) {
+int ComputeRank(const hw::Cluster& cluster, hw::GpuType type) {
   // Rank by sustained compute throughput, strongest first. On the paper
-  // classes this reproduces §8.1's ordering V > R > G > Q; registered classes
-  // slot in by their declared TFLOPS (ties break toward the earlier class).
+  // classes this reproduces §8.1's ordering V > R > G > Q; declared classes
+  // slot in by their declared TFLOPS (ties break toward the earlier class in
+  // the cluster's class order).
   const hw::GpuSpec& mine = hw::SpecOf(type);
   int rank = 0;
-  for (const hw::GpuSpec& other : hw::AllGpuSpecs()) {
+  for (hw::GpuType other_type : cluster.classes()) {
+    const hw::GpuSpec& other = hw::SpecOf(other_type);
     if (other.effective_tflops > mine.effective_tflops ||
-        (other.effective_tflops == mine.effective_tflops &&
-         static_cast<int>(other.type) < static_cast<int>(type))) {
+        (other.effective_tflops == mine.effective_tflops && other.order < mine.order)) {
       ++rank;
     }
   }
@@ -92,7 +93,7 @@ Allocation AllocateHd(const hw::Cluster& cluster) {
   std::vector<int> nodes(4);
   std::iota(nodes.begin(), nodes.end(), 0);
   std::sort(nodes.begin(), nodes.end(), [&](int a, int b) {
-    return ComputeRank(cluster.NodeType(a)) < ComputeRank(cluster.NodeType(b));
+    return ComputeRank(cluster, cluster.NodeType(a)) < ComputeRank(cluster, cluster.NodeType(b));
   });
 
   Allocation allocation;

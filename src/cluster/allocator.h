@@ -34,9 +34,9 @@ struct Allocation {
 //      and two from the middle pair, reproducing Table 3's VVQQ/RRGG split.
 Allocation Allocate(const hw::Cluster& cluster, AllocationPolicy policy);
 
-// Compute-power rank of a GPU type (0 = strongest) among all known classes:
-// §8.1's V > R > G > Q on the paper testbed, declared TFLOPS ordering for
-// classes registered through hw::ClusterSpec.
-int ComputeRank(hw::GpuType type);
+// Compute-power rank of a GPU class (0 = strongest) among the classes of
+// `cluster`: §8.1's V > R > G > Q on the paper testbed, declared TFLOPS
+// ordering for classes a hw::ClusterSpec declares.
+int ComputeRank(const hw::Cluster& cluster, hw::GpuType type);
 
 }  // namespace hetpipe::cluster

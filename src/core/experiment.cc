@@ -53,34 +53,21 @@ void PickByType(const hw::Cluster& cluster, hw::GpuType type, int count, int nod
   }
 }
 
-// The classes `cluster` has GPUs of, in GPU-id order. Selectors resolve
-// class names and code letters among these only, whatever other classes the
-// process registered.
-std::vector<const hw::GpuSpec*> ClusterClasses(const hw::Cluster& cluster) {
-  std::vector<const hw::GpuSpec*> classes;
-  for (const hw::Gpu& gpu : cluster.gpus()) {
-    if (std::none_of(classes.begin(), classes.end(),
-                     [&](const hw::GpuSpec* spec) { return spec->type == gpu.type; })) {
-      classes.push_back(&hw::SpecOf(gpu.type));
-    }
-  }
-  return classes;
-}
-
-const hw::GpuSpec* ClassNamed(const std::vector<const hw::GpuSpec*>& classes,
-                              const std::string& name) {
-  for (const hw::GpuSpec* spec : classes) {
-    if (name == spec->name) {
-      return spec;
+// Selectors resolve class names and code letters among the classes the
+// cluster has GPUs of, in its class order.
+const hw::GpuType* ClassNamed(const hw::Cluster& cluster, const std::string& name) {
+  for (const hw::GpuType& type : cluster.classes()) {
+    if (name == hw::SpecOf(type).name) {
+      return &type;
     }
   }
   return nullptr;
 }
 
-const hw::GpuSpec* ClassWithCode(const std::vector<const hw::GpuSpec*>& classes, char code) {
-  for (const hw::GpuSpec* spec : classes) {
-    if (code == spec->code) {
-      return spec;
+const hw::GpuType* ClassWithCode(const hw::Cluster& cluster, char code) {
+  for (const hw::GpuType& type : cluster.classes()) {
+    if (code == hw::CodeOf(type)) {
+      return &type;
     }
   }
   return nullptr;
@@ -89,7 +76,6 @@ const hw::GpuSpec* ClassWithCode(const std::vector<const hw::GpuSpec*>& classes,
 }  // namespace
 
 std::vector<int> PickGpus(const hw::Cluster& cluster, const std::string& selector) {
-  const std::vector<const hw::GpuSpec*> classes = ClusterClasses(cluster);
   std::vector<int> picked;
   std::vector<bool> used(static_cast<size_t>(cluster.num_gpus()), false);
   // A code string ("VVQQ") when every character is the code letter of one of
@@ -97,12 +83,12 @@ std::vector<int> PickGpus(const hw::Cluster& cluster, const std::string& selecto
   // a class called "GQ" is never shadowed by the G/Q code letters).
   const bool code_string =
       !selector.empty() && selector.find_first_of(",*@") == std::string::npos &&
-      ClassNamed(classes, selector) == nullptr &&
+      ClassNamed(cluster, selector) == nullptr &&
       std::all_of(selector.begin(), selector.end(),
-                  [&](char c) { return ClassWithCode(classes, c) != nullptr; });
+                  [&](char c) { return ClassWithCode(cluster, c) != nullptr; });
   if (code_string) {
     for (char code : selector) {
-      PickByType(cluster, ClassWithCode(classes, code)->type, 1, /*node=*/-1,
+      PickByType(cluster, *ClassWithCode(cluster, code), 1, /*node=*/-1,
                  "type " + std::string(1, code), used, picked);
     }
     return picked;
@@ -128,17 +114,17 @@ std::vector<int> PickGpus(const hw::Cluster& cluster, const std::string& selecto
       count = ParseSelectorInt(term.substr(star + 1), "count in \"" + term + "\"");
       term.resize(star);
     }
-    const hw::GpuSpec* spec = ClassNamed(classes, term);
-    if (spec == nullptr && term.size() == 1) {
-      spec = ClassWithCode(classes, term[0]);
+    const hw::GpuType* type = ClassNamed(cluster, term);
+    if (type == nullptr && term.size() == 1) {
+      type = ClassWithCode(cluster, term[0]);
     }
-    if (spec == nullptr) {
+    if (type == nullptr) {
       throw std::invalid_argument("unknown GPU class \"" + term + "\"");
     }
     if (count <= 0) {
       throw std::invalid_argument("selector term " + term + " needs a positive count");
     }
-    PickByType(cluster, spec->type, count, node, "\"" + term + "\"", used, picked);
+    PickByType(cluster, *type, count, node, "\"" + term + "\"", used, picked);
   }
   if (picked.empty()) {
     throw std::invalid_argument("empty GPU selector");
@@ -335,6 +321,7 @@ ExperimentResult RunExperiment(const Experiment& experiment) {
     }
   }
   result.name = experiment.name.empty() ? experiment.Describe() : experiment.name;
+  result.gpu_classes = context->cluster.declared_classes();
   return result;
 }
 

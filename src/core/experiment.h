@@ -1,5 +1,6 @@
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -95,6 +96,10 @@ struct ExperimentResult {
   dp::HorovodResult horovod;        // kHorovod
   dp::PsDpResult ps;                // kPsDataParallel
   dp::DecentralizedResult adpsgd;   // kAdPsgd
+  // Owner of the declared GPU classes the stages in `report` and `partition`
+  // name, so their GpuTypes stay valid after the experiment's context is
+  // gone (null for clusters built from paper node codes).
+  std::shared_ptr<const hw::GpuClassTable> gpu_classes;
 };
 
 // Runs one experiment synchronously on the calling thread. Deterministic:

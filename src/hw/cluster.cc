@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace hetpipe::hw {
 namespace {
@@ -35,8 +36,10 @@ Cluster::Cluster(const std::vector<NodeGpus>& nodes, const PcieLink& pcie,
     : Cluster(ExpandNodes(nodes), pcie, infiniband, std::move(name)) {}
 
 Cluster::Cluster(const std::vector<std::vector<GpuType>>& node_gpus, const PcieLink& pcie,
-                 const InfinibandLink& infiniband, std::string name)
-    : num_nodes_(static_cast<int>(node_gpus.size())),
+                 const InfinibandLink& infiniband, std::string name,
+                 std::shared_ptr<const GpuClassTable> declared)
+    : declared_(std::move(declared)),
+      num_nodes_(static_cast<int>(node_gpus.size())),
       pcie_(pcie),
       infiniband_(infiniband),
       name_(std::move(name)) {
@@ -54,8 +57,13 @@ Cluster::Cluster(const std::vector<std::vector<GpuType>>& node_gpus, const PcieL
     gpus_per_node_ = std::max(gpus_per_node_, static_cast<int>(types.size()));
     for (GpuType type : types) {
       gpus_.push_back(Gpu{id++, type, n});
+      if (std::find(classes_.begin(), classes_.end(), type) == classes_.end()) {
+        classes_.push_back(type);
+      }
     }
   }
+  std::sort(classes_.begin(), classes_.end(),
+            [](GpuType a, GpuType b) { return SpecOf(a).order < SpecOf(b).order; });
   for (int count : node_counts_) {
     uniform_ = uniform_ && count == gpus_per_node_;
   }
@@ -136,7 +144,7 @@ std::string Cluster::ToString() const {
   std::ostringstream os;
   bool paper_classes = true;
   for (const Gpu& g : gpus_) {
-    paper_classes = paper_classes && static_cast<int>(g.type) < kNumGpuTypes;
+    paper_classes = paper_classes && g.type.builtin();
   }
   if (uniform_ && paper_classes) {
     os << num_nodes_ << " nodes x " << gpus_per_node_ << " GPUs [";

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -40,9 +41,12 @@ class Cluster {
           const InfinibandLink& infiniband, std::string name = "");
 
   // Fully general form: node i holds exactly node_gpus[i], in that order
-  // (classes may repeat and mix freely within a node).
+  // (classes may repeat and mix freely within a node). `declared` owns every
+  // non-Table-1 class node_gpus names (ClusterSpec::Build makes it); copies
+  // of the cluster share it, so its GpuTypes stay valid while one lives.
   Cluster(const std::vector<std::vector<GpuType>>& node_gpus, const PcieLink& pcie,
-          const InfinibandLink& infiniband, std::string name = "");
+          const InfinibandLink& infiniband, std::string name = "",
+          std::shared_ptr<const GpuClassTable> declared = nullptr);
 
   // The paper's testbed: 4 nodes x 4 GPUs = V-node, R-node, G-node, Q-node,
   // PCIe 3.0 x16 inside a node, 56 Gbps Infiniband between nodes.
@@ -64,6 +68,12 @@ class Cluster {
 
   const Gpu& gpu(int id) const { return gpus_.at(static_cast<size_t>(id)); }
   const std::vector<Gpu>& gpus() const { return gpus_; }
+  // The classes this cluster has GPUs of, in class order (GpuSpec::order):
+  // Table 1 classes first, then declared classes by first use.
+  const std::vector<GpuType>& classes() const { return classes_; }
+  // The owner of this cluster's declared classes (null for a cluster built
+  // in code): holding it keeps every GpuType of this cluster valid.
+  const std::shared_ptr<const GpuClassTable>& declared_classes() const { return declared_; }
   std::vector<int> GpusOnNode(int node) const;
   // Class of the node's first GPU — the node's class on homogeneous nodes.
   // Callers that care about mixed-class nodes must check NodeHomogeneous.
@@ -126,11 +136,13 @@ class Cluster {
   // Human-readable summary: "4 nodes x 4 GPUs [VVVV|RRRR|GGGG|QQQQ]" for
   // uniform paper-class clusters, "3 nodes [A100 x4|A100 x2 + T4 x2|T4 x8]"
   // in general (mixed-class nodes list each class run). Stable across
-  // processes (class names, not handles), so the partition cache can key on
-  // it — mixed-class compositions must therefore be spelled out faithfully.
+  // processes (class names), so the partition cache can key on it —
+  // mixed-class compositions must therefore be spelled out faithfully.
   std::string ToString() const;
 
  private:
+  std::shared_ptr<const GpuClassTable> declared_;
+  std::vector<GpuType> classes_;
   std::vector<GpuType> node_types_;
   std::vector<bool> node_homogeneous_;
   std::vector<int> node_counts_;

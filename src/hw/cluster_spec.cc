@@ -4,6 +4,7 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -94,27 +95,21 @@ bool SplitKeyValue(const std::string& token, std::string* key, std::string* valu
 }
 
 // True for the paper classes' single code letters (V/R/G/Q). Node
-// declarations deliberately accept only built-in letters — registered
-// classes are referenced by name, since their display codes are
-// auto-assigned and thus unstable across processes.
+// declarations accept only these letters besides the spec's own class names:
+// a declared class's display code is assigned per cluster.
 bool IsBuiltinCodeLetter(const std::string& type) {
   return type.size() == 1 &&
          (type == "V" || type == "R" || type == "G" || type == "Q");
 }
 
-// Resolves a node's type string against the spec's own declared classes,
-// then the built-in code letters. Classes other specs registered in this
-// process are not visible: a spec means the same wherever it is parsed.
-GpuType ResolveType(const ClusterSpec& spec, const std::string& type) {
-  for (const GpuClassDecl& decl : spec.gpu_classes) {
-    if (decl.name == type) {
-      return RegisterGpuType(decl.name, decl.tflops, decl.memory_gib, decl.code);
-    }
-  }
-  if (IsBuiltinCodeLetter(type)) {
-    return TypeFromCode(type[0]);
-  }
-  Fail("unknown GPU type \"" + type + "\"", "");
+// A declared class name is a nonempty run of [A-Za-z0-9_.-] that is not a
+// bare V/R/G/Q (which node declarations read as the built-in class).
+bool ValidClassName(const std::string& name) {
+  return !name.empty() && !IsBuiltinCodeLetter(name) &&
+         std::all_of(name.begin(), name.end(), [](char c) {
+           return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_' || c == '.' ||
+                  c == '-';
+         });
 }
 
 // Parses the brace form "{<type>[*<count>],...}" of a mixed-class node.
@@ -614,6 +609,11 @@ void ClusterSpec::Validate() const {
   }
   for (size_t i = 0; i < gpu_classes.size(); ++i) {
     const GpuClassDecl& decl = gpu_classes[i];
+    if (!ValidClassName(decl.name)) {
+      Fail("invalid GPU class name \"" + decl.name +
+               "\" (expected [A-Za-z0-9_.-], not a bare V/R/G/Q)",
+           "");
+    }
     // NaN passes a naive `<= 0` check and would silently poison every
     // simulated number (and break the Parse(ToString()) round trip, since
     // NaN != NaN), so the numbers must be finite too.
@@ -815,18 +815,33 @@ InfinibandLink ClusterSpec::InterLinkBetween(int node_a, int node_b) const {
 
 Cluster ClusterSpec::Build() const {
   Validate();
+  // Declared classes join the cluster's table in order of first use in the
+  // node list, which is the class order tie-breaks read (GpuSpec::order).
+  auto declared = std::make_shared<GpuClassTable>();
+  std::vector<std::optional<GpuType>> declared_types(gpu_classes.size());
+  const auto resolve = [&](const std::string& type) {
+    for (size_t c = 0; c < gpu_classes.size(); ++c) {
+      const GpuClassDecl& decl = gpu_classes[c];
+      if (decl.name == type) {
+        if (!declared_types[c].has_value()) {
+          declared_types[c] = declared->Add(decl.name, decl.tflops, decl.memory_gib, decl.code);
+        }
+        return *declared_types[c];
+      }
+    }
+    return TypeFromCode(type[0]);  // Validate admits only V/R/G/Q besides declared names
+  };
   std::vector<std::vector<GpuType>> node_gpus;
   node_gpus.reserve(nodes.size());
   for (const NodeDecl& node : nodes) {
     std::vector<GpuType> types;
     types.reserve(static_cast<size_t>(node.TotalCount()));
     for (const NodeGroup& group : node.groups) {
-      const GpuType type = ResolveType(*this, group.type);
-      types.insert(types.end(), static_cast<size_t>(group.count), type);
+      types.insert(types.end(), static_cast<size_t>(group.count), resolve(group.type));
     }
     node_gpus.push_back(std::move(types));
   }
-  Cluster cluster(node_gpus, IntraLink(), InterLink(), name);
+  Cluster cluster(node_gpus, IntraLink(), InterLink(), name, std::move(declared));
   cluster.set_spec_text(ToString());
 
   if (!racks.empty() || !link_overrides.empty()) {

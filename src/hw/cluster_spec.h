@@ -11,10 +11,9 @@ namespace hetpipe::hw {
 
 // A GPU class declared by a spec (beyond the paper's Table 1): the sustained
 // compute throughput and device memory the cost model needs, nothing more.
-// A class name is a process-wide identity: every spec in one process must
-// agree on a name's numbers (the registry rejects conflicting
-// redefinitions), so sensitivity sweeps over a class's TFLOPS/memory should
-// use distinct names ("A100-18", "A100-20").
+// A class name means something only within its spec: two specs may declare
+// one name with different numbers, in one process or in two, and each
+// cluster they build runs on its own numbers.
 struct GpuClassDecl {
   std::string name;
   double tflops = 0.0;      // sustained TFLOP/s on ResNet-class kernels
@@ -107,11 +106,11 @@ struct ClusterSpec {
   // Size bounds Validate enforces. Specs arrive from remote clients, and
   // Build() allocates per GPU and per node pair, so larger specs are
   // rejected before anything is built. The largest cluster in this repo
-  // (partitioner_speed's g1024-16rack) has 128 nodes and 1024 GPUs. Every
-  // class a spec builds stays registered for the process, and each model
-  // profile builds tables over all registered classes, so one spec may
-  // declare at most kMaxGpuClasses (no spec in this repo declares more than
-  // four).
+  // (partitioner_speed's g1024-16rack) has 128 nodes and 1024 GPUs. A
+  // partitioner builds an O(layers^2) table per class of its cluster, and
+  // Validate's duplicate-name check is quadratic in the class count, so one
+  // spec may declare at most kMaxGpuClasses (no spec in this repo declares
+  // more than four).
   static constexpr int kMaxNodes = 1024;
   static constexpr int64_t kMaxGpus = 16384;
   static constexpr int kMaxGpuClasses = 64;
@@ -178,16 +177,19 @@ struct ClusterSpec {
   // Throws std::invalid_argument on an unknown GPU type (a node may name
   // only the spec's own gpu declarations and the letters V/R/G/Q), a
   // zero-GPU node or node group, more than kMaxNodes nodes, kMaxGpus GPUs or
-  // kMaxGpuClasses declared classes, an out-of-range
-  // link knob, a non-positive TFLOPS/memory, duplicate class names, an empty
+  // kMaxGpuClasses declared classes, an out-of-range link knob, a class
+  // name outside [A-Za-z0-9_.-] or spelling a bare V/R/G/Q, a non-positive
+  // or non-finite TFLOPS/memory, duplicate class names, an empty
   // node list, a rack naming an out-of-range or twice-racked node, a
   // cross-rack knob without racks, or a malformed link override (self pair,
   // out-of-range node, duplicate pair, no fields, out-of-range values).
   void Validate() const;
 
-  // Registers the declared GPU classes and materializes the cluster (with
-  // spec_text() set to ToString() so experiments can rebuild it anywhere).
-  // Validates first.
+  // Materializes the cluster (with spec_text() set to ToString() so
+  // experiments can rebuild it anywhere). Validates first. The cluster owns
+  // the classes its nodes use, ordered by first use in the node list; their
+  // codes are assigned within it (hw::GpuClassTable::Add). Nothing outside
+  // the returned cluster changes, so a build never depends on earlier ones.
   Cluster Build() const;
 };
 

@@ -1,183 +1,52 @@
 #include "hw/gpu_spec.h"
 
-#include <cctype>
-#include <deque>
-#include <mutex>
+#include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 namespace hetpipe::hw {
-namespace {
 
 // Table 1 of the paper. The effective TFLOP/s column is the Fig. 3
 // calibration also used by model/profiler.cc — it doubles as the compute-
 // power ordering of §8.1 (V > R > G > Q).
-const GpuSpec kBuiltinSpecs[kNumGpuTypes] = {
-    {GpuType::kTitanV, "TITAN V", 'V', 5120, 1455, 12.0, 653.0, 6.60},
-    {GpuType::kTitanRtx, "TITAN RTX", 'R', 4608, 1770, 24.0, 672.0, 5.98},
-    {GpuType::kRtx2060, "GeForce RTX 2060", 'G', 1920, 1680, 6.0, 336.0, 3.99},
-    {GpuType::kQuadroP4000, "Quadro P4000", 'Q', 1792, 1480, 8.0, 243.0, 2.95},
+const GpuSpec kTable1Specs[kNumGpuTypes] = {
+    {"TITAN V", 'V', 0, 5120, 1455, 12.0, 653.0, 6.60},
+    {"TITAN RTX", 'R', 1, 4608, 1770, 24.0, 672.0, 5.98},
+    {"GeForce RTX 2060", 'G', 2, 1920, 1680, 6.0, 336.0, 3.99},
+    {"Quadro P4000", 'Q', 3, 1792, 1480, 8.0, 243.0, 2.95},
 };
 
-// Registered (non-Table-1) GPU classes. Deques keep addresses stable so
-// SpecOf can hand out references and GpuSpec::name can point into `names`.
-struct Registry {
-  std::mutex mu;
-  std::deque<GpuSpec> specs;
-  std::deque<std::string> names;
-};
-
-Registry& registry() {
-  static Registry* r = new Registry;  // leaked: specs outlive static teardown
-  return *r;
-}
-
-bool ValidTypeName(std::string_view name) {
-  if (name.empty()) {
-    return false;
-  }
-  for (char c : name) {
-    if (std::isalnum(static_cast<unsigned char>(c)) == 0 && c != '_' && c != '.' && c != '-') {
-      return false;
-    }
-  }
-  if (name.size() == 1) {
-    for (const GpuSpec& spec : kBuiltinSpecs) {
-      if (name[0] == spec.code) {
-        return false;  // would shadow a built-in code letter
-      }
-    }
-  }
-  return true;
-}
-
-// Callers hold registry().mu.
-char AutoCode(const Registry& r, char requested) {
+GpuType GpuClassTable::Add(const std::string& name, double effective_tflops,
+                           double memory_gib, char code) {
   const auto taken = [&](char c) {
-    for (const GpuSpec& spec : kBuiltinSpecs) {
-      if (spec.code == c) {
-        return true;
-      }
-    }
-    for (const GpuSpec& spec : r.specs) {
-      if (spec.code == c) {
-        return true;
-      }
-    }
-    return false;
+    const auto has = [c](const GpuSpec& spec) { return spec.code == c; };
+    return std::any_of(std::begin(kTable1Specs), std::end(kTable1Specs), has) ||
+           std::any_of(specs_.begin(), specs_.end(), has);
   };
-  if (requested != '\0' && !taken(requested)) {
-    return requested;
-  }
-  for (const char* pool = "abcdefghijklmnopqrstuvwxyz0123456789"; *pool != '\0'; ++pool) {
-    if (!taken(*pool)) {
-      return *pool;
-    }
-  }
-  return '?';  // display only; identity is the name
-}
-
-}  // namespace
-
-const GpuSpec& SpecOf(GpuType type) {
-  const int index = static_cast<int>(type);
-  if (index >= 0 && index < kNumGpuTypes) {
-    return kBuiltinSpecs[index];
-  }
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  const size_t custom = static_cast<size_t>(index - kNumGpuTypes);
-  if (index < kNumGpuTypes || custom >= r.specs.size()) {
-    throw std::invalid_argument("unknown GpuType handle " + std::to_string(index));
-  }
-  return r.specs[custom];
-}
-
-std::vector<GpuSpec> AllGpuSpecs() {
-  std::vector<GpuSpec> all(kBuiltinSpecs, kBuiltinSpecs + kNumGpuTypes);
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  all.insert(all.end(), r.specs.begin(), r.specs.end());
-  return all;
-}
-
-int NumGpuTypes() {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  return kNumGpuTypes + static_cast<int>(r.specs.size());
-}
-
-GpuType RegisterGpuType(const std::string& name, double effective_tflops, double memory_gib,
-                        char code) {
-  // Built-in names first: "TITAN V" etc. contain spaces ValidTypeName would
-  // reject, but re-registering a Table 1 class with its own numbers is the
-  // documented idempotent case.
-  for (const GpuSpec& spec : kBuiltinSpecs) {
-    if (name == spec.name) {
-      if (effective_tflops != spec.effective_tflops || memory_gib != spec.memory_gib) {
-        throw std::invalid_argument("GPU type " + name +
-                                    " conflicts with the built-in spec of that name");
+  if (code == '\0' || taken(code)) {
+    code = '?';  // a-z0-9 all taken (more than 36 classes): select such a class by name
+    for (const char* pool = "abcdefghijklmnopqrstuvwxyz0123456789"; *pool != '\0'; ++pool) {
+      if (!taken(*pool)) {
+        code = *pool;
+        break;
       }
-      return spec.type;
     }
   }
-  if (!ValidTypeName(name)) {
-    throw std::invalid_argument("invalid GPU type name: \"" + name + "\"");
-  }
-  if (effective_tflops <= 0.0 || memory_gib <= 0.0) {
-    throw std::invalid_argument("GPU type " + name +
-                                " needs positive tflops and memory_gib");
-  }
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  for (const GpuSpec& spec : r.specs) {
-    if (name == spec.name) {
-      if (effective_tflops != spec.effective_tflops || memory_gib != spec.memory_gib) {
-        throw std::invalid_argument("GPU type " + name +
-                                    " already registered with different numbers");
-      }
-      return spec.type;
-    }
-  }
-  r.names.push_back(name);
+  names_.push_back(name);
   GpuSpec spec{};
-  spec.type = static_cast<GpuType>(kNumGpuTypes + static_cast<int>(r.specs.size()));
-  spec.name = r.names.back().c_str();
-  spec.code = AutoCode(r, code);
+  spec.name = names_.back().c_str();
+  spec.code = code;
+  spec.order = kNumGpuTypes + static_cast<int>(specs_.size());
   spec.memory_gib = memory_gib;
   spec.effective_tflops = effective_tflops;
-  r.specs.push_back(spec);
-  return spec.type;
+  specs_.push_back(spec);
+  return GpuType(&specs_.back());
 }
-
-const GpuSpec* FindGpuTypeByName(std::string_view name) {
-  for (const GpuSpec& spec : kBuiltinSpecs) {
-    if (name == spec.name) {
-      return &spec;
-    }
-  }
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  for (const GpuSpec& spec : r.specs) {
-    if (name == spec.name) {
-      return &spec;
-    }
-  }
-  return nullptr;
-}
-
-char CodeOf(GpuType type) { return SpecOf(type).code; }
 
 GpuType TypeFromCode(char code) {
-  for (const GpuSpec& spec : kBuiltinSpecs) {
+  for (const GpuSpec& spec : kTable1Specs) {
     if (spec.code == code) {
-      return spec.type;
-    }
-  }
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  for (const GpuSpec& spec : r.specs) {
-    if (spec.code == code) {
-      return spec.type;
+      return GpuType(&spec);
     }
   }
   throw std::invalid_argument(std::string("unknown GPU code: ") + code);
@@ -199,10 +68,6 @@ std::string GpuCodes(const std::vector<GpuType>& types) {
     out.push_back(CodeOf(t));
   }
   return out;
-}
-
-uint64_t MemoryBytes(GpuType type) {
-  return static_cast<uint64_t>(SpecOf(type).memory_gib * (1ULL << 30));
 }
 
 }  // namespace hetpipe::hw

@@ -22,25 +22,14 @@ bool ImprovesPartition(const Partition& candidate, const Partition& best) {
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// The distinct GPU classes present in `cluster`, ordered by name so the
-// result is independent of registration order (and thus of the process).
-std::vector<const hw::GpuSpec*> PresentSpecs(const hw::Cluster& cluster) {
-  std::vector<const hw::GpuSpec*> specs;
-  for (const hw::Gpu& gpu : cluster.gpus()) {
-    const hw::GpuSpec& spec = hw::SpecOf(gpu.type);
-    bool known = false;
-    for (const hw::GpuSpec* s : specs) {
-      known = known || s == &spec;
-    }
-    if (!known) {
-      specs.push_back(&spec);
-    }
-  }
-  std::sort(specs.begin(), specs.end(),
-            [](const hw::GpuSpec* a, const hw::GpuSpec* b) {
-              return std::strcmp(a->name, b->name) < 0;
-            });
-  return specs;
+// The GPU classes of `cluster`, ordered by name so the fingerprint is a
+// function of class identities, not of the cluster's class order.
+std::vector<hw::GpuType> ClassesByName(const hw::Cluster& cluster) {
+  std::vector<hw::GpuType> classes = cluster.classes();
+  std::sort(classes.begin(), classes.end(), [](hw::GpuType a, hw::GpuType b) {
+    return std::strcmp(hw::SpecOf(a).name, hw::SpecOf(b).name) < 0;
+  });
+  return classes;
 }
 
 // Everything the per-layer cost model feeds the partitioner: compute times on
@@ -48,18 +37,19 @@ std::vector<const hw::GpuSpec*> PresentSpecs(const hw::Cluster& cluster) {
 // param bytes (memory model), and the class identities (name, declared
 // TFLOPS, memory capacity) those times and caps derive from.
 uint64_t ProfileFingerprint(const model::ModelProfile& profile, const hw::Cluster& cluster) {
-  const std::vector<const hw::GpuSpec*> specs = PresentSpecs(cluster);
+  const std::vector<hw::GpuType> classes = ClassesByName(cluster);
   util::Fnv1a fp;
   fp.Mix(profile.graph().name());
   fp.Mix(static_cast<uint64_t>(profile.batch_size()));
-  for (const hw::GpuSpec* spec : specs) {
-    fp.Mix(std::string(spec->name));
-    fp.Mix(spec->effective_tflops);
-    fp.Mix(spec->memory_gib);
+  for (hw::GpuType gpu : classes) {
+    const hw::GpuSpec& spec = hw::SpecOf(gpu);
+    fp.Mix(std::string(spec.name));
+    fp.Mix(spec.effective_tflops);
+    fp.Mix(spec.memory_gib);
   }
   for (int layer = 0; layer < profile.num_layers(); ++layer) {
-    for (const hw::GpuSpec* spec : specs) {
-      const model::LayerTime& t = profile.TimeOf(layer, spec->type);
+    for (hw::GpuType gpu : classes) {
+      const model::LayerTime t = profile.TimeOf(layer, gpu);
       fp.Mix(t.fwd_s);
       fp.Mix(t.bwd_s);
     }
@@ -68,6 +58,39 @@ uint64_t ProfileFingerprint(const model::ModelProfile& profile, const hw::Cluste
     fp.Mix(profile.graph().StashBytesInRange(layer, layer));
   }
   return fp.value();
+}
+
+// Partitioner::TotalCumByLast's tables: running sums over [first, last] for
+// every last >= first, accumulated in the same left-to-right order as
+// ModelProfile::StageFwdTime / StageBwdTime so each entry is bit-identical to
+// their sum. Built eagerly for every class of the cluster — a const
+// partitioner is shared across sweep threads, so lazy fill would put
+// synchronization on the DP hot path.
+std::vector<std::vector<double>> BuildTotalCumByLast(const model::ModelProfile& profile,
+                                                     const hw::Cluster& cluster) {
+  const size_t n = static_cast<size_t>(profile.num_layers());
+  std::vector<std::vector<double>> tables;
+  std::vector<model::LayerTime> per_layer(n);
+  for (hw::GpuType gpu : cluster.classes()) {
+    for (size_t layer = 0; layer < n; ++layer) {
+      per_layer[layer] = profile.TimeOf(static_cast<int>(layer), gpu);
+    }
+    tables.resize(std::max(tables.size(), static_cast<size_t>(hw::SpecOf(gpu).order) + 1));
+    std::vector<double>& tot = tables[static_cast<size_t>(hw::SpecOf(gpu).order)];
+    tot.assign(n * n, 0.0);
+    for (size_t first = 0; first < n; ++first) {
+      double fwd_acc = 0.0;
+      double bwd_acc = 0.0;
+      for (size_t last = first; last < n; ++last) {
+        fwd_acc += per_layer[last].fwd_s;
+        bwd_acc += per_layer[last].bwd_s;
+        // Transposed combined entry: one fwd + bwd addition, same operands
+        // and order as the DP's scalar path, so consumers see identical bits.
+        tot[last * n + first] = fwd_acc + bwd_acc;
+      }
+    }
+  }
+  return tables;
 }
 
 }  // namespace
@@ -122,7 +145,8 @@ std::string Partition::ToString(const model::ModelProfile& profile) const {
 Partitioner::Partitioner(const model::ModelProfile& profile, const hw::Cluster& cluster)
     : profile_(&profile),
       cluster_(&cluster),
-      inputs_fingerprint_(SolveInputsFingerprint(profile, cluster)) {}
+      inputs_fingerprint_(SolveInputsFingerprint(profile, cluster)),
+      total_cum_by_last_(BuildTotalCumByLast(profile, cluster)) {}
 
 Partition BuildFixedPartition(const model::ModelProfile& profile, const hw::Cluster& cluster,
                               const std::vector<int>& gpu_ids,
@@ -298,22 +322,19 @@ bool Partitioner::DpRow(int q, int k, hw::GpuType type, const PartitionOptions& 
                         const double* prev, const double* fwd_x, const double* bwd_x,
                         double prune_above, double* cur, int* cur_choice) const {
   // Stage [j, i-1] costs tot_cum[i-1][j] (= fwd_cum + bwd_cum, precombined at
-  // profile build time in the same operand order) plus the boundary
+  // partitioner construction in the same operand order) plus the boundary
   // transfers, and needs StageMemoryBytesFromSums(...) bytes evaluated on
   // prefix-sum differences with the stage's in-flight count hoisted out of
   // the loops. Every arithmetic operation happens in the same order as the
   // naive scalar DP (tests/oracles), so costs, memory sums, and therefore
   // every DP decision are bit-identical to it.
   const int n = profile_->num_layers();
-  const double* tot_cum = profile_->TotalCumByLast(type);
+  const double* tot_cum = TotalCumByLast(type);
   const uint64_t* param_prefix = profile_->graph().ParamPrefix();
   const uint64_t* stash_prefix = profile_->graph().StashPrefix();
   const StageMemoryParams& mem = options.mem_params;
   const uint64_t batch = static_cast<uint64_t>(profile_->batch_size());
   const uint64_t in_flight = static_cast<uint64_t>(InFlightAtStage(q - 1, k, options.nm));
-  // Resolved once per row: SpecOf takes the registry lock for classes beyond
-  // Table 1, which the O(n^2) loop below must not.
-  const uint64_t cap = hw::MemoryBytes(type);
   DpScratch& scratch = LocalScratch();
   double* vals = scratch.Ensure(scratch.vals, static_cast<size_t>(n));
   // The cells of prev this row reads, [q-1, n-(k-q)-1], are finite on one
@@ -361,7 +382,7 @@ bool Partitioner::DpRow(int q, int k, hw::GpuType type, const PartitionOptions& 
         const uint64_t need = StageMemoryBytesFromSums(
             param_prefix[i] - param_prefix[mid],  // layers [mid, i-1]
             stash_prefix[i] - stash_prefix[mid], batch, in_flight, mem);
-        if (need <= cap) {
+        if (need <= hw::MemoryBytes(type)) {
           feasible_from = mid;
           right = mid - 1;
         } else {

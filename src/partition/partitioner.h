@@ -115,13 +115,13 @@ struct PartitionOptions {
 // over GPU orders.
 //
 // The hot path is O(k n^2) per order with O(1) inner-loop work: stage times
-// and stage memory come from the profile/graph cumulative tables, transfer
-// times are precomputed once per trie edge (adjacent GPU pair of an order
-// prefix), and the DP runs on flat thread-local scratch reused across solves
-// (no per-solve allocation after warmup). The exact search walks the trie of
-// orders of interchangeable-GPU classes (same type, same link objects to the
-// rest of the virtual worker) depth first, so orders sharing a prefix share
-// its DP rows. Its leaves come in the order a factorial next_permutation
+// come from the partitioner's per-class cumulative tables and stage memory
+// from the graph's prefix sums, transfer times are precomputed once per trie
+// edge (adjacent GPU pair of an order prefix), and the DP runs on flat
+// thread-local scratch reused across solves (no per-solve allocation after
+// warmup). The exact search walks the trie of orders of interchangeable-GPU
+// classes (same type, same link objects to the rest of the virtual worker)
+// depth first, so orders sharing a prefix share its DP rows. Its leaves come in the order a factorial next_permutation
 // scan with (type, node) dedup first reaches them, and every order it skips
 // ties a kept, earlier one bit for bit, so exact ties break the same way
 // that scan's "first wins" reduction does. Each DP row loops only over the
@@ -152,6 +152,19 @@ class Partitioner {
   const hw::Cluster& cluster() const { return *cluster_; }
   // SolveInputsFingerprint(profile(), cluster()), computed once.
   uint64_t inputs_fingerprint() const { return inputs_fingerprint_; }
+
+  // Raw combined table for the DP inner loop, which cannot afford a
+  // bounds-checked call per state, for a class of cluster(): entry
+  // last * num_layers + first = profile().StageFwdTime(first, last, gpu) +
+  // profile().StageBwdTime(first, last, gpu), i.e. the total compute time of
+  // stage [first, last]. The DP scans candidate split points `first` at a
+  // fixed `last`, so this transposed layout makes that scan a contiguous
+  // unit-stride pass. Each entry is the single addition fwd + bwd of the two
+  // running sums — the same operands in the same order a scalar loop adds
+  // them — so reading it is bit-identical to computing the sum in the loop.
+  const double* TotalCumByLast(hw::GpuType gpu) const {
+    return total_cum_by_last_.at(static_cast<size_t>(hw::SpecOf(gpu).order)).data();
+  }
 
  private:
   // Every order of interchangeable-GPU classes (InterchangeableGroups in
@@ -245,6 +258,11 @@ class Partitioner {
   const model::ModelProfile* profile_;
   const hw::Cluster* cluster_;
   uint64_t inputs_fingerprint_;
+  // total_cum_by_last_[order][last * n + first] (see TotalCumByLast), indexed
+  // by GpuSpec::order and built for the cluster's classes only: n^2 doubles
+  // per class. Layer chains are block-granular (tens of entries), so a table
+  // is a few tens of KiB, built once per partitioner.
+  std::vector<std::vector<double>> total_cum_by_last_;
 };
 
 // FNV-1a state (util::Fnv1a) over every (profile, cluster) input a solve

@@ -53,10 +53,10 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // One class of a virtual worker's GPUs, with its member ids ascending.
-// CanonicalGroups builds the distinct (type, node) classes, ordered by (type,
-// node) — an id-free canonical order, so equal multisets on different ids
-// group identically — for the beam and the hierarchical refinement's
-// segment walks. The exact walk uses the coarser InterchangeableGroups
+// CanonicalGroups builds the distinct (type, node) classes, ordered by the
+// cluster's class order (GpuSpec::order), then node — an id-free canonical
+// order, so equal multisets on different ids group identically — for the
+// beam and the hierarchical refinement's segment walks. The exact walk uses the coarser InterchangeableGroups
 // (`node` is then the first member's).
 struct Group {
   hw::GpuType type;
@@ -84,7 +84,7 @@ std::vector<Group> CanonicalGroups(const hw::Cluster& cluster, std::vector<int> 
   }
   std::sort(groups.begin(), groups.end(), [](const Group& a, const Group& b) {
     if (a.type != b.type) {
-      return static_cast<int>(a.type) < static_cast<int>(b.type);
+      return hw::SpecOf(a.type).order < hw::SpecOf(b.type).order;
     }
     return a.node < b.node;
   });
@@ -751,7 +751,7 @@ Partition Partitioner::SolveHierarchical(const std::vector<int>& gpu_ids,
         return ta > tb;
       }
       if (ga.type != gb.type) {
-        return static_cast<int>(ga.type) < static_cast<int>(gb.type);
+        return hw::SpecOf(ga.type).order < hw::SpecOf(gb.type).order;
       }
       return ga.node < gb.node;
     });

@@ -29,8 +29,8 @@ void AppendInt(std::string* out, Int value) {
 // must stay in the key.
 std::vector<int> VwSignature(const hw::Cluster& cluster, const std::vector<int>& gpu_ids,
                              bool order_invariant, std::string* key) {
-  // Registry names live for the process, so the tuples can view them; views
-  // compare like the strings, so the sorted order is the same.
+  // Class names live as long as the cluster, so the tuples can view them;
+  // views compare like the strings, so the sorted order is the same.
   std::vector<std::tuple<std::string_view, int, int>> shape;
   shape.reserve(gpu_ids.size());
   for (int id : gpu_ids) {

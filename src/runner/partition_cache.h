@@ -24,7 +24,7 @@ namespace hetpipe::runner {
 // link override resolves to), VW GPU (class, node) multiset, Nm, order-search
 // flag, memory params) — everything
 // Partitioner::SolveScalable's result depends on. Keys are value-based (GPU class
-// names and numbers, never process-local handles), so they are stable across
+// names and numbers, never pointers into one cluster), so they are stable across
 // processes and safe to persist. The (profile, cluster) half is the
 // partitioner's inputs_fingerprint(), hashed once when it is built; a lookup
 // hashes only the per-call half on from that state.

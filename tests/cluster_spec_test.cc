@@ -26,8 +26,17 @@
 namespace hetpipe::hw {
 namespace {
 
-// One definition per class name within this binary: the registry treats a
-// name as an identity and rejects redefinitions with different numbers.
+// The class of `cluster` named `name`; fails the test when there is none.
+GpuType ClassNamed(const Cluster& cluster, const std::string& name) {
+  for (GpuType type : cluster.classes()) {
+    if (name == SpecOf(type).name) {
+      return type;
+    }
+  }
+  ADD_FAILURE() << "the cluster has no class " << name;
+  return GpuType::kTitanV;
+}
+
 constexpr const char* kMixedSpecText =
     "name edge-mix\n"
     "gpu BigCard tflops=8.5 mem=32 code=b   # strong, roomy\n"
@@ -133,6 +142,19 @@ TEST(ClusterSpecTest, RejectsMalformedSpecs) {
                std::invalid_argument);
   EXPECT_THROW(ClusterSpec().AddGpuClass("X9", 1.0, 1.0, ' ').AddNode("X9", 2).Validate(),
                std::invalid_argument);
+  // Class names outside [A-Za-z0-9_.-], or spelling a bare V/R/G/Q (which a
+  // node reads as the built-in class), fail in Parse, whose result is
+  // validated, and not later in Build — also for a class no node uses.
+  for (const char* text : {"gpu A+B tflops=1 mem=1; node 1xA+B", "gpu V tflops=1 mem=1; node 1xV",
+                           "gpu A+B tflops=1 mem=1; node 1xV"}) {
+    try {
+      ClusterSpec::Parse(text);
+      ADD_FAILURE() << text << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("invalid GPU class name"), std::string::npos)
+          << text << ": " << e.what();
+    }
+  }
   // Size bounds: remote specs must not make Build() overflow a GPU count or
   // allocate per GPU or per node pair without limit.
   EXPECT_THROW(ClusterSpec::Parse("node{V*2000000000,R*2000000000}"), std::invalid_argument);
@@ -153,8 +175,6 @@ TEST(ClusterSpecTest, RejectsMalformedSpecs) {
   EXPECT_THROW(ClusterSpec::Parse(max_nodes + "node 1xV\n"), std::invalid_argument);
 }
 
-// One definition per class name (see kMixedSpecText): the mixed-node fixture
-// reuses the numbers of BigCard/TinyCard declared there.
 constexpr const char* kMixedNodeSpecText =
     "name node-mix\n"
     "gpu BigCard tflops=8.5 mem=32 code=b\n"
@@ -228,16 +248,14 @@ TEST(ClusterSpecTest, MixedClassNodeBuildsAndPartitionsPerClassMemory) {
   EXPECT_EQ(cluster.num_gpus(), 8);
   EXPECT_FALSE(cluster.NodeHomogeneous(0));
   EXPECT_TRUE(cluster.NodeHomogeneous(1));
-  const GpuSpec* big = FindGpuTypeByName("BigCard");
-  const GpuSpec* tiny = FindGpuTypeByName("TinyCard");
-  ASSERT_NE(big, nullptr);
-  ASSERT_NE(tiny, nullptr);
+  const GpuType big = ClassNamed(cluster, "BigCard");
+  const GpuType tiny = ClassNamed(cluster, "TinyCard");
   // Declaration order is GPU-id order inside the node.
-  EXPECT_EQ(cluster.gpu(0).type, big->type);
-  EXPECT_EQ(cluster.gpu(1).type, big->type);
-  EXPECT_EQ(cluster.gpu(2).type, tiny->type);
-  EXPECT_EQ(cluster.gpu(3).type, tiny->type);
-  EXPECT_EQ(cluster.NodeType(0), big->type);  // first GPU's class
+  EXPECT_EQ(cluster.gpu(0).type, big);
+  EXPECT_EQ(cluster.gpu(1).type, big);
+  EXPECT_EQ(cluster.gpu(2).type, tiny);
+  EXPECT_EQ(cluster.gpu(3).type, tiny);
+  EXPECT_EQ(cluster.NodeType(0), big);  // first GPU's class
   // The composition is spelled out (cache keys depend on it).
   EXPECT_NE(cluster.ToString().find("BigCard x2 + TinyCard x2"), std::string::npos)
       << cluster.ToString();
@@ -270,8 +288,8 @@ TEST(ClusterSpecTest, MixedClassNodeBuildsAndPartitionsPerClassMemory) {
   const cluster::Allocation ed =
       cluster::Allocate(cluster, cluster::AllocationPolicy::kEqualDistribution);
   ASSERT_EQ(ed.vw_gpus.size(), 4u);
-  EXPECT_EQ(cluster.gpu(ed.vw_gpus[0][0]).type, big->type);
-  EXPECT_EQ(cluster.gpu(ed.vw_gpus[2][0]).type, tiny->type);
+  EXPECT_EQ(cluster.gpu(ed.vw_gpus[0][0]).type, big);
+  EXPECT_EQ(cluster.gpu(ed.vw_gpus[2][0]).type, tiny);
 }
 
 TEST(ClusterSpecTest, LinkKnobsRoundTripAndReachTheLinkModels) {
@@ -300,11 +318,10 @@ TEST(ClusterSpecTest, LinkKnobsRoundTripAndReachTheLinkModels) {
 }
 
 TEST(ClusterSpecTest, NodesNameOnlyTheSpecsOwnClasses) {
-  // A spec means the same in any process: a class another spec registered
+  // A spec means the same in any process: a class another spec declared
   // earlier is still unknown to a spec that does not declare it.
   const Cluster declared = ClusterSpec::Parse("gpu ScopedFoo tflops=5 mem=8; node 2xScopedFoo").Build();
   EXPECT_EQ(declared.num_gpus(), 2);
-  ASSERT_NE(FindGpuTypeByName("ScopedFoo"), nullptr);
   for (const char* text : {"node 2xScopedFoo", "node{ScopedFoo*1,V*1}"}) {
     try {
       ClusterSpec::Parse(text);
@@ -332,32 +349,21 @@ TEST(ClusterSpecTest, GpuClassCountIsCapped) {
   }
 }
 
-TEST(ClusterSpecTest, ReRegisteringBuiltinClassesIsIdempotent) {
-  // Table 1 names contain spaces, but re-registering them with their own
-  // numbers must return the existing handle (the documented idempotent case).
-  EXPECT_EQ(RegisterGpuType("TITAN V", 6.60, 12.0), GpuType::kTitanV);
-  EXPECT_EQ(RegisterGpuType("Quadro P4000", 2.95, 8.0), GpuType::kQuadroP4000);
-  EXPECT_THROW(RegisterGpuType("TITAN V", 7.0, 12.0), std::invalid_argument);
-}
-
 TEST(ClusterSpecTest, ClassNamesShadowCodeStringsInPickGpus) {
-  // A registered class whose name spells known code letters ("VQ") must be
+  // A declared class whose name spells known code letters ("VQ") must be
   // selectable by name; the code-string interpretation yields to names.
   const Cluster cluster =
       ClusterSpec::Parse("gpu VQ tflops=3 mem=12; node 1xVQ; node 4xV; node 4xQ").Build();
-  const GpuSpec* vq = FindGpuTypeByName("VQ");
-  ASSERT_NE(vq, nullptr);
   const std::vector<int> picked = core::PickGpus(cluster, "VQ");
   ASSERT_EQ(picked.size(), 1u);
-  EXPECT_EQ(cluster.gpu(picked[0]).type, vq->type);
+  EXPECT_EQ(cluster.gpu(picked[0]).type, ClassNamed(cluster, "VQ"));
 }
 
 TEST(ClusterSpecTest, PickGpusResolvesNamesAmongTheClustersClasses) {
   // Only a class of the cluster shadows code letters: on the paper testbed,
   // which has no VQ GPUs, "VQ" stays two code letters however many specs
   // declared a class named VQ, and a VQ term is unknown there.
-  ClusterSpec::Parse("gpu VQ tflops=3 mem=12; node 1xVQ").Build();
-  ASSERT_NE(FindGpuTypeByName("VQ"), nullptr);
+  const Cluster vq = ClusterSpec::Parse("gpu VQ tflops=3 mem=12; node 1xVQ").Build();
   const Cluster paper = Cluster::Paper();
   const std::vector<int> codes = core::PickGpus(paper, "VQ");
   ASSERT_EQ(codes.size(), 2u);
@@ -372,17 +378,19 @@ TEST(ClusterSpecTest, PickGpusResolvesNamesAmongTheClustersClasses) {
 }
 
 TEST(ClusterSpecTest, PickGpusResolvesCodesAmongTheClustersClasses) {
-  // Code letters resolve like names, among the cluster's own classes. A class
-  // declared by an earlier spec takes a letter first, so Mine's letter
-  // depends on registration order; the letter of a class the cluster has no
-  // GPUs of, built-in or registered, is unknown here.
-  ClusterSpec::Parse("gpu PickOther tflops=3 mem=12; node 1xPickOther").Build();
+  // Code letters resolve like names, among the cluster's own classes, and a
+  // declared class's letter is assigned within its cluster: Mine gets 'a'
+  // whatever other specs the process built first. The letter of a class the
+  // cluster has no GPUs of, built-in or declared by another spec, is unknown
+  // here.
+  const Cluster other_cluster =
+      ClusterSpec::Parse("gpu PickOther tflops=3 mem=12 code=p; node 1xPickOther").Build();
+  EXPECT_EQ(CodeOf(ClassNamed(other_cluster, "PickOther")), 'p');
   const Cluster cluster = ClusterSpec::Parse("gpu Mine tflops=5 mem=8; node 2xMine").Build();
-  const std::string mine(1, CodeOf(FindGpuTypeByName("Mine")->type));
-  EXPECT_EQ(core::PickGpus(cluster, mine + mine), (std::vector<int>{0, 1}));
-  EXPECT_EQ(core::PickGpus(cluster, mine + "*2"), (std::vector<int>{0, 1}));
-  const std::string other(1, CodeOf(FindGpuTypeByName("PickOther")->type));
-  for (const std::string& selector : {other, std::string("V"), mine + other}) {
+  EXPECT_EQ(CodeOf(ClassNamed(cluster, "Mine")), 'a');
+  EXPECT_EQ(core::PickGpus(cluster, "aa"), (std::vector<int>{0, 1}));
+  EXPECT_EQ(core::PickGpus(cluster, "a*2"), (std::vector<int>{0, 1}));
+  for (const std::string selector : {"p", "V", "ap"}) {
     try {
       core::PickGpus(cluster, selector);
       ADD_FAILURE() << selector << " picked on a cluster of Mine GPUs";
@@ -390,6 +398,27 @@ TEST(ClusterSpecTest, PickGpusResolvesCodesAmongTheClustersClasses) {
       EXPECT_EQ(std::string(e.what()), "unknown GPU class \"" + selector + "\"");
     }
   }
+}
+
+TEST(ClusterSpecTest, CodesAreAssignedWithinTheCluster) {
+  // A requested code stays unless an earlier class of the same cluster has
+  // it or it is a built-in letter; every other class takes the first free
+  // letter of a-z0-9, in first-use order.
+  const Cluster cluster = ClusterSpec::Parse(
+                              "gpu P tflops=1 mem=1 code=b; gpu Q2 tflops=1 mem=1 code=b;"
+                              "gpu R2 tflops=1 mem=1 code=V; gpu S tflops=1 mem=1;"
+                              "node 1xR2; node 1xP; node 1xQ2; node 1xS; node 1xV")
+                              .Build();
+  EXPECT_EQ(CodeOf(ClassNamed(cluster, "R2")), 'a');  // V is Table 1's
+  EXPECT_EQ(CodeOf(ClassNamed(cluster, "P")), 'b');
+  EXPECT_EQ(CodeOf(ClassNamed(cluster, "Q2")), 'c');  // b is P's
+  EXPECT_EQ(CodeOf(ClassNamed(cluster, "S")), 'd');
+  // Class order: Table 1 first, then declared classes by first use.
+  std::string order;
+  for (GpuType type : cluster.classes()) {
+    order += std::string(order.empty() ? "" : ",") + SpecOf(type).name;
+  }
+  EXPECT_EQ(order, "TITAN V,R2,P,Q2,S");
 }
 
 TEST(ClusterSpecTest, PaperTestbedEquivalentToPaperSubset) {
@@ -421,7 +450,7 @@ TEST(ClusterSpecTest, PaperTestbedEquivalentToPaperSubset) {
   EXPECT_EQ(oracles::PartitionDiff(a, b), "");
 }
 
-TEST(ClusterSpecTest, BuildsHeterogeneousClusterWithRegisteredClasses) {
+TEST(ClusterSpecTest, BuildsHeterogeneousClusterWithDeclaredClasses) {
   const Cluster cluster = ClusterSpec::Parse(kMixedSpecText).Build();
   EXPECT_EQ(cluster.num_nodes(), 3);
   EXPECT_EQ(cluster.num_gpus(), 2 + 3 + 4);
@@ -432,35 +461,28 @@ TEST(ClusterSpecTest, BuildsHeterogeneousClusterWithRegisteredClasses) {
   EXPECT_EQ(cluster.name(), "edge-mix");
   EXPECT_FALSE(cluster.spec_text().empty());
 
-  const GpuSpec* big = FindGpuTypeByName("BigCard");
-  ASSERT_NE(big, nullptr);
-  EXPECT_EQ(big->effective_tflops, 8.5);
-  EXPECT_EQ(MemoryBytes(big->type), 32ULL << 30);
-  EXPECT_EQ(cluster.NodeType(0), big->type);
-  // Registered classes rank by declared TFLOPS among the paper classes:
-  // BigCard (8.5) above V (6.6); TinyCard (1.4) below Q (2.95).
-  EXPECT_LT(cluster::ComputeRank(big->type), cluster::ComputeRank(GpuType::kTitanV));
-  const GpuSpec* tiny = FindGpuTypeByName("TinyCard");
-  ASSERT_NE(tiny, nullptr);
-  EXPECT_GT(cluster::ComputeRank(tiny->type), cluster::ComputeRank(GpuType::kQuadroP4000));
+  const GpuType big = ClassNamed(cluster, "BigCard");
+  EXPECT_EQ(SpecOf(big).effective_tflops, 8.5);
+  EXPECT_EQ(MemoryBytes(big), 32ULL << 30);
+  EXPECT_EQ(cluster.NodeType(0), big);
+  // Declared classes rank by declared TFLOPS among the paper classes:
+  // BigCard (8.5) above V (6.6); TinyCard (1.4) below V, the cluster's only
+  // paper class.
+  EXPECT_LT(cluster::ComputeRank(cluster, big), cluster::ComputeRank(cluster, GpuType::kTitanV));
+  EXPECT_GT(cluster::ComputeRank(cluster, ClassNamed(cluster, "TinyCard")),
+            cluster::ComputeRank(cluster, GpuType::kTitanV));
   // Spec links: 12 GB/s PCIe class, 25 Gbit/s network.
   EXPECT_LT(cluster.pcie().EffectiveBandwidth(), PcieLink().EffectiveBandwidth());
   EXPECT_LT(cluster.infiniband().EffectiveBandwidth(), InfinibandLink().EffectiveBandwidth());
 
-  // Registration is idempotent: building the same spec again reuses handles.
-  const Cluster again = ClusterSpec::Parse(kMixedSpecText).Build();
-  EXPECT_EQ(again.NodeType(0), cluster.NodeType(0));
-  // ...but redefining a known name with different numbers is rejected.
-  EXPECT_THROW(ClusterSpec::Parse("gpu BigCard tflops=9 mem=32; node 1xBigCard").Build(),
-               std::invalid_argument);
 }
 
 TEST(ClusterSpecTest, PickGpusSelectorsOnGenericCluster) {
   const Cluster cluster = ClusterSpec::Parse(kMixedSpecText).Build();
   const std::vector<int> by_name = core::PickGpus(cluster, "BigCard*2,TinyCard");
   ASSERT_EQ(by_name.size(), 3u);
-  EXPECT_EQ(cluster.gpu(by_name[0]).type, FindGpuTypeByName("BigCard")->type);
-  EXPECT_EQ(cluster.gpu(by_name[2]).type, FindGpuTypeByName("TinyCard")->type);
+  EXPECT_EQ(cluster.gpu(by_name[0]).type, ClassNamed(cluster, "BigCard"));
+  EXPECT_EQ(cluster.gpu(by_name[2]).type, ClassNamed(cluster, "TinyCard"));
 
   const std::vector<int> pinned = core::PickGpus(cluster, "V*2@2");
   ASSERT_EQ(pinned.size(), 2u);
@@ -709,6 +731,8 @@ TEST(ClusterSpecTest, MutatedSpecTextsParseAndRoundTripOrFailCleanly) {
       continue;
     }
     ++parsed;
+    // A parsed spec is validated, so it builds.
+    EXPECT_NO_THROW(spec->Build()) << mutant;
     const std::string text = spec->ToString();
     try {
       EXPECT_TRUE(ClusterSpec::Parse(text) == *spec) << mutant << " -> " << text;

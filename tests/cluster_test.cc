@@ -90,9 +90,12 @@ TEST(AllocatorTest, NpOnSingleNode) {
 
 TEST(AllocatorTest, ComputeRankOrdering) {
   // §8.1: V > R > G > Q in compute power.
-  EXPECT_LT(ComputeRank(hw::GpuType::kTitanV), ComputeRank(hw::GpuType::kTitanRtx));
-  EXPECT_LT(ComputeRank(hw::GpuType::kTitanRtx), ComputeRank(hw::GpuType::kRtx2060));
-  EXPECT_LT(ComputeRank(hw::GpuType::kRtx2060), ComputeRank(hw::GpuType::kQuadroP4000));
+  const hw::Cluster paper = hw::Cluster::Paper();
+  EXPECT_LT(ComputeRank(paper, hw::GpuType::kTitanV), ComputeRank(paper, hw::GpuType::kTitanRtx));
+  EXPECT_LT(ComputeRank(paper, hw::GpuType::kTitanRtx),
+            ComputeRank(paper, hw::GpuType::kRtx2060));
+  EXPECT_LT(ComputeRank(paper, hw::GpuType::kRtx2060),
+            ComputeRank(paper, hw::GpuType::kQuadroP4000));
 }
 
 TEST(AllocatorTest, ToStringContainsPolicyAndCodes) {

@@ -30,9 +30,9 @@ TEST(GpuSpecTest, Table1Values) {
 }
 
 TEST(GpuSpecTest, CodesRoundTrip) {
-  for (const GpuSpec& spec : AllGpuSpecs()) {
-    EXPECT_EQ(TypeFromCode(spec.code), spec.type);
-    EXPECT_EQ(CodeOf(spec.type), spec.code);
+  for (const GpuSpec& spec : kTable1Specs) {
+    EXPECT_EQ(TypeFromCode(spec.code), GpuType(&spec));
+    EXPECT_EQ(CodeOf(GpuType(&spec)), spec.code);
   }
 }
 

@@ -93,7 +93,10 @@ std::string PartitionDiff(const partition::Partition& a, const partition::Partit
     field(stage + "first_layer", x.first_layer, y.first_layer);
     field(stage + "last_layer", x.last_layer, y.last_layer);
     field(stage + "gpu_id", x.gpu_id, y.gpu_id);
-    field(stage + "gpu_type", static_cast<int>(x.gpu_type), static_cast<int>(y.gpu_type));
+    // By name: the class identity that holds across clusters (two clusters
+    // built from one spec own distinct, equal classes).
+    field(stage + "gpu_type", std::string(hw::SpecOf(x.gpu_type).name),
+          std::string(hw::SpecOf(y.gpu_type).name));
     field(stage + "node", x.node, y.node);
     field(stage + "fwd_compute_s", x.fwd_compute_s, y.fwd_compute_s);
     field(stage + "bwd_compute_s", x.bwd_compute_s, y.bwd_compute_s);

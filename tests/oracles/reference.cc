@@ -158,7 +158,7 @@ std::vector<std::vector<int>> DistinctClassOrders(const hw::Cluster& cluster,
     std::string signature;
     for (int id : ids) {
       const hw::Gpu& g = cluster.gpu(id);
-      signature += std::to_string(static_cast<int>(g.type));
+      signature += hw::SpecOf(g.type).name;
       signature.push_back('@');
       signature += std::to_string(g.node);
       signature.push_back(';');

@@ -96,8 +96,8 @@ TEST(MemoryModelTest, VggFitsEveryGpu) {
   // VGG-19 fits everywhere (Horovod uses all 16 GPUs in Fig. 4b).
   const auto graph = BuildVgg19();
   const ModelProfile profile(graph, 32);
-  for (const auto& spec : hw::AllGpuSpecs()) {
-    EXPECT_TRUE(FitsOnSingleGpu(profile, spec.type)) << spec.name;
+  for (const hw::GpuSpec& spec : hw::kTable1Specs) {
+    EXPECT_TRUE(FitsOnSingleGpu(profile, GpuType(&spec))) << spec.name;
   }
 }
 
@@ -340,8 +340,7 @@ TEST(PrefixEquivalenceTest, RandomGraphsMatchNaiveLoopsExactly) {
                   oracles::ParamBytesInRangeNaive(graph, first, last));
         EXPECT_EQ(graph.StashBytesInRange(first, last),
                   oracles::StashBytesInRangeNaive(graph, first, last));
-        for (int t = 0; t < hw::kNumGpuTypes; ++t) {
-          const auto gpu = static_cast<GpuType>(t);
+        for (GpuType gpu : cluster.classes()) {
           // EXPECT_EQ on doubles is exact equality: bit-identical, not close.
           EXPECT_EQ(profile.StageFwdTime(first, last, gpu),
                     oracles::StageFwdTimeNaive(profile, first, last, gpu));
@@ -349,7 +348,7 @@ TEST(PrefixEquivalenceTest, RandomGraphsMatchNaiveLoopsExactly) {
                     oracles::StageBwdTimeNaive(profile, first, last, gpu));
           EXPECT_EQ(profile.StageTotalTime(first, last, gpu),
                     oracles::StageTotalTimeNaive(profile, first, last, gpu));
-          EXPECT_EQ(profile.TotalCumByLast(gpu)[static_cast<size_t>(last) * n + first],
+          EXPECT_EQ(partitioner.TotalCumByLast(gpu)[static_cast<size_t>(last) * n + first],
                     oracles::StageTotalTimeNaive(profile, first, last, gpu));
         }
       }
@@ -766,6 +765,46 @@ TEST_F(PartitionerTest, SolveScalableAutoIsBitIdenticalToExact) {
   }
 }
 
+TEST(SearchScalableTest, BeamAnswerIsIndependentOfEarlierSpecs) {
+  // GPU classes belong to their cluster, so what the process built before
+  // cannot change a spec's class order, codes or answers. X and Y have equal
+  // numbers, so only the class order (first use in the node list) breaks
+  // their ties. A spec that uses Y before X comes first; then the X/Y spec
+  // must answer exactly like the same spec over names no spec used before.
+  hw::ClusterSpec::Parse("gpu Y tflops=4 mem=16; gpu X tflops=4 mem=16; node 2xY; node 2xX")
+      .Build();
+  const auto six_nodes = [](const std::string& x, const std::string& y) {
+    std::string text = "gpu " + x + " tflops=4 mem=16; gpu " + y + " tflops=4 mem=16";
+    for (int pair = 0; pair < 3; ++pair) {
+      text += "; node 2x" + x + "; node 2x" + y;
+    }
+    return hw::ClusterSpec::Parse(text).Build();
+  };
+  const Cluster seen = six_nodes("X", "Y");
+  const Cluster fresh = six_nodes("X2", "Y2");
+  for (const Cluster* cluster : {&seen, &fresh}) {
+    ASSERT_EQ(cluster->classes().size(), 2u);
+    EXPECT_EQ(hw::CodeOf(cluster->classes()[0]), 'a');
+    EXPECT_EQ(hw::CodeOf(cluster->classes()[1]), 'b');
+  }
+  EXPECT_EQ(core::PickGpus(seen, "ab"), core::PickGpus(fresh, "ab"));
+
+  PartitionOptions options;
+  options.nm = 2;
+  options.strategy = SearchStrategy::kBeam;
+  options.beam_width = 2;
+  const std::vector<int> vw = {0, 2, 4, 6, 8, 10};
+  for (const model::ModelGraph& graph : {BuildResNet152(), BuildVgg19()}) {
+    const ModelProfile profile(graph, 32);
+    const Partition a = Partitioner(profile, seen).SolveScalable(vw, options);
+    const Partition b = Partitioner(profile, fresh).SolveScalable(vw, options);
+    ASSERT_TRUE(a.feasible) << graph.name();
+    // Signatures name stage classes by code, so X/X2 and Y/Y2 map to a/b.
+    EXPECT_EQ(oracles::PartitionSignature(a, nullptr), oracles::PartitionSignature(b, nullptr))
+        << graph.name();
+  }
+}
+
 TEST(SearchScalableTest, BeamAndHierarchicalInvariantUnderIdPermutation) {
   // The partition cache remaps hits onto any gpu-id set with the same
   // (type, node) multiset, which is only sound if the scalable searches are
@@ -1004,8 +1043,7 @@ TEST(SolveGridGoldenTest, ExactSolvesMatchRecordedSolvesAndTheReference) {
 // requests: four classes cycling over the nodes, either racked in pairs
 // (12-16 GPU virtual workers resolve to the hierarchical tier) or flat
 // (they resolve to the beam). `racks` of 8 puts every node in a rack of its
-// own. Explicit codes keep the rendered signatures independent of which
-// classes earlier tests registered.
+// own. The explicit codes are what the rendered signatures print.
 Cluster PlanBenchCluster(int racks) {
   hw::ClusterSpec spec;
   spec.Named(racks == 0   ? std::string("bench-flat")
@@ -1254,8 +1292,6 @@ TEST(SearchParallelTest, ApproximateTiersIgnorePools) {
     const ModelProfile profile(graph, 1 + round % 32);
     check("parallel-" + std::to_string(round), Partitioner(profile, cluster), ids, 1 + round % 3);
   });
-  // The clusters register their GPU classes, so they come before the
-  // profile that times every registered class.
   std::vector<Cluster> clusters;
   for (int racks : {0, 2, 4, 8}) {
     clusters.push_back(PlanBenchCluster(racks));

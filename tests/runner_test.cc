@@ -139,7 +139,7 @@ TEST(PartitionCacheTest, HitReturnsColdSolveExactly) {
 
 TEST(PartitionCacheTest, HitsUnpackEveryStageFieldExactly) {
   // Entries are stored packed; hits must unpack to the cold solve on shapes
-  // that stretch every packed field: a registered class (a GpuType beyond
+  // that stretch every packed field: a declared class (a GpuType beyond
   // the built-ins), GPU ids past one varint byte, a 12-stage pipeline, and
   // an infeasible answer.
   hw::ClusterSpec spec;
@@ -575,17 +575,17 @@ TEST(PartitionCacheTest, InputsFingerprintIsValueBasedAndComplete) {
   // (independently built equal inputs share entries) and must cover every
   // input of the solve (changing any one misses). Link latency/intercept
   // knobs, topology, nm and memory params are covered by the tests above.
-  // A GPU class's numbers are fixed by its name within a process, so the
-  // TFLOPS and memory variants are sibling classes. Every cluster is built
-  // before any profile, so the profiles time every registered class.
+  // A class name may carry other numbers in another spec, so the TFLOPS and
+  // memory variants redefine FpCard itself; a renamed class misses too.
   const std::string kBase = "gpu FpCard tflops=8 mem=32; node 2xFpCard; node 2xQ";
   const hw::Cluster cluster = hw::ClusterSpec::Parse(kBase).Build();
   const hw::Cluster cluster_again = hw::ClusterSpec::Parse(kBase).Build();
   std::vector<std::pair<std::string, hw::Cluster>> variants;
   for (const auto& [label, text] : {
            std::pair<const char*, std::string>{
-               "class tflops", "gpu FpCardT9 tflops=9 mem=32; node 2xFpCardT9; node 2xQ"},
-           {"class memory", "gpu FpCardM16 tflops=8 mem=16; node 2xFpCardM16; node 2xQ"},
+               "class tflops", "gpu FpCard tflops=9 mem=32; node 2xFpCard; node 2xQ"},
+           {"class memory", "gpu FpCard tflops=8 mem=16; node 2xFpCard; node 2xQ"},
+           {"class name", "gpu FpCard2 tflops=8 mem=32; node 2xFpCard2; node 2xQ"},
            {"pcie bandwidth", kBase + "; intra_gbps 6"},
            {"pcie scaling", kBase + "; intra_scaling 0.5"},
            {"infiniband bandwidth", kBase + "; inter_gbits 25"},
@@ -1095,7 +1095,7 @@ oracles::GoldenLines CacheKeyGoldenLines() {
     record("paper|resnet152|b32|mem-nostash", resnet32, paper, {0, 4, 8, 12}, mem);
   }
 
-  // Spec-built clusters: a registered class, a mixed-class node, link knobs,
+  // Spec-built clusters: a declared class, a mixed-class node, link knobs,
   // racks with a cross-rack fabric, and a per-pair link override.
   const std::string kBase =
       "gpu GoldenKeyCard tflops=7 mem=24; node 2xGoldenKeyCard; node{V*1,Q*1}; node 2xR; "

@@ -805,6 +805,58 @@ TEST(PlanServiceTest, SpecClassErrorsAreBadSpec) {
   EXPECT_EQ(service.Handle(bad_spec).Get("error_code"), "bad_spec");
 }
 
+TEST(PlanServiceTest, OneClassNameTwoDefinitionsBothPlan) {
+  // A class name means something only within its spec: two specs may
+  // declare X with different numbers in one process, and each cluster,
+  // profile, partition and plan runs on its own numbers.
+  const std::string slow_text = "gpu X tflops=4 mem=16; node 2xX";
+  const std::string fast_text = "gpu X tflops=6 mem=16; node 2xX";
+  const hw::Cluster slow = hw::ClusterSpec::Parse(slow_text).Build();
+  const hw::Cluster fast = hw::ClusterSpec::Parse(fast_text).Build();
+  const hw::GpuType slow_x = slow.gpu(0).type;
+  const hw::GpuType fast_x = fast.gpu(0).type;
+  EXPECT_EQ(hw::SpecOf(slow_x).effective_tflops, 4.0);
+  EXPECT_EQ(hw::SpecOf(fast_x).effective_tflops, 6.0);
+
+  const model::ModelGraph graph = model::BuildResNet152();
+  const model::ModelProfile profile(graph, 32);
+  EXPECT_GT(profile.FullModelTime(slow_x), profile.FullModelTime(fast_x));
+  partition::PartitionOptions options;
+  options.nm = 2;
+  const partition::Partition slow_plan =
+      partition::Partitioner(profile, slow).SolveScalable({0, 1}, options);
+  const partition::Partition fast_plan =
+      partition::Partitioner(profile, fast).SolveScalable({0, 1}, options);
+  ASSERT_TRUE(slow_plan.feasible);
+  ASSERT_TRUE(fast_plan.feasible);
+  EXPECT_GT(slow_plan.bottleneck_time, fast_plan.bottleneck_time);
+  for (const auto& [plan, type] : {std::pair{&slow_plan, slow_x}, std::pair{&fast_plan, fast_x}}) {
+    for (const partition::StageAssignment& stage : plan->stages) {
+      EXPECT_EQ(stage.gpu_type, type);
+      EXPECT_EQ(stage.fwd_compute_s,
+                profile.StageFwdTime(stage.first_layer, stage.last_layer, type));
+    }
+  }
+
+  runner::PartitionCache cache;
+  PlanService service(&cache);
+  PlanRequest request;
+  request.selector = "X*2";
+  request.nm = 2;
+  request.cluster_spec = slow_text;
+  const runner::ResultRow slow_row = service.Handle(request);
+  request.cluster_spec = fast_text;
+  const runner::ResultRow fast_row = service.Handle(request);
+  for (const runner::ResultRow* row : {&slow_row, &fast_row}) {
+    EXPECT_EQ(row->Get("ok"), "true") << row->Get("error");
+    EXPECT_EQ(row->Get("cache_hit"), "false");
+  }
+  runner::ResultRow expected;
+  expected.Set("slow", slow_plan.bottleneck_time).Set("fast", fast_plan.bottleneck_time);
+  EXPECT_EQ(slow_row.Get("bottleneck_time_s"), expected.Get("slow"));
+  EXPECT_EQ(fast_row.Get("bottleneck_time_s"), expected.Get("fast"));
+}
+
 TEST(PlanServiceTest, HandleJsonReportsShutdownAndStats) {
   runner::PartitionCache cache;
   PlanService service(&cache);

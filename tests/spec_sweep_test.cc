@@ -45,8 +45,8 @@ TEST(SpecSweepTest, SingleVwSweepEnumeratesDistinctEdShapes) {
     EXPECT_LE(e.config.nm, 3);
     selectors.insert(e.vw_codes);
   }
-  // Selectors are sorted "Class@node" terms by registered class name (the
-  // paper V class's registry name is "TITAN V").
+  // Selectors are sorted "Class@node" terms by class name (the paper V
+  // class's name is "TITAN V").
   EXPECT_EQ(selectors, (std::set<std::string>{"SwBig@0,SwTiny@1,TITAN V@2",
                                               "SwTiny@0,SwTiny@1,TITAN V@2"}));
 
