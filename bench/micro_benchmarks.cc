@@ -1,6 +1,7 @@
 // google-benchmark micro-benchmarks for the repo's core kernels: the DES
-// event queue, the min-max partitioner (serial, pruned, parallel, cached),
-// the AllReduce cost model, and the real WSP trainer step.
+// event queue, the simulator's normal draws, the min-max partitioner
+// (serial, pruned, parallel, cached), the AllReduce cost model, and the real
+// WSP trainer step.
 #include <benchmark/benchmark.h>
 
 #include "dp/allreduce.h"
@@ -12,6 +13,7 @@
 #include "pipeline/virtual_worker.h"
 #include "runner/partition_cache.h"
 #include "runner/thread_pool.h"
+#include "sim/rng.h"
 #include "sim/simulator.h"
 #include "train/data.h"
 #include "train/model_zoo.h"
@@ -52,7 +54,38 @@ void BM_EventQueuePushPop(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_EventQueuePushPop)->Arg(1 << 10)->Arg(1 << 14);
+// A whole-cluster WSP simulation holds about 8-24 queued events.
+BENCHMARK(BM_EventQueuePushPop)->Arg(8)->Arg(16)->Arg(32);
+
+// One standard normal per iteration: Box-Muller through Rng::Normal
+// (memo:0) against a sim::NormalStream reading a table an earlier stream
+// filled (memo:1), the path a virtual worker takes when its seed repeats.
+void BM_NormalDraw(benchmark::State& state) {
+  constexpr uint64_t kSeed = 42;
+  constexpr size_t kDraws = 4096;  // per stream, under NormalStream::kMaxValuesPerSeed
+  if (state.range(0) == 0) {
+    sim::Rng rng(kSeed);
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(rng.Normal());
+    }
+  } else {
+    sim::NormalStream fill(kSeed);
+    for (size_t i = 0; i < kDraws; ++i) {
+      fill.Next();
+    }
+    sim::NormalStream stream(kSeed);
+    size_t left = kDraws;
+    for (auto _ : state) {
+      if (left-- == 0) {
+        stream = sim::NormalStream(kSeed);
+        left = kDraws - 1;
+      }
+      benchmark::DoNotOptimize(stream.Next());
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NormalDraw)->ArgName("memo")->Arg(0)->Arg(1);
 
 void BM_SimulatorDispatch(benchmark::State& state) {
   for (auto _ : state) {

@@ -19,7 +19,7 @@ VirtualWorkerSim::VirtualWorkerSim(int vw_id, sim::Simulator& simulator,
       partition_(&partition),
       gate_(&gate),
       options_(options),
-      rng_(options.seed + static_cast<uint64_t>(vw_id) * 0x9e3779b9ULL) {
+      normals_(options.seed + static_cast<uint64_t>(vw_id) * 0x9e3779b9ULL) {
   assert(partition.feasible);
   assert(options_.nm >= 1);
   const int k = partition.num_stages();
@@ -32,10 +32,10 @@ VirtualWorkerSim::VirtualWorkerSim(int vw_id, sim::Simulator& simulator,
     stages_.back().compute_busy.Reserve(q + 1 == k ? max_minibatches : 2 * max_minibatches);
   }
   if (options_.speed_bias_cv > 0.0) {
-    speed_bias_ = std::max(0.5, 1.0 + options_.speed_bias_cv * rng_.Normal());
+    speed_bias_ = std::max(0.5, 1.0 + options_.speed_bias_cv * normals_.Next());
   }
   if (options_.drift_cv > 0.0) {
-    wave_factor_ = std::max(0.5, 1.0 + options_.drift_cv * rng_.Normal());
+    wave_factor_ = std::max(0.5, 1.0 + options_.drift_cv * normals_.Next());
   }
 }
 
@@ -147,7 +147,7 @@ std::pair<double, double> VirtualWorkerSim::TaskCost(const Task& task) {
       break;
   }
   if (options_.jitter_cv > 0.0) {
-    const double factor = std::max(0.05, 1.0 + options_.jitter_cv * rng_.Normal());
+    const double factor = std::max(0.05, 1.0 + options_.jitter_cv * normals_.Next());
     compute *= factor;
   }
   compute *= speed_bias_ * wave_factor_;
@@ -203,7 +203,7 @@ void VirtualWorkerSim::OnMinibatchComplete(int64_t p) {
   (void)p;
   if (completed_ % options_.nm == 0) {
     if (options_.drift_cv > 0.0) {
-      wave_factor_ = std::max(0.5, 1.0 + options_.drift_cv * rng_.Normal());
+      wave_factor_ = std::max(0.5, 1.0 + options_.drift_cv * normals_.Next());
     }
     gate_->OnWaveComplete(vw_id_, completed_ / options_.nm - 1);
   }

@@ -127,7 +127,9 @@ class VirtualWorkerSim final : public sim::EventTarget {
   const partition::Partition* partition_;
   InjectionGate* gate_;
   VirtualWorkerOptions options_;
-  sim::Rng rng_;
+  // Standard normals of Rng(seed + vw_id * 0x9e3779b9): the speed bias,
+  // the drift and the per-task jitter all draw from it.
+  sim::NormalStream normals_;
 
   std::vector<Stage> stages_;
   int64_t next_inject_ = 1;

@@ -46,8 +46,15 @@ double Rng::NextDouble() {
 double Rng::Uniform(double lo, double hi) { return lo + (hi - lo) * NextDouble(); }
 
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
-  const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-  return lo + static_cast<int64_t>(NextU64() % span);
+  // The span in uint64_t: hi - lo overflows int64_t for ranges wider than
+  // INT64_MAX. It wraps to 0 only for the full range, where every draw is
+  // an answer.
+  const uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) + 1;
+  const uint64_t draw = NextU64();
+  if (span == 0) {
+    return static_cast<int64_t>(draw);
+  }
+  return static_cast<int64_t>(static_cast<uint64_t>(lo) + draw % span);
 }
 
 double Rng::Normal() {
@@ -65,6 +72,40 @@ double Rng::Normal() {
   cached_normal_ = r * std::sin(theta);
   have_cached_normal_ = true;
   return r * std::cos(theta);
+}
+
+NormalStream::NormalStream(uint64_t seed) : table_(TableFor(seed)) {}
+
+std::shared_ptr<NormalStream::Table> NormalStream::TableFor(uint64_t seed) {
+  // A ring of the thread's tables: the next insert overwrites the oldest.
+  struct Memo {
+    std::array<std::shared_ptr<Table>, kMaxSeedsPerThread> tables;
+    size_t next = 0;
+  };
+  thread_local Memo memo;
+  for (const std::shared_ptr<Table>& table : memo.tables) {
+    if (table != nullptr && table->seed == seed) {
+      return table;
+    }
+  }
+  std::shared_ptr<Table>& slot = memo.tables[memo.next];
+  memo.next = (memo.next + 1) % kMaxSeedsPerThread;
+  slot = std::make_shared<Table>(seed);
+  return slot;
+}
+
+double NormalStream::Extend() {
+  if (pos_ < kMaxValuesPerSeed) {
+    // pos_ == values.size(): this stream is the first to read this far.
+    const double value = table_->rng.Normal();
+    table_->values.push_back(value);
+    ++pos_;
+    return value;
+  }
+  if (!past_cap_) {
+    past_cap_.emplace(table_->rng);
+  }
+  return past_cap_->Normal();
 }
 
 }  // namespace hetpipe::sim

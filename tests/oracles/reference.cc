@@ -75,8 +75,25 @@ partition::Partition SolveFixedOrderReference(const partition::Partitioner& part
     mem_caps[static_cast<size_t>(q)] = hw::MemoryBytes(types[static_cast<size_t>(q)]);
   }
 
+  // TimeOf(layer, stage q's class), tabulated once per solve; the stage sums
+  // below add them in StageTotalTimeNaive's order, so they match its bits.
+  std::vector<std::vector<model::LayerTime>> layer_times(static_cast<size_t>(k));
+  for (int q = 0; q < k; ++q) {
+    for (int layer = 0; layer < n; ++layer) {
+      layer_times[static_cast<size_t>(q)].push_back(
+          profile.TimeOf(layer, types[static_cast<size_t>(q)]));
+    }
+  }
+
   const auto stage_cost = [&](int q, int j, int i) -> double {
-    double cost = StageTotalTimeNaive(profile, j, i, types[static_cast<size_t>(q)]);
+    const std::vector<model::LayerTime>& times = layer_times[static_cast<size_t>(q)];
+    double fwd = 0.0;
+    double bwd = 0.0;
+    for (int layer = j; layer <= i; ++layer) {
+      fwd += times[static_cast<size_t>(layer)].fwd_s;
+      bwd += times[static_cast<size_t>(layer)].bwd_s;
+    }
+    double cost = fwd + bwd;
     if (q > 0) {
       const auto& link = cluster.LinkBetween(gpu_ids[static_cast<size_t>(q) - 1],
                                              gpu_ids[static_cast<size_t>(q)]);

@@ -4,9 +4,12 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -658,6 +661,43 @@ TEST(RngTest, UniformIntCoversInclusiveRange) {
   EXPECT_TRUE(saw_hi);
 }
 
+TEST(RngTest, UniformIntDrawsMatchTheModuloOfOneRawDraw) {
+  Rng rng(13);
+  Rng raw(13);
+  const std::pair<int64_t, int64_t> ranges[] = {{0, 3}, {-5, 9}, {-1000000, -999990}, {0, 1}};
+  for (int i = 0; i < 400; ++i) {
+    const auto [lo, hi] = ranges[i % 4];
+    const auto span = static_cast<uint64_t>(hi - lo) + 1;
+    EXPECT_EQ(rng.UniformInt(lo, hi), lo + static_cast<int64_t>(raw.NextU64() % span));
+  }
+}
+
+TEST(RngTest, UniformIntFullRangeReturnsTheRawDraw) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  Rng rng(14);
+  Rng raw(14);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(rng.UniformInt(kMin, kMax), static_cast<int64_t>(raw.NextU64()));
+  }
+  // One short of the full range: still in range, no overflow.
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_LT(rng.UniformInt(kMin, kMax - 1), kMax);
+    EXPECT_GT(rng.UniformInt(kMin + 1, kMax), kMin);
+  }
+}
+
+TEST(RngTest, UniformIntSinglePointRange) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  Rng rng(15);
+  for (int64_t v : {int64_t{0}, int64_t{-7}, int64_t{42}, kMin, kMax}) {
+    for (int i = 0; i < 10; ++i) {
+      EXPECT_EQ(rng.UniformInt(v, v), v);
+    }
+  }
+}
+
 TEST(RngTest, NormalMomentsApproximatelyStandard) {
   Rng rng(11);
   Accumulator acc;
@@ -675,6 +715,106 @@ TEST(RngTest, ShuffleIsPermutation) {
   std::vector<int> sorted = v;
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(sorted, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+// Reads `n` values from `stream` and counts those whose bits differ from the
+// next `n` of `reference.Normal()`.
+int CountMismatches(NormalStream& stream, Rng& reference, size_t n) {
+  int mismatches = 0;
+  for (size_t i = 0; i < n; ++i) {
+    mismatches += Bits(stream.Next()) != Bits(reference.Normal());
+  }
+  return mismatches;
+}
+
+// The virtual workers' seeds at the default seed 42.
+uint64_t VwSeed(uint64_t v) { return 42 + v * 0x9e3779b9ULL; }
+
+constexpr size_t kPastCap = NormalStream::kMaxValuesPerSeed + 1000;
+
+TEST(NormalStreamTest, MatchesRngNormalBitForBit) {
+  {
+    SCOPED_TRACE("the virtual workers' seeds, past the per-seed cap");
+    for (uint64_t v = 0; v < 4; ++v) {
+      NormalStream stream(VwSeed(v));
+      Rng reference(VwSeed(v));
+      EXPECT_EQ(CountMismatches(stream, reference, kPastCap), 0);
+    }
+    // A second pass reads the filled tables, then continues past the cap.
+    for (uint64_t v = 0; v < 4; ++v) {
+      NormalStream stream(VwSeed(v));
+      Rng reference(VwSeed(v));
+      EXPECT_EQ(CountMismatches(stream, reference, kPastCap), 0);
+    }
+  }
+  {
+    SCOPED_TRACE("two streams of one seed, interleaved at different positions");
+    const uint64_t seed = 0x5eed0001;
+    NormalStream ahead(seed);
+    NormalStream behind(seed);
+    Rng ahead_ref(seed);
+    Rng behind_ref(seed);
+    EXPECT_EQ(CountMismatches(ahead, ahead_ref, 101), 0);
+    for (int round = 0; round < 300; ++round) {
+      EXPECT_EQ(CountMismatches(ahead, ahead_ref, 3), 0);
+      EXPECT_EQ(CountMismatches(behind, behind_ref, 1 + round % 5), 0);
+    }
+  }
+  {
+    SCOPED_TRACE("a stream starting on a table an earlier stream filled");
+    const uint64_t seed = 0x5eed0002;
+    {
+      NormalStream first(seed);
+      Rng reference(seed);
+      EXPECT_EQ(CountMismatches(first, reference, 777), 0);
+    }
+    NormalStream second(seed);
+    Rng reference(seed);
+    EXPECT_EQ(CountMismatches(second, reference, 2000), 0);
+  }
+  {
+    SCOPED_TRACE("more seeds than the memo holds, then an evicted seed again");
+    const uint64_t base = 0x5eed1000;
+    NormalStream held(base);
+    Rng held_ref(base);
+    EXPECT_EQ(CountMismatches(held, held_ref, 50), 0);
+    for (uint64_t i = 1; i <= 2 * NormalStream::kMaxSeedsPerThread; ++i) {
+      NormalStream stream(base + i);
+      Rng reference(base + i);
+      EXPECT_EQ(CountMismatches(stream, reference, 64), 0);
+    }
+    // `held`'s table has been evicted; it keeps reading and extending it.
+    EXPECT_EQ(CountMismatches(held, held_ref, 500), 0);
+    NormalStream again(base);
+    Rng again_ref(base);
+    EXPECT_EQ(CountMismatches(again, again_ref, 600), 0);
+  }
+  {
+    SCOPED_TRACE("four threads at once, each on its own memo");
+    std::vector<int> mismatches(4, 0);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < mismatches.size(); ++t) {
+      threads.emplace_back([t, &mismatches] {
+        for (int pass = 0; pass < 2; ++pass) {
+          for (uint64_t v = 0; v < 4; ++v) {
+            NormalStream stream(VwSeed((v + t) % 4));
+            Rng reference(VwSeed((v + t) % 4));
+            mismatches[t] += CountMismatches(stream, reference, kPastCap);
+          }
+        }
+      });
+    }
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+    EXPECT_EQ(mismatches, std::vector<int>(4, 0));
+  }
 }
 
 TEST(SplitMixTest, KnownNonZeroStream) {
