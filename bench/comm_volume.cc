@@ -9,10 +9,10 @@
 #include <vector>
 
 #include "core/experiment.h"
+#include "dp/horovod.h"
 #include "dp/placement.h"
-#include "model/resnet.h"
-#include "model/vgg.h"
 #include "runner/cli.h"
+#include "wsp/param_server.h"
 
 int main(int argc, char** argv) {
   using namespace hetpipe;
@@ -42,15 +42,23 @@ int main(int argc, char** argv) {
     const model::ModelProfile profile(graph, e.config.batch_size);
 
     const double mb = 1.0 / (1 << 20);
+    // Horovod's ring spans the GPUs that hold the whole model (12 of 16 for
+    // ResNet-152, §8.3).
+    const int horovod_workers =
+        static_cast<int>(dp::SimulateHorovod(cluster, profile).worker_gpus.size());
     const double horovod =
-        static_cast<double>(dp::HorovodCrossNodeBytes(graph.total_param_bytes(), 16)) * mb;
-    const double local_params = static_cast<double>(dp::PsCrossNodeBytesPerMinibatch(
-                                    partition, cluster.num_nodes(), true, e.config.nm)) *
+        static_cast<double>(dp::HorovodCrossNodeBytes(graph.total_param_bytes(), horovod_workers)) *
+        mb;
+    const double local_params = static_cast<double>(wsp::PsCrossNodeBytesPerMinibatch(
+                                    partition, wsp::PlacementPolicy::kLocal, cluster.num_nodes(),
+                                    e.config.nm)) *
                                 mb;
+    const dp::ActivationTraffic traffic = dp::ActivationTrafficByTier(partition, profile, cluster);
     const double acts =
-        static_cast<double>(dp::ActivationCrossNodeBytes(partition, profile)) * mb;
-    const double rr_params = static_cast<double>(dp::PsCrossNodeBytesPerMinibatch(
-                                 partition, cluster.num_nodes(), false, e.config.nm)) *
+        static_cast<double>(traffic.same_rack_bytes + traffic.cross_rack_bytes) * mb;
+    const double rr_params = static_cast<double>(wsp::PsCrossNodeBytesPerMinibatch(
+                                 partition, wsp::PlacementPolicy::kRoundRobin,
+                                 cluster.num_nodes(), e.config.nm)) *
                              mb;
     std::printf("%-12s %14.0f %18.0f %18.0f %18.0f\n", graph.name().c_str(), horovod,
                 local_params, acts, rr_params);

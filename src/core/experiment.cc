@@ -302,19 +302,22 @@ ExperimentResult RunExperiment(const Experiment& experiment) {
       break;
     }
     case ExperimentKind::kHorovod: {
-      result.horovod = dp::SimulateHorovod(context->cluster, context->profile);
+      result.horovod = dp::SimulateHorovod(context->cluster, context->profile,
+                                           experiment.config.mem_params);
       result.feasible = result.horovod.feasible;
       result.throughput_img_s = result.horovod.throughput_img_s;
       break;
     }
     case ExperimentKind::kPsDataParallel: {
-      result.ps = dp::SimulatePsDataParallel(context->cluster, context->profile, experiment.ps);
+      result.ps = dp::SimulatePsDataParallel(context->cluster, context->profile, experiment.ps,
+                                             experiment.config.mem_params);
       result.feasible = result.ps.feasible;
       result.throughput_img_s = result.ps.throughput_img_s;
       break;
     }
     case ExperimentKind::kAdPsgd: {
-      result.adpsgd = dp::SimulateAdPsgd(context->cluster, context->profile);
+      result.adpsgd = dp::SimulateAdPsgd(context->cluster, context->profile,
+                                         experiment.config.mem_params);
       result.feasible = result.adpsgd.feasible;
       result.throughput_img_s = result.adpsgd.throughput_img_s;
       break;

@@ -74,10 +74,11 @@ struct Experiment {
   PartitionStrategy strategy = PartitionStrategy::kMinMaxDp;
   // kPartitionOnly: also run the open-gate pipeline simulation on the result.
   bool simulate = true;
-  // Policies, sync, Nm, jitter, waves, and the (optional) shared partition
+  // Policies, sync, Nm, jitter, waves, memory parameters (every kind,
+  // data-parallel baselines included), and the (optional) shared partition
   // cache / thread pool all travel inside the config.
   HetPipeConfig config;
-  // kPsDataParallel flavor.
+  // kPsDataParallel flavor: sync mode and SSP staleness.
   dp::PsDpOptions ps;
 
   // Row label for the cluster: never throws, even for spec clusters.

@@ -4,7 +4,16 @@
 #include <cmath>
 #include <sstream>
 
+#include "dp/placement.h"
+
 namespace hetpipe::dp {
+namespace {
+
+// Fraction of the pairwise exchange overlapped with compute (gossip can be
+// fully asynchronous; some serialization remains at the endpoints).
+constexpr double kCommOverlap = 0.5;
+
+}  // namespace
 
 std::string DecentralizedResult::ToString() const {
   std::ostringstream os;
@@ -19,17 +28,10 @@ std::string DecentralizedResult::ToString() const {
 
 DecentralizedResult SimulateAdPsgd(const hw::Cluster& cluster,
                                    const model::ModelProfile& profile,
-                                   const DecentralizedOptions& options) {
+                                   const partition::StageMemoryParams& mem_params) {
   DecentralizedResult result;
-
-  std::vector<int> workers;
-  for (const hw::Gpu& gpu : cluster.gpus()) {
-    if (partition::FitsOnSingleGpu(profile, gpu.type, options.mem_params)) {
-      workers.push_back(gpu.id);
-    } else {
-      ++result.num_excluded;
-    }
-  }
+  const std::vector<int> workers = DataParallelWorkers(cluster, profile, mem_params);
+  result.num_excluded = cluster.num_gpus() - static_cast<int>(workers.size());
   if (workers.empty()) {
     return result;
   }
@@ -74,7 +76,7 @@ DecentralizedResult SimulateAdPsgd(const hw::Cluster& cluster,
     }
     const double comm =
         p_local * cluster.pcie().TransferTime(2 * params) + (1.0 - p_local) * cross_s;
-    const double exposed = comm * (1.0 - options.comm_overlap);
+    const double exposed = comm * (1.0 - kCommOverlap);
     const double compute = profile.FullModelTime(cluster.gpu(id).type);
     sum_rate += profile.batch_size() / (compute + exposed);
     sum_comm += comm;

@@ -14,13 +14,6 @@ namespace hetpipe::dp {
 // workers are never blocked. The paper positions this as orthogonal/future
 // work for when the PS becomes a bottleneck; the model here provides the
 // comparison point.
-struct DecentralizedOptions {
-  // Fraction of the pairwise exchange overlapped with compute (gossip can be
-  // fully asynchronous; some serialization remains at the endpoints).
-  double comm_overlap = 0.5;
-  partition::StageMemoryParams mem_params;
-};
-
 struct DecentralizedResult {
   bool feasible = false;
   int num_workers = 0;
@@ -38,6 +31,6 @@ struct DecentralizedResult {
 // and down over the link to a random peer, usually across Infiniband).
 DecentralizedResult SimulateAdPsgd(const hw::Cluster& cluster,
                                    const model::ModelProfile& profile,
-                                   const DecentralizedOptions& options = {});
+                                   const partition::StageMemoryParams& mem_params = {});
 
 }  // namespace hetpipe::dp

@@ -9,25 +9,6 @@
 
 namespace hetpipe::dp {
 
-struct HorovodOptions {
-  // Fraction of the AllReduce hidden under backprop. Horovod overlaps
-  // tensor-fused reductions with the tail of the backward pass; the paper's
-  // TF 1.12 setup achieves partial overlap inter-node and effectively none
-  // for a single-node PCIe ring (calibrated against Table 4).
-  double inter_node_overlap = 0.4;
-  double intra_node_overlap = 0.0;
-  // Protocol/framework efficiency applied to the shared fabric bandwidth.
-  double inter_node_efficiency = 0.49;
-  double intra_node_efficiency = 0.40;
-  // Raw fabric bandwidths for the AllReduce. Horovod's NCCL-style collectives
-  // bypass the TensorFlow runtime and use IB verbs / CUDA IPC, so they see
-  // near-line-rate fabric bandwidth — unlike the gRPC transport modeled by
-  // hw::InfinibandLink that the pipeline's activation/PS traffic uses.
-  double inter_node_fabric_bps = 56.0 / 8.0 * 1e9;  // 56 Gbps Infiniband
-  double intra_node_fabric_bps = 15.75e9;           // PCIe 3.0 x16
-  partition::StageMemoryParams mem_params;
-};
-
 // Result of the Horovod-style BSP data-parallel baseline (§8.1's "DP via
 // Horovod that uses AllReduce communication").
 struct HorovodResult {
@@ -49,6 +30,6 @@ struct HorovodResult {
 // only 12 GPUs"). Iteration time = max worker compute (stragglers!) +
 // exposed ring-AllReduce time.
 HorovodResult SimulateHorovod(const hw::Cluster& cluster, const model::ModelProfile& profile,
-                              const HorovodOptions& options = {});
+                              const partition::StageMemoryParams& mem_params = {});
 
 }  // namespace hetpipe::dp

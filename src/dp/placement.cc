@@ -2,27 +2,24 @@
 
 namespace hetpipe::dp {
 
+std::vector<int> DataParallelWorkers(const hw::Cluster& cluster,
+                                     const model::ModelProfile& profile,
+                                     const partition::StageMemoryParams& mem_params) {
+  std::vector<int> workers;
+  for (const hw::Gpu& gpu : cluster.gpus()) {
+    if (partition::FitsOnSingleGpu(profile, gpu.type, mem_params)) {
+      workers.push_back(gpu.id);
+    }
+  }
+  return workers;
+}
+
 uint64_t HorovodCrossNodeBytes(uint64_t param_bytes, int num_workers) {
   if (num_workers <= 1) {
     return 0;
   }
   return param_bytes * static_cast<uint64_t>(num_workers - 1) /
          static_cast<uint64_t>(num_workers);
-}
-
-uint64_t ActivationCrossNodeBytes(const partition::Partition& partition,
-                                  const model::ModelProfile& profile) {
-  uint64_t total = 0;
-  for (size_t q = 1; q < partition.stages.size(); ++q) {
-    const auto& prev = partition.stages[q - 1];
-    const auto& cur = partition.stages[q];
-    if (prev.node == cur.node) {
-      continue;
-    }
-    // Forward activations plus the same-sized backward gradients.
-    total += 2 * profile.BoundaryTransferBytes(prev.last_layer);
-  }
-  return total;
 }
 
 ActivationTraffic ActivationTrafficByTier(const partition::Partition& partition,
@@ -32,6 +29,7 @@ ActivationTraffic ActivationTrafficByTier(const partition::Partition& partition,
   for (size_t q = 1; q < partition.stages.size(); ++q) {
     const auto& prev = partition.stages[q - 1];
     const auto& cur = partition.stages[q];
+    // Forward activations plus the same-sized backward gradients.
     const uint64_t bytes = 2 * profile.BoundaryTransferBytes(prev.last_layer);
     if (prev.node == cur.node) {
       traffic.intra_node_bytes += bytes;
@@ -42,20 +40,6 @@ ActivationTraffic ActivationTrafficByTier(const partition::Partition& partition,
     }
   }
   return traffic;
-}
-
-uint64_t PsCrossNodeBytesPerMinibatch(const partition::Partition& partition, int num_nodes,
-                                      bool local_placement, int nm) {
-  if (local_placement || num_nodes <= 1) {
-    return 0;
-  }
-  uint64_t per_wave = 0;
-  for (const partition::StageAssignment& stage : partition.stages) {
-    const uint64_t local = stage.param_bytes / static_cast<uint64_t>(num_nodes);
-    // Push the update and pull the fresh weights once per wave.
-    per_wave += 2 * (stage.param_bytes - local);
-  }
-  return per_wave / static_cast<uint64_t>(nm > 0 ? nm : 1);
 }
 
 }  // namespace hetpipe::dp

@@ -5,7 +5,17 @@
 #include <map>
 #include <sstream>
 
+#include "dp/placement.h"
+#include "wsp/param_server.h"
+
 namespace hetpipe::dp {
+namespace {
+
+// Per-iteration compute-time noise (stragglers), as a fraction of the
+// slowest worker's compute.
+constexpr double kNoiseCv = 0.10;
+
+}  // namespace
 
 std::string PsDpResult::ToString() const {
   std::ostringstream os;
@@ -21,17 +31,11 @@ std::string PsDpResult::ToString() const {
 
 PsDpResult SimulatePsDataParallel(const hw::Cluster& cluster,
                                   const model::ModelProfile& profile,
-                                  const PsDpOptions& options) {
+                                  const PsDpOptions& options,
+                                  const partition::StageMemoryParams& mem_params) {
   PsDpResult result;
-
-  std::vector<int> workers;
-  for (const hw::Gpu& gpu : cluster.gpus()) {
-    if (partition::FitsOnSingleGpu(profile, gpu.type, options.mem_params)) {
-      workers.push_back(gpu.id);
-    } else {
-      ++result.num_excluded;
-    }
-  }
+  const std::vector<int> workers = DataParallelWorkers(cluster, profile, mem_params);
+  result.num_excluded = cluster.num_gpus() - static_cast<int>(workers.size());
   if (workers.empty()) {
     return result;
   }
@@ -39,10 +43,12 @@ PsDpResult SimulatePsDataParallel(const hw::Cluster& cluster,
   result.num_workers = static_cast<int>(workers.size());
 
   // Per-worker compute and PS traffic. Parameters are sharded round-robin
-  // over the nodes: 1/H stays local (PCIe), the rest crosses the node NIC,
-  // which every worker on the node shares.
-  const uint64_t params = profile.graph().total_param_bytes();
+  // over the nodes: each worker pushes gradients and pulls weights (2x the
+  // parameter bytes), 1/H of them local (PCIe), the rest across the node
+  // NIC, which every worker on the node shares.
   const int num_nodes = cluster.num_nodes();
+  const wsp::ShardSplit split = wsp::SplitShards(2 * profile.graph().total_param_bytes(),
+                                                 wsp::PlacementPolicy::kRoundRobin, num_nodes);
   std::map<int, int> workers_per_node;
   for (int id : workers) {
     ++workers_per_node[cluster.gpu(id).node];
@@ -56,8 +62,6 @@ PsDpResult SimulatePsDataParallel(const hw::Cluster& cluster,
     result.slowest_compute_s = std::max(result.slowest_compute_s, compute);
     min_compute = std::min(min_compute, compute);
 
-    const uint64_t local = 2 * params / static_cast<uint64_t>(num_nodes);
-    const uint64_t remote = 2 * params - local;
     const int node = cluster.gpu(id).node;
     const int sharing = workers_per_node[node];
     double inter_s = 0.0;
@@ -67,15 +71,15 @@ PsDpResult SimulatePsDataParallel(const hw::Cluster& cluster,
       // expression (not the per-destination sum below, whose float additions
       // associate differently) so uniform-fabric results stay bit-identical
       // to every release before per-pair links existed.
-      inter_s = cluster.WorstInterTransferTimeFrom(node, remote);
+      inter_s = cluster.WorstInterTransferTimeFrom(node, split.remote);
     } else {
       // Rack topology / link overrides: the remote shards live one per other
       // node, so price each destination over its actual resolved pair link.
-      // Shards are the round-robin split of `remote` with the remainder
+      // Shards are the round-robin split of the remote bytes with the remainder
       // spread over the first destinations in node order.
       const uint64_t destinations = static_cast<uint64_t>(num_nodes - 1);
-      const uint64_t base = remote / destinations;
-      uint64_t extra = remote % destinations;
+      const uint64_t base = split.remote / destinations;
+      uint64_t extra = split.remote % destinations;
       for (int dest = 0; dest < num_nodes; ++dest) {
         if (dest == node) continue;
         const uint64_t shard = base + (extra > 0 ? 1 : 0);
@@ -84,7 +88,7 @@ PsDpResult SimulatePsDataParallel(const hw::Cluster& cluster,
       }
     }
     // The node's workers share its NIC, local shards move over PCIe.
-    const double comm = cluster.pcie().TransferTime(local) + inter_s * sharing;
+    const double comm = cluster.pcie().TransferTime(split.local) + inter_s * sharing;
     result.comm_s = std::max(result.comm_s, comm);
     sum_rate_asp += profile.batch_size() / (compute + comm);
     worst_iteration = std::max(worst_iteration, compute + comm);
@@ -94,7 +98,7 @@ PsDpResult SimulatePsDataParallel(const hw::Cluster& cluster,
   // deviations every iteration; SSP amortizes it over its slack window of
   // s iterations; ASP pays none.
   const double n = static_cast<double>(result.num_workers);
-  const double max_noise = options.noise_cv * result.slowest_compute_s *
+  const double max_noise = kNoiseCv * result.slowest_compute_s *
                            std::sqrt(2.0 * std::log(std::max(2.0, n)));
   switch (options.mode) {
     case PsSyncMode::kBsp:

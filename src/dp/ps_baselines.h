@@ -20,9 +20,7 @@ enum class PsSyncMode {
 
 struct PsDpOptions {
   PsSyncMode mode = PsSyncMode::kBsp;
-  int staleness = 0;        // SSP threshold s
-  double noise_cv = 0.10;   // per-iteration compute-time noise (stragglers)
-  partition::StageMemoryParams mem_params;
+  int staleness = 0;  // SSP threshold s
 };
 
 struct PsDpResult {
@@ -43,6 +41,7 @@ struct PsDpResult {
 // Simulates PS-based DP over every GPU of `cluster` that fits the model.
 PsDpResult SimulatePsDataParallel(const hw::Cluster& cluster,
                                   const model::ModelProfile& profile,
-                                  const PsDpOptions& options = {});
+                                  const PsDpOptions& options = {},
+                                  const partition::StageMemoryParams& mem_params = {});
 
 }  // namespace hetpipe::dp

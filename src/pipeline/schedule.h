@@ -18,8 +18,6 @@ namespace hetpipe::pipeline {
 // available task whose ordering precondition holds.
 class StageQueue {
  public:
-  explicit StageQueue(int stage) : stage_(stage) {}
-
   // Registers that `task`'s inputs have arrived.
   void MakeAvailable(const Task& task);
 
@@ -35,7 +33,6 @@ class StageQueue {
   bool Eligible(const Task& task) const;
   void MarkStarted(const Task& task);
 
-  int stage_;
   std::vector<Task> queue_;  // arrival order; at most 2 * Nm tasks
   int64_t next_fw_ = 1;      // smallest minibatch whose FW has not yet started
   int64_t next_bw_ = 1;

@@ -27,7 +27,7 @@ VirtualWorkerSim::VirtualWorkerSim(int vw_id, sim::Simulator& simulator,
   completion_times_.reserve(max_minibatches);
   stages_.reserve(static_cast<size_t>(k));
   for (int q = 0; q < k; ++q) {
-    stages_.emplace_back(q);
+    stages_.emplace_back();
     // Every minibatch runs FW and BW on each stage; the last stage fuses them.
     stages_.back().compute_busy.Reserve(q + 1 == k ? max_minibatches : 2 * max_minibatches);
   }

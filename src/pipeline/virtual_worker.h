@@ -76,7 +76,6 @@ class VirtualWorkerSim final : public sim::EventTarget {
   int nm() const { return options_.nm; }
 
   int64_t minibatches_completed() const { return completed_; }
-  int64_t waves_completed() const { return completed_ / options_.nm; }
   sim::SimTime last_completion_time() const { return last_completion_time_; }
   // Completion timestamp of every minibatch, in order (used for steady-state
   // throughput measurement with warmup excluded).
@@ -95,7 +94,6 @@ class VirtualWorkerSim final : public sim::EventTarget {
 
  private:
   struct Stage {
-    explicit Stage(int index) : queue(index) {}
     StageQueue queue;
     bool busy = false;
     // The one task running while busy: its input transfer spans

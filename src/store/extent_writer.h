@@ -98,7 +98,6 @@ class ExtentWriter {
   // `path` untouched) on any I/O failure.
   bool Finalize(std::string* error);
 
-  int64_t rows_appended() const { return total_rows_; }
   int64_t extents_written() const { return total_extents_; }
 
  private:

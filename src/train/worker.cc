@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <vector>
 
 namespace hetpipe::train {
 
@@ -84,7 +85,6 @@ void WspWorker::Run() {
     const std::vector<int> batch = stream_.Next(options_.batch);
     Tensor grad(model_->num_params());
     const double loss = model_->LossAndGrad(*data_, batch, local_, &grad);
-    losses_.push_back(loss);
     sum_loss_ += loss;
     ++processed_;
 

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <vector>
 
 #include "train/data.h"
 #include "train/model_zoo.h"
@@ -45,9 +44,6 @@ class WspWorker {
   double sum_minibatch_loss() const { return sum_loss_; }
   int64_t minibatches_processed() const { return processed_; }
   double wait_seconds() const { return wait_seconds_; }
-  // Loss of every minibatch at the (noisy) weights it was computed with —
-  // the f_t(w~_t) sequence of the regret analysis.
-  const std::vector<double>& minibatch_losses() const { return losses_; }
 
  private:
   struct PendingUpdate {
@@ -73,7 +69,6 @@ class WspWorker {
   int64_t last_pulled_wave_ = -1;
 
   wsp::StalenessTracker staleness_;
-  std::vector<double> losses_;
   double sum_loss_ = 0.0;
   int64_t processed_ = 0;
   double wait_seconds_ = 0.0;

@@ -5,6 +5,14 @@
 
 namespace hetpipe::wsp {
 
+ShardSplit SplitShards(uint64_t bytes, PlacementPolicy placement, int num_nodes) {
+  if (placement == PlacementPolicy::kLocal) {
+    return {bytes, 0};
+  }
+  const uint64_t local = bytes / static_cast<uint64_t>(num_nodes);
+  return {local, bytes - local};
+}
+
 VwCommTimes ComputePsCommTimes(const partition::Partition& partition, const hw::Cluster& cluster,
                                PlacementPolicy placement) {
   const int num_nodes = cluster.num_nodes();
@@ -15,22 +23,9 @@ VwCommTimes ComputePsCommTimes(const partition::Partition& partition, const hw::
 
   for (const partition::StageAssignment& stage : partition.stages) {
     // Parameter bytes of this stage = weights that must be synchronized.
-    const uint64_t stage_params = stage.param_bytes;
-    uint64_t local = 0;
-    uint64_t remote = 0;
-    switch (placement) {
-      case PlacementPolicy::kLocal:
-        local = stage_params;
-        break;
-      case PlacementPolicy::kRoundRobin:
-        // Layers spread evenly across all nodes: 1/H lands on this stage's
-        // own node, the rest crosses Infiniband.
-        local = stage_params / static_cast<uint64_t>(num_nodes);
-        remote = stage_params - local;
-        break;
-    }
-    max_pcie_s = std::max(max_pcie_s, cluster.pcie().TransferTime(local));
-    remote_bytes_by_node[stage.node] += remote;
+    const ShardSplit split = SplitShards(stage.param_bytes, placement, num_nodes);
+    max_pcie_s = std::max(max_pcie_s, cluster.pcie().TransferTime(split.local));
+    remote_bytes_by_node[stage.node] += split.remote;
   }
 
   double max_ib_s = 0.0;
@@ -48,17 +43,14 @@ VwCommTimes ComputePsCommTimes(const partition::Partition& partition, const hw::
   return times;
 }
 
-uint64_t CrossNodeSyncBytes(const partition::Partition& partition, PlacementPolicy placement,
-                            int num_nodes) {
-  if (placement == PlacementPolicy::kLocal) {
-    return 0;
-  }
-  uint64_t total = 0;
+uint64_t PsCrossNodeBytesPerMinibatch(const partition::Partition& partition,
+                                      PlacementPolicy placement, int num_nodes, int nm) {
+  uint64_t per_wave = 0;
   for (const partition::StageAssignment& stage : partition.stages) {
-    const uint64_t local = stage.param_bytes / static_cast<uint64_t>(num_nodes);
-    total += stage.param_bytes - local;
+    // Push the update and pull the fresh weights once per wave.
+    per_wave += 2 * SplitShards(stage.param_bytes, placement, num_nodes).remote;
   }
-  return total;
+  return per_wave / static_cast<uint64_t>(nm > 0 ? nm : 1);
 }
 
 WspCoordinator::WspCoordinator(sim::Simulator& simulator, const WspCoordinatorOptions& options,

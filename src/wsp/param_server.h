@@ -25,6 +25,16 @@ enum class PlacementPolicy {
   kLocal,
 };
 
+// The shard rule of a placement: of `bytes` parameter bytes synchronized by
+// a stage or a worker on one of `num_nodes` nodes, round-robin keeps 1/H on
+// the own node's shard (`bytes / num_nodes`, PCIe) and sends the rest to the
+// other nodes; local placement keeps everything local.
+struct ShardSplit {
+  uint64_t local = 0;
+  uint64_t remote = 0;
+};
+ShardSplit SplitShards(uint64_t bytes, PlacementPolicy placement, int num_nodes);
+
 // Modeled time for one virtual worker to push a wave's aggregated update to
 // the parameter servers, and to pull the global weights back.
 struct VwCommTimes {
@@ -43,10 +53,13 @@ struct VwCommTimes {
 VwCommTimes ComputePsCommTimes(const partition::Partition& partition, const hw::Cluster& cluster,
                                PlacementPolicy placement);
 
-// Bytes a virtual worker moves across node boundaries per wave for parameter
-// synchronization (the paper's 103 MB / 515 MB comparison in §8.3).
-uint64_t CrossNodeSyncBytes(const partition::Partition& partition, PlacementPolicy placement,
-                            int num_nodes);
+// Inter-node parameter-synchronization bytes per *minibatch* for a virtual
+// worker (the paper's 103 MB / 515 MB comparison in §8.3): every stage
+// pushes its update and pulls fresh weights for the remote part of its
+// shards once per wave, amortized over the wave's Nm minibatches; local
+// placement moves nothing across nodes.
+uint64_t PsCrossNodeBytesPerMinibatch(const partition::Partition& partition,
+                                      PlacementPolicy placement, int num_nodes, int nm);
 
 struct WspCoordinatorOptions {
   int num_vws = 1;
@@ -71,7 +84,6 @@ class WspCoordinator final : public pipeline::InjectionGate, public sim::EventTa
   void OnWaveComplete(int vw, int64_t wave) override;
 
   int64_t global_wave() const { return global_wave_; }
-  int64_t pulled_wave(int vw) const { return pulled_wave_.at(static_cast<size_t>(vw)); }
   const VectorClock& clocks() const { return clocks_; }
   // Clock distance sampled at every push arrival.
   const sim::Accumulator& clock_distance() const { return clock_distance_; }

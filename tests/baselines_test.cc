@@ -133,18 +133,6 @@ TEST(DecentralizedTest, ExcludesGpusThatCannotHoldModel) {
   EXPECT_EQ(result.num_excluded, 4);
 }
 
-TEST(DecentralizedTest, OverlapHidesCommunication) {
-  const hw::Cluster cluster = hw::Cluster::Paper();
-  const model::ModelGraph graph = model::BuildVgg19();
-  const model::ModelProfile profile(graph, 32);
-  dp::DecentralizedOptions full;
-  full.comm_overlap = 1.0;
-  dp::DecentralizedOptions none;
-  none.comm_overlap = 0.0;
-  EXPECT_GT(dp::SimulateAdPsgd(cluster, profile, full).throughput_img_s,
-            dp::SimulateAdPsgd(cluster, profile, none).throughput_img_s);
-}
-
 // ---- Momentum / weight decay in the real trainer. ----
 
 TEST(MomentumTest, MomentumAcceleratesConvexTraining) {

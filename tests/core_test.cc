@@ -138,6 +138,55 @@ TEST(ExperimentTest, PartitionOnlySimulationMatchesSingleVirtualWorker) {
   EXPECT_EQ(a.report.vws[0].wait_s, 0.0);
 }
 
+TEST(ExperimentTest, DataParallelKindsHonorConfigMemParams) {
+  // With 2 GiB of framework overhead ResNet-152 no longer fits the 8 GiB
+  // Quadro P4000s either: 8 of the 16 paper GPUs hold it, against 12 at the
+  // default. Every data-parallel kind takes its memory parameters from the
+  // config, as the HetPipe kinds do.
+  Experiment e;
+  e.model = ModelKind::kResNet152;
+  e.config.mem_params.framework_overhead_bytes = 2ULL << 30;
+  const partition::StageMemoryParams& mem = e.config.mem_params;
+  const hw::Cluster cluster = hw::Cluster::Paper();
+  const model::ModelGraph graph = model::BuildResNet152();
+  const model::ModelProfile profile(graph, e.config.batch_size);
+
+  e.kind = ExperimentKind::kHorovod;
+  const dp::HorovodResult horovod = RunExperiment(e).horovod;
+  const dp::HorovodResult horovod_direct = dp::SimulateHorovod(cluster, profile, mem);
+  EXPECT_EQ(horovod.worker_gpus.size(), 8u);
+  EXPECT_EQ(horovod.num_excluded, 8);
+  EXPECT_EQ(horovod.worker_gpus, horovod_direct.worker_gpus);
+  EXPECT_EQ(horovod.num_excluded, horovod_direct.num_excluded);
+  EXPECT_EQ(horovod.compute_s, horovod_direct.compute_s);
+  EXPECT_EQ(horovod.allreduce_s, horovod_direct.allreduce_s);
+  EXPECT_EQ(horovod.exposed_comm_s, horovod_direct.exposed_comm_s);
+  EXPECT_EQ(horovod.iteration_s, horovod_direct.iteration_s);
+  EXPECT_EQ(horovod.throughput_img_s, horovod_direct.throughput_img_s);
+
+  e.kind = ExperimentKind::kPsDataParallel;
+  e.ps.mode = dp::PsSyncMode::kSsp;
+  e.ps.staleness = 3;
+  const dp::PsDpResult ps = RunExperiment(e).ps;
+  const dp::PsDpResult ps_direct = dp::SimulatePsDataParallel(cluster, profile, e.ps, mem);
+  EXPECT_EQ(ps.num_workers, 8);
+  EXPECT_EQ(ps.num_excluded, ps_direct.num_excluded);
+  EXPECT_EQ(ps.slowest_compute_s, ps_direct.slowest_compute_s);
+  EXPECT_EQ(ps.comm_s, ps_direct.comm_s);
+  EXPECT_EQ(ps.sync_overhead_s, ps_direct.sync_overhead_s);
+  EXPECT_EQ(ps.throughput_img_s, ps_direct.throughput_img_s);
+  EXPECT_EQ(ps.expected_staleness, ps_direct.expected_staleness);
+
+  e.kind = ExperimentKind::kAdPsgd;
+  const dp::DecentralizedResult adpsgd = RunExperiment(e).adpsgd;
+  const dp::DecentralizedResult adpsgd_direct = dp::SimulateAdPsgd(cluster, profile, mem);
+  EXPECT_EQ(adpsgd.num_workers, 8);
+  EXPECT_EQ(adpsgd.num_excluded, adpsgd_direct.num_excluded);
+  EXPECT_EQ(adpsgd.throughput_img_s, adpsgd_direct.throughput_img_s);
+  EXPECT_EQ(adpsgd.avg_pairwise_comm_s, adpsgd_direct.avg_pairwise_comm_s);
+  EXPECT_EQ(adpsgd.expected_staleness, adpsgd_direct.expected_staleness);
+}
+
 TEST(ExperimentTest, PickGpusByCodeString) {
   const hw::Cluster cluster = hw::Cluster::Paper();
   const auto vvqq = PickGpus(cluster, "VVQQ");

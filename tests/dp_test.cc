@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "cluster/allocator.h"
+#include "core/context.h"
 #include "dp/allreduce.h"
 #include "dp/decentralized.h"
 #include "dp/horovod.h"
@@ -11,6 +17,9 @@
 #include "model/resnet.h"
 #include "model/vgg.h"
 #include "partition/partitioner.h"
+#include "oracles/golden.h"
+#include "runner/spec_sweep.h"
+#include "wsp/param_server.h"
 
 namespace hetpipe::dp {
 namespace {
@@ -147,8 +156,9 @@ TEST(PlacementTest, EdLocalParameterTrafficIsZero) {
   options.nm = 1;
   const partition::Partition partition = partitioner.SolveScalable({0, 4, 8, 12}, options);
   ASSERT_TRUE(partition.feasible);
-  EXPECT_EQ(PsCrossNodeBytesPerMinibatch(partition, 4, /*local=*/true, 1), 0u);
-  EXPECT_GT(PsCrossNodeBytesPerMinibatch(partition, 4, /*local=*/false, 1), 0u);
+  EXPECT_EQ(wsp::PsCrossNodeBytesPerMinibatch(partition, wsp::PlacementPolicy::kLocal, 4, 1), 0u);
+  EXPECT_GT(wsp::PsCrossNodeBytesPerMinibatch(partition, wsp::PlacementPolicy::kRoundRobin, 4, 1),
+            0u);
 }
 
 TEST(PlacementTest, EdVwStillMovesActivationsAcrossNodes) {
@@ -161,10 +171,21 @@ TEST(PlacementTest, EdVwStillMovesActivationsAcrossNodes) {
   options.nm = 1;
   const partition::Partition partition = partitioner.SolveScalable({0, 4, 8, 12}, options);
   ASSERT_TRUE(partition.feasible);
-  const uint64_t bytes = ActivationCrossNodeBytes(partition, profile);
+  const ActivationTraffic traffic = ActivationTrafficByTier(partition, profile, cluster);
+  const uint64_t bytes = traffic.same_rack_bytes + traffic.cross_rack_bytes;
   EXPECT_GT(bytes, 0u);
   // All three boundaries cross nodes in an ED virtual worker.
   EXPECT_GT(bytes, 50ULL << 20);
+}
+
+// Activation + gradient bytes over every stage boundary of `partition`.
+uint64_t AllBoundaryBytes(const partition::Partition& partition,
+                          const model::ModelProfile& profile) {
+  uint64_t total = 0;
+  for (size_t q = 1; q < partition.stages.size(); ++q) {
+    total += 2 * profile.BoundaryTransferBytes(partition.stages[q - 1].last_layer);
+  }
+  return total;
 }
 
 TEST(PlacementTest, ActivationTrafficByTierSplitsByRack) {
@@ -188,9 +209,9 @@ TEST(PlacementTest, ActivationTrafficByTierSplitsByRack) {
   EXPECT_GT(traffic.intra_node_bytes, 0u);   // boundary inside node 0
   EXPECT_GT(traffic.same_rack_bytes, 0u);    // node0 -> node1
   EXPECT_GT(traffic.cross_rack_bytes, 0u);   // node1 -> node2
-  // The cross-node tiers partition exactly the flat cross-node accounting.
-  EXPECT_EQ(traffic.same_rack_bytes + traffic.cross_rack_bytes,
-            ActivationCrossNodeBytes(partition, profile));
+  // Every boundary lands in exactly one tier.
+  EXPECT_EQ(traffic.intra_node_bytes + traffic.same_rack_bytes + traffic.cross_rack_bytes,
+            AllBoundaryBytes(partition, profile));
 
   // Without rack structure, every cross-node byte is same-rack.
   const hw::Cluster flat = hw::Cluster::Paper();
@@ -201,7 +222,8 @@ TEST(PlacementTest, ActivationTrafficByTierSplitsByRack) {
   ASSERT_TRUE(ed_partition.feasible);
   const ActivationTraffic flat_traffic = ActivationTrafficByTier(ed_partition, profile, flat);
   EXPECT_EQ(flat_traffic.cross_rack_bytes, 0u);
-  EXPECT_EQ(flat_traffic.same_rack_bytes, ActivationCrossNodeBytes(ed_partition, profile));
+  // An ED virtual worker has one GPU per node: every boundary crosses nodes.
+  EXPECT_EQ(flat_traffic.same_rack_bytes, AllBoundaryBytes(ed_partition, profile));
 }
 
 // ---- Per-node-pair links in the dp baselines ----
@@ -315,9 +337,138 @@ TEST(PlacementTest, WaveAmortizationDividesByNm) {
   options.nm = 4;
   const partition::Partition partition = partitioner.SolveScalable({0, 4, 8, 12}, options);
   ASSERT_TRUE(partition.feasible);
-  const uint64_t per1 = PsCrossNodeBytesPerMinibatch(partition, 4, false, 1);
-  const uint64_t per4 = PsCrossNodeBytesPerMinibatch(partition, 4, false, 4);
+  const uint64_t per1 =
+      wsp::PsCrossNodeBytesPerMinibatch(partition, wsp::PlacementPolicy::kRoundRobin, 4, 1);
+  const uint64_t per4 =
+      wsp::PsCrossNodeBytesPerMinibatch(partition, wsp::PlacementPolicy::kRoundRobin, 4, 4);
   EXPECT_EQ(per4, per1 / 4);
+}
+
+// ---- Pinned baseline output. tests/golden/dp_baselines.txt holds every
+// ---- field of the Horovod, PS (BSP, SSP(3), ASP) and AD-PSGD results, the
+// ---- traffic counters and the PS push/pull times, doubles in hexfloat, for
+// ---- three models on paper subsets, a single node, a racked mixed cluster
+// ---- and a per-pair override. `UPDATE_GOLDEN=1 ./dp_test` rewrites it.
+
+std::string Hex(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+using oracles::GoldenLines;
+
+std::string HorovodLine(const HorovodResult& r) {
+  std::string workers;
+  for (int id : r.worker_gpus) {
+    workers += (workers.empty() ? "" : ",") + std::to_string(id);
+  }
+  return "feasible=" + std::to_string(r.feasible) + " workers=" + workers +
+         " excluded=" + std::to_string(r.num_excluded) + " compute=" + Hex(r.compute_s) +
+         " allreduce=" + Hex(r.allreduce_s) + " exposed=" + Hex(r.exposed_comm_s) +
+         " iteration=" + Hex(r.iteration_s) + " throughput=" + Hex(r.throughput_img_s);
+}
+
+std::string PsLine(const PsDpResult& r) {
+  return "feasible=" + std::to_string(r.feasible) + " workers=" + std::to_string(r.num_workers) +
+         " excluded=" + std::to_string(r.num_excluded) +
+         " slowest=" + Hex(r.slowest_compute_s) + " comm=" + Hex(r.comm_s) +
+         " sync=" + Hex(r.sync_overhead_s) + " throughput=" + Hex(r.throughput_img_s) +
+         " staleness=" + Hex(r.expected_staleness);
+}
+
+std::string AdPsgdLine(const DecentralizedResult& r) {
+  return "feasible=" + std::to_string(r.feasible) + " workers=" + std::to_string(r.num_workers) +
+         " excluded=" + std::to_string(r.num_excluded) + " throughput=" + Hex(r.throughput_img_s) +
+         " pairwise=" + Hex(r.avg_pairwise_comm_s) + " staleness=" + Hex(r.expected_staleness);
+}
+
+struct GoldenCluster {
+  const char* label;
+  hw::Cluster cluster;
+};
+
+std::vector<GoldenCluster> DpGoldenClusters() {
+  std::vector<GoldenCluster> clusters;
+  for (const char* nodes : {"VRGQ", "V", "VRQ"}) {
+    clusters.push_back({nodes, hw::Cluster::PaperSubset(nodes)});
+  }
+  clusters.push_back({"single-node", hw::ClusterSpec::Parse("node 4xV").Build()});
+  hw::ClusterSpec racked = runner::MixedDemoSpec("mixed-racked");
+  racked.AddRack("r0", {0, 1}).AddRack("r1", {2}).CrossRackGbits(10.0);
+  clusters.push_back({"mixed-racked", racked.Build()});
+  hw::ClusterSpec overridden = hw::ClusterSpec::PaperTestbed();
+  overridden.OverrideLink(0, 3, 5.0);
+  clusters.push_back({"paper-override0-3", overridden.Build()});
+  return clusters;
+}
+
+GoldenLines DpBaselineGoldenLines() {
+  GoldenLines lines;
+  for (const GoldenCluster& c : DpGoldenClusters()) {
+    for (const core::ModelKind kind :
+         {core::ModelKind::kResNet152, core::ModelKind::kVgg19, core::ModelKind::kBertLarge}) {
+      const model::ModelGraph graph = core::BuildModel(kind);
+      const model::ModelProfile profile(graph, 32);
+      const hw::Cluster& cluster = c.cluster;
+      const std::string key = std::string(core::ModelName(kind)) + '|' + c.label + '|';
+
+      const HorovodResult horovod = SimulateHorovod(cluster, profile);
+      lines.push_back(key + "horovod\t" + HorovodLine(horovod));
+      const int horovod_workers = static_cast<int>(horovod.worker_gpus.size());
+      lines.push_back(key + "horovod_cross_node_bytes\t" +
+                      std::to_string(HorovodCrossNodeBytes(graph.total_param_bytes(),
+                                                           horovod_workers)));
+      PsDpOptions ps;
+      ps.mode = PsSyncMode::kBsp;
+      lines.push_back(key + "ps-bsp\t" + PsLine(SimulatePsDataParallel(cluster, profile, ps)));
+      ps.mode = PsSyncMode::kSsp;
+      ps.staleness = 3;
+      lines.push_back(key + "ps-ssp3\t" + PsLine(SimulatePsDataParallel(cluster, profile, ps)));
+      ps.mode = PsSyncMode::kAsp;
+      ps.staleness = 0;
+      lines.push_back(key + "ps-asp\t" + PsLine(SimulatePsDataParallel(cluster, profile, ps)));
+      lines.push_back(key + "adpsgd\t" + AdPsgdLine(SimulateAdPsgd(cluster, profile)));
+
+      // One virtual worker's split: the first ED virtual worker (the whole
+      // node on a single-node cluster) at Nm 2.
+      const cluster::Allocation alloc = cluster::Allocate(
+          cluster, cluster.num_nodes() == 1 ? cluster::AllocationPolicy::kNodePartition
+                                            : cluster::AllocationPolicy::kEqualDistribution);
+      const partition::Partitioner partitioner(profile, cluster);
+      partition::PartitionOptions options;
+      options.nm = 2;
+      const partition::Partition partition =
+          partitioner.SolveScalable(alloc.vw_gpus.front(), options);
+      lines.push_back(key + "vw\t" + oracles::PartitionSignature(partition));
+      const ActivationTraffic traffic = ActivationTrafficByTier(partition, profile, cluster);
+      lines.push_back(key + "activation_traffic\t" + std::to_string(traffic.intra_node_bytes) +
+                      ' ' + std::to_string(traffic.same_rack_bytes) + ' ' +
+                      std::to_string(traffic.cross_rack_bytes));
+      for (const wsp::PlacementPolicy placement :
+           {wsp::PlacementPolicy::kRoundRobin, wsp::PlacementPolicy::kLocal}) {
+        const std::string pkey =
+            key + (placement == wsp::PlacementPolicy::kLocal ? "local|" : "round-robin|");
+        const wsp::VwCommTimes times = wsp::ComputePsCommTimes(partition, cluster, placement);
+        lines.push_back(pkey + "ps_comm\t" + Hex(times.push_s) + ' ' + Hex(times.pull_s));
+        for (const int nm : {1, 2, 3}) {
+          lines.push_back(pkey + "ps_cross_node_bytes|nm" + std::to_string(nm) + '\t' +
+                          std::to_string(wsp::PsCrossNodeBytesPerMinibatch(
+                              partition, placement, cluster.num_nodes(), nm)));
+        }
+      }
+    }
+  }
+  return lines;
+}
+
+TEST(DpBaselinesGoldenTest, BaselinesMatchRecordedResults) {
+  EXPECT_EQ(oracles::CheckGolden("dp_baselines.txt",
+                                 "Data-parallel baseline results and traffic counters "
+                                 "(doubles in hexfloat): key \\t value.\n"
+                                 "Regenerate with: UPDATE_GOLDEN=1 ./dp_test",
+                                 DpBaselineGoldenLines()),
+            "");
 }
 
 }  // namespace

@@ -31,7 +31,7 @@ TEST(TaskTest, Names) {
 }
 
 TEST(StageQueueTest, ForwardOrderEnforced) {
-  StageQueue q(0);
+  StageQueue q;
   // FW of minibatch 2 arrives first; it must not run before FW of 1.
   q.MakeAvailable({TaskKind::kForward, 2, 0});
   EXPECT_FALSE(q.PickNext().has_value());
@@ -45,7 +45,7 @@ TEST(StageQueueTest, ForwardOrderEnforced) {
 }
 
 TEST(StageQueueTest, BackwardOrderEnforcedIndependently) {
-  StageQueue q(0);
+  StageQueue q;
   q.MakeAvailable({TaskKind::kBackward, 2, 0});
   q.MakeAvailable({TaskKind::kForward, 1, 0});
   // BW(2) blocked (BW(1) not done); FW(1) eligible.
@@ -60,7 +60,7 @@ TEST(StageQueueTest, BackwardOrderEnforcedIndependently) {
 }
 
 TEST(StageQueueTest, FifoAmongEligible) {
-  StageQueue q(0);
+  StageQueue q;
   q.MakeAvailable({TaskKind::kForward, 1, 0});
   q.MakeAvailable({TaskKind::kBackward, 1, 0});
   // Both eligible; FW(1) arrived first -> FIFO picks it.
@@ -70,7 +70,7 @@ TEST(StageQueueTest, FifoAmongEligible) {
 }
 
 TEST(StageQueueTest, FusedTaskAdvancesBothCounters) {
-  StageQueue q(3);
+  StageQueue q;
   q.MakeAvailable({TaskKind::kForwardBackward, 1, 3});
   auto t = q.PickNext();
   ASSERT_TRUE(t.has_value());

@@ -130,9 +130,14 @@ TEST_F(PsCommTest, LocalPlacementIsFasterAndMovesNothingAcrossNodes) {
   const VwCommTimes local = ComputePsCommTimes(partition, cluster_, PlacementPolicy::kLocal);
   const VwCommTimes rr = ComputePsCommTimes(partition, cluster_, PlacementPolicy::kRoundRobin);
   EXPECT_LT(local.push_s, rr.push_s);
-  EXPECT_EQ(CrossNodeSyncBytes(partition, PlacementPolicy::kLocal, cluster_.num_nodes()), 0u);
-  EXPECT_GT(CrossNodeSyncBytes(partition, PlacementPolicy::kRoundRobin, cluster_.num_nodes()),
-            graph_.total_param_bytes() / 2);
+  // Push + pull per wave: round-robin sends 3/4 of every stage's bytes each
+  // way across nodes, local placement nothing.
+  EXPECT_EQ(
+      PsCrossNodeBytesPerMinibatch(partition, PlacementPolicy::kLocal, cluster_.num_nodes(), 1),
+      0u);
+  EXPECT_GT(PsCrossNodeBytesPerMinibatch(partition, PlacementPolicy::kRoundRobin,
+                                         cluster_.num_nodes(), 1),
+            graph_.total_param_bytes());
 }
 
 TEST_F(PsCommTest, PushPullSymmetric) {
