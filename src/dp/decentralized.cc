@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "dp/placement.h"
 
@@ -14,17 +13,6 @@ namespace {
 constexpr double kCommOverlap = 0.5;
 
 }  // namespace
-
-std::string DecentralizedResult::ToString() const {
-  std::ostringstream os;
-  if (!feasible) {
-    os << "infeasible (model fits no GPU)";
-    return os.str();
-  }
-  os << num_workers << " workers, pairwise comm " << avg_pairwise_comm_s * 1e3 << " ms, "
-     << throughput_img_s << " img/s";
-  return os.str();
-}
 
 DecentralizedResult SimulateAdPsgd(const hw::Cluster& cluster,
                                    const model::ModelProfile& profile,

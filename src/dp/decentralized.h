@@ -1,7 +1,5 @@
 #pragma once
 
-#include <string>
-
 #include "hw/cluster.h"
 #include "model/profiler.h"
 #include "partition/memory_model.h"
@@ -22,8 +20,6 @@ struct DecentralizedResult {
   double avg_pairwise_comm_s = 0.0;
   // Neighbor-averaging acts like staleness ~ mixing time of the gossip graph.
   double expected_staleness = 0.0;
-
-  std::string ToString() const;
 };
 
 // Every GPU that fits the model is a worker; each iteration costs its own

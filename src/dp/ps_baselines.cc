@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <sstream>
 
 #include "dp/placement.h"
 #include "wsp/param_server.h"
@@ -16,18 +15,6 @@ namespace {
 constexpr double kNoiseCv = 0.10;
 
 }  // namespace
-
-std::string PsDpResult::ToString() const {
-  std::ostringstream os;
-  if (!feasible) {
-    os << "infeasible (model fits no GPU)";
-    return os.str();
-  }
-  os << num_workers << " workers, compute " << slowest_compute_s * 1e3 << " ms, PS comm "
-     << comm_s * 1e3 << " ms, sync " << sync_overhead_s * 1e3 << " ms, " << throughput_img_s
-     << " img/s";
-  return os.str();
-}
 
 PsDpResult SimulatePsDataParallel(const hw::Cluster& cluster,
                                   const model::ModelProfile& profile,

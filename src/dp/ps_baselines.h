@@ -1,7 +1,5 @@
 #pragma once
 
-#include <string>
-
 #include "hw/cluster.h"
 #include "model/profiler.h"
 #include "partition/memory_model.h"
@@ -34,8 +32,6 @@ struct PsDpResult {
   // Expected missing updates a gradient is computed against (0 for BSP),
   // feeding the convergence model.
   double expected_staleness = 0.0;
-
-  std::string ToString() const;
 };
 
 // Simulates PS-based DP over every GPU of `cluster` that fits the model.

@@ -125,6 +125,9 @@ class Cluster {
 
   const PcieLink& pcie() const { return pcie_; }
   const InfinibandLink& infiniband() const { return infiniband_; }
+  // The distinct pair-resolved inter links (empty on a uniform fabric):
+  // every LinkBetween result is pcie(), infiniband() or one of these.
+  const std::vector<InfinibandLink>& pair_links() const { return pair_links_; }
 
   // Spec label and canonical spec text when built from a hw::ClusterSpec
   // (empty otherwise). The text is what a core::Experiment carries so a sweep

@@ -13,7 +13,10 @@ namespace hetpipe::partition {
 struct DpScratch {
   std::vector<double> dp;    // (k+1) x (n+1): DP row t of the current prefix
   std::vector<int> choice;   // (k+1) x (n+1): the split achieving each dp cell
-  std::vector<double> edge;  // k x n: transfer row t of edge order[t-1] -> order[t]
+  // k: the partitioner's transfer row into stage t (of edge order[t-1] ->
+  // order[t]; the zero row at t = 0). Rows are shared and built once per
+  // Partitioner, so the stack holds pointers, not copies.
+  std::vector<const double*> in_rows;
   std::vector<double> vals;  // n: DpRow's masked candidate bottlenecks (SoA)
   std::vector<int> order;    // k: the placed GPU ids
   std::vector<size_t> used;  // per class: ids the order walk has placed

@@ -1,6 +1,7 @@
 #include "partition/partitioner.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -74,6 +75,8 @@ std::vector<std::vector<double>> BuildTotalCumByLast(const model::ModelProfile& 
   for (hw::GpuType gpu : cluster.classes()) {
     for (size_t layer = 0; layer < n; ++layer) {
       per_layer[layer] = profile.TimeOf(static_cast<int>(layer), gpu);
+      // DpRow's incumbent frontier needs running sums that never shrink.
+      assert(per_layer[layer].fwd_s >= 0.0 && per_layer[layer].bwd_s >= 0.0);
     }
     tables.resize(std::max(tables.size(), static_cast<size_t>(hw::SpecOf(gpu).order) + 1));
     std::vector<double>& tot = tables[static_cast<size_t>(hw::SpecOf(gpu).order)];
@@ -91,6 +94,26 @@ std::vector<std::vector<double>> BuildTotalCumByLast(const model::ModelProfile& 
     }
   }
   return tables;
+}
+
+// Partitioner::transfer_rows_: the zero row, then one row per link object
+// LinkBetween can return (PCIe, the shared inter link, each pair link).
+std::vector<double> BuildTransferRows(const model::ModelProfile& profile,
+                                      const hw::Cluster& cluster) {
+  const size_t n = static_cast<size_t>(profile.num_layers());
+  std::vector<const hw::LinkModel*> links = {&cluster.pcie(), &cluster.infiniband()};
+  for (const hw::InfinibandLink& link : cluster.pair_links()) {
+    links.push_back(&link);
+  }
+  std::vector<double> rows((links.size() + 1) * n, 0.0);
+  for (size_t r = 0; r < links.size(); ++r) {
+    double* row = rows.data() + (r + 1) * n;
+    for (size_t b = 0; b + 1 < n; ++b) {
+      row[b + 1] = links[r]->TransferTime(profile.BoundaryTransferBytes(static_cast<int>(b)));
+      assert(row[b + 1] >= 0.0);  // DpRow's incumbent frontier needs it
+    }
+  }
+  return rows;
 }
 
 }  // namespace
@@ -146,7 +169,20 @@ Partitioner::Partitioner(const model::ModelProfile& profile, const hw::Cluster& 
     : profile_(&profile),
       cluster_(&cluster),
       inputs_fingerprint_(SolveInputsFingerprint(profile, cluster)),
-      total_cum_by_last_(BuildTotalCumByLast(profile, cluster)) {}
+      total_cum_by_last_(BuildTotalCumByLast(profile, cluster)),
+      transfer_rows_(BuildTransferRows(profile, cluster)) {}
+
+const double* Partitioner::TransferRow(int from_id, int to_id) const {
+  const hw::LinkModel* link = &cluster_->LinkBetween(from_id, to_id);
+  size_t row = 1;
+  if (link == &cluster_->infiniband()) {
+    row = 2;
+  } else if (link != &cluster_->pcie()) {
+    const auto* pair = static_cast<const hw::InfinibandLink*>(link);
+    row = 3 + static_cast<size_t>(pair - cluster_->pair_links().data());
+  }
+  return transfer_rows_.data() + row * static_cast<size_t>(profile_->num_layers());
+}
 
 Partition BuildFixedPartition(const model::ModelProfile& profile, const hw::Cluster& cluster,
                               const std::vector<int>& gpu_ids,
@@ -252,17 +288,6 @@ Partition Partitioner::SolveOrder(const int* order, int k, const PartitionOption
   return result;
 }
 
-void Partitioner::EdgeRow(int from_id, int to_id, double* edge) const {
-  // Hoists the LinkBetween lookup and the virtual TransferTime call out of
-  // the DP inner loop into one O(n) pass per edge. Shifted by one so DpRow
-  // reads the incoming transfer as fwd_x[j] (unit stride, no branch).
-  const hw::LinkModel& link = cluster_->LinkBetween(from_id, to_id);
-  edge[0] = 0.0;  // j == 0 is unreachable for every stage that has an incoming link
-  for (int b = 0; b + 1 < profile_->num_layers(); ++b) {
-    edge[b + 1] = link.TransferTime(profile_->BoundaryTransferBytes(b));
-  }
-}
-
 bool Partitioner::PlaceGpu(int t, int k, int id, const PartitionOptions& options,
                            double prune_above) const {
   // dp[t][i]: minimal bottleneck assigning the first i layers to the first t
@@ -270,31 +295,28 @@ bool Partitioner::PlaceGpu(int t, int k, int id, const PartitionOptions& options
   // writes only the cells a row can reach, and the next row reads only
   // those, so rows need no reset when a walk overwrites them.
   DpScratch& scratch = LocalScratch();
-  const size_t n = static_cast<size_t>(profile_->num_layers());
-  const size_t stride = n + 1;
+  const size_t stride = static_cast<size_t>(profile_->num_layers()) + 1;
   if (t == 0) {
     // A new order: size the stacks, seed row 0 (no layers on no stages) and
-    // the all-zero incoming-transfer row of the first stage.
+    // the first stage's all-zero incoming-transfer row.
     double* dp = scratch.Ensure(scratch.dp, static_cast<size_t>(k + 1) * stride);
-    double* edge = scratch.Ensure(scratch.edge, static_cast<size_t>(k) * n);
+    scratch.Ensure(scratch.in_rows, static_cast<size_t>(k))[0] = ZeroTransferRow();
     scratch.Ensure(scratch.choice, static_cast<size_t>(k + 1) * stride);
     scratch.Ensure(scratch.order, static_cast<size_t>(k))[0] = id;
     std::fill(dp, dp + stride, kInf);
     dp[0] = 0.0;
-    std::fill(edge, edge + n, 0.0);
     return true;
   }
   int* order = scratch.order.data();
-  const double* in_edge = scratch.edge.data() + static_cast<size_t>(t - 1) * n;
-  double* out_edge = nullptr;  // t == k: the last stage sends nothing
+  const double** in_rows = scratch.in_rows.data();
+  const double* out_row = nullptr;  // t == k: the last stage sends nothing
   if (t < k) {
     order[t] = id;
-    out_edge = scratch.edge.data() + static_cast<size_t>(t) * n;
-    EdgeRow(order[t - 1], id, out_edge);
+    out_row = in_rows[t] = TransferRow(order[t - 1], id);
   }
   double* row = scratch.dp.data() + static_cast<size_t>(t) * stride;
-  return DpRow(t, k, cluster_->gpu(order[t - 1]).type, options, row - stride, in_edge,
-               out_edge != nullptr ? out_edge + 1 : nullptr, prune_above, row,
+  return DpRow(t, k, cluster_->gpu(order[t - 1]).type, options, row - stride, in_rows[t - 1],
+               out_row != nullptr ? out_row + 1 : nullptr, prune_above, row,
                scratch.choice.data() + static_cast<size_t>(t) * stride);
 }
 
@@ -342,7 +364,7 @@ bool Partitioner::DpRow(int q, int k, hw::GpuType type, const PartitionOptions& 
   // is). A split j outside it reads prev[j] = +inf, whose candidate is +inf
   // and never wins the strict `<` below, so every loop runs over the span
   // alone with values and argmins unchanged; cells i <= lo have no split in
-  // it, skip the memory search and get +inf with choice -1.
+  // it and get +inf with choice -1.
   int lo = q - 1;
   int hi = n - (k - q) - 1;
   while (lo <= hi && prev[lo] == kInf) {
@@ -351,14 +373,55 @@ bool Partitioner::DpRow(int q, int k, hw::GpuType type, const PartitionOptions& 
   while (hi > lo && prev[hi] == kInf) {
     --hi;
   }
+  // Within the span, cell i evaluates only the splits j >= from(i), the
+  // larger of two frontiers, each of which only moves right as i grows:
+  // - Memory: the stage [j, i-1] needs StageMemoryBytesFromSums of two
+  //   prefix-sum differences, which does not increase in j (fewer layers)
+  //   and does not decrease in i (more layers). So the feasible splits of a
+  //   cell are a suffix of the span, and a split out of memory at i is out
+  //   of memory at every later i. These are exactly the splits the scalar
+  //   loop `continue`s on, so phase A needs no per-j check.
+  // - Incumbent: tot_row[j] = tot_cum[i-1][j] is a left-to-right running sum
+  //   of non-negative layer times starting at j; rounding is monotone, so it
+  //   does not increase in j and does not decrease in i. Transfers are >= 0
+  //   (transfer_rows_), so cand >= cost >= tot_row[j] bit for bit, and a
+  //   split with tot_row[j] > prune_above would be masked to +inf, which
+  //   never wins the strict `<` of phase B. Such splits are a prefix of the
+  //   span and stay cut at every later i.
+  // Skipping both changes no value and no argmin. Once from passes hi, no
+  // later cell has a candidate: they get +inf with choice -1, as the loop
+  // below would write.
+  const uint64_t mem_cap = hw::MemoryBytes(type);
+  const int i_end = n - (k - q);
+  int from = lo;
   bool live = false;
   // The last row only needs its final cell: nothing reads the others.
-  for (int i = q == k ? n : q; i <= n - (k - q); ++i) {
-    // Splits j in [lo, end) are candidates for cell i.
+  for (int i = q == k ? n : q; i <= i_end; ++i) {
+    // Splits j in [from, end) are candidates for cell i.
     const int end = std::min(i, hi + 1);
     const size_t last = static_cast<size_t>(i - 1);
     // Contiguous over j: entry j is the compute time of stage [j, i-1].
     const double* tot_row = tot_cum + last * static_cast<size_t>(n);
+    for (; from < end; ++from) {
+      if (tot_row[from] > prune_above) {
+        continue;
+      }
+      const uint64_t need = StageMemoryBytesFromSums(
+          param_prefix[i] - param_prefix[from],  // layers [from, i-1]
+          stash_prefix[i] - stash_prefix[from], batch, in_flight, mem);
+      if (need <= mem_cap) {
+        break;
+      }
+    }
+    if (from > hi) {
+      for (; i <= i_end; ++i) {
+        cur[i] = kInf;
+        if (cur_choice != nullptr) {
+          cur_choice[i] = -1;
+        }
+      }
+      break;
+    }
     // Adding 0.0 (no outgoing / incoming transfer) to a positive finite (or
     // +inf) cost is a bit-exact identity, so the single branchless expression
     // below reproduces the scalar DP's conditional adds. Every stage cost is
@@ -367,29 +430,6 @@ bool Partitioner::DpRow(int q, int k, hw::GpuType type, const PartitionOptions& 
     const double bwd_comm = bwd_x != nullptr ? bwd_x[last] : 0.0;
     double best = kInf;
     int best_j = -1;
-    // The stage's memory demand is non-increasing in j (a later split means
-    // fewer layers, and both prefix differences shrink), so feasibility is
-    // monotone over j: binary-search the first memory-feasible split and run
-    // the tightened loop from there with no per-j memory check. The skipped j
-    // values are exactly the ones the scalar loop `continue`s on, so every
-    // surviving (j, cand) decision is unchanged.
-    int feasible_from = end;  // end: no feasible split in the span
-    {
-      int left = lo;
-      int right = end - 1;
-      while (left <= right) {
-        const int mid = left + (right - left) / 2;
-        const uint64_t need = StageMemoryBytesFromSums(
-            param_prefix[i] - param_prefix[mid],  // layers [mid, i-1]
-            stash_prefix[i] - stash_prefix[mid], batch, in_flight, mem);
-        if (need <= hw::MemoryBytes(type)) {
-          feasible_from = mid;
-          right = mid - 1;
-        } else {
-          left = mid + 1;
-        }
-      }
-    }
     // Phase A (branchless, contiguous, auto-vectorizable): compute every
     // candidate bottleneck and mask pruned ones to +inf with a compare +
     // select. The scalar loop's `prior == kInf` skip needs no branch here:
@@ -401,7 +441,7 @@ bool Partitioner::DpRow(int q, int k, hw::GpuType type, const PartitionOptions& 
     // scalar loop's conditional `+=` chain — and `prior < cost ? cost :
     // prior` is std::max(prior, cost) verbatim, so every surviving value is
     // bit-identical to the scalar loop's.
-    for (int j = feasible_from; j < end; ++j) {
+    for (int j = from; j < end; ++j) {
       const double cost = (tot_row[j] + fwd_x[j]) + bwd_comm;
       const double prior = prev[j];
       const double cand = prior < cost ? cost : prior;
@@ -415,7 +455,7 @@ bool Partitioner::DpRow(int q, int k, hw::GpuType type, const PartitionOptions& 
     // loop's "smallest j wins ties" exactly.
     double lane_best[4] = {kInf, kInf, kInf, kInf};
     int lane_j[4] = {-1, -1, -1, -1};
-    int j = feasible_from;
+    int j = from;
     for (; j + 4 <= end; j += 4) {
       for (int l = 0; l < 4; ++l) {
         if (vals[j + l] < lane_best[l]) {

@@ -115,17 +115,19 @@ struct PartitionOptions {
 // over GPU orders.
 //
 // The hot path is O(k n^2) per order with O(1) inner-loop work: stage times
-// come from the partitioner's per-class cumulative tables and stage memory
-// from the graph's prefix sums, transfer times are precomputed once per trie
-// edge (adjacent GPU pair of an order prefix), and the DP runs on flat
+// come from the partitioner's per-class cumulative tables, stage memory from
+// the graph's prefix sums, and transfer times from one row per distinct link
+// of the cluster, built with the tables at construction; the DP runs on flat
 // thread-local scratch reused across solves (no per-solve allocation after
 // warmup). The exact search walks the trie of orders of interchangeable-GPU
 // classes (same type, same link objects to the rest of the virtual worker)
-// depth first, so orders sharing a prefix share its DP rows. Its leaves come in the order a factorial next_permutation
-// scan with (type, node) dedup first reaches them, and every order it skips
-// ties a kept, earlier one bit for bit, so exact ties break the same way
-// that scan's "first wins" reduction does. Each DP row loops only over the
-// span between the first and last finite cell of the row before it.
+// depth first, so orders sharing a prefix share its DP rows. Its leaves come
+// in the order a factorial next_permutation scan with (type, node) dedup
+// first reaches them, and every order it skips ties a kept, earlier one bit
+// for bit, so exact ties break the same way that scan's "first wins"
+// reduction does. Each DP cell evaluates only the splits that can win: past
+// the memory and incumbent frontiers (see DpRow) and inside the span between
+// the first and last finite cell of the row before it.
 //
 // The partitioner holds its profile and cluster by pointer and fingerprints
 // them once, at construction (inputs_fingerprint()), so neither may change
@@ -221,21 +223,24 @@ class Partitioner {
                   Partition* best) const;
 
   // The prefix DP behind every solve, on the calling thread's DpScratch: the
-  // dp/choice table and the transfer rows are stacks indexed by position, so
-  // a walk returning to depth t overwrites row t and keeps the prefix's rows.
-  // PlaceGpu puts GPU `id` at position t (t == 0 starts an order); for
-  // 0 < t < k it computes the transfer row of the edge order[t-1] -> id (the
-  // fwd input of stage t, the bwd input of stage t-1), then DP row t, and
-  // returns false when every cell of that row is cut; t == k runs the last
-  // row. FinishOrder runs it and builds the partition (infeasible when cut
-  // or out of memory). The exact walk calls them directly; every other
-  // search goes through SolveOrder.
+  // dp/choice table and the incoming-transfer row pointers are stacks indexed
+  // by position, so a walk returning to depth t overwrites row t and keeps
+  // the prefix's rows. PlaceGpu puts GPU `id` at position t (t == 0 starts
+  // an order); for 0 < t < k it pushes the transfer row of the edge
+  // order[t-1] -> id (the fwd input of stage t, the bwd input of stage t-1),
+  // then runs DP row t, and returns false when every cell of that row is
+  // cut; t == k runs the last row. FinishOrder runs it and builds the
+  // partition (infeasible when cut or out of memory). The exact walk calls
+  // them directly; every other search goes through SolveOrder.
   bool PlaceGpu(int t, int k, int id, const PartitionOptions& options, double prune_above) const;
   Partition FinishOrder(int k, const PartitionOptions& options, double prune_above) const;
-  // edge[j] = seconds to send the activation after layer j-1 over the link
-  // from_id -> to_id (edge[0] = 0), for j < n: a stage's fwd_x as is, the
-  // sending stage's bwd_x from edge + 1.
-  void EdgeRow(int from_id, int to_id, double* edge) const;
+  // The transfer row of the link from_id -> to_id: entry j (0 < j < n) is
+  // the seconds to send the activation after layer j-1 over it, entry 0 is
+  // 0; a stage's fwd_x as is, the sending stage's bwd_x from row + 1. O(1):
+  // the link object LinkBetween returns picks its row by address.
+  const double* TransferRow(int from_id, int to_id) const;
+  // The all-zero row: the first stage's incoming transfer.
+  const double* ZeroTransferRow() const { return transfer_rows_.data(); }
 
   // One row of the k-stage DP: places stage q-1 on a GPU of `type` after
   // the q-1 stages whose minimal bottlenecks over the first j layers are
@@ -245,12 +250,14 @@ class Partitioner {
   // starts at layer j (all zeros for the first stage); bwd_x[last] is the
   // transfer out of it when it ends at layer `last` (null for the last
   // stage). Candidates above `prune_above` are cut. Returns whether any
-  // written cell is finite. Only splits inside the span between the first
-  // and last finite cell of prev are evaluated: the others read +inf and
-  // cannot win. PlaceGpu runs it once per placed position (once per trie
-  // edge in the exact walk, once per position past the resume point in
-  // SolveOrder); the beam closes one stage at a time with it, once per
-  // (state, distinct outgoing link).
+  // written cell is finite. Only splits that can win are evaluated: those
+  // inside the span between the first and last finite cell of prev and past
+  // the row's frontier, the larger of the first memory-feasible split and
+  // the first split whose compute time alone is within `prune_above`; both
+  // only move right as i grows. PlaceGpu runs it once per placed position
+  // (once per trie edge in the exact walk, once per position past the resume
+  // point in SolveOrder); the beam closes one stage at a time with it, once
+  // per (state, distinct outgoing link).
   bool DpRow(int q, int k, hw::GpuType type, const PartitionOptions& options,
              const double* prev, const double* fwd_x, const double* bwd_x, double prune_above,
              double* cur, int* cur_choice) const;
@@ -263,6 +270,12 @@ class Partitioner {
   // per class. Layer chains are block-granular (tens of entries), so a table
   // is a few tens of KiB, built once per partitioner.
   std::vector<std::vector<double>> total_cum_by_last_;
+  // n doubles per row (see TransferRow): row 0 all zeros, row 1 the cluster's
+  // PCIe link, row 2 its shared inter link, row 3 + p its pair_links()[p].
+  // Each entry is link.TransferTime(BoundaryTransferBytes(j - 1)), the
+  // expression BuildFixedPartition evaluates, and is >= 0, which DpRow's
+  // incumbent frontier relies on.
+  std::vector<double> transfer_rows_;
 };
 
 // FNV-1a state (util::Fnv1a) over every (profile, cluster) input a solve

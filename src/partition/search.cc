@@ -489,7 +489,7 @@ Partition Partitioner::SolveBeam(const std::vector<int>& gpu_ids,
   // the link from the state's last class to g. So each state computes one
   // row per distinct link.
   struct Closing {
-    std::vector<const hw::LinkModel*> links;
+    std::vector<const double*> links;  // each distinct link's TransferRow
     std::vector<double> rows;  // links.size() x stride
     std::vector<Child> children;
   };
@@ -500,13 +500,9 @@ Partition Partitioner::SolveBeam(const std::vector<int>& gpu_ids,
       const BeamState& state = beam[static_cast<size_t>(index)];
       Closing& closing = closings[static_cast<size_t>(index)];
       const int cur = state.seq.back();
-      DpScratch& scratch = LocalScratch();
-      double* fwd_x = scratch.Ensure(scratch.edge, 2 * static_cast<size_t>(n));
-      double* out_edge = fwd_x + n;
+      const double* fwd_x = ZeroTransferRow();
       if (t >= 2) {
-        EdgeRow(rep(state.seq[static_cast<size_t>(t) - 2]), rep(cur), fwd_x);
-      } else {
-        std::fill(fwd_x, fwd_x + n, 0.0);
+        fwd_x = TransferRow(rep(state.seq[static_cast<size_t>(t) - 2]), rep(cur));
       }
       closing.links.clear();
       closing.rows.clear();
@@ -516,15 +512,14 @@ Partition Partitioner::SolveBeam(const std::vector<int>& gpu_ids,
             static_cast<int>(groups[static_cast<size_t>(g)].ids.size())) {
           continue;
         }
-        const hw::LinkModel* link = &cluster_->LinkBetween(rep(cur), rep(g));
+        const double* link = TransferRow(rep(cur), rep(g));
         const size_t r = static_cast<size_t>(
             std::find(closing.links.begin(), closing.links.end(), link) - closing.links.begin());
         if (r == closing.links.size()) {
           closing.links.push_back(link);
           closing.rows.resize(closing.links.size() * stride, kInf);
-          EdgeRow(rep(cur), rep(g), out_edge);
           DpRow(t, k, groups[static_cast<size_t>(cur)].type, options, state.dp.data(), fwd_x,
-                out_edge + 1, kInf, closing.rows.data() + r * stride, nullptr);
+                link + 1, kInf, closing.rows.data() + r * stride, nullptr);
         }
         const double* row = closing.rows.data() + r * stride;
         const double score = *std::min_element(row, row + stride);

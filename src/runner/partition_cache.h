@@ -46,8 +46,12 @@ namespace hetpipe::runner {
 // all mutation (inserting a miss, Load, eviction, Clear) takes the exclusive
 // lock. Counters are atomics, so the hot hit path never writes under the
 // shared lock except to the entry's own access stamp. A hit returns a
-// Partition identical to what a cold solve would return (tested), so caching
-// never changes results.
+// Partition identical to what a cold solve would return up to tied GPUs:
+// the cached stages are placed onto the request's GPUs in request order, so
+// two GPUs of one (type, node) may swap stages against a cold solve, while
+// every other field and every untied id match (tested by
+// PartitionCacheTest.TiedGpusArePlacedInRequestOrder). Caching never changes
+// a bottleneck, a stage boundary or a stage time.
 //
 // Size bound: SetCapacity(n) caps the entry count; 0 (the default) keeps it
 // unbounded, which is the historical behavior every bench relies on. When an

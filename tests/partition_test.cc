@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <random>
@@ -575,6 +576,68 @@ TEST(ExactWalkTest, MatchesReferenceOnRepeatedClassesAcrossPools) {
   }
   EXPECT_GE(feasible, 20);
   EXPECT_GE(infeasible, 1);
+}
+
+// ---- DpRow skips a split whose compute time alone exceeds the incumbent,
+// ---- never one whose compute time ties it: a candidate equal to the
+// ---- incumbent survives the cut, and its order can still win on sum time.
+// ---- A zero-byte boundary makes a stage cost exactly its compute time, so
+// ---- every order that runs the heavy first layer alone on a V ties the
+// ---- incumbent bit for bit. Racks and a link override keep the V GPUs
+// ---- apart (no two are interchangeable) and give the tied orders different
+// ---- sum times. Both tiers must match the unpruned reference scan. ----
+
+TEST(DpFrontierTest, OrdersThatTieTheIncumbentStillCompeteOnSumTime) {
+  std::vector<model::Layer> layers;
+  for (int i = 0; i < 8; ++i) {
+    model::Layer layer;
+    layer.name = "l" + std::to_string(i);
+    layer.fwd_flops = i == 0 ? 4e11 : 2e9;
+    layer.param_bytes = uint64_t{1} << 20;
+    layer.out_bytes = i == 0 ? 0 : uint64_t{1} << 16;
+    layer.stash_bytes = layer.out_bytes;
+    layers.push_back(std::move(layer));
+  }
+  const model::ModelGraph graph("tied-front", model::ModelFamily::kGeneric, std::move(layers));
+  const ModelProfile profile(graph, 32);
+  hw::ClusterSpec spec;
+  spec.Named("tied-front").AddNode("V").AddNode("V").AddNode("Q").AddNode("V");
+  spec.AddRack("left", {0, 2}).AddRack("right", {1, 3}).CrossRackGbits(5.0);
+  spec.OverrideLink(1, 3, 2.0);
+  const Cluster cluster = spec.Build();
+  const Partitioner partitioner(profile, cluster);
+  int decided_by_sum_time = 0;
+  for (const std::vector<int>& ids :
+       {std::vector<int>{0, 1, 2}, std::vector<int>{0, 2, 3}, std::vector<int>{0, 1, 2, 3}}) {
+    for (int nm : {1, 2}) {
+      const std::string label = "k" + std::to_string(ids.size()) + " nm" + std::to_string(nm);
+      PartitionOptions options;
+      options.nm = nm;
+      options.strategy = SearchStrategy::kExact;
+      const Partition reference = oracles::SolveReference(partitioner, ids, options);
+      ASSERT_TRUE(reference.feasible) << label;
+      EXPECT_EQ(oracles::PartitionDiff(partitioner.SolveScalable(ids, options), reference), "")
+          << label;
+      // Wide enough to keep every order: the beam's candidates then include
+      // the reference's winner, and distinct sum times make it the only
+      // partition that can win.
+      options.strategy = SearchStrategy::kBeam;
+      options.beam_width = 64;
+      EXPECT_EQ(oracles::PartitionDiff(partitioner.SolveScalable(ids, options), reference), "")
+          << label << " beam";
+      // The instance must really tie: the first order reaching the optimal
+      // bottleneck is not the winner.
+      for (const std::vector<int>& order : oracles::DistinctClassOrders(cluster, ids)) {
+        const Partition solved = oracles::SolveFixedOrderReference(
+            partitioner, order, options, std::numeric_limits<double>::infinity());
+        if (solved.feasible && solved.bottleneck_time == reference.bottleneck_time) {
+          decided_by_sum_time += solved.sum_time != reference.sum_time;
+          break;
+        }
+      }
+    }
+  }
+  EXPECT_GE(decided_by_sum_time, 4);
 }
 
 // ---- FindMaxNm: the cap-first probe and the bisection below it must agree
