@@ -17,7 +17,6 @@ struct DpScratch {
   // order[t]; the zero row at t = 0). Rows are shared and built once per
   // Partitioner, so the stack holds pointers, not copies.
   std::vector<const double*> in_rows;
-  std::vector<double> vals;  // n: DpRow's masked candidate bottlenecks (SoA)
   std::vector<int> order;    // k: the placed GPU ids
   std::vector<size_t> used;  // per class: ids the order walk has placed
   int64_t grows = 0;

@@ -317,7 +317,7 @@ bool Partitioner::PlaceGpu(int t, int k, int id, const PartitionOptions& options
   double* row = scratch.dp.data() + static_cast<size_t>(t) * stride;
   return DpRow(t, k, cluster_->gpu(order[t - 1]).type, options, row - stride, in_rows[t - 1],
                out_row != nullptr ? out_row + 1 : nullptr, prune_above, row,
-               scratch.choice.data() + static_cast<size_t>(t) * stride);
+               scratch.choice.data() + static_cast<size_t>(t) * stride) < kInf;
 }
 
 Partition Partitioner::FinishOrder(int k, const PartitionOptions& options,
@@ -340,9 +340,9 @@ Partition Partitioner::FinishOrder(int k, const PartitionOptions& options,
                              lasts, options.nm, options.mem_params);
 }
 
-bool Partitioner::DpRow(int q, int k, hw::GpuType type, const PartitionOptions& options,
-                        const double* prev, const double* fwd_x, const double* bwd_x,
-                        double prune_above, double* cur, int* cur_choice) const {
+double Partitioner::DpRow(int q, int k, hw::GpuType type, const PartitionOptions& options,
+                          const double* prev, const double* fwd_x, const double* bwd_x,
+                          double prune_above, double* cur, int* cur_choice) const {
   // Stage [j, i-1] costs tot_cum[i-1][j] (= fwd_cum + bwd_cum, precombined at
   // partitioner construction in the same operand order) plus the boundary
   // transfers, and needs StageMemoryBytesFromSums(...) bytes evaluated on
@@ -357,8 +357,6 @@ bool Partitioner::DpRow(int q, int k, hw::GpuType type, const PartitionOptions& 
   const StageMemoryParams& mem = options.mem_params;
   const uint64_t batch = static_cast<uint64_t>(profile_->batch_size());
   const uint64_t in_flight = static_cast<uint64_t>(InFlightAtStage(q - 1, k, options.nm));
-  DpScratch& scratch = LocalScratch();
-  double* vals = scratch.Ensure(scratch.vals, static_cast<size_t>(n));
   // The cells of prev this row reads, [q-1, n-(k-q)-1], are finite on one
   // span [lo, hi] at most (first and last finite cell; lo > hi when none
   // is). A split j outside it reads prev[j] = +inf, whose candidate is +inf
@@ -380,21 +378,21 @@ bool Partitioner::DpRow(int q, int k, hw::GpuType type, const PartitionOptions& 
   //   and does not decrease in i (more layers). So the feasible splits of a
   //   cell are a suffix of the span, and a split out of memory at i is out
   //   of memory at every later i. These are exactly the splits the scalar
-  //   loop `continue`s on, so phase A needs no per-j check.
+  //   loop `continue`s on, so the scan needs no per-j check.
   // - Incumbent: tot_row[j] = tot_cum[i-1][j] is a left-to-right running sum
   //   of non-negative layer times starting at j; rounding is monotone, so it
   //   does not increase in j and does not decrease in i. Transfers are >= 0
   //   (transfer_rows_), so cand >= cost >= tot_row[j] bit for bit, and a
-  //   split with tot_row[j] > prune_above would be masked to +inf, which
-  //   never wins the strict `<` of phase B. Such splits are a prefix of the
-  //   span and stay cut at every later i.
+  //   split with tot_row[j] > prune_above has every candidate above the
+  //   bound, which the scan would never take. Such splits are a prefix of
+  //   the span and stay cut at every later i.
   // Skipping both changes no value and no argmin. Once from passes hi, no
   // later cell has a candidate: they get +inf with choice -1, as the loop
   // below would write.
   const uint64_t mem_cap = hw::MemoryBytes(type);
   const int i_end = n - (k - q);
   int from = lo;
-  bool live = false;
+  double row_min = kInf;
   // The last row only needs its final cell: nothing reads the others.
   for (int i = q == k ? n : q; i <= i_end; ++i) {
     // Splits j in [from, end) are candidates for cell i.
@@ -430,60 +428,30 @@ bool Partitioner::DpRow(int q, int k, hw::GpuType type, const PartitionOptions& 
     const double bwd_comm = bwd_x != nullptr ? bwd_x[last] : 0.0;
     double best = kInf;
     int best_j = -1;
-    // Phase A (branchless, contiguous, auto-vectorizable): compute every
-    // candidate bottleneck and mask pruned ones to +inf with a compare +
-    // select. The scalar loop's `prior == kInf` skip needs no branch here:
-    // inf + anything = inf, max(inf, cost) = inf, and +inf never wins the
-    // strict `<` in phase B. Its `cand > prune_above` skip becomes the select
-    // (a pruned candidate is stored as +inf, which likewise cannot win; with
-    // prune_above = +inf the select is an identity). The arithmetic is
-    // ((tot + fwd_x[j]) + bwd_comm) — the exact association order of the
-    // scalar loop's conditional `+=` chain — and `prior < cost ? cost :
-    // prior` is std::max(prior, cost) verbatim, so every surviving value is
-    // bit-identical to the scalar loop's.
+    // One pass per cell with a running argmin. The arithmetic is
+    // ((tot + fwd_x[j]) + bwd_comm), the exact association order of the
+    // scalar loop's conditional `+=` chain, and `prior < cost ? cost : prior`
+    // is std::max(prior, cost) verbatim, so every candidate is bit-identical
+    // to the scalar loop's. Its `prior == kInf` skip needs no branch: inf +
+    // anything = inf, max(inf, cost) = inf, and +inf never wins the strict
+    // `<`. Its `cand > prune_above` skip is the second test. Strict `<` over
+    // rising j keeps the smallest j among ties, as the scalar loop does.
     for (int j = from; j < end; ++j) {
       const double cost = (tot_row[j] + fwd_x[j]) + bwd_comm;
       const double prior = prev[j];
       const double cand = prior < cost ? cost : prior;
-      vals[j] = cand <= prune_above ? cand : kInf;
-    }
-    // Phase B: index-min reduction over vals with four independent lanes
-    // (breaks the loop-carried min dependence so the compiler can overlap
-    // the compares). Within a lane indices increase, so strict `<` keeps the
-    // smallest index of the lane's argmin; the final cross-lane reduce is
-    // lexicographic on (value, index), which together reproduce the scalar
-    // loop's "smallest j wins ties" exactly.
-    double lane_best[4] = {kInf, kInf, kInf, kInf};
-    int lane_j[4] = {-1, -1, -1, -1};
-    int j = from;
-    for (; j + 4 <= end; j += 4) {
-      for (int l = 0; l < 4; ++l) {
-        if (vals[j + l] < lane_best[l]) {
-          lane_best[l] = vals[j + l];
-          lane_j[l] = j + l;
-        }
-      }
-    }
-    for (int l = 0; j < end; ++j, ++l) {  // remainder: still index-monotone per lane
-      if (vals[j] < lane_best[l]) {
-        lane_best[l] = vals[j];
-        lane_j[l] = j;
-      }
-    }
-    for (int l = 0; l < 4; ++l) {
-      if (lane_best[l] < best ||
-          (lane_best[l] == best && lane_j[l] != -1 && lane_j[l] < best_j)) {
-        best = lane_best[l];
-        best_j = lane_j[l];
+      if (cand < best && cand <= prune_above) {
+        best = cand;
+        best_j = j;
       }
     }
     cur[i] = best;
-    live = live || best < kInf;
+    row_min = std::min(row_min, best);
     if (cur_choice != nullptr) {
       cur_choice[i] = best_j;
     }
   }
-  return live;
+  return row_min;
 }
 
 int FindMaxNmWith(const std::function<Partition(const PartitionOptions&)>& solve, int nm_cap,

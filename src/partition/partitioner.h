@@ -127,7 +127,8 @@ struct PartitionOptions {
 // for bit, so exact ties break the same way that scan's "first wins"
 // reduction does. Each DP cell evaluates only the splits that can win: past
 // the memory and incumbent frontiers (see DpRow) and inside the span between
-// the first and last finite cell of the row before it.
+// the first and last finite cell of the row before it, in one scalar pass
+// that keeps a running argmin.
 //
 // The partitioner holds its profile and cluster by pointer and fingerprints
 // them once, at construction (inputs_fingerprint()), so neither may change
@@ -249,18 +250,21 @@ class Partitioner {
   // the last row, q == k). fwd_x[j] is the transfer into the stage when it
   // starts at layer j (all zeros for the first stage); bwd_x[last] is the
   // transfer out of it when it ends at layer `last` (null for the last
-  // stage). Candidates above `prune_above` are cut. Returns whether any
-  // written cell is finite. Only splits that can win are evaluated: those
-  // inside the span between the first and last finite cell of prev and past
-  // the row's frontier, the larger of the first memory-feasible split and
-  // the first split whose compute time alone is within `prune_above`; both
-  // only move right as i grows. PlaceGpu runs it once per placed position
-  // (once per trie edge in the exact walk, once per position past the resume
-  // point in SolveOrder); the beam closes one stage at a time with it, once
-  // per (state, distinct outgoing link).
-  bool DpRow(int q, int k, hw::GpuType type, const PartitionOptions& options,
-             const double* prev, const double* fwd_x, const double* bwd_x, double prune_above,
-             double* cur, int* cur_choice) const;
+  // stage). Candidates above `prune_above` are cut. Returns the smallest
+  // cell it wrote, +inf when every written cell is cut: PlaceGpu tests it
+  // against +inf, and the beam ranks the row's children by it. Only splits
+  // that can win are evaluated: those inside the span between the first and
+  // last finite cell of prev and past the row's frontier, the larger of the
+  // first memory-feasible split and the first split whose compute time
+  // alone is within `prune_above`; both only move right as i grows. Each
+  // cell scans its splits once, keeping a running (best, split) pair.
+  // PlaceGpu runs it once per placed position (once per trie edge in the
+  // exact walk, once per position past the resume point in SolveOrder); the
+  // beam closes one stage at a time with it, once per (state, distinct
+  // outgoing link).
+  double DpRow(int q, int k, hw::GpuType type, const PartitionOptions& options,
+               const double* prev, const double* fwd_x, const double* bwd_x, double prune_above,
+               double* cur, int* cur_choice) const;
 
   const model::ModelProfile* profile_;
   const hw::Cluster* cluster_;

@@ -35,6 +35,7 @@
 // loops (pairwise-swap hill climbs) have true loop-carried dependences and
 // deliberately stay serial.
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -45,7 +46,6 @@
 #include "partition/dp_scratch.h"
 #include "partition/partitioner.h"
 #include "runner/thread_pool.h"
-#include "util/mutex.h"
 
 namespace hetpipe::partition {
 namespace {
@@ -190,19 +190,28 @@ struct BeamState {
 };
 
 // The branch-and-bound incumbent a search shares across pool threads: the
-// best feasible bottleneck offered so far, never below the optimum.
+// best feasible bottleneck offered so far, never below the optimum. One
+// atomic: every store lowers it (a compare-exchange min), so its
+// modification order only tightens, and read-read coherence means no thread
+// ever reads a bound looser than one it read before, which is all a
+// HeldPrefix needs (see SolveOrder). Relaxed order suffices: any value the
+// bound has held is a valid cut, and nothing else is published through it.
 class Incumbent {
  public:
   explicit Incumbent(double initial) : bound_(initial) {}
   // What to cut at.
-  double Bound() {
-    util::MutexLock lock(mu_);
-    return bound_;
-  }
+  double Bound() const { return bound_.load(std::memory_order_relaxed); }
   void Offer(const Partition& candidate) {
-    util::MutexLock lock(mu_);
-    if (candidate.feasible) {
-      bound_ = std::min(bound_, candidate.bottleneck_time);
+    if (!candidate.feasible) {
+      return;
+    }
+    // A failed exchange reloads `bound`; stop once it is no higher.
+    double bound = bound_.load(std::memory_order_relaxed);
+    while (candidate.bottleneck_time < bound) {
+      if (bound_.compare_exchange_weak(bound, candidate.bottleneck_time,
+                                       std::memory_order_relaxed)) {
+        return;
+      }
     }
   }
   // Offers `candidate`, then moves it into *slot if it improves on it.
@@ -216,8 +225,7 @@ class Incumbent {
   }
 
  private:
-  util::Mutex mu_;
-  double bound_ GUARDED_BY(mu_);
+  std::atomic<double> bound_;
 };
 
 // Runs body(first, last) over [0, count): one call per index on a pool that
@@ -490,7 +498,8 @@ Partition Partitioner::SolveBeam(const std::vector<int>& gpu_ids,
   // row per distinct link.
   struct Closing {
     std::vector<const double*> links;  // each distinct link's TransferRow
-    std::vector<double> rows;  // links.size() x stride
+    std::vector<double> rows;          // links.size() x stride
+    std::vector<double> scores;        // per link: its row's minimum (DpRow's return)
     std::vector<Child> children;
   };
   std::vector<Closing> closings;
@@ -506,6 +515,7 @@ Partition Partitioner::SolveBeam(const std::vector<int>& gpu_ids,
       }
       closing.links.clear();
       closing.rows.clear();
+      closing.scores.clear();
       closing.children.clear();
       for (int g = 0; g < num_groups; ++g) {
         if (state.used[static_cast<size_t>(g)] >=
@@ -518,11 +528,11 @@ Partition Partitioner::SolveBeam(const std::vector<int>& gpu_ids,
         if (r == closing.links.size()) {
           closing.links.push_back(link);
           closing.rows.resize(closing.links.size() * stride, kInf);
-          DpRow(t, k, groups[static_cast<size_t>(cur)].type, options, state.dp.data(), fwd_x,
-                link + 1, kInf, closing.rows.data() + r * stride, nullptr);
+          closing.scores.push_back(DpRow(t, k, groups[static_cast<size_t>(cur)].type, options,
+                                         state.dp.data(), fwd_x, link + 1, kInf,
+                                         closing.rows.data() + r * stride, nullptr));
         }
-        const double* row = closing.rows.data() + r * stride;
-        const double score = *std::min_element(row, row + stride);
+        const double score = closing.scores[r];
         // An all-infinite closing row has no feasible completion.
         if (score != kInf) {
           closing.children.push_back(
