@@ -1,7 +1,7 @@
 // google-benchmark micro-benchmarks for the repo's core kernels: the DES
-// event queue, the simulator's normal draws, the min-max partitioner
-// (serial, pruned, parallel, cached), the AllReduce cost model, and the real
-// WSP trainer step.
+// event queue (fill-and-drain and the simulator's pop-then-push hold), the
+// simulator's normal draws, the min-max partitioner (serial, pruned,
+// parallel, cached), the AllReduce cost model, and the real WSP trainer step.
 #include <benchmark/benchmark.h>
 
 #include "dp/allreduce.h"
@@ -56,6 +56,28 @@ void BM_EventQueuePushPop(benchmark::State& state) {
 }
 // A whole-cluster WSP simulation holds about 8-24 queued events.
 BENCHMARK(BM_EventQueuePushPop)->Arg(8)->Arg(16)->Arg(32);
+
+// The simulator's steady state (the hold model): with n events queued, each
+// iteration pops the earliest and schedules one later event, as a handler
+// that starts the next task does.
+void BM_EventQueueHold(benchmark::State& state) {
+  sim::Simulator simulator;
+  Ticker target(simulator, 0);  // the queue only stores it
+  sim::EventQueue queue;
+  for (int i = 0; i < state.range(0); ++i) {
+    queue.Push(static_cast<double>((i * 2654435761u) % 1000) * 1e-3, &target, 0,
+               static_cast<uint32_t>(i), i);
+  }
+  uint32_t i = 0;
+  for (auto _ : state) {
+    const sim::Event event = queue.Pop();
+    const double delay = 0.5 + static_cast<double>((++i * 2654435761u) % 1000) * 1e-3;
+    benchmark::DoNotOptimize(
+        queue.Push(event.time + delay, event.target, event.kind, event.a, event.b));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueHold)->Arg(8)->Arg(16)->Arg(32);
 
 // One standard normal per iteration: Box-Muller through Rng::Normal
 // (memo:0) against a sim::NormalStream reading a table an earlier stream

@@ -5,18 +5,9 @@
 
 namespace hetpipe::sim {
 
-void Simulator::ScheduleAt(SimTime time, EventTarget* target, uint32_t kind, uint32_t a,
-                           int64_t b) {
-  if (std::isnan(time)) {
-    throw std::invalid_argument("Simulator::ScheduleAt: time is NaN");
-  }
-  if (target == nullptr) {
-    throw std::invalid_argument("Simulator::ScheduleAt: target is null");
-  }
-  if (time < now_) {
-    time = now_;
-  }
-  queue_.Push(time, target, kind, a, b);
+void Simulator::RejectSchedule(SimTime time) {
+  throw std::invalid_argument(std::isnan(time) ? "Simulator::ScheduleAt: time is NaN"
+                                               : "Simulator::ScheduleAt: target is null");
 }
 
 void Simulator::Run() { Dispatch(std::numeric_limits<SimTime>::infinity()); }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -22,7 +23,12 @@ class Simulator {
   // after already-queued events); an infinite time fires only under Run(),
   // after every finite event. A NaN time would break the queue's ordering,
   // so it throws std::invalid_argument, as does a null target.
-  void ScheduleAt(SimTime time, EventTarget* target, uint32_t kind, uint32_t a, int64_t b);
+  void ScheduleAt(SimTime time, EventTarget* target, uint32_t kind, uint32_t a, int64_t b) {
+    if (std::isnan(time) || target == nullptr) {
+      RejectSchedule(time);
+    }
+    queue_.Push(time < now_ ? now_ : time, target, kind, a, b);
+  }
 
   // Runs until the event queue drains or Stop() is called.
   void Run();
@@ -39,6 +45,8 @@ class Simulator {
 
  private:
   void Dispatch(const SimTime deadline);
+  // Throws the std::invalid_argument ScheduleAt promises, out of line.
+  [[noreturn]] static void RejectSchedule(SimTime time);
 
   EventQueue queue_;
   SimTime now_ = 0.0;

@@ -1,7 +1,6 @@
 #include "sim/stats.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace hetpipe::sim {
@@ -24,16 +23,6 @@ double Accumulator::variance() const {
 }
 
 double Accumulator::stddev() const { return std::sqrt(variance()); }
-
-void BusyTracker::AddBusy(SimTime start, SimTime end) {
-  if (end <= start) {
-    return;
-  }
-  assert((intervals_.empty() || intervals_.back().end <= start) &&
-         "busy intervals must be added in time order without overlap");
-  busy_ += end - start;
-  intervals_.push_back({start, end});
-}
 
 double BusyTracker::Utilization(SimTime window_start, SimTime window_end) const {
   size_t cursor = 0;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <limits>
 #include <string>
@@ -43,8 +44,16 @@ class Accumulator {
 class BusyTracker {
  public:
   // Records a busy interval [start, end); empty or reversed intervals are
-  // ignored.
-  void AddBusy(SimTime start, SimTime end);
+  // ignored. Inline: a virtual worker calls it once per simulated task.
+  void AddBusy(SimTime start, SimTime end) {
+    if (end <= start) {
+      return;
+    }
+    assert((intervals_.empty() || intervals_.back().end <= start) &&
+           "busy intervals must be added in time order without overlap");
+    busy_ += end - start;
+    intervals_.push_back({start, end});
+  }
   // Reserves room for `n` intervals.
   void Reserve(size_t n) { intervals_.reserve(n); }
 

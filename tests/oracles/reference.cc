@@ -232,4 +232,36 @@ double UtilizationFullScan(const std::vector<std::pair<double, double>>& interva
   return std::min(1.0, busy_in_window / window);
 }
 
+std::optional<pipeline::Task> StageQueueReference::PickNext() {
+  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
+    const pipeline::Task task = *it;
+    const bool fw_ready = task.minibatch == next_fw_;
+    const bool bw_ready = task.minibatch == next_bw_;
+    bool eligible = false;
+    switch (task.kind) {
+      case pipeline::TaskKind::kForward:
+        eligible = fw_ready;
+        break;
+      case pipeline::TaskKind::kBackward:
+        eligible = bw_ready;
+        break;
+      case pipeline::TaskKind::kForwardBackward:
+        eligible = fw_ready && bw_ready;
+        break;
+    }
+    if (!eligible) {
+      continue;
+    }
+    queue_.erase(it);
+    if (task.kind != pipeline::TaskKind::kBackward) {
+      ++next_fw_;
+    }
+    if (task.kind != pipeline::TaskKind::kForward) {
+      ++next_bw_;
+    }
+    return task;
+  }
+  return std::nullopt;
+}
+
 }  // namespace hetpipe::oracles

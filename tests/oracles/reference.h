@@ -1,13 +1,14 @@
 #pragma once
 
-// Test oracles for the partitioner, the model tables and the simulator's
-// utilization windows: the straightforward
+// Test oracles for the partitioner, the model tables, the simulator's
+// utilization windows and the pipeline stage queue: the straightforward
 // implementations the optimized code in src/ must match bit for bit. They
 // use only the public accessors of the types they check, so none of this
 // ships in the hetpipe library. partition_test and bench/partitioner_speed
 // link it as the hetpipe_oracles library.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "model/model_graph.h"
 #include "model/profiler.h"
 #include "partition/partitioner.h"
+#include "pipeline/task.h"
 
 namespace hetpipe::oracles {
 
@@ -68,5 +70,25 @@ std::string FormatDoubleOstream(double v);
 // skip intervals outside the window, must return the same bits.
 double UtilizationFullScan(const std::vector<std::pair<double, double>>& intervals,
                            double window_start, double window_end);
+
+// pipeline::StageQueue as a vector in arrival order: PickNext scans it for
+// the first task whose ordering condition holds and erases that task. The
+// ring StageQueue must pick the same tasks and keep the same next-minibatch
+// counters under any interleaving of arrivals and picks.
+class StageQueueReference {
+ public:
+  void MakeAvailable(const pipeline::Task& task) { queue_.push_back(task); }
+  std::optional<pipeline::Task> PickNext();
+  size_t size() const { return queue_.size(); }
+  // The held tasks, oldest first.
+  const std::vector<pipeline::Task>& tasks() const { return queue_; }
+  int64_t next_forward() const { return next_fw_; }
+  int64_t next_backward() const { return next_bw_; }
+
+ private:
+  std::vector<pipeline::Task> queue_;
+  int64_t next_fw_ = 1;
+  int64_t next_bw_ = 1;
+};
 
 }  // namespace hetpipe::oracles

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,10 +15,12 @@
 #include "model/resnet.h"
 #include "model/vgg.h"
 #include "oracles/golden.h"
+#include "oracles/reference.h"
 #include "partition/partitioner.h"
 #include "pipeline/schedule.h"
 #include "pipeline/task.h"
 #include "pipeline/virtual_worker.h"
+#include "sim/rng.h"
 #include "sim/simulator.h"
 #include "wsp/param_server.h"
 
@@ -76,6 +80,75 @@ TEST(StageQueueTest, FusedTaskAdvancesBothCounters) {
   ASSERT_TRUE(t.has_value());
   EXPECT_EQ(q.next_forward(), 2);
   EXPECT_EQ(q.next_backward(), 2);
+}
+
+bool SameTask(const std::optional<Task>& x, const std::optional<Task>& y) {
+  if (!x.has_value() || !y.has_value()) {
+    return x.has_value() == y.has_value();
+  }
+  return x->kind == y->kind && x->minibatch == y->minibatch && x->stage == y->stage;
+}
+
+// Seeded interleavings of arrivals and picks on the ring and on the
+// vector-and-erase reference: every pick and both next-minibatch counters
+// must agree. Minibatch p arrives as FW(p) and BW(p), or as one fused task,
+// displaced up to `window` places from minibatch order, so picks come from
+// behind the head, the ring holds more than its first capacity (8) and its
+// head wraps many times.
+TEST(StageQueueTest, MatchesVectorReferenceUnderOutOfOrderArrivals) {
+  constexpr int64_t kMinibatches = 300;
+  int64_t behind_head = 0;
+  size_t most_held = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    sim::Rng rng(seed);
+    std::vector<Task> arrivals;
+    for (int64_t p = 1; p <= kMinibatches; ++p) {
+      if (rng.NextDouble() < 0.2) {
+        arrivals.push_back({TaskKind::kForwardBackward, p, 3});
+      } else {
+        arrivals.push_back({TaskKind::kForward, p, 1});
+        arrivals.push_back({TaskKind::kBackward, p, 1});
+      }
+    }
+    const int64_t window = rng.UniformInt(0, 24);
+    for (size_t i = 0; i + 1 < arrivals.size(); ++i) {
+      const auto last = static_cast<int64_t>(arrivals.size()) - 1;
+      const int64_t j = std::min(last, static_cast<int64_t>(i) + rng.UniformInt(0, window));
+      std::swap(arrivals[i], arrivals[static_cast<size_t>(j)]);
+    }
+    const double arrive_share = 0.3 + 0.4 * rng.NextDouble();
+
+    StageQueue ring;
+    oracles::StageQueueReference reference;
+    size_t next_arrival = 0;
+    int64_t picks = 0;
+    while (next_arrival < arrivals.size() || reference.size() > 0) {
+      if (next_arrival < arrivals.size() && rng.NextDouble() < arrive_share) {
+        ring.MakeAvailable(arrivals[next_arrival]);
+        reference.MakeAvailable(arrivals[next_arrival]);
+        ++next_arrival;
+      } else {
+        const Task oldest = reference.size() > 0 ? reference.tasks().front() : Task{};
+        const std::optional<Task> want = reference.PickNext();
+        const std::optional<Task> got = ring.PickNext();
+        ASSERT_TRUE(SameTask(got, want)) << "seed " << seed << " pick " << picks;
+        if (want.has_value()) {
+          ++picks;
+          behind_head += SameTask(want, oldest) ? 0 : 1;
+        }
+      }
+      ASSERT_EQ(ring.size(), reference.size()) << "seed " << seed;
+      ASSERT_EQ(ring.next_forward(), reference.next_forward()) << "seed " << seed;
+      ASSERT_EQ(ring.next_backward(), reference.next_backward()) << "seed " << seed;
+      most_held = std::max(most_held, ring.size());
+    }
+    EXPECT_TRUE(ring.empty());
+    EXPECT_EQ(picks, static_cast<int64_t>(arrivals.size())) << "seed " << seed;
+    EXPECT_EQ(ring.next_forward(), kMinibatches + 1);
+    EXPECT_EQ(ring.next_backward(), kMinibatches + 1);
+  }
+  EXPECT_GT(behind_head, 1000);
+  EXPECT_GT(most_held, 32u);  // the ring grew past 8, 16 and 32 slots
 }
 
 // Builds a small pipeline fixture over the paper cluster.

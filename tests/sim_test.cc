@@ -114,6 +114,74 @@ TEST(EventQueueTest, PopOrderMatchesSortedReferenceUnderTies) {
   }
 }
 
+// The simulator's dispatch pattern: pop one event, then push 0, 1 or 2, at
+// the popped instant, between it and the remaining top, or later. A push
+// right after a pop fills the slot the pop left open at the root; a
+// TopTime() asked first, on some steps, settles that slot instead. The pop
+// sequence must still be the (time, seq) order of a sorted reference, and
+// size(), empty() and TopTime() must be right while the slot is open.
+TEST(EventQueueTest, PopThenPushMatchesSortedReference) {
+  constexpr int kDispatchSteps = 3000;  // then drain
+  RecordingTarget target(nullptr, nullptr);
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    EventQueue q;
+    std::vector<std::pair<SimTime, uint64_t>> pending;  // reference multiset
+    const auto push = [&](SimTime time) {
+      pending.emplace_back(time, q.Push(time, &target, 0, 0, 0));
+    };
+    for (int64_t i = rng.UniformInt(1, 32); i > 0; --i) {
+      push(0.125 * static_cast<double>(rng.UniformInt(0, 15)));
+    }
+    int filled_slots = 0;  // pushes that landed in the slot a pop left open
+    for (int step = 0; !pending.empty(); ++step) {
+      const auto earliest = std::min_element(pending.begin(), pending.end());
+      const std::pair<SimTime, uint64_t> want = *earliest;
+      pending.erase(earliest);
+      const Event event = q.Pop();
+      ASSERT_EQ(std::make_pair(event.time, event.seq), want) << "seed " << seed;
+      ASSERT_EQ(q.size(), pending.size());
+      ASSERT_EQ(q.empty(), pending.empty());
+      if (step >= kDispatchSteps) {
+        continue;
+      }
+      const SimTime top = pending.empty()
+                              ? event.time + 1.0
+                              : std::min_element(pending.begin(), pending.end())->first;
+      bool slot_open = true;
+      if (!pending.empty() && rng.NextDouble() < 0.25) {
+        ASSERT_EQ(q.TopTime(), top);  // settles the open slot
+        ASSERT_EQ(q.size(), pending.size());
+        slot_open = false;
+      }
+      int64_t pushes = rng.UniformInt(0, 2);
+      if (pending.empty() && pushes == 0) {
+        pushes = 1;
+      }
+      for (; pushes > 0; --pushes) {
+        filled_slots += slot_open ? 1 : 0;
+        slot_open = false;
+        switch (rng.UniformInt(0, 2)) {
+          case 0:
+            push(event.time);
+            break;
+          case 1:
+            push(event.time + 0.5 * (top - event.time));
+            break;
+          default:
+            push(event.time + 0.125 * static_cast<double>(rng.UniformInt(1, 15)));
+            break;
+        }
+        ASSERT_EQ(q.size(), pending.size());
+        ASSERT_EQ(q.TopTime(),
+                  std::min_element(pending.begin(), pending.end())->first);
+      }
+    }
+    EXPECT_TRUE(q.empty());
+    EXPECT_GT(filled_slots, kDispatchSteps / 3) << "seed " << seed;
+  }
+}
+
 // Every field of the record comes back as pushed, extremes included, through
 // heaps that grow and shrink across rounds.
 TEST(EventQueueTest, PoppedEventIsTheOnePushed) {
@@ -401,6 +469,47 @@ TEST(SimulatorTest, RunUntilAdvancesClockWhenQueueDrainsEarly) {
   stopped_events.Schedule(1.0, [&] { stopped.Stop(); });
   stopped.RunUntil(9.0);
   EXPECT_DOUBLE_EQ(stopped.now(), 1.0);
+}
+
+// Stop() from handlers that schedule nothing (the popped slot stays open)
+// and from one that schedules at now(), each followed by RunUntil windows:
+// the clock never moves backwards and every event fires once, in order.
+TEST(SimulatorTest, StopThenRunUntilKeepsTheClockMonotone) {
+  Simulator sim;
+  CallbackTarget events(sim);
+  std::vector<int> fired;
+  events.Schedule(1.0, [&] {
+    fired.push_back(1);
+    sim.Stop();
+  });
+  events.Schedule(2.0, [&] {
+    fired.push_back(2);
+    events.Schedule(0.0, [&] { fired.push_back(3); });
+    sim.Stop();
+  });
+  events.Schedule(4.0, [&] {
+    fired.push_back(4);
+    sim.Stop();
+  });
+  struct Window {
+    SimTime deadline;
+    SimTime now_after;
+    size_t fired_after;
+  };
+  const std::vector<Window> windows = {
+      {10.0, 1.0, 1}, {1.5, 1.5, 1}, {1.5, 1.5, 1}, {3.0, 2.0, 2},
+      {2.0, 2.0, 3},  {3.5, 3.5, 3}, {4.0, 4.0, 4}, {6.0, 6.0, 4},
+  };
+  SimTime last = sim.now();
+  for (const Window& w : windows) {
+    sim.RunUntil(w.deadline);
+    EXPECT_EQ(sim.now(), w.now_after) << "RunUntil(" << w.deadline << ")";
+    EXPECT_EQ(fired.size(), w.fired_after) << "RunUntil(" << w.deadline << ")";
+    EXPECT_GE(sim.now(), last);
+    last = sim.now();
+  }
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(sim.events_processed(), 4u);
 }
 
 TEST(SimulatorTest, StopHaltsDispatch) {
