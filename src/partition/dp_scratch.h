@@ -19,6 +19,18 @@ struct DpScratch {
   std::vector<const double*> in_rows;
   std::vector<int> order;    // k: the placed GPU ids
   std::vector<size_t> used;  // per class: ids the order walk has placed
+  // k+1: what DP row t was last computed from, so that PlaceGpu reuses a
+  // row that placing a sibling would compute again.
+  struct RowMemo {
+    uint64_t placed = 0;              // fresh on every placement at position t
+    uint64_t above = 0;               // row t-1's `placed` when row t was computed
+    const double* out_row = nullptr;  // the outgoing transfer row (null at t == k)
+    int first = 0;                    // the first cell DpRow wrote
+    double min = 0.0;                 // DpRow's return
+  };
+  std::vector<RowMemo> rows;
+  uint64_t stamps = 0;             // the last `placed` handed out
+  std::vector<double> suffix_min;  // n+1: DpRow's suffix minima of its prev row
   int64_t grows = 0;
 
   template <typename T>

@@ -116,6 +116,54 @@ std::vector<double> BuildTransferRows(const model::ModelProfile& profile,
   return rows;
 }
 
+// The split test of one stage position: stage [j, i-1] on a class fits when
+// its compute time is within the bound and its memory, at the position's
+// in-flight count, within the class's capacity. Both hold on a suffix of the
+// splits and stay failed as i grows (see DpRow), so First finds the
+// frontier of a cell by scanning on from the previous cell's.
+struct StageFit {
+  StageFit(const Partitioner& partitioner, hw::GpuType type, int stage, int k,
+           const PartitionOptions& options)
+      : tot_cum(partitioner.TotalCumByLast(type)),
+        param_prefix(partitioner.profile().graph().ParamPrefix()),
+        stash_prefix(partitioner.profile().graph().StashPrefix()),
+        n(static_cast<size_t>(partitioner.profile().num_layers())),
+        batch(static_cast<uint64_t>(partitioner.profile().batch_size())),
+        in_flight(static_cast<uint64_t>(InFlightAtStage(stage, k, options.nm))),
+        mem_cap(hw::MemoryBytes(type)),
+        mem(options.mem_params) {}
+
+  // Entry j is the compute time of stage [j, i-1] (TotalCumByLast).
+  const double* TotRow(int i) const { return tot_cum + static_cast<size_t>(i - 1) * n; }
+
+  // The first split j in [from, end) of cell i that fits under `bound`, or
+  // `end` when none does.
+  int First(int i, int from, int end, double bound) const {
+    const double* tot_row = TotRow(i);
+    for (; from < end; ++from) {
+      if (tot_row[from] > bound) {
+        continue;
+      }
+      const uint64_t need = StageMemoryBytesFromSums(
+          param_prefix[i] - param_prefix[from],  // layers [from, i-1]
+          stash_prefix[i] - stash_prefix[from], batch, in_flight, mem);
+      if (need <= mem_cap) {
+        break;
+      }
+    }
+    return from;
+  }
+
+  const double* tot_cum;
+  const uint64_t* param_prefix;
+  const uint64_t* stash_prefix;
+  size_t n;
+  uint64_t batch;
+  uint64_t in_flight;
+  uint64_t mem_cap;
+  const StageMemoryParams& mem;
+};
+
 }  // namespace
 
 uint64_t SolveInputsFingerprint(const model::ModelProfile& profile, const hw::Cluster& cluster) {
@@ -295,14 +343,17 @@ bool Partitioner::PlaceGpu(int t, int k, int id, const PartitionOptions& options
   // writes only the cells a row can reach, and the next row reads only
   // those, so rows need no reset when a walk overwrites them.
   DpScratch& scratch = LocalScratch();
-  const size_t stride = static_cast<size_t>(profile_->num_layers()) + 1;
+  const int n = profile_->num_layers();
+  const size_t stride = static_cast<size_t>(n) + 1;
   if (t == 0) {
     // A new order: size the stacks, seed row 0 (no layers on no stages) and
-    // the first stage's all-zero incoming-transfer row.
+    // the first stage's all-zero incoming-transfer row. The fresh stamp
+    // makes every row below a new computation.
     double* dp = scratch.Ensure(scratch.dp, static_cast<size_t>(k + 1) * stride);
     scratch.Ensure(scratch.in_rows, static_cast<size_t>(k))[0] = ZeroTransferRow();
     scratch.Ensure(scratch.choice, static_cast<size_t>(k + 1) * stride);
     scratch.Ensure(scratch.order, static_cast<size_t>(k))[0] = id;
+    scratch.Ensure(scratch.rows, static_cast<size_t>(k + 1))[0].placed = ++scratch.stamps;
     std::fill(dp, dp + stride, kInf);
     dp[0] = 0.0;
     return true;
@@ -310,14 +361,41 @@ bool Partitioner::PlaceGpu(int t, int k, int id, const PartitionOptions& options
   int* order = scratch.order.data();
   const double** in_rows = scratch.in_rows.data();
   const double* out_row = nullptr;  // t == k: the last stage sends nothing
+  int first = n;                    // t == k: only cell n is read
   if (t < k) {
     order[t] = id;
     out_row = in_rows[t] = TransferRow(order[t - 1], id);
+    first = t;
+    if (t == k - 1) {
+      // `id` runs the last stage, so row k reads only the cells of row k-1
+      // from the first split that fits it under the bound (the frontier
+      // DpRow computes for row k; the bound only tightens, so that frontier
+      // is at or past this one).
+      first = StageFit(*this, cluster_->gpu(id).type, t, k, options).First(n, t, n, prune_above);
+    }
   }
-  double* row = scratch.dp.data() + static_cast<size_t>(t) * stride;
-  return DpRow(t, k, cluster_->gpu(order[t - 1]).type, options, row - stride, in_rows[t - 1],
-               out_row != nullptr ? out_row + 1 : nullptr, prune_above, row,
-               scratch.choice.data() + static_cast<size_t>(t) * stride) < kInf;
+  // Row t depends on `id` only through out_row (and, on row k-1, `first`):
+  // a row computed since position t-1 was last placed, with the same
+  // out_row and first cell, is this placement's row computed at a bound no
+  // looser, which is a fresh row wherever that is finite and exceeds the
+  // bound elsewhere (see SolveExact). Its minimum then says whether a fresh
+  // row would be all cut.
+  DpScratch::RowMemo& memo = scratch.rows[static_cast<size_t>(t)];
+  const uint64_t above = scratch.rows[static_cast<size_t>(t) - 1].placed;
+  memo.placed = ++scratch.stamps;
+  if (memo.above != above || memo.out_row != out_row || memo.first != first) {
+    memo.above = above;
+    memo.out_row = out_row;
+    memo.first = first;
+    double* row = scratch.dp.data() + static_cast<size_t>(t) * stride;
+    if (t < k) {
+      std::fill(row + t, row + first, kInf);  // first > t on row k-1 only
+    }
+    memo.min = DpRow(t, k, cluster_->gpu(order[t - 1]).type, options, row - stride,
+                     in_rows[t - 1], out_row != nullptr ? out_row + 1 : nullptr, prune_above,
+                     first, row, scratch.choice.data() + static_cast<size_t>(t) * stride);
+  }
+  return memo.min < kInf && memo.min <= prune_above;
 }
 
 Partition Partitioner::FinishOrder(int k, const PartitionOptions& options,
@@ -342,7 +420,8 @@ Partition Partitioner::FinishOrder(int k, const PartitionOptions& options,
 
 double Partitioner::DpRow(int q, int k, hw::GpuType type, const PartitionOptions& options,
                           const double* prev, const double* fwd_x, const double* bwd_x,
-                          double prune_above, double* cur, int* cur_choice) const {
+                          double prune_above, int first_cell, double* cur,
+                          int* cur_choice) const {
   // Stage [j, i-1] costs tot_cum[i-1][j] (= fwd_cum + bwd_cum, precombined at
   // partitioner construction in the same operand order) plus the boundary
   // transfers, and needs StageMemoryBytesFromSums(...) bytes evaluated on
@@ -351,12 +430,10 @@ double Partitioner::DpRow(int q, int k, hw::GpuType type, const PartitionOptions
   // naive scalar DP (tests/oracles), so costs, memory sums, and therefore
   // every DP decision are bit-identical to it.
   const int n = profile_->num_layers();
-  const double* tot_cum = TotalCumByLast(type);
-  const uint64_t* param_prefix = profile_->graph().ParamPrefix();
-  const uint64_t* stash_prefix = profile_->graph().StashPrefix();
-  const StageMemoryParams& mem = options.mem_params;
-  const uint64_t batch = static_cast<uint64_t>(profile_->batch_size());
-  const uint64_t in_flight = static_cast<uint64_t>(InFlightAtStage(q - 1, k, options.nm));
+  const int i_end = n - (k - q);
+  if (first_cell > i_end) {
+    return kInf;
+  }
   // The cells of prev this row reads, [q-1, n-(k-q)-1], are finite on one
   // span [lo, hi] at most (first and last finite cell; lo > hi when none
   // is). A split j outside it reads prev[j] = +inf, whose candidate is +inf
@@ -372,7 +449,8 @@ double Partitioner::DpRow(int q, int k, hw::GpuType type, const PartitionOptions
     --hi;
   }
   // Within the span, cell i evaluates only the splits j >= from(i), the
-  // larger of two frontiers, each of which only moves right as i grows:
+  // first split StageFit accepts: past two frontiers, each of which only
+  // moves right as i grows:
   // - Memory: the stage [j, i-1] needs StageMemoryBytesFromSums of two
   //   prefix-sum differences, which does not increase in j (fewer layers)
   //   and does not decrease in i (more layers). So the feasible splits of a
@@ -387,30 +465,27 @@ double Partitioner::DpRow(int q, int k, hw::GpuType type, const PartitionOptions
   //   bound, which the scan would never take. Such splits are a prefix of
   //   the span and stay cut at every later i.
   // Skipping both changes no value and no argmin. Once from passes hi, no
-  // later cell has a candidate: they get +inf with choice -1, as the loop
-  // below would write.
-  const uint64_t mem_cap = hw::MemoryBytes(type);
-  const int i_end = n - (k - q);
+  // later cell has a candidate: they get +inf with choice -1, as the scan
+  // would write.
+  const StageFit fit(*this, type, q - 1, k, options);
+  // suffix_min[j] = min(prev[j..hi]): no candidate at or right of j is below it.
+  DpScratch& scratch = LocalScratch();
+  double* suffix_min = scratch.Ensure(scratch.suffix_min, static_cast<size_t>(n) + 1);
+  if (lo <= hi) {
+    suffix_min[hi] = prev[hi];
+    for (int j = hi - 1; j >= lo; --j) {
+      suffix_min[j] = std::min(prev[j], suffix_min[j + 1]);
+    }
+  }
+  // Candidates above the bound are never taken; neither is +inf.
+  const double cap = std::min(prune_above, std::numeric_limits<double>::max());
   int from = lo;
+  int guess = lo;  // the last argmin: where the next cell's scan starts
   double row_min = kInf;
-  // The last row only needs its final cell: nothing reads the others.
-  for (int i = q == k ? n : q; i <= i_end; ++i) {
+  for (int i = first_cell; i <= i_end; ++i) {
     // Splits j in [from, end) are candidates for cell i.
     const int end = std::min(i, hi + 1);
-    const size_t last = static_cast<size_t>(i - 1);
-    // Contiguous over j: entry j is the compute time of stage [j, i-1].
-    const double* tot_row = tot_cum + last * static_cast<size_t>(n);
-    for (; from < end; ++from) {
-      if (tot_row[from] > prune_above) {
-        continue;
-      }
-      const uint64_t need = StageMemoryBytesFromSums(
-          param_prefix[i] - param_prefix[from],  // layers [from, i-1]
-          stash_prefix[i] - stash_prefix[from], batch, in_flight, mem);
-      if (need <= mem_cap) {
-        break;
-      }
-    }
+    from = fit.First(i, from, end, prune_above);
     if (from > hi) {
       for (; i <= i_end; ++i) {
         cur[i] = kInf;
@@ -425,24 +500,47 @@ double Partitioner::DpRow(int q, int k, hw::GpuType type, const PartitionOptions
     // below reproduces the scalar DP's conditional adds. Every stage cost is
     // strictly positive (launch overheads), so the -0.0 + 0.0 == +0.0 edge
     // case cannot arise.
-    const double bwd_comm = bwd_x != nullptr ? bwd_x[last] : 0.0;
-    double best = kInf;
-    int best_j = -1;
-    // One pass per cell with a running argmin. The arithmetic is
-    // ((tot + fwd_x[j]) + bwd_comm), the exact association order of the
-    // scalar loop's conditional `+=` chain, and `prior < cost ? cost : prior`
-    // is std::max(prior, cost) verbatim, so every candidate is bit-identical
-    // to the scalar loop's. Its `prior == kInf` skip needs no branch: inf +
-    // anything = inf, max(inf, cost) = inf, and +inf never wins the strict
-    // `<`. Its `cand > prune_above` skip is the second test. Strict `<` over
-    // rising j keeps the smallest j among ties, as the scalar loop does.
-    for (int j = from; j < end; ++j) {
+    const double bwd_comm = bwd_x != nullptr ? bwd_x[i - 1] : 0.0;
+    const double* tot_row = fit.TotRow(i);
+    // The arithmetic is ((tot + fwd_x[j]) + bwd_comm), the exact association
+    // order of the scalar loop's conditional `+=` chain, and `prior < cost ?
+    // cost : prior` is std::max(prior, cost) verbatim, so every candidate is
+    // bit-identical to the scalar loop's. Its `prior == kInf` skip needs no
+    // branch: inf + anything = inf, max(inf, cost) = inf, and +inf is above
+    // `cap`.
+    const auto candidate = [&](int j) {
       const double cost = (tot_row[j] + fwd_x[j]) + bwd_comm;
       const double prior = prev[j];
-      const double cand = prior < cost ? cost : prior;
-      if (cand < best && cand <= prune_above) {
-        best = cand;
-        best_j = j;
+      return prior < cost ? cost : prior;
+    };
+    // The scan starts at the last argmin and walks both ways. Going right, a
+    // candidate is at least prev[j], so once suffix_min[j] reaches the best
+    // so far no split from j on can beat it (and a tie there loses to a
+    // smaller j). Going left, a candidate is at least tot_row[j], which only
+    // grows, so once tot_row[j] exceeds the best so far no split from j down
+    // can reach it. Right steps take a strictly smaller candidate and left
+    // steps a tie too, so the cell is the minimum over [from, end) with the
+    // smallest split among ties, the scalar loop's strict `<` over rising j.
+    double best = kInf;
+    int best_j = -1;
+    if (from < end) {
+      const int start = std::min(std::max(guess, from), end - 1);
+      for (int j = start; j < end && suffix_min[j] < best; ++j) {
+        const double cand = candidate(j);
+        if (cand < best && cand <= cap) {
+          best = cand;
+          best_j = j;
+        }
+      }
+      for (int j = start - 1; j >= from && tot_row[j] <= best; --j) {
+        const double cand = candidate(j);
+        if (cand <= best && cand <= cap) {
+          best = cand;
+          best_j = j;
+        }
+      }
+      if (best_j >= 0) {
+        guess = best_j;
       }
     }
     cur[i] = best;

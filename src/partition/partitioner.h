@@ -114,21 +114,29 @@ struct PartitionOptions {
 // by dynamic programming over (layer, stage) plus a branch-and-bound search
 // over GPU orders.
 //
-// The hot path is O(k n^2) per order with O(1) inner-loop work: stage times
-// come from the partitioner's per-class cumulative tables, stage memory from
-// the graph's prefix sums, and transfer times from one row per distinct link
-// of the cluster, built with the tables at construction; the DP runs on flat
-// thread-local scratch reused across solves (no per-solve allocation after
-// warmup). The exact search walks the trie of orders of interchangeable-GPU
-// classes (same type, same link objects to the rest of the virtual worker)
-// depth first, so orders sharing a prefix share its DP rows. Its leaves come
-// in the order a factorial next_permutation scan with (type, node) dedup
-// first reaches them, and every order it skips ties a kept, earlier one bit
-// for bit, so exact ties break the same way that scan's "first wins"
-// reduction does. Each DP cell evaluates only the splits that can win: past
-// the memory and incumbent frontiers (see DpRow) and inside the span between
-// the first and last finite cell of the row before it, in one scalar pass
-// that keeps a running argmin.
+// A fixed order costs at most k rows of n cells of n splits, O(k n^2), with
+// O(1) work per split: stage times come from the partitioner's per-class
+// cumulative tables, stage memory from the graph's prefix sums, and transfer
+// times from one row per distinct link of the cluster, built with the tables
+// at construction; the DP runs on flat thread-local scratch reused across
+// solves (no per-solve allocation after warmup). The search does far less
+// than that bound, because it computes only what a leaf can read:
+// - The exact search walks the trie of orders of interchangeable-GPU classes
+//   (same type, same link objects to the rest of the virtual worker) depth
+//   first, so orders sharing a prefix share its DP rows. Its leaves come in
+//   the order a factorial next_permutation scan with (type, node) dedup
+//   first reaches them, and every order it skips ties a kept, earlier one
+//   bit for bit, so exact ties break the same way that scan's "first wins"
+//   reduction does.
+// - Row t depends on the GPU placed at t only through the link from the GPU
+//   before it, so siblings on one link share one row (see PlaceGpu).
+// - Row k-1 starts at the first split that fits the last GPU: row k reads
+//   nothing below it.
+// - Each cell evaluates only splits that can win: inside the span between
+//   the first and last finite cell of the row before it and past the memory
+//   and incumbent frontiers, scanning out from the previous cell's argmin
+//   only as far as a candidate could still beat the best so far (see
+//   DpRow).
 //
 // The partitioner holds its profile and cluster by pointer and fingerprints
 // them once, at construction (inputs_fingerprint()), so neither may change
@@ -212,6 +220,8 @@ class Partitioner {
   // SolveExact); a fresh HeldPrefix starts at row 0.
   Partition SolveOrder(const int* order, int k, const PartitionOptions& options,
                        double prune_above, HeldPrefix* held) const;
+  // tests/partition_test.cc: runs SolveOrder calls on one HeldPrefix.
+  friend struct PartitionerTestAccess;
 
   // First-wins fold of `orders` into *best under one branch-and-bound
   // incumbent, seeded from *best when it is feasible. Each run of orders
@@ -230,9 +240,16 @@ class Partitioner {
   // an order); for 0 < t < k it pushes the transfer row of the edge
   // order[t-1] -> id (the fwd input of stage t, the bwd input of stage t-1),
   // then runs DP row t, and returns false when every cell of that row is
-  // cut; t == k runs the last row. FinishOrder runs it and builds the
-  // partition (infeasible when cut or out of memory). The exact walk calls
-  // them directly; every other search goes through SolveOrder.
+  // cut; t == k runs the last row. Row t depends on `id` only through that
+  // transfer row, so a placement that follows a sibling's at the same
+  // position (nothing above it placed since) on the same link reuses the
+  // sibling's row and answers from its minimum. At t == k-1, `id` runs the
+  // last stage: the row starts at the first split whose stage [j, n) fits
+  // it under the bound, the cells below are +inf and never scanned, and a
+  // reused row must have started at the same cell. FinishOrder runs the last
+  // row and builds the partition (infeasible when cut or out of memory). The
+  // exact walk calls them directly; every other search goes through
+  // SolveOrder.
   bool PlaceGpu(int t, int k, int id, const PartitionOptions& options, double prune_above) const;
   Partition FinishOrder(int k, const PartitionOptions& options, double prune_above) const;
   // The transfer row of the link from_id -> to_id: entry j (0 < j < n) is
@@ -246,7 +263,8 @@ class Partitioner {
   // One row of the k-stage DP: places stage q-1 on a GPU of `type` after
   // the q-1 stages whose minimal bottlenecks over the first j layers are
   // prev[j], writing cur[i] (and cur_choice[i], the split achieving it, when
-  // cur_choice is not null) for every i the row can reach (only i = n for
+  // cur_choice is not null) for every i in [first_cell, n-(k-q)]: the row's
+  // cells from the first one its reader needs (q for an interior row, n for
   // the last row, q == k). fwd_x[j] is the transfer into the stage when it
   // starts at layer j (all zeros for the first stage); bwd_x[last] is the
   // transfer out of it when it ends at layer `last` (null for the last
@@ -256,15 +274,17 @@ class Partitioner {
   // that can win are evaluated: those inside the span between the first and
   // last finite cell of prev and past the row's frontier, the larger of the
   // first memory-feasible split and the first split whose compute time
-  // alone is within `prune_above`; both only move right as i grows. Each
-  // cell scans its splits once, keeping a running (best, split) pair.
-  // PlaceGpu runs it once per placed position (once per trie edge in the
-  // exact walk, once per position past the resume point in SolveOrder); the
-  // beam closes one stage at a time with it, once per (state, distinct
-  // outgoing link).
+  // alone is within `prune_above`; both only move right as i grows. A cell
+  // starts at the previous cell's argmin and walks right while the suffix
+  // minimum of prev is below the best so far and left while the stage's
+  // compute time is within it, so it costs O(n) only at worst. PlaceGpu
+  // runs it once per placed position whose row it cannot reuse (once per
+  // distinct link below a prefix in the exact walk, at most once per
+  // position past the resume point in SolveOrder); the beam closes one
+  // stage at a time with it, once per (state, distinct outgoing link).
   double DpRow(int q, int k, hw::GpuType type, const PartitionOptions& options,
                const double* prev, const double* fwd_x, const double* bwd_x, double prune_above,
-               double* cur, int* cur_choice) const;
+               int first_cell, double* cur, int* cur_choice) const;
 
   const model::ModelProfile* profile_;
   const hw::Cluster* cluster_;

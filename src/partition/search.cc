@@ -432,9 +432,10 @@ Partition Partitioner::SolveExact(const std::vector<int>& gpu_ids,
   // leaf bit for bit and never wins "first wins": the result is that of
   // walking every distinct (type, node) order. Rows
   // are cut at the incumbent read when they are computed, which only
-  // tightens, so a row reused below a prefix equals a fresh solve's row
-  // wherever that is finite and elsewhere exceeds the bound the fresh solve
-  // would cut at: every leaf's result is the fresh solve's.
+  // tightens, so a row reused below a prefix, or by a sibling on the same
+  // link (PlaceGpu), equals a fresh solve's row wherever that is finite and
+  // elsewhere exceeds the bound the fresh solve would cut at: every leaf's
+  // result is the fresh solve's.
   const std::vector<Group> groups = InterchangeableGroups(*cluster_, gpu_ids);
   Incumbent incumbent(kInf);
   // First-level subtrees: each class's smallest id at depth 0.
@@ -529,7 +530,7 @@ Partition Partitioner::SolveBeam(const std::vector<int>& gpu_ids,
           closing.links.push_back(link);
           closing.rows.resize(closing.links.size() * stride, kInf);
           closing.scores.push_back(DpRow(t, k, groups[static_cast<size_t>(cur)].type, options,
-                                         state.dp.data(), fwd_x, link + 1, kInf,
+                                         state.dp.data(), fwd_x, link + 1, kInf, t,
                                          closing.rows.data() + r * stride, nullptr));
         }
         const double score = closing.scores[r];

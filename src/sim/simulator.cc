@@ -1,5 +1,6 @@
 #include "sim/simulator.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -12,13 +13,21 @@ void Simulator::RejectSchedule(SimTime time) {
 
 void Simulator::Run() { Dispatch(std::numeric_limits<SimTime>::infinity()); }
 
-void Simulator::RunUntil(SimTime deadline) { Dispatch(deadline); }
+void Simulator::RunUntil(SimTime deadline) {
+  // A NaN deadline compares false against every event time, so it would
+  // run the queue dry as if it were infinite.
+  if (std::isnan(deadline)) {
+    throw std::invalid_argument("Simulator::RunUntil: deadline is NaN");
+  }
+  Dispatch(deadline);
+}
 
 void Simulator::Dispatch(const SimTime deadline) {
   stopped_ = false;
   while (!queue_.empty() && !stopped_) {
     if (queue_.TopTime() > deadline) {
-      now_ = deadline;
+      // A deadline before now() fires nothing and leaves the clock.
+      now_ = std::max(now_, deadline);
       return;
     }
     const Event event = queue_.Pop();

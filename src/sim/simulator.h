@@ -35,8 +35,10 @@ class Simulator {
 
   // Runs until simulated time exceeds `deadline` (events at exactly
   // `deadline` still fire), the queue drains, or Stop() is called. Unless
-  // stopped, now() is `deadline` afterwards — even when the queue drained
-  // early — so back-to-back RunUntil calls always observe a monotone clock.
+  // stopped, now() is max(now(), deadline) afterwards — even when the queue
+  // drained early — so the clock never moves backwards: a deadline before
+  // now() fires nothing and leaves the clock where it is. A NaN deadline
+  // throws std::invalid_argument, as ScheduleAt does.
   void RunUntil(SimTime deadline);
 
   // Requests that the currently running Run()/RunUntil() return once the

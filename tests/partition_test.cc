@@ -17,6 +17,7 @@
 #include "model/resnet.h"
 #include "model/transformer.h"
 #include "model/vgg.h"
+#include "partition/dp_scratch.h"
 #include "partition/memory_model.h"
 #include "partition/partitioner.h"
 #include "oracles/golden.h"
@@ -24,6 +25,18 @@
 #include "runner/thread_pool.h"
 
 namespace hetpipe::partition {
+
+// Runs Partitioner::SolveOrder calls on one HeldPrefix, as the beam and
+// hierarchical tiers do, so a test can resume one order from another's rows.
+struct PartitionerTestAccess {
+  static Partition SolveOrder(const Partitioner& partitioner, const std::vector<int>& order,
+                              const PartitionOptions& options, double prune_above,
+                              HeldPrefix* held) {
+    return partitioner.SolveOrder(order.data(), static_cast<int>(order.size()), options,
+                                  prune_above, held);
+  }
+};
+
 namespace {
 
 using hw::Cluster;
@@ -638,6 +651,228 @@ TEST(DpFrontierTest, OrdersThatTieTheIncumbentStillCompeteOnSumTime) {
     }
   }
   EXPECT_GE(decided_by_sum_time, 4);
+}
+
+// ---- Siblings in the exact walk that reach the previous GPU over the same
+// ---- link share one DP row, and the GPU placed last cuts row k-1 below
+// ---- its first fitting split. On clusters where some siblings share a link
+// ---- and others do not (two GPUs on one node reach each other over PCIe,
+// ---- racks and pair overrides split the inter-node links), the exact tier
+// ---- must still equal the reference scan bit for bit at nm 1-4, serially
+// ---- and on pools. ----
+
+TEST(ExactWalkTest, MatchesReferenceWhereSiblingLinksDiffer) {
+  runner::ThreadPool pool2(2), pool4(4);
+  runner::ThreadPool* pools[] = {&pool2, &pool4};
+  const model::ModelGraph resnet = BuildResNet152();
+  const model::ModelGraph vgg = BuildVgg19();
+  std::mt19937 rng(20261020);
+  // A 1.5 GiB card runs out of memory at the front of deep pipelines, so
+  // memory cuts rows and some instances are infeasible.
+  const char* kTypes[5] = {"V", "R", "G", "Q", "Small"};
+  int feasible = 0;
+  int infeasible = 0;
+  for (int round = 0; round < 12; ++round) {
+    const std::string name = "sibling-links-" + std::to_string(round);
+    hw::ClusterSpec spec;
+    spec.Named(name).AddGpuClass("Small", 3.0, 1.5, 's');
+    // Node 0 holds two GPUs of one class (a PCIe pair); nodes 1-3 hold one
+    // or two of any class.
+    spec.AddNode(kTypes[rng() % 5u], 2);
+    for (int node = 1; node < 4; ++node) {
+      spec.AddNode(kTypes[rng() % 5u], 1 + static_cast<int>(rng() % 2u));
+    }
+    if (round % 2 == 0) {
+      spec.AddRack("left", {0, 1}).AddRack("right", {2, 3}).CrossRackGbits(4.0 + round);
+    }
+    if (round % 3 != 2) {
+      spec.OverrideLink(static_cast<int>(rng() % 2u), 2 + static_cast<int>(rng() % 2u),
+                        2.0 + static_cast<double>(rng() % 8u));
+    }
+    const Cluster cluster = spec.Build();
+    std::vector<int> ids(static_cast<size_t>(cluster.num_gpus()));
+    std::iota(ids.begin(), ids.end(), 0);
+    std::shuffle(ids.begin(), ids.end(), rng);
+    ids.resize(std::min(ids.size(), static_cast<size_t>(4 + round % 3)));
+    const ModelProfile profile(round % 2 == 0 ? resnet : vgg, 32 << (round % 3));
+    const Partitioner partitioner(profile, cluster);
+    for (int nm = 1; nm <= 4; ++nm) {
+      const std::string label = name + " nm" + std::to_string(nm);
+      PartitionOptions options;
+      options.nm = nm;
+      options.strategy = SearchStrategy::kExact;
+      const Partition reference = oracles::SolveReference(partitioner, ids, options);
+      EXPECT_EQ(oracles::PartitionDiff(partitioner.SolveScalable(ids, options), reference), "")
+          << label;
+      for (runner::ThreadPool* pool : pools) {
+        options.pool = pool;
+        EXPECT_EQ(oracles::PartitionDiff(partitioner.SolveScalable(ids, options), reference), "")
+            << label << " on " << pool->num_threads() << " threads";
+      }
+      (reference.feasible ? feasible : infeasible) += 1;
+    }
+  }
+  EXPECT_GE(feasible, 30);
+  EXPECT_GE(infeasible, 4);
+}
+
+// ---- Identical layers on GPUs of one class: nearly every split ties, so
+// ---- the DP's bounded argmin scan must land on the smallest split among
+// ---- tied candidates exactly as the reference's left-to-right scan does.
+// ---- With zero-byte activations every transfer is 0, so a candidate can
+// ---- equal its stage's compute time exactly, and alternating activation
+// ---- sizes move a cell's best split left of the previous cell's: there the
+// ---- scan's left steps and left stop must still take a tie. The exact and
+// ---- fixed-order solves must equal the reference, stage boundaries
+// ---- included. Then orders that differ from the one solved before them
+// ---- only at one position, by a GPU reached over the same link, resume on
+// ---- one HeldPrefix and must equal fresh solves. ----
+
+// Layers of identical compute and parameters whose activations are
+// `out_bytes`, or on odd layers `odd_out_bytes`: alternating sizes make the
+// cost of a stage's transfers jump from one cell to the next, which moves a
+// cell's best split left of the previous cell's.
+model::ModelGraph IdenticalLayers(int n, uint64_t out_bytes, uint64_t odd_out_bytes) {
+  std::vector<model::Layer> layers;
+  for (int i = 0; i < n; ++i) {
+    model::Layer layer;
+    layer.name = "same" + std::to_string(i);
+    layer.fwd_flops = 3e9;
+    layer.param_bytes = uint64_t{8} << 20;
+    layer.out_bytes = i % 2 == 0 ? out_bytes : odd_out_bytes;
+    layer.stash_bytes = (uint64_t{1} << 18) + layer.out_bytes;
+    layers.push_back(std::move(layer));
+  }
+  return model::ModelGraph(
+      "identical-" + std::to_string(out_bytes) + "-" + std::to_string(odd_out_bytes),
+      model::ModelFamily::kGeneric, std::move(layers));
+}
+
+Cluster TieCluster() {
+  // Four V nodes (one a PCIe pair), two Q and an R; racks and an override
+  // make some same-class GPUs reach a neighbour over different links.
+  hw::ClusterSpec spec;
+  spec.Named("ties").AddNode("V", 2).AddNode("V").AddNode("V").AddNode("Q").AddNode("R");
+  spec.AddNode("V").AddNode("Q");
+  spec.AddRack("left", {0, 1, 3, 6}).AddRack("right", {2, 4, 5}).CrossRackGbits(6.0);
+  spec.OverrideLink(1, 2, 3.0);
+  return spec.Build();
+}
+
+TEST(DpTieTest, IdenticalLayersMatchTheReferenceBoundariesIncluded) {
+  const Cluster cluster = TieCluster();
+  runner::ThreadPool pool(3);
+  for (const model::ModelGraph& graph :
+       {IdenticalLayers(24, uint64_t{1} << 18, uint64_t{1} << 18), IdenticalLayers(24, 0, 0),
+        IdenticalLayers(24, 0, uint64_t{6} << 20)}) {
+    const ModelProfile profile(graph, 32);
+    const Partitioner partitioner(profile, cluster);
+    int tied_cells = 0;
+    for (const std::vector<int>& ids :
+         {std::vector<int>{0, 1, 2}, std::vector<int>{0, 1, 2, 3}, std::vector<int>{0, 2, 3, 4},
+          std::vector<int>{0, 1, 2, 3, 4, 5}}) {
+      for (int nm = 1; nm <= 3; ++nm) {
+        const std::string label =
+            graph.name() + " k" + std::to_string(ids.size()) + " nm" + std::to_string(nm);
+        PartitionOptions options;
+        options.nm = nm;
+        options.strategy = SearchStrategy::kExact;
+        const Partition reference = oracles::SolveReference(partitioner, ids, options);
+        ASSERT_TRUE(reference.feasible) << label;
+        EXPECT_EQ(oracles::PartitionDiff(partitioner.SolveScalable(ids, options), reference), "")
+            << label;
+        options.pool = &pool;
+        EXPECT_EQ(oracles::PartitionDiff(partitioner.SolveScalable(ids, options), reference), "")
+            << label << " pooled";
+        options.pool = nullptr;
+        options.search_gpu_orders = false;
+        for (const std::vector<int>& order : oracles::DistinctClassOrders(cluster, ids)) {
+          const Partition fixed = oracles::SolveFixedOrderReference(
+              partitioner, order, options, std::numeric_limits<double>::infinity());
+          EXPECT_EQ(oracles::PartitionDiff(partitioner.SolveScalable(order, options), fixed), "")
+              << label << " fixed order";
+          // A tie the scan must break: the first stage could end one layer
+          // later at the same bottleneck.
+          if (fixed.feasible && fixed.stages.size() > 1) {
+            std::vector<int> lasts;
+            for (const StageAssignment& stage : fixed.stages) {
+              lasts.push_back(stage.last_layer);
+            }
+            ++lasts[0];
+            if (lasts[0] < lasts[1]) {
+              const Partition shifted =
+                  BuildFixedPartition(profile, cluster, order, lasts, nm, options.mem_params);
+              tied_cells += shifted.feasible && shifted.bottleneck_time == fixed.bottleneck_time;
+            }
+          }
+        }
+      }
+    }
+    EXPECT_GE(tied_cells, 5) << graph.name() << ": the instance must really tie";
+  }
+}
+
+TEST(DpTieTest, ResumedOrdersOnTheSameLinkEqualFreshSolves) {
+  const Cluster cluster = TieCluster();
+  for (const model::ModelGraph& graph :
+       {IdenticalLayers(24, uint64_t{1} << 18, uint64_t{1} << 18), IdenticalLayers(24, 0, 0),
+        IdenticalLayers(24, 0, uint64_t{6} << 20), BuildResNet152()}) {
+    const ModelProfile profile(graph, 32);
+    const Partitioner partitioner(profile, cluster);
+    const std::vector<int> base = {1, 3, 0, 4, 2};  // GPUs 5-7 start out
+    const int k = static_cast<int>(base.size());
+    int resumed = 0;
+    for (int nm = 1; nm <= 3; ++nm) {
+      PartitionOptions options;
+      options.nm = nm;
+      options.search_gpu_orders = false;
+      // Unbounded, and under a bound that tightens to each feasible answer
+      // as an incumbent does.
+      for (bool tighten : {false, true}) {
+        HeldPrefix held;
+        double bound = std::numeric_limits<double>::infinity();
+        std::vector<int> order = base;
+        const auto solve = [&](const std::string& label) {
+          const Partition chained =
+              PartitionerTestAccess::SolveOrder(partitioner, order, options, bound, &held);
+          HeldPrefix fresh_held;
+          const Partition fresh =
+              PartitionerTestAccess::SolveOrder(partitioner, order, options, bound, &fresh_held);
+          EXPECT_EQ(oracles::PartitionDiff(chained, fresh), "") << label;
+          EXPECT_EQ(oracles::PartitionDiff(chained, oracles::SolveFixedOrderReference(
+                                                        partitioner, order, options, bound)),
+                    "")
+              << label;
+          if (tighten && chained.feasible) {
+            bound = chained.bottleneck_time;
+          }
+        };
+        solve("base");
+        // Swap in each GPU not in the order at each position whenever it
+        // reaches the GPU before it over the link the replaced one used, and
+        // back: each solve differs from the one before only at p.
+        for (int p = 1; p < k; ++p) {
+          const int placed = order[static_cast<size_t>(p)];
+          for (int other = 0; other < cluster.num_gpus(); ++other) {
+            if (std::find(order.begin(), order.end(), other) != order.end() ||
+                &cluster.LinkBetween(order[static_cast<size_t>(p) - 1], other) !=
+                    &cluster.LinkBetween(order[static_cast<size_t>(p) - 1], placed)) {
+              continue;
+            }
+            const std::string label = graph.name() + " nm" + std::to_string(nm) + " p" +
+                                      std::to_string(p) + " gpu " + std::to_string(other) +
+                                      (tighten ? " tightening" : "");
+            order[static_cast<size_t>(p)] = other;
+            solve(label);
+            order[static_cast<size_t>(p)] = placed;
+            solve(label + " and back");
+            ++resumed;
+          }
+        }
+      }
+    }
+    EXPECT_GE(resumed, 12) << graph.name();
+  }
 }
 
 // ---- FindMaxNm: the cap-first probe and the bisection below it must agree

@@ -512,6 +512,53 @@ TEST(SimulatorTest, StopThenRunUntilKeepsTheClockMonotone) {
   EXPECT_EQ(sim.events_processed(), 4u);
 }
 
+// A deadline before now() fires nothing and leaves the clock, both with an
+// event still queued past it and with the queue drained: a later
+// ScheduleAt(0.0) clamps to the time the simulator has reached, not to the
+// earlier deadline.
+TEST(SimulatorTest, EarlierDeadlineNeverMovesTheClockBack) {
+  Simulator sim;
+  CallbackTarget events(sim);
+  std::vector<SimTime> fired;
+  events.ScheduleAt(6.0, [&] { fired.push_back(sim.now()); });
+  sim.RunUntil(5.0);
+  EXPECT_EQ(sim.now(), 5.0);
+  sim.RunUntil(3.0);
+  EXPECT_EQ(sim.now(), 5.0);
+  EXPECT_TRUE(fired.empty());
+  events.ScheduleAt(0.0, [&] { fired.push_back(sim.now()); });
+  sim.RunUntil(4.0);
+  EXPECT_EQ(sim.now(), 5.0);
+  EXPECT_TRUE(fired.empty()) << "an event at now() is not before an earlier deadline";
+  sim.RunUntil(5.0);
+  EXPECT_EQ(fired, (std::vector<SimTime>{5.0}));
+  sim.RunUntil(6.0);
+  EXPECT_EQ(fired, (std::vector<SimTime>{5.0, 6.0}));
+
+  // Drained queue: the clock stays at the later of the two deadlines.
+  sim.RunUntil(8.0);
+  sim.RunUntil(2.0);
+  EXPECT_EQ(sim.now(), 8.0);
+  EXPECT_EQ(sim.events_processed(), 2u);
+}
+
+// A NaN deadline compares false against every event time; RunUntil rejects
+// it instead of running the queue dry, and leaves queue and clock as they were.
+TEST(SimulatorTest, NanDeadlineIsRejected) {
+  Simulator sim;
+  CallbackTarget events(sim);
+  int fired = 0;
+  events.ScheduleAt(1.0, [&] { ++fired; });
+  events.ScheduleAt(9.0, [&] { ++fired; });
+  sim.RunUntil(2.0);
+  EXPECT_THROW(sim.RunUntil(std::numeric_limits<double>::quiet_NaN()), std::invalid_argument);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.now(), 2.0);
+  sim.Run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(sim.now(), 9.0);
+}
+
 TEST(SimulatorTest, StopHaltsDispatch) {
   Simulator sim;
   CallbackTarget events(sim);
