@@ -22,6 +22,7 @@
 #include "runner/result_sink.h"
 #include "runner/spec_sweep.h"
 #include "runner/sweep_runner.h"
+#include "selector_errors.h"
 
 namespace hetpipe::hw {
 namespace {
@@ -500,6 +501,19 @@ TEST(ClusterSpecTest, PickGpusSelectorsOnGenericCluster) {
   EXPECT_THROW(core::PickGpus(cluster, "BigCard*"), std::invalid_argument);
   EXPECT_THROW(core::PickGpus(cluster, "BigCard*99999999999999999999"),
                std::invalid_argument);
+}
+
+TEST(ClusterSpecTest, PickGpusErrorMessagesArePinned) {
+  const Cluster paper = Cluster::Paper();
+  const Cluster spec = ClusterSpec::Parse(kSelectorErrorSpec).Build();
+  for (const SelectorErrorCase& c : SelectorErrorCases()) {
+    try {
+      core::PickGpus(c.spec ? spec : paper, c.selector);
+      ADD_FAILURE() << c.selector << " picked GPUs";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), c.message) << c.selector;
+    }
+  }
 }
 
 // The ISSUE's acceptance scenario: a non-paper cluster spec runs kFullCluster

@@ -30,6 +30,7 @@
 #include "partition/partitioner.h"
 #include "runner/partition_cache.h"
 #include "runner/result_sink.h"
+#include "selector_errors.h"
 #include "serve/client.h"
 #include "serve/plan_service.h"
 #include "serve/protocol.h"
@@ -426,6 +427,62 @@ std::string MaskLatency(std::string json) {
   return json;
 }
 
+// Warm-path cases: @node and *count selectors on an 8-node spec cluster of
+// declared classes (whose name order is not their declaration order), flat
+// and in racks of two nodes, resolving to every search tier, and a max_nm on
+// a doubled node. Each is asked cold, then warm.
+std::vector<std::pair<std::string, PlanRequest>> WarmWireRequests() {
+  std::string flat = "gpu WarmV tflops=14 mem=12\ngpu WarmR tflops=16.3 mem=24\n"
+                     "gpu WarmG tflops=11.3 mem=8\ngpu WarmQ tflops=5.3 mem=32\n";
+  const char* kNodeClasses[] = {"WarmV", "WarmR", "WarmG", "WarmQ"};
+  for (int node = 0; node < 8; ++node) {
+    flat += std::string("node 4x") + kNodeClasses[node % 4] + "\n";
+  }
+  const std::string racked = flat +
+                             "rack r0 { node0 node1 }\nrack r1 { node2 node3 }\n"
+                             "rack r2 { node4 node5 }\nrack r3 { node6 node7 }\n"
+                             "cross_rack_gbits 5";
+  // 8 GPUs over 6 nodes: 8!/(2!2!) = 10080 orders, past the exact limit.
+  const std::string eight = "WarmV*2@0,WarmR*2@1,WarmG@2,WarmQ@3,WarmV@4,WarmR@5";
+  std::vector<std::pair<std::string, PlanRequest>> requests;
+  PlanRequest r;
+  r.cluster_spec = flat;
+  r.selector = "WarmQ@3,WarmV@0,WarmG*2@6,WarmR@1";
+  r.nm = 2;
+  requests.emplace_back("warm_flat_exact", r);
+  r.selector = eight;
+  r.nm = 1;
+  requests.emplace_back("warm_flat_beam", r);
+  r.model = "vgg19";
+  r.strategy = "beam";
+  r.beam_width = 3;
+  r.selector = "WarmR@5,WarmV@0,WarmQ@7";
+  requests.emplace_back("warm_flat_explicit_beam", r);
+  r = PlanRequest();
+  r.cluster_spec = racked;
+  r.selector = "WarmV@0,WarmR@1,WarmG@2,WarmQ*2@7";
+  requests.emplace_back("warm_racked_exact", r);
+  r.selector = eight;
+  requests.emplace_back("warm_racked_hierarchical", r);
+  r.selector = "WarmG*2@2,WarmV@4,WarmQ@3";
+  r.search_orders = false;
+  requests.emplace_back("warm_racked_fixed_order", r);
+  r = PlanRequest();
+  r.op = "max_nm";
+  r.cluster_spec = flat;
+  r.selector = "WarmV@4,WarmR*2@1,WarmQ@3";
+  r.nm_cap = 4;
+  r.id = "doubled";
+  requests.emplace_back("warm_max_nm_doubled", r);
+  // Infeasible at the cap, so the answer comes from a bisection below it.
+  r.cluster_spec = racked;
+  r.model = "vgg19";
+  r.batch_size = 512;
+  r.nm_cap = 8;
+  requests.emplace_back("warm_max_nm_doubled_racked", r);
+  return requests;
+}
+
 oracles::GoldenLines WireGoldenLines() {
   oracles::GoldenLines lines;
   const std::string racked =
@@ -573,6 +630,16 @@ oracles::GoldenLines WireGoldenLines() {
       .Set("s", kIds[1])
       .Set("k\"ey", kIds[2]);
   lines.push_back("row.values\t" + runner::RowToJson(values));
+
+  runner::PartitionCache warm_cache;
+  PlanService warm_service(&warm_cache);
+  for (const auto& [label, request] : WarmWireRequests()) {
+    lines.push_back("request." + label + '\t' + request.ToJson());
+    for (const char* pass : {".cold", ".warm"}) {
+      lines.push_back("response." + label + pass + '\t' +
+                      MaskLatency(runner::RowToJson(warm_service.HandleJson(request.ToJson()))));
+    }
+  }
   return lines;
 }
 
@@ -598,6 +665,19 @@ std::string AnswerBytes(const runner::ResultRow& row) {
     }
   }
   return runner::RowToJson(kept);
+}
+
+TEST(WireGoldenTest, WarmAnswersEqualColdOnes) {
+  runner::PartitionCache cache;
+  PlanService service(&cache);
+  for (const auto& [label, request] : WarmWireRequests()) {
+    const runner::ResultRow cold = service.HandleJson(request.ToJson());
+    const runner::ResultRow warm = service.HandleJson(request.ToJson());
+    EXPECT_EQ(cold.Get("ok"), "true") << label;
+    EXPECT_EQ(cold.Get("cache_hit"), "false") << label;
+    EXPECT_EQ(warm.Get("cache_hit"), "true") << label;
+    EXPECT_EQ(AnswerBytes(warm), AnswerBytes(cold)) << label;
+  }
 }
 
 TEST(PlanServiceTest, PlanHitsCacheOnRepeat) {
@@ -780,6 +860,19 @@ TEST(PlanServiceTest, ClassifiesErrors) {
 
   EXPECT_EQ(service.errors(), 3);
   EXPECT_EQ(service.requests(), 3);
+}
+
+TEST(PlanServiceTest, BadSelectorMessagesArePinned) {
+  runner::PartitionCache cache;
+  PlanService service(&cache);
+  for (const SelectorErrorCase& c : SelectorErrorCases()) {
+    PlanRequest request;
+    request.selector = c.selector;
+    if (c.spec) request.cluster_spec = kSelectorErrorSpec;
+    const runner::ResultRow row = service.HandleJson(request.ToJson());
+    EXPECT_EQ(row.Get("error_code"), "bad_selector") << c.selector;
+    EXPECT_EQ(row.Get("error"), c.message) << c.selector;
+  }
 }
 
 TEST(PlanServiceTest, SpecClassErrorsAreBadSpec) {
