@@ -6,6 +6,7 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "runner/partition_cache.h"
 #include "runner/sweep_runner.h"
@@ -14,48 +15,52 @@
 namespace hetpipe::core {
 namespace {
 
-// Strict non-negative integer parse: the whole token must be digits, so
-// malformed selector suffixes ("2junk", "0*2") fail loudly instead of
-// silently truncating at the first non-digit, and overflow reports a clear
-// error instead of escaping as a raw std::out_of_range.
-int ParseSelectorInt(const std::string& token, const std::string& what) {
+// Strict non-negative integer parse of the `what` ("count" or "node") of
+// selector term `term`: the whole token must be digits, so malformed
+// selector suffixes ("2junk", "0*2") fail loudly instead of silently
+// truncating at the first non-digit, and overflow reports a clear error
+// instead of escaping as a raw std::out_of_range.
+int ParseSelectorInt(std::string_view token, const char* what, std::string_view term) {
   int value = 0;
-  const char* begin = token.c_str();
-  const auto [ptr, ec] = std::from_chars(begin, begin + token.size(), value);
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
   if (ec == std::errc::result_out_of_range) {
-    throw std::invalid_argument("selector: number out of range for " + what + ": \"" + token +
+    throw std::invalid_argument("selector: number out of range for " + std::string(what) +
+                                " in \"" + std::string(term) + "\": \"" + std::string(token) +
                                 "\"");
   }
-  if (ec != std::errc() || ptr != begin + token.size() || token.empty() || value < 0) {
-    throw std::invalid_argument("selector: expected a number for " + what + ", got \"" +
-                                token + "\"");
+  if (ec != std::errc() || ptr != end || token.empty() || value < 0) {
+    throw std::invalid_argument("selector: expected a number for " + std::string(what) +
+                                " in \"" + std::string(term) + "\", got \"" +
+                                std::string(token) + "\"");
   }
   return value;
 }
 
-// Picks `count` unused GPUs of `type` (on `node` unless -1), in id order.
-void PickByType(const hw::Cluster& cluster, hw::GpuType type, int count, int node,
-                const std::string& what, std::vector<bool>& used, std::vector<int>& picked) {
+// Picks `count` unused GPUs of `type` (on `node` unless -1), in id order;
+// false when the cluster runs out of them.
+bool PickByType(const hw::Cluster& cluster, hw::GpuType type, int count, int node,
+                std::vector<bool>& used, std::vector<int>& picked) {
+  const std::vector<hw::Gpu>& gpus = cluster.gpus();
+  // Every GPU before the last one picked is used or does not match.
+  size_t next = 0;
   for (int c = 0; c < count; ++c) {
-    bool found = false;
-    for (const hw::Gpu& gpu : cluster.gpus()) {
-      if (gpu.type == type && (node < 0 || gpu.node == node) &&
-          !used[static_cast<size_t>(gpu.id)]) {
-        used[static_cast<size_t>(gpu.id)] = true;
-        picked.push_back(gpu.id);
-        found = true;
-        break;
-      }
+    while (next < gpus.size() && (gpus[next].type != type ||
+                                  (node >= 0 && gpus[next].node != node) || used[next])) {
+      ++next;
     }
-    if (!found) {
-      throw std::invalid_argument("cluster has no free GPU matching " + what);
+    if (next == gpus.size()) {
+      return false;
     }
+    used[next] = true;
+    picked.push_back(gpus[next].id);
   }
+  return true;
 }
 
 // Selectors resolve class names and code letters among the classes the
 // cluster has GPUs of, in its class order.
-const hw::GpuType* ClassNamed(const hw::Cluster& cluster, const std::string& name) {
+const hw::GpuType* ClassNamed(const hw::Cluster& cluster, std::string_view name) {
   for (const hw::GpuType& type : cluster.classes()) {
     if (name == hw::SpecOf(type).name) {
       return &type;
@@ -87,44 +92,51 @@ std::vector<int> PickGpus(const hw::Cluster& cluster, const std::string& selecto
       std::all_of(selector.begin(), selector.end(),
                   [&](char c) { return ClassWithCode(cluster, c) != nullptr; });
   if (code_string) {
+    picked.reserve(selector.size());
     for (char code : selector) {
-      PickByType(cluster, *ClassWithCode(cluster, code), 1, /*node=*/-1,
-                 "type " + std::string(1, code), used, picked);
+      if (!PickByType(cluster, *ClassWithCode(cluster, code), 1, /*node=*/-1, used, picked)) {
+        throw std::invalid_argument(std::string("cluster has no free GPU matching type ") + code);
+      }
     }
     return picked;
   }
 
+  const std::string_view terms = selector;
   size_t start = 0;
-  while (start <= selector.size()) {
-    const size_t comma = std::min(selector.find(',', start), selector.size());
-    std::string term = selector.substr(start, comma - start);
+  while (start <= terms.size()) {
+    const size_t comma = std::min(terms.find(',', start), terms.size());
+    std::string_view term = terms.substr(start, comma - start);
     start = comma + 1;
     if (term.empty()) {
       continue;
     }
     int node = -1;
     const size_t at = term.find('@');
-    if (at != std::string::npos) {
-      node = ParseSelectorInt(term.substr(at + 1), "node in \"" + term + "\"");
-      term.resize(at);
+    if (at != std::string_view::npos) {
+      node = ParseSelectorInt(term.substr(at + 1), "node", term);
+      term = term.substr(0, at);
     }
     int count = 1;
     const size_t star = term.find('*');
-    if (star != std::string::npos) {
-      count = ParseSelectorInt(term.substr(star + 1), "count in \"" + term + "\"");
-      term.resize(star);
+    if (star != std::string_view::npos) {
+      count = ParseSelectorInt(term.substr(star + 1), "count", term);
+      term = term.substr(0, star);
     }
     const hw::GpuType* type = ClassNamed(cluster, term);
     if (type == nullptr && term.size() == 1) {
       type = ClassWithCode(cluster, term[0]);
     }
     if (type == nullptr) {
-      throw std::invalid_argument("unknown GPU class \"" + term + "\"");
+      throw std::invalid_argument("unknown GPU class \"" + std::string(term) + "\"");
     }
     if (count <= 0) {
-      throw std::invalid_argument("selector term " + term + " needs a positive count");
+      throw std::invalid_argument("selector term " + std::string(term) +
+                                  " needs a positive count");
     }
-    PickByType(cluster, *type, count, node, "\"" + term + "\"", used, picked);
+    if (!PickByType(cluster, *type, count, node, used, picked)) {
+      throw std::invalid_argument("cluster has no free GPU matching \"" + std::string(term) +
+                                  "\"");
+    }
   }
   if (picked.empty()) {
     throw std::invalid_argument("empty GPU selector");

@@ -33,6 +33,26 @@ std::vector<hw::GpuType> ClassesByName(const hw::Cluster& cluster) {
   return classes;
 }
 
+// Partitioner::ClassNameRank's table, indexed by GpuSpec::order: each
+// class's position in ClassesByName, classes of equal names sharing one.
+std::vector<int> BuildClassNameRanks(const hw::Cluster& cluster) {
+  const std::vector<hw::GpuType> classes = ClassesByName(cluster);
+  std::vector<int> ranks;
+  int rank = -1;
+  for (size_t i = 0; i < classes.size(); ++i) {
+    if (i == 0 ||
+        std::strcmp(hw::SpecOf(classes[i - 1]).name, hw::SpecOf(classes[i]).name) != 0) {
+      ++rank;
+    }
+    const size_t order = static_cast<size_t>(hw::SpecOf(classes[i]).order);
+    if (ranks.size() <= order) {
+      ranks.resize(order + 1, -1);
+    }
+    ranks[order] = rank;
+  }
+  return ranks;
+}
+
 // Everything the per-layer cost model feeds the partitioner: compute times on
 // every GPU class present in the cluster, boundary transfer sizes, stash and
 // param bytes (memory model), and the class identities (name, declared
@@ -217,6 +237,7 @@ Partitioner::Partitioner(const model::ModelProfile& profile, const hw::Cluster& 
     : profile_(&profile),
       cluster_(&cluster),
       inputs_fingerprint_(SolveInputsFingerprint(profile, cluster)),
+      class_name_ranks_(BuildClassNameRanks(cluster)),
       total_cum_by_last_(BuildTotalCumByLast(profile, cluster)),
       transfer_rows_(BuildTransferRows(profile, cluster)) {}
 

@@ -163,6 +163,12 @@ class Partitioner {
   const hw::Cluster& cluster() const { return *cluster_; }
   // SolveInputsFingerprint(profile(), cluster()), computed once.
   uint64_t inputs_fingerprint() const { return inputs_fingerprint_; }
+  // Rank of a class of cluster() among the cluster's classes ordered by name
+  // (the order inputs_fingerprint() hashes them in; equal names share a
+  // rank), so comparing ranks compares class names.
+  int ClassNameRank(hw::GpuType gpu) const {
+    return class_name_ranks_.at(static_cast<size_t>(hw::SpecOf(gpu).order));
+  }
 
   // Raw combined table for the DP inner loop, which cannot afford a
   // bounds-checked call per state, for a class of cluster(): entry
@@ -289,6 +295,7 @@ class Partitioner {
   const model::ModelProfile* profile_;
   const hw::Cluster* cluster_;
   uint64_t inputs_fingerprint_;
+  std::vector<int> class_name_ranks_;  // by GpuSpec::order (see ClassNameRank)
   // total_cum_by_last_[order][last * n + first] (see TotalCumByLast), indexed
   // by GpuSpec::order and built for the cluster's classes only: n^2 doubles
   // per class. Layer chains are block-granular (tens of entries), so a table
@@ -356,7 +363,8 @@ uint64_t EstimateOrderCount(const hw::Cluster& cluster, const std::vector<int>& 
 // EstimateOrderCount fits under options.exact_order_limit (or the order
 // search is off — a fixed order has nothing to search), else kHierarchical
 // when the virtual worker spans more than one rack, else kBeam. Never
-// returns kAuto.
+// returns kAuto, and a resolved strategy passed back in resolves to itself,
+// so a caller may resolve once and hand the result on as options.strategy.
 SearchStrategy ResolveSearchStrategy(const hw::Cluster& cluster,
                                      const std::vector<int>& gpu_ids,
                                      const PartitionOptions& options);

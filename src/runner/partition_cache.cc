@@ -27,27 +27,30 @@ void AppendInt(std::string* out, Int value) {
 // any GPU-id set with the same shape maps to the same key; ties keep the
 // given order. With the search off the given order IS the stage order, so it
 // must stay in the key.
-std::vector<int> VwSignature(const hw::Cluster& cluster, const std::vector<int>& gpu_ids,
-                             bool order_invariant, std::string* key) {
-  // Class names live as long as the cluster, so the tuples can view them;
-  // views compare like the strings, so the sorted order is the same.
-  std::vector<std::tuple<std::string_view, int, int>> shape;
+std::vector<int> VwSignature(const partition::Partitioner& partitioner,
+                             const std::vector<int>& gpu_ids, bool order_invariant,
+                             std::string* key) {
+  // Sorting on the class's name rank orders classes as their names would.
+  const hw::Cluster& cluster = partitioner.cluster();
+  std::vector<std::tuple<int, int, int>> shape;
   shape.reserve(gpu_ids.size());
   for (int id : gpu_ids) {
     const hw::Gpu& gpu = cluster.gpu(id);
-    shape.emplace_back(hw::SpecOf(gpu.type).name, gpu.node, static_cast<int>(shape.size()));
+    shape.emplace_back(partitioner.ClassNameRank(gpu.type), gpu.node,
+                       static_cast<int>(shape.size()));
   }
   if (order_invariant) {
     std::sort(shape.begin(), shape.end());
   }
   std::vector<int> slots;
   slots.reserve(shape.size());
-  for (const auto& [name, node, position] : shape) {
-    key->append(name);
+  for (const auto& [rank, node, position] : shape) {
+    const int id = gpu_ids[static_cast<size_t>(position)];
+    key->append(hw::SpecOf(cluster.gpu(id).type).name);
     key->push_back('@');
     AppendInt(key, node);
     key->push_back(';');
-    slots.push_back(gpu_ids[static_cast<size_t>(position)]);
+    slots.push_back(id);
   }
   return slots;
 }
@@ -92,8 +95,7 @@ std::string MakeKey(const partition::Partitioner& partitioner, const std::vector
   key.reserve(32 + 24 * gpu_ids.size());
   AppendInt(&key, fp.value());
   key.push_back('|');
-  *slots = VwSignature(partitioner.cluster(), gpu_ids,
-                       /*order_invariant=*/options.search_gpu_orders, &key);
+  *slots = VwSignature(partitioner, gpu_ids, /*order_invariant=*/options.search_gpu_orders, &key);
   key += "nm";
   AppendInt(&key, options.nm);
   key += options.search_gpu_orders ? "s1" : "s0";
@@ -108,9 +110,11 @@ std::string MakeKey(const partition::Partitioner& partitioner, const std::vector
   if (resolved != partition::SearchStrategy::kExact) {
     key.push_back('|');
     key += partition::SearchStrategyName(resolved);
-    key += " w" + std::to_string(options.beam_width);
+    key += " w";
+    AppendInt(&key, options.beam_width);
     if (resolved == partition::SearchStrategy::kHierarchical) {
-      key += " r" + std::to_string(options.rack_order_limit);
+      key += " r";
+      AppendInt(&key, options.rack_order_limit);
     }
   }
   return key;

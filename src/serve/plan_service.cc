@@ -1,6 +1,8 @@
 #include "serve/plan_service.h"
 
+#include <charconv>
 #include <chrono>
+#include <cstring>
 #include <exception>
 #include <memory>
 #include <stdexcept>
@@ -19,18 +21,28 @@ namespace {
 // Kept as a single string field so responses stay flat (the protocol's JSON
 // reader only decodes flat objects) and diff cleanly in JSONL logs.
 std::string StagesToString(const partition::Partition& partition) {
-  std::string out;
+  const auto append_int = [](std::string* out, int value) {
+    char buf[16];
+    out->append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+  };
+  // A term is its class name, four numbers and 12 bytes of punctuation.
+  size_t size = 0;
   for (const partition::StageAssignment& stage : partition.stages) {
-    if (!out.empty()) out += "|";
-    out += std::to_string(stage.first_layer);
-    out += "-";
-    out += std::to_string(stage.last_layer);
-    out += ":gpu";
-    out += std::to_string(stage.gpu_id);
-    out += ":node";
-    out += std::to_string(stage.node);
-    out += ":";
-    out += hw::SpecOf(stage.gpu_type).name;
+    size += std::strlen(hw::SpecOf(stage.gpu_type).name) + 4 * 11 + 12;
+  }
+  std::string out;
+  out.reserve(size);
+  for (const partition::StageAssignment& stage : partition.stages) {
+    if (!out.empty()) out.push_back('|');
+    append_int(&out, stage.first_layer);
+    out.push_back('-');
+    append_int(&out, stage.last_layer);
+    out.append(":gpu");
+    append_int(&out, stage.gpu_id);
+    out.append(":node");
+    append_int(&out, stage.node);
+    out.push_back(':');
+    out.append(hw::SpecOf(stage.gpu_type).name);
   }
   return out;
 }
@@ -131,13 +143,13 @@ runner::ResultRow PlanService::Handle(const PlanRequest& request) {
   // Echo the RESOLVED strategy (never "auto"), plus the knobs that shaped the
   // search — mirroring what the partition-cache key records, so a client can
   // tell which tier actually answered. Resolution ignores nm and the pool, so
-  // one resolution covers every max_nm probe too.
-  const partition::SearchStrategy resolved =
-      partition::ResolveSearchStrategy(context->cluster, gpu_ids, options);
-  row.Set("strategy", partition::SearchStrategyName(resolved));
-  if (resolved != partition::SearchStrategy::kExact) {
+  // one resolution covers every max_nm probe too: the cache and the solver
+  // get it as an explicit strategy, which resolves to itself.
+  options.strategy = partition::ResolveSearchStrategy(context->cluster, gpu_ids, options);
+  row.Set("strategy", partition::SearchStrategyName(options.strategy));
+  if (options.strategy != partition::SearchStrategy::kExact) {
     row.Set("beam_width", options.beam_width);
-    if (resolved == partition::SearchStrategy::kHierarchical) {
+    if (options.strategy == partition::SearchStrategy::kHierarchical) {
       row.Set("rack_order_limit", options.rack_order_limit);
     }
   }

@@ -117,22 +117,26 @@ class JsonReader {
     return pos_ < text_.size() && text_[pos_] == c;
   }
 
-  // Walks one top-level object and nothing after it, handing each member to
-  // `on_field(std::string& key, JsonValue& value)` in document order; both
-  // are scratch the callee may move from.
-  template <typename OnField>
-  bool ParseObject(OnField on_field) {
+  // Walks one top-level object and nothing after it, in document order:
+  // each member's value is decoded into `slot_for(const std::string& key)`,
+  // a JsonValue* (a later duplicate key overwrites the earlier value), or
+  // into scratch and dropped when that returns null.
+  template <typename SlotFor>
+  bool ParseObject(SlotFor slot_for) {
     if (!Expect('{')) {
       return false;
     }
     if (!Peek('}')) {
       std::string key;
-      JsonValue value;
+      JsonValue dropped;
       for (;;) {
-        if (!ParseString(&key) || !Expect(':') || !ParseValue(&value)) {
+        if (!ParseString(&key) || !Expect(':')) {
           return false;
         }
-        on_field(key, value);
+        JsonValue* slot = slot_for(key);
+        if (!ParseValue(slot != nullptr ? slot : &dropped)) {
+          return false;
+        }
         if (!Peek(',')) {
           break;
         }
@@ -156,16 +160,22 @@ class JsonReader {
     }
     out->clear();
     while (pos_ < text_.size()) {
+      // A run of bytes that need no decoding goes over in one append.
+      const size_t run = pos_;
+      while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\' &&
+             static_cast<unsigned char>(text_[pos_]) >= 0x20) {
+        ++pos_;
+      }
+      out->append(text_.data() + run, pos_ - run);
+      if (pos_ >= text_.size()) {
+        break;
+      }
       const char c = text_[pos_++];
       if (c == '"') {
         return true;
       }
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return Fail("raw control character in string");
-      }
       if (c != '\\') {
-        out->push_back(c);
-        continue;
+        return Fail("raw control character in string");
       }
       if (pos_ >= text_.size()) {
         break;
@@ -352,9 +362,7 @@ bool ParseJsonObject(const std::string& text, std::map<std::string, JsonValue>* 
                      std::string* error) {
   out->clear();
   JsonReader reader(text);
-  if (!reader.ParseObject([&](std::string& key, JsonValue& value) {
-        (*out)[key] = std::move(value);
-      })) {
+  if (!reader.ParseObject([out](const std::string& key) { return &(*out)[key]; })) {
     SetError(error, reader.error());
     return false;
   }
@@ -521,71 +529,99 @@ std::string PlanRequest::ToJson() const {
 
 namespace {
 
-// The request fields ParsePlanRequest reads.
+// The request fields ParsePlanRequest reads, by slot.
+enum RequestField : size_t {
+  kVersion,
+  kOp,
+  kId,
+  kClusterSpec,
+  kClusterNodes,
+  kModel,
+  kSelector,
+  kNm,
+  kNmCap,
+  kBatchSize,
+  kSearchOrders,
+  kStrategy,
+  kBeamWidth,
+  kRackOrderLimit,
+  kNumRequestFields,
+};
 constexpr std::string_view kRequestFields[] = {
     "v",             "op",       "id",         "cluster_spec",    "cluster_nodes",
     "model",         "selector", "nm",         "nm_cap",          "batch_size",
     "search_orders", "strategy", "beam_width", "rack_order_limit"};
-constexpr size_t kNumRequestFields = std::size(kRequestFields);
+static_assert(std::size(kRequestFields) == kNumRequestFields);
 
 // The last value of each known field of one request object (a later
 // duplicate key wins; unknown keys are dropped as they are read).
 struct RequestFields {
   JsonValue value[kNumRequestFields];
   bool present[kNumRequestFields] = {};
+  size_t next = 0;  // where SlotFor's search starts
 
-  // The field's value, or null when the request did not carry it.
-  JsonValue* Find(const char* key) {
-    for (size_t i = 0; i < kNumRequestFields; ++i) {
-      if (kRequestFields[i] == key) {
-        return present[i] ? &value[i] : nullptr;
+  // The slot `key` decodes into, or null for a key no request field has.
+  // The search starts after the last slot found, so a request whose fields
+  // come in slot order (PlanRequest::ToJson's) costs one compare a key.
+  JsonValue* SlotFor(const std::string& key) {
+    for (size_t step = 0; step < kNumRequestFields; ++step) {
+      const size_t i = (next + step) % kNumRequestFields;
+      if (key == kRequestFields[i]) {
+        present[i] = true;
+        next = i + 1;
+        return &value[i];
       }
     }
     return nullptr;
   }
+  // The field's value, or null when the request did not carry it.
+  JsonValue* Find(RequestField field) { return present[field] ? &value[field] : nullptr; }
 };
+
+std::string FieldError(RequestField field, const char* what) {
+  return "field \"" + std::string(kRequestFields[field]) + "\" must be " + what;
+}
 
 // Field decoding helpers shared by ParsePlanRequest: every type mismatch is
 // a kBadRequest naming the field, never a silent default.
-bool TakeString(RequestFields* fields, const char* key, std::string* out, std::string* error) {
-  JsonValue* v = fields->Find(key);
+bool TakeString(RequestFields* fields, RequestField field, std::string* out, std::string* error) {
+  JsonValue* v = fields->Find(field);
   if (v == nullptr) {
     return true;
   }
   if (v->type != JsonValue::Type::kString) {
-    *error = std::string("field \"") + key + "\" must be a string";
+    *error = FieldError(field, "a string");
     return false;
   }
   *out = std::move(v->str);
   return true;
 }
 
-bool TakeInt(RequestFields* fields, const char* key, int min, int max, int* out,
+bool TakeInt(RequestFields* fields, RequestField field, int min, int max, int* out,
              std::string* error) {
-  const JsonValue* v = fields->Find(key);
+  const JsonValue* v = fields->Find(field);
   if (v == nullptr) {
     return true;
   }
   if (v->type != JsonValue::Type::kNumber || v->num != std::floor(v->num)) {
-    *error = std::string("field \"") + key + "\" must be an integer";
+    *error = FieldError(field, "an integer");
     return false;
   }
   if (v->num < min || v->num > max) {
-    *error = std::string("field \"") + key + "\" must be in [" + std::to_string(min) + ", " +
-             std::to_string(max) + "]";
+    *error = FieldError(field, "in [") + std::to_string(min) + ", " + std::to_string(max) + "]";
     return false;
   }
   *out = static_cast<int>(v->num);
   return true;
 }
 
-bool TakeBool(RequestFields* fields, const char* key, bool* out, std::string* error) {
-  const JsonValue* v = fields->Find(key);
+bool TakeBool(RequestFields* fields, RequestField field, bool* out, std::string* error) {
+  const JsonValue* v = fields->Find(field);
   if (v == nullptr) {
     return true;
   }
   if (v->type != JsonValue::Type::kBool) {
-    *error = std::string("field \"") + key + "\" must be a boolean";
+    *error = FieldError(field, "a boolean");
     return false;
   }
   *out = v->boolean;
@@ -599,16 +635,7 @@ bool ParsePlanRequest(const std::string& payload, PlanRequest* out, ErrorCode* c
   *out = PlanRequest();
   RequestFields fields;
   JsonReader reader(payload);
-  const bool parsed = reader.ParseObject([&fields](std::string& key, JsonValue& value) {
-    for (size_t i = 0; i < kNumRequestFields; ++i) {
-      if (key == kRequestFields[i]) {
-        std::swap(fields.value[i], value);
-        fields.present[i] = true;
-        return;
-      }
-    }
-  });
-  if (!parsed) {
+  if (!reader.ParseObject([&fields](const std::string& key) { return fields.SlotFor(key); })) {
     *code = ErrorCode::kBadJson;
     *error = reader.error();
     return false;
@@ -616,19 +643,19 @@ bool ParsePlanRequest(const std::string& payload, PlanRequest* out, ErrorCode* c
 
   // Checked in a fixed order, so the first bad field in it is the one named.
   int version = kProtocolVersion;
-  if (!TakeInt(&fields, "v", 0, std::numeric_limits<int>::max(), &version, error) ||
-      !TakeString(&fields, "op", &out->op, error) || !TakeString(&fields, "id", &out->id, error) ||
-      !TakeString(&fields, "cluster_spec", &out->cluster_spec, error) ||
-      !TakeString(&fields, "cluster_nodes", &out->cluster_nodes, error) ||
-      !TakeString(&fields, "model", &out->model, error) ||
-      !TakeString(&fields, "selector", &out->selector, error) ||
-      !TakeInt(&fields, "nm", 1, 1024, &out->nm, error) ||
-      !TakeInt(&fields, "nm_cap", 1, 1024, &out->nm_cap, error) ||
-      !TakeInt(&fields, "batch_size", 1, 65536, &out->batch_size, error) ||
-      !TakeBool(&fields, "search_orders", &out->search_orders, error) ||
-      !TakeString(&fields, "strategy", &out->strategy, error) ||
-      !TakeInt(&fields, "beam_width", 1, 4096, &out->beam_width, error) ||
-      !TakeInt(&fields, "rack_order_limit", 1, 1000000, &out->rack_order_limit, error)) {
+  if (!TakeInt(&fields, kVersion, 0, std::numeric_limits<int>::max(), &version, error) ||
+      !TakeString(&fields, kOp, &out->op, error) || !TakeString(&fields, kId, &out->id, error) ||
+      !TakeString(&fields, kClusterSpec, &out->cluster_spec, error) ||
+      !TakeString(&fields, kClusterNodes, &out->cluster_nodes, error) ||
+      !TakeString(&fields, kModel, &out->model, error) ||
+      !TakeString(&fields, kSelector, &out->selector, error) ||
+      !TakeInt(&fields, kNm, 1, 1024, &out->nm, error) ||
+      !TakeInt(&fields, kNmCap, 1, 1024, &out->nm_cap, error) ||
+      !TakeInt(&fields, kBatchSize, 1, 65536, &out->batch_size, error) ||
+      !TakeBool(&fields, kSearchOrders, &out->search_orders, error) ||
+      !TakeString(&fields, kStrategy, &out->strategy, error) ||
+      !TakeInt(&fields, kBeamWidth, 1, 4096, &out->beam_width, error) ||
+      !TakeInt(&fields, kRackOrderLimit, 1, 1000000, &out->rack_order_limit, error)) {
     *code = ErrorCode::kBadRequest;
     return false;
   }

@@ -1042,6 +1042,34 @@ TEST(SearchStrategyTest, SelectorPicksHierarchicalAcrossRacks) {
   EXPECT_EQ(ResolveSearchStrategy(cluster, {0, 1, 2}, options), SearchStrategy::kBeam);
 }
 
+// PlanService resolves once and hands the result on as options.strategy, so
+// the cache key and the solver must resolve it to itself.
+TEST(SearchStrategyTest, ResolvedStrategiesResolveToThemselves) {
+  const Cluster paper = Cluster::Paper();
+  const Cluster racked = RackedTestCluster();
+  const std::vector<std::pair<const Cluster*, std::vector<int>>> inputs = {
+      {&paper, {0, 4, 8, 12}}, {&paper, {0, 1}},          {&paper, {5}},
+      {&racked, {0, 1, 2, 3, 4, 5}}, {&racked, {0, 1, 2}}, {&racked, {3, 0}}};
+  for (const auto& [cluster, ids] : inputs) {
+    for (SearchStrategy strategy : {SearchStrategy::kAuto, SearchStrategy::kExact,
+                                    SearchStrategy::kBeam, SearchStrategy::kHierarchical}) {
+      for (bool search : {true, false}) {
+        for (int64_t limit : {int64_t{1}, int64_t{10000}}) {
+          PartitionOptions options;
+          options.strategy = strategy;
+          options.search_gpu_orders = search;
+          options.exact_order_limit = limit;
+          const SearchStrategy resolved = ResolveSearchStrategy(*cluster, ids, options);
+          EXPECT_NE(resolved, SearchStrategy::kAuto);
+          options.strategy = resolved;
+          EXPECT_EQ(ResolveSearchStrategy(*cluster, ids, options), resolved)
+              << SearchStrategyName(strategy) << " search=" << search << " limit=" << limit;
+        }
+      }
+    }
+  }
+}
+
 TEST_F(PartitionerTest, SolveScalableAutoIsBitIdenticalToExact) {
   const auto graph = BuildResNet152();
   const ModelProfile profile(graph, 32);
